@@ -3,7 +3,9 @@
 
 Runs each hot kernel on representative workloads through both code
 paths in one process (the env flag LAMINAR_NO_NUMBA only changes which
-path the library dispatches to; here both are called directly).
+path the library dispatches to; here both are called directly).  When
+numba is not importable the ``@njit`` twins are plain Python, so their
+column prints ``n/a`` instead of timing them.
 
 Usage: python benchmarks/bench_kernels.py [--repeats 5]
 """
@@ -14,7 +16,6 @@ import time
 import numpy as np
 
 from laminar import _kernels
-from laminar.bounds import obf_table
 from laminar.construct import fano_tower
 from laminar.geometry import affine_plane, circle_geometry
 from laminar.setfam import Family
@@ -29,7 +30,12 @@ def _time(fn, repeats):
     return best
 
 
-def _row(name, nb_s, np_s):
+def _row(name, nb_fn, np_fn, repeats):
+    np_s = _time(np_fn, repeats)
+    if not _kernels._HAS_NUMBA:
+        print(f"{name:<44} numba       n/a      numpy {np_s*1e3:9.2f} ms")
+        return
+    nb_s = _time(nb_fn, repeats)
     ratio = np_s / nb_s if nb_s > 0 else float("inf")
     print(f"{name:<44} numba {nb_s*1e3:9.2f} ms   numpy {np_s*1e3:9.2f} ms   x{ratio:5.1f}")
 
@@ -51,9 +57,12 @@ def bench_violation(repeats):
         ("violation scan: tower n=49 (1625 sets)", words49, 2),
         ("violation scan: 4x tower n=196 (6500 sets)", words196, 2),
     ):
-        nb = _time(lambda: _kernels._nb_violation(words, t), repeats)
-        np_ = _time(lambda: _kernels._np_violation(words, t), repeats)
-        _row(label, nb, np_)
+        _row(
+            label,
+            lambda: _kernels._nb_violation(words, t),
+            lambda: _kernels._np_violation(words, t),
+            repeats,
+        )
 
 
 def _csr(design):
@@ -70,43 +79,20 @@ def _csr(design):
 
 def bench_cover_counts(repeats):
     pts, offs, v = _csr(affine_plane(49))
-    nb = _time(lambda: _kernels._nb_pair_counts(pts, offs, v), repeats)
-    np_ = _time(lambda: _kernels._np_pair_counts(pts, offs, v), repeats)
-    _row("pair cover counts: 2-(2401,49,1)", nb, np_)
+    _row(
+        "pair cover counts: 2-(2401,49,1)",
+        lambda: _kernels._nb_pair_counts(pts, offs, v),
+        lambda: _kernels._np_pair_counts(pts, offs, v),
+        repeats,
+    )
 
     pts3, offs3, v3 = _csr(circle_geometry(9))
-    nb = _time(lambda: _kernels._nb_triple_counts(pts3, offs3, v3), repeats)
-    np_ = _time(lambda: _kernels._np_triple_counts(pts3, offs3, v3), repeats)
-    _row("triple cover counts: 3-(82,10,1)", nb, np_)
-
-
-def bench_scan(repeats):
-    table = obf_table(4000, prefilter=True)
-    n_top = 6000
-    obf_f = np.zeros(n_top + 2, dtype=np.float64)
-    for k in range(2, 4001):
-        obf_f[k] = float(table.obf(k))
-    # extrapolate so the scan has a full m-range to chew on
-    for k in range(4001, n_top + 2):
-        obf_f[k] = obf_f[4000] * (k * (k - 1)) / (4000 * 3999)
-    starts = [s for s, _ in table.frontier_log]
-    fronts = [table.frontier_at(s) for s in starts]
-    cnts = np.array([len(f.vertices) for f in fronts], dtype=np.int64)
-    voff = np.concatenate([[0], np.cumsum(cnts)[:-1]]).astype(np.int64)
-    vx = np.array([float(x) for f in fronts for x, _ in f.vertices])
-    vy = np.array([float(y) for f in fronts for _, y in f.vertices])
-    starts = np.array(starts, dtype=np.int64)
-
-    def run(impl):
-        def inner():
-            for n in range(5000, 5200):
-                impl(n, obf_f, starts, voff, cnts, vx, vy, 32)
-
-        return inner
-
-    nb = _time(run(_kernels._nb_scan_topk), repeats)
-    np_ = _time(run(_kernels._np_scan_topk), repeats)
-    _row("prefilter scan: 200 steps near n=5000", nb, np_)
+    _row(
+        "triple cover counts: 3-(82,10,1)",
+        lambda: _kernels._nb_triple_counts(pts3, offs3, v3),
+        lambda: _kernels._np_triple_counts(pts3, offs3, v3),
+        repeats,
+    )
 
 
 def main():
@@ -115,22 +101,18 @@ def main():
     args = ap.parse_args()
 
     print(f"active dispatch backend: {_kernels.backend()}")
-    # warm up JIT so compile time stays out of the numbers
-    _kernels._nb_violation(np.zeros((2, 1), dtype=np.uint64), 1)
-    _kernels._nb_pair_counts(
-        np.array([0, 1], dtype=np.int64), np.array([0, 2], dtype=np.int64), 3
-    )
-    _kernels._nb_triple_counts(
-        np.array([0, 1, 2], dtype=np.int64), np.array([0, 3], dtype=np.int64), 4
-    )
-    _kernels._nb_scan_topk(
-        5, np.zeros(6), np.array([2]), np.array([0]), np.array([1]),
-        np.array([0.0]), np.array([1.0]), 4
-    )
+    if _kernels._HAS_NUMBA:
+        # warm up JIT so compile time stays out of the numbers
+        _kernels._nb_violation(np.zeros((2, 1), dtype=np.uint64), 1)
+        _kernels._nb_pair_counts(
+            np.array([0, 1], dtype=np.int64), np.array([0, 2], dtype=np.int64), 3
+        )
+        _kernels._nb_triple_counts(
+            np.array([0, 1, 2], dtype=np.int64), np.array([0, 3], dtype=np.int64), 4
+        )
 
     bench_violation(args.repeats)
     bench_cover_counts(args.repeats)
-    bench_scan(args.repeats)
 
 
 if __name__ == "__main__":

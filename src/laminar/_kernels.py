@@ -1,10 +1,15 @@
 """Hot numeric kernels with numba-accelerated and pure-numpy implementations.
 
-Three inner loops dominate runtime in this package:
+Two inner loops dominate runtime in this package:
 
   * pairwise laminarity scans over bit-packed set families,
-  * covered-t-subset counting when validating designs and packings,
-  * the double-precision prefilter scan inside the recursive bound table.
+  * covered-t-subset counting when validating designs and packings.
+
+A third kernel, ``scan_topk``, is the double-precision top-K scan that
+used to shortlist argmax candidates for the bound table.  The bound
+engine no longer calls it (its max over m is an exact integer
+branch-and-bound); it stays because ``perfbench/tracer.py`` wraps it by
+name.
 
 Each kernel exists twice: an ``@njit`` version and a vectorized numpy
 version.  The numba path is used when numba imports cleanly and the
@@ -227,7 +232,7 @@ def cover_counts(points: np.ndarray, offsets: np.ndarray, v: int, t: int) -> np.
 
 
 # ---------------------------------------------------------------------------
-# double-precision prefilter for the recursive bound table
+# double-precision top-K scan over the bound table (no caller in the package)
 #
 # For fixed n the scan evaluates, for every 2 <= m < n,
 #     obj(m) = obf(m) + min over frontier vertices of Theta_m of

@@ -23,23 +23,37 @@ produced by the substitution and is required for primal/dual agreement
 the critical indices follow 2, 3, 7, 43, 1807, ... (k -> k^2 - k + 1),
 so the dual minimum is an evaluation at a handful of extreme points.
 
-All table and frontier arithmetic is exact rational; floats appear only
-in the optional prefilter that shortlists argmax candidates (each
-shortlisted value is re-evaluated exactly) and in rendered output.
+The max over m is certified, not sampled: a best-bound branch-and-bound
+over intervals [lo, hi] inside each frontier segment, warm-started at
+the previous step's argmax.  An interval is pruned when one of two
+sound upper bounds on obf(m) + (dual minimum at m) is <= the incumbent:
+
+  * monotone:  obf(hi) + D(lo), since obf is nondecreasing and the dual
+    minimum D(m) is nonincreasing (both objective coefficients fall in
+    m, and every vertex has x >= 0, y >= 1);
+  * quadratic: obf(m) <= R C(m,2) with R the prefix max of
+    obf(k)/C(k,2) up to hi, so for any vertex v the function
+    R C(m,2) + C(n-m,2) x_v + (C(n,2)-C(m,2)) y_v bounds the objective;
+    it is convex in m when R + x_v - y_v >= 0, hence maximal at an
+    endpoint.
+
+Surviving short intervals are evaluated exactly point by point.  Every
+comparison runs on cross-multiplied Python integers (vertices pre-scaled
+to a common denominator, rationals split into numerator and
+denominator); the only inexact arithmetic in this module is the
+Decimal rendering in `rat_to_decimal`.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, NamedTuple, Optional
-
-import numpy as np
-
-from . import _kernels
 
 #: exact rational scalar used throughout the bound engine
 Rat = Fraction
@@ -176,12 +190,15 @@ def frontier_update(theta: Frontier, k_new: int, obf_k: Fraction) -> Frontier:
 
     If every current vertex satisfies the new constraint (tightness
     included) the constraint is eliminated; once redundant it stays
-    redundant because later regions only shrink.
+    redundant because later regions only shrink.  With obf_k = p/q and
+    vertices (xs, ys)/S the test is q (a xs + b ys) >= p S on integers.
     """
     if k_new != theta.n + 1:
         raise ValueError("stages must advance one at a time")
-    new = Halfspace.from_index(k_new, obf_k)
-    if all(new.holds(x, y) for x, y in theta.vertices):
+    a, b = comb(k_new - 1, 2), comb(k_new, 2)
+    q = obf_k.denominator
+    ps = obf_k.numerator * theta.scale
+    if all(q * (a * xs + b * ys) >= ps for xs, ys in theta.scaled_pts):
         return theta.with_stage(k_new)
     return _rebuild_frontier(
         k_new, list(theta.ks) + [k_new], list(theta.cs) + [Fraction(obf_k)]
@@ -200,6 +217,10 @@ class BoundTable:
         self.frontier_log: list[tuple[int, tuple[int, ...]]] = []
         self._seg_starts: list[int] = []
         self._seg_frontiers: list[Frontier] = []
+        # indices k where obf(k)/C(k,2) exceeds every earlier ratio, and
+        # those ratios as (numerator, denominator) integer pairs
+        self._rec_ks: list[int] = []
+        self._rec_ratios: list[tuple[int, int]] = []
 
     @property
     def n_max(self) -> int:
@@ -217,14 +238,7 @@ class BoundTable:
         """Theta_m: the frontier state at the last change index <= m."""
         if m < 2:
             raise KeyError("frontiers start at stage 2")
-        lo, hi = 0, len(self._seg_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._seg_starts[mid] <= m:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self._seg_frontiers[lo].with_stage(m)
+        return self._seg_frontiers[bisect_right(self._seg_starts, m) - 1].with_stage(m)
 
     @property
     def critical(self) -> tuple[int, ...]:
@@ -236,6 +250,15 @@ class BoundTable:
         if n != len(self._values):
             raise ValueError("values must be appended in order")
         self._values.append(value)
+        num, den = value.numerator, value.denominator * (n * (n - 1) // 2)
+        recs = self._rec_ratios
+        if not recs or num * recs[-1][1] > recs[-1][0] * den:
+            self._rec_ks.append(n)
+            recs.append((num, den))
+
+    def _ratio_max(self, hi: int) -> tuple[int, int]:
+        """max of obf(k)/C(k,2) over 2 <= k <= hi, as (numerator, denominator)."""
+        return self._rec_ratios[bisect_right(self._rec_ks, hi) - 1]
 
     def _push_frontier(self, start: int, frontier: Frontier):
         self._seg_starts.append(start)
@@ -243,31 +266,9 @@ class BoundTable:
         self.frontier_log.append((start, frontier.critical))
 
 
-class _SegmentView:
-    """Flattened frontier segments for the float prefilter kernel."""
-
-    def __init__(self):
-        self.starts = np.zeros(0, dtype=np.int64)
-        self.voff = np.zeros(0, dtype=np.int64)
-        self.vcnt = np.zeros(0, dtype=np.int64)
-        self.vx = np.zeros(0, dtype=np.float64)
-        self.vy = np.zeros(0, dtype=np.float64)
-
-    def rebuild(self, starts: list[int], frontiers: list[Frontier]):
-        self.starts = np.asarray(starts, dtype=np.int64)
-        cnts, xs, ys = [], [], []
-        for f in frontiers:
-            cnts.append(len(f.vertices))
-            xs.extend(float(x) for x, _ in f.vertices)
-            ys.extend(float(y) for _, y in f.vertices)
-        self.vcnt = np.asarray(cnts, dtype=np.int64)
-        self.voff = np.concatenate([[0], np.cumsum(self.vcnt)[:-1]]).astype(np.int64)
-        self.vx = np.asarray(xs, dtype=np.float64)
-        self.vy = np.asarray(ys, dtype=np.float64)
-
-
-def _dual_min_scaled(n: int, m: int, frontier: Frontier) -> Fraction:
-    """min of C(n-m,2) x + (C(n,2)-C(m,2)) y over the frontier vertices."""
+def _dual_min_scaled(n: int, m: int, frontier: Frontier) -> int:
+    """min of C(n-m,2) x + (C(n,2)-C(m,2)) y over the frontier vertices,
+    times frontier.scale (so an exact integer)."""
     c1 = (n - m) * (n - m - 1) // 2
     c2 = (n * (n - 1) - m * (m - 1)) // 2
     best = None
@@ -275,7 +276,116 @@ def _dual_min_scaled(n: int, m: int, frontier: Frontier) -> Fraction:
         v = c1 * xs + c2 * ys
         if best is None or v < best:
             best = v
-    return Fraction(best, frontier.scale)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# certified max over m: interval branch-and-bound on integers
+#
+# For fixed n the objective is F(m) = obf(m) + D(m), with D(m) the dual
+# minimum over the frontier segment holding m, and obf(n) = 1 + max F.
+# Rationals travel as (numerator, denominator) pairs with positive
+# denominators, so every comparison is one cross-multiplication.
+
+#: intervals with at most this many points are evaluated point by point
+_LEAF = 8
+
+
+def _interval_bounds(
+    n: int,
+    lo: int,
+    hi: int,
+    frontier: Frontier,
+    obf_hi: Fraction,
+    ratio_max: tuple[int, int],
+) -> tuple[tuple[int, int], Optional[tuple[int, int]]]:
+    """(monotone, quadratic) upper bounds on max F(m) over lo <= m <= hi.
+
+    `frontier` is the segment holding the whole interval and
+    `ratio_max` = (P, Q) is at least every obf(k)/C(k,2), k <= hi.  The
+    quadratic bound is None when no vertex makes h_v convex.
+    """
+    s = frontier.scale
+    p_r, q_r = ratio_max
+    cn2 = n * (n - 1) // 2
+    a_lo, a_hi = lo * (lo - 1) // 2, hi * (hi - 1) // 2
+    c1_lo, c1_hi = (n - lo) * (n - lo - 1) // 2, (n - hi) * (n - hi - 1) // 2
+    c2_lo, c2_hi = cn2 - a_lo, cn2 - a_hi
+    # endpoint values of h_v times Q*S: P*C(m,2)*S + Q*(c1 xs + c2 ys)
+    r_lo, r_hi = p_r * a_lo * s, p_r * a_hi * s
+    convex_floor = -p_r * s  # R + x_v - y_v >= 0  <=>  Q (xs - ys) >= -P S
+    d_lo = None
+    quad = None
+    for xs, ys in frontier.scaled_pts:
+        g_lo = c1_lo * xs + c2_lo * ys
+        if d_lo is None or g_lo < d_lo:
+            d_lo = g_lo
+        if q_r * (xs - ys) >= convex_floor:
+            h = max(r_lo + q_r * g_lo, r_hi + q_r * (c1_hi * xs + c2_hi * ys))
+            if quad is None or h < quad:
+                quad = h
+    p, q = obf_hi.numerator, obf_hi.denominator
+    mono = (p * s + d_lo * q, q * s)
+    return mono, (None if quad is None else (quad, q_r * s))
+
+
+def _max_lp(table: BoundTable, n: int, m0: int) -> tuple[int, int, int]:
+    """Exact max over 2 <= m < n of LP(n, m), warm-started at m0.
+
+    Returns (numerator, denominator, argmax).  Intervals are expanded
+    best bound first and dropped once their bound is <= the incumbent,
+    so the value equals that of the exhaustive scan.
+    """
+    values = table._values
+    starts = table._seg_starts
+    fronts = table._seg_frontiers
+
+    def value_at(m: int, f: Frontier) -> tuple[int, int]:
+        v = values[m]
+        q = v.denominator
+        return v.numerator * f.scale + _dual_min_scaled(n, m, f) * q, q * f.scale
+
+    best_num, best_den = value_at(m0, fronts[bisect_right(starts, m0) - 1])
+    best_m = m0
+    heap: list[tuple[int, int, int, int, int, int]] = []
+
+    def push(lo: int, hi: int, si: int):
+        mono, quad = _interval_bounds(
+            n, lo, hi, fronts[si], values[hi], table._ratio_max(hi)
+        )
+        num, den = mono
+        if quad is not None and quad[0] * den < num * quad[1]:
+            num, den = quad
+        if num * best_den > best_num * den:
+            # priority: floor of the bound times 2^32, an integer
+            heapq.heappush(heap, (-((num << 32) // den), lo, hi, si, num, den))
+
+    def scan(lo: int, hi: int, si: int):
+        nonlocal best_num, best_den, best_m
+        f = fronts[si]
+        for m in range(lo, hi + 1):
+            vn, vd = value_at(m, f)
+            if vn * best_den > best_num * vd:
+                best_num, best_den, best_m = vn, vd, m
+
+    # one interval per frontier segment; segments start at stages >= 2
+    for si, lo in enumerate(starts):
+        hi = min(starts[si + 1] - 1 if si + 1 < len(starts) else n - 1, n - 1)
+        if lo == hi:
+            scan(lo, hi, si)
+        elif lo < hi:
+            push(lo, hi, si)
+    while heap:
+        _, lo, hi, si, num, den = heapq.heappop(heap)
+        if num * best_den <= best_num * den:
+            continue
+        if hi - lo < _LEAF:
+            scan(lo, hi, si)
+            continue
+        mid = (lo + hi) // 2
+        push(lo, mid, si)
+        push(mid + 1, hi, si)
+    return best_num, best_den, best_m
 
 
 def lp_dual_value(n: int, m: int, theta_m: Frontier, table: BoundTable) -> Fraction:
@@ -286,7 +396,7 @@ def lp_dual_value(n: int, m: int, theta_m: Frontier, table: BoundTable) -> Fract
     """
     if not 2 <= m < n:
         raise ValueError("need 2 <= m < n")
-    return table.obf(m) + _dual_min_scaled(n, m, theta_m)
+    return table.obf(m) + Fraction(_dual_min_scaled(n, m, theta_m), theta_m.scale)
 
 
 def lp_primal_oracle(n: int, m: int, table: BoundTable) -> Fraction:
@@ -351,12 +461,14 @@ def _parse_cache_line(raw: str, ln: int) -> tuple[int, Fraction]:
 def load_cache(path: str, audit_stride: int = 100) -> list[Fraction]:
     """Read and verify a persisted table; returns values indexed from 2.
 
-    Verifies the base values, contiguous indices, and re-audits a
-    sample of lines against the ratio recursion; any failure raises
-    CacheError naming the offending line.
+    Verifies the base values, contiguous indices and that values never
+    decrease (the branch-and-bound's monotone bound relies on it), and
+    re-audits a sample of lines against the ratio recursion; any
+    failure raises CacheError naming the offending line.
     """
     values: list[Fraction] = []
-    running_max: Optional[Fraction] = None
+    # running max of obf(k)/C(k,2) as an integer pair
+    run_p, run_q = 0, 1
     with open(path, "r", encoding="ascii") as fh:
         for ln, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -369,16 +481,19 @@ def load_cache(path: str, audit_stride: int = 100) -> list[Fraction]:
                 raise CacheError(f"cache line {ln}: obf(2) must be 1, got {v}")
             if n == 3 and v != 4:
                 raise CacheError(f"cache line {ln}: obf(3) must be 4, got {v}")
-            if n > 3 and (n % audit_stride == 0):
-                lhs = v / comb(n, 2)
-                rhs = Fraction(1, comb(n, 2)) + running_max
-                if lhs > rhs:
-                    raise CacheError(
-                        f"cache line {ln}: obf({n}) fails the ratio recursion audit"
-                    )
-            ratio = v / comb(n, 2)
-            if running_max is None or ratio > running_max:
-                running_max = ratio
+            p, q = v.numerator, v.denominator
+            if values and p * values[-1].denominator < values[-1].numerator * q:
+                raise CacheError(
+                    f"cache line {ln}: obf({n}) = {v} is below obf({n - 1})"
+                )
+            c = n * (n - 1) // 2
+            # v/c <= 1/c + run_p/run_q, times c * q * run_q
+            if n > 3 and n % audit_stride == 0 and p * run_q > q * (run_q + run_p * c):
+                raise CacheError(
+                    f"cache line {ln}: obf({n}) fails the ratio recursion audit"
+                )
+            if p * run_q > run_p * q * c:
+                run_p, run_q = p, q * c
             values.append(v)
     if len(values) < 2:
         raise CacheError("cache must contain at least obf(2) and obf(3)")
@@ -398,18 +513,14 @@ def _append_cache(path: str, rows: list[tuple[int, Fraction]]):
 def obf_table(
     n_max: int,
     *,
-    prefilter: bool = False,
-    top_k: int = 32,
     cache_path: Optional[str] = None,
     progress: Optional[Callable[[int], None]] = None,
     progress_every: int = 1000,
 ) -> BoundTable:
     """Build (or extend from cache) the bound table up to n_max.
 
-    The default max-over-m scan evaluates every LP(n, m) exactly.  With
-    prefilter=True a float64 pass shortlists the top_k candidate m per
-    step and only those are evaluated exactly; agreement of the two
-    modes is part of the test suite.
+    Each new value takes the certified max over m from `_max_lp`,
+    warm-started at the previous step's argmax.
     """
     if n_max < 2:
         raise ValueError("table starts at n = 2")
@@ -418,16 +529,12 @@ def obf_table(
     if cache_path and os.path.exists(cache_path):
         cached = load_cache(cache_path)
 
-    obf_f = np.zeros(n_max + 2, dtype=np.float64)
-    segview = _SegmentView()
     frontier: Optional[Frontier] = None
     fresh: list[tuple[int, Fraction]] = []
 
     def install(n: int, value: Fraction, from_cache: bool):
         nonlocal frontier
         table._append_value(n, value)
-        if n < obf_f.size:
-            obf_f[n] = float(value)
         if n == 2:
             frontier = Frontier(2, (2,), (Fraction(1),))
             table._push_frontier(2, frontier)
@@ -435,66 +542,25 @@ def obf_table(
             updated = frontier_update(frontier, n, value)
             if updated.ks != frontier.ks:
                 table._push_frontier(n, updated)
-                segview.rebuild(table._seg_starts, table._seg_frontiers)
             frontier = updated
         if not from_cache:
             fresh.append((n, value))
         if progress and n % progress_every == 0:
             progress(n)
 
-    def exact_best(n: int) -> Fraction:
-        best: Optional[Fraction] = None
-        starts = table._seg_starts
-        fronts = table._seg_frontiers
-        for si, f in enumerate(fronts):
-            lo = max(starts[si], 2)
-            hi = min(starts[si + 1] - 1 if si + 1 < len(starts) else n - 1, n - 1)
-            for m in range(lo, hi + 1):
-                cand = table._values[m] + _dual_min_scaled(n, m, f)
-                if best is None or cand > best:
-                    best = cand
-        return best
-
-    def prefiltered_best(n: int) -> Fraction:
-        cand_ms = _kernels.scan_topk(
-            n,
-            obf_f,
-            segview.starts,
-            segview.voff,
-            segview.vcnt,
-            segview.vx,
-            segview.vy,
-            top_k,
-        )
-        best: Optional[Fraction] = None
-        best_m = None
-        for m in sorted(int(m) for m in cand_ms if m >= 2):
-            cand = table._values[m] + _dual_min_scaled(
-                n, m, table.frontier_at(m)
-            )
-            if best is None or cand > best:
-                best, best_m = cand, m
-        assert best_m is not None
-        return best
-
     install(2, Fraction(1), from_cache=bool(cached))
     if n_max >= 3 or len(cached) >= 2:
         install(3, Fraction(4), from_cache=len(cached) >= 2)
-    segview.rebuild(table._seg_starts, table._seg_frontiers)
 
     top = max(n_max, len(cached) + 1)
+    argmax = None
     for n in range(4, top + 1):
         if n - 2 < len(cached):
             install(n, cached[n - 2], from_cache=True)
             continue
-        if prefilter and n - 2 > top_k:
-            best = prefiltered_best(n)
-        else:
-            best = exact_best(n)
-        value = 1 + best
-        if value < table._values[n - 1]:
-            raise AssertionError(f"obf({n}) decreased; table corrupt")
-        install(n, value, from_cache=False)
+        # cold start at the newest critical index, where the argmax sits
+        num, den, argmax = _max_lp(table, n, argmax or table._seg_starts[-1])
+        install(n, Fraction(num + den, den), from_cache=False)
         if cache_path and len(fresh) >= 2000:
             _append_cache(cache_path, fresh)
             fresh.clear()

@@ -60,11 +60,7 @@ def cmd_obf(args) -> int:
 
     try:
         table = bounds.obf_table(
-            n,
-            prefilter=args.prefilter,
-            cache_path=path,
-            progress=progress,
-            progress_every=1000,
+            n, cache_path=path, progress=progress, progress_every=1000
         )
     except bounds.CacheError as exc:
         _log(f"cache verification failed: {exc}")
@@ -165,13 +161,10 @@ def cmd_construct(args) -> int:
             return EXIT_OK
         _log(f"unknown construct kind {kind!r}")
         return EXIT_USAGE
-    except geometry.NotPrimePower as exc:
+    except construct.CapExceeded as exc:
         _log(str(exc))
-        return EXIT_USAGE
+        return EXIT_BUDGET
     except ValueError as exc:
-        if "cap" in str(exc):
-            _log(str(exc))
-            return EXIT_BUDGET
         _log(str(exc))
         return EXIT_USAGE
 
@@ -326,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("obf", help="build/extend the bound table")
     sp.add_argument("--N", "--n", dest="N", type=int, required=True)
     sp.add_argument("--cache", default=None)
-    sp.add_argument("--prefilter", dest="prefilter", action="store_true", default=True)
-    sp.add_argument("--no-prefilter", dest="prefilter", action="store_false")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_obf)
 

@@ -30,6 +30,10 @@ FANO_TOWER_DEFAULT_CAP = 49
 CIRCLE_TOWER_DEFAULT_CAP = 82
 
 
+class CapExceeded(ValueError):
+    """A tower level is too large to materialize under its cap."""
+
+
 @dataclass(frozen=True)
 class TowerReport:
     """Exact census of one tower level."""
@@ -150,7 +154,7 @@ def fano_tower(
         return report, None
     cap = 2401 if large_ok else FANO_TOWER_DEFAULT_CAP
     if n > cap:
-        raise ValueError(
+        raise CapExceeded(
             f"materializing n={n} exceeds the cap {cap}; pass large_ok or lower r"
         )
     fam = _fano_level0()
@@ -231,7 +235,7 @@ def circle_tower(r: int, materialize: bool = False) -> tuple[TowerReport, Option
     if not materialize:
         return report, None
     if n > CIRCLE_TOWER_DEFAULT_CAP:
-        raise ValueError(f"materializing n={n} exceeds the cap {CIRCLE_TOWER_DEFAULT_CAP}")
+        raise CapExceeded(f"materializing n={n} exceeds the cap {CIRCLE_TOWER_DEFAULT_CAP}")
     fam = _circle_level0()
     size = 10
     while size < n:

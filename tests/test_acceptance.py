@@ -1,11 +1,8 @@
 """Acceptance suite: one test per exit criterion, one printed line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the PASS lines.
-Criterion 3 (the N = 50000 headline) is long-running and gated behind
-LAMINAR_ACCEPT_FULL=1; the N = 10000 criterion is the desk-scale gate.
 """
 
-import os
 import random
 import time
 from fractions import Fraction
@@ -48,7 +45,7 @@ def _report(num: int, detail: str, elapsed: float, budget: float):
 
 @pytest.fixture(scope="module")
 def table10000():
-    return obf_table(10000, prefilter=True)
+    return obf_table(10000)
 
 
 def test_criterion_1_base_table_and_duality():
@@ -85,13 +82,10 @@ def test_criterion_2_critical_set_at_10000(table10000):
     )
 
 
-@pytest.mark.skipif(
-    not os.environ.get("LAMINAR_ACCEPT_FULL"),
-    reason="N=50000 headline gated behind LAMINAR_ACCEPT_FULL=1",
-)
 def test_criterion_3_headline_ratio_50000():
     t0 = time.monotonic()
-    table = obf_table(50000, prefilter=True)
+    table = obf_table(50000)
+    assert table.obf(50000) == Fraction(519989600301, 301)
     rep = upper_limit_report(table, 50000)
     assert abs(rep.ratio - Fraction(138206, 100000)) <= Fraction(1, 100000)
     assert rep.upper_limit <= Fraction(138211, 100000)

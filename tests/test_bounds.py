@@ -1,4 +1,4 @@
-import os
+import random
 from fractions import Fraction
 from math import comb
 
@@ -9,6 +9,8 @@ from laminar.bounds import (
     CacheError,
     Frontier,
     Halfspace,
+    _interval_bounds,
+    _max_lp,
     frontier_update,
     load_cache,
     lp_dual_value,
@@ -147,19 +149,61 @@ class TestFrontier:
             frontier_update(table60.frontier_at(10), 12, Fraction(1))
 
 
-class TestPrefilter:
-    def test_agrees_with_exact_scan(self):
-        exact = obf_table(600)
-        fast = obf_table(600, prefilter=True)
-        for n in range(2, 601):
-            assert exact.obf(n) == fast.obf(n)
+def _exhaustive_obf(table, n_max):
+    """1 + max_m LP(n, m) by scanning every m, for 4 <= n <= n_max."""
+    fronts = [None, None] + [table.frontier_at(m) for m in range(2, n_max)]
+    return {
+        n: 1 + max(lp_dual_value(n, m, fronts[m], table) for m in range(2, n))
+        for n in range(4, n_max + 1)
+    }
+
+
+class TestExactMax:
+    def test_matches_exhaustive_to_600(self, table600):
+        for n, value in _exhaustive_obf(table600, 600).items():
+            assert table600.obf(n) == value, n
 
     @pytest.mark.slow
-    def test_agrees_to_2000(self):
-        exact = obf_table(2000)
-        fast = obf_table(2000, prefilter=True)
-        for n in range(2, 2001):
-            assert exact.obf(n) == fast.obf(n)
+    def test_matches_exhaustive_to_2000(self):
+        table = obf_table(2000)
+        for n, value in _exhaustive_obf(table, 2000).items():
+            assert table.obf(n) == value, n
+
+    def test_any_warm_start(self, table600):
+        rng = random.Random(7)
+        for n in (4, 5, 8, 43, 44, 100, 357, 600):
+            want = table600.obf(n) - 1
+            for m0 in {2, n - 1, rng.randint(2, n - 1)}:
+                num, den, arg = _max_lp(table600, n, m0)
+                assert Fraction(num, den) == want, (n, m0)
+                fm = table600.frontier_at(arg)
+                assert lp_dual_value(n, arg, fm, table600) == want
+
+    def test_interval_bounds_sound(self, table600):
+        # each bound is >= the exact max of LP(n, m) over its interval
+        rng = random.Random(2014)
+        starts = [s for s, _ in table600.frontier_log]
+        for _ in range(400):
+            n = rng.randint(4, 600)
+            seg = rng.choice([s for s in starts if s < n])
+            nxt = [s for s in starts if s > seg]
+            top = min(nxt[0] - 1 if nxt else n - 1, n - 1)
+            lo = rng.randint(seg, top)
+            hi = rng.randint(lo, top)
+            f = table600.frontier_at(hi)
+            exact = max(lp_dual_value(n, m, f, table600) for m in range(lo, hi + 1))
+            mono, quad = _interval_bounds(
+                n, lo, hi, f, table600.obf(hi), table600._ratio_max(hi)
+            )
+            assert Fraction(*mono) >= exact, (n, lo, hi)
+            assert quad is not None
+            assert Fraction(*quad) >= exact, (n, lo, hi)
+
+    def test_ratio_max_is_prefix_max(self, table600):
+        best = Fraction(0)
+        for k in range(2, 601):
+            best = max(best, table600.ratio(k))
+            assert Fraction(*table600._ratio_max(k)) == best, k
 
 
 class TestSeriesAndTail:

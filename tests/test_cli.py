@@ -43,6 +43,18 @@ class TestObfCommand:
         assert code == 4
         assert "line 2" in err
 
+    def test_decreasing_cache_exit_4(self, tmp_path, capsys):
+        cache = str(tmp_path / "c.cache")
+        run(["obf", "--N", "60", "--cache", cache], capsys)
+        lines = open(cache).read().splitlines()
+        # swap the values of obf(40) and obf(41)
+        v40, v41 = lines[38].split("\t")[1], lines[39].split("\t")[1]
+        lines[38], lines[39] = f"40\t{v41}", f"41\t{v40}"
+        open(cache, "w").write("\n".join(lines) + "\n")
+        code, _, err = run(["obf", "--N", "60", "--cache", cache], capsys)
+        assert code == 4
+        assert "line 40: obf(41)" in err and "below obf(40)" in err
+
     def test_env_cache_path(self, tmp_path, capsys, monkeypatch):
         cache = str(tmp_path / "env.cache")
         monkeypatch.setenv("LAMINAR_CACHE", cache)
@@ -83,6 +95,17 @@ class TestConstructCommand:
             ["construct", "circle-tower", "--r", "2", "--materialize"], capsys
         )
         assert code == 3 and "cap" in err
+
+    def test_fano_tower_over_cap_exit_3(self, capsys):
+        code, _, err = run(
+            ["construct", "fano-tower", "--r", "3", "--materialize"], capsys
+        )
+        assert code == 3 and "exceeds the cap" in err
+
+    @pytest.mark.parametrize("kind", ["projective", "circle"])
+    def test_bad_q_exit_2(self, kind, capsys):
+        code, _, err = run(["construct", kind, "--q", "10"], capsys)
+        assert code == 2 and "prime power" in err
 
     def test_packing_kind(self, tmp_path, capsys):
         out_path = str(tmp_path / "p.design")

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_laminar_family
 from laminar.construct import (
+    CapExceeded,
     circle_tower,
     fano_tower,
     general_n_lower_bound,
@@ -115,7 +116,7 @@ class TestFanoTower:
         assert all(r >= Fraction(29, 21) for r in ratios)
 
     def test_materialization_cap(self):
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(CapExceeded, match="cap"):
             fano_tower(2, materialize=True)
 
     def test_report_json(self):
