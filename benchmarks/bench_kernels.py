@@ -5,7 +5,9 @@ Runs each hot kernel on representative workloads through both code
 paths in one process (the env flag LAMINAR_NO_NUMBA only changes which
 path the library dispatches to; here both are called directly).  When
 numba is not importable the ``@njit`` twins are plain Python, so their
-column prints ``n/a`` instead of timing them.
+column prints ``n/a`` instead of timing them.  The config and chain
+checks of ``laminar verify`` have one implementation each; their rows
+print ``-`` in the numba column.
 
 Usage: python benchmarks/bench_kernels.py [--repeats 5]
 """
@@ -18,7 +20,13 @@ import numpy as np
 from laminar import _kernels
 from laminar.construct import fano_tower
 from laminar.geometry import affine_plane, circle_geometry
-from laminar.setfam import Family
+from laminar.setfam import (
+    Family,
+    contains_config,
+    forbidden_matrix,
+    incidence_matrix,
+    unique_chain_check,
+)
 
 
 def _time(fn, repeats):
@@ -40,29 +48,44 @@ def _row(name, nb_fn, np_fn, repeats):
     print(f"{name:<44} numba {nb_s*1e3:9.2f} ms   numpy {np_s*1e3:9.2f} ms   x{ratio:5.1f}")
 
 
-def bench_violation(repeats):
-    _, fam49 = fano_tower(1, materialize=True)
-    words49 = fam49.to_words()
+def _single_row(name, fn, repeats):
+    s = _time(fn, repeats)
+    print(f"{name:<44} numba         -      numpy {s*1e3:9.2f} ms")
 
-    # four disjoint relabeled copies: 6500 sets over 196 points, laminar,
-    # so the scan visits every pair
+
+def _towers():
+    """The 1625-set tower, and four disjoint relabeled copies of it:
+    6500 sets over 196 points, laminar, so every scan runs to the end."""
+    _, fam49 = fano_tower(1, materialize=True)
     shifted = []
     for copy in range(4):
         for b in fam49:
             shifted.append(b.mask << (49 * copy))
-    fam196 = Family.from_masks(196, shifted)
-    words196 = fam196.to_words()
+    return (
+        ("tower n=49 (1625 sets)", fam49),
+        ("4x tower n=196 (6500 sets)", Family.from_masks(196, shifted)),
+    )
 
-    for label, words, t in (
-        ("violation scan: tower n=49 (1625 sets)", words49, 2),
-        ("violation scan: 4x tower n=196 (6500 sets)", words196, 2),
-    ):
+
+def bench_violation(towers, repeats):
+    for label, fam in towers:
+        words = fam.to_words()
         _row(
-            label,
-            lambda: _kernels._nb_violation(words, t),
-            lambda: _kernels._np_violation(words, t),
+            f"violation scan: {label}",
+            lambda: _kernels._nb_violation(words, 2),
+            lambda: _kernels._np_violation(words, 2),
             repeats,
         )
+
+
+def bench_verify_checks(towers, repeats):
+    """The Gram-matrix config check and the incidence-driven chain check."""
+    z = forbidden_matrix(2)
+    for label, fam in towers:
+        m = incidence_matrix(fam)
+        _single_row(f"config check: {label}", lambda: contains_config(m, z), repeats)
+    for label, fam in towers:
+        _single_row(f"chain check: {label}", lambda: unique_chain_check(fam, 2), repeats)
 
 
 def _csr(design):
@@ -111,7 +134,9 @@ def main():
             np.array([0, 1, 2], dtype=np.int64), np.array([0, 3], dtype=np.int64), 4
         )
 
-    bench_violation(args.repeats)
+    towers = _towers()
+    bench_violation(towers, args.repeats)
+    bench_verify_checks(towers, args.repeats)
     bench_cover_counts(args.repeats)
 
 

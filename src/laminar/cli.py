@@ -185,29 +185,29 @@ def _load_family(path: str) -> tuple[setfam.Family, int | None]:
 def cmd_verify(args) -> int:
     try:
         fam, file_t = _load_family(args.file)
-    except (OSError, setfam.FamilyParseError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, setfam.FamilyParseError, json.JSONDecodeError, ValueError,
+            KeyError, TypeError) as exc:
         _log(f"cannot read {args.file}: {exc}")
         return EXIT_USAGE
     t = args.t if args.t is not None else file_t
     if t is None:
         _log("no t given and none recorded in the file")
         return EXIT_USAGE
+    if t < 1:
+        _log("t must be >= 1")
+        return EXIT_USAGE
 
-    laminar = setfam.is_t_laminar(fam, t)
-    avoided = not setfam.contains_config(
-        setfam.incidence_matrix(fam), setfam.forbidden_matrix(t)
-    )
-    chained = setfam.unique_chain_check(fam, t)
-    if not laminar == avoided == chained:
-        raise AssertionError(
-            f"equivalent laminarity checks disagree: {laminar} {avoided} {chained}"
-        )
-    if laminar:
+    try:
+        hit = setfam.verify_t_laminar(fam, t)
+    except setfam.ChecksDisagree as exc:
+        _log(str(exc))
+        return EXIT_CORRUPT
+    if hit is None:
         print(f"t-laminar (t={t}): {len(fam)} sets, all three checks agree")
         return EXIT_OK
-    a, b = setfam.laminarity_witness(fam, t)
-    ia = fam.sets.index(a) + 1
-    ib = fam.sets.index(b) + 1
+    i, j = hit
+    a, b = fam.sets[i], fam.sets[j]
+    ia, ib = i + 1, j + 1
     shared = [p for p in a.members if p in b][:t]
     w = next(p for p in b.members if p not in a)
     x = next(p for p in a.members if p not in b)

@@ -395,15 +395,15 @@ def circle_geometry(q: int) -> Design:
     assert a.size == big**3 - big  # |PGL(2, q^2)|
 
     inf = big  # 0-based index of the infinity point
-    cols = []
     # sub-line points in homogeneous coordinates (u : v); infinity = (1 : 0)
-    for u, v in [(s, 1) for s in sub] + [(1, 0)]:
+    line = [(s, 1) for s in sub] + [(1, 0)]
+    images = np.empty((a.size, len(line)), dtype=mul.dtype)
+    for col, (u, v) in enumerate(line):
         num = add[mul[a, u], mul[b, v]]
         den = add[mul[c, u], mul[d, v]]
-        img = np.where(den == 0, inf, mul[num, inv[den]])
-        cols.append(img)
-    images = np.sort(np.stack(cols, axis=1), axis=1)
-    uniq = np.unique(images, axis=0)
+        images[:, col] = np.where(den == 0, inf, mul[num, inv[den]])
+    images.sort(axis=1)
+    uniq = _unique_rows(images, big + 1)
     expected = q * (q * q + 1)
     if uniq.shape[0] != expected:
         raise AssertionError(
@@ -411,6 +411,26 @@ def circle_geometry(q: int) -> Design:
         )
     fam = Family.of(big + 1, (uniq + 1).tolist())
     return Design(t=3, v=big + 1, lam=1, blocks=fam, kind="design")
+
+
+def _unique_rows(rows: np.ndarray, base: int) -> np.ndarray:
+    """The distinct rows of a matrix with entries in [0, base), sorted
+    lexicographically: np.unique(rows, axis=0), by one lexsort over the
+    rows packed base-`base` into as few int64 keys as hold them."""
+    width = 1  # columns per key
+    while base ** (width + 1) < 2**63:
+        width += 1
+    keys = []
+    for c0 in range(0, rows.shape[1], width):
+        key = np.zeros(rows.shape[0], dtype=np.int64)
+        for col in rows[:, c0 : c0 + width].T:
+            key = key * base + col
+        keys.append(key)
+    order = np.lexsort(keys[::-1])  # lexsort's primary key is its last
+    packed = np.stack(keys, axis=1)[order]
+    keep = np.ones(order.size, dtype=bool)
+    keep[1:] = (packed[1:] != packed[:-1]).any(axis=1)
+    return rows[order[keep]]
 
 
 def greedy_packing(n: int, k: int, t: int, order_seed: int = 0) -> Design:

@@ -5,9 +5,10 @@ a t-laminar family exactly when they induce a clique in the
 compatibility graph on candidate blocks (A ~ B iff |A n B| < t or one
 contains the other).  Maximum families are therefore maximum cliques;
 a branch-and-bound search with greedy-coloring upper bounds and
-bit-parallel candidate sets settles n <= 6 for t = 2 outright and runs
-best-effort under a time budget beyond that, downgrading the result to
-a certified lower bound when the budget runs out.
+bit-parallel candidate sets settles t = 2 up to n = 9 (f(8) = 37,
+f(9) = 49 = obf(9), the last in a few seconds) and runs best-effort
+under a time budget beyond that, downgrading the result to a certified
+lower bound when the budget runs out.
 """
 
 from __future__ import annotations
@@ -152,9 +153,11 @@ def max_laminar_exact(
     """Maximum t-laminar family among blocks of size >= min_size.
 
     min_size defaults to max(t, 2), the counting convention behind
-    f(n) (universe included, singletons excluded).  Exact for t = 2 up
-    to n = 6 and t = 3 up to n = 7 within the default budget; larger
-    ground sets are best-effort and flagged via SearchResult.exact.
+    f(n) (universe included, singletons excluded).  Exact within the
+    default budget for t = 2 up to n = 9 (f(9) = 49 in 3-6 s) and for
+    t = 3 up to n = 8 (71); t = 2 at n = 10 and t = 3 at n = 9 run out
+    of it.  Larger ground sets are best-effort and flagged via
+    SearchResult.exact.
     """
     if t < 1:
         raise ValueError("t must be >= 1")

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import random_family
+from laminar import setfam
 from laminar.cli import main
 from laminar.setfam import family_from_text, family_to_text, is_t_laminar
 
@@ -161,6 +162,35 @@ class TestVerifyCommand:
         open(path, "w").write(json.dumps({"n": 3, "t": 2, "sets": [[1, 2], [1, 3]]}))
         code, _, _ = run(["verify", path], capsys)
         assert code == 0
+
+    def test_disagreeing_checks_exit_4(self, tmp_path, capsys, monkeypatch):
+        path = str(tmp_path / "ok.family")
+        open(path, "w").write("n=4 t=2\n1 2\n1 2 3\n")
+        real = setfam.unique_chain_check
+        monkeypatch.setattr(setfam, "unique_chain_check", lambda f, t: not real(f, t))
+        code, out, err = run(["verify", path], capsys)
+        assert code == 4 and out == ""
+        assert "pairwise=True config-free=True unique-chain=False" in err
+
+    def test_witness_pair_in_family_order(self, tmp_path, capsys):
+        path = str(tmp_path / "bad.family")
+        open(path, "w").write("n=5 t=2\n4 5\n1 2\n1 2 3\n2 3 4\n1 2 4\n")
+        code, out, _ = run(["verify", path], capsys)
+        assert code == 1
+        assert "witness sets #3 and #4: {1,2,3} vs {2,3,4}" in out
+        assert "rows (3,4), columns w=4 x=1 shared=2,3" in out
+
+    def test_json_without_sets_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "f.json")
+        open(path, "w").write(json.dumps({"n": 3, "t": 2}))
+        code, _, err = run(["verify", path], capsys)
+        assert code == 2 and "cannot read" in err
+
+    def test_t_below_one_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "f.family")
+        open(path, "w").write("n=3\n1 2\n")
+        code, _, err = run(["verify", path, "--t", "0"], capsys)
+        assert code == 2 and "t must be >= 1" in err
 
     def test_agrees_with_library_on_random_fixtures(self, tmp_path, capsys):
         rng = random.Random(2718)

@@ -1,10 +1,13 @@
+import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from laminar.geometry import (
     Design,
     NotPrimePower,
+    _unique_rows,
     affine_plane,
     circle_geometry,
     design_from_text,
@@ -122,6 +125,16 @@ class TestCircleGeometries:
         d = circle_geometry(3)
         # the point at infinity lies on blocks through the sub-line copies
         assert any(d.v in b.members for b in d.blocks)
+
+    def test_unique_rows_matches_numpy(self):
+        rng = random.Random(82)
+        for base, cols in ((2, 70), (3, 5), (82, 10), (200, 9), (2**20, 4)):
+            rows = np.array(
+                [[rng.randrange(base) for _ in range(cols)] for _ in range(300)],
+                dtype=np.int64,
+            )
+            rows = np.vstack([rows, rows[::3]])  # force duplicates
+            assert np.array_equal(_unique_rows(rows, base), np.unique(rows, axis=0))
 
     def test_not_prime_power(self):
         with pytest.raises(NotPrimePower):

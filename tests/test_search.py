@@ -38,6 +38,13 @@ class TestExactSearch:
         if res.exact:
             assert res.size == 29
 
+    def test_f8_f9(self, table10):
+        res8 = max_laminar_exact(8, 2, budget_seconds=120)
+        assert res8.exact and res8.size == 37
+        res9 = max_laminar_exact(9, 2, budget_seconds=120)
+        assert res9.exact and res9.size == 49 == table10.obf(9)
+        assert is_t_laminar(res9.family, 2)
+
     def test_t3_on_seven_points(self):
         res = max_laminar_exact(7, 3, budget_seconds=60)
         assert res.exact

@@ -1,14 +1,18 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_family
+from laminar import setfam
 from laminar.construct import fano_tower
 from laminar.setfam import (
     Block,
+    ChecksDisagree,
     Family,
     FamilyParseError,
+    _contains_config_general,
     contains_config,
     family_from_json,
     family_from_text,
@@ -20,6 +24,8 @@ from laminar.setfam import (
     laminarity_witness,
     maximal_sets,
     unique_chain_check,
+    verify_t_laminar,
+    violating_pair,
 )
 
 
@@ -33,6 +39,13 @@ class TestBlockFamily:
         assert b.members == (2, 4, 5)
         assert b.size == 3
         assert 4 in b and 3 not in b
+
+    def test_members_beyond_one_word(self):
+        pts = [1, 64, 65, 130, 200]
+        b = Block.of(200, pts)
+        assert b.members == tuple(pts)
+        assert Block(200, 0).members == ()
+        assert Block.universe(70).members == tuple(range(1, 71))
 
     def test_block_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -152,6 +165,12 @@ class TestMatrices:
     def test_incidence_single(self):
         assert incidence_matrix(fam(3, [2, 3])).tolist() == [[0, 1, 1]]
 
+    def test_incidence_beyond_one_word(self):
+        f = fam(130, [1, 64, 65, 130], [2], [129, 130])
+        m = incidence_matrix(f)
+        assert m.shape == (3, 130) and m.dtype == np.uint8
+        assert [tuple(np.flatnonzero(row) + 1) for row in m] == [b.members for b in f]
+
     def test_forbidden_t2(self):
         assert forbidden_matrix(2).tolist() == [[0, 1, 1, 1], [1, 0, 1, 1]]
 
@@ -185,6 +204,82 @@ class TestMatrices:
         assert not contains_config(np.eye(3, dtype=np.uint8), z_impossible)
 
 
+def _tower4(crossing=None):
+    """Four disjoint relabelled copies of the 1625-set tower on 196 points."""
+    _, f49 = fano_tower(1, materialize=True)
+    masks = [b.mask << (49 * c) for c in range(4) for b in f49]
+    if crossing is not None:
+        masks.append(Block.of(196, crossing).mask)
+    return Family.from_masks(196, masks)
+
+
+class TestGramConfig:
+    """The blocked Gram-matrix config check against the general enumerator."""
+
+    @pytest.fixture(params=[3, setfam._GRAM_BLOCK_ROWS])
+    def block_rows(self, request, monkeypatch):
+        # 3 rows makes most random families span several blocks
+        monkeypatch.setattr(setfam, "_GRAM_BLOCK_ROWS", request.param)
+
+    def test_forbidden_matrix_random(self, block_rows):
+        rng = random.Random(1009)
+        hits = misses = 0
+        for _ in range(220):
+            f = random_family(rng)
+            m = incidence_matrix(f)
+            for t in (1, 2, 3):
+                z = forbidden_matrix(t)
+                got = contains_config(m, z)
+                assert got == _contains_config_general(m, z), (f, t)
+                hits += got
+                misses += not got
+        assert hits > 50 and misses > 50
+
+    def test_random_two_row_z_with_00_column(self, block_rows):
+        rng = random.Random(2017)
+        hits = misses = 0
+        for _ in range(220):
+            f = random_family(rng)
+            m = incidence_matrix(f)
+            width = rng.randint(1, min(5, f.n))
+            z = np.array(
+                [[rng.randint(0, 1) for _ in range(width)] for _ in range(2)],
+                dtype=np.uint8,
+            )
+            z[:, 0] = 0  # always one 00 column
+            got = contains_config(m, z)
+            assert got == _contains_config_general(m, z), (f, z.tolist())
+            hits += got
+            misses += not got
+        assert hits > 20 and misses > 20
+
+    def test_diagonal_excluded(self):
+        # one row matches z against itself but there is no second row
+        m = np.array([[1, 1, 0, 0], [0, 0, 0, 0]], dtype=np.uint8)
+        z = np.array([[1, 0], [1, 0]], dtype=np.uint8)
+        assert not contains_config(m, z)
+        assert contains_config(np.vstack([m[:1], m[:1]]), z)
+
+    def test_4x_tower_agrees_with_pairwise(self):
+        assert not contains_config(incidence_matrix(_tower4()), forbidden_matrix(2))
+        bad = _tower4(crossing=[1, 2, 60, 61])
+        assert contains_config(incidence_matrix(bad), forbidden_matrix(2))
+
+    def test_memory_is_blocked(self):
+        m = incidence_matrix(Family(196, _tower4().sets[:4000]))
+        assert m.shape == (4000, 196)
+        tracemalloc.start()
+        try:
+            found = contains_config(m, forbidden_matrix(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # laminar, so every block is scanned; four dense 4000 x 4000
+        # int64 count matrices would need 512 MB
+        assert not found
+        assert peak < 64 * 2**20, peak
+
+
 class TestUniqueChain:
     def test_fano_level0(self):
         _, f0 = fano_tower(0, materialize=True)
@@ -196,6 +291,38 @@ class TestUniqueChain:
     def test_t_equal_n(self):
         f = fam(3, [1, 2, 3], [1, 2], [1, 3])
         assert unique_chain_check(f, 3)
+
+    def test_t_above_n_and_small_members(self):
+        f = fam(3, [1, 2], [2, 3])
+        assert unique_chain_check(f, 4)
+        assert unique_chain_check(f, 2)  # no member holds 2 common points
+        assert not unique_chain_check(f, 1)
+
+    def test_equal_size_members_break_the_chain(self):
+        assert not unique_chain_check(fam(5, [1, 2, 3], [1, 2, 4], [1, 2, 3, 4, 5]), 2)
+        assert unique_chain_check(fam(5, [1, 2, 3], [1, 4, 5], [1, 2, 3, 4, 5]), 2)
+
+    def test_against_pairwise_beyond_one_word(self):
+        rng = random.Random(65)
+        seen = set()
+        for _ in range(150):
+            n = rng.randint(65, 140)
+            # points drawn from a small pool, so members often overlap
+            pool = rng.sample(range(1, n + 1), rng.randint(6, 14))
+            sets = {
+                tuple(sorted(rng.sample(pool, rng.randint(1, min(7, len(pool))))))
+                for _ in range(rng.randint(0, 14))
+            }
+            f = Family.of(n, sets)
+            for t in (1, 2, 3):
+                lam = is_t_laminar(f, t)
+                assert unique_chain_check(f, t) == lam, (f, t)
+                seen.add(lam)
+        assert seen == {True, False}
+
+    def test_4x_tower(self):
+        assert unique_chain_check(_tower4(), 2)
+        assert not unique_chain_check(_tower4(crossing=[1, 2, 60, 61]), 2)
 
 
 class TestEquivalences:
@@ -213,6 +340,24 @@ class TestEquivalences:
                 assert lam == avoid == chain, (f, t)
                 checked += 1
         assert checked >= 600
+
+
+class TestVerifyThreeWays:
+    def test_returns_first_violating_pair(self):
+        f = fam(4, [1, 2], [1, 2, 3], [1, 2, 4], [2, 3, 4])
+        assert verify_t_laminar(f, 2) == violating_pair(f, 2) == (1, 2)
+        assert verify_t_laminar(fam(3, [1, 2], [1, 2, 3]), 2) is None
+
+    def test_disagreement_is_typed(self, monkeypatch):
+        monkeypatch.setattr(setfam, "unique_chain_check", lambda f, t: False)
+        with pytest.raises(ChecksDisagree) as info:
+            verify_t_laminar(fam(3, [1, 2], [1, 2, 3]), 2)
+        assert info.value.verdicts == (True, True, False)
+        assert "unique-chain=False" in str(info.value)
+
+    def test_rejects_t_below_one(self):
+        with pytest.raises(ValueError):
+            verify_t_laminar(fam(3, [1, 2]), 0)
 
 
 class TestSerialization:
