@@ -151,18 +151,18 @@ def _nb_pair_counts(points, offsets, v):
 
 
 def _np_pair_counts(points: np.ndarray, offsets: np.ndarray, v: int) -> np.ndarray:
-    ranks = []
+    # One count array, filled block by block: the ranks within a block
+    # are distinct, so the buffered ``counts[r] += 1`` adds exactly 1 to
+    # each and no rank list for the whole design is ever held.
+    counts = np.zeros(v * (v - 1) // 2, dtype=np.int64)
     for b in range(offsets.size - 1):
-        pts = points[offsets[b] : offsets[b + 1]].astype(np.int64)
+        pts = points[offsets[b] : offsets[b + 1]]
         if pts.size < 2:
             continue
         i, j = np.triu_indices(pts.size, 1)
         a, c = pts[i], pts[j]
-        ranks.append(c * (c - 1) // 2 + a)
-    if not ranks:
-        return np.zeros(v * (v - 1) // 2, dtype=np.int64)
-    flat = np.concatenate(ranks)
-    return np.bincount(flat, minlength=v * (v - 1) // 2).astype(np.int64)
+        counts[c * (c - 1) // 2 + a] += 1
+    return counts
 
 
 @njit(cache=True)

@@ -224,12 +224,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.n < 1 or args.t < 1:
+        _log("n and t must be >= 1")
+        return EXIT_USAGE
     res = search.max_laminar_exact(args.n, args.t, budget_seconds=args.budget)
     doc = {
         "n": args.n,
         "t": args.t,
         "size": res.size,
         "exact": res.exact,
+        "nodes": res.nodes,
+        "forced": res.forced,
     }
     if args.json:
         doc["family"] = setfam.family_to_json(res.family, t=args.t)

@@ -3,12 +3,19 @@
 t-laminarity is a pairwise condition, so the members of size >= s form
 a t-laminar family exactly when they induce a clique in the
 compatibility graph on candidate blocks (A ~ B iff |A n B| < t or one
-contains the other).  Maximum families are therefore maximum cliques;
-a branch-and-bound search with greedy-coloring upper bounds and
-bit-parallel candidate sets settles t = 2 up to n = 9 (f(8) = 37,
-f(9) = 49 = obf(9), the last in a few seconds) and runs best-effort
-under a time budget beyond that, downgrading the result to a certified
-lower bound when the budget runs out.
+contains the other).  Maximum families are therefore maximum cliques.
+
+The search first takes every universal block (compatible with all
+others, e.g. every block of size <= t and the ground set), then uses
+that S_n permutes the remaining blocks with the size classes as
+orbits: one branch-and-bound per size, rooted at a single
+representative block, with greedy-coloring upper bounds, bit-parallel
+candidate sets and the incumbent carried from one size to the next.
+This settles t = 2 up to n = 10 (f(8) = 37, f(9) = 49 = obf(9) in
+about 0.3 s, f(10) = 61 = obf(10) in about 5 s) and t = 3 up to n = 9
+(71 on [8], 103 on [9]), and runs best-effort under a time budget
+beyond that, downgrading the result to a certified lower bound when
+the budget runs out.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .bounds import BoundTable
 from .setfam import Block, Family
@@ -59,8 +66,32 @@ class _Budget(Exception):
     pass
 
 
-def _max_clique(adj: list[int], deadline: Optional[float]) -> tuple[int, int, bool]:
-    """(best size, best vertex bitset, exact?) for an adjacency bitset list.
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _induced(adj: Sequence[int], verts: list[int]) -> list[int]:
+    """Adjacency rows of the subgraph induced on verts, vertex verts[i] as i."""
+    pos = {v: i for i, v in enumerate(verts)}
+    keep = sum(1 << v for v in verts)
+    return [sum(1 << pos[u] for u in _bits(adj[v] & keep)) for v in verts]
+
+
+def _max_clique(
+    adj: list[int], deadline: Optional[float], floor: int = 0
+) -> tuple[int, int, bool, int]:
+    """(best size, best vertex bitset, exact?, nodes) for an adjacency bitset list.
+
+    Only cliques with more than ``floor`` vertices count: the search
+    prunes against ``floor`` from the first node and returns
+    ``(floor, 0, ...)`` when it proves (or, out of budget, has not
+    found) none that large.  ``nodes`` is the number of expansions.
 
     Tomita-style expansion: vertices ordered by degree descending,
     greedy coloring on each candidate set, branches visited in reverse
@@ -68,28 +99,21 @@ def _max_clique(adj: list[int], deadline: Optional[float]) -> tuple[int, int, bo
     """
     n = len(adj)
     if n == 0:
-        return 0, 0, True
+        return floor, 0, True, 0
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    pos = {v: i for i, v in enumerate(order)}
-    radj = [0] * n
-    for new_i, v in enumerate(order):
-        row = adj[v]
-        rel = 0
-        while row:
-            u = (row & -row).bit_length() - 1
-            rel |= 1 << pos[u]
-            row &= row - 1
-        radj[new_i] = rel
+    radj = _induced(adj, order)
 
     # greedy warm start for the initial bound
-    best_mask, cur = 0, 0
+    best, best_mask = floor, 0
+    greedy, cur = 0, 0
     cand = (1 << n) - 1
     while cand:
         v = (cand & -cand).bit_length() - 1
-        best_mask |= 1 << v
+        greedy |= 1 << v
         cur += 1
         cand &= radj[v]
-    best = cur
+    if cur > best:
+        best, best_mask = cur, greedy
     calls = 0
 
     def expand(r_size: int, r_mask: int, p: int):
@@ -128,13 +152,7 @@ def _max_clique(adj: list[int], deadline: Optional[float]) -> tuple[int, int, bo
     except _Budget:
         exact = False
 
-    orig_mask = 0
-    m = best_mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        orig_mask |= 1 << order[v]
-        m &= m - 1
-    return best, orig_mask, exact
+    return best, sum(1 << order[v] for v in _bits(best_mask)), exact, calls
 
 
 @dataclass(frozen=True)
@@ -142,6 +160,8 @@ class SearchResult:
     size: int
     family: Family
     exact: bool  # False: budget ran out, size is a certified lower bound
+    nodes: int  # branch-and-bound expansions, summed over all orbits
+    forced: int  # universal blocks, put in the family without search
 
 
 def max_laminar_exact(
@@ -153,22 +173,68 @@ def max_laminar_exact(
     """Maximum t-laminar family among blocks of size >= min_size.
 
     min_size defaults to max(t, 2), the counting convention behind
-    f(n) (universe included, singletons excluded).  Exact within the
-    default budget for t = 2 up to n = 9 (f(9) = 49 in 3-6 s) and for
-    t = 3 up to n = 8 (71); t = 2 at n = 10 and t = 3 at n = 9 run out
-    of it.  Larger ground sets are best-effort and flagged via
-    SearchResult.exact.
+    f(n) (universe included, singletons excluded).
+
+    Two exact reductions of the compatibility graph come before the
+    clique search.  A universal block (compatible with every other,
+    e.g. every block of size <= t and the ground set) lies in some
+    maximum family, so all of them are taken outright.  On the rest,
+    S_n acts by automorphisms with the size classes as orbits.  Take
+    sizes in descending order and let k be the first size that a
+    maximum family C meets: a permutation maps C's k-block onto the
+    lowest k-block ``rep`` and C onto an equally large family that
+    contains ``rep`` and still avoids every larger size.  So one search
+    per size, in the neighbourhood of ``rep`` among the sizes not yet
+    dropped and pruned against the incumbent, covers every case.
+
+    Within the default budget this proves f(9) = 49 = obf(9) in well
+    under a second and f(10) = 61 = obf(10) in a few seconds; for
+    t = 3 it proves 71 on [8] and 103 on [9].  When the shared budget
+    runs out the best family found so far is returned with
+    ``exact=False``, a certified lower bound.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if min_size is None:
         min_size = max(t, 2)
     graph = CompatGraph.build(n, t, min_size)
     deadline = time.monotonic() + budget_seconds if budget_seconds else None
-    size, mask, exact = _max_clique(list(graph.adj), deadline)
-    members = [graph.vertices[i] for i in range(len(graph.vertices)) if mask >> i & 1]
-    fam = Family(n, tuple(sorted(members, key=lambda b: (b.size, b.mask))))
-    return SearchResult(size=size, family=fam, exact=exact)
+    adj, verts = graph.adj, graph.vertices
+    full = (1 << len(adj)) - 1
+    forced = sum(1 << v for v, row in enumerate(adj) if row | 1 << v == full)
+    remaining = full & ~forced
+    best, best_mask, nodes, exact = 0, 0, 0, True
+    for k in range(n, 0, -1):
+        orbit = [v for v in _bits(remaining) if verts[v].size == k]
+        if not orbit:
+            continue
+        if deadline is not None and time.monotonic() > deadline:
+            exact = False
+            break
+        rep = orbit[0]  # vertices are sorted by (size, mask)
+        sub = _bits(adj[rep] & remaining)
+        # rep plus more than best - 1 neighbours beats the incumbent
+        size, mask, exact, count = _max_clique(
+            _induced(adj, sub), deadline, floor=max(best - 1, 0)
+        )
+        nodes += count
+        if size + 1 > best:
+            best = size + 1
+            best_mask = (1 << rep) | sum(1 << sub[i] for i in _bits(mask))
+        if not exact:
+            break
+        remaining &= ~sum(1 << v for v in orbit)
+    # index order is (size, mask) order
+    members = tuple(verts[i] for i in _bits(forced | best_mask))
+    return SearchResult(
+        size=len(members),
+        family=Family(n, members),
+        exact=exact,
+        nodes=nodes,
+        forced=forced.bit_count(),
+    )
 
 
 def max_laminar_classic(n: int, budget_seconds: Optional[float] = 60.0) -> int:

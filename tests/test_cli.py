@@ -218,6 +218,17 @@ class TestSearchCommand:
         code, out, _ = run(["search", "--n", "5", "--t", "2", "--json"], capsys)
         doc = json.loads(out)
         assert doc["size"] == 13 and doc["exact"]
+        assert set(doc) == {"n", "t", "size", "exact", "nodes", "forced", "family"}
+        assert doc["forced"] == 11  # the 10 pairs and [5]
+        assert doc["nodes"] >= 1
+
+    @pytest.mark.parametrize("flag,value", [("--n", "-1"), ("--n", "0"), ("--t", "0")])
+    def test_bad_n_or_t_exit_2(self, flag, value, capsys):
+        argv = ["search", "--n", "5", "--t", "2"]
+        argv[argv.index(flag) + 1] = value
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == "n and t must be >= 1\n"
 
 
 class TestSummaryCommand:

@@ -95,6 +95,21 @@ class TestCoverCounts:
         counts = _kernels.cover_counts(pts, offs, 4, 2)
         assert counts.tolist() == [1, 1, 1, 0, 0, 0]
 
+    def test_pair_counts_peak_memory(self):
+        import tracemalloc
+
+        from laminar.geometry import affine_plane, is_design
+
+        design = affine_plane(49)
+        tracemalloc.start()
+        try:
+            assert is_design(design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the C(2401, 2) int64 count array alone is 23 MB
+        assert peak < 40 * 2**20
+
     def test_rejects_unsupported_t(self):
         with pytest.raises(ValueError):
             _kernels.cover_counts(

@@ -7,6 +7,7 @@ from laminar.bounds import obf_table
 from laminar.construct import known_laminar_lower
 from laminar.search import (
     CompatGraph,
+    _max_clique,
     max_laminar_classic,
     max_laminar_exact,
     verify_gap,
@@ -50,6 +51,61 @@ class TestExactSearch:
         assert res.exact
         # all 35 triples, the 7 Fano blocks, and the universe coexist
         assert res.size == 43
+
+
+def _assert_valid(res, t, min_size):
+    masks = [b.mask for b in res.family]
+    assert len(masks) == len(set(masks)) == res.size
+    assert all(b.size >= min_size for b in res.family)
+    assert is_t_laminar(res.family, t)
+
+
+class TestSymmetrySearch:
+    """Universal blocks forced, one branch per size orbit, against plain B&B."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_plain_clique_search(self, n, t):
+        for min_size in sorted({1, 2, t}):
+            graph = CompatGraph.build(n, t, min_size)
+            size, _, exact, _ = _max_clique(list(graph.adj), None)
+            res = max_laminar_exact(n, t, budget_seconds=None, min_size=min_size)
+            assert exact and res.exact
+            assert res.size == size, (n, t, min_size)
+            _assert_valid(res, t, min_size)
+            universal = [
+                v for v, row in enumerate(graph.adj)
+                if row | 1 << v == (1 << len(graph.adj)) - 1
+            ]
+            assert res.forced == len(universal)
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_expired_budget(self, n):
+        res = max_laminar_exact(n, 2, budget_seconds=-1.0)
+        assert not res.exact
+        assert res.forced == n * (n - 1) // 2 + 1  # the pairs and [n]
+        assert res.size >= res.forced
+        _assert_valid(res, 2, 2)
+
+    @pytest.mark.parametrize("n,t", [(6, 2), (7, 2), (6, 3), (7, 1)])
+    def test_floor_is_sound(self, n, t):
+        adj = list(CompatGraph.build(n, t, max(t, 2)).adj)
+        opt, _, _, _ = _max_clique(adj, None)
+        size, mask, exact, _ = _max_clique(adj, None, floor=opt - 1)
+        assert exact and size == opt == mask.bit_count()
+        members = [v for v in range(len(adj)) if mask >> v & 1]
+        assert all(adj[u] >> v & 1 for u in members for v in members if u != v)
+        assert _max_clique(adj, None, floor=opt)[:3] == (opt, 0, True)
+
+    def test_f10_equals_obf10(self, table10):
+        res = max_laminar_exact(10, 2)
+        assert res.exact and res.size == 61 == table10.obf(10)
+        _assert_valid(res, 2, 2)
+
+    def test_t3_on_nine_points(self):
+        res = max_laminar_exact(9, 3)
+        assert res.exact and res.size == 103
+        _assert_valid(res, 3, 3)
 
 
 class TestClassic:
