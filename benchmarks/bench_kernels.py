@@ -7,7 +7,8 @@ path the library dispatches to; here both are called directly).  When
 numba is not importable the ``@njit`` twins are plain Python, so their
 column prints ``n/a`` instead of timing them.  The config and chain
 checks of ``laminar verify`` have one implementation each; their rows
-print ``-`` in the numba column.
+print ``-`` in the numba column, as do the rows that build, validate
+and serialize the two designs of the lower-bound constructions.
 
 Usage: python benchmarks/bench_kernels.py [--repeats 5]
 """
@@ -19,10 +20,11 @@ import numpy as np
 
 from laminar import _kernels
 from laminar.construct import fano_tower
-from laminar.geometry import affine_plane, circle_geometry
+from laminar.geometry import affine_plane, circle_geometry, design_to_text, is_design
 from laminar.setfam import (
     Family,
     contains_config,
+    csr_points,
     forbidden_matrix,
     incidence_matrix,
     unique_chain_check,
@@ -88,34 +90,31 @@ def bench_verify_checks(towers, repeats):
         _single_row(f"chain check: {label}", lambda: unique_chain_check(fam, 2), repeats)
 
 
-def _csr(design):
-    pts, offs = [], [0]
-    for b in design.blocks:
-        pts.extend(i - 1 for i in b.members)
-        offs.append(len(pts))
-    return (
-        np.asarray(pts, dtype=np.int64),
-        np.asarray(offs, dtype=np.int64),
-        design.v,
-    )
+def bench_designs(repeats):
+    """Generation, exhaustive validation and text of the two designs."""
+    for label, design_name, build in (
+        ("affine_plane(49)", "2-(2401,49,1)", lambda: affine_plane(49)),
+        ("circle_geometry(9)", "3-(82,10,1)", lambda: circle_geometry(9)),
+    ):
+        design = build()
+        _single_row(label, build, repeats)
+        _single_row(f"is_design: {design_name}", lambda: is_design(design), repeats)
+        _single_row(f"design_to_text: {design_name}", lambda: design_to_text(design), repeats)
 
 
 def bench_cover_counts(repeats):
-    pts, offs, v = _csr(affine_plane(49))
-    _row(
-        "pair cover counts: 2-(2401,49,1)",
-        lambda: _kernels._nb_pair_counts(pts, offs, v),
-        lambda: _kernels._np_pair_counts(pts, offs, v),
-        repeats,
-    )
-
-    pts3, offs3, v3 = _csr(circle_geometry(9))
-    _row(
-        "triple cover counts: 3-(82,10,1)",
-        lambda: _kernels._nb_triple_counts(pts3, offs3, v3),
-        lambda: _kernels._np_triple_counts(pts3, offs3, v3),
-        repeats,
-    )
+    for label, design in (
+        ("pair cover counts: 2-(2401,49,1)", affine_plane(49)),
+        ("triple cover counts: 3-(82,10,1)", circle_geometry(9)),
+    ):
+        pts, offs = csr_points(design.blocks)
+        nb = _kernels._nb_pair_counts if design.t == 2 else _kernels._nb_triple_counts
+        _row(
+            label,
+            lambda: nb(pts, offs, design.v),
+            lambda: _kernels._np_cover_counts(pts, offs, design.v, design.t),
+            repeats,
+        )
 
 
 def main():
@@ -138,6 +137,7 @@ def main():
     bench_violation(towers, args.repeats)
     bench_verify_checks(towers, args.repeats)
     bench_cover_counts(args.repeats)
+    bench_designs(args.repeats)
 
 
 if __name__ == "__main__":

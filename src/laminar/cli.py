@@ -164,6 +164,9 @@ def cmd_construct(args) -> int:
     except construct.CapExceeded as exc:
         _log(str(exc))
         return EXIT_BUDGET
+    except geometry.GeometryError as exc:
+        _log(f"construction failed its own check: {exc}")
+        return EXIT_CORRUPT
     except ValueError as exc:
         _log(str(exc))
         return EXIT_USAGE
@@ -177,7 +180,10 @@ def _load_family(path: str) -> tuple[setfam.Family, int | None]:
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     if path.endswith(".json") or text.lstrip().startswith("{"):
-        return setfam.family_from_json(json.loads(text))
+        doc = json.loads(text)
+        if "family" in doc:  # a `laminar search --json` report
+            doc = doc["family"]
+        return setfam.family_from_json(doc)
     fam, t, _comments = setfam.family_from_text(text)
     return fam, t
 
@@ -241,8 +247,9 @@ def cmd_search(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         marker = "exact" if res.exact else "lower bound (budget exhausted)"
-        print(f"max t-laminar size on [{args.n}] (t={args.t}): {res.size} [{marker}]")
-        print(setfam.family_to_text(res.family, t=args.t), end="")
+        line = f"max t-laminar size on [{args.n}] (t={args.t}): {res.size} [{marker}]"
+        # the summary is a comment line, so the output is a family file
+        print(setfam.family_to_text(res.family, t=args.t, comments=[line]), end="")
     return EXIT_OK if res.exact else EXIT_BUDGET
 
 

@@ -22,11 +22,20 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .setfam import Block, Family
+from .setfam import Family, csr_points
 
 
 class NotPrimePower(ValueError):
     pass
+
+
+class GeometryError(RuntimeError):
+    """A field or design construction produced an impossible result.
+
+    Every check that raises it holds by theorem (an irreducible of each
+    degree exists, GF(q) sits inside GF(q^2), a circle geometry has
+    q(q^2+1) circles), so it means a bug, never bad input.
+    """
 
 
 def is_prime(n: int) -> bool:
@@ -134,7 +143,7 @@ class FiniteField:
             cand = list(tail) + [1]
             if _is_irreducible(cand, p):
                 return tuple(cand)
-        raise AssertionError("no irreducible polynomial found")
+        raise GeometryError(f"no monic irreducible of degree {k} over GF({p}) found")
 
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
@@ -207,6 +216,19 @@ class FiniteField:
             e >>= 1
         return r
 
+    def powers(self, e: int) -> np.ndarray:
+        """x**e for every element code x (e >= 1), by square-and-multiply
+        over the whole element array at once."""
+        mul = self.mul_table
+        base = np.arange(self.q, dtype=mul.dtype)
+        out = np.ones(self.q, dtype=mul.dtype)
+        while e:
+            if e & 1:
+                out = mul[out, base]
+            base = mul[base, base]
+            e >>= 1
+        return out
+
     def __repr__(self):
         return f"GF({self.q})"
 
@@ -261,17 +283,8 @@ class Design:
 def _subset_cover_counts(d: Design):
     """Block-coverage count for every t-subset (array for t in {2,3})."""
     if d.t in (2, 3):
-        pts = []
-        offsets = [0]
-        for b in d.blocks:
-            pts.extend(i - 1 for i in b.members)
-            offsets.append(len(pts))
-        return _kernels.cover_counts(
-            np.asarray(pts, dtype=np.int64),
-            np.asarray(offsets, dtype=np.int64),
-            d.v,
-            d.t,
-        )
+        points, offsets = csr_points(d.blocks)
+        return _kernels.cover_counts(points, offsets, d.v, d.t)
     counts: dict[tuple[int, ...], int] = {}
     for b in d.blocks:
         for sub in combinations(b.members, d.t):
@@ -302,24 +315,17 @@ def affine_plane(q: int) -> Design:
     """The 2-(q^2, q, 1) design of lines in GF(q)^2.
 
     Points are pairs (x, y) ordered lexicographically by coordinate
-    code, indexed 1..q^2.  Lines are the q^2 graphs y = m*x + b plus
-    the q verticals, q^2 + q blocks in total.
+    code, indexed 1..q^2.  Lines are the q^2 graphs y = m*x + b, in
+    (m, b) order, then the q verticals x = c: q^2 + q blocks in total.
+    Every line is one row of field-table lookups.
     """
     f = field_for_order(q)
-
-    def pt(x, y):
-        return x * q + y + 1
-
-    blocks = []
-    for m in range(q):
-        for b in range(q):
-            blocks.append(
-                [pt(x, f.add(f.mul(m, x), b)) for x in range(q)]
-            )
-    for c in range(q):
-        blocks.append([pt(c, y) for y in range(q)])
-    fam = Family.of(q * q, [sorted(bl) for bl in blocks])
-    return Design(t=2, v=q * q, lam=1, blocks=fam, kind="design")
+    x = np.arange(q)
+    # graphs[m, b, x] = point (x, m*x + b), increasing in x
+    graphs = x * q + f.add_table[f.mul_table[:, None, :], x[None, :, None]] + 1
+    verticals = x[:, None] * q + x[None, :] + 1
+    rows = np.concatenate([graphs.reshape(q * q, q), verticals])
+    return Design(t=2, v=q * q, lam=1, blocks=Family.from_rows(q * q, rows), kind="design")
 
 
 def projective_plane(q: int) -> Design:
@@ -356,12 +362,30 @@ def projective_plane(q: int) -> Design:
 
 
 def circle_geometry(q: int) -> Design:
-    """The 3-(q^2+1, q+1, 1) circle geometry (inversive plane) of order q.
+    """The 3-(q^2+1, q+1, 1) circle geometry (Miquelian inversive plane)
+    of order q.
 
-    Points are GF(q^2) plus a point at infinity (the last index).
-    Blocks are the images of the sub-line GF(q) u {inf} under all
-    invertible fractional linear maps over GF(q^2), enumerated map by
-    map and deduplicated; the block count q*(q^2+1) is verified.
+    Points are GF(q^2) plus a point at infinity (the last index).  The
+    circles are the orbit of the sub-line GF(q) u {inf} under the
+    fractional linear maps z -> (a z + b)/(c z + d) of PGL(2, q^2).
+    They are written down in closed form, not enumerated map by map:
+
+      * the q(q+1) circles through inf.  A map that fixes inf is
+        affine, z -> a z + b, so these are the lines
+        {a s + b : s in GF(q)} u {inf}.  a GF(q) is one of the q+1
+        one-dimensional GF(q)-subspaces D_0..D_q of GF(q^2) (x and y
+        span the same one iff x^(q-1) = y^(q-1)); b runs over
+        D_{i+1}, indices mod q+1, which is a complement of D_i, so
+        each line appears once.
+      * the q^2(q-1) circles that miss inf: the norm circles
+        {z : (z - c)^(q+1) = r} with c in GF(q^2) and r in GF(q)*, each
+        c plus the q+1 elements of norm r.
+
+    The orbit has |PGL(2, q^2)| / |PGL(2, q)| = q(q^2+1) circles, and
+    q(q+1) + q^2(q-1) = q(q^2+1), so the two families are all of it.
+    Both come from vectorised power maps over the field tables.  Blocks
+    are sorted lexicographically, and the block count q(q^2+1) is
+    checked.
     """
     pk = prime_power(q)
     if pk is None:
@@ -369,47 +393,33 @@ def circle_geometry(q: int) -> Design:
     p, e = pk
     f = field_make(p, 2 * e)
     big = f.q  # q^2
-    sub = [x for x in range(big) if f.pow(x, q) == x]
-    if len(sub) != q:
-        raise AssertionError("subfield extraction failed")
+    codes = np.arange(big)
+    if np.count_nonzero(f.powers(q) == codes) != q:
+        raise GeometryError(f"GF({q}) is not the fixed field of x -> x^{q} in GF({big})")
+    add = f.add_table
 
-    mul, add, inv = f.mul_table, f.add_table, f.inv_table
-    ar = np.arange(big, dtype=mul.dtype)
-    # PGL(2, q^2): normalize the first nonzero entry of (a, b, c, d) to 1
-    b3, c3, d3 = np.meshgrid(ar, ar, ar, indexing="ij")
-    b3, c3, d3 = b3.ravel(), c3.ravel(), d3.ravel()
-    keep = d3 != mul[b3, c3]  # det = d - b*c with a = 1
-    maps_a1 = (np.ones(int(keep.sum()), dtype=mul.dtype), b3[keep], c3[keep], d3[keep])
-    c0, d0 = np.meshgrid(ar[1:], ar, indexing="ij")  # a = 0, b = 1, det = -c != 0
-    c0, d0 = c0.ravel(), d0.ravel()
-    maps_a0 = (
-        np.zeros(c0.size, dtype=mul.dtype),
-        np.ones(c0.size, dtype=mul.dtype),
-        c0,
-        d0,
+    def classes(key: np.ndarray, count: int) -> np.ndarray:
+        """The nonzero codes grouped into `count` rows by equal key."""
+        return codes[1:][np.argsort(key[1:], kind="stable")].reshape(count, -1)
+
+    subspaces = np.hstack([np.zeros((q + 1, 1), dtype=codes.dtype),
+                           classes(f.powers(q - 1), q + 1)])
+    # lines[i, j] = D_i + (the j-th element of D_{i+1})
+    lines = add[subspaces[:, None, :], np.roll(subspaces, -1, axis=0)[:, :, None]]
+    lines = np.concatenate(
+        [lines.reshape(-1, q), np.full((q * (q + 1), 1), big)], axis=1
     )
-    a = np.concatenate([maps_a1[0], maps_a0[0]])
-    b = np.concatenate([maps_a1[1], maps_a0[1]])
-    c = np.concatenate([maps_a1[2], maps_a0[2]])
-    d = np.concatenate([maps_a1[3], maps_a0[3]])
-    assert a.size == big**3 - big  # |PGL(2, q^2)|
-
-    inf = big  # 0-based index of the infinity point
-    # sub-line points in homogeneous coordinates (u : v); infinity = (1 : 0)
-    line = [(s, 1) for s in sub] + [(1, 0)]
-    images = np.empty((a.size, len(line)), dtype=mul.dtype)
-    for col, (u, v) in enumerate(line):
-        num = add[mul[a, u], mul[b, v]]
-        den = add[mul[c, u], mul[d, v]]
-        images[:, col] = np.where(den == 0, inf, mul[num, inv[den]])
-    images.sort(axis=1)
-    uniq = _unique_rows(images, big + 1)
+    norms = classes(f.powers(q + 1), q - 1)  # row r: the q+1 elements of one norm
+    circles = add[codes[:, None, None], norms[None, :, :]].reshape(-1, q + 1)
+    rows = np.concatenate([lines, circles])
+    rows.sort(axis=1)
+    uniq = _unique_rows(rows, big + 1)
     expected = q * (q * q + 1)
     if uniq.shape[0] != expected:
-        raise AssertionError(
+        raise GeometryError(
             f"circle geometry block count {uniq.shape[0]} != {expected}"
         )
-    fam = Family.of(big + 1, (uniq + 1).tolist())
+    fam = Family.from_rows(big + 1, uniq + 1)
     return Design(t=3, v=big + 1, lam=1, blocks=fam, kind="design")
 
 

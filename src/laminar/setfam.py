@@ -123,6 +123,29 @@ class Family:
     def from_masks(cls, n: int, masks: Iterable[int]) -> "Family":
         return cls(n, tuple(Block(n, m) for m in masks))
 
+    @classmethod
+    def from_rows(cls, n: int, rows: np.ndarray) -> "Family":
+        """One member per row of an integer array of points in 1..n.
+
+        The points are set as bits of one little-endian byte matrix by
+        a single ``np.bitwise_or.at``, not point by point as
+        ``Family.of`` does.
+        """
+        rows = np.asarray(rows, dtype=np.int64) - 1
+        if rows.ndim != 2:
+            raise ValueError("rows must be a 2-d array")
+        if rows.size and not (0 <= rows.min() and rows.max() < n):
+            raise ValueError(f"point outside 1..{n}")
+        width = (n + 7) // 8
+        packed = np.zeros((rows.shape[0], width), dtype=np.uint8)
+        bit = (1 << (rows & 7)).astype(np.uint8)
+        np.bitwise_or.at(packed, (np.arange(rows.shape[0])[:, None], rows >> 3), bit)
+        buf = packed.tobytes()
+        return cls.from_masks(
+            n,
+            (int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)),
+        )
+
     def __len__(self) -> int:
         return len(self.sets)
 
@@ -204,17 +227,32 @@ def maximal_sets(fam: Family, exclude_universe: bool = False) -> Family:
     return Family(fam.n, tuple(out))
 
 
+def _unpack(fam: Family) -> np.ndarray:
+    """The members' bits as a |F| x 8*ceil(n/8) zero-one uint8 matrix.
+
+    Every mask becomes ``ceil(n/8)`` little-endian bytes (``int.to_bytes``)
+    and one ``np.unpackbits`` spreads them out, so column i holds point
+    i+1; the columns from n on are 0.
+    """
+    width = (fam.n + 7) // 8
+    buf = b"".join(b.mask.to_bytes(width, "little") for b in fam.sets)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(fam), width)
+    return np.unpackbits(packed, axis=1, bitorder="little")
+
+
 def incidence_matrix(fam: Family) -> np.ndarray:
     """|F| x n zero-one matrix; entry (A, i) = 1 iff point i+1 in A."""
-    out = np.zeros((len(fam), fam.n), dtype=np.uint8)
-    rows: list[int] = []
-    cols: list[int] = []
-    for r, b in enumerate(fam.sets):
-        pts = _bit_positions(b.mask)
-        rows.extend([r] * len(pts))
-        cols.extend(pts)
-    out[rows, cols] = 1
-    return out
+    return _unpack(fam)[:, : fam.n]
+
+
+def csr_points(fam: Family) -> tuple[np.ndarray, np.ndarray]:
+    """Every member's 0-based points, ascending, concatenated in family
+    order, and the int64 offsets delimiting the members CSR-style."""
+    bits = _unpack(fam)
+    points = np.flatnonzero(bits.view(bool)) % bits.shape[1]
+    offsets = np.zeros(len(fam) + 1, dtype=np.int64)
+    np.cumsum([b.mask.bit_count() for b in fam.sets], out=offsets[1:])
+    return points, offsets
 
 
 def forbidden_matrix(t: int) -> np.ndarray:
@@ -387,8 +425,11 @@ def family_to_text(fam: Family, t: int | None = None, comments: Iterable[str] = 
     lines = [f"# {c}" for c in comments]
     header = f"n={fam.n}" if t is None else f"n={fam.n} t={t}"
     lines.append(header)
-    for b in fam.sets:
-        lines.append(" ".join(map(str, b.members)))
+    points, offsets = csr_points(fam)
+    names = [str(i) for i in range(1, fam.n + 1)]
+    words = [names[p] for p in points.tolist()]
+    ends = offsets.tolist()
+    lines.extend(" ".join(words[a:b]) for a, b in zip(ends, ends[1:]))
     return "\n".join(lines) + "\n"
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import random_family
-from laminar import setfam
+from laminar import geometry, setfam
 from laminar.cli import main
 from laminar.setfam import family_from_text, family_to_text, is_t_laminar
 
@@ -118,6 +118,14 @@ class TestConstructCommand:
         assert code == 0
         assert json.loads(out)["blocks"] >= 5
 
+    def test_failed_construction_check_exit_4(self, tmp_path, capsys, monkeypatch):
+        real = geometry._unique_rows
+        monkeypatch.setattr(geometry, "_unique_rows", lambda rows, base: real(rows, base)[1:])
+        out_path = tmp_path / "c3.design"
+        code, out, err = run(["construct", "circle", "--q", "3", "--out", str(out_path)], capsys)
+        assert code == 4 and out == "" and not out_path.exists()
+        assert err.count("\n") == 1 and "block count 29 != 30" in err
+
     def test_tower_report_without_materialize(self, capsys):
         code, out, _ = run(["construct", "fano-tower", "--r", "2", "--json"], capsys)
         assert code == 0
@@ -221,6 +229,16 @@ class TestSearchCommand:
         assert set(doc) == {"n", "t", "size", "exact", "nodes", "forced", "family"}
         assert doc["forced"] == 11  # the 10 pairs and [5]
         assert doc["nodes"] >= 1
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_output_verifies(self, json_flag, tmp_path, capsys):
+        code, out, _ = run(["search", "--n", "6", "--t", "2"] + json_flag, capsys)
+        assert code == 0
+        path = tmp_path / ("found.json" if json_flag else "found.family")
+        path.write_text(out)
+        code, out, err = run(["verify", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert out == "t-laminar (t=2): 20 sets, all three checks agree\n"
 
     @pytest.mark.parametrize("flag,value", [("--n", "-1"), ("--n", "0"), ("--t", "0")])
     def test_bad_n_or_t_exit_2(self, flag, value, capsys):

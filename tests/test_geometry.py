@@ -1,11 +1,14 @@
+import hashlib
 import random
 from math import comb
 
 import numpy as np
 import pytest
 
+from laminar import geometry
 from laminar.geometry import (
     Design,
+    GeometryError,
     NotPrimePower,
     _unique_rows,
     affine_plane,
@@ -106,6 +109,82 @@ class TestPlanes:
     def test_projective_not_prime_power(self):
         with pytest.raises(NotPrimePower):
             projective_plane(6)
+
+
+def _affine_scalar(q: int) -> list[list[int]]:
+    """Lines of AG(2, q) in affine_plane's order, one field call at a time."""
+    f = geometry.field_for_order(q)
+    blocks = [
+        [x * q + f.add(f.mul(m, x), b) + 1 for x in range(q)]
+        for m in range(q)
+        for b in range(q)
+    ]
+    blocks += [[c * q + y + 1 for y in range(q)] for c in range(q)]
+    return [sorted(bl) for bl in blocks]
+
+
+def _pgl_orbit(q: int) -> np.ndarray:
+    """The orbit of GF(q) u {inf} under PGL(2, q^2), map by map.
+
+    Rows are 0-based sorted blocks (infinity = q^2), deduplicated and in
+    lexicographic order.  Every invertible (a, b; c, d) is normalised so
+    its first nonzero entry is 1.
+    """
+    f = geometry.field_for_order(q * q)
+    big = f.q
+    sub = [x for x in range(big) if f.pow(x, q) == x]
+    assert len(sub) == q
+    mul, add, inv = f.mul_table, f.add_table, f.inv_table
+    ar = np.arange(big, dtype=mul.dtype)
+    b3, c3, d3 = (m.ravel() for m in np.meshgrid(ar, ar, ar, indexing="ij"))
+    keep = d3 != mul[b3, c3]  # a = 1, det = d - b*c
+    c0, d0 = (m.ravel() for m in np.meshgrid(ar[1:], ar, indexing="ij"))  # a = 0, b = 1
+    a = np.concatenate([np.ones(int(keep.sum()), dtype=mul.dtype), np.zeros(c0.size, mul.dtype)])
+    b = np.concatenate([b3[keep], np.ones(c0.size, dtype=mul.dtype)])
+    c = np.concatenate([c3[keep], c0])
+    d = np.concatenate([d3[keep], d0])
+    assert a.size == big**3 - big  # |PGL(2, q^2)|
+    line = [(s, 1) for s in sub] + [(1, 0)]  # homogeneous (u : v), inf = (1 : 0)
+    images = np.empty((a.size, len(line)), dtype=mul.dtype)
+    for col, (u, v) in enumerate(line):
+        num = add[mul[a, u], mul[b, v]]
+        den = add[mul[c, u], mul[d, v]]
+        images[:, col] = np.where(den == 0, big, mul[num, inv[den]])
+    images.sort(axis=1)
+    return np.unique(images, axis=0)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_circle_geometry_is_the_pgl_orbit(self, q):
+        got = [b.members for b in circle_geometry(q).blocks]
+        want = [tuple(int(x) + 1 for x in row) for row in _pgl_orbit(q)]
+        assert got == want
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 49])
+    def test_affine_plane_matches_scalar_loop(self, q):
+        got = [list(b.members) for b in affine_plane(q).blocks]
+        assert got == _affine_scalar(q)
+
+    @pytest.mark.parametrize(
+        "build,digest",
+        [
+            (lambda: affine_plane(49),
+             "5d928fd34ecd769a09b5df94c6614e4ee18ad312f20960880ec815957b1df2b9"),
+            (lambda: circle_geometry(9),
+             "095da9ac90c335255a76047e82441e823e494ad92cb052c559089a9f750f9e19"),
+        ],
+        ids=["affine-49", "circle-9"],
+    )
+    def test_design_text_bytes_pinned(self, build, digest):
+        text = design_to_text(build())
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+    def test_block_count_mismatch_raises(self, monkeypatch):
+        real = geometry._unique_rows
+        monkeypatch.setattr(geometry, "_unique_rows", lambda rows, base: real(rows, base)[1:])
+        with pytest.raises(GeometryError, match="block count 29 != 30"):
+            circle_geometry(3)
 
 
 class TestCircleGeometries:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from laminar import _kernels
-from laminar.setfam import Family, is_t_laminar
+from laminar.geometry import Design, is_design, is_packing
+from laminar.setfam import Family, csr_points, is_t_laminar
 
 
 def _random_words(rng, n_sets, n_bits):
@@ -72,21 +73,63 @@ class TestViolationKernel:
         assert direct == ref
 
 
+def _random_csr(rng, t, v_cap=14, blocks_cap=10):
+    """Random blocks of mixed sizes >= t as CSR (0-based sorted points)."""
+    v = rng.randint(t + 1, v_cap)
+    blocks = [
+        sorted(rng.sample(range(v), rng.randint(t, v)))
+        for _ in range(rng.randint(1, blocks_cap))
+    ]
+    pts = np.array([p for b in blocks for p in b], dtype=np.int64)
+    offs = np.cumsum([0] + [len(b) for b in blocks]).astype(np.int64)
+    return pts, offs, v
+
+
 class TestCoverCounts:
     @pytest.mark.parametrize("t", [2, 3])
     def test_backends_agree(self, t):
+        # the _nb_* loops (plain Python without numba) are the reference
         rng = random.Random(t)
+        nb = _kernels._nb_pair_counts if t == 2 else _kernels._nb_triple_counts
         for _ in range(30):
-            v = rng.randint(t + 1, 14)
-            blocks = []
-            for _ in range(rng.randint(1, 10)):
-                size = rng.randint(t, v)
-                blocks.append(sorted(rng.sample(range(v), size)))
-            pts = np.array([p for b in blocks for p in b], dtype=np.int64)
-            offs = np.cumsum([0] + [len(b) for b in blocks]).astype(np.int64)
-            nb = _kernels._nb_pair_counts if t == 2 else _kernels._nb_triple_counts
-            np_ = _kernels._np_pair_counts if t == 2 else _kernels._np_triple_counts
-            assert np.array_equal(nb(pts, offs, v), np_(pts, offs, v))
+            pts, offs, v = _random_csr(rng, t)
+            assert np.array_equal(nb(pts, offs, v), _kernels._np_cover_counts(pts, offs, v, t))
+
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_small_chunks_agree(self, t, chunk, monkeypatch):
+        # chunks smaller than one block's t-subsets split the block's
+        # subset table; larger ones hold several blocks
+        monkeypatch.setattr(_kernels, "_COVER_CHUNK", chunk)
+        rng = random.Random(100 * t + chunk)
+        nb = _kernels._nb_pair_counts if t == 2 else _kernels._nb_triple_counts
+        for _ in range(10):
+            pts, offs, v = _random_csr(rng, t, v_cap=12, blocks_cap=6)
+            assert np.array_equal(nb(pts, offs, v), _kernels._np_cover_counts(pts, offs, v, t))
+
+    def test_repeat_inside_one_chunk_counts_twice(self):
+        # the same block twice: every t-subset of it is covered twice
+        for t in (2, 3):
+            pts = np.array([0, 1, 2, 0, 1, 2], dtype=np.int64)
+            offs = np.array([0, 3, 6], dtype=np.int64)
+            counts = _kernels.cover_counts(pts, offs, 3, t)
+            assert counts.tolist() == [2] * (3 if t == 2 else 1)
+
+    @pytest.mark.parametrize(
+        "t,v,blocks",
+        [
+            # {1,2} lies in two blocks; every other pair in exactly one
+            (2, 4, [[1, 2, 3], [1, 2, 4], [3, 4]]),
+            # {1,2,3} lies in two blocks; every other triple in exactly one
+            (3, 5, [[1, 2, 3, 4], [1, 2, 3, 5], [1, 4, 5], [2, 4, 5], [3, 4, 5]]),
+        ],
+    )
+    def test_doubly_covered_subset_fails_design_and_packing(self, t, v, blocks):
+        d = Design(t=t, v=v, lam=1, blocks=Family.of(v, blocks), kind="design")
+        counts = _kernels.cover_counts(*csr_points(d.blocks), v, t)
+        assert sorted(counts.tolist()) == [1] * (len(counts) - 1) + [2]
+        assert not is_design(d)
+        assert not is_packing(d)
 
     def test_reference_counting(self):
         # one block [0,1,2] on v=4: pairs (0,1),(0,2),(1,2) covered once
@@ -109,6 +152,20 @@ class TestCoverCounts:
             tracemalloc.stop()
         # the C(2401, 2) int64 count array alone is 23 MB
         assert peak < 40 * 2**20
+
+    def test_circle_geometry_peak_memory(self):
+        import tracemalloc
+
+        from laminar.geometry import circle_geometry
+
+        tracemalloc.start()
+        try:
+            circle_geometry(9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # enumerating PGL(2, 81) map by map peaked at about 75 MB
+        assert peak < 8 * 2**20
 
     def test_rejects_unsupported_t(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from laminar.setfam import (
     FamilyParseError,
     _contains_config_general,
     contains_config,
+    csr_points,
     family_from_json,
     family_from_text,
     family_to_json,
@@ -170,6 +171,37 @@ class TestMatrices:
         m = incidence_matrix(f)
         assert m.shape == (3, 130) and m.dtype == np.uint8
         assert [tuple(np.flatnonzero(row) + 1) for row in m] == [b.members for b in f]
+
+    def test_csr_points_match_members(self):
+        rng = random.Random(64)
+        for n in (1, 7, 8, 9, 64, 65, 130):
+            masks = {rng.getrandbits(n) for _ in range(20)}
+            f = Family.from_masks(n, sorted(masks))
+            points, offsets = csr_points(f)
+            assert points.dtype == offsets.dtype == np.int64
+            assert offsets[0] == 0 and offsets[-1] == points.size
+            got = [tuple(points[a:b] + 1) for a, b in zip(offsets, offsets[1:])]
+            assert got == [b.members for b in f]
+
+    def test_csr_points_empty(self):
+        points, offsets = csr_points(Family(3, ()))
+        assert points.size == 0 and offsets.tolist() == [0]
+
+    def test_from_rows_matches_of(self):
+        rng = random.Random(65)
+        for n in (3, 8, 9, 70):
+            k = rng.randint(1, n)
+            rows = {tuple(sorted(rng.sample(range(1, n + 1), k))) for _ in range(15)}
+            rows = sorted(rows)
+            assert Family.from_rows(n, np.array(rows)) == Family.of(n, rows)
+
+    def test_from_rows_rejects_points_outside_ground_set(self):
+        with pytest.raises(ValueError, match="outside"):
+            Family.from_rows(4, np.array([[1, 5]]))
+        with pytest.raises(ValueError, match="outside"):
+            Family.from_rows(4, np.array([[0, 2]]))
+        with pytest.raises(ValueError, match="2-d"):
+            Family.from_rows(4, np.array([1, 2]))
 
     def test_forbidden_t2(self):
         assert forbidden_matrix(2).tolist() == [[0, 1, 1, 1], [1, 0, 1, 1]]
