@@ -71,15 +71,6 @@ def prime_power(q: int) -> Optional[tuple[int, int]]:
 # polynomials over GF(p) are coefficient tuples, lowest degree first
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
 def _poly_rem(a, mod, p):
     a = list(a)
     dm = len(mod) - 1
@@ -146,29 +137,31 @@ class FiniteField:
         raise GeometryError(f"no monic irreducible of degree {k} over GF({p}) found")
 
     def _build_tables(self):
+        """add/mul/inv/neg tables over all code pairs at once.  add sums
+        the base-p digits mod p.  mul forms the coefficient arrays of
+        the product polynomial, then reduces them by the monic modulus
+        from the top degree down."""
         p, k, q = self.p, self.k, self.q
         dtype = np.int64 if q > 2**15 else np.int32
-        add = np.zeros((q, q), dtype=dtype)
-        mul = np.zeros((q, q), dtype=dtype)
-        for a in range(q):
-            ca = self.coeffs(a)
-            for b in range(a, q):
-                cb = self.coeffs(b)
-                s = self.from_coeffs([(x + y) % p for x, y in zip(ca, cb)])
-                add[a, b] = add[b, a] = s
-                pr = _poly_rem(_poly_mul(list(ca), list(cb), p), self.modulus, p)
-                m = self.from_coeffs(pr)
-                mul[a, b] = mul[b, a] = m
-        inv = np.zeros(q, dtype=dtype)
-        for a in range(1, q):
-            inv[a] = int(np.nonzero(mul[a] == 1)[0][0])
-        neg = np.zeros(q, dtype=dtype)
-        for a in range(q):
-            neg[a] = int(np.nonzero(add[a] == 0)[0][0])
-        self.add_table = add
-        self.mul_table = mul
-        self.inv_table = inv
-        self.neg_table = neg
+        place = (p ** np.arange(k)).astype(dtype)
+        digits = (np.arange(q)[:, None] // place % p).astype(dtype)  # (q, k)
+        a = [d[:, None] for d in digits.T]  # coefficient j of the row code
+        b = [d[None, :] for d in digits.T]  # coefficient j of the column code
+        add = sum((a[j] + b[j]) % p * place[j] for j in range(k))
+        prod = [
+            sum(a[i] * b[m - i] for i in range(max(0, m - k + 1), min(m, k - 1) + 1))
+            for m in range(2 * k - 1)
+        ]
+        for m in range(2 * k - 2, k - 1, -1):
+            c = prod[m] % p
+            for j in range(k):
+                prod[m - k + j] = prod[m - k + j] - c * self.modulus[j]
+        mul = sum(prod[j] % p * place[j] for j in range(k))
+        self.add_table = add.astype(dtype)
+        self.mul_table = mul.astype(dtype)
+        # row 0 of mul holds no 1, so argmax leaves inv[0] = 0
+        self.inv_table = np.argmax(mul == 1, axis=1).astype(dtype)
+        self.neg_table = np.argmax(add == 0, axis=1).astype(dtype)
 
     def coeffs(self, code: int) -> tuple[int, ...]:
         out = []
@@ -280,19 +273,10 @@ class Design:
         return len(self.blocks)
 
 
-def _subset_cover_counts(d: Design):
-    """Block-coverage count for every t-subset (array for t in {2,3})."""
-    if d.t in (2, 3):
-        points, offsets = csr_points(d.blocks)
-        return _kernels.cover_counts(points, offsets, d.v, d.t)
-    counts: dict[tuple[int, ...], int] = {}
-    for b in d.blocks:
-        for sub in combinations(b.members, d.t):
-            counts[sub] = counts.get(sub, 0) + 1
-    full = np.zeros(comb(d.v, d.t), dtype=np.int64)
-    for i, sub in enumerate(combinations(range(1, d.v + 1), d.t)):
-        full[i] = counts.get(sub, 0)
-    return full
+def _subset_cover_counts(d: Design) -> np.ndarray:
+    """Block-coverage count of every t-subset of [v], colex-ranked."""
+    points, offsets = csr_points(d.blocks)
+    return _kernels.cover_counts(points, offsets, d.v, d.t)
 
 
 def is_design(d: Design) -> bool:
@@ -452,6 +436,8 @@ def greedy_packing(n: int, k: int, t: int, order_seed: int = 0) -> Design:
     random sampling with a patience cutoff; either way the output
     passes is_packing.
     """
+    if t < 1:
+        raise ValueError("t must be >= 1")
     if not t <= k <= n:
         raise ValueError("need t <= k <= n")
     rng = random.Random(order_seed)

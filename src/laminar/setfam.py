@@ -23,7 +23,7 @@ runs all three, as `laminar verify` does):
 On the 1625-set tower (n = 49, t = 2) the three take about 80, 10 and
 6 ms; on four disjoint copies of it (6500 sets, n = 196) about 2.5 s,
 0.23 s and 25 ms, all under a 100 MB process peak (one thread of a
-2-core VM, numpy fallback kernels).
+2-core VM).
 
 Blocks are bit vectors: ground point i (1-based) is bit i-1 of an int
 mask.  Families order their members; canonical order is by (cardinality,

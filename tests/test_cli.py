@@ -118,6 +118,16 @@ class TestConstructCommand:
         assert code == 0
         assert json.loads(out)["blocks"] >= 5
 
+    @pytest.mark.parametrize("t", ["0", "-1"])
+    def test_packing_t_below_one_exit_2(self, t, tmp_path, capsys):
+        out_path = tmp_path / "p.design"
+        code, _, err = run(
+            ["construct", "packing", "--n", "5", "--k", "2", "--t", t, "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 2 and "t must be >= 1" in err
+        assert not out_path.exists()
+
     def test_failed_construction_check_exit_4(self, tmp_path, capsys, monkeypatch):
         real = geometry._unique_rows
         monkeypatch.setattr(geometry, "_unique_rows", lambda rows, base: real(rows, base)[1:])

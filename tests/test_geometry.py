@@ -25,6 +25,34 @@ from laminar.geometry import (
 from laminar.setfam import Family
 
 
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def _loop_tables(f):
+    """Oracle: add/mul/inv/neg of GF(p^k), one code pair at a time."""
+    p, q = f.p, f.q
+    add = np.zeros((q, q), dtype=np.int64)
+    mul = np.zeros((q, q), dtype=np.int64)
+    for a in range(q):
+        ca = f.coeffs(a)
+        for b in range(a, q):
+            cb = f.coeffs(b)
+            add[a, b] = add[b, a] = f.from_coeffs([(x + y) % p for x, y in zip(ca, cb)])
+            prod = geometry._poly_rem(_poly_mul(list(ca), list(cb), p), f.modulus, p)
+            mul[a, b] = mul[b, a] = f.from_coeffs(prod)
+    inv = np.zeros(q, dtype=np.int64)
+    for a in range(1, q):
+        inv[a] = int(np.nonzero(mul[a] == 1)[0][0])
+    neg = np.array([int(np.nonzero(add[a] == 0)[0][0]) for a in range(q)])
+    return add, mul, inv, neg
+
+
 class TestFields:
     def test_prime_field(self):
         f = field_make(7, 1)
@@ -62,6 +90,15 @@ class TestFields:
         f = field_make(3, 4)
         for code in (0, 1, 40, 80):
             assert f.code(f.elem(code)) == code
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81])
+    def test_tables_match_scalar_loop(self, q):
+        f = geometry.FiniteField(*prime_power(q))
+        add, mul, inv, neg = _loop_tables(f)
+        assert np.array_equal(f.add_table, add)
+        assert np.array_equal(f.mul_table, mul)
+        assert np.array_equal(f.inv_table, inv)
+        assert np.array_equal(f.neg_table, neg)
 
     def test_prime_power(self):
         assert prime_power(49) == (7, 2)

@@ -1,6 +1,8 @@
-"""The numba and numpy kernel implementations must agree exactly."""
+"""The numpy kernels must agree exactly with plain-Python references."""
 
 import random
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -37,10 +39,8 @@ class TestViolationKernel:
         for _ in range(40):
             fam, words = _random_words(rng, 30, n_bits)
             for t in (1, 2, 3):
-                nb = _kernels._nb_violation(words, t)
-                np_ = _kernels._np_violation(words, t)
                 # reference: first violating pair in scan order
-                ref = (-1, -1)
+                ref = None
                 masks = [b.mask for b in fam]
                 for i in range(len(masks)):
                     for j in range(i + 1, len(masks)):
@@ -48,9 +48,9 @@ class TestViolationKernel:
                         if c.bit_count() >= t and c != masks[i] and c != masks[j]:
                             ref = (i, j)
                             break
-                    if ref != (-1, -1):
+                    if ref is not None:
                         break
-                assert tuple(nb) == np_ == ref
+                assert _kernels.find_violation(words, t) == ref
 
     def test_dispatcher_none_for_laminar(self):
         fam = Family.of(3, [[1, 2], [1, 3], [2, 3], [1, 2, 3]])
@@ -85,27 +85,48 @@ def _random_csr(rng, t, v_cap=14, blocks_cap=10):
     return pts, offs, v
 
 
+def _colex_counts(pts, offs, v, t):
+    """Reference cover counts: every t-subset of every block, colex-ranked
+    as sum of C(a_i, i + 1) over its points a_0 < ... < a_{t-1}."""
+    counts = [0] * comb(v, t)
+    for lo, hi in zip(offs[:-1], offs[1:]):
+        for sub in combinations(pts[lo:hi].tolist(), t):
+            counts[sum(comb(x, i + 1) for i, x in enumerate(sub))] += 1
+    return counts
+
+
 class TestCoverCounts:
-    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_backends_agree(self, t):
-        # the _nb_* loops (plain Python without numba) are the reference
         rng = random.Random(t)
-        nb = _kernels._nb_pair_counts if t == 2 else _kernels._nb_triple_counts
         for _ in range(30):
             pts, offs, v = _random_csr(rng, t)
-            assert np.array_equal(nb(pts, offs, v), _kernels._np_cover_counts(pts, offs, v, t))
+            got = _kernels.cover_counts(pts, offs, v, t)
+            assert got.tolist() == _colex_counts(pts, offs, v, t)
 
-    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_small_chunks_agree(self, t, chunk, monkeypatch):
         # chunks smaller than one block's t-subsets split the block's
         # subset table; larger ones hold several blocks
         monkeypatch.setattr(_kernels, "_COVER_CHUNK", chunk)
         rng = random.Random(100 * t + chunk)
-        nb = _kernels._nb_pair_counts if t == 2 else _kernels._nb_triple_counts
         for _ in range(10):
             pts, offs, v = _random_csr(rng, t, v_cap=12, blocks_cap=6)
-            assert np.array_equal(nb(pts, offs, v), _kernels._np_cover_counts(pts, offs, v, t))
+            got = _kernels.cover_counts(pts, offs, v, t)
+            assert got.tolist() == _colex_counts(pts, offs, v, t)
+
+    def test_counts_are_int32(self):
+        pts = np.array([0, 1, 2], dtype=np.int64)
+        offs = np.array([0, 3], dtype=np.int64)
+        assert _kernels.cover_counts(pts, offs, 4, 2).dtype == np.int32
+
+    def test_extreme_strength_tables_fit_int64(self):
+        # C(69, 35) overflows int64, but no t-subset of [70] with t = 69
+        # reaches that binomial: the block [70] covers each once
+        pts = np.arange(70, dtype=np.int64)
+        offs = np.array([0, 70], dtype=np.int64)
+        assert _kernels.cover_counts(pts, offs, 70, 69).tolist() == [1] * 70
 
     def test_repeat_inside_one_chunk_counts_twice(self):
         # the same block twice: every t-subset of it is covered twice
@@ -150,8 +171,9 @@ class TestCoverCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the C(2401, 2) int64 count array alone is 23 MB
-        assert peak < 40 * 2**20
+        # the C(2401, 2) int32 count array alone is 11.5 MB; measured
+        # 15.1 MB in all
+        assert peak < 16 * 2**20
 
     def test_circle_geometry_peak_memory(self):
         import tracemalloc
@@ -167,15 +189,46 @@ class TestCoverCounts:
         # enumerating PGL(2, 81) map by map peaked at about 75 MB
         assert peak < 8 * 2**20
 
-    def test_rejects_unsupported_t(self):
-        with pytest.raises(ValueError):
-            _kernels.cover_counts(
-                np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64), 4, 4
-            )
+    def test_rejects_t_below_one(self):
+        for t in (0, -1):
+            with pytest.raises(ValueError):
+                _kernels.cover_counts(
+                    np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64), 4, t
+                )
+
+
+class TestKnownDesigns:
+    """Strengths outside {2, 3} through is_design and is_packing."""
+
+    def test_all_5_subsets_of_7_are_a_4_design(self):
+        # every 4-subset of [7] lies in the 3 five-subsets that add one
+        # of the remaining 3 points
+        fam = Family.of(7, [list(c) for c in combinations(range(1, 8), 5)])
+        assert is_design(Design(t=4, v=7, lam=3, blocks=fam, kind="design"))
+        assert not is_design(Design(t=4, v=7, lam=2, blocks=fam, kind="design"))
+        assert is_packing(Design(t=4, v=7, lam=3, blocks=fam, kind="packing"))
+
+    @pytest.mark.parametrize("v", [1, 6, 70])
+    def test_partition_is_a_1_design(self, v):
+        parts = [list(range(lo, min(lo + 4, v + 1))) for lo in range(1, v + 1, 4)]
+        assert is_design(Design(t=1, v=v, lam=1, blocks=Family.of(v, parts), kind="design"))
+
+    def test_overlapping_cover_is_not_a_1_design(self):
+        fam = Family.of(4, [[1, 2], [2, 3, 4]])
+        assert not is_design(Design(t=1, v=4, lam=1, blocks=fam, kind="design"))
+
+    def test_doubly_covered_4_subset_fails(self):
+        # {1,2,3,4} lies in both blocks; all other 4-subsets in at most one
+        fam = Family.of(6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6]])
+        d = Design(t=4, v=6, lam=1, blocks=fam, kind="packing")
+        counts = _kernels.cover_counts(*csr_points(fam), 6, 4)
+        assert sorted(counts.tolist()) == [0] * 6 + [1] * 8 + [2]
+        assert not is_packing(d)
+        assert not is_design(d)
 
 
 class TestScanTopK:
-    def test_both_backends_contain_true_argmax(self):
+    def test_contains_true_argmax(self):
         from laminar.bounds import obf_table, lp_dual_value
 
         table = obf_table(200)
@@ -197,6 +250,5 @@ class TestScanTopK:
             }
             best = max(exact_vals.values())
             true_arg = min(m for m, v in exact_vals.items() if v == best)
-            for impl in (_kernels._nb_scan_topk, _kernels._np_scan_topk):
-                got = impl(n, obf_f, starts, voff, cnts, vx, vy, 32)
-                assert true_arg in {int(m) for m in got if m >= 0}
+            got = _kernels.scan_topk(n, obf_f, starts, voff, cnts, vx, vy, 32)
+            assert true_arg in {int(m) for m in got if m >= 0}
