@@ -155,10 +155,10 @@ class FiniteField:
         for m in range(2 * k - 2, k - 1, -1):
             c = prod[m] % p
             for j in range(k):
-                prod[m - k + j] = prod[m - k + j] - c * self.modulus[j]
+                prod[m - k + j] -= c * self.modulus[j]
         mul = sum(prod[j] % p * place[j] for j in range(k))
-        self.add_table = add.astype(dtype)
-        self.mul_table = mul.astype(dtype)
+        self.add_table = add
+        self.mul_table = mul
         # row 0 of mul holds no 1, so argmax leaves inv[0] = 0
         self.inv_table = np.argmax(mul == 1, axis=1).astype(dtype)
         self.neg_table = np.argmax(add == 0, axis=1).astype(dtype)

@@ -313,6 +313,9 @@ class TestGreedyPacking:
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             greedy_packing(4, 5, 2, 0)
+        for t in (0, -1):
+            with pytest.raises(ValueError, match="t must be >= 1"):
+                greedy_packing(5, 2, t, 0)
 
 
 class TestDesignSerialization:
