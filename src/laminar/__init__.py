@@ -12,14 +12,12 @@ from .bounds import (
     BoundTable,
     Frontier,
     Halfspace,
-    Rat,
     frontier_update,
     lp_dual_value,
     lp_primal_oracle,
     obf_table,
     projective_series,
     rat_to_decimal,
-    rec_bound_check,
     tail_sum,
     upper_limit_report,
 )
@@ -51,7 +49,6 @@ from .setfam import (
     forbidden_matrix,
     incidence_matrix,
     is_t_laminar,
-    laminarity_witness,
     maximal_sets,
     unique_chain_check,
 )

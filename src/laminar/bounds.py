@@ -42,6 +42,12 @@ comparison runs on cross-multiplied Python integers (vertices pre-scaled
 to a common denominator, rationals split into numerator and
 denominator); the only inexact arithmetic in this module is the
 Decimal rendering in `rat_to_decimal`.
+
+A table persists as append-only "n<TAB>p/q" lines.  `load_cache`
+checks every line before any value is reused: the base values, that
+the n are contiguous, that the values never decrease, and the ratio
+recursion obf(n)/C(n,2) <= 1/C(n,2) + max_{k<n} obf(k)/C(k,2), which
+every computed value satisfies.
 """
 
 from __future__ import annotations
@@ -54,9 +60,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, NamedTuple, Optional
-
-#: exact rational scalar used throughout the bound engine
-Rat = Fraction
 
 
 def rat_to_decimal(value: Fraction, digits: int = 20) -> str:
@@ -131,13 +134,6 @@ class Frontier:
     def critical(self) -> tuple[int, ...]:
         """Retained halfspace indices including the special eta_1."""
         return (1,) + self.ks
-
-    def contains(self, x: Fraction, y: Fraction) -> bool:
-        if x < 0:
-            return False
-        return all(
-            Halfspace.from_index(k, c).holds(x, y) for k, c in zip(self.ks, self.cs)
-        )
 
     def with_stage(self, n: int) -> "Frontier":
         f = Frontier.__new__(Frontier)
@@ -455,21 +451,25 @@ def _parse_cache_line(raw: str, ln: int) -> tuple[int, Fraction]:
             return n, Fraction(int(p), int(q))
         return n, Fraction(int(v_str))
     except (ValueError, ZeroDivisionError):
-        raise CacheError(f"cache line {ln}: malformed entry {raw!r}") from None
+        what = "malformed entry" if raw.isascii() else "non-ASCII bytes in"
+        raise CacheError(f"cache line {ln}: {what} {raw!r}") from None
 
 
-def load_cache(path: str, audit_stride: int = 100) -> list[Fraction]:
+def load_cache(path: str) -> list[Fraction]:
     """Read and verify a persisted table; returns values indexed from 2.
 
-    Verifies the base values, contiguous indices and that values never
+    Verifies the base values, contiguous indices, that values never
     decrease (the branch-and-bound's monotone bound relies on it), and
-    re-audits a sample of lines against the ratio recursion; any
-    failure raises CacheError naming the offending line.
+    audits every line against the ratio recursion; any failure,
+    including a non-ASCII byte, raises CacheError naming the offending
+    line.  OSError from opening or reading the file propagates.
     """
     values: list[Fraction] = []
     # running max of obf(k)/C(k,2) as an integer pair
     run_p, run_q = 0, 1
-    with open(path, "r", encoding="ascii") as fh:
+    # a non-ASCII byte decodes to a lone surrogate, which no int() accepts,
+    # so it fails _parse_cache_line on its own line
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for ln, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
@@ -488,7 +488,7 @@ def load_cache(path: str, audit_stride: int = 100) -> list[Fraction]:
                 )
             c = n * (n - 1) // 2
             # v/c <= 1/c + run_p/run_q, times c * q * run_q
-            if n > 3 and n % audit_stride == 0 and p * run_q > q * (run_q + run_p * c):
+            if n > 3 and p * run_q > q * (run_q + run_p * c):
                 raise CacheError(
                     f"cache line {ln}: obf({n}) fails the ratio recursion audit"
                 )
@@ -509,18 +509,21 @@ def _append_cache(path: str, rows: list[tuple[int, Fraction]]):
 # ---------------------------------------------------------------------------
 # table construction
 
+#: obf_table calls `progress(n)` at every n divisible by this
+_PROGRESS_EVERY = 1000
+
 
 def obf_table(
     n_max: int,
     *,
     cache_path: Optional[str] = None,
     progress: Optional[Callable[[int], None]] = None,
-    progress_every: int = 1000,
 ) -> BoundTable:
     """Build (or extend from cache) the bound table up to n_max.
 
     Each new value takes the certified max over m from `_max_lp`,
-    warm-started at the previous step's argmax.
+    warm-started at the previous step's argmax.  `progress(n)` is called
+    at every n divisible by _PROGRESS_EVERY.
     """
     if n_max < 2:
         raise ValueError("table starts at n = 2")
@@ -545,7 +548,7 @@ def obf_table(
             frontier = updated
         if not from_cache:
             fresh.append((n, value))
-        if progress and n % progress_every == 0:
+        if progress and n % _PROGRESS_EVERY == 0:
             progress(n)
 
     install(2, Fraction(1), from_cache=bool(cached))
@@ -605,16 +608,10 @@ def projective_series(terms: int) -> SeriesValue:
     return SeriesValue(total, rat_to_decimal(total), tuple(ks))
 
 
-def rec_bound_check(table: BoundTable, n: int) -> bool:
-    """Audit one step of the ratio recursion for the filled table."""
-    if n <= 3:
-        return True
-    best = max(table.ratio(k) for k in range(2, n))
-    return table.ratio(n) <= Fraction(1, comb(n, 2)) + best
-
-
 def rec_bound_audit(table: BoundTable, n_max: Optional[int] = None) -> bool:
-    """Sweep rec_bound_check over every cached n with a running maximum."""
+    """The ratio recursion obf(n)/C(n,2) <= 1/C(n,2) + max_{k<n} obf(k)/C(k,2)
+    at every 3 < n <= n_max, with a running maximum; on Fractions, an
+    independent reference for the integer audit in `load_cache`."""
     n_max = n_max or table.n_max
     running = table.ratio(2)
     for n in range(3, n_max + 1):

@@ -25,9 +25,9 @@ from .bounds import rat_to_decimal
 from .geometry import Design, affine_plane, circle_geometry, is_packing, projective_plane
 from .setfam import Block, Family, is_t_laminar
 
-# materialization guards: beyond these the towers are counted, not built
-FANO_TOWER_DEFAULT_CAP = 49
-CIRCLE_TOWER_DEFAULT_CAP = 82
+# materialization caps: beyond these the towers are counted, not built
+FANO_TOWER_CAP = 2401
+CIRCLE_TOWER_CAP = 82
 
 
 class CapExceeded(ValueError):
@@ -124,16 +124,15 @@ def _fano_level0() -> Family:
     return Family.of(7, sets)
 
 
-def fano_tower(
-    r: int, materialize: bool = False, large_ok: bool = False
-) -> tuple[TowerReport, Optional[Family]]:
+def fano_tower(r: int, materialize: bool = False) -> tuple[TowerReport, Optional[Family]]:
     """Level r of the t = 2 tower on n = 7^(2^r) points.
 
     Level 0 is all pairs of [7], the seven blocks of the Fano plane,
     and [7] itself (29 sets).  Level i nests level i-1 into the affine
     plane of order 7^(2^(i-1)) and adds the universe.  Counts follow
-    g(n) = b*g(m) + 1 exactly; materialization is guarded (n <= 49 by
-    default, n = 2401 with large_ok) and verified against the count.
+    g(n) = b*g(m) + 1 exactly; materialization is capped at
+    n <= FANO_TOWER_CAP = 2401 (r <= 2; the r = 2 level has about 4M
+    members) and verified against the count.
     """
     if r < 0:
         raise ValueError("level must be >= 0")
@@ -152,11 +151,8 @@ def fano_tower(
         raise AssertionError("tower count disagrees with the bracket series")
     if not materialize:
         return report, None
-    cap = 2401 if large_ok else FANO_TOWER_DEFAULT_CAP
-    if n > cap:
-        raise CapExceeded(
-            f"materializing n={n} exceeds the cap {cap}; pass large_ok or lower r"
-        )
+    if n > FANO_TOWER_CAP:
+        raise CapExceeded(f"materializing n={n} exceeds the cap {FANO_TOWER_CAP}")
     fam = _fano_level0()
     size = 7
     while size < n:
@@ -219,7 +215,8 @@ def circle_tower(r: int, materialize: bool = False) -> tuple[TowerReport, Option
     i-1 into the circle geometry of order 3^(2^(i-1)).  count_geq_t
     counts members of size >= 3 (universe included); the size-1 and
     size-2 layers ride along in materialized families and are reported
-    separately.
+    separately.  Materialization is capped at n <= CIRCLE_TOWER_CAP = 82
+    (r <= 1).
     """
     if r < 0:
         raise ValueError("level must be >= 0")
@@ -234,8 +231,8 @@ def circle_tower(r: int, materialize: bool = False) -> tuple[TowerReport, Option
     )
     if not materialize:
         return report, None
-    if n > CIRCLE_TOWER_DEFAULT_CAP:
-        raise CapExceeded(f"materializing n={n} exceeds the cap {CIRCLE_TOWER_DEFAULT_CAP}")
+    if n > CIRCLE_TOWER_CAP:
+        raise CapExceeded(f"materializing n={n} exceeds the cap {CIRCLE_TOWER_CAP}")
     fam = _circle_level0()
     size = 10
     while size < n:
@@ -265,9 +262,6 @@ class ThreeSeriesReport:
     count_geq3: int
     full_size: int
     note: str
-
-    def as_pair(self) -> tuple[Fraction, Fraction]:
-        return self.printed_total, Fraction(self.count_geq3)
 
     def to_json(self) -> dict:
         return {

@@ -97,17 +97,6 @@ def _is_irreducible(poly, p):
     return True
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    """Coefficient vector of a field element, lowest degree first."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("coefficient vector must have length k >= 1")
-
-
 class FiniteField:
     """GF(p^k) with dense add/mul/inv tables over integer element codes.
 
@@ -137,7 +126,7 @@ class FiniteField:
         raise GeometryError(f"no monic irreducible of degree {k} over GF({p}) found")
 
     def _build_tables(self):
-        """add/mul/inv/neg tables over all code pairs at once.  add sums
+        """add/mul/inv tables over all code pairs at once.  add sums
         the base-p digits mod p.  mul forms the coefficient arrays of
         the product polynomial, then reduces them by the monic modulus
         from the top degree down."""
@@ -161,7 +150,6 @@ class FiniteField:
         self.mul_table = mul
         # row 0 of mul holds no 1, so argmax leaves inv[0] = 0
         self.inv_table = np.argmax(mul == 1, axis=1).astype(dtype)
-        self.neg_table = np.argmax(add == 0, axis=1).astype(dtype)
 
     def coeffs(self, code: int) -> tuple[int, ...]:
         out = []
@@ -176,22 +164,11 @@ class FiniteField:
             code = code * self.p + c % self.p
         return code
 
-    def elem(self, code: int) -> FieldElem:
-        return FieldElem(self.coeffs(code))
-
-    def code(self, e: FieldElem) -> int:
-        if len(e.coeffs) != self.k:
-            raise ValueError("coefficient vector length mismatch")
-        return self.from_coeffs(e.coeffs)
-
     def add(self, a: int, b: int) -> int:
         return int(self.add_table[a, b])
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[a, b])
-
-    def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -494,24 +471,3 @@ def design_from_text(text: str) -> Design:
         kind=kv["kind"],
     )
 
-
-def design_to_json(d: Design) -> dict:
-    from .setfam import family_to_json
-
-    doc = family_to_json(d.blocks, t=d.t)
-    doc["design"] = {"t": d.t, "v": d.v, "lambda": d.lam, "kind": d.kind}
-    return doc
-
-
-def design_from_json(doc: dict) -> Design:
-    from .setfam import family_from_json
-
-    fam, _t = family_from_json(doc)
-    meta = doc["design"]
-    return Design(
-        t=int(meta["t"]),
-        v=int(meta["v"]),
-        lam=int(meta["lambda"]),
-        blocks=fam,
-        kind=meta["kind"],
-    )

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bounds import BoundTable
-from .setfam import Block, Family
+from .setfam import Block, Family, _bit_positions
 
 _BUDGET_CHECK_MASK = 0xFFF
 
@@ -66,21 +66,11 @@ class _Budget(Exception):
     pass
 
 
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _induced(adj: Sequence[int], verts: list[int]) -> list[int]:
     """Adjacency rows of the subgraph induced on verts, vertex verts[i] as i."""
     pos = {v: i for i, v in enumerate(verts)}
     keep = sum(1 << v for v in verts)
-    return [sum(1 << pos[u] for u in _bits(adj[v] & keep)) for v in verts]
+    return [sum(1 << pos[u] for u in _bit_positions(adj[v] & keep)) for v in verts]
 
 
 def _max_clique(
@@ -152,7 +142,7 @@ def _max_clique(
     except _Budget:
         exact = False
 
-    return best, sum(1 << order[v] for v in _bits(best_mask)), exact, calls
+    return best, sum(1 << order[v] for v in _bit_positions(best_mask)), exact, calls
 
 
 @dataclass(frozen=True)
@@ -191,7 +181,8 @@ def max_laminar_exact(
     under a second and f(10) = 61 = obf(10) in a few seconds; for
     t = 3 it proves 71 on [8] and 103 on [9].  When the shared budget
     runs out the best family found so far is returned with
-    ``exact=False``, a certified lower bound.
+    ``exact=False``, a certified lower bound; ``budget_seconds=None``
+    sets no deadline.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -200,21 +191,21 @@ def max_laminar_exact(
     if min_size is None:
         min_size = max(t, 2)
     graph = CompatGraph.build(n, t, min_size)
-    deadline = time.monotonic() + budget_seconds if budget_seconds else None
+    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     adj, verts = graph.adj, graph.vertices
     full = (1 << len(adj)) - 1
     forced = sum(1 << v for v, row in enumerate(adj) if row | 1 << v == full)
     remaining = full & ~forced
     best, best_mask, nodes, exact = 0, 0, 0, True
     for k in range(n, 0, -1):
-        orbit = [v for v in _bits(remaining) if verts[v].size == k]
+        orbit = [v for v in _bit_positions(remaining) if verts[v].size == k]
         if not orbit:
             continue
         if deadline is not None and time.monotonic() > deadline:
             exact = False
             break
         rep = orbit[0]  # vertices are sorted by (size, mask)
-        sub = _bits(adj[rep] & remaining)
+        sub = _bit_positions(adj[rep] & remaining)
         # rep plus more than best - 1 neighbours beats the incumbent
         size, mask, exact, count = _max_clique(
             _induced(adj, sub), deadline, floor=max(best - 1, 0)
@@ -222,12 +213,12 @@ def max_laminar_exact(
         nodes += count
         if size + 1 > best:
             best = size + 1
-            best_mask = (1 << rep) | sum(1 << sub[i] for i in _bits(mask))
+            best_mask = (1 << rep) | sum(1 << sub[i] for i in _bit_positions(mask))
         if not exact:
             break
         remaining &= ~sum(1 << v for v in orbit)
     # index order is (size, mask) order
-    members = tuple(verts[i] for i in _bits(forced | best_mask))
+    members = tuple(verts[i] for i in _bit_positions(forced | best_mask))
     return SearchResult(
         size=len(members),
         family=Family(n, members),

@@ -91,12 +91,6 @@ class Block:
     def __contains__(self, point: int) -> bool:
         return 1 <= point <= self.n and bool(self.mask >> (point - 1) & 1)
 
-    def issubset(self, other: "Block") -> bool:
-        return self.mask & other.mask == self.mask
-
-    def intersection_size(self, other: "Block") -> int:
-        return (self.mask & other.mask).bit_count()
-
     def __repr__(self):
         return f"Block({self.n}, {{{','.join(map(str, self.members))}}})"
 
@@ -160,15 +154,10 @@ class Family:
         return sum(1 for b in self.sets if b.size >= k)
 
     def to_words(self) -> np.ndarray:
-        """Bit-pack into a (len, ceil(n/64)) uint64 matrix for the kernels."""
-        n_words = (self.n + 63) // 64
-        out = np.zeros((len(self.sets), n_words), dtype=np.uint64)
-        for i, b in enumerate(self.sets):
-            m = b.mask
-            for w in range(n_words):
-                out[i, w] = m & 0xFFFFFFFFFFFFFFFF
-                m >>= 64
-        return out
+        """Bit-pack into a read-only (len, ceil(n/64)) uint64 matrix for the
+        kernels: the 8*ceil(n/64) little-endian bytes of every mask, viewed
+        as little-endian words."""
+        return _mask_bytes(self, 8 * ((self.n + 63) // 64)).view("<u8")
 
 
 def violating_pair(fam: Family, t: int) -> Optional[tuple[int, int]]:
@@ -199,15 +188,6 @@ def is_t_laminar(fam: Family, t: int) -> bool:
     return violating_pair(fam, t) is None
 
 
-def laminarity_witness(fam: Family, t: int) -> Optional[tuple[Block, Block]]:
-    """First violating pair in family order, or None when t-laminar."""
-    hit = violating_pair(fam, t)
-    if hit is None:
-        return None
-    i, j = hit
-    return fam.sets[i], fam.sets[j]
-
-
 def maximal_sets(fam: Family, exclude_universe: bool = False) -> Family:
     """Blocks not strictly contained in another eligible block (an antichain).
 
@@ -227,17 +207,20 @@ def maximal_sets(fam: Family, exclude_universe: bool = False) -> Family:
     return Family(fam.n, tuple(out))
 
 
+def _mask_bytes(fam: Family, width: int) -> np.ndarray:
+    """Every mask as ``width`` little-endian bytes (``int.to_bytes``), one
+    read-only |F| x width uint8 row per member."""
+    buf = b"".join(b.mask.to_bytes(width, "little") for b in fam.sets)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(len(fam), width)
+
+
 def _unpack(fam: Family) -> np.ndarray:
     """The members' bits as a |F| x 8*ceil(n/8) zero-one uint8 matrix.
 
-    Every mask becomes ``ceil(n/8)`` little-endian bytes (``int.to_bytes``)
-    and one ``np.unpackbits`` spreads them out, so column i holds point
-    i+1; the columns from n on are 0.
+    One ``np.unpackbits`` spreads the ``ceil(n/8)`` mask bytes of each
+    member out, so column i holds point i+1; the columns from n on are 0.
     """
-    width = (fam.n + 7) // 8
-    buf = b"".join(b.mask.to_bytes(width, "little") for b in fam.sets)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(fam), width)
-    return np.unpackbits(packed, axis=1, bitorder="little")
+    return np.unpackbits(_mask_bytes(fam, (fam.n + 7) // 8), axis=1, bitorder="little")
 
 
 def incidence_matrix(fam: Family) -> np.ndarray:

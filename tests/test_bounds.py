@@ -19,7 +19,6 @@ from laminar.bounds import (
     projective_series,
     rat_to_decimal,
     rec_bound_audit,
-    rec_bound_check,
     tail_sum,
     upper_limit_report,
 )
@@ -229,8 +228,8 @@ class TestSeriesAndTail:
 
 class TestAudits:
     def test_rec_bound_small(self, table60):
-        assert rec_bound_check(table60, 4)  # 8/6 <= 1/6 + 4/3
-        assert rec_bound_check(table60, 3)  # vacuous
+        assert rec_bound_audit(table60, 4)  # 8/6 <= 1/6 + 4/3
+        assert rec_bound_audit(table60, 3)  # vacuous
 
     def test_audit_sweep(self, table600):
         assert rec_bound_audit(table600)
@@ -296,7 +295,7 @@ class TestCache:
         path = str(tmp_path / "obf.cache")
         obf_table(250, cache_path=path)
         lines = open(path).read().splitlines()
-        # inflate obf(100) (an audited index) beyond the recursion bound
+        # inflate obf(100) beyond the recursion bound
         assert lines[98].startswith("100\t")
         lines[98] = "100\t99999/1"
         open(path, "w").write("\n".join(lines) + "\n")

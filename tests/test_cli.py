@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -5,7 +6,7 @@ import random
 import pytest
 
 from conftest import random_family
-from laminar import geometry, setfam
+from laminar import cli, geometry, setfam
 from laminar.cli import main
 from laminar.setfam import family_from_text, family_to_text, is_t_laminar
 
@@ -48,13 +49,48 @@ class TestObfCommand:
         cache = str(tmp_path / "c.cache")
         run(["obf", "--N", "60", "--cache", cache], capsys)
         lines = open(cache).read().splitlines()
-        # swap the values of obf(40) and obf(41)
-        v40, v41 = lines[38].split("\t")[1], lines[39].split("\t")[1]
-        lines[38], lines[39] = f"40\t{v41}", f"41\t{v40}"
+        v39, v40, v41 = (lines[i].split("\t")[1] for i in (37, 38, 39))
+        # swapping obf(40) and obf(41) raises obf(40) first, which the
+        # ratio audit rejects on its own line
+        swapped = lines[:38] + [f"40\t{v41}", f"41\t{v40}"] + lines[40:]
+        open(cache, "w").write("\n".join(swapped) + "\n")
+        code, _, err = run(["obf", "--N", "60", "--cache", cache], capsys)
+        assert code == 4 and "line 39: obf(40) fails the ratio recursion" in err
+        # lowering obf(41) to obf(39) is a pure decrease
+        lines[39] = f"41\t{v39}"
         open(cache, "w").write("\n".join(lines) + "\n")
         code, _, err = run(["obf", "--N", "60", "--cache", cache], capsys)
         assert code == 4
         assert "line 40: obf(41)" in err and "below obf(40)" in err
+
+    def test_every_cache_line_audited(self, tmp_path, capsys):
+        cache = str(tmp_path / "c.cache")
+        run(["obf", "--N", "200", "--cache", cache], capsys)
+        lines = open(cache).read().splitlines()
+        # obf(57) := obf(58) keeps the table nondecreasing, and 57 is no
+        # multiple of 100, so only an audit of every line sees it
+        assert lines[56] == "58\t15986/7"
+        lines[55] = "57\t15986/7"
+        open(cache, "w").write("\n".join(lines) + "\n")
+        code, out, err = run(["obf", "--N", "200", "--cache", cache], capsys)
+        assert code == 4 and out == ""
+        assert "cache line 56: obf(57) fails the ratio recursion audit" in err
+
+    @pytest.mark.parametrize("command", ["obf", "summary"])
+    def test_non_ascii_cache_exit_4(self, command, tmp_path, capsys):
+        cache = tmp_path / "c"
+        cache.write_bytes(b"2\t1/1\n3\t4/1\n4\t\xff8/1\n")
+        argv = [command, "--cache", str(cache)] + (["--N", "10"] if command == "obf" else [])
+        code, out, err = run(argv, capsys)
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and "cache line 3: non-ASCII" in err
+
+    @pytest.mark.parametrize("command", ["obf", "summary"])
+    def test_unreadable_cache_exit_2(self, command, tmp_path, capsys):
+        argv = [command, "--cache", str(tmp_path)] + (["--N", "10"] if command == "obf" else [])
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"cannot use cache {tmp_path}:")
 
     def test_env_cache_path(self, tmp_path, capsys, monkeypatch):
         cache = str(tmp_path / "env.cache")
@@ -250,6 +286,20 @@ class TestSearchCommand:
         assert (code, err) == (0, "")
         assert out == "t-laminar (t=2): 20 sets, all three checks agree\n"
 
+    def test_zero_budget_exit_3(self, tmp_path, capsys):
+        code, out, _ = run(["search", "--n", "9", "--budget", "0", "--json"], capsys)
+        assert code == 3
+        doc = json.loads(out)
+        assert not doc["exact"] and doc["forced"] == 37  # the 36 pairs and [9]
+        sets = {tuple(s) for s in doc["family"]["sets"]}
+        assert {(a, b) for a in range(1, 10) for b in range(a + 1, 10)} <= sets
+        assert tuple(range(1, 10)) in sets
+        path = tmp_path / "found.json"
+        path.write_text(out)
+        code, out, err = run(["verify", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("t-laminar (t=2):")
+
     @pytest.mark.parametrize("flag,value", [("--n", "-1"), ("--n", "0"), ("--t", "0")])
     def test_bad_n_or_t_exit_2(self, flag, value, capsys):
         argv = ["search", "--n", "5", "--t", "2"]
@@ -286,6 +336,13 @@ class TestSummaryCommand:
 class TestUsage:
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_commands_run_on_a_frozen_heap(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_search", lambda args: seen.append(gc.get_freeze_count()))
+        main(["search", "--n", "3"])
+        assert seen[0] > 0 and gc.get_freeze_count() == 0
+        assert main(["frobnicate"]) == 2 and gc.get_freeze_count() == 0
 
     def test_obf_n1_exit_2(self, tmp_path, capsys):
         code, _, _ = run(["obf", "--N", "1", "--cache", str(tmp_path / "c")], capsys)

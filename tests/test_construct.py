@@ -117,7 +117,7 @@ class TestFanoTower:
 
     def test_materialization_cap(self):
         with pytest.raises(CapExceeded, match="cap"):
-            fano_tower(2, materialize=True)
+            fano_tower(3, materialize=True)
 
     def test_report_json(self):
         rep, _ = fano_tower(1)
@@ -161,8 +161,7 @@ class TestThreeSeriesReport:
         rep = three_series_report(0)
         assert "1.5083" in rep.note
         assert "1.2583" in rep.note
-        pair = rep.as_pair()
-        assert pair[0] == 206 and pair[1] == 151
+        assert rep.printed_total == 206 and rep.count_geq3 == 151
 
     def test_bracket_limit_partial_sum(self):
         limit = 1 + Fraction(1, 4) + Fraction(1, 120) + Fraction(1, 88560)

@@ -22,7 +22,6 @@ from laminar.setfam import (
     forbidden_matrix,
     incidence_matrix,
     is_t_laminar,
-    laminarity_witness,
     maximal_sets,
     unique_chain_check,
     verify_t_laminar,
@@ -65,6 +64,35 @@ class TestBlockFamily:
         assert [b.members for b in f] == [(4,), (1, 2), (1, 2, 3)]
 
 
+def _words_loop(f: Family) -> np.ndarray:
+    """Oracle: to_words one 64-bit word at a time."""
+    n_words = (f.n + 63) // 64
+    out = np.zeros((len(f), n_words), dtype=np.uint64)
+    for i, b in enumerate(f.sets):
+        m = b.mask
+        for w in range(n_words):
+            out[i, w] = m & 0xFFFFFFFFFFFFFFFF
+            m >>= 64
+    return out
+
+
+class TestToWords:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 196])
+    def test_matches_word_loop(self, n):
+        rng = random.Random(n)
+        masks = {rng.getrandbits(n) for _ in range(200)}
+        masks |= {0, 1, 1 << (n - 1), (1 << n) - 1}
+        f = Family.from_masks(n, sorted(masks))
+        words = f.to_words()
+        assert words.dtype == np.uint64 and words.shape == (len(f), (n + 63) // 64)
+        assert np.array_equal(words, _words_loop(f))
+
+    def test_tower_and_empty(self):
+        _, tower = fano_tower(1, materialize=True)
+        assert np.array_equal(tower.to_words(), _words_loop(tower))
+        assert Family(70, ()).to_words().shape == (0, 2)
+
+
 class TestIsTLaminar:
     def test_triangle_plus_universe(self):
         f = fam(3, [1, 2], [1, 3], [2, 3], [1, 2, 3])
@@ -94,26 +122,25 @@ class TestIsTLaminar:
 class TestWitness:
     def test_only_candidate_pair(self):
         f = fam(4, [1, 2, 3], [1, 2, 4])
-        w = laminarity_witness(f, 2)
-        assert w == (Block.of(4, [1, 2, 3]), Block.of(4, [1, 2, 4]))
+        assert violating_pair(f, 2) == (0, 1)
 
     def test_absent_on_laminar(self):
         f = fam(3, [1, 2], [1, 3], [2, 3], [1, 2, 3])
-        assert laminarity_witness(f, 2) is None
+        assert violating_pair(f, 2) is None
 
     def test_classic_overlap(self):
         f = fam(3, [1, 2], [2, 3])
-        assert laminarity_witness(f, 1) == (Block.of(3, [1, 2]), Block.of(3, [2, 3]))
+        assert violating_pair(f, 1) == (0, 1)
 
     def test_witness_recheck(self):
         rng = random.Random(5)
         for _ in range(200):
             f = random_family(rng)
             for t in (1, 2, 3):
-                w = laminarity_witness(f, t)
+                w = violating_pair(f, t)
                 assert (w is None) == is_t_laminar(f, t)
                 if w is not None:
-                    a, b = w
+                    a, b = (f.sets[i] for i in w)
                     c = a.mask & b.mask
                     assert c.bit_count() >= t and c != a.mask and c != b.mask
 
