@@ -37,17 +37,27 @@ sound upper bounds on obf(m) + (dual minimum at m) is <= the incumbent:
     it is convex in m when R + x_v - y_v >= 0, hence maximal at an
     endpoint.
 
-Surviving short intervals are evaluated exactly point by point.  Every
-comparison runs on cross-multiplied Python integers (vertices pre-scaled
-to a common denominator, rationals split into numerator and
-denominator); the only inexact arithmetic in this module is the
-Decimal rendering in `rat_to_decimal`.
+Surviving short intervals are evaluated exactly point by point.
 
-A table persists as append-only "n<TAB>p/q" lines.  `load_cache`
-checks every line before any value is reused: the base values, that
-the n are contiguous, that the values never decrease, and the ratio
-recursion obf(n)/C(n,2) <= 1/C(n,2) + max_{k<n} obf(k)/C(k,2), which
-every computed value satisfies.
+The table stores each obf(n) as an integer pair (numerator,
+denominator) in lowest terms; a Fraction is made only when a caller
+asks for one (`BoundTable.obf`, the reports) or for an error message.
+Frontier vertices are homogeneous integer points (X, Y, D) while the
+frontier is rebuilt, and pre-scaled to a common denominator after, so
+every comparison runs on cross-multiplied Python integers.  The only
+inexact arithmetic in this module is the Decimal rendering in
+`rat_to_decimal`.  No float or fixed-width integer is used: the
+products in the audit and the bounds outgrow 64 bits as N grows.
+
+A table persists as append-only "n<TAB>p/q" lines.  `load_cache` reads
+each line into a reduced integer pair and checks every line before any
+value is reused: the base values, that the n are contiguous, that the
+values never decrease, and the ratio recursion obf(n)/C(n,2) <=
+1/C(n,2) + max_{k<n} obf(k)/C(k,2), which every computed value
+satisfies.  A file with no non-blank line holds no values; one holding
+only obf(2) is rejected.  `obf_table` opens the cache for append before
+it computes the first value, so an unwritable path fails at once, and
+flushes new lines in batches.
 """
 
 from __future__ import annotations
@@ -55,11 +65,12 @@ from __future__ import annotations
 import heapq
 import os
 from bisect import bisect_right
+from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, lcm
-from typing import Callable, NamedTuple, Optional
+from math import comb, gcd, lcm
+from typing import Callable, NamedTuple, Optional, TextIO
 
 
 def rat_to_decimal(value: Fraction, digits: int = 20) -> str:
@@ -92,43 +103,58 @@ class Halfspace:
         return self.a * x + self.b * y >= self.c
 
 
+def _line(k: int, p: int, q: int) -> tuple[int, int, int]:
+    """eta_k with obf(k) = p/q as integers (A, B, C): A x + B y >= C."""
+    return q * (k - 1) * (k - 2) // 2, q * k * (k - 1) // 2, p
+
+
+def _meet(l1: tuple[int, int, int], l2: tuple[int, int, int]) -> Optional[tuple[int, int, int]]:
+    """Intersection of two boundary lines as a homogeneous point (X, Y, D),
+    meaning (X/D, Y/D), in lowest terms with D > 0; None if parallel."""
+    a1, b1, c1 = l1
+    a2, b2, c2 = l2
+    d = a1 * b2 - a2 * b1
+    if d == 0:
+        return None
+    x, y = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
+    if d < 0:
+        x, y, d = -x, -y, -d
+    g = gcd(x, y, d)
+    return x // g, y // g, d // g
+
+
 class Frontier:
     """Extreme points of Theta_n, the non-redundant dual feasible region.
 
-    `ks` lists retained constraint indices >= 2 in increasing order;
-    eta_1 is always implicitly retained.  Vertices run along the
-    boundary in decreasing x: vertex i is the intersection of lines
-    ks[i] and ks[i+1], and the last vertex sits on x = 0.  Vertices are
-    also pre-scaled to a common integer denominator so objective
-    minimization runs on plain integers.
+    `ks` lists retained constraint indices >= 2 in increasing order and
+    `cs` their obf values as (numerator, denominator) pairs; eta_1 is
+    always implicitly retained.  Vertices run along the boundary in
+    decreasing x: vertex i is the intersection of lines ks[i] and
+    ks[i+1], and the last vertex sits on x = 0.  They are stored
+    pre-scaled to a common integer denominator, `scaled_pts` over
+    `scale`, so objective minimization runs on plain integers.
     """
 
-    __slots__ = ("n", "ks", "cs", "vertices", "scale", "scaled_pts")
+    __slots__ = ("n", "ks", "cs", "scale", "scaled_pts")
 
-    def __init__(self, n: int, ks: tuple[int, ...], cs: tuple[Fraction, ...]):
+    def __init__(self, n: int, ks: tuple[int, ...], cs: tuple[tuple[int, int], ...]):
         self.n = n
         self.ks = ks
         self.cs = cs
-        self.vertices = self._chain_vertices(ks, cs)
-        self.scale = lcm(*(v.denominator for xy in self.vertices for v in xy))
+        lines = [_line(k, p, q) for k, (p, q) in zip(ks, cs)]
+        pts = [_meet(l1, l2) for l1, l2 in zip(lines, lines[1:])]
+        pts.append(_meet(lines[-1], (1, 0, 0)))
+        # each D is the lcm of its point's two reduced denominators
+        self.scale = lcm(*(d for _, _, d in pts))
         self.scaled_pts = tuple(
-            (int(x * self.scale), int(y * self.scale)) for x, y in self.vertices
+            (x * (self.scale // d), y * (self.scale // d)) for x, y, d in pts
         )
 
-    @staticmethod
-    def _chain_vertices(
-        ks: tuple[int, ...], cs: tuple[Fraction, ...]
-    ) -> tuple[tuple[Fraction, Fraction], ...]:
-        lines = [Halfspace.from_index(k, c) for k, c in zip(ks, cs)]
-        verts: list[tuple[Fraction, Fraction]] = []
-        for l1, l2 in zip(lines, lines[1:]):
-            det = l1.a * l2.b - l2.a * l1.b
-            x = Fraction(l1.c * l2.b - l2.c * l1.b, det)
-            y = Fraction(l1.a * l2.c - l2.a * l1.c, det)
-            verts.append((x, y))
-        last = lines[-1]
-        verts.append((Fraction(0), Fraction(last.c, last.b)))
-        return tuple(verts)
+    @property
+    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The vertices as exact rationals (x, y)."""
+        s = self.scale
+        return tuple((Fraction(xs, s), Fraction(ys, s)) for xs, ys in self.scaled_pts)
 
     @property
     def critical(self) -> tuple[int, ...]:
@@ -140,45 +166,53 @@ class Frontier:
         f.n = n
         f.ks = self.ks
         f.cs = self.cs
-        f.vertices = self.vertices
         f.scale = self.scale
         f.scaled_pts = self.scaled_pts
         return f
 
 
-def _rebuild_frontier(n: int, ks: list[int], cs: list[Fraction]) -> Frontier:
+def _rebuild_frontier(n: int, ks: list[int], cs: list[tuple[int, int]]) -> Frontier:
     """Essential-set computation from scratch (runs only on critical steps).
 
     Brute force over the handful of candidate lines: collect feasible
     pairwise intersection vertices, keep k >= 3 lines tight at two or
     more of them (eta_1 and eta_2 bound unbounded edges and are always
     kept), then rebuild the canonical vertex chain.  A line that merely
-    touches an existing vertex is redundant and dropped.
+    touches an existing vertex is redundant and dropped.  Vertices are
+    homogeneous integer points (X, Y, D) in lowest terms, so equal
+    vertices coincide in the set and every test is on integers.
     """
-    lines = [Halfspace.from_index(k, c) for k, c in zip(ks, cs)]
-    lines.append(Halfspace.from_index(1, Fraction(0)))
-    verts: set[tuple[Fraction, Fraction]] = set()
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            l1, l2 = lines[i], lines[j]
-            det = l1.a * l2.b - l2.a * l1.b
-            if det == 0:
+    lines = [_line(k, p, q) for k, (p, q) in zip(ks, cs)]
+    lines.append((1, 0, 0))
+    verts: set[tuple[int, int, int]] = set()
+    for i, l1 in enumerate(lines):
+        for l2 in lines[i + 1 :]:
+            pt = _meet(l1, l2)
+            if pt is None:
                 continue
-            x = Fraction(l1.c * l2.b - l2.c * l1.b, det)
-            y = Fraction(l1.a * l2.c - l2.a * l1.c, det)
-            if x >= 0 and all(l.holds(x, y) for l in lines):
-                verts.add((x, y))
-    retained = []
-    for k, c in zip(ks, cs):
-        if k == 2:
-            retained.append((k, c))
-            continue
-        line = Halfspace.from_index(k, c)
-        tight = sum(1 for (x, y) in verts if line.a * x + line.b * y == line.c)
-        if tight >= 2:
-            retained.append((k, c))
+            x, y, d = pt
+            if x >= 0 and all(a * x + b * y >= c * d for a, b, c in lines):
+                verts.add(pt)
+    retained = [
+        (k, pq)
+        for k, pq, (a, b, c) in zip(ks, cs, lines)
+        if k == 2 or sum(a * x + b * y == c * d for x, y, d in verts) >= 2
+    ]
     retained.sort()
-    return Frontier(n, tuple(k for k, _ in retained), tuple(c for _, c in retained))
+    return Frontier(n, tuple(k for k, _ in retained), tuple(pq for _, pq in retained))
+
+
+def _cuts(theta: Frontier, k: int, p: int, q: int) -> bool:
+    """Whether eta_k with obf(k) = p/q strictly cuts a vertex of theta.
+
+    With vertices (xs, ys)/S the vertex holds when q (a xs + b ys) >= p S.
+    """
+    a, b = (k - 1) * (k - 2) // 2, k * (k - 1) // 2
+    ps = p * theta.scale
+    for xs, ys in theta.scaled_pts:
+        if q * (a * xs + b * ys) < ps:
+            return True
+    return False
 
 
 def frontier_update(theta: Frontier, k_new: int, obf_k: Fraction) -> Frontier:
@@ -186,19 +220,14 @@ def frontier_update(theta: Frontier, k_new: int, obf_k: Fraction) -> Frontier:
 
     If every current vertex satisfies the new constraint (tightness
     included) the constraint is eliminated; once redundant it stays
-    redundant because later regions only shrink.  With obf_k = p/q and
-    vertices (xs, ys)/S the test is q (a xs + b ys) >= p S on integers.
+    redundant because later regions only shrink.
     """
     if k_new != theta.n + 1:
         raise ValueError("stages must advance one at a time")
-    a, b = comb(k_new - 1, 2), comb(k_new, 2)
-    q = obf_k.denominator
-    ps = obf_k.numerator * theta.scale
-    if all(q * (a * xs + b * ys) >= ps for xs, ys in theta.scaled_pts):
+    p, q = obf_k.numerator, obf_k.denominator
+    if not _cuts(theta, k_new, p, q):
         return theta.with_stage(k_new)
-    return _rebuild_frontier(
-        k_new, list(theta.ks) + [k_new], list(theta.cs) + [Fraction(obf_k)]
-    )
+    return _rebuild_frontier(k_new, [*theta.ks, k_new], [*theta.cs, (p, q)])
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +235,17 @@ def frontier_update(theta: Frontier, k_new: int, obf_k: Fraction) -> Frontier:
 
 
 class BoundTable:
-    """obf values for 2 <= n <= N plus the frontier change log."""
+    """obf values for 2 <= n <= N plus the frontier change log.
+
+    obf(n) is stored as the integer pair _num[n]/_den[n] in lowest terms
+    with a positive denominator; `obf(n)` makes the Fraction on request.
+    """
 
     def __init__(self):
-        self._values: list[Optional[Fraction]] = [None, None]
+        self._num: list[int] = [0, 0]
+        self._den: list[int] = [1, 1]
+        #: how many of the values were read from a cache
+        self.n_cached = 0
         self.frontier_log: list[tuple[int, tuple[int, ...]]] = []
         self._seg_starts: list[int] = []
         self._seg_frontiers: list[Frontier] = []
@@ -220,12 +256,12 @@ class BoundTable:
 
     @property
     def n_max(self) -> int:
-        return len(self._values) - 1
+        return len(self._num) - 1
 
     def obf(self, n: int) -> Fraction:
-        if n < 2 or n > self.n_max or self._values[n] is None:
+        if not 2 <= n <= self.n_max:
             raise KeyError(f"obf({n}) not in table")
-        return self._values[n]
+        return Fraction(self._num[n], self._den[n])
 
     def ratio(self, n: int) -> Fraction:
         return self.obf(n) / comb(n, 2)
@@ -242,15 +278,17 @@ class BoundTable:
 
     # -- construction internals -------------------------------------------
 
-    def _append_value(self, n: int, value: Fraction):
-        if n != len(self._values):
+    def _append_value(self, n: int, p: int, q: int):
+        """Append obf(n) = p/q, given in lowest terms with q > 0."""
+        if n != len(self._num):
             raise ValueError("values must be appended in order")
-        self._values.append(value)
-        num, den = value.numerator, value.denominator * (n * (n - 1) // 2)
+        self._num.append(p)
+        self._den.append(q)
+        den = q * (n * (n - 1) // 2)
         recs = self._rec_ratios
-        if not recs or num * recs[-1][1] > recs[-1][0] * den:
+        if not recs or p * recs[-1][1] > recs[-1][0] * den:
             self._rec_ks.append(n)
-            recs.append((num, den))
+            recs.append((p, den))
 
     def _ratio_max(self, hi: int) -> tuple[int, int]:
         """max of obf(k)/C(k,2) over 2 <= k <= hi, as (numerator, denominator)."""
@@ -292,14 +330,15 @@ def _interval_bounds(
     lo: int,
     hi: int,
     frontier: Frontier,
-    obf_hi: Fraction,
+    obf_hi: tuple[int, int],
     ratio_max: tuple[int, int],
 ) -> tuple[tuple[int, int], Optional[tuple[int, int]]]:
     """(monotone, quadratic) upper bounds on max F(m) over lo <= m <= hi.
 
-    `frontier` is the segment holding the whole interval and
-    `ratio_max` = (P, Q) is at least every obf(k)/C(k,2), k <= hi.  The
-    quadratic bound is None when no vertex makes h_v convex.
+    `frontier` is the segment holding the whole interval, `obf_hi` is
+    obf(hi) as a (numerator, denominator) pair and `ratio_max` = (P, Q)
+    is at least every obf(k)/C(k,2), k <= hi.  The quadratic bound is
+    None when no vertex makes h_v convex.
     """
     s = frontier.scale
     p_r, q_r = ratio_max
@@ -320,7 +359,7 @@ def _interval_bounds(
             h = max(r_lo + q_r * g_lo, r_hi + q_r * (c1_hi * xs + c2_hi * ys))
             if quad is None or h < quad:
                 quad = h
-    p, q = obf_hi.numerator, obf_hi.denominator
+    p, q = obf_hi
     mono = (p * s + d_lo * q, q * s)
     return mono, (None if quad is None else (quad, q_r * s))
 
@@ -332,14 +371,13 @@ def _max_lp(table: BoundTable, n: int, m0: int) -> tuple[int, int, int]:
     best bound first and dropped once their bound is <= the incumbent,
     so the value equals that of the exhaustive scan.
     """
-    values = table._values
+    nums, dens = table._num, table._den
     starts = table._seg_starts
     fronts = table._seg_frontiers
 
     def value_at(m: int, f: Frontier) -> tuple[int, int]:
-        v = values[m]
-        q = v.denominator
-        return v.numerator * f.scale + _dual_min_scaled(n, m, f) * q, q * f.scale
+        q = dens[m]
+        return nums[m] * f.scale + _dual_min_scaled(n, m, f) * q, q * f.scale
 
     best_num, best_den = value_at(m0, fronts[bisect_right(starts, m0) - 1])
     best_m = m0
@@ -347,7 +385,7 @@ def _max_lp(table: BoundTable, n: int, m0: int) -> tuple[int, int, int]:
 
     def push(lo: int, hi: int, si: int):
         mono, quad = _interval_bounds(
-            n, lo, hi, fronts[si], values[hi], table._ratio_max(hi)
+            n, lo, hi, fronts[si], (nums[hi], dens[hi]), table._ratio_max(hi)
         )
         num, den = mono
         if quad is not None and quad[0] * den < num * quad[1]:
@@ -442,75 +480,96 @@ def lp_primal_oracle(n: int, m: int, table: BoundTable) -> Fraction:
 # cache persistence: append-only "n<TAB>p/q" lines
 
 
-def _parse_cache_line(raw: str, ln: int) -> tuple[int, Fraction]:
-    try:
-        n_str, v_str = raw.rstrip("\n").split("\t")
-        n = int(n_str)
-        if "/" in v_str:
-            p, q = v_str.split("/")
-            return n, Fraction(int(p), int(q))
-        return n, Fraction(int(v_str))
-    except (ValueError, ZeroDivisionError):
-        what = "malformed entry" if raw.isascii() else "non-ASCII bytes in"
-        raise CacheError(f"cache line {ln}: {what} {raw!r}") from None
+def _malformed(raw: str, ln: int) -> CacheError:
+    what = "malformed entry" if raw.isascii() else "non-ASCII bytes in"
+    return CacheError(f"cache line {ln}: {what} {raw!r}")
 
 
-def load_cache(path: str) -> list[Fraction]:
-    """Read and verify a persisted table; returns values indexed from 2.
+def load_cache(path: str) -> list[tuple[int, int]]:
+    """Read and verify a persisted table.
 
-    Verifies the base values, contiguous indices, that values never
-    decrease (the branch-and-bound's monotone bound relies on it), and
-    audits every line against the ratio recursion; any failure,
-    including a non-ASCII byte, raises CacheError naming the offending
-    line.  OSError from opening or reading the file propagates.
+    Returns the values from n = 2 on as (numerator, denominator) pairs
+    in lowest terms with positive denominators; a file with no
+    non-blank line gives none.  Each "p/q" (or bare "p") is read with
+    int() and reduced, so it accepts exactly what Fraction(int(p),
+    int(q)) does.  Verifies the base values, contiguous indices, that
+    values never decrease (the branch-and-bound's monotone bound relies
+    on it), and audits every line against the ratio recursion; any
+    failure, including a non-ASCII byte, raises CacheError naming the
+    offending line; a file holding obf(2) alone raises CacheError too.
+    OSError from opening or reading the file propagates.
     """
-    values: list[Fraction] = []
-    # running max of obf(k)/C(k,2) as an integer pair
+    values: list[tuple[int, int]] = []
+    # one int object per distinct denominator (a table has a few dozen),
+    # so the pairs cost little more memory than their numerators
+    dens: dict[int, int] = {}
+    # running max of obf(k)/C(k,2) and the previous value, as integer pairs
     run_p, run_q = 0, 1
+    prev_p, prev_q = 0, 1
     # a non-ASCII byte decodes to a lone surrogate, which no int() accepts,
-    # so it fails _parse_cache_line on its own line
+    # so it fails the parse on its own line
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for ln, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
-            n, v = _parse_cache_line(raw, ln)
+            try:
+                n_str, v_str = raw.rstrip("\n").split("\t")
+                n = int(n_str)
+                if "/" in v_str:
+                    p_str, q_str = v_str.split("/")
+                    p, q = int(p_str), int(q_str)
+                else:
+                    p, q = int(v_str), 1
+            except ValueError:
+                raise _malformed(raw, ln) from None
+            if q == 0:
+                raise _malformed(raw, ln)
+            if q < 0:
+                p, q = -p, -q
+            g = gcd(p, q)
+            if g != 1:
+                p, q = p // g, q // g
             expect = len(values) + 2
             if n != expect:
                 raise CacheError(f"cache line {ln}: expected n={expect}, got n={n}")
-            if n == 2 and v != 1:
-                raise CacheError(f"cache line {ln}: obf(2) must be 1, got {v}")
-            if n == 3 and v != 4:
-                raise CacheError(f"cache line {ln}: obf(3) must be 4, got {v}")
-            p, q = v.numerator, v.denominator
-            if values and p * values[-1].denominator < values[-1].numerator * q:
+            if n == 2 and (p, q) != (1, 1):
+                raise CacheError(f"cache line {ln}: obf(2) must be 1, got {Fraction(p, q)}")
+            if n == 3 and (p, q) != (4, 1):
+                raise CacheError(f"cache line {ln}: obf(3) must be 4, got {Fraction(p, q)}")
+            if p * prev_q < prev_p * q:
                 raise CacheError(
-                    f"cache line {ln}: obf({n}) = {v} is below obf({n - 1})"
+                    f"cache line {ln}: obf({n}) = {Fraction(p, q)} is below obf({n - 1})"
                 )
             c = n * (n - 1) // 2
-            # v/c <= 1/c + run_p/run_q, times c * q * run_q
+            # p/(q c) <= 1/c + run_p/run_q, times c * q * run_q
             if n > 3 and p * run_q > q * (run_q + run_p * c):
                 raise CacheError(
                     f"cache line {ln}: obf({n}) fails the ratio recursion audit"
                 )
             if p * run_q > run_p * q * c:
                 run_p, run_q = p, q * c
-            values.append(v)
-    if len(values) < 2:
+            q = dens.setdefault(q, q)
+            values.append((p, q))
+            prev_p, prev_q = p, q
+    if len(values) == 1:
         raise CacheError("cache must contain at least obf(2) and obf(3)")
     return values
 
 
-def _append_cache(path: str, rows: list[tuple[int, Fraction]]):
-    with open(path, "a", encoding="ascii") as fh:
-        for n, v in rows:
-            fh.write(f"{n}\t{v.numerator}/{v.denominator}\n")
+def _append_cache(fh: TextIO, rows: list[tuple[int, int, int]]):
+    """Write rows (n, p, q) as cache lines and flush them to the OS."""
+    fh.writelines(f"{n}\t{p}/{q}\n" for n, p, q in rows)
+    fh.flush()
 
 
 # ---------------------------------------------------------------------------
 # table construction
 
-#: obf_table calls `progress(n)` at every n divisible by this
+#: obf_table calls `progress(n)` at every computed n divisible by this
 _PROGRESS_EVERY = 1000
+
+#: new cache lines are written and flushed in batches of this many
+_FLUSH_EVERY = 2000
 
 
 def obf_table(
@@ -521,55 +580,63 @@ def obf_table(
 ) -> BoundTable:
     """Build (or extend from cache) the bound table up to n_max.
 
-    Each new value takes the certified max over m from `_max_lp`,
-    warm-started at the previous step's argmax.  `progress(n)` is called
-    at every n divisible by _PROGRESS_EVERY.
+    Cached values are replayed: each is appended and tested against the
+    frontier on integers, and the frontier is rebuilt only where it
+    cuts.  Each new value takes the certified max over m from
+    `_max_lp`, warm-started at the previous step's argmax.  The table
+    always holds the base values obf(2) and obf(3).  When there is a
+    value to compute, the cache is opened for append before the first
+    one, so an unwritable path fails at once; new lines are flushed in
+    batches.  `progress(n)` is called at every computed n divisible by
+    _PROGRESS_EVERY.
     """
     if n_max < 2:
         raise ValueError("table starts at n = 2")
-    table = BoundTable()
-    cached: list[Fraction] = []
+    cached: list[tuple[int, int]] = []
     if cache_path and os.path.exists(cache_path):
         cached = load_cache(cache_path)
+    table = BoundTable()
+    table.n_cached = len(cached)
+    top = max(n_max, len(cached) + 1, 3)
 
-    frontier: Optional[Frontier] = None
-    fresh: list[tuple[int, Fraction]] = []
+    frontier = Frontier(2, (2,), ((1, 1),))
+    table._append_value(2, 1, 1)
+    table._push_frontier(2, frontier)
 
-    def install(n: int, value: Fraction, from_cache: bool):
+    def install(n: int, p: int, q: int):
         nonlocal frontier
-        table._append_value(n, value)
-        if n == 2:
-            frontier = Frontier(2, (2,), (Fraction(1),))
-            table._push_frontier(2, frontier)
-        else:
-            updated = frontier_update(frontier, n, value)
-            if updated.ks != frontier.ks:
-                table._push_frontier(n, updated)
-            frontier = updated
-        if not from_cache:
-            fresh.append((n, value))
-        if progress and n % _PROGRESS_EVERY == 0:
-            progress(n)
+        table._append_value(n, p, q)
+        # a strict cut always retains eta_n, so the frontier changes
+        if _cuts(frontier, n, p, q):
+            frontier = frontier_update(frontier.with_stage(n - 1), n, Fraction(p, q))
+            table._push_frontier(n, frontier)
 
-    install(2, Fraction(1), from_cache=bool(cached))
-    if n_max >= 3 or len(cached) >= 2:
-        install(3, Fraction(4), from_cache=len(cached) >= 2)
+    for n in range(3, len(cached) + 2):
+        install(n, *cached[n - 2])
 
-    top = max(n_max, len(cached) + 1)
-    argmax = None
-    for n in range(4, top + 1):
-        if n - 2 < len(cached):
-            install(n, cached[n - 2], from_cache=True)
-            continue
-        # cold start at the newest critical index, where the argmax sits
-        num, den, argmax = _max_lp(table, n, argmax or table._seg_starts[-1])
-        install(n, Fraction(num + den, den), from_cache=False)
-        if cache_path and len(fresh) >= 2000:
-            _append_cache(cache_path, fresh)
-            fresh.clear()
-    if cache_path and fresh:
-        _append_cache(cache_path, fresh)
-        fresh.clear()
+    first = len(cached) + 2  # the first n not in the cache
+    writing = bool(cache_path) and first <= top
+    with open(cache_path, "a", encoding="ascii") if writing else nullcontext() as out:
+        fresh: list[tuple[int, int, int]] = [(2, 1, 1)] if writing and first == 2 else []
+        argmax = None
+        for n in range(max(first, 3), top + 1):
+            if n == 3:
+                p, q = 4, 1
+            else:
+                # cold start at the newest critical index, where the argmax sits
+                num, den, argmax = _max_lp(table, n, argmax or table._seg_starts[-1])
+                g = gcd(num, den)
+                p, q = (num + den) // g, den // g
+            install(n, p, q)
+            if progress and n % _PROGRESS_EVERY == 0:
+                progress(n)
+            if writing:
+                fresh.append((n, p, q))
+                if len(fresh) >= _FLUSH_EVERY:
+                    _append_cache(out, fresh)
+                    fresh.clear()
+        if writing and fresh:
+            _append_cache(out, fresh)
     return table
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -90,6 +91,8 @@ def cmd_obf(args) -> int:
     table = _bound_table(n, path, progress)
     if isinstance(table, int):
         return table
+    if table.n_cached:
+        _log(f"obf: loaded {table.n_cached} cached values from {path}")
     if n == 2:
         report = {"N": 2, "obf_N": "1/1", "ratio_decimal": "1"}
         print(json.dumps(report) if args.json else "obf(2) = 1")
@@ -246,6 +249,10 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     if args.n < 1 or args.t < 1:
         _log("n and t must be >= 1")
+        return EXIT_USAGE
+    # a NaN deadline never passes, so the search would ignore it
+    if not (math.isfinite(args.budget) and args.budget >= 0):
+        _log("budget must be a finite number of seconds >= 0")
         return EXIT_USAGE
     res = search.max_laminar_exact(args.n, args.t, budget_seconds=args.budget)
     doc = {

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -11,6 +11,7 @@ from laminar.bounds import (
     Halfspace,
     _interval_bounds,
     _max_lp,
+    _rebuild_frontier,
     frontier_update,
     load_cache,
     lp_dual_value,
@@ -32,6 +33,12 @@ def table60():
 @pytest.fixture(scope="module")
 def table600():
     return obf_table(600)
+
+
+@pytest.fixture(scope="module")
+def table2000():
+    # crosses the one-stage segments 1802-1807
+    return obf_table(2000)
 
 
 class TestBaseValues:
@@ -127,8 +134,6 @@ class TestFrontier:
 
     def test_minimality_witnesses(self, table600):
         # dropping any retained k >= 2 line admits a point violating it
-        from laminar.bounds import _rebuild_frontier
-
         f = table600.frontier_at(600)
         for drop in f.ks:
             if drop == 2:
@@ -146,6 +151,65 @@ class TestFrontier:
     def test_stage_advance_guard(self, table60):
         with pytest.raises(ValueError):
             frontier_update(table60.frontier_at(10), 12, Fraction(1))
+
+
+def _rebuild_frontier_fractions(ks, cs):
+    """Oracle: the essential-set rebuild on Fraction vertices.
+
+    Returns the retained (k, obf(k)) pairs and the vertex chain.
+    """
+    lines = [Halfspace.from_index(k, c) for k, c in zip(ks, cs)]
+    lines.append(Halfspace.from_index(1, Fraction(0)))
+    verts = set()
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            l1, l2 = lines[i], lines[j]
+            det = l1.a * l2.b - l2.a * l1.b
+            if det == 0:
+                continue
+            x = Fraction(l1.c * l2.b - l2.c * l1.b, det)
+            y = Fraction(l1.a * l2.c - l2.a * l1.c, det)
+            if x >= 0 and all(l.holds(x, y) for l in lines):
+                verts.add((x, y))
+    retained = []
+    for k, c in zip(ks, cs):
+        line = Halfspace.from_index(k, c)
+        if k == 2 or sum(1 for x, y in verts if line.a * x + line.b * y == line.c) >= 2:
+            retained.append((k, c))
+    retained.sort()
+    chain = [Halfspace.from_index(k, c) for k, c in retained]
+    pts = []
+    for l1, l2 in zip(chain, chain[1:]):
+        det = l1.a * l2.b - l2.a * l1.b
+        pts.append(
+            (Fraction(l1.c * l2.b - l2.c * l1.b, det), Fraction(l1.a * l2.c - l2.a * l1.c, det))
+        )
+    pts.append((Fraction(0), chain[-1].c / chain[-1].b))
+    return retained, tuple(pts)
+
+
+class TestIntegerRebuild:
+    def test_matches_fraction_rebuild_to_2000(self, table2000):
+        changes = [s for s, _ in table2000.frontier_log if s > 2]
+        assert 1802 in changes and 1807 in changes
+        for n in changes:
+            prev = table2000.frontier_at(n - 1)
+            ks = [*prev.ks, n]
+            cs = [*prev.cs, (table2000.obf(n).numerator, table2000.obf(n).denominator)]
+            got = _rebuild_frontier(n, ks, cs)
+            want, verts = _rebuild_frontier_fractions(ks, [Fraction(*c) for c in cs])
+            assert [(k, Fraction(*c)) for k, c in zip(got.ks, got.cs)] == want, n
+            assert got.vertices == verts, n
+            assert got.scale == lcm(*(v.denominator for xy in verts for v in xy)), n
+            assert (got.n, got.critical) == (n, table2000.frontier_at(n).critical)
+
+    def test_touching_line_dropped(self):
+        # eta_4 (obf 8) only touches the vertex (0, 4/3) of eta_2, eta_3
+        cs = [(1, 1), (4, 1), (8, 1)]
+        got = _rebuild_frontier(4, [2, 3, 4], cs)
+        want, verts = _rebuild_frontier_fractions([2, 3, 4], [Fraction(*c) for c in cs])
+        assert got.ks == (2, 3) and [k for k, _ in want] == [2, 3]
+        assert got.vertices == verts == ((1, 1), (0, Fraction(4, 3)))
 
 
 def _exhaustive_obf(table, n_max):
@@ -191,8 +255,10 @@ class TestExactMax:
             hi = rng.randint(lo, top)
             f = table600.frontier_at(hi)
             exact = max(lp_dual_value(n, m, f, table600) for m in range(lo, hi + 1))
+            obf_hi = table600.obf(hi)
             mono, quad = _interval_bounds(
-                n, lo, hi, f, table600.obf(hi), table600._ratio_max(hi)
+                n, lo, hi, f, (obf_hi.numerator, obf_hi.denominator),
+                table600._ratio_max(hi),
             )
             assert Fraction(*mono) >= exact, (n, lo, hi)
             assert quad is not None
@@ -301,3 +367,49 @@ class TestCache:
         open(path, "w").write("\n".join(lines) + "\n")
         with pytest.raises(CacheError, match="ratio recursion"):
             load_cache(path)
+
+    def test_reload_matches_cold_2000(self, tmp_path, table2000):
+        path = str(tmp_path / "obf.cache")
+        obf_table(2000, cache_path=path)
+        reloaded = obf_table(2000, cache_path=path)
+        assert reloaded.n_cached == 1999 and reloaded.n_max == 2000
+        assert all(reloaded.obf(n) == table2000.obf(n) for n in range(2, 2001))
+        assert reloaded.frontier_log == table2000.frontier_log
+        assert reloaded.critical == table2000.critical
+
+    def _cache(self, tmp_path, *lines):
+        path = str(tmp_path / "obf.cache")
+        with open(path, "w") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        return path
+
+    def test_lines_reduced_to_lowest_terms(self, tmp_path):
+        base = ("2\t1/1", "3\t4/1", "4\t8/1")
+        unreduced = load_cache(self._cache(tmp_path, *base, "5\t26/2"))
+        assert unreduced == load_cache(self._cache(tmp_path, *base, "5\t13/1"))
+        assert unreduced[-1] == (13, 1)
+        assert load_cache(self._cache(tmp_path, "2\t2/2", "3\t-4/-1", "4\t8")) == [
+            (1, 1), (4, 1), (8, 1)]
+        with pytest.raises(CacheError, match=r"line 4: malformed entry '5\\t3/0"):
+            load_cache(self._cache(tmp_path, *base, "5\t3/0"))
+
+    def test_blank_cache_holds_no_values(self, tmp_path):
+        # an interrupted first run leaves the empty file it opened
+        assert load_cache(self._cache(tmp_path)) == []
+        path = self._cache(tmp_path, "", "  ")
+        assert load_cache(path) == []
+        table = obf_table(50, cache_path=path)
+        assert table.n_cached == 0
+        assert load_cache(path) == [
+            (table.obf(n).numerator, table.obf(n).denominator) for n in range(2, 51)
+        ]
+
+    def test_lone_base_value_rejected(self, tmp_path):
+        with pytest.raises(CacheError, match="at least obf\\(2\\) and obf\\(3\\)"):
+            load_cache(self._cache(tmp_path, "2\t1/1"))
+
+    def test_table_to_2_writes_both_base_values(self, tmp_path):
+        path = str(tmp_path / "obf.cache")
+        assert obf_table(2, cache_path=path).obf(2) == 1
+        assert open(path).read() == "2\t1/1\n3\t4/1\n"
+        assert obf_table(10, cache_path=path).n_cached == 2

@@ -103,6 +103,23 @@ class TestObfCommand:
             ["obf", "--N", "2", "--cache", str(tmp_path / "c")], capsys
         )
         assert code == 0 and "obf(2) = 1" in out
+        # the cache it leaves holds both base values, so it reloads
+        code, _, err = run(["obf", "--N", "10", "--cache", str(tmp_path / "c")], capsys)
+        assert code == 0 and err == f"obf: loaded 2 cached values from {tmp_path / 'c'}\n"
+
+    def test_reload_reports_load_not_progress(self, tmp_path, capsys):
+        cache = str(tmp_path / "c.cache")
+        code, cold, err = run(["obf", "--N", "1000", "--cache", cache, "--json"], capsys)
+        assert code == 0 and err == "obf progress: n=1000/1000\n"
+        code, warm, err = run(["obf", "--N", "1000", "--cache", cache, "--json"], capsys)
+        assert code == 0 and warm == cold
+        assert err == f"obf: loaded 999 cached values from {cache}\n"
+
+    def test_unwritable_cache_fails_before_work(self, tmp_path, capsys):
+        cache = str(tmp_path / "missing" / "c")
+        code, out, err = run(["obf", "--N", "2500", "--cache", cache], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"cannot use cache {cache}:")
 
 
 class TestConstructCommand:
@@ -285,6 +302,13 @@ class TestSearchCommand:
         code, out, err = run(["verify", str(path)], capsys)
         assert (code, err) == (0, "")
         assert out == "t-laminar (t=2): 20 sets, all three checks agree\n"
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+    def test_bad_budget_exit_2(self, budget, capsys):
+        # small n: without the check the search would finish, not hang
+        code, out, err = run(["search", "--n", "6", "--budget", budget], capsys)
+        assert code == 2 and out == ""
+        assert err == "budget must be a finite number of seconds >= 0\n"
 
     def test_zero_budget_exit_3(self, tmp_path, capsys):
         code, out, _ = run(["search", "--n", "9", "--budget", "0", "--json"], capsys)
