@@ -9,13 +9,17 @@ The search first takes every universal block (compatible with all
 others, e.g. every block of size <= t and the ground set), then uses
 that S_n permutes the remaining blocks with the size classes as
 orbits: one branch-and-bound per size, rooted at a single
-representative block, with greedy-coloring upper bounds, bit-parallel
-candidate sets and the incumbent carried from one size to the next.
-This settles t = 2 up to n = 10 (f(8) = 37, f(9) = 49 = obf(9) in
-about 0.3 s, f(10) = 61 = obf(10) in about 5 s) and t = 3 up to n = 9
-(71 on [8], 103 on [9]), and runs best-effort under a time budget
-beyond that, downgrading the result to a certified lower bound when
-the budget runs out.
+representative block, with greedy-coloring upper bounds and
+bit-parallel candidate sets, all pruned against an incumbent that a
+greedy clique per orbit sets before any of them runs.  The graph is
+built, and its rows relabelled, in numpy blocks of 64 rows.  This
+settles t = 2 up to n = 11 (f(8) = 37, f(9) = 49 = obf(9) in about
+0.04 s, f(10) = 61 = obf(10) in about 0.5 s, f(11) = 74 =
+floor(obf(11)) in about 80 s) and t = 3 up to n = 9 (71 on [8], 103 on
+[9]), and runs best-effort under a time budget beyond that,
+downgrading the result to a certified lower bound when the budget runs
+out.  The maximum family returned may differ from the one earlier
+versions returned; its size does not.
 """
 
 from __future__ import annotations
@@ -25,10 +29,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .bounds import BoundTable
 from .setfam import Block, Family, _bit_positions
 
 _BUDGET_CHECK_MASK = 0xFFF
+
+#: rows per numpy block when building or relabelling adjacency rows; a
+#: block holds _ROW_BLOCK x V cells, never V x V
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -43,21 +53,22 @@ class CompatGraph:
 
     @classmethod
     def build(cls, n: int, t: int, min_size: int) -> "CompatGraph":
-        masks = [m for m in range(1, 1 << n) if m.bit_count() >= min_size]
-        masks.sort(key=lambda m: (m.bit_count(), m))
-        adj = [0] * len(masks)
-        for i, a in enumerate(masks):
-            for j in range(i + 1, len(masks)):
-                b = masks[j]
-                c = a & b
-                if c.bit_count() < t or c == a or c == b:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
+        masks = np.arange(1, 1 << n, dtype=np.int64)
+        masks = masks[np.bitwise_count(masks) >= min_size]
+        # vertices in (size, mask) order
+        masks = masks[np.lexsort((masks, np.bitwise_count(masks)))]
+        adj: list[int] = []
+        for lo in range(0, len(masks), _ROW_BLOCK):
+            a = masks[lo : lo + _ROW_BLOCK, None]
+            c = a & masks
+            compat = (np.bitwise_count(c) < t) | (c == a) | (c == masks)
+            compat[np.arange(len(a)), np.arange(lo, lo + len(a))] = False
+            adj += _bits_to_rows(compat)
         return cls(
             n=n,
             t=t,
             min_size=min_size,
-            vertices=tuple(Block(n, m) for m in masks),
+            vertices=tuple(Block(n, m) for m in masks.tolist()),
             adj=tuple(adj),
         )
 
@@ -66,11 +77,44 @@ class _Budget(Exception):
     pass
 
 
+def _rows_to_bits(rows: Sequence[int], width: int) -> np.ndarray:
+    """Bitset rows as a (len(rows), width) 0/1 uint8 array, bit j in column j."""
+    nbytes = (width + 7) // 8
+    buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def _bits_to_rows(bits: np.ndarray) -> list[int]:
+    """Inverse of _rows_to_bits: column j of each row becomes bit j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    nbytes = packed.shape[1]
+    buf = packed.tobytes()
+    return [
+        int.from_bytes(buf[i : i + nbytes], "little")
+        for i in range(0, len(buf), nbytes)
+    ]
+
+
 def _induced(adj: Sequence[int], verts: list[int]) -> list[int]:
     """Adjacency rows of the subgraph induced on verts, vertex verts[i] as i."""
-    pos = {v: i for i, v in enumerate(verts)}
-    keep = sum(1 << v for v in verts)
-    return [sum(1 << pos[u] for u in _bit_positions(adj[v] & keep)) for v in verts]
+    cols = np.array(verts, dtype=np.intp)
+    out: list[int] = []
+    for lo in range(0, len(verts), _ROW_BLOCK):
+        rows = [adj[v] for v in verts[lo : lo + _ROW_BLOCK]]
+        out += _bits_to_rows(_rows_to_bits(rows, len(adj))[:, cols])
+    return out
+
+
+def _greedy_clique(adj: Sequence[int], cand: int) -> int:
+    """Bitset of a clique inside cand, built by repeatedly adding the
+    candidate with the most candidate neighbours (lowest index on ties)."""
+    clique = 0
+    while cand:
+        v = max(_bit_positions(cand), key=lambda u: (adj[u] & cand).bit_count())
+        clique |= 1 << v
+        cand &= adj[v]
+    return clique
 
 
 def _max_clique(
@@ -169,20 +213,29 @@ def max_laminar_exact(
     clique search.  A universal block (compatible with every other,
     e.g. every block of size <= t and the ground set) lies in some
     maximum family, so all of them are taken outright.  On the rest,
-    S_n acts by automorphisms with the size classes as orbits.  Take
-    sizes in descending order and let k be the first size that a
-    maximum family C meets: a permutation maps C's k-block onto the
-    lowest k-block ``rep`` and C onto an equally large family that
-    contains ``rep`` and still avoids every larger size.  So one search
-    per size, in the neighbourhood of ``rep`` among the sizes not yet
-    dropped and pruned against the incumbent, covers every case.
+    S_n acts by automorphisms with the size classes as orbits.  Let k
+    be the largest size among the unforced blocks of a maximum family
+    C: a permutation maps one of them onto the lowest unforced k-block
+    ``rep`` and C onto an equally large family that contains ``rep``
+    and no unforced block larger than k.  So the answer is the maximum
+    over k of ``rep`` plus a maximum clique in its neighbourhood among
+    sizes <= k; it does not depend on the order in which the orbits
+    are searched.
 
-    Within the default budget this proves f(9) = 49 = obf(9) in well
-    under a second and f(10) = 61 = obf(10) in a few seconds; for
-    t = 3 it proves 71 on [8] and 103 on [9].  When the shared budget
-    runs out the best family found so far is returned with
-    ``exact=False``, a certified lower bound; ``budget_seconds=None``
-    sets no deadline.
+    Before any exact search, each orbit contributes ``rep`` plus a
+    greedy clique in that neighbourhood (repeatedly taking the
+    candidate with the most candidate neighbours), and the best of
+    these is the incumbent.  The orbit searches then run in ascending
+    k, each pruned against the incumbent, which only prunes: a search
+    that proves nothing larger leaves it in place.
+
+    Within the default budget this proves f(9) = 49 = obf(9) in about
+    0.04 s (788 branch nodes) and f(10) = 61 = obf(10) in about 0.5 s;
+    for t = 3 it proves 71 on [8] and 103 on [9].  The maximum family
+    returned may differ from the one earlier versions returned; its
+    size does not.  When the shared budget runs out the best family
+    found so far is returned with ``exact=False``, a certified lower
+    bound; ``budget_seconds=None`` sets no deadline.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -195,17 +248,26 @@ def max_laminar_exact(
     adj, verts = graph.adj, graph.vertices
     full = (1 << len(adj)) - 1
     forced = sum(1 << v for v, row in enumerate(adj) if row | 1 << v == full)
-    remaining = full & ~forced
-    best, best_mask, nodes, exact = 0, 0, 0, True
-    for k in range(n, 0, -1):
-        orbit = [v for v in _bit_positions(remaining) if verts[v].size == k]
-        if not orbit:
-            continue
+    # (rep, its neighbours among the unforced blocks of size <= k), k ascending
+    orbits: list[tuple[int, int]] = []
+    free, allowed = _bit_positions(full & ~forced), 0
+    for k in range(1, n + 1):
+        orbit = [v for v in free if verts[v].size == k]
+        if orbit:
+            allowed |= sum(1 << v for v in orbit)
+            rep = orbit[0]  # vertices are sorted by (size, mask)
+            orbits.append((rep, adj[rep] & allowed))
+    best_mask = max(
+        ((1 << rep) | _greedy_clique(adj, cand) for rep, cand in orbits),
+        key=int.bit_count,
+        default=0,
+    )
+    best, nodes, exact = best_mask.bit_count(), 0, True
+    for rep, cand in orbits:
         if deadline is not None and time.monotonic() > deadline:
             exact = False
             break
-        rep = orbit[0]  # vertices are sorted by (size, mask)
-        sub = _bit_positions(adj[rep] & remaining)
+        sub = _bit_positions(cand)
         # rep plus more than best - 1 neighbours beats the incumbent
         size, mask, exact, count = _max_clique(
             _induced(adj, sub), deadline, floor=max(best - 1, 0)
@@ -216,7 +278,6 @@ def max_laminar_exact(
             best_mask = (1 << rep) | sum(1 << sub[i] for i in _bit_positions(mask))
         if not exact:
             break
-        remaining &= ~sum(1 << v for v in orbit)
     # index order is (size, mask) order
     members = tuple(verts[i] for i in _bit_positions(forced | best_mask))
     return SearchResult(

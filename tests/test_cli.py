@@ -341,6 +341,18 @@ class TestSummaryCommand:
         assert code == 0
         assert "no cache" in out and "tower r=2" in out
 
+    @pytest.mark.parametrize("content", ["", "\n  \n"])
+    def test_cache_without_values_is_left_alone(self, content, tmp_path, capsys):
+        cache = tmp_path / "c.cache"
+        cache.write_text(content)
+        code, out, _ = run(["summary", "--cache", str(cache)], capsys)
+        assert code == 0 and cache.read_text() == content
+        assert "no cache values" in out and out.rstrip().endswith(", ?]")
+        code, out, _ = run(["summary", "--cache", str(cache), "--json"], capsys)
+        assert code == 0 and cache.read_text() == content
+        doc = json.loads(out)
+        assert doc["bound"] is None and doc["bracket"][1] is None
+
     def test_with_cache(self, tmp_path, capsys):
         cache = str(tmp_path / "c.cache")
         run(["obf", "--N", "100", "--cache", cache], capsys)

@@ -7,12 +7,13 @@ from laminar.bounds import obf_table
 from laminar.construct import known_laminar_lower
 from laminar.search import (
     CompatGraph,
+    _induced,
     _max_clique,
     max_laminar_classic,
     max_laminar_exact,
     verify_gap,
 )
-from laminar.setfam import is_t_laminar
+from laminar.setfam import _bit_positions, is_t_laminar
 
 
 @pytest.fixture(scope="module")
@@ -79,13 +80,39 @@ class TestSymmetrySearch:
             ]
             assert res.forced == len(universal)
 
-    @pytest.mark.parametrize("n", [7, 9])
+    @pytest.mark.parametrize("n", [7, 9, 11])
     def test_expired_budget(self, n):
         res = max_laminar_exact(n, 2, budget_seconds=-1.0)
         assert not res.exact
         assert res.forced == n * (n - 1) // 2 + 1  # the pairs and [n]
-        assert res.size >= res.forced
+        # the greedy incumbent is built before the first deadline check
+        assert res.size > res.forced
         _assert_valid(res, 2, 2)
+
+    # (n, size, forced) at t = 2 for n <= 10 and t = 3 for n <= 9, all exact
+    @pytest.mark.parametrize(
+        "t,n,size,forced",
+        [(2, n, size, forced) for n, size, forced in [
+            (1, 0, 0), (2, 1, 1), (3, 4, 4), (4, 8, 7), (5, 13, 11),
+            (6, 20, 16), (7, 29, 22), (8, 37, 29), (9, 49, 37), (10, 61, 46),
+        ]]
+        + [(3, n, size, forced) for n, size, forced in [
+            (1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 5, 5), (5, 12, 11),
+            (6, 24, 21), (7, 43, 36), (8, 71, 57), (9, 103, 85),
+        ]],
+    )
+    def test_result_metadata(self, t, n, size, forced):
+        res = max_laminar_exact(n, t, budget_seconds=None)
+        assert (res.size, res.exact, res.forced) == (size, True, forced)
+        _assert_valid(res, t, t)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_classic_metadata(self, n):
+        res = max_laminar_exact(n, 1, budget_seconds=None, min_size=1)
+        forced = n + 1 if n > 1 else 1  # the singletons and [n]
+        assert (res.size, res.exact, res.forced) == (2 * n - 1, True, forced)
+        assert max_laminar_classic(n) == res.size
+        _assert_valid(res, 1, 1)
 
     @pytest.mark.parametrize("n,t", [(6, 2), (7, 2), (6, 3), (7, 1)])
     def test_floor_is_sound(self, n, t):
@@ -118,7 +145,50 @@ class TestClassic:
             max_laminar_classic(9)
 
 
+def _build_oracle(n, t, min_size):
+    """The O(V^2) pairwise build that CompatGraph.build replaced."""
+    masks = [m for m in range(1, 1 << n) if m.bit_count() >= min_size]
+    masks.sort(key=lambda m: (m.bit_count(), m))
+    adj = [0] * len(masks)
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            b = masks[j]
+            c = a & b
+            if c.bit_count() < t or c == a or c == b:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return masks, tuple(adj)
+
+
+def _induced_oracle(adj, verts):
+    """The dict-based relabelling that _induced replaced."""
+    pos = {v: i for i, v in enumerate(verts)}
+    keep = sum(1 << v for v in verts)
+    return [sum(1 << pos[u] for u in _bit_positions(adj[v] & keep)) for v in verts]
+
+
 class TestCompatGraph:
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_build_matches_pairwise_oracle(self, n, t):
+        for min_size in sorted({1, 2, t}):
+            graph = CompatGraph.build(n, t, min_size)
+            masks, adj = _build_oracle(n, t, min_size)
+            assert [b.mask for b in graph.vertices] == masks
+            assert all(type(b.mask) is int for b in graph.vertices)
+            assert graph.adj == adj, (n, t, min_size)
+
+    def test_induced_matches_oracle(self):
+        rng = random.Random(2007)
+        # 247 vertices: several 64-row blocks and a partial last byte
+        adj = CompatGraph.build(8, 2, 2).adj
+        full = list(range(len(adj)))
+        cases = [[], full, full[::-1]]
+        for _ in range(40):
+            cases.append(rng.sample(full, rng.randint(1, len(full))))
+        for verts in cases:
+            assert _induced(adj, verts) == _induced_oracle(adj, verts)
+
     def test_vertex_counts(self):
         assert len(CompatGraph.build(6, 2, 2).vertices) == 57
         assert len(CompatGraph.build(7, 2, 2).vertices) == 120
