@@ -485,6 +485,22 @@ def _malformed(raw: str, ln: int) -> CacheError:
     return CacheError(f"cache line {ln}: {what} {raw!r}")
 
 
+def cache_has_values(path: str) -> bool:
+    """Whether the cache at path has a line for `load_cache` to read.
+
+    `load_cache` skips blank lines, so a file without a non-blank line
+    holds no values, and neither does a missing file.  Any other OSError
+    counts as a line, so that `load_cache` raises it.
+    """
+    try:
+        with open(path, encoding="ascii", errors="surrogateescape") as fh:
+            return any(line.strip() for line in fh)
+    except FileNotFoundError:
+        return False
+    except OSError:
+        return True
+
+
 def load_cache(path: str) -> list[tuple[int, int]]:
     """Read and verify a persisted table.
 

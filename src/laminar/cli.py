@@ -61,21 +61,6 @@ def _bound_table(
         return EXIT_USAGE
 
 
-def _holds_lines(path: str) -> bool:
-    """Whether the cache at path has a non-blank line.
-
-    A cache without one loads as no values, and a missing file has
-    none.  Any other OSError is left to obf_table, which reports it.
-    """
-    try:
-        with open(path, encoding="ascii", errors="surrogateescape") as fh:
-            return any(line.strip() for line in fh)
-    except FileNotFoundError:
-        return False
-    except OSError:
-        return True
-
-
 def _bound_doc(table: bounds.BoundTable, n: int) -> tuple[bounds.UpperLimitReport, dict]:
     """The upper-limit report at n and its six report fields."""
     rep = bounds.upper_limit_report(table, n)
@@ -313,7 +298,7 @@ def cmd_summary(args) -> int:
     }
     upper = None
     # obf_table would build and append obf(2) and obf(3) to an empty cache
-    if _holds_lines(path):
+    if bounds.cache_has_values(path):
         table = _bound_table(2, path)
         if isinstance(table, int):
             return table

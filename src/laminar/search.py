@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .bounds import BoundTable
 from .setfam import Block, Family, _bit_positions
 
@@ -53,15 +54,18 @@ class CompatGraph:
 
     @classmethod
     def build(cls, n: int, t: int, min_size: int) -> "CompatGraph":
-        masks = np.arange(1, 1 << n, dtype=np.int64)
-        masks = masks[np.bitwise_count(masks) >= min_size]
+        # size_of[m] = |m| for every mask m; a table lookup, because
+        # np.bitwise_count needs numpy 2 and pyproject allows numpy 1.24
+        size_of = _kernels.popcount_u64(np.arange(1 << n, dtype=np.uint64))
+        masks = np.arange(1, 1 << n)
+        masks = masks[size_of[masks] >= min_size]
         # vertices in (size, mask) order
-        masks = masks[np.lexsort((masks, np.bitwise_count(masks)))]
+        masks = masks[np.lexsort((masks, size_of[masks]))]
         adj: list[int] = []
         for lo in range(0, len(masks), _ROW_BLOCK):
             a = masks[lo : lo + _ROW_BLOCK, None]
             c = a & masks
-            compat = (np.bitwise_count(c) < t) | (c == a) | (c == masks)
+            compat = (size_of.take(c) < t) | (c == a) | (c == masks)
             compat[np.arange(len(a)), np.arange(lo, lo + len(a))] = False
             adj += _bits_to_rows(compat)
         return cls(

@@ -12,6 +12,7 @@ from laminar.bounds import (
     _interval_bounds,
     _max_lp,
     _rebuild_frontier,
+    cache_has_values,
     frontier_update,
     load_cache,
     lp_dual_value,
@@ -394,15 +395,19 @@ class TestCache:
             load_cache(self._cache(tmp_path, *base, "5\t3/0"))
 
     def test_blank_cache_holds_no_values(self, tmp_path):
+        assert not cache_has_values(str(tmp_path / "missing.cache"))
         # an interrupted first run leaves the empty file it opened
-        assert load_cache(self._cache(tmp_path)) == []
+        path = self._cache(tmp_path)
+        assert load_cache(path) == [] and not cache_has_values(path)
         path = self._cache(tmp_path, "", "  ")
-        assert load_cache(path) == []
+        assert load_cache(path) == [] and not cache_has_values(path)
+        assert cache_has_values(str(tmp_path))  # left to load_cache to raise
         table = obf_table(50, cache_path=path)
         assert table.n_cached == 0
         assert load_cache(path) == [
             (table.obf(n).numerator, table.obf(n).denominator) for n in range(2, 51)
         ]
+        assert cache_has_values(path)
 
     def test_lone_base_value_rejected(self, tmp_path):
         with pytest.raises(CacheError, match="at least obf\\(2\\) and obf\\(3\\)"):

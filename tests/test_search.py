@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -29,6 +30,7 @@ class TestExactSearch:
         res = max_laminar_exact(n, 2)
         assert res.exact
         assert res.size == expected
+        assert res.forced == _t_sets_and_universe(n, 2)
         assert len(res.family) == expected
         assert is_t_laminar(res.family, 2)
         assert all(b.size >= 2 for b in res.family)
@@ -43,15 +45,25 @@ class TestExactSearch:
     def test_f8_f9(self, table10):
         res8 = max_laminar_exact(8, 2, budget_seconds=120)
         assert res8.exact and res8.size == 37
+        assert res8.forced == _t_sets_and_universe(8, 2)
+        _assert_valid(res8, 2, 2)
         res9 = max_laminar_exact(9, 2, budget_seconds=120)
         assert res9.exact and res9.size == 49 == table10.obf(9)
-        assert is_t_laminar(res9.family, 2)
+        assert res9.forced == _t_sets_and_universe(9, 2)
+        _assert_valid(res9, 2, 2)
 
     def test_t3_on_seven_points(self):
         res = max_laminar_exact(7, 3, budget_seconds=60)
         assert res.exact
         # all 35 triples, the 7 Fano blocks, and the universe coexist
         assert res.size == 43
+        assert res.forced == _t_sets_and_universe(7, 3)
+
+
+def _t_sets_and_universe(n, t):
+    """The universal blocks of the default search for n >= t: every
+    t-set and [n], which coincide when n = t."""
+    return comb(n, t) + 1 if n > t else 1
 
 
 def _assert_valid(res, t, min_size):
@@ -89,23 +101,6 @@ class TestSymmetrySearch:
         assert res.size > res.forced
         _assert_valid(res, 2, 2)
 
-    # (n, size, forced) at t = 2 for n <= 10 and t = 3 for n <= 9, all exact
-    @pytest.mark.parametrize(
-        "t,n,size,forced",
-        [(2, n, size, forced) for n, size, forced in [
-            (1, 0, 0), (2, 1, 1), (3, 4, 4), (4, 8, 7), (5, 13, 11),
-            (6, 20, 16), (7, 29, 22), (8, 37, 29), (9, 49, 37), (10, 61, 46),
-        ]]
-        + [(3, n, size, forced) for n, size, forced in [
-            (1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 5, 5), (5, 12, 11),
-            (6, 24, 21), (7, 43, 36), (8, 71, 57), (9, 103, 85),
-        ]],
-    )
-    def test_result_metadata(self, t, n, size, forced):
-        res = max_laminar_exact(n, t, budget_seconds=None)
-        assert (res.size, res.exact, res.forced) == (size, True, forced)
-        _assert_valid(res, t, t)
-
     @pytest.mark.parametrize("n", range(1, 9))
     def test_classic_metadata(self, n):
         res = max_laminar_exact(n, 1, budget_seconds=None, min_size=1)
@@ -127,11 +122,19 @@ class TestSymmetrySearch:
     def test_f10_equals_obf10(self, table10):
         res = max_laminar_exact(10, 2)
         assert res.exact and res.size == 61 == table10.obf(10)
+        assert res.forced == _t_sets_and_universe(10, 2)
         _assert_valid(res, 2, 2)
+
+    def test_t3_on_eight_points(self):
+        res = max_laminar_exact(8, 3)
+        assert res.exact and res.size == 71
+        assert res.forced == _t_sets_and_universe(8, 3)
+        _assert_valid(res, 3, 3)
 
     def test_t3_on_nine_points(self):
         res = max_laminar_exact(9, 3)
         assert res.exact and res.size == 103
+        assert res.forced == _t_sets_and_universe(9, 3)
         _assert_valid(res, 3, 3)
 
 
