@@ -2,26 +2,31 @@
 """Time the hot kernels and checks on representative workloads.
 
 Prints the best of ``--repeats`` runs, in ms, for the pairwise
-violation scan, the config and chain checks of ``laminar verify``, the
-cover-count kernel, and the build, validation and text of the two
-designs of the lower-bound constructions.
+violation scan (on laminar towers, which it scans to the end, and on
+two families where it stops early), the config and chain checks of
+``laminar verify``, the cover-count kernel, and the build, validation
+and text of the two designs of the lower-bound constructions.
 
 Usage: python benchmarks/bench_kernels.py [--repeats 5]
 """
 
 import argparse
+import random
 import time
 
 from laminar import _kernels
 from laminar.construct import fano_tower
 from laminar.geometry import affine_plane, circle_geometry, design_to_text, is_design
+from laminar.search import max_laminar_exact
 from laminar.setfam import (
+    Block,
     Family,
     contains_config,
     csr_points,
     forbidden_matrix,
     incidence_matrix,
     unique_chain_check,
+    violating_pair,
 )
 
 
@@ -35,7 +40,7 @@ def _time(fn, repeats):
 
 
 def _row(name, fn, repeats):
-    print(f"{name:<44} {_time(fn, repeats)*1e3:9.2f} ms")
+    print(f"{name:<50} {_time(fn, repeats)*1e3:9.2f} ms")
 
 
 def _towers():
@@ -56,6 +61,29 @@ def bench_violation(towers, repeats):
     for label, fam in towers:
         words = fam.to_words()
         _row(f"violation scan: {label}", lambda: _kernels.find_violation(words, 2), repeats)
+    # what the two verify workloads that stop early scan: the tower with
+    # a random crossing set appended, and the small family of a search
+    # (through violating_pair, so packing the words is included)
+    tower = towers[0][1]
+    present = {b.mask for b in tower}
+    rng = random.Random(0)
+    while True:
+        extra = Block.of(tower.n, rng.sample(range(1, tower.n + 1), rng.randint(3, 8)))
+        corrupt = Family(tower.n, tower.sets + (extra,))
+        if extra.mask not in present and violating_pair(corrupt, 2) is not None:
+            break
+    words = corrupt.to_words()
+    _row(
+        "violation scan: tower + crossing set (first hit)",
+        lambda: _kernels.find_violation(words, 2),
+        repeats,
+    )
+    found = max_laminar_exact(9, 2).family
+    _row(
+        f"violation scan: n=9 search family ({len(found)} sets)",
+        lambda: violating_pair(found, 2),
+        repeats,
+    )
 
 
 def bench_verify_checks(towers, repeats):

@@ -7,8 +7,8 @@ runs all three, as `laminar verify` does):
 
   1. the pairwise predicate itself (`is_t_laminar`, `violating_pair`):
      O(|F|^2) pair tests, bit-packed through `_kernels.find_violation`
-     from 256 members on, stopping at the first violating pair;
-     memory O(|F| n / 64).
+     for every family, in blocks of rows, stopping at the first block
+     with a violating pair; memory O(|F| n / 64) plus a fixed block.
   2. avoidance of a forbidden 2 x (t+2) zero-one configuration in the
      family's incidence matrix (`contains_config` / `forbidden_matrix`):
      the row-pair column-type counts come from a float64 Gram matrix,
@@ -20,8 +20,8 @@ runs all three, as `laminar verify` does):
      C(|S|, t) dictionary steps, and memory one entry per t-subset
      that some member covers.
 
-On the 1625-set tower (n = 49, t = 2) the three take about 80, 10 and
-6 ms; on four disjoint copies of it (6500 sets, n = 196) about 2.5 s,
+On the 1625-set tower (n = 49, t = 2) the three take about 15, 10 and
+6 ms; on four disjoint copies of it (6500 sets, n = 196) about 0.3 s,
 0.23 s and 25 ms, all under a 100 MB process peak (one thread of a
 2-core VM).
 
@@ -39,9 +39,6 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import _kernels
-
-# families at or above this size go through the bit-matrix kernel
-_KERNEL_MIN_SETS = 256
 
 
 def _bit_positions(mask: int) -> list[int]:
@@ -166,18 +163,7 @@ def violating_pair(fam: Family, t: int) -> Optional[tuple[int, int]]:
     Pairs are visited row by row: the smallest i with a violation, then
     the smallest j > i.  None when fam is t-laminar.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if len(fam) >= _KERNEL_MIN_SETS:
-        return _kernels.find_violation(fam.to_words(), t)
-    masks = [b.mask for b in fam.sets]
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            c = mi & masks[j]
-            if c.bit_count() >= t and c != mi and c != masks[j]:
-                return i, j
-    return None
+    return _kernels.find_violation(fam.to_words(), t)
 
 
 def is_t_laminar(fam: Family, t: int) -> bool:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from laminar import _kernels
+from laminar.construct import fano_tower
 from laminar.geometry import Design, is_design, is_packing
 from laminar.setfam import Family, csr_points, is_t_laminar
 
@@ -32,45 +33,117 @@ class TestPopcount:
         assert [int(x) for x in got] == [v.bit_count() for v in vals]
 
 
+def _first_violation(masks, t):
+    """Reference: the first violating pair in row order, by plain Python."""
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            c = masks[i] & masks[j]
+            if c.bit_count() >= t and c != masks[i] and c != masks[j]:
+                return i, j
+    return None
+
+
 class TestViolationKernel:
     @pytest.mark.parametrize("n_bits", [6, 63, 64, 100, 130])
     def test_backends_agree(self, n_bits):
         rng = random.Random(n_bits)
         for _ in range(40):
             fam, words = _random_words(rng, 30, n_bits)
+            masks = [b.mask for b in fam]
             for t in (1, 2, 3):
-                # reference: first violating pair in scan order
-                ref = None
-                masks = [b.mask for b in fam]
-                for i in range(len(masks)):
-                    for j in range(i + 1, len(masks)):
-                        c = masks[i] & masks[j]
-                        if c.bit_count() >= t and c != masks[i] and c != masks[j]:
-                            ref = (i, j)
-                            break
-                    if ref is not None:
-                        break
-                assert _kernels.find_violation(words, t) == ref
+                assert _kernels.find_violation(words, t) == _first_violation(masks, t)
+
+    @pytest.mark.parametrize("cells", [1, 3, 64])
+    @pytest.mark.parametrize("n_bits", [6, 64, 130, 200])
+    def test_block_edges_agree(self, cells, n_bits, monkeypatch):
+        # a budget below one row pair gives one-row blocks; 3 and 64
+        # cells give blocks of a few rows, so violations fall on the
+        # first and last rows of blocks and blocks hold several words
+        monkeypatch.setattr(_kernels, "_VIOLATION_BLOCK_CELLS", cells)
+        rng = random.Random(1000 * cells + n_bits)
+        families = [Family.from_masks(n_bits, [])]
+        for _ in range(3):
+            families.append(Family.from_masks(n_bits, [rng.getrandbits(n_bits) | 1]))
+            # two members: nested either way, then overlapping in the
+            # first word, then sharing only the two highest points
+            low = rng.getrandbits(n_bits - 1) | 1
+            families.append(Family.from_masks(n_bits, [low, low | 1 << (n_bits - 1)]))
+            families.append(Family.from_masks(n_bits, [low | 1 << (n_bits - 1), low]))
+            families.append(Family.from_masks(n_bits, [low, 1 << (n_bits - 1) | 3]))
+            top = 3 << (n_bits - 2)
+            families.append(Family.from_masks(n_bits, [top | 1, top | 1 << (n_bits - 3)]))
+        families += [_random_words(rng, 30, n_bits)[0] for _ in range(15)]
+        for fam in families:
+            masks = [b.mask for b in fam]
+            words = fam.to_words()
+            for t in (1, 2, 3, n_bits + 1):
+                assert _kernels.find_violation(words, t) == _first_violation(masks, t)
+
+    def test_rejects_t_below_one(self):
+        words = Family.of(3, [[1, 2], [2, 3]]).to_words()
+        for t in (0, -1):
+            with pytest.raises(ValueError):
+                _kernels.find_violation(words, t)
 
     def test_dispatcher_none_for_laminar(self):
         fam = Family.of(3, [[1, 2], [1, 3], [2, 3], [1, 2, 3]])
         assert _kernels.find_violation(fam.to_words(), 2) is None
 
     def test_large_family_uses_kernel_path(self):
-        # families over the kernel threshold go through bit-matrix code
+        # every family goes through the bit-matrix kernel
         masks = list(range(1, 400))
         fam = Family.from_masks(16, masks)
-        direct = is_t_laminar(fam, 2)
-        ref = True
-        for i in range(len(masks)):
-            for j in range(i + 1, len(masks)):
-                c = masks[i] & masks[j]
-                if c.bit_count() >= 2 and c != masks[i] and c != masks[j]:
-                    ref = False
-                    break
-            if not ref:
-                break
-        assert direct == ref
+        assert is_t_laminar(fam, 2) == (_first_violation(masks, 2) is None)
+
+
+@pytest.fixture(scope="module")
+def tower4():
+    """Four disjoint relabeled copies of the 1625-set tower: 6500 laminar
+    sets over 196 points, four words per row."""
+    _, fam49 = fano_tower(1, materialize=True)
+    return [b.mask << (49 * copy) for copy in range(4) for b in fam49]
+
+
+class TestViolationOnTower:
+    # the last two points of the last copy and the first point of the
+    # first: it crosses last-copy members through both of those points,
+    # and only in the fourth of the four words
+    CROSSING = 1 << 0 | 1 << 194 | 1 << 195
+
+    def test_laminar_tower_has_no_violation(self, tower4):
+        assert _kernels.find_violation(Family.from_masks(196, tower4).to_words(), 2) is None
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_inserted_crossing_set(self, tower4, where):
+        pos = {"first": 0, "middle": len(tower4) // 2, "last": len(tower4)}[where]
+        masks = tower4[:pos] + [self.CROSSING] + tower4[pos:]
+        # O(F) reference: the tower is laminar, so every violating pair
+        # holds the inserted set; the row scan meets the smallest other
+        # index that crosses it first
+        x = self.CROSSING
+        crossing = [
+            i
+            for i, m in enumerate(masks)
+            if i != pos and (m & x).bit_count() >= 2 and m & x not in (m, x)
+        ]
+        assert crossing
+        want = tuple(sorted((crossing[0], pos)))
+        got = _kernels.find_violation(Family.from_masks(196, masks).to_words(), 2)
+        assert got == want
+
+    def test_peak_memory(self, tower4):
+        import tracemalloc
+
+        words = Family.from_masks(196, tower4).to_words()
+        tracemalloc.start()
+        try:
+            assert _kernels.find_violation(words, 2) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each block's temporaries hold at most _VIOLATION_BLOCK_CELLS
+        # words (1 MB); measured about 1 MB in all
+        assert peak < 16 * 2**20
 
 
 def _random_csr(rng, t, v_cap=14, blocks_cap=10):
