@@ -19,7 +19,6 @@ from laminar.construct import fano_tower
 from laminar.geometry import affine_plane, circle_geometry, design_to_text, is_design
 from laminar.search import max_laminar_exact
 from laminar.setfam import (
-    Block,
     Family,
     contains_config,
     csr_points,
@@ -47,13 +46,10 @@ def _towers():
     """The 1625-set tower, and four disjoint relabeled copies of it:
     6500 sets over 196 points, laminar, so every scan runs to the end."""
     _, fam49 = fano_tower(1, materialize=True)
-    shifted = []
-    for copy in range(4):
-        for b in fam49:
-            shifted.append(b.mask << (49 * copy))
+    shifted = [m << (49 * copy) for copy in range(4) for m in fam49]
     return (
         ("tower n=49 (1625 sets)", fam49),
-        ("4x tower n=196 (6500 sets)", Family.from_masks(196, shifted)),
+        ("4x tower n=196 (6500 sets)", Family(196, shifted)),
     )
 
 
@@ -65,12 +61,14 @@ def bench_violation(towers, repeats):
     # a random crossing set appended, and the small family of a search
     # (through violating_pair, so packing the words is included)
     tower = towers[0][1]
-    present = {b.mask for b in tower}
+    present = set(tower)
     rng = random.Random(0)
     while True:
-        extra = Block.of(tower.n, rng.sample(range(1, tower.n + 1), rng.randint(3, 8)))
-        corrupt = Family(tower.n, tower.sets + (extra,))
-        if extra.mask not in present and violating_pair(corrupt, 2) is not None:
+        extra = sum(1 << p for p in rng.sample(range(tower.n), rng.randint(3, 8)))
+        if extra in present:
+            continue
+        corrupt = Family(tower.n, tower.masks + (extra,))
+        if violating_pair(corrupt, 2) is not None:
             break
     words = corrupt.to_words()
     _row(

@@ -41,9 +41,8 @@ from .geometry import (
     is_packing,
     projective_plane,
 )
-from .search import CompatGraph, max_laminar_classic, max_laminar_exact, verify_gap
+from .search import CompatGraph, max_laminar_exact
 from .setfam import (
-    Block,
     Family,
     contains_config,
     forbidden_matrix,

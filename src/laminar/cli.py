@@ -229,16 +229,17 @@ def cmd_verify(args) -> int:
         print(f"t-laminar (t={t}): {len(fam)} sets, all three checks agree")
         return EXIT_OK
     i, j = hit
-    a, b = fam.sets[i], fam.sets[j]
+    a, b = fam.masks[i], fam.masks[j]
     ia, ib = i + 1, j + 1
-    shared = [p for p in a.members if p in b][:t]
-    w = next(p for p in b.members if p not in a)
-    x = next(p for p in a.members if p not in b)
+
+    def points(mask: int) -> list[str]:
+        return [str(p + 1) for p in setfam._bit_positions(mask)]
+
     print(f"NOT t-laminar (t={t})")
-    print(f"witness sets #{ia} and #{ib}: {{{','.join(map(str, a.members))}}}"
-          f" vs {{{','.join(map(str, b.members))}}}")
-    print(f"forbidden submatrix rows ({ia},{ib}),"
-          f" columns w={w} x={x} shared={','.join(map(str, shared))}")
+    print(f"witness sets #{ia} and #{ib}:"
+          f" {{{','.join(points(a))}}} vs {{{','.join(points(b))}}}")
+    print(f"forbidden submatrix rows ({ia},{ib}), columns w={points(b & ~a)[0]}"
+          f" x={points(a & ~b)[0]} shared={','.join(points(a & b)[:t])}")
     return EXIT_PROPERTY_FAILS
 
 
@@ -254,7 +255,11 @@ def cmd_search(args) -> int:
     if not (math.isfinite(args.budget) and args.budget >= 0):
         _log("budget must be a finite number of seconds >= 0")
         return EXIT_USAGE
-    res = search.max_laminar_exact(args.n, args.t, budget_seconds=args.budget)
+    try:
+        res = search.max_laminar_exact(args.n, args.t, budget_seconds=args.budget)
+    except search.CapExceeded as exc:
+        _log(str(exc))
+        return EXIT_BUDGET
     doc = {
         "n": args.n,
         "t": args.t,

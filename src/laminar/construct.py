@@ -21,9 +21,11 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Optional
 
+import numpy as np
+
 from .bounds import rat_to_decimal
 from .geometry import Design, affine_plane, circle_geometry, is_packing, projective_plane
-from .setfam import Block, Family, is_t_laminar
+from .setfam import Family, csr_points, is_t_laminar, masks_from_csr
 
 # materialization caps: beyond these the towers are counted, not built
 FANO_TOWER_CAP = 2401
@@ -63,39 +65,36 @@ class TowerReport:
         )
 
 
-def nested(packing: Design, replacements: Callable[[Block], Family]) -> Family:
+def nested(packing: Design, replacements: Callable[[int], Family]) -> Family:
     """Replace each block of a t-wise packing by a t-laminar family on it.
 
-    Each replacement family lives on ground set {1..|K|} and is mapped
-    into K by sending point i to the i-th smallest member of K.  The
-    relabeled families are merged and deduplicated; the result is
+    ``replacements`` receives each block's mask and returns a family on
+    ground set {1..|K|}, mapped into the block K by sending point i to
+    the i-th smallest member of K.  The relabeled families are packed
+    at once and deduplicated in first-seen order; the result is
     t-laminar on the packing's point set whenever the inputs satisfy
     the preconditions (checked here for the replacements; validate the
     packing separately, it may be expensive).
     """
     t = packing.t
-    n = packing.v
-    seen: dict[int, None] = {}
-    checked: set[int] = set()
-    for block in packing.blocks:
+    block_points, block_offsets = csr_points(packing.blocks)
+    points = [np.zeros(0, dtype=np.int64)]
+    offsets = [np.zeros(1, dtype=np.int64)]
+    # id -> (family, its csr_points); holding the family keeps its id unique
+    seen: dict[int, tuple[Family, np.ndarray, np.ndarray]] = {}
+    for block, lo, hi in zip(packing.blocks, block_offsets, block_offsets[1:]):
         fam = replacements(block)
-        if fam.n != block.size:
-            raise ValueError(
-                f"replacement ground size {fam.n} != block size {block.size}"
-            )
-        if id(fam) not in checked:
+        if fam.n != hi - lo:
+            raise ValueError(f"replacement ground size {fam.n} != block size {hi - lo}")
+        if id(fam) not in seen:
             if not is_t_laminar(fam, t):
                 raise ValueError("replacement family is not t-laminar")
-            checked.add(id(fam))
-        points = block.members
-        for b in fam:
-            m, rel = b.mask, 0
-            while m:
-                i = (m & -m).bit_length() - 1
-                rel |= 1 << (points[i] - 1)
-                m &= m - 1
-            seen.setdefault(rel, None)
-    return Family.from_masks(n, list(seen.keys()))
+            seen[id(fam)] = (fam, *csr_points(fam))
+        _, rel_points, rel_offsets = seen[id(fam)]
+        points.append(block_points[lo:hi][rel_points])
+        offsets.append(rel_offsets[1:] + offsets[-1][-1])
+    masks = masks_from_csr(packing.v, np.concatenate(points), np.concatenate(offsets))
+    return Family(packing.v, tuple(dict.fromkeys(masks)))
 
 
 def seven_series(r: int) -> Fraction:
@@ -117,11 +116,8 @@ def seven_series(r: int) -> Fraction:
 
 
 def _fano_level0() -> Family:
-    fano = projective_plane(2)
-    sets = [list(p) for p in combinations(range(1, 8), 2)]
-    sets += [list(b.members) for b in fano.blocks]
-    sets += [list(range(1, 8))]
-    return Family.of(7, sets)
+    pairs = Family.of(7, combinations(range(1, 8), 2))
+    return Family(7, pairs.masks + projective_plane(2).blocks.masks + ((1 << 7) - 1,))
 
 
 def fano_tower(r: int, materialize: bool = False) -> tuple[TowerReport, Optional[Family]]:
@@ -160,7 +156,7 @@ def fano_tower(r: int, materialize: bool = False) -> tuple[TowerReport, Optional
         prev = fam
         fam = nested(plane, lambda _k: prev)
         size = size * size
-        fam = Family(size, fam.sets + (Block.universe(size),))
+        fam = Family(size, fam.masks + ((1 << size) - 1,))
     if fam.count_size_geq(2) != count:
         raise AssertionError("materialized tower count mismatch")
     return report, fam
@@ -198,13 +194,8 @@ def _circle_count_geq3(r: int) -> int:
 
 
 def _circle_level0() -> Family:
-    geom = circle_geometry(3)
-    sets = []
-    for size in (1, 2, 3):
-        sets += [list(p) for p in combinations(range(1, 11), size)]
-    sets += [list(b.members) for b in geom.blocks]
-    sets += [list(range(1, 11))]
-    return Family.of(10, sets)
+    small = Family.of(10, (p for k in (1, 2, 3) for p in combinations(range(1, 11), k)))
+    return Family(10, small.masks + circle_geometry(3).blocks.masks + ((1 << 10) - 1,))
 
 
 def circle_tower(r: int, materialize: bool = False) -> tuple[TowerReport, Optional[Family]]:
@@ -240,7 +231,7 @@ def circle_tower(r: int, materialize: bool = False) -> tuple[TowerReport, Option
         prev = fam
         fam = nested(geom, lambda _k: prev)
         size = geom.v
-        fam = Family(size, fam.sets + (Block.universe(size),))
+        fam = Family(size, fam.masks + ((1 << size) - 1,))
     if fam.count_size_geq(3) != count:
         raise AssertionError("materialized tower count mismatch")
     return report, fam
@@ -334,7 +325,7 @@ def general_n_lower_bound(
         raise ValueError("need a 2-(n,k,1) packing on n points")
     if k >= n:
         raise ValueError("block size must satisfy k < n")
-    if any(b.size != k for b in packing.blocks):
+    if any(b.bit_count() != k for b in packing.blocks):
         raise ValueError("packing blocks must all have size k")
     if not is_packing(packing):
         raise ValueError("invalid packing: some pair is covered twice")

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .setfam import Family, csr_points
+from .setfam import Family, csr_points, masks_from_csr
 
 
 class NotPrimePower(ValueError):
@@ -258,7 +258,7 @@ def _subset_cover_counts(d: Design) -> np.ndarray:
 
 def is_design(d: Design) -> bool:
     """Exhaustively: every t-subset of [v] lies in exactly lambda blocks."""
-    if any(b.size < d.t for b in d.blocks):
+    if any(b.bit_count() < d.t for b in d.blocks):
         return False
     counts = _subset_cover_counts(d)
     return bool((counts == d.lam).all())
@@ -266,7 +266,7 @@ def is_design(d: Design) -> bool:
 
 def is_packing(d: Design) -> bool:
     """Exhaustively: every t-subset of [v] lies in at most lambda blocks."""
-    if any(b.size < d.t for b in d.blocks):
+    if any(b.bit_count() < d.t for b in d.blocks):
         return False
     counts = _subset_cover_counts(d)
     return bool((counts <= d.lam).all())
@@ -282,11 +282,12 @@ def affine_plane(q: int) -> Design:
     """
     f = field_for_order(q)
     x = np.arange(q)
-    # graphs[m, b, x] = point (x, m*x + b), increasing in x
-    graphs = x * q + f.add_table[f.mul_table[:, None, :], x[None, :, None]] + 1
-    verticals = x[:, None] * q + x[None, :] + 1
+    # graphs[m, b, x] = 0-based point (x, m*x + b), increasing in x
+    graphs = x * q + f.add_table[f.mul_table[:, None, :], x[None, :, None]]
+    verticals = x[:, None] * q + x[None, :]
     rows = np.concatenate([graphs.reshape(q * q, q), verticals])
-    return Design(t=2, v=q * q, lam=1, blocks=Family.from_rows(q * q, rows), kind="design")
+    fam = Family(q * q, masks_from_csr(q * q, rows.ravel(), np.arange(0, rows.size + 1, q)))
+    return Design(t=2, v=q * q, lam=1, blocks=fam, kind="design")
 
 
 def projective_plane(q: int) -> Design:
@@ -380,7 +381,8 @@ def circle_geometry(q: int) -> Design:
         raise GeometryError(
             f"circle geometry block count {uniq.shape[0]} != {expected}"
         )
-    fam = Family.from_rows(big + 1, uniq + 1)
+    offsets = np.arange(0, uniq.size + 1, q + 1)
+    fam = Family(big + 1, masks_from_csr(big + 1, uniq.ravel(), offsets))
     return Design(t=3, v=big + 1, lam=1, blocks=fam, kind="design")
 
 
@@ -440,7 +442,7 @@ def greedy_packing(n: int, k: int, t: int, order_seed: int = 0) -> Design:
             before = len(accepted)
             try_add(rng.sample(range(1, n + 1), k))
             misses = 0 if len(accepted) > before else misses + 1
-    fam = Family.from_masks(n, sorted(accepted, key=lambda m: (m.bit_count(), m)))
+    fam = Family(n, sorted(accepted, key=lambda m: (m.bit_count(), m)))
     return Design(t=t, v=n, lam=1, blocks=fam, kind="packing")
 
 

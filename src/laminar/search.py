@@ -20,22 +20,29 @@ floor(obf(11)) in about 80 s) and t = 3 up to n = 9 (71 on [8], 103 on
 downgrading the result to a certified lower bound when the budget runs
 out.  The maximum family returned may differ from the one earlier
 versions returned; its size does not.
+
+The budget starts after the graph is built, so ground sets above
+MAX_SEARCH_N = 15 are refused with CapExceeded before it is: with a
+zero budget, n = 14 runs 2.0 s at 87 MB max RSS and n = 15 7.1 s at
+219 MB (one thread of a 2-core VM), and each further point quadruples
+the rows.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .bounds import BoundTable
-from .setfam import Block, Family, _bit_positions
+from .setfam import Family, _bit_positions, mask_bits, masks_from_bits
 
 _BUDGET_CHECK_MASK = 0xFFF
+
+#: largest ground set max_laminar_exact accepts (see the module docstring)
+MAX_SEARCH_N = 15
 
 #: rows per numpy block when building or relabelling adjacency rows; a
 #: block holds _ROW_BLOCK x V cells, never V x V
@@ -49,7 +56,7 @@ class CompatGraph:
     n: int
     t: int
     min_size: int
-    vertices: tuple[Block, ...]
+    vertices: tuple[int, ...]  # block masks
     adj: tuple[int, ...]  # bitset rows, irreflexive and symmetric
 
     @classmethod
@@ -67,12 +74,12 @@ class CompatGraph:
             c = a & masks
             compat = (size_of.take(c) < t) | (c == a) | (c == masks)
             compat[np.arange(len(a)), np.arange(lo, lo + len(a))] = False
-            adj += _bits_to_rows(compat)
+            adj += masks_from_bits(compat)
         return cls(
             n=n,
             t=t,
             min_size=min_size,
-            vertices=tuple(Block(n, m) for m in masks.tolist()),
+            vertices=tuple(masks.tolist()),
             adj=tuple(adj),
         )
 
@@ -81,23 +88,8 @@ class _Budget(Exception):
     pass
 
 
-def _rows_to_bits(rows: Sequence[int], width: int) -> np.ndarray:
-    """Bitset rows as a (len(rows), width) 0/1 uint8 array, bit j in column j."""
-    nbytes = (width + 7) // 8
-    buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
-
-
-def _bits_to_rows(bits: np.ndarray) -> list[int]:
-    """Inverse of _rows_to_bits: column j of each row becomes bit j."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    nbytes = packed.shape[1]
-    buf = packed.tobytes()
-    return [
-        int.from_bytes(buf[i : i + nbytes], "little")
-        for i in range(0, len(buf), nbytes)
-    ]
+class CapExceeded(ValueError):
+    """The ground set is larger than MAX_SEARCH_N."""
 
 
 def _induced(adj: Sequence[int], verts: list[int]) -> list[int]:
@@ -106,7 +98,7 @@ def _induced(adj: Sequence[int], verts: list[int]) -> list[int]:
     out: list[int] = []
     for lo in range(0, len(verts), _ROW_BLOCK):
         rows = [adj[v] for v in verts[lo : lo + _ROW_BLOCK]]
-        out += _bits_to_rows(_rows_to_bits(rows, len(adj))[:, cols])
+        out += masks_from_bits(mask_bits(rows, len(adj))[:, cols])
     return out
 
 
@@ -239,12 +231,15 @@ def max_laminar_exact(
     returned may differ from the one earlier versions returned; its
     size does not.  When the shared budget runs out the best family
     found so far is returned with ``exact=False``, a certified lower
-    bound; ``budget_seconds=None`` sets no deadline.
+    bound; ``budget_seconds=None`` sets no deadline.  n above
+    MAX_SEARCH_N raises CapExceeded before the graph is built.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > MAX_SEARCH_N:
+        raise CapExceeded(f"search on n={n} points exceeds the cap {MAX_SEARCH_N}")
     if min_size is None:
         min_size = max(t, 2)
     graph = CompatGraph.build(n, t, min_size)
@@ -256,7 +251,7 @@ def max_laminar_exact(
     orbits: list[tuple[int, int]] = []
     free, allowed = _bit_positions(full & ~forced), 0
     for k in range(1, n + 1):
-        orbit = [v for v in free if verts[v].size == k]
+        orbit = [v for v in free if verts[v].bit_count() == k]
         if orbit:
             allowed |= sum(1 << v for v in orbit)
             rep = orbit[0]  # vertices are sorted by (size, mask)
@@ -290,59 +285,4 @@ def max_laminar_exact(
         exact=exact,
         nodes=nodes,
         forced=forced.bit_count(),
-    )
-
-
-def max_laminar_classic(n: int, budget_seconds: Optional[float] = 60.0) -> int:
-    """Exact maximum laminar (t = 1) family counting all nonempty sets.
-
-    The chain-plus-singletons pattern gives 2n - 1; adding the empty
-    set recovers the textbook 2n.
-    """
-    if n > 8:
-        raise ValueError("classic search supported for n <= 8")
-    return max_laminar_exact(n, 1, budget_seconds, min_size=1).size
-
-
-@dataclass(frozen=True)
-class GapReport:
-    n: int
-    t: int
-    construct_value: int
-    search_value: int
-    search_exact: bool
-    obf_value: Optional[Fraction]
-    ok: bool
-
-    def __str__(self):
-        upper = f" <= obf={self.obf_value}" if self.obf_value is not None else ""
-        mark = "ok" if self.ok else "FAIL"
-        tag = "" if self.search_exact else " (search is a lower bound)"
-        return (
-            f"n={self.n} t={self.t}: construct={self.construct_value}"
-            f" <= search={self.search_value}{upper} [{mark}]{tag}"
-        )
-
-
-def verify_gap(
-    n: int,
-    t: int,
-    table: Optional[BoundTable],
-    construct_value: int,
-    budget_seconds: Optional[float] = 60.0,
-) -> GapReport:
-    """Sandwich audit: construction <= exact search <= bound table."""
-    res = max_laminar_exact(n, t, budget_seconds)
-    obf_val = table.obf(n) if table is not None and t == 2 else None
-    ok = construct_value <= res.size
-    if ok and res.exact and obf_val is not None:
-        ok = res.size <= obf_val
-    return GapReport(
-        n=n,
-        t=t,
-        construct_value=construct_value,
-        search_value=res.size,
-        search_exact=res.exact,
-        obf_value=obf_val,
-        ok=ok,
     )

@@ -25,16 +25,23 @@ On the 1625-set tower (n = 49, t = 2) the three take about 15, 10 and
 0.23 s and 25 ms, all under a 100 MB process peak (one thread of a
 2-core VM).
 
-Blocks are bit vectors: ground point i (1-based) is bit i-1 of an int
-mask.  Families order their members; canonical order is by (cardinality,
-mask value) so derived artifacts are byte-reproducible.
+Members are int masks: ground point i (1-based) is bit i-1.  A Family
+is a ground-set size n and a tuple of masks; it orders its members, and
+canonical order is by (cardinality, mask value) so derived artifacts
+are byte-reproducible.  Every conversion between masks and other forms
+goes through one codec: `masks_from_csr` packs 0-based points,
+delimited CSR-style by offsets, into masks with one
+``np.bitwise_or.at``; `mask_bits` unpacks masks into zero-one uint8 bit
+rows, and `masks_from_bits` packs such rows back.  `Family.to_words`,
+`incidence_matrix` and `csr_points` are built on the unpacker.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Iterable, Iterator, Optional
+from itertools import chain, combinations, permutations
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,110 +58,113 @@ def _bit_positions(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Block:
-    """A subset of {1..n} with bit-vector semantics (bit i-1 = point i)."""
+# ---------------------------------------------------------------------------
+# codec: CSR points and zero-one bit rows to int masks and back
 
-    n: int
-    mask: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("ground-set size must be positive")
-        if self.mask < 0 or self.mask >> self.n:
-            raise ValueError("mask has bits outside 1..n")
+def _mask_bytes(masks: Sequence[int], width: int) -> np.ndarray:
+    """Every mask as ``width`` little-endian bytes (``int.to_bytes``), one
+    read-only len(masks) x width uint8 row per mask."""
+    buf = b"".join(m.to_bytes(width, "little") for m in masks)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), width)
 
-    @classmethod
-    def of(cls, n: int, points: Iterable[int]) -> "Block":
-        mask = 0
-        for p in points:
-            if not 1 <= p <= n:
-                raise ValueError(f"point {p} outside 1..{n}")
-            mask |= 1 << (p - 1)
-        return cls(n, mask)
 
-    @classmethod
-    def universe(cls, n: int) -> "Block":
-        return cls(n, (1 << n) - 1)
+def _byte_masks(packed: np.ndarray) -> list[int]:
+    """Inverse of _mask_bytes: each little-endian uint8 row as an int."""
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    return [
+        int.from_bytes(buf[i * width : (i + 1) * width], "little") for i in range(len(packed))
+    ]
 
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in _bit_positions(self.mask))
 
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
+def masks_from_csr(n: int, points: np.ndarray, offsets: np.ndarray) -> list[int]:
+    """One mask per member, member i holding the 0-based points
+    ``points[offsets[i]:offsets[i+1]]`` of the ground set [n].
 
-    def __contains__(self, point: int) -> bool:
-        return 1 <= point <= self.n and bool(self.mask >> (point - 1) & 1)
+    A point outside 0..n-1 raises ValueError naming the first one as a
+    1-based point.  The points are set as bits of one little-endian
+    byte matrix by a single ``np.bitwise_or.at``.
+    """
+    if n < 1:
+        raise ValueError("ground-set size must be positive")
+    points = np.asarray(points, dtype=np.int64)
+    outside = np.flatnonzero((points < 0) | (points >= n))
+    if outside.size:
+        raise ValueError(f"point {points[outside[0]] + 1} outside 1..{n}")
+    members = len(offsets) - 1
+    packed = np.zeros((members, (n + 7) // 8), dtype=np.uint8)
+    rows = np.repeat(np.arange(members), np.diff(offsets))
+    np.bitwise_or.at(packed, (rows, points >> 3), (1 << (points & 7)).astype(np.uint8))
+    return _byte_masks(packed)
 
-    def __repr__(self):
-        return f"Block({self.n}, {{{','.join(map(str, self.members))}}})"
+
+def mask_bits(masks: Sequence[int], width: int) -> np.ndarray:
+    """The masks as a len(masks) x width zero-one uint8 matrix, bit j of
+    each mask in column j.  Every mask must be below 2^(8 ceil(width/8)).
+
+    One ``np.unpackbits`` spreads the ``ceil(width/8)`` bytes of each
+    mask out.
+    """
+    packed = _mask_bytes(masks, (width + 7) // 8)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def masks_from_bits(bits: np.ndarray) -> list[int]:
+    """Inverse of mask_bits: column j of each zero-one row becomes bit j."""
+    return _byte_masks(np.packbits(bits, axis=1, bitorder="little"))
 
 
 @dataclass(frozen=True)
 class Family:
-    """A duplicate-free ordered list of Blocks over a common ground set."""
+    """A duplicate-free ordered tuple of member masks over the ground set
+    [n]; bit i-1 of a mask is point i.  Any iterable of masks is stored
+    as a tuple."""
 
     n: int
-    sets: tuple[Block, ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self):
-        for b in self.sets:
-            if b.n != self.n:
-                raise ValueError("all blocks must share the family's ground size")
-        if len({b.mask for b in self.sets}) != len(self.sets):
+        object.__setattr__(self, "masks", tuple(self.masks))
+        if self.n < 1:
+            raise ValueError("ground-set size must be positive")
+        if self.masks and (min(self.masks) < 0 or max(self.masks) >> self.n):
+            raise ValueError("mask has bits outside 1..n")
+        if len(set(self.masks)) != len(self.masks):
             raise ValueError("duplicate blocks in family")
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "Family":
-        return cls(n, tuple(Block.of(n, s) for s in sets))
-
-    @classmethod
-    def from_masks(cls, n: int, masks: Iterable[int]) -> "Family":
-        return cls(n, tuple(Block(n, m) for m in masks))
-
-    @classmethod
-    def from_rows(cls, n: int, rows: np.ndarray) -> "Family":
-        """One member per row of an integer array of points in 1..n.
-
-        The points are set as bits of one little-endian byte matrix by
-        a single ``np.bitwise_or.at``, not point by point as
-        ``Family.of`` does.
-        """
-        rows = np.asarray(rows, dtype=np.int64) - 1
-        if rows.ndim != 2:
-            raise ValueError("rows must be a 2-d array")
-        if rows.size and not (0 <= rows.min() and rows.max() < n):
-            raise ValueError(f"point outside 1..{n}")
-        width = (n + 7) // 8
-        packed = np.zeros((rows.shape[0], width), dtype=np.uint8)
-        bit = (1 << (rows & 7)).astype(np.uint8)
-        np.bitwise_or.at(packed, (np.arange(rows.shape[0])[:, None], rows >> 3), bit)
-        buf = packed.tobytes()
-        return cls.from_masks(
-            n,
-            (int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)),
-        )
+        """One member per iterable of points in 1..n, packed by masks_from_csr."""
+        rows = [list(s) for s in sets]
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in rows], out=offsets[1:])
+        try:
+            points = np.fromiter(
+                map(operator.index, chain.from_iterable(rows)), np.int64, int(offsets[-1])
+            )
+        except OverflowError:
+            raise ValueError(f"point outside 1..{n}") from None
+        return cls(n, masks_from_csr(n, points - 1, offsets))
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
-    def __iter__(self) -> Iterator[Block]:
-        return iter(self.sets)
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.masks)
 
     def canonical(self) -> "Family":
         """Members sorted by (cardinality, mask value)."""
-        return Family(self.n, tuple(sorted(self.sets, key=lambda b: (b.size, b.mask))))
+        return Family(self.n, sorted(self.masks, key=lambda m: (m.bit_count(), m)))
 
     def count_size_geq(self, k: int) -> int:
-        return sum(1 for b in self.sets if b.size >= k)
+        return sum(1 for m in self.masks if m.bit_count() >= k)
 
     def to_words(self) -> np.ndarray:
         """Bit-pack into a read-only (len, ceil(n/64)) uint64 matrix for the
         kernels: the 8*ceil(n/64) little-endian bytes of every mask, viewed
         as little-endian words."""
-        return _mask_bytes(self, 8 * ((self.n + 63) // 64)).view("<u8")
+        return _mask_bytes(self.masks, 8 * ((self.n + 63) // 64)).view("<u8")
 
 
 def violating_pair(fam: Family, t: int) -> Optional[tuple[int, int]]:
@@ -182,45 +192,23 @@ def maximal_sets(fam: Family, exclude_universe: bool = False) -> Family:
     the packing inequalities.
     """
     full = (1 << fam.n) - 1
-    eligible = [b for b in fam.sets if not (exclude_universe and b.mask == full)]
-    out = []
-    for b in eligible:
-        dominated = any(
-            b.mask != c.mask and b.mask & c.mask == b.mask for c in eligible
-        )
-        if not dominated:
-            out.append(b)
-    return Family(fam.n, tuple(out))
-
-
-def _mask_bytes(fam: Family, width: int) -> np.ndarray:
-    """Every mask as ``width`` little-endian bytes (``int.to_bytes``), one
-    read-only |F| x width uint8 row per member."""
-    buf = b"".join(b.mask.to_bytes(width, "little") for b in fam.sets)
-    return np.frombuffer(buf, dtype=np.uint8).reshape(len(fam), width)
-
-
-def _unpack(fam: Family) -> np.ndarray:
-    """The members' bits as a |F| x 8*ceil(n/8) zero-one uint8 matrix.
-
-    One ``np.unpackbits`` spreads the ``ceil(n/8)`` mask bytes of each
-    member out, so column i holds point i+1; the columns from n on are 0.
-    """
-    return np.unpackbits(_mask_bytes(fam, (fam.n + 7) // 8), axis=1, bitorder="little")
+    eligible = [m for m in fam.masks if not (exclude_universe and m == full)]
+    return Family(
+        fam.n, [m for m in eligible if not any(m != c and m & c == m for c in eligible)]
+    )
 
 
 def incidence_matrix(fam: Family) -> np.ndarray:
     """|F| x n zero-one matrix; entry (A, i) = 1 iff point i+1 in A."""
-    return _unpack(fam)[:, : fam.n]
+    return mask_bits(fam.masks, fam.n)
 
 
 def csr_points(fam: Family) -> tuple[np.ndarray, np.ndarray]:
     """Every member's 0-based points, ascending, concatenated in family
     order, and the int64 offsets delimiting the members CSR-style."""
-    bits = _unpack(fam)
-    points = np.flatnonzero(bits.view(bool)) % bits.shape[1]
+    points = np.flatnonzero(mask_bits(fam.masks, fam.n).view(bool)) % fam.n
     offsets = np.zeros(len(fam) + 1, dtype=np.int64)
-    np.cumsum([b.mask.bit_count() for b in fam.sets], out=offsets[1:])
+    np.cumsum([m.bit_count() for m in fam.masks], out=offsets[1:])
     return points, offsets
 
 
@@ -335,7 +323,7 @@ def unique_chain_check(fam: Family, t: int) -> bool:
     if t < 1:
         raise ValueError("t must be >= 1")
     top: dict[int, int] = {}  # t-subset -> largest member seen containing it
-    for mask in sorted((b.mask for b in fam.sets if b.size >= t), key=int.bit_count):
+    for mask in sorted((m for m in fam.masks if m.bit_count() >= t), key=int.bit_count):
         bits = [1 << p for p in _bit_positions(mask)]
         for sub in combinations(bits, t):
             key = sum(sub)
@@ -444,7 +432,9 @@ def family_from_text(text: str) -> tuple[Family, int | None, list[str]]:
 
 
 def family_to_json(fam: Family, t: int | None = None) -> dict:
-    doc: dict = {"n": fam.n, "sets": [list(b.members) for b in fam.sets]}
+    points, offsets = csr_points(fam)
+    flat, ends = (points + 1).tolist(), offsets.tolist()
+    doc: dict = {"n": fam.n, "sets": [flat[a:b] for a, b in zip(ends, ends[1:])]}
     if t is not None:
         doc["t"] = t
     return doc

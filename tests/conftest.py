@@ -5,6 +5,11 @@ import random
 from laminar.setfam import Family
 
 
+def members(fam: Family) -> list[tuple[int, ...]]:
+    """Every member's 1-based points, read off its mask one bit at a time."""
+    return [tuple(p for p in range(1, fam.n + 1) if m >> (p - 1) & 1) for m in fam]
+
+
 def random_family(rng: random.Random, n_cap: int = 7, size_cap: int = 12) -> Family:
     """A duplicate-free random family on a random small ground set."""
     n = rng.randint(2, n_cap)
@@ -15,7 +20,7 @@ def random_family(rng: random.Random, n_cap: int = 7, size_cap: int = 12) -> Fam
         masks.add(m)
         if len(masks) >= (1 << n) - 1:
             break
-    return Family.from_masks(n, sorted(masks))
+    return Family(n, sorted(masks))
 
 
 def random_laminar_family(rng: random.Random, n: int, t: int, tries: int = 60) -> Family:
@@ -33,4 +38,4 @@ def random_laminar_family(rng: random.Random, n: int, t: int, tries: int = 60) -
                 break
         if ok:
             masks.append(cand)
-    return Family.from_masks(n, masks)
+    return Family(n, masks)

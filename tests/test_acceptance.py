@@ -27,7 +27,7 @@ from laminar.construct import (
     three_series_report,
 )
 from laminar.geometry import affine_plane, circle_geometry, is_design
-from laminar.search import max_laminar_classic, max_laminar_exact
+from laminar.search import max_laminar_exact
 from laminar.setfam import (
     contains_config,
     forbidden_matrix,
@@ -194,7 +194,7 @@ def test_criterion_8_exact_search(table10000):
     assert res7.size >= 29
     assert is_t_laminar(res7.family, 2)
     for n in range(1, 7):
-        assert max_laminar_classic(n) == 2 * n - 1
+        assert max_laminar_exact(n, 1, min_size=1).size == 2 * n - 1
     tag = "= 29 (exact)" if res7.exact and res7.size == 29 else f">= {res7.size}"
     _report(
         8,

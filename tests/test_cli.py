@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import random_family
-from laminar import cli, geometry, setfam
+from laminar import cli, geometry, search, setfam
 from laminar.cli import main
 from laminar.setfam import family_from_text, family_to_text, is_t_laminar
 
@@ -218,9 +218,18 @@ class TestVerifyCommand:
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         path = str(tmp_path / "broken.family")
-        open(path, "w").write("n=3\n3 1\n")
-        code, _, err = run(["verify", path, "--t", "2"], capsys)
-        assert code == 2 and "line 2" in err
+        for text, message in (
+            ("n=3\n3 1\n", "line 2"),
+            ("n=3\n1 4\n", "point 4 outside 1..3"),
+            ("n=3\n1 2\n1 2\n", "duplicate blocks in family"),
+            ("n=0\n", "ground-set size must be positive"),
+            ("n=-8\n", "ground-set size must be positive"),
+            ('{"n": 3, "sets": [[1, 100000000000000000000]]}', "point outside 1..3"),
+            ('{"n": 3, "sets": [[1, 2.0]]}', "cannot be interpreted as an integer"),
+        ):
+            open(path, "w").write(text)
+            code, out, err = run(["verify", path, "--t", "2"], capsys)
+            assert (code, out) == (2, "") and message in err, text
 
     def test_missing_t_exit_2(self, tmp_path, capsys):
         path = str(tmp_path / "not.family")
@@ -323,6 +332,15 @@ class TestSearchCommand:
         code, out, err = run(["verify", str(path)], capsys)
         assert (code, err) == (0, "")
         assert out.startswith("t-laminar (t=2):")
+
+    def test_n_above_cap_exit_3_before_building(self, monkeypatch, capsys):
+        def build(*args):
+            raise AssertionError("compatibility graph built")
+
+        monkeypatch.setattr(search.CompatGraph, "build", build)
+        code, out, err = run(["search", "--n", "16", "--budget", "0"], capsys)
+        assert code == 3 and out == ""
+        assert err == f"search on n=16 points exceeds the cap {search.MAX_SEARCH_N}\n"
 
     @pytest.mark.parametrize("flag,value", [("--n", "-1"), ("--n", "0"), ("--t", "0")])
     def test_bad_n_or_t_exit_2(self, flag, value, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -5,7 +6,7 @@ from math import comb
 
 import pytest
 
-from conftest import random_laminar_family
+from conftest import members, random_laminar_family
 from laminar.construct import (
     CapExceeded,
     circle_tower,
@@ -18,15 +19,15 @@ from laminar.construct import (
     three_series_report,
 )
 from laminar.geometry import greedy_packing, projective_plane
-from laminar.setfam import Block, Family, is_t_laminar
+from laminar.setfam import Family, family_to_text, is_t_laminar
 
 
 class TestNested:
     def test_blocks_as_singletons(self):
         fano = projective_plane(2)
-        out = nested(fano, lambda k: Family(k.size, (Block.universe(k.size),)))
+        out = nested(fano, lambda k: Family(k.bit_count(), [(1 << k.bit_count()) - 1]))
         assert len(out) == 7
-        assert {b.members for b in out} == {b.members for b in fano.blocks}
+        assert set(members(out)) == set(members(fano.blocks))
         assert is_t_laminar(out, 2)
 
     def test_blocks_with_pairs(self):
@@ -47,7 +48,7 @@ class TestNested:
 
         out = nested(affine_plane(7), lambda k: f0)
         assert len(out) == 56 * 29
-        out_with_universe = Family(49, out.sets + (Block.universe(49),))
+        out_with_universe = Family(49, out.masks + ((1 << 49) - 1,))
         assert len(out_with_universe) == 1625
 
     def test_rejects_non_laminar_replacement(self):
@@ -76,6 +77,17 @@ class TestNested:
             repl = random_laminar_family(rng, k, t)
             out = nested(packing, lambda _b: repl)
             assert is_t_laminar(out, t)
+            assert out.masks == _nested_loop(packing, repl)
+
+
+def _nested_loop(packing, repl):
+    """Oracle: relabel bit by bit, block by block, keeping first sightings."""
+    seen = {}
+    for block in packing.blocks:
+        points = [p for p in range(packing.v) if block >> p & 1]
+        for m in repl:
+            seen.setdefault(sum(1 << points[i] for i in range(repl.n) if m >> i & 1), None)
+    return tuple(seen)
 
 
 class TestSevenSeries:
@@ -143,6 +155,22 @@ class TestCircleTower:
     def test_bracket(self):
         assert three_bracket(0) == Fraction(5, 4)
         assert three_bracket(1) == Fraction(5, 4) + Fraction(1, 120)
+
+
+@pytest.mark.parametrize(
+    "build,t,digest",
+    [
+        (lambda: fano_tower(1, materialize=True)[1], 2,
+         "e1ebe4bcc2f6c759f3afd26a1262e3044eb7e7a0cc46f69d4fe733ce3e598987"),
+        (lambda: circle_tower(1, materialize=True)[1], 3,
+         "c70f10c8e2133eeb5f56605bd3c95bf40ca1dc55e679e508a36a0b1984f7d2ca"),
+    ],
+    ids=["fano-tower-1", "circle-tower-1"],
+)
+def test_tower_text_bytes_pinned(build, t, digest):
+    """The tower files, member order included, are byte-reproducible."""
+    text = family_to_text(build(), t)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
 class TestThreeSeriesReport:

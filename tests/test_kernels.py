@@ -20,7 +20,7 @@ def _random_words(rng, n_sets, n_bits):
         m = rng.getrandbits(n_bits)
         if m:
             masks.add(m)
-    fam = Family.from_masks(n_bits, sorted(masks))
+    fam = Family(n_bits, sorted(masks))
     return fam, fam.to_words()
 
 
@@ -49,7 +49,7 @@ class TestViolationKernel:
         rng = random.Random(n_bits)
         for _ in range(40):
             fam, words = _random_words(rng, 30, n_bits)
-            masks = [b.mask for b in fam]
+            masks = list(fam)
             for t in (1, 2, 3):
                 assert _kernels.find_violation(words, t) == _first_violation(masks, t)
 
@@ -61,20 +61,20 @@ class TestViolationKernel:
         # first and last rows of blocks and blocks hold several words
         monkeypatch.setattr(_kernels, "_VIOLATION_BLOCK_CELLS", cells)
         rng = random.Random(1000 * cells + n_bits)
-        families = [Family.from_masks(n_bits, [])]
+        families = [Family(n_bits, [])]
         for _ in range(3):
-            families.append(Family.from_masks(n_bits, [rng.getrandbits(n_bits) | 1]))
+            families.append(Family(n_bits, [rng.getrandbits(n_bits) | 1]))
             # two members: nested either way, then overlapping in the
             # first word, then sharing only the two highest points
             low = rng.getrandbits(n_bits - 1) | 1
-            families.append(Family.from_masks(n_bits, [low, low | 1 << (n_bits - 1)]))
-            families.append(Family.from_masks(n_bits, [low | 1 << (n_bits - 1), low]))
-            families.append(Family.from_masks(n_bits, [low, 1 << (n_bits - 1) | 3]))
+            families.append(Family(n_bits, [low, low | 1 << (n_bits - 1)]))
+            families.append(Family(n_bits, [low | 1 << (n_bits - 1), low]))
+            families.append(Family(n_bits, [low, 1 << (n_bits - 1) | 3]))
             top = 3 << (n_bits - 2)
-            families.append(Family.from_masks(n_bits, [top | 1, top | 1 << (n_bits - 3)]))
+            families.append(Family(n_bits, [top | 1, top | 1 << (n_bits - 3)]))
         families += [_random_words(rng, 30, n_bits)[0] for _ in range(15)]
         for fam in families:
-            masks = [b.mask for b in fam]
+            masks = list(fam)
             words = fam.to_words()
             for t in (1, 2, 3, n_bits + 1):
                 assert _kernels.find_violation(words, t) == _first_violation(masks, t)
@@ -92,7 +92,7 @@ class TestViolationKernel:
     def test_large_family_uses_kernel_path(self):
         # every family goes through the bit-matrix kernel
         masks = list(range(1, 400))
-        fam = Family.from_masks(16, masks)
+        fam = Family(16, masks)
         assert is_t_laminar(fam, 2) == (_first_violation(masks, 2) is None)
 
 
@@ -101,7 +101,7 @@ def tower4():
     """Four disjoint relabeled copies of the 1625-set tower: 6500 laminar
     sets over 196 points, four words per row."""
     _, fam49 = fano_tower(1, materialize=True)
-    return [b.mask << (49 * copy) for copy in range(4) for b in fam49]
+    return [m << (49 * copy) for copy in range(4) for m in fam49]
 
 
 class TestViolationOnTower:
@@ -111,7 +111,7 @@ class TestViolationOnTower:
     CROSSING = 1 << 0 | 1 << 194 | 1 << 195
 
     def test_laminar_tower_has_no_violation(self, tower4):
-        assert _kernels.find_violation(Family.from_masks(196, tower4).to_words(), 2) is None
+        assert _kernels.find_violation(Family(196, tower4).to_words(), 2) is None
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_inserted_crossing_set(self, tower4, where):
@@ -128,13 +128,13 @@ class TestViolationOnTower:
         ]
         assert crossing
         want = tuple(sorted((crossing[0], pos)))
-        got = _kernels.find_violation(Family.from_masks(196, masks).to_words(), 2)
+        got = _kernels.find_violation(Family(196, masks).to_words(), 2)
         assert got == want
 
     def test_peak_memory(self, tower4):
         import tracemalloc
 
-        words = Family.from_masks(196, tower4).to_words()
+        words = Family(196, tower4).to_words()
         tracemalloc.start()
         try:
             assert _kernels.find_violation(words, 2) is None

@@ -5,14 +5,11 @@ import pytest
 
 from conftest import random_family
 from laminar.bounds import obf_table
-from laminar.construct import known_laminar_lower
 from laminar.search import (
     CompatGraph,
     _induced,
     _max_clique,
-    max_laminar_classic,
     max_laminar_exact,
-    verify_gap,
 )
 from laminar.setfam import _bit_positions, is_t_laminar
 
@@ -33,7 +30,7 @@ class TestExactSearch:
         assert res.forced == _t_sets_and_universe(n, 2)
         assert len(res.family) == expected
         assert is_t_laminar(res.family, 2)
-        assert all(b.size >= 2 for b in res.family)
+        assert all(b.bit_count() >= 2 for b in res.family)
 
     def test_f7_within_budget(self):
         res = max_laminar_exact(7, 2, budget_seconds=120)
@@ -67,9 +64,9 @@ def _t_sets_and_universe(n, t):
 
 
 def _assert_valid(res, t, min_size):
-    masks = [b.mask for b in res.family]
+    masks = list(res.family)
     assert len(masks) == len(set(masks)) == res.size
-    assert all(b.size >= min_size for b in res.family)
+    assert all(m.bit_count() >= min_size for m in masks)
     assert is_t_laminar(res.family, t)
 
 
@@ -106,7 +103,6 @@ class TestSymmetrySearch:
         res = max_laminar_exact(n, 1, budget_seconds=None, min_size=1)
         forced = n + 1 if n > 1 else 1  # the singletons and [n]
         assert (res.size, res.exact, res.forced) == (2 * n - 1, True, forced)
-        assert max_laminar_classic(n) == res.size
         _assert_valid(res, 1, 1)
 
     @pytest.mark.parametrize("n,t", [(6, 2), (7, 2), (6, 3), (7, 1)])
@@ -141,11 +137,7 @@ class TestSymmetrySearch:
 class TestClassic:
     @pytest.mark.parametrize("n,expected", [(1, 1), (2, 3), (3, 5), (5, 9), (6, 11)])
     def test_chain_plus_singletons(self, n, expected):
-        assert max_laminar_classic(n) == expected == 2 * n - 1
-
-    def test_scale_guard(self):
-        with pytest.raises(ValueError):
-            max_laminar_classic(9)
+        assert max_laminar_exact(n, 1, min_size=1).size == expected == 2 * n - 1
 
 
 def _build_oracle(n, t, min_size):
@@ -177,8 +169,8 @@ class TestCompatGraph:
         for min_size in sorted({1, 2, t}):
             graph = CompatGraph.build(n, t, min_size)
             masks, adj = _build_oracle(n, t, min_size)
-            assert [b.mask for b in graph.vertices] == masks
-            assert all(type(b.mask) is int for b in graph.vertices)
+            assert list(graph.vertices) == masks
+            assert all(type(m) is int for m in graph.vertices)
             assert graph.adj == adj, (n, t, min_size)
 
     def test_induced_matches_oracle(self):
@@ -206,31 +198,10 @@ class TestCompatGraph:
             if key not in graphs:
                 graphs[key] = CompatGraph.build(f.n, t, 1)
             g = graphs[key]
-            index = {b.mask: i for i, b in enumerate(g.vertices)}
-            ids = [index[b.mask] for b in f]
+            index = {m: i for i, m in enumerate(g.vertices)}
+            ids = [index[m] for m in f]
             clique = all(
                 g.adj[i] >> j & 1 for i in ids for j in ids if i != j
             )
             assert clique == is_t_laminar(f, t)
 
-
-class TestVerifyGap:
-    def test_n3_all_coincide(self, table10):
-        rep = verify_gap(3, 2, table10, construct_value=4)
-        assert rep.ok and (rep.construct_value, rep.search_value) == (4, 4)
-        assert rep.obf_value == 4
-
-    def test_n4(self, table10):
-        rep = verify_gap(4, 2, table10, construct_value=8)
-        assert rep.ok and rep.search_value == 8 and rep.obf_value == 8
-
-    def test_n7_sandwich(self, table10):
-        rep = verify_gap(7, 2, table10, known_laminar_lower(7), budget_seconds=120)
-        assert rep.ok
-        assert rep.construct_value == 29 <= rep.search_value
-        assert str(rep)
-
-    def test_no_table_for_t3(self):
-        rep = verify_gap(5, 3, None, construct_value=11, budget_seconds=30)
-        assert rep.obf_value is None
-        assert rep.ok

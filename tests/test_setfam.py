@@ -4,11 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_family
+from conftest import members, random_family
 from laminar import setfam
 from laminar.construct import fano_tower
 from laminar.setfam import (
-    Block,
     ChecksDisagree,
     Family,
     FamilyParseError,
@@ -22,6 +21,7 @@ from laminar.setfam import (
     forbidden_matrix,
     incidence_matrix,
     is_t_laminar,
+    masks_from_csr,
     maximal_sets,
     unique_chain_check,
     verify_t_laminar,
@@ -33,43 +33,66 @@ def fam(n, *sets):
     return Family.of(n, sets)
 
 
+# every reader of point lists, each taking the sets of a family over [3]
+_READERS = [
+    lambda sets: Family.of(3, sets),
+    lambda sets: family_from_text("n=3\n" + "\n".join(" ".join(map(str, s)) for s in sets))[0],
+    lambda sets: family_from_json({"n": 3, "sets": sets})[0],
+]
+
+
 class TestBlockFamily:
     def test_block_members_roundtrip(self):
-        b = Block.of(5, [2, 4, 5])
-        assert b.members == (2, 4, 5)
-        assert b.size == 3
-        assert 4 in b and 3 not in b
+        f = fam(5, [2, 4, 5])
+        assert f.masks == (0b11010,)
+        assert members(f) == [(2, 4, 5)]
+        assert family_to_json(f)["sets"] == [[2, 4, 5]]
 
     def test_members_beyond_one_word(self):
         pts = [1, 64, 65, 130, 200]
-        b = Block.of(200, pts)
-        assert b.members == tuple(pts)
-        assert Block(200, 0).members == ()
-        assert Block.universe(70).members == tuple(range(1, 71))
+        f = fam(200, pts, [], range(1, 71))
+        assert f.masks == (sum(1 << (p - 1) for p in pts), 0, (1 << 70) - 1)
+        assert family_to_json(f)["sets"] == [pts, [], list(range(1, 71))]
 
     def test_block_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            Block.of(3, [4])
+        for read in _READERS:
+            for sets, bad in (([[1], [4]], 4), ([[1, 2, 4, 5]], 4), ([[0]], 0)):
+                with pytest.raises(ValueError, match=rf"^point {bad} outside 1\.\.3$"):
+                    read(sets)
+        with pytest.raises(ValueError, match="outside 1..3"):
+            fam(3, [2**70])
+        with pytest.raises(TypeError):
+            fam(3, [1.0])
 
     def test_family_rejects_duplicates(self):
-        with pytest.raises(ValueError):
+        for read in _READERS:
+            for sets in ([[1, 2], [1, 2]], [[3], [1], [3]]):
+                with pytest.raises(ValueError, match="^duplicate blocks in family$"):
+                    read(sets)
+        with pytest.raises(ValueError, match="duplicate"):
             fam(3, [1, 2], [2, 1])
 
     def test_family_rejects_mixed_ground(self):
-        with pytest.raises(ValueError):
-            Family(3, (Block.of(3, [1]), Block.of(4, [1])))
+        # masks carry no ground size: a member of a larger ground set is a
+        # mask with bits at or above n
+        with pytest.raises(ValueError, match="outside 1..n"):
+            Family(3, (0b1, 0b1000))
+        with pytest.raises(ValueError, match="outside 1..n"):
+            Family(3, (-1,))
+        with pytest.raises(ValueError, match="positive"):
+            Family(0, ())
+        assert Family(3, [0b111, 0]).masks == (0b111, 0)
 
     def test_canonical_order(self):
         f = fam(4, [1, 2, 3], [4], [1, 2]).canonical()
-        assert [b.members for b in f] == [(4,), (1, 2), (1, 2, 3)]
+        assert members(f) == [(4,), (1, 2), (1, 2, 3)]
 
 
 def _words_loop(f: Family) -> np.ndarray:
     """Oracle: to_words one 64-bit word at a time."""
     n_words = (f.n + 63) // 64
     out = np.zeros((len(f), n_words), dtype=np.uint64)
-    for i, b in enumerate(f.sets):
-        m = b.mask
+    for i, m in enumerate(f):
         for w in range(n_words):
             out[i, w] = m & 0xFFFFFFFFFFFFFFFF
             m >>= 64
@@ -77,12 +100,12 @@ def _words_loop(f: Family) -> np.ndarray:
 
 
 class TestToWords:
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 196])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130, 196, 200])
     def test_matches_word_loop(self, n):
         rng = random.Random(n)
         masks = {rng.getrandbits(n) for _ in range(200)}
         masks |= {0, 1, 1 << (n - 1), (1 << n) - 1}
-        f = Family.from_masks(n, sorted(masks))
+        f = Family(n, sorted(masks))
         words = f.to_words()
         assert words.dtype == np.uint64 and words.shape == (len(f), (n + 63) // 64)
         assert np.array_equal(words, _words_loop(f))
@@ -90,7 +113,8 @@ class TestToWords:
     def test_tower_and_empty(self):
         _, tower = fano_tower(1, materialize=True)
         assert np.array_equal(tower.to_words(), _words_loop(tower))
-        assert Family(70, ()).to_words().shape == (0, 2)
+        for n in (1, 64, 65, 200):
+            assert Family(n, ()).to_words().shape == (0, (n + 63) // 64)
 
 
 class TestIsTLaminar:
@@ -140,27 +164,27 @@ class TestWitness:
                 w = violating_pair(f, t)
                 assert (w is None) == is_t_laminar(f, t)
                 if w is not None:
-                    a, b = (f.sets[i] for i in w)
-                    c = a.mask & b.mask
-                    assert c.bit_count() >= t and c != a.mask and c != b.mask
+                    a, b = (f.masks[i] for i in w)
+                    c = a & b
+                    assert c.bit_count() >= t and c != a and c != b
 
 
 class TestMaximalSets:
     def test_basic(self):
         f = fam(5, [1, 2], [1, 2, 3], [4, 5])
         out = maximal_sets(f)
-        assert {b.members for b in out} == {(1, 2, 3), (4, 5)}
+        assert set(members(out)) == {(1, 2, 3), (4, 5)}
 
     def test_universe_dropped(self):
         f = fam(5, [1, 2, 3, 4, 5], [1, 2], [3, 4])
         out = maximal_sets(f, exclude_universe=True)
-        assert {b.members for b in out} == {(1, 2), (3, 4)}
+        assert set(members(out)) == {(1, 2), (3, 4)}
 
     def test_fano_blocks_are_maximal(self):
         _, f0 = fano_tower(0, materialize=True)
         out = maximal_sets(f0, exclude_universe=True)
         assert len(out) == 7
-        assert all(b.size == 3 for b in out)
+        assert all(m.bit_count() == 3 for m in out)
 
     def test_antichain_and_coverage(self):
         rng = random.Random(23)
@@ -169,15 +193,15 @@ class TestMaximalSets:
             out = maximal_sets(f, exclude_universe=True)
             for a in out:
                 for b in out:
-                    assert a == b or not (a.mask & b.mask == a.mask)
+                    assert a == b or not (a & b == a)
             full = (1 << f.n) - 1
             for b in f:
-                if b.mask == full:
+                if b == full:
                     continue
-                containers = [c for c in out if b.mask & c.mask == b.mask]
+                containers = [c for c in out if b & c == b]
                 assert containers
                 # container unique when the family is 2-laminar
-                if is_t_laminar(f, 2) and b.mask not in {c.mask for c in out}:
+                if is_t_laminar(f, 2) and b not in set(out):
                     assert len(containers) >= 1
 
 
@@ -187,8 +211,9 @@ class TestMatrices:
         assert m.tolist() == [[1, 0], [1, 1]]
 
     def test_incidence_empty(self):
-        m = incidence_matrix(Family(3, ()))
-        assert m.shape == (0, 3)
+        for n in (1, 3, 8, 9, 200):
+            m = incidence_matrix(Family(n, ()))
+            assert m.shape == (0, n) and m.dtype == np.uint8
 
     def test_incidence_single(self):
         assert incidence_matrix(fam(3, [2, 3])).tolist() == [[0, 1, 1]]
@@ -197,38 +222,62 @@ class TestMatrices:
         f = fam(130, [1, 64, 65, 130], [2], [129, 130])
         m = incidence_matrix(f)
         assert m.shape == (3, 130) and m.dtype == np.uint8
-        assert [tuple(np.flatnonzero(row) + 1) for row in m] == [b.members for b in f]
+        assert [tuple(np.flatnonzero(row) + 1) for row in m] == members(f)
+        rng = random.Random(130)
+        for n in (1, 7, 8, 9, 63, 64, 65, 200):
+            f = Family(n, {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(20)})
+            m = incidence_matrix(f)
+            assert m.shape == (len(f), n) and m.dtype == np.uint8
+            assert [tuple(np.flatnonzero(row) + 1) for row in m] == members(f)
+            assert setfam.masks_from_bits(m) == list(f)
 
     def test_csr_points_match_members(self):
         rng = random.Random(64)
-        for n in (1, 7, 8, 9, 64, 65, 130):
-            masks = {rng.getrandbits(n) for _ in range(20)}
-            f = Family.from_masks(n, sorted(masks))
+        for n in (1, 7, 8, 9, 63, 64, 65, 130, 200):
+            masks = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(20)}
+            f = Family(n, sorted(masks))
             points, offsets = csr_points(f)
             assert points.dtype == offsets.dtype == np.int64
             assert offsets[0] == 0 and offsets[-1] == points.size
             got = [tuple(points[a:b] + 1) for a, b in zip(offsets, offsets[1:])]
-            assert got == [b.members for b in f]
+            assert got == members(f)
+            # the packer inverts csr_points, and the readers all pack alike
+            assert masks_from_csr(n, points, offsets) == list(f)
+            assert Family.of(n, got) == f
+            assert family_from_json(family_to_json(f)) == (f, None)
+            # a blank line is no member in the text format, so the empty
+            # member is left out of the text round trip
+            nonempty = Family(n, [m for m in f if m])
+            assert family_from_text(family_to_text(nonempty, t=2))[:2] == (nonempty, 2)
 
     def test_csr_points_empty(self):
-        points, offsets = csr_points(Family(3, ()))
-        assert points.size == 0 and offsets.tolist() == [0]
+        for n in (1, 3, 8, 9, 64, 65, 200):
+            f = Family(n, ())
+            points, offsets = csr_points(f)
+            assert points.size == 0 and offsets.tolist() == [0]
+            assert masks_from_csr(n, points, offsets) == []
+            assert Family.of(n, []) == f
+            assert family_from_text(family_to_text(f))[0] == f
+            assert family_from_json(family_to_json(f))[0] == f
 
     def test_from_rows_matches_of(self):
+        """Rows of equal length are packed as uniform CSR, as the design
+        generators do."""
         rng = random.Random(65)
         for n in (3, 8, 9, 70):
             k = rng.randint(1, n)
             rows = {tuple(sorted(rng.sample(range(1, n + 1), k))) for _ in range(15)}
-            rows = sorted(rows)
-            assert Family.from_rows(n, np.array(rows)) == Family.of(n, rows)
+            rows = np.array(sorted(rows))
+            offsets = np.arange(0, rows.size + 1, k)
+            got = masks_from_csr(n, rows.ravel() - 1, offsets)
+            assert Family(n, got) == Family.of(n, rows.tolist())
 
     def test_from_rows_rejects_points_outside_ground_set(self):
-        with pytest.raises(ValueError, match="outside"):
-            Family.from_rows(4, np.array([[1, 5]]))
-        with pytest.raises(ValueError, match="outside"):
-            Family.from_rows(4, np.array([[0, 2]]))
-        with pytest.raises(ValueError, match="2-d"):
-            Family.from_rows(4, np.array([1, 2]))
+        offsets = np.array([0, 2])
+        with pytest.raises(ValueError, match=r"^point 5 outside 1\.\.4$"):
+            masks_from_csr(4, np.array([0, 4]), offsets)
+        with pytest.raises(ValueError, match=r"^point 0 outside 1\.\.4$"):
+            masks_from_csr(4, np.array([-1, 1]), offsets)
 
     def test_forbidden_t2(self):
         assert forbidden_matrix(2).tolist() == [[0, 1, 1, 1], [1, 0, 1, 1]]
@@ -266,10 +315,10 @@ class TestMatrices:
 def _tower4(crossing=None):
     """Four disjoint relabelled copies of the 1625-set tower on 196 points."""
     _, f49 = fano_tower(1, materialize=True)
-    masks = [b.mask << (49 * c) for c in range(4) for b in f49]
+    masks = [m << (49 * c) for c in range(4) for m in f49]
     if crossing is not None:
-        masks.append(Block.of(196, crossing).mask)
-    return Family.from_masks(196, masks)
+        masks.append(sum(1 << (p - 1) for p in crossing))
+    return Family(196, masks)
 
 
 class TestGramConfig:
@@ -325,7 +374,7 @@ class TestGramConfig:
         assert contains_config(incidence_matrix(bad), forbidden_matrix(2))
 
     def test_memory_is_blocked(self):
-        m = incidence_matrix(Family(196, _tower4().sets[:4000]))
+        m = incidence_matrix(Family(196, _tower4().masks[:4000]))
         assert m.shape == (4000, 196)
         tracemalloc.start()
         try:
