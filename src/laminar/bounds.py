@@ -135,10 +135,9 @@ class Frontier:
     `scale`, so objective minimization runs on plain integers.
     """
 
-    __slots__ = ("n", "ks", "cs", "scale", "scaled_pts")
+    __slots__ = ("ks", "cs", "scale", "scaled_pts")
 
-    def __init__(self, n: int, ks: tuple[int, ...], cs: tuple[tuple[int, int], ...]):
-        self.n = n
+    def __init__(self, ks: tuple[int, ...], cs: tuple[tuple[int, int], ...]):
         self.ks = ks
         self.cs = cs
         lines = [_line(k, p, q) for k, (p, q) in zip(ks, cs)]
@@ -161,17 +160,8 @@ class Frontier:
         """Retained halfspace indices including the special eta_1."""
         return (1,) + self.ks
 
-    def with_stage(self, n: int) -> "Frontier":
-        f = Frontier.__new__(Frontier)
-        f.n = n
-        f.ks = self.ks
-        f.cs = self.cs
-        f.scale = self.scale
-        f.scaled_pts = self.scaled_pts
-        return f
 
-
-def _rebuild_frontier(n: int, ks: list[int], cs: list[tuple[int, int]]) -> Frontier:
+def _rebuild_frontier(ks: list[int], cs: list[tuple[int, int]]) -> Frontier:
     """Essential-set computation from scratch (runs only on critical steps).
 
     Brute force over the handful of candidate lines: collect feasible
@@ -199,7 +189,7 @@ def _rebuild_frontier(n: int, ks: list[int], cs: list[tuple[int, int]]) -> Front
         if k == 2 or sum(a * x + b * y == c * d for x, y, d in verts) >= 2
     ]
     retained.sort()
-    return Frontier(n, tuple(k for k, _ in retained), tuple(pq for _, pq in retained))
+    return Frontier(tuple(k for k, _ in retained), tuple(pq for _, pq in retained))
 
 
 def _cuts(theta: Frontier, k: int, p: int, q: int) -> bool:
@@ -215,19 +205,16 @@ def _cuts(theta: Frontier, k: int, p: int, q: int) -> bool:
     return False
 
 
-def frontier_update(theta: Frontier, k_new: int, obf_k: Fraction) -> Frontier:
-    """Advance Theta by one stage, adding eta_{k_new} only if it cuts.
+def frontier_update(theta: Frontier, k: int, p: int, q: int) -> Frontier:
+    """Theta with eta_k added, obf(k) = p/q in lowest terms.
 
-    If every current vertex satisfies the new constraint (tightness
-    included) the constraint is eliminated; once redundant it stays
-    redundant because later regions only shrink.
+    `obf_table` calls this only where `_cuts` finds a strict cut, which
+    always retains eta_k.  A constraint that cuts nothing is dropped by
+    the rebuild (no two eta lines are parallel, so it is tight at one
+    vertex at most); once redundant it stays redundant because later
+    regions only shrink.
     """
-    if k_new != theta.n + 1:
-        raise ValueError("stages must advance one at a time")
-    p, q = obf_k.numerator, obf_k.denominator
-    if not _cuts(theta, k_new, p, q):
-        return theta.with_stage(k_new)
-    return _rebuild_frontier(k_new, [*theta.ks, k_new], [*theta.cs, (p, q)])
+    return _rebuild_frontier([*theta.ks, k], [*theta.cs, (p, q)])
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +233,6 @@ class BoundTable:
         self._den: list[int] = [1, 1]
         #: how many of the values were read from a cache
         self.n_cached = 0
-        self.frontier_log: list[tuple[int, tuple[int, ...]]] = []
         self._seg_starts: list[int] = []
         self._seg_frontiers: list[Frontier] = []
         # indices k where obf(k)/C(k,2) exceeds every earlier ratio, and
@@ -270,7 +256,12 @@ class BoundTable:
         """Theta_m: the frontier state at the last change index <= m."""
         if m < 2:
             raise KeyError("frontiers start at stage 2")
-        return self._seg_frontiers[bisect_right(self._seg_starts, m) - 1].with_stage(m)
+        return self._seg_frontiers[bisect_right(self._seg_starts, m) - 1]
+
+    @property
+    def frontier_log(self) -> list[tuple[int, tuple[int, ...]]]:
+        """(first stage, critical indices) of every frontier segment."""
+        return [(s, f.critical) for s, f in zip(self._seg_starts, self._seg_frontiers)]
 
     @property
     def critical(self) -> tuple[int, ...]:
@@ -297,7 +288,6 @@ class BoundTable:
     def _push_frontier(self, start: int, frontier: Frontier):
         self._seg_starts.append(start)
         self._seg_frontiers.append(frontier)
-        self.frontier_log.append((start, frontier.critical))
 
 
 def _dual_min_scaled(n: int, m: int, frontier: Frontier) -> int:
@@ -615,7 +605,7 @@ def obf_table(
     table.n_cached = len(cached)
     top = max(n_max, len(cached) + 1, 3)
 
-    frontier = Frontier(2, (2,), ((1, 1),))
+    frontier = Frontier((2,), ((1, 1),))
     table._append_value(2, 1, 1)
     table._push_frontier(2, frontier)
 
@@ -624,7 +614,7 @@ def obf_table(
         table._append_value(n, p, q)
         # a strict cut always retains eta_n, so the frontier changes
         if _cuts(frontier, n, p, q):
-            frontier = frontier_update(frontier.with_stage(n - 1), n, Fraction(p, q))
+            frontier = frontier_update(frontier, n, p, q)
             table._push_frontier(n, frontier)
 
     for n in range(3, len(cached) + 2):

@@ -129,12 +129,11 @@ def cmd_construct(args) -> int:
     try:
         if kind in ("fano-tower", "circle-tower"):
             builder = construct.fano_tower if kind == "fano-tower" else construct.circle_tower
-            t = 2 if kind == "fano-tower" else 3
             report, fam = builder(args.r, materialize=args.materialize)
             print(json.dumps(report.to_json(), indent=2) if args.json else report)
             if fam is not None:
                 path = out or f"{kind}-r{args.r}.family"
-                _write_family(path, fam, t, [f"tower kind={kind} r={args.r} n={report.n}"])
+                _write_family(path, fam, report.t, [f"tower kind={kind} r={args.r} n={report.n}"])
             return EXIT_OK
         if kind in ("affine", "projective", "circle"):
             gen = {

@@ -6,7 +6,8 @@ one block inherit the replacement's guarantee, and members from
 different blocks share fewer than t points because the packing does.
 Iterating over affine planes of order 7^(2^(r-1)) gives the t = 2 tower
 on 7^(2^r) points; iterating over circle geometries gives the t = 3
-tower on 3^(2^r) + 1 points.
+tower on 3^(2^(r+1)) + 1 points.  Both towers walk one chain of
+t-(v,k,1) designs in `_tower`.
 
 Counting uses the exact recursion g(n) = b*g(m) + 1 (b blocks, +1 for
 the universe), cross-checked against the closed-form bracket series and
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Callable, Optional
 
@@ -30,6 +31,11 @@ from .setfam import Family, csr_points, is_t_laminar, masks_from_csr
 # materialization caps: beyond these the towers are counted, not built
 FANO_TOWER_CAP = 2401
 CIRCLE_TOWER_CAP = 82
+
+# CPython prints ints of at most 4300 digits, and 2^14284 < 10^4300.  A
+# report's integers stay below n^t, so a level with t * bits(n) above
+# this bound is refused before any count is computed.
+_REPORT_BITS = 14284
 
 
 class CapExceeded(ValueError):
@@ -97,6 +103,106 @@ def nested(packing: Design, replacements: Callable[[int], Family]) -> Family:
     return Family(packing.v, tuple(dict.fromkeys(masks)))
 
 
+def _fano_level0() -> Family:
+    pairs = Family.of(7, combinations(range(1, 8), 2))
+    return Family(7, pairs.masks + projective_plane(2).blocks.masks + ((1 << 7) - 1,))
+
+
+def _circle_level0() -> Family:
+    small = Family.of(10, (p for k in (1, 2, 3) for p in combinations(range(1, 11), k)))
+    return Family(10, small.masks + circle_geometry(3).blocks.masks + ((1 << 10) - 1,))
+
+
+def _chain(t: int):
+    """Ground sizes s_0, s_1, ... of the t-tower; level r lives on s_{r+1}.
+
+    For t = 2: 3, 7, 49, 2401, ... (the Fano plane, then affine planes
+    of order s).  For t = 3: 4, 10, 82, ... (circle geometries of order
+    s - 1).
+    """
+    s0, s = (3, 7) if t == 2 else (4, 10)
+    yield s0
+    while True:
+        yield s
+        s = s * s if t == 2 else (s - 1) ** 2 + 1
+
+
+def _tower(t: int, r: int, materialize: bool) -> tuple[TowerReport, Optional[Family]]:
+    """Level r of the t-tower on n = s_{r+1} points.
+
+    Level i + 1 nests level i into the C(v,t)/C(k,t) blocks of a
+    t-(v,k,1) design, k = s_{i+1} and v = s_{i+2}, and adds the universe,
+    so the count starts at C(s_0,t) + 1 and steps to C(v,t)/C(k,t) *
+    count + 1.  It must equal the closed form C(n,t) * (1 + sum of
+    1/C(s,t) over s_0..s_{r+1}), and a materialized family must hold as
+    many members of size >= t.
+    """
+    if r < 0:
+        raise ValueError("level must be >= 0")
+    sizes = []
+    for s in islice(_chain(t), r + 2):
+        if t * s.bit_length() > _REPORT_BITS:
+            raise CapExceeded(f"level r={r} of the t={t} tower is too large to report:"
+                              " its count would exceed 4300 digits")
+        sizes.append(s)
+    n = sizes[-1]
+    count = comb(sizes[0], t) + 1
+    for k, v in zip(sizes, sizes[1:]):
+        count = comb(v, t) // comb(k, t) * count + 1
+    formula = comb(n, t) * (1 + sum(Fraction(1, comb(s, t)) for s in sizes))
+    if formula != count:
+        raise AssertionError("tower count disagrees with the bracket series")
+    report = TowerReport(
+        t=t, r=r, n=n, count_geq_t=count, formula_value=formula,
+        ratio=Fraction(count, comb(n, t)),
+    )
+    if not materialize:
+        return report, None
+    cap = FANO_TOWER_CAP if t == 2 else CIRCLE_TOWER_CAP
+    if n > cap:
+        raise CapExceeded(f"materializing n={n} exceeds the cap {cap}")
+    fam = _fano_level0() if t == 2 else _circle_level0()
+    for k, v in zip(sizes[1:], sizes[2:]):
+        design = affine_plane(k) if t == 2 else circle_geometry(k - 1)
+        prev = fam
+        fam = nested(design, lambda _b: prev)
+        fam = Family(v, fam.masks + ((1 << v) - 1,))
+    if fam.count_size_geq(t) != count:
+        raise AssertionError("materialized tower count mismatch")
+    return report, fam
+
+
+def fano_tower(r: int, materialize: bool = False) -> tuple[TowerReport, Optional[Family]]:
+    """Level r of the t = 2 tower on n = 7^(2^r) points.
+
+    Level 0 is all pairs of [7], the seven blocks of the Fano plane,
+    and [7] itself (29 sets).  Level i nests level i-1 into the affine
+    plane of order 7^(2^(i-1)) and adds the universe.  Materialization
+    is capped at n <= FANO_TOWER_CAP = 2401 (r <= 2; the r = 2 level
+    has about 4M members); levels past r = 11 are refused.
+    """
+    return _tower(2, r, materialize)
+
+
+def circle_tower(r: int, materialize: bool = False) -> tuple[TowerReport, Optional[Family]]:
+    """Level r of the t = 3 tower on n = 3^(2^(r+1)) + 1 points.
+
+    Level 0 on 10 points holds every subset of size 1..3, the 30 blocks
+    of the 3-(10,4,1) circle geometry, and [10]; level i nests level
+    i-1 into the circle geometry of order 3^(2^i).  count_geq_t
+    counts members of size >= 3 (universe included); the size-1 and
+    size-2 layers ride along in materialized families and are reported
+    separately.  Materialization is capped at n <= CIRCLE_TOWER_CAP = 82
+
+# CPython prints ints of at most 4300 digits, and 2^14284 < 10^4300.  A
+# report's integers stay below n^t, so a level with t * bits(n) above
+# this bound is refused before any count is computed.
+_REPORT_BITS = 14284
+    (r <= 1); levels past r = 10 are refused.
+    """
+    return _tower(3, r, materialize)
+
+
 def seven_series(r: int) -> Fraction:
     """Bracket series for the t = 2 tower at n = 7^(2^r):
 
@@ -105,70 +211,8 @@ def seven_series(r: int) -> Fraction:
     whose product with C(n,2) is the exact tower count (the final term
     contributes the universe).
     """
-    if r < 0:
-        raise ValueError("level must be >= 0")
-    total = 1 + Fraction(1, 3)
-    m = 7
-    for _ in range(r + 1):
-        total += Fraction(1, comb(m, 2))
-        m *= m
-    return total
-
-
-def _fano_level0() -> Family:
-    pairs = Family.of(7, combinations(range(1, 8), 2))
-    return Family(7, pairs.masks + projective_plane(2).blocks.masks + ((1 << 7) - 1,))
-
-
-def fano_tower(r: int, materialize: bool = False) -> tuple[TowerReport, Optional[Family]]:
-    """Level r of the t = 2 tower on n = 7^(2^r) points.
-
-    Level 0 is all pairs of [7], the seven blocks of the Fano plane,
-    and [7] itself (29 sets).  Level i nests level i-1 into the affine
-    plane of order 7^(2^(i-1)) and adds the universe.  Counts follow
-    g(n) = b*g(m) + 1 exactly; materialization is capped at
-    n <= FANO_TOWER_CAP = 2401 (r <= 2; the r = 2 level has about 4M
-    members) and verified against the count.
-    """
-    if r < 0:
-        raise ValueError("level must be >= 0")
-    n, count = 7, 29
-    for _ in range(r):
-        m = n
-        n = m * m
-        blocks = comb(n, 2) // comb(m, 2)
-        count = blocks * count + 1
-    formula = comb(n, 2) * seven_series(r)
-    report = TowerReport(
-        t=2, r=r, n=n, count_geq_t=count, formula_value=formula,
-        ratio=Fraction(count, comb(n, 2)),
-    )
-    if formula != count:
-        raise AssertionError("tower count disagrees with the bracket series")
-    if not materialize:
-        return report, None
-    if n > FANO_TOWER_CAP:
-        raise CapExceeded(f"materializing n={n} exceeds the cap {FANO_TOWER_CAP}")
-    fam = _fano_level0()
-    size = 7
-    while size < n:
-        plane = affine_plane(size)
-        prev = fam
-        fam = nested(plane, lambda _k: prev)
-        size = size * size
-        fam = Family(size, fam.masks + ((1 << size) - 1,))
-    if fam.count_size_geq(2) != count:
-        raise AssertionError("materialized tower count mismatch")
-    return report, fam
-
-
-def _three_tower_sizes(r: int) -> list[int]:
-    """Ground sizes 10, 82, ... of circle-tower levels 0..r."""
-    out, q = [], 3
-    for _ in range(r + 1):
-        out.append(q * q + 1)
-        q *= q
-    return out
+    rep, _ = _tower(2, r, False)
+    return rep.formula_value / comb(rep.n, 2)
 
 
 def three_bracket(r: int) -> Fraction:
@@ -176,65 +220,8 @@ def three_bracket(r: int) -> Fraction:
     1/C(n_i,3) over earlier levels; the universe is carried by the
     leading 1 of the full-size formula rather than by a final term.
     """
-    if r < 0:
-        raise ValueError("level must be >= 0")
-    total = 1 + Fraction(1, comb(4, 3))
-    for n_i in _three_tower_sizes(r - 1) if r > 0 else []:
-        total += Fraction(1, comb(n_i, 3))
-    return total
-
-
-def _circle_count_geq3(r: int) -> int:
-    count = 5  # on 4 points: the four triples and the universe
-    q = 3
-    for _ in range(r + 1):
-        count = q * (q * q + 1) * count + 1
-        q *= q
-    return count
-
-
-def _circle_level0() -> Family:
-    small = Family.of(10, (p for k in (1, 2, 3) for p in combinations(range(1, 11), k)))
-    return Family(10, small.masks + circle_geometry(3).blocks.masks + ((1 << 10) - 1,))
-
-
-def circle_tower(r: int, materialize: bool = False) -> tuple[TowerReport, Optional[Family]]:
-    """Level r of the t = 3 tower on n = 3^(2^r) + 1 points.
-
-    Level 0 on 10 points holds every subset of size 1..3, the 30 blocks
-    of the 3-(10,4,1) circle geometry, and [10]; level i nests level
-    i-1 into the circle geometry of order 3^(2^(i-1)).  count_geq_t
-    counts members of size >= 3 (universe included); the size-1 and
-    size-2 layers ride along in materialized families and are reported
-    separately.  Materialization is capped at n <= CIRCLE_TOWER_CAP = 82
-    (r <= 1).
-    """
-    if r < 0:
-        raise ValueError("level must be >= 0")
-    n = _three_tower_sizes(r)[-1]
-    count = _circle_count_geq3(r)
-    formula = comb(n, 3) * three_bracket(r) + 1
-    if formula != count:
-        raise AssertionError("tower count disagrees with the bracket series")
-    report = TowerReport(
-        t=3, r=r, n=n, count_geq_t=count, formula_value=formula,
-        ratio=Fraction(count, comb(n, 3)),
-    )
-    if not materialize:
-        return report, None
-    if n > CIRCLE_TOWER_CAP:
-        raise CapExceeded(f"materializing n={n} exceeds the cap {CIRCLE_TOWER_CAP}")
-    fam = _circle_level0()
-    size = 10
-    while size < n:
-        geom = circle_geometry(size - 1)  # order q^2 where size = q^2 + 1
-        prev = fam
-        fam = nested(geom, lambda _k: prev)
-        size = geom.v
-        fam = Family(size, fam.masks + ((1 << size) - 1,))
-    if fam.count_size_geq(3) != count:
-        raise AssertionError("materialized tower count mismatch")
-    return report, fam
+    rep, _ = _tower(3, r, False)
+    return (rep.formula_value - 1) / comb(rep.n, 3)
 
 
 @dataclass(frozen=True)
@@ -273,12 +260,13 @@ def three_series_report(r: int) -> ThreeSeriesReport:
     (leading 1 = universe); the recursive count tallies members of size
     >= 3 via g(n) = b*g(m) + 1.  Both are exact rationals.
     """
-    n = _three_tower_sizes(r)[-1]
+    rep, _ = _tower(3, r, False)
+    n = rep.n
     bracket = three_bracket(r)
     printed_total = 1 + n + comb(n, 2) + comb(n, 3) * bracket
-    count = _circle_count_geq3(r)
-    full = n + comb(n, 2) + count
-    limit = 1 + Fraction(1, 4) + Fraction(1, 120) + Fraction(1, 88560)
+    full = n + comb(n, 2) + rep.count_geq_t
+    # the sum through the 82-point level; later terms are below 1e-10
+    limit = three_bracket(2)
     note = (
         f"bracket series limit ~ {rat_to_decimal(limit, 6)} per direct summation; "
         "the constant 1.5083 quoted alongside the displayed formula does not "
@@ -289,7 +277,7 @@ def three_series_report(r: int) -> ThreeSeriesReport:
         n=n,
         printed_bracket=bracket,
         printed_total=printed_total,
-        count_geq3=count,
+        count_geq3=rep.count_geq_t,
         full_size=full,
         note=note,
     )
@@ -305,12 +293,10 @@ def known_laminar_lower(k: int) -> int:
         raise ValueError("k must be >= 2")
     if k == 2:
         return 1
-    m, r = 7, 0
-    while m < k:
-        m, r = m * m, r + 1
-    if m == k:
-        return int(comb(k, 2) * seven_series(r))
-    return comb(k, 2) + 1
+    for r, s in enumerate(islice(_chain(2), 1, None)):
+        if s >= k:
+            break
+    return _tower(2, r, False)[0].count_geq_t if s == k else comb(k, 2) + 1
 
 
 def general_n_lower_bound(

@@ -369,7 +369,8 @@ def verify_t_laminar(fam: Family, t: int) -> Optional[tuple[int, int]]:
 #
 # Text format: optional leading '#' comment lines, then a header line
 # "n=<int>" or "n=<int> t=<int>", then one line per set listing its
-# points in strictly increasing order.
+# points in strictly increasing order.  A blank line is no member, so
+# the empty member has no text form.
 
 
 class FamilyParseError(ValueError):
@@ -379,6 +380,8 @@ class FamilyParseError(ValueError):
 
 
 def family_to_text(fam: Family, t: int | None = None, comments: Iterable[str] = ()) -> str:
+    if 0 in fam.masks:
+        raise ValueError("the text format cannot hold the empty member")
     lines = [f"# {c}" for c in comments]
     header = f"n={fam.n}" if t is None else f"n={fam.n} t={t}"
     lines.append(header)

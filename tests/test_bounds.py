@@ -9,6 +9,7 @@ from laminar.bounds import (
     CacheError,
     Frontier,
     Halfspace,
+    _cuts,
     _interval_bounds,
     _max_lp,
     _rebuild_frontier,
@@ -106,8 +107,10 @@ class TestPrimalDual:
 class TestFrontier:
     def test_eta4_tight_but_redundant(self, table60):
         theta3 = table60.frontier_at(3)
-        theta4 = frontier_update(theta3.with_stage(3), 4, table60.obf(4))
-        assert theta4.ks == (2, 3)  # eta_4 touches (0, 4/3) but does not cut
+        p, q = table60.obf(4).numerator, table60.obf(4).denominator
+        # eta_4 touches (0, 4/3) but does not cut, and a rebuild drops it
+        assert not _cuts(theta3, 4, p, q)
+        assert frontier_update(theta3, 4, p, q).ks == (2, 3)
 
     def test_eta7_cuts(self, table60):
         assert table60.frontier_at(7).critical == (1, 2, 3, 7)
@@ -143,15 +146,12 @@ class TestFrontier:
                 continue
             ks = [k for k in f.ks if k != drop]
             cs = [c for k, c in zip(f.ks, f.cs) if k != drop]
-            reduced = _rebuild_frontier(600, ks, cs)
+            reduced = _rebuild_frontier(ks, cs)
             dropped = Halfspace.from_index(drop, table600.obf(drop))
             assert any(
                 not dropped.holds(x, y) for x, y in reduced.vertices
             ), drop
 
-    def test_stage_advance_guard(self, table60):
-        with pytest.raises(ValueError):
-            frontier_update(table60.frontier_at(10), 12, Fraction(1))
 
 
 def _rebuild_frontier_fractions(ks, cs):
@@ -197,17 +197,17 @@ class TestIntegerRebuild:
             prev = table2000.frontier_at(n - 1)
             ks = [*prev.ks, n]
             cs = [*prev.cs, (table2000.obf(n).numerator, table2000.obf(n).denominator)]
-            got = _rebuild_frontier(n, ks, cs)
+            got = _rebuild_frontier(ks, cs)
             want, verts = _rebuild_frontier_fractions(ks, [Fraction(*c) for c in cs])
             assert [(k, Fraction(*c)) for k, c in zip(got.ks, got.cs)] == want, n
             assert got.vertices == verts, n
             assert got.scale == lcm(*(v.denominator for xy in verts for v in xy)), n
-            assert (got.n, got.critical) == (n, table2000.frontier_at(n).critical)
+            assert got.critical == table2000.frontier_at(n).critical
 
     def test_touching_line_dropped(self):
         # eta_4 (obf 8) only touches the vertex (0, 4/3) of eta_2, eta_3
         cs = [(1, 1), (4, 1), (8, 1)]
-        got = _rebuild_frontier(4, [2, 3, 4], cs)
+        got = _rebuild_frontier([2, 3, 4], cs)
         want, verts = _rebuild_frontier_fractions([2, 3, 4], [Fraction(*c) for c in cs])
         assert got.ks == (2, 3) and [k for k, _ in want] == [2, 3]
         assert got.vertices == verts == ((1, 1), (0, Fraction(4, 3)))

@@ -2,11 +2,12 @@ import gc
 import json
 import os
 import random
+import time
 
 import pytest
 
 from conftest import random_family
-from laminar import cli, geometry, search, setfam
+from laminar import cli, construct, geometry, search, setfam
 from laminar.cli import main
 from laminar.setfam import family_from_text, family_to_text, is_t_laminar
 
@@ -193,6 +194,23 @@ class TestConstructCommand:
         code, out, _ = run(["construct", "fano-tower", "--r", "2", "--json"], capsys)
         assert code == 0
         assert json.loads(out)["count_geq_t"] == 3981251
+
+    @pytest.mark.parametrize("kind,r", [("fano-tower", 11), ("circle-tower", 10)])
+    def test_largest_printable_tower_level(self, kind, r, capsys):
+        builder = construct.fano_tower if kind == "fano-tower" else construct.circle_tower
+        code, out, _ = run(["construct", kind, "--r", str(r), "--json"], capsys)
+        assert code == 0 and json.loads(out) == builder(r)[0].to_json()
+        code, out, _ = run(["construct", kind, "--r", str(r)], capsys)
+        assert code == 0 and out == f"{builder(r)[0]}\n"
+
+    @pytest.mark.parametrize(
+        "kind,r", [("fano-tower", 12), ("circle-tower", 11), ("fano-tower", 40)])
+    def test_unprintable_tower_level_exit_3(self, kind, r, capsys):
+        start = time.perf_counter()
+        code, out, err = run(["construct", kind, "--r", str(r), "--json"], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "too large to report" in err
 
 
 class TestVerifyCommand:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -171,6 +172,33 @@ def test_tower_text_bytes_pinned(build, t, digest):
     """The tower files, member order included, are byte-reproducible."""
     text = family_to_text(build(), t)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+def _report_digest(reports) -> str:
+    text = "".join(json.dumps(rep.to_json(), sort_keys=True) + "\n" for rep in reports)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def test_tower_reports_pinned():
+    """Every level whose report prints, byte for byte, and its count
+    against each tower's own recursion: b*g + 1 with b = C(n,2)/C(m,2)
+    for t = 2, and q(q^2+1)*g + 1 on q^2 + 1 points for t = 3."""
+    fano = [fano_tower(r)[0] for r in range(12)]
+    circle = [circle_tower(r)[0] for r in range(11)]
+    assert _report_digest(fano) == (
+        "be9f952513f8d77d3b0dca5cb9cfe729ddc49cbc61d09c9fac7eb74297f63817")
+    assert _report_digest(circle) == (
+        "912f4fc6fbb53c802521693a161d881d9d4f04fcabc760dc8d942350ec54652d")
+    assert _report_digest(three_series_report(r) for r in range(3)) == (
+        "8ffba3effe280464ca970e2bc2a92b04890ce629ed8ba46208ed0515fcb123d6")
+    m, g = 7, 29
+    for rep in fano:
+        assert (rep.t, rep.n, rep.count_geq_t) == (2, m, g)
+        m, g = m * m, comb(m * m, 2) // comb(m, 2) * g + 1
+    q, g = 3, 151
+    for rep in circle:
+        assert (rep.t, rep.n, rep.count_geq_t) == (3, q * q + 1, g)
+        q, g = q * q, q * q * (q**4 + 1) * g + 1
 
 
 class TestThreeSeriesReport:

@@ -245,8 +245,10 @@ class TestMatrices:
             assert masks_from_csr(n, points, offsets) == list(f)
             assert Family.of(n, got) == f
             assert family_from_json(family_to_json(f)) == (f, None)
-            # a blank line is no member in the text format, so the empty
-            # member is left out of the text round trip
+            # a blank line is no member in the text format, so the
+            # empty member cannot be written
+            with pytest.raises(ValueError, match="empty member"):
+                family_to_text(f, t=2)
             nonempty = Family(n, [m for m in f if m])
             assert family_from_text(family_to_text(nonempty, t=2))[:2] == (nonempty, 2)
 
