@@ -39,6 +39,26 @@ sound upper bounds on obf(m) + (dual minimum at m) is <= the incumbent:
 
 Surviving short intervals are evaluated exactly point by point.
 
+Across steps the bounds are certified once, not at every n.  Write
+F_n(m) = LP(n, m), so obf(n) = 1 + max F_n.  The branch-and-bound of
+step n starts from seeds: each frontier segment with the warm start m0
+cut out, the open last segment only up to a cut c.  A seed carries a
+horizon E, the last step up to which one vertex v's bound on it (the
+monotone one, or the quadratic one at both endpoints) stays
+<= F_k(m0), and it is skipped, with no arithmetic, at every step
+n <= E.  Skipping is sound whichever m wins: the incumbent of step k
+starts at F_k(m0) and only grows, so no m of such a seed could replace
+it.  For fixed v and a vertex u of Theta_{m0} both sides are
+quadratics in k with integer coefficients (2 C(k-m,2) =
+k^2 - (2m+1) k + m(m+1)), so E is exact: a root from `math.isqrt`,
+settled by evaluation at E and E + 1.  A seed whose bound fails
+already at issue is split in halves down to the leaf width; a seed
+that still fails, or whose horizon has passed, is bounded at every
+step as before, and so is the tail (c, n-1] of the open segment; c
+moves to n - 1 once the tail is longer than the seed part.  Every
+horizon is dropped when the frontier gains a segment or m0 changes,
+since both sides of each comparison assume them fixed.
+
 The table stores each obf(n) as an integer pair (numerator,
 denominator) in lowest terms; a Fraction is made only when a caller
 asks for one (`BoundTable.obf`, the reports) or for an error message.
@@ -69,7 +89,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 from typing import Callable, NamedTuple, Optional, TextIO
 
 
@@ -354,12 +374,168 @@ def _interval_bounds(
     return mono, (None if quad is None else (quad, q_r * s))
 
 
-def _max_lp(table: BoundTable, n: int, m0: int) -> tuple[int, int, int]:
+def _horizon(a: int, b: int, c: int, n0: int) -> Optional[int]:
+    """Largest e >= n0 - 1 with P(k) = a k^2 + b k + c >= 0 at every
+    integer n0 <= k <= e; None when P(k) >= 0 at every k >= n0.
+
+    The root comes from `math.isqrt` and is then settled by exact
+    evaluation at e and e + 1, so e is exact.
+    """
+
+    def p(k: int) -> int:
+        return (a * k + b) * k + c
+
+    if p(n0) < 0:
+        return n0 - 1
+    if a == 0:
+        return None if b >= 0 else c // -b
+    if a > 0 and 2 * a * n0 + b >= 0:
+        return None  # P is nondecreasing from n0 on
+    d = b * b - 4 * a * c
+    if d < 0:
+        return None  # a > 0 here: P has no real root
+    s = isqrt(d)
+    # the root that ends the run from n0: the smaller one when a > 0
+    # (n0 lies before the vertex), the larger one when a < 0
+    e = (-b - s) // (2 * a) if a > 0 else (b + s + 1) // (-2 * a)
+    while p(e) < 0:
+        e -= 1
+    if p(e + 1) >= 0:
+        return None  # a > 0 and no integer falls strictly between the roots
+    return e
+
+
+def _seed_horizon(
+    table: BoundTable, n: int, lo: int, hi: int, si: int, m0: int
+) -> Optional[int]:
+    """How long the seed [lo, hi] of segment si may be skipped from step n.
+
+    Returns the largest E >= n - 1 such that, for one vertex v of the
+    segment, the monotone bound obf(hi) + g_v(k, lo) or (when h_v is
+    convex) both endpoint values of the quadratic bound stay <= F_k(m0)
+    at every step n <= k <= E; None when one does at every k >= n.
+    Here g_v(k, m) = C(k-m,2) x_v + (C(k,2) - C(m,2)) y_v, so with u a
+    vertex of Theta_{m0} each comparison is an integer quadratic in k
+    (2 C(k-m,2) = k^2 - (2m+1) k + m(m+1)), solved by `_horizon`.
+    """
+    nums, dens = table._num, table._den
+    f, f0 = table._seg_frontiers[si], table.frontier_at(m0)
+    s, s0 = f.scale, f0.scale
+    p0, q0 = nums[m0], dens[m0]
+    p_r, q_r = table._ratio_max(hi)
+    # each bound as its terms (p, q, a): alpha = p/q plus g_v(k, a)
+    mono = ((nums[hi], dens[hi], lo),)
+    quad = ((p_r * lo * (lo - 1), 2 * q_r, lo), (p_r * hi * (hi - 1), 2 * q_r, hi))
+    best = n - 1
+    for xv, yv in f.scaled_pts:
+        kinds = (mono, quad) if q_r * (xv - yv) >= -p_r * s else (mono,)
+        for terms in kinds:
+            # E for this bound: the least horizon over its terms and over u
+            e = None
+            for p_a, q_a, a in terms:
+                # F_k(m0) - bound, times 2 q0 q_a S0 S (a positive integer)
+                u_mul, v_mul = q0 * q_a * s, q0 * q_a * s0
+                vx = v_mul * (xv + yv)
+                vb = v_mul * ((2 * a + 1) * xv + yv)
+                vc = v_mul * (a * (a + 1) * xv - a * (a - 1) * yv)
+                const = 2 * s0 * s * (p0 * q_a - p_a * q0)
+                for xu, yu in f0.scaled_pts:
+                    h = _horizon(
+                        u_mul * (xu + yu) - vx,
+                        vb - u_mul * ((2 * m0 + 1) * xu + yu),
+                        u_mul * (m0 * (m0 + 1) * xu - m0 * (m0 - 1) * yu) - vc + const,
+                        n,
+                    )
+                    if h is not None and (e is None or h < e):
+                        e = h
+                        if e <= best:
+                            break
+                if e is not None and e <= best:
+                    break
+            if e is None:
+                return None
+            best = max(best, e)
+    return best
+
+
+def _seeds(starts: list[int], first: int, top: int, m0: int):
+    """(lo, hi, si) for every frontier segment si >= first, clipped to
+    m <= top, with the warm start m0 cut out."""
+    for si in range(first, bisect_right(starts, top)):
+        lo = starts[si]
+        hi = min(starts[si + 1] - 1, top) if si + 1 < len(starts) else top
+        if lo <= m0 <= hi:
+            if lo < m0:
+                yield lo, m0 - 1, si
+            if m0 < hi:
+                yield m0 + 1, hi, si
+        else:
+            yield lo, hi, si
+
+
+class _Horizons:
+    """The branch-and-bound seeds of consecutive steps, with horizons.
+
+    `seeds` holds (lo, hi, si, E): the seed may be skipped at every step
+    n <= E (E None: at every step).  The open last segment contributes
+    its part up to `cut`; the tail (cut, n-1] is not a seed.  All of it
+    holds for one warm start `m0` and `segments` frontier segments.
+    """
+
+    __slots__ = ("m0", "segments", "cut", "seeds")
+
+    def __init__(self):
+        self.m0 = 0
+        self.segments = 0
+        self.cut = 0
+        self.seeds: list[tuple[int, int, int, Optional[int]]] = []
+
+    def _issue(self, table: BoundTable, n: int, lo: int, hi: int, si: int):
+        """Add the seed [lo, hi] of segment si with its horizon from step
+        n; a seed wider than _LEAF whose bound already fails at n is
+        split in two halves, as the branch-and-bound would split it."""
+        e = _seed_horizon(table, n, lo, hi, si, self.m0)
+        if e is not None and e < n and hi - lo >= _LEAF:
+            mid = (lo + hi) // 2
+            self._issue(table, n, lo, mid, si)
+            self._issue(table, n, mid + 1, hi, si)
+        else:
+            self.seeds.append((lo, hi, si, e))
+
+    def intervals(self, table: BoundTable, n: int, m0: int) -> list[tuple[int, int, int]]:
+        """The (lo, hi, si) that step n must bound: the seeds past their
+        horizon and the tail."""
+        starts = table._seg_starts
+        segments = bisect_right(starts, n - 1)
+        last = segments - 1
+        fresh = None
+        if m0 != self.m0 or segments != self.segments:
+            self.m0, self.segments = m0, segments
+            self.seeds, fresh = [], 0
+        elif n - 1 - self.cut > self.cut - starts[last] + 1:
+            # the tail outgrew the open segment's part: move the cut
+            self.seeds = [seed for seed in self.seeds if seed[2] != last]
+            fresh = last
+        if fresh is not None:
+            self.cut = n - 1
+            for lo, hi, si in _seeds(starts, fresh, n - 1, m0):
+                self._issue(table, n, lo, hi, si)
+        out = [(lo, hi, si) for lo, hi, si, e in self.seeds if e is not None and e < n]
+        if self.cut < n - 1:
+            out.append((self.cut + 1, n - 1, last))
+        return out
+
+
+def _max_lp(
+    table: BoundTable, n: int, m0: int, horizons: Optional[_Horizons] = None
+) -> tuple[int, int, int]:
     """Exact max over 2 <= m < n of LP(n, m), warm-started at m0.
 
     Returns (numerator, denominator, argmax).  Intervals are expanded
     best bound first and dropped once their bound is <= the incumbent,
-    so the value equals that of the exhaustive scan.
+    so the value equals that of the exhaustive scan.  `horizons` keeps
+    the seeds and their horizons from one step to the next; without
+    one, the seeds are issued for step n alone.
     """
     nums, dens = table._num, table._den
     starts = table._seg_starts
@@ -392,12 +568,10 @@ def _max_lp(table: BoundTable, n: int, m0: int) -> tuple[int, int, int]:
             if vn * best_den > best_num * vd:
                 best_num, best_den, best_m = vn, vd, m
 
-    # one interval per frontier segment; segments start at stages >= 2
-    for si, lo in enumerate(starts):
-        hi = min(starts[si + 1] - 1 if si + 1 < len(starts) else n - 1, n - 1)
+    for lo, hi, si in (horizons or _Horizons()).intervals(table, n, m0):
         if lo == hi:
             scan(lo, hi, si)
-        elif lo < hi:
+        else:
             push(lo, hi, si)
     while heap:
         _, lo, hi, si, num, den = heapq.heappop(heap)
@@ -625,12 +799,15 @@ def obf_table(
     with open(cache_path, "a", encoding="ascii") if writing else nullcontext() as out:
         fresh: list[tuple[int, int, int]] = [(2, 1, 1)] if writing and first == 2 else []
         argmax = None
+        horizons = _Horizons()
         for n in range(max(first, 3), top + 1):
             if n == 3:
                 p, q = 4, 1
             else:
                 # cold start at the newest critical index, where the argmax sits
-                num, den, argmax = _max_lp(table, n, argmax or table._seg_starts[-1])
+                num, den, argmax = _max_lp(
+                    table, n, argmax or table._seg_starts[-1], horizons
+                )
                 g = gcd(num, den)
                 p, q = (num + den) // g, den // g
             install(n, p, q)

@@ -11,15 +11,18 @@ that S_n permutes the remaining blocks with the size classes as
 orbits: one branch-and-bound per size, rooted at a single
 representative block, with greedy-coloring upper bounds and
 bit-parallel candidate sets, all pruned against an incumbent that a
-greedy clique per orbit sets before any of them runs.  The graph is
-built, and its rows relabelled, in numpy blocks of 64 rows.  This
-settles t = 2 up to n = 11 (f(8) = 37, f(9) = 49 = obf(9) in about
-0.04 s, f(10) = 61 = obf(10) in about 0.5 s, f(11) = 74 =
-floor(obf(11)) in about 80 s) and t = 3 up to n = 9 (71 on [8], 103 on
-[9]), and runs best-effort under a time budget beyond that,
-downgrading the result to a certified lower bound when the budget runs
-out.  The maximum family returned may differ from the one earlier
-versions returned; its size does not.
+greedy clique per orbit sets before any of them runs.  For t = 2 and
+the counting convention of f(n) the search stops as soon as the
+incumbent reaches floor(obf(n)) from the bound table, which caps f(n).
+The graph is built, and its rows relabelled, in numpy blocks of 64
+rows.  This settles t = 2 up to n = 13: f(8) = 37 by search (its greedy
+seed holds 37 of floor(obf(8)) = 38), and f(9) = 49, f(10) = 61,
+f(11) = 74, f(12) = 89 and f(13) = 105, each floor(obf(n)), by the
+greedy seed alone, in 0.005 to 0.5 s.  For t = 3 it settles n up to 9
+(71 on [8], 103 on [9]).  Beyond that it runs best-effort under a time
+budget, downgrading the result to a certified lower bound when the
+budget runs out.  The maximum family returned may differ from the one
+earlier versions returned; its size does not.
 
 The budget starts after the graph is built, so ground sets above
 MAX_SEARCH_N = 15 are refused with CapExceeded before it is: with a
@@ -36,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, bounds
 from .setfam import Family, _bit_positions, mask_bits, masks_from_bits
 
 _BUDGET_CHECK_MASK = 0xFFF
@@ -223,16 +226,19 @@ def max_laminar_exact(
     candidate with the most candidate neighbours), and the best of
     these is the incumbent.  The orbit searches then run in ascending
     k, each pruned against the incumbent, which only prunes: a search
-    that proves nothing larger leaves it in place.
+    that proves nothing larger leaves it in place.  For t = 2 and the
+    default min_size, f(n) <= floor(obf(n)) (`bounds.obf_table`), so
+    the search stops, exact, once the family holds that many blocks;
+    no budget is needed then.
 
-    Within the default budget this proves f(9) = 49 = obf(9) in about
-    0.04 s (788 branch nodes) and f(10) = 61 = obf(10) in about 0.5 s;
-    for t = 3 it proves 71 on [8] and 103 on [9].  The maximum family
-    returned may differ from the one earlier versions returned; its
-    size does not.  When the shared budget runs out the best family
-    found so far is returned with ``exact=False``, a certified lower
-    bound; ``budget_seconds=None`` sets no deadline.  n above
-    MAX_SEARCH_N raises CapExceeded before the graph is built.
+    This proves f(8) = 37 by search (223 branch nodes) and f(9) to
+    f(13) = 49, 61, 74, 89, 105 by the greedy seed meeting the bound,
+    with no branch node; for t = 3 it proves 71 on [8] and 103 on [9].
+    The maximum family returned may differ from the one earlier
+    versions returned; its size does not.  When the shared budget runs
+    out the best family found so far is returned with ``exact=False``,
+    a certified lower bound; ``budget_seconds=None`` sets no deadline.
+    n above MAX_SEARCH_N raises CapExceeded before the graph is built.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -262,7 +268,14 @@ def max_laminar_exact(
         default=0,
     )
     best, nodes, exact = best_mask.bit_count(), 0, True
+    # unforced blocks a maximum family can hold at most
+    cap = None
+    if t == 2 and min_size == 2 and n >= 2:
+        value = bounds.obf_table(n).obf(n)
+        cap = value.numerator // value.denominator - forced.bit_count()
     for rep, cand in orbits:
+        if best == cap:
+            break
         if deadline is not None and time.monotonic() > deadline:
             exact = False
             break

@@ -70,8 +70,16 @@ def _mask_bytes(masks: Sequence[int], width: int) -> np.ndarray:
 
 
 def _byte_masks(packed: np.ndarray) -> list[int]:
-    """Inverse of _mask_bytes: each little-endian uint8 row as an int."""
+    """Inverse of _mask_bytes: each little-endian uint8 row as an int.
+
+    Rows of at most 8 bytes are zero-padded to 8 and read as one
+    little-endian uint64 each, in a single ``tolist``.
+    """
     width = packed.shape[1]
+    if width <= 8:
+        wide = np.zeros((len(packed), 8), dtype=np.uint8)
+        wide[:, :width] = packed
+        return wide.view("<u8").ravel().tolist()
     buf = packed.tobytes()
     return [
         int.from_bytes(buf[i * width : (i + 1) * width], "little") for i in range(len(packed))

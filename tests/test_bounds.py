@@ -1,15 +1,19 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from math import comb, lcm
 
+import numpy as np
 import pytest
 
+from laminar import bounds
 from laminar.bounds import (
     BoundTable,
     CacheError,
     Frontier,
     Halfspace,
     _cuts,
+    _horizon,
     _interval_bounds,
     _max_lp,
     _rebuild_frontier,
@@ -270,6 +274,190 @@ class TestExactMax:
         for k in range(2, 601):
             best = max(best, table600.ratio(k))
             assert Fraction(*table600._ratio_max(k)) == best, k
+
+
+def _brute_horizon(a, b, c, n0):
+    """Scan k = n0, n0+1, ... for the first P(k) < 0, past every real root."""
+    # every real root has |root| <= 1 + max(|b|, |c|)
+    limit = max(n0, 0) + 2 + max(abs(b), abs(c))
+    for k in range(n0, limit + 1):
+        if (a * k + b) * k + c < 0:
+            return k - 1
+    return None
+
+
+def _issued_horizons(n_max):
+    """Every (n, lo, hi, si, m0, E) that _seed_horizon returns while
+    obf_table(n_max) is built, and the table."""
+    issued = []
+
+    def record(table, n, lo, hi, si, m0):
+        e = issue(table, n, lo, hi, si, m0)
+        issued.append((n, lo, hi, si, m0, e))
+        return e
+
+    issue = bounds._seed_horizon
+    bounds._seed_horizon = record
+    try:
+        table = obf_table(n_max)
+    finally:
+        bounds._seed_horizon = issue
+    return table, issued
+
+
+class TestHorizons:
+    def test_horizon_matches_brute_force(self):
+        rng = random.Random(1406)
+        cases = [
+            (0, 0, 0, 5), (0, 3, -15, 5), (0, -3, 15, 5), (0, -3, 14, 5),
+            (1, -10, 25, 0), (1, -10, 25, 5), (1, -10, 25, 6),  # double root 5
+            (-1, 10, -25, 5), (-2, 20, -50, 5),  # concave double root: P(n0) = 0
+            (1, -11, 30, 5), (1, -11, 30, 6), (1, -11, 30, 2),  # roots 5, 6
+            (4, -20, 24, 0),  # roots 2, 3: nothing strictly between
+            (4, -22, 24, 0),  # roots 1.5, 4
+            (-1, 0, 100, -10), (-1, 0, 100, 10), (-1, 0, 99, 0),
+            (2, 1, 0, -1), (3, 0, -1, 0),
+        ]
+        for _ in range(3000):
+            a = rng.choice([0, rng.randint(-6, 6)])
+            cases.append((a, rng.randint(-300, 300), rng.randint(-900, 900), rng.randint(-40, 60)))
+        for _ in range(300):
+            # integer double roots and P(n0) = 0 at an integer root
+            a, r, s = rng.choice([-3, -1, 1, 2]), rng.randint(-20, 40), rng.randint(-20, 40)
+            cases.append((a, -a * (r + s), a * r * s, rng.choice([r, s, r - 1, s + 1])))
+            cases.append((a, -2 * a * r, a * r * r, rng.choice([r, r - 3, r + 2])))
+        for a, b, c, n0 in cases:
+            assert _horizon(a, b, c, n0) == _brute_horizon(a, b, c, n0), (a, b, c, n0)
+
+    def test_horizon_far_roots(self):
+        r = 10**12
+        # (k - r)(k - r - 5): nonnegative up to r, negative until r + 5
+        assert _horizon(1, -(2 * r + 5), r * (r + 5), 10) == r
+        assert _horizon(-1, 2 * r - 7, -r * (r - 7), r - 7) == r  # -(k - r)(k - r + 7)
+        assert _horizon(-3, 0, 3 * r * r, 0) == r
+        assert _horizon(-3, 0, 3 * r * r + 1, 0) == r  # root just above r
+        assert _horizon(-3, 0, 3 * r * r - 1, 0) == r - 1  # root just below r
+        assert _horizon(7, -14 * r, 7 * r * r, 0) is None  # double root
+        assert _horizon(0, -1, r, 0) == r
+        assert _horizon(1, -(2 * r + 1), r * (r + 1), 0) is None  # roots r, r + 1
+
+    def test_issued_horizons_hold_to_3000(self):
+        """Each horizon E issued from step n is sound and exact.
+
+        Sound: at every step n <= k <= min(E, n + 300) the seed's
+        exhaustive max of LP(k, m), computed with Fractions, is at most
+        LP(k, m0); a float grid only selects the (k, m) not clear by a
+        wide margin, and each of those is compared exactly.  Exact: the
+        one-vertex bounds, rebuilt here on Fractions, include one that
+        holds at every step of that window (and at E), and when E is
+        finite every one of them fails at some step <= E + 1.
+        """
+        table, issued = _issued_horizons(3000)
+        assert len(issued) > 50 and any(e is None for *_, e in issued)
+        obf = [0.0, 0.0] + [float(table.obf(m)) for m in range(2, 3001)]
+        ratio_max = [Fraction(0)] * 2
+        for m in range(2, 3001):
+            ratio_max.append(max(ratio_max[-1], table.ratio(m)))
+
+        def binom2(k):
+            return k * (k - 1) // 2
+
+        def g(k, m, x, y):
+            return binom2(k - m) * x + (binom2(k) - binom2(m)) * y
+
+        exact_checks = 0
+        for n, lo, hi, si, m0, e in issued:
+            f = table.frontier_at(lo)
+            assert table.frontier_at(hi) is f and not lo <= m0 <= hi
+            f0_vertices = table.frontier_at(m0).vertices
+            f0_cache = {}
+
+            def f_m0(k):
+                if k not in f0_cache:
+                    f0_cache[k] = table.obf(m0) + min(g(k, m0, x, y) for x, y in f0_vertices)
+                return f0_cache[k]
+
+            top = n + 300 if e is None else min(e, n + 300)
+            if top >= n:
+                ks = np.arange(n, top + 1, dtype=np.float64)[:, None]
+                ms = np.arange(lo, hi + 1, dtype=np.float64)[None, :]
+                d = np.min(
+                    [((ks - ms) * (ks - ms - 1) / 2 * float(x)
+                      + (ks * (ks - 1) - ms * (ms - 1)) / 2 * float(y))
+                     for x, y in f.vertices],
+                    axis=0,
+                )
+                f0 = np.array([float(f_m0(k)) for k in range(n, top + 1)])
+                close = np.argwhere(np.asarray(obf[lo : hi + 1]) + d > f0[:, None] - 1e-3)
+                for i, j in close:
+                    k, m = n + int(i), lo + int(j)
+                    assert lp_dual_value(k, m, f, table) <= f_m0(k), (n, lo, hi, k, m)
+                    exact_checks += 1
+
+            # the one-vertex bounds: monotone, and quadratic where convex
+            candidates = []
+            r = ratio_max[hi]
+            for x, y in f.vertices:
+                candidates.append((x, y, [(table.obf(hi), lo)]))
+                if r + x - y >= 0:
+                    candidates.append((x, y, [(r * binom2(lo), lo), (r * binom2(hi), hi)]))
+
+            def holds(c, k):
+                x, y, terms = c
+                return all(alpha + g(k, a, x, y) <= f_m0(k) for alpha, a in terms)
+
+            window = [*range(n, top + 1), *([] if e is None or e <= top else [e])]
+            assert any(all(holds(c, k) for k in window) for c in candidates), (n, lo, hi)
+            if e is not None:
+                for c in candidates:
+                    if holds(c, e + 1):
+                        assert not all(holds(c, k) for k in range(n, e + 1)), (n, lo, hi)
+        assert exact_checks > 0  # the near ties, next to m0, were compared exactly
+
+    def test_seeds_partition_every_step(self, table2000):
+        """Driven as obf_table drives it, across the segments 1802-1807:
+        at every step the seeds, the tail and m0 partition [2, n-1], each
+        piece inside one frontier segment, and the bounded intervals are
+        the seeds past their horizon plus the tail."""
+        starts = [s for s, _ in table2000.frontier_log]
+        horizons = bounds._Horizons()
+        m0 = None
+        for n in range(4, 2001):
+            m0 = m0 or starts[bisect_right(starts, n - 1) - 1]
+            num, den, argmax = _max_lp(table2000, n, m0, horizons)
+            assert Fraction(num, den) == table2000.obf(n) - 1, n
+            last = bisect_right(starts, n - 1) - 1
+            seeds = [(lo, hi, si) for lo, hi, si, _ in horizons.seeds]
+            tail = [(horizons.cut + 1, n - 1, last)] if horizons.cut < n - 1 else []
+            pieces = sorted(seeds + tail + [(m0, m0, None)])
+            assert pieces[0][0] == 2 and pieces[-1][1] == n - 1, n
+            assert all(a[1] + 1 == b[0] for a, b in zip(pieces, pieces[1:])), n
+            for lo, hi, si in seeds + tail:
+                assert table2000.frontier_at(lo) is table2000.frontier_at(hi)
+                assert table2000.frontier_at(lo) is table2000._seg_frontiers[si]
+            expired = [(lo, hi, si) for lo, hi, si, e in horizons.seeds if e is not None and e < n]
+            assert horizons.intervals(table2000, n, m0) == expired + tail, n
+            m0 = argmax
+
+    def test_one_exact_evaluation_per_step(self, monkeypatch):
+        # the counts are deterministic: at N = 10000 a step evaluates the
+        # warm start and bounds little more than the tail
+        calls = {"exact": 0, "interval": 0}
+        exact, interval = bounds._dual_min_scaled, bounds._interval_bounds
+
+        def count(key, fn):
+            def counted(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return counted
+
+        monkeypatch.setattr(bounds, "_dual_min_scaled", count("exact", exact))
+        monkeypatch.setattr(bounds, "_interval_bounds", count("interval", interval))
+        obf_table(10000)
+        steps = 10000 - 3
+        assert steps <= calls["exact"] <= 1.01 * steps
+        assert calls["interval"] <= 1.13 * steps
 
 
 class TestSeriesAndTail:

@@ -313,11 +313,12 @@ class TestSearchCommand:
         assert len(fam) == 8 and is_t_laminar(fam, 2)
 
     def test_json_output(self, capsys):
-        code, out, _ = run(["search", "--n", "5", "--t", "2", "--json"], capsys)
+        # n = 8: the greedy seed stays below floor(obf(8)) = 38, so the search runs
+        code, out, _ = run(["search", "--n", "8", "--t", "2", "--json"], capsys)
         doc = json.loads(out)
-        assert doc["size"] == 13 and doc["exact"]
+        assert doc["size"] == 37 and doc["exact"]
         assert set(doc) == {"n", "t", "size", "exact", "nodes", "forced", "family"}
-        assert doc["forced"] == 11  # the 10 pairs and [5]
+        assert doc["forced"] == 29  # the 28 pairs and [8]
         assert doc["nodes"] >= 1
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
@@ -338,18 +339,25 @@ class TestSearchCommand:
         assert err == "budget must be a finite number of seconds >= 0\n"
 
     def test_zero_budget_exit_3(self, tmp_path, capsys):
-        code, out, _ = run(["search", "--n", "9", "--budget", "0", "--json"], capsys)
+        # n = 8: the greedy seed (37) stays below floor(obf(8)) = 38
+        code, out, _ = run(["search", "--n", "8", "--budget", "0", "--json"], capsys)
         assert code == 3
         doc = json.loads(out)
-        assert not doc["exact"] and doc["forced"] == 37  # the 36 pairs and [9]
+        assert not doc["exact"] and doc["forced"] == 29  # the 28 pairs and [8]
         sets = {tuple(s) for s in doc["family"]["sets"]}
-        assert {(a, b) for a in range(1, 10) for b in range(a + 1, 10)} <= sets
-        assert tuple(range(1, 10)) in sets
+        assert {(a, b) for a in range(1, 9) for b in range(a + 1, 9)} <= sets
+        assert tuple(range(1, 9)) in sets
         path = tmp_path / "found.json"
         path.write_text(out)
         code, out, err = run(["verify", str(path)], capsys)
         assert (code, err) == (0, "")
         assert out.startswith("t-laminar (t=2):")
+
+    def test_zero_budget_meets_the_bound_exit_0(self, capsys):
+        # the greedy seed holds floor(obf(9)) = 49 sets: exact without search
+        code, out, _ = run(["search", "--n", "9", "--budget", "0", "--json"], capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["exact"] and doc["size"] == 49 and doc["nodes"] == 0
 
     def test_n_above_cap_exit_3_before_building(self, monkeypatch, capsys):
         def build(*args):

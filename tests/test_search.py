@@ -89,14 +89,33 @@ class TestSymmetrySearch:
             ]
             assert res.forced == len(universal)
 
-    @pytest.mark.parametrize("n", [7, 9, 11])
+    @pytest.mark.parametrize("n", [7, 8, 9, 11])
     def test_expired_budget(self, n):
         res = max_laminar_exact(n, 2, budget_seconds=-1.0)
-        assert not res.exact
+        # exact only where the greedy incumbent already meets floor(obf(n));
+        # at n = 8 it holds 37 of 38
+        value = obf_table(n).obf(n)
+        assert res.exact == (res.size == value.numerator // value.denominator)
+        assert res.exact == (n != 8)
         assert res.forced == n * (n - 1) // 2 + 1  # the pairs and [n]
         # the greedy incumbent is built before the first deadline check
         assert res.size > res.forced
         _assert_valid(res, 2, 2)
+
+    @pytest.mark.parametrize("n,size", [(11, 74), (12, 89), (13, 105)])
+    def test_greedy_meets_the_bound(self, n, size):
+        # the greedy seed reaches floor(obf(n)), so no search and no budget is needed
+        res = max_laminar_exact(n, 2, budget_seconds=0)
+        assert res.exact and res.size == size and res.nodes == 0
+        value = obf_table(n).obf(n)
+        assert size == value.numerator // value.denominator
+        assert res.forced == _t_sets_and_universe(n, 2)
+        _assert_valid(res, 2, 2)
+
+    def test_bound_stop_only_for_the_counting_convention(self):
+        # t = 3 has no bound table, so an expired budget leaves it inexact
+        res = max_laminar_exact(8, 3, budget_seconds=-1.0)
+        assert not res.exact and res.size > res.forced
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_classic_metadata(self, n):

@@ -231,6 +231,21 @@ class TestMatrices:
             assert [tuple(np.flatnonzero(row) + 1) for row in m] == members(f)
             assert setfam.masks_from_bits(m) == list(f)
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 17])
+    def test_byte_codec_round_trip(self, width):
+        # rows of at most 8 bytes take the one-uint64-per-row path
+        rng = random.Random(width)
+        bits = 8 * width
+        masks = [0, (1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(50)]
+        masks += [1 << rng.randrange(bits) for _ in range(10)]
+        packed = setfam._mask_bytes(masks, width)
+        assert packed.shape == (len(masks), width)
+        back = setfam._byte_masks(packed)
+        assert back == masks and all(type(m) is int for m in back)
+        assert setfam._byte_masks(packed[:0]) == []
+        # a sliced, non-contiguous block of rows converts alike
+        assert setfam._byte_masks(packed[::2]) == masks[::2]
+
     def test_csr_points_match_members(self):
         rng = random.Random(64)
         for n in (1, 7, 8, 9, 63, 64, 65, 130, 200):
