@@ -11,7 +11,6 @@ f(n)/C(n,2) inside [1.3818, 1.3821].
 from .bounds import (
     BoundTable,
     Frontier,
-    Halfspace,
     frontier_update,
     lp_dual_value,
     lp_primal_oracle,

@@ -51,13 +51,28 @@ starts at F_k(m0) and only grows, so no m of such a seed could replace
 it.  For fixed v and a vertex u of Theta_{m0} both sides are
 quadratics in k with integer coefficients (2 C(k-m,2) =
 k^2 - (2m+1) k + m(m+1)), so E is exact: a root from `math.isqrt`,
-settled by evaluation at E and E + 1.  A seed whose bound fails
-already at issue is split in halves down to the leaf width; a seed
-that still fails, or whose horizon has passed, is bounded at every
-step as before, and so is the tail (c, n-1] of the open segment; c
-moves to n - 1 once the tail is longer than the seed part.  Every
-horizon is dropped when the frontier gains a segment or m0 changes,
-since both sides of each comparison assume them fixed.
+settled by evaluation at E and E + 1.  A seed whose bound fails at
+issue, or whose horizon has passed, is issued again from that step,
+split in halves down to the leaf width where it still fails; a leaf
+that fails is bounded at every step.  Seeds wait in a heap keyed by
+E, so a step touches only those that expire.
+
+The tail (c, n-1] of the open segment has a horizon too.  Its
+monotone bound needs obf(n-1), not yet known at issue, but with R the
+largest ratio so far the quadratic bound R C(m,2) + g_v(k, m) is
+convex in m where R + x_v - y_v >= 0, so its values at m = c + 1 and
+at m = k - 1, R C(k-1,2) + (k-1) y_v, bound the whole tail, and both
+are quadratics in k.  When the tail's horizon passes, the tail
+becomes a seed and c moves to n - 1.  The cut test has one as well:
+a step whose argmax is m0 gives obf(k) = 1 + F_k(m0), at most
+1 + obf(m0) + g_u(k, m0) for each vertex u of Theta_{m0}, so one u
+whose quadratic stays <= C(k-1,2) x_v + C(k,2) y_v at every vertex v
+of the newest frontier proves that eta_k cuts nothing there.  Every
+horizon is dropped when m0 changes or the frontier gains a segment,
+since the comparisons assume both fixed.  That covers R too: the
+frontier's vertex on x = 0 is (0, R), so a value with a larger ratio
+cuts it and starts a segment.  A normal step is then one exact
+evaluation at m0 and a few integer comparisons.
 
 The table stores each obf(n) as an integer pair (numerator,
 denominator) in lowest terms; a Fraction is made only when a caller
@@ -102,25 +117,6 @@ def rat_to_decimal(value: Fraction, digits: int = 20) -> str:
 
 class CacheError(RuntimeError):
     """Raised when a persisted bound table fails verification."""
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """Constraint a*x + b*y >= c; index 1 is the special x >= 0."""
-
-    k: int
-    a: int
-    b: int
-    c: Fraction
-
-    @classmethod
-    def from_index(cls, k: int, obf_k: Fraction) -> "Halfspace":
-        if k == 1:
-            return cls(1, 1, 0, Fraction(0))
-        return cls(k, comb(k - 1, 2), comb(k, 2), Fraction(obf_k))
-
-    def holds(self, x: Fraction, y: Fraction) -> bool:
-        return self.a * x + self.b * y >= self.c
 
 
 def _line(k: int, p: int, q: int) -> tuple[int, int, int]:
@@ -405,6 +401,47 @@ def _horizon(a: int, b: int, c: int, n0: int) -> Optional[int]:
     return e
 
 
+def _maxmin(n0: int, options) -> Optional[int]:
+    """Largest E >= n0 - 1 such that, for one option, lo(k) <= hi(k) at
+    every n0 <= k <= E for each of its pairs (lo, hi) of quadratics in k
+    (as `_plus_g` gives them); None when one option holds at every
+    k >= n0.  An option stops at its first pair that cannot beat the
+    best so far."""
+    best = n0 - 1
+    for pairs in options:
+        e = None
+        for (a1, b1, c1, d1), (a2, b2, c2, d2) in pairs:
+            h = _horizon(a2 * d1 - a1 * d2, b2 * d1 - b1 * d2, c2 * d1 - c1 * d2, n0)
+            if h is not None and (e is None or h < e):
+                e = h
+                if e <= best:
+                    break
+        if e is None:
+            return None
+        best = max(best, e)
+    return best
+
+
+def _plus_g(p: int, q: int, a: int, s: int, x: int, y: int) -> tuple[int, int, int, int]:
+    """p/q + g_v(k, a) for the vertex v = (x, y)/s as a quadratic
+    (A, B, C, D) in k, meaning (A k^2 + B k + C)/D with D > 0."""
+    # 2 g_v(k, a) s = (k^2 - (2a+1) k + a(a+1)) x + (k^2 - k - a(a-1)) y
+    return (
+        q * (x + y),
+        -q * ((2 * a + 1) * x + y),
+        q * (a * (a + 1) * x - a * (a - 1) * y) + 2 * s * p,
+        2 * q * s,
+    )
+
+
+def _warm_start(table: BoundTable, m0: int) -> list[tuple[int, int, int, int]]:
+    """obf(m0) + g_u(k, m0) for each vertex u of Theta_{m0}; F_k(m0) is
+    the least of these quadratics."""
+    f0 = table.frontier_at(m0)
+    p0, q0 = table._num[m0], table._den[m0]
+    return [_plus_g(p0, q0, m0, f0.scale, x, y) for x, y in f0.scaled_pts]
+
+
 def _seed_horizon(
     table: BoundTable, n: int, lo: int, hi: int, si: int, m0: int
 ) -> Optional[int]:
@@ -415,53 +452,74 @@ def _seed_horizon(
     convex) both endpoint values of the quadratic bound stay <= F_k(m0)
     at every step n <= k <= E; None when one does at every k >= n.
     Here g_v(k, m) = C(k-m,2) x_v + (C(k,2) - C(m,2)) y_v, so with u a
-    vertex of Theta_{m0} each comparison is an integer quadratic in k
-    (2 C(k-m,2) = k^2 - (2m+1) k + m(m+1)), solved by `_horizon`.
+    vertex of Theta_{m0} each comparison is an integer quadratic in k,
+    solved by `_horizon`.
     """
-    nums, dens = table._num, table._den
-    f, f0 = table._seg_frontiers[si], table.frontier_at(m0)
-    s, s0 = f.scale, f0.scale
-    p0, q0 = nums[m0], dens[m0]
+    f = table._seg_frontiers[si]
+    s = f.scale
+    warm = _warm_start(table, m0)
     p_r, q_r = table._ratio_max(hi)
-    # each bound as its terms (p, q, a): alpha = p/q plus g_v(k, a)
-    mono = ((nums[hi], dens[hi], lo),)
+    # each bound as its terms (p, q, a): p/q plus g_v(k, a)
+    mono = ((table._num[hi], table._den[hi], lo),)
     quad = ((p_r * lo * (lo - 1), 2 * q_r, lo), (p_r * hi * (hi - 1), 2 * q_r, hi))
-    best = n - 1
-    for xv, yv in f.scaled_pts:
-        kinds = (mono, quad) if q_r * (xv - yv) >= -p_r * s else (mono,)
-        for terms in kinds:
-            # E for this bound: the least horizon over its terms and over u
-            e = None
-            for p_a, q_a, a in terms:
-                # F_k(m0) - bound, times 2 q0 q_a S0 S (a positive integer)
-                u_mul, v_mul = q0 * q_a * s, q0 * q_a * s0
-                vx = v_mul * (xv + yv)
-                vb = v_mul * ((2 * a + 1) * xv + yv)
-                vc = v_mul * (a * (a + 1) * xv - a * (a - 1) * yv)
-                const = 2 * s0 * s * (p0 * q_a - p_a * q0)
-                for xu, yu in f0.scaled_pts:
-                    h = _horizon(
-                        u_mul * (xu + yu) - vx,
-                        vb - u_mul * ((2 * m0 + 1) * xu + yu),
-                        u_mul * (m0 * (m0 + 1) * xu - m0 * (m0 - 1) * yu) - vc + const,
-                        n,
-                    )
-                    if h is not None and (e is None or h < e):
-                        e = h
-                        if e <= best:
-                            break
-                if e is not None and e <= best:
-                    break
-            if e is None:
-                return None
-            best = max(best, e)
-    return best
+
+    def options():
+        for xv, yv in f.scaled_pts:
+            for terms in (mono, quad) if q_r * (xv - yv) >= -p_r * s else (mono,):
+                yield ((_plus_g(*t, s, xv, yv), u) for t in terms for u in warm)
+
+    return _maxmin(n, options())
 
 
-def _seeds(starts: list[int], first: int, top: int, m0: int):
-    """(lo, hi, si) for every frontier segment si >= first, clipped to
-    m <= top, with the warm start m0 cut out."""
-    for si in range(first, bisect_right(starts, top)):
+def _tail_horizon(table: BoundTable, n: int, c: int, si: int, m0: int) -> Optional[int]:
+    """How long the tail (c, k-1] of the open segment si may be skipped
+    from step n, as `_seed_horizon` gives it for a seed.
+
+    Only the quadratic bound applies, since obf(k-1) is not known yet:
+    with R the largest ratio so far, R C(m,2) + g_v(k, m) is convex in m
+    for R + x_v - y_v >= 0, so its values at m = c + 1 and at m = k - 1,
+    R C(k-1,2) + (k-1) y_v, bound the tail, and both are quadratics in k.
+    The tail is empty before step c + 2.
+    """
+    f = table._seg_frontiers[si]
+    s = f.scale
+    warm = _warm_start(table, m0)
+    p_r, q_r = table._ratio_max(n - 1)
+    a = c + 1
+
+    def options():
+        for xv, yv in f.scaled_pts:
+            if q_r * (xv - yv) >= -p_r * s:
+                ends = (
+                    _plus_g(p_r * a * (a - 1), 2 * q_r, a, s, xv, yv),
+                    # R C(k-1,2) + (k-1) y_v
+                    (p_r * s, 2 * q_r * yv - 3 * p_r * s, 2 * (p_r * s - q_r * yv), 2 * q_r * s),
+                )
+                yield ((end, u) for end in ends for u in warm)
+
+    return _maxmin(max(n, c + 2), options())
+
+
+def _cut_horizon(table: BoundTable, n: int, si: int, m0: int) -> Optional[int]:
+    """Largest E >= n - 1 such that at every step n <= k <= E whose
+    argmax is m0, eta_k cuts no vertex of segment si's frontier; None
+    when that holds at every k >= n.
+
+    Such a step has obf(k) = 1 + F_k(m0) <= 1 + obf(m0) + g_u(k, m0) for
+    each vertex u of Theta_{m0}, so one u with that right side <=
+    C(k-1,2) x_v + C(k,2) y_v at every vertex v certifies it.
+    """
+    f = table._seg_frontiers[si]
+    # C(k-1,2) x_v + C(k,2) y_v = g_v(k, 1)
+    eta = [_plus_g(0, 1, 1, f.scale, x, y) for x, y in f.scaled_pts]
+    warm = _warm_start(table, m0)
+    return _maxmin(n, ((((a, b, c + d, d), v) for v in eta) for a, b, c, d in warm))
+
+
+def _seeds(starts: list[int], top: int, m0: int):
+    """(lo, hi, si) for every frontier segment, clipped to m <= top, with
+    the warm start m0 cut out."""
+    for si in range(bisect_right(starts, top)):
         lo = starts[si]
         hi = min(starts[si + 1] - 1, top) if si + 1 < len(starts) else top
         if lo <= m0 <= hi:
@@ -476,54 +534,67 @@ def _seeds(starts: list[int], first: int, top: int, m0: int):
 class _Horizons:
     """The branch-and-bound seeds of consecutive steps, with horizons.
 
-    `seeds` holds (lo, hi, si, E): the seed may be skipped at every step
-    n <= E (E None: at every step).  The open last segment contributes
-    its part up to `cut`; the tail (cut, n-1] is not a seed.  All of it
-    holds for one warm start `m0` and `segments` frontier segments.
+    `seeds` maps each seed (lo, hi, si) to its horizon E: it may be
+    skipped at every step n <= E (E None: at every step).  `pending` is
+    a heap of the finite horizons still running and `expired` lists the
+    leaves past theirs.  The open last segment is a seed only up to
+    `cut`; the tail (cut, n-1] is skipped up to step `tail`, and `_cuts`
+    up to step `no_cut` at steps whose argmax is m0.  All of it holds
+    for the `key` (m0, index of the open segment).
     """
 
-    __slots__ = ("m0", "segments", "cut", "seeds")
+    __slots__ = ("key", "cut", "tail", "no_cut", "seeds", "pending", "expired")
 
     def __init__(self):
-        self.m0 = 0
-        self.segments = 0
+        self.key = None
         self.cut = 0
-        self.seeds: list[tuple[int, int, int, Optional[int]]] = []
+        self.tail: Optional[int] = None
+        self.no_cut: Optional[int] = None
+        self.seeds: dict[tuple[int, int, int], Optional[int]] = {}
+        self.pending: list[tuple[int, int, int, int]] = []
+        self.expired: list[tuple[int, int, int]] = []
 
     def _issue(self, table: BoundTable, n: int, lo: int, hi: int, si: int):
         """Add the seed [lo, hi] of segment si with its horizon from step
         n; a seed wider than _LEAF whose bound already fails at n is
         split in two halves, as the branch-and-bound would split it."""
-        e = _seed_horizon(table, n, lo, hi, si, self.m0)
+        e = _seed_horizon(table, n, lo, hi, si, self.key[0])
         if e is not None and e < n and hi - lo >= _LEAF:
             mid = (lo + hi) // 2
             self._issue(table, n, lo, mid, si)
             self._issue(table, n, mid + 1, hi, si)
+            return
+        self.seeds[lo, hi, si] = e
+        if e is None:
+            return
+        if e < n:
+            self.expired.append((lo, hi, si))
         else:
-            self.seeds.append((lo, hi, si, e))
+            heapq.heappush(self.pending, (e, lo, hi, si))
 
     def intervals(self, table: BoundTable, n: int, m0: int) -> list[tuple[int, int, int]]:
         """The (lo, hi, si) that step n must bound: the seeds past their
-        horizon and the tail."""
-        starts = table._seg_starts
-        segments = bisect_right(starts, n - 1)
-        last = segments - 1
-        fresh = None
-        if m0 != self.m0 or segments != self.segments:
-            self.m0, self.segments = m0, segments
-            self.seeds, fresh = [], 0
-        elif n - 1 - self.cut > self.cut - starts[last] + 1:
-            # the tail outgrew the open segment's part: move the cut
-            self.seeds = [seed for seed in self.seeds if seed[2] != last]
-            fresh = last
-        if fresh is not None:
-            self.cut = n - 1
-            for lo, hi, si in _seeds(starts, fresh, n - 1, m0):
+        horizon."""
+        last = bisect_right(table._seg_starts, n - 1) - 1
+        moved = (m0, last) != self.key
+        if moved:
+            self.key, self.seeds, self.pending, self.expired = (m0, last), {}, [], []
+            self.no_cut = _cut_horizon(table, n, last, m0)
+            for lo, hi, si in _seeds(table._seg_starts, n - 1, m0):
                 self._issue(table, n, lo, hi, si)
-        out = [(lo, hi, si) for lo, hi, si, e in self.seeds if e is not None and e < n]
-        if self.cut < n - 1:
-            out.append((self.cut + 1, n - 1, last))
-        return out
+        elif self.tail is not None and self.tail < n:
+            # the tail's horizon has passed: it becomes a seed
+            self._issue(table, n, self.cut + 1, n - 1, last)
+            moved = True
+        if moved:
+            self.cut = n - 1
+            self.tail = _tail_horizon(table, n, self.cut, last, m0)
+        while self.pending and self.pending[0][0] < n:
+            # a bound that failed may hold again from n on, or in halves
+            _, lo, hi, si = heapq.heappop(self.pending)
+            del self.seeds[lo, hi, si]
+            self._issue(table, n, lo, hi, si)
+        return self.expired
 
 
 def _max_lp(
@@ -763,11 +834,12 @@ def obf_table(
     Cached values are replayed: each is appended and tested against the
     frontier on integers, and the frontier is rebuilt only where it
     cuts.  Each new value takes the certified max over m from
-    `_max_lp`, warm-started at the previous step's argmax.  The table
-    always holds the base values obf(2) and obf(3).  When there is a
-    value to compute, the cache is opened for append before the first
-    one, so an unwritable path fails at once; new lines are flushed in
-    batches.  `progress(n)` is called at every computed n divisible by
+    `_max_lp`, warm-started at the previous step's argmax, and is
+    tested for a cut unless its argmax is the warm start and the cut
+    horizon covers the step.  The table always holds the base values
+    obf(2) and obf(3).  When there is a value to compute, the cache is
+    opened for append before the first one, so an unwritable path fails
+    at once; new lines are flushed in batches.  `progress(n)` is called at every computed n divisible by
     _PROGRESS_EVERY.
     """
     if n_max < 2:
@@ -783,11 +855,11 @@ def obf_table(
     table._append_value(2, 1, 1)
     table._push_frontier(2, frontier)
 
-    def install(n: int, p: int, q: int):
+    def install(n: int, p: int, q: int, uncut: bool = False):
         nonlocal frontier
         table._append_value(n, p, q)
         # a strict cut always retains eta_n, so the frontier changes
-        if _cuts(frontier, n, p, q):
+        if not uncut and _cuts(frontier, n, p, q):
             frontier = frontier_update(frontier, n, p, q)
             table._push_frontier(n, frontier)
 
@@ -801,16 +873,18 @@ def obf_table(
         argmax = None
         horizons = _Horizons()
         for n in range(max(first, 3), top + 1):
+            uncut = False
             if n == 3:
                 p, q = 4, 1
             else:
                 # cold start at the newest critical index, where the argmax sits
-                num, den, argmax = _max_lp(
-                    table, n, argmax or table._seg_starts[-1], horizons
-                )
+                m0 = argmax or table._seg_starts[-1]
+                num, den, argmax = _max_lp(table, n, m0, horizons)
                 g = gcd(num, den)
                 p, q = (num + den) // g, den // g
-            install(n, p, q)
+                end = horizons.no_cut
+                uncut = argmax == m0 and (end is None or n <= end)
+            install(n, p, q, uncut)
             if progress and n % _PROGRESS_EVERY == 0:
                 progress(n)
             if writing:

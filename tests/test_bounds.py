@@ -1,5 +1,7 @@
+import hashlib
 import random
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
@@ -11,7 +13,6 @@ from laminar.bounds import (
     BoundTable,
     CacheError,
     Frontier,
-    Halfspace,
     _cuts,
     _horizon,
     _interval_bounds,
@@ -29,6 +30,26 @@ from laminar.bounds import (
     tail_sum,
     upper_limit_report,
 )
+
+
+@dataclass(frozen=True)
+class Halfspace:
+    """Oracle: the constraint a*x + b*y >= c on Fractions; index 1 is the
+    special x >= 0."""
+
+    k: int
+    a: int
+    b: int
+    c: Fraction
+
+    @classmethod
+    def from_index(cls, k: int, obf_k: Fraction) -> "Halfspace":
+        if k == 1:
+            return cls(1, 1, 0, Fraction(0))
+        return cls(k, comb(k - 1, 2), comb(k, 2), Fraction(obf_k))
+
+    def holds(self, x: Fraction, y: Fraction) -> bool:
+        return self.a * x + self.b * y >= self.c
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +295,9 @@ class TestExactMax:
         for k in range(2, 601):
             best = max(best, table600.ratio(k))
             assert Fraction(*table600._ratio_max(k)) == best, k
+            # the vertex on x = 0 is (0, best), so a new record cuts it
+            assert table600.frontier_at(k).vertices[-1] == (0, best), k
+        assert set(table600._rec_ks) <= {s for s, _ in table600.frontier_log}
 
 
 def _brute_horizon(a, b, c, n0):
@@ -286,23 +310,87 @@ def _brute_horizon(a, b, c, n0):
     return None
 
 
-def _issued_horizons(n_max):
-    """Every (n, lo, hi, si, m0, E) that _seed_horizon returns while
-    obf_table(n_max) is built, and the table."""
+def _issued(n_max, name):
+    """obf_table(n_max) and (*args, E) for every E that the horizon
+    function `name` returned while it was built, args after the table."""
     issued = []
+    issue = getattr(bounds, name)
 
-    def record(table, n, lo, hi, si, m0):
-        e = issue(table, n, lo, hi, si, m0)
-        issued.append((n, lo, hi, si, m0, e))
+    def record(table, *args):
+        e = issue(table, *args)
+        issued.append((*args, e))
         return e
 
-    issue = bounds._seed_horizon
-    bounds._seed_horizon = record
+    setattr(bounds, name, record)
     try:
         table = obf_table(n_max)
     finally:
-        bounds._seed_horizon = issue
+        setattr(bounds, name, issue)
     return table, issued
+
+
+def _binom2(k):
+    return k * (k - 1) // 2
+
+
+def _g(k, m, x, y):
+    return _binom2(k - m) * x + (_binom2(k) - _binom2(m)) * y
+
+
+def _warm_start(table, m0):
+    """k -> F_k(m0) = LP(k, m0) on Fractions, cached."""
+    vertices = table.frontier_at(m0).vertices
+    cache = {}
+
+    def f_m0(k):
+        if k not in cache:
+            cache[k] = table.obf(m0) + min(_g(k, m0, x, y) for x, y in vertices)
+        return cache[k]
+
+    return f_m0
+
+
+def _prefix_ratio_max(table):
+    """r[m] = max of obf(k)/C(k,2) over 2 <= k <= m, on Fractions."""
+    r = [Fraction(0)] * 2
+    for m in range(2, table.n_max + 1):
+        r.append(max(r[-1], table.ratio(m)))
+    return r
+
+
+def _assert_exact(candidates, holds, first, e, span=300):
+    """Some candidate holds at every step of [first, min(E, first + span)]
+    and at E; when E is finite, each one that holds at E + 1 fails at some
+    step <= E."""
+    top = first + span if e is None else min(e, first + span)
+    window = [*range(first, top + 1), *([] if e is None or e <= top else [e])]
+    assert any(all(holds(c, k) for k in window) for c in candidates)
+    if e is not None:
+        for c in candidates:
+            if holds(c, e + 1):
+                assert not all(holds(c, k) for k in range(first, e + 1))
+
+
+def _assert_below_warm_start(table, f, f_m0, ks, m_lo, m_hi):
+    """LP(k, m) <= F_k(m0) at every k in ks and m_lo <= m <= min(m_hi, k - 1),
+    on Fractions.  A float grid only selects the cells not clear by 1e-3,
+    and each of those is compared exactly; returns how many were."""
+    if not len(ks):
+        return 0
+    obf = np.array([float(table.obf(m)) for m in range(m_lo, m_hi + 1)])
+    kk = np.asarray(ks, dtype=np.float64)[:, None]
+    mm = np.arange(m_lo, m_hi + 1, dtype=np.float64)[None, :]
+    d = np.min(
+        [((kk - mm) * (kk - mm - 1) / 2 * float(x) + (kk * (kk - 1) - mm * (mm - 1)) / 2 * float(y))
+         for x, y in f.vertices],
+        axis=0,
+    )
+    f0 = np.array([float(f_m0(k)) for k in ks])
+    close = (obf + d > f0[:, None] - 1e-3) & (mm < kk)
+    for i, j in np.argwhere(close):
+        k, m = ks[int(i)], m_lo + int(j)
+        assert lp_dual_value(k, m, f, table) <= f_m0(k), (k, m)
+    return int(close.sum())
 
 
 class TestHorizons:
@@ -342,57 +430,26 @@ class TestHorizons:
         assert _horizon(1, -(2 * r + 1), r * (r + 1), 0) is None  # roots r, r + 1
 
     def test_issued_horizons_hold_to_3000(self):
-        """Each horizon E issued from step n is sound and exact.
+        """Each seed horizon E issued from step n is sound and exact.
 
         Sound: at every step n <= k <= min(E, n + 300) the seed's
         exhaustive max of LP(k, m), computed with Fractions, is at most
-        LP(k, m0); a float grid only selects the (k, m) not clear by a
-        wide margin, and each of those is compared exactly.  Exact: the
-        one-vertex bounds, rebuilt here on Fractions, include one that
-        holds at every step of that window (and at E), and when E is
-        finite every one of them fails at some step <= E + 1.
+        LP(k, m0).  Exact: the one-vertex bounds, rebuilt here on
+        Fractions, include one that holds at every step of that window
+        (and at E), and when E is finite every one of them fails at some
+        step <= E + 1.
         """
-        table, issued = _issued_horizons(3000)
+        table, issued = _issued(3000, "_seed_horizon")
         assert len(issued) > 50 and any(e is None for *_, e in issued)
-        obf = [0.0, 0.0] + [float(table.obf(m)) for m in range(2, 3001)]
-        ratio_max = [Fraction(0)] * 2
-        for m in range(2, 3001):
-            ratio_max.append(max(ratio_max[-1], table.ratio(m)))
-
-        def binom2(k):
-            return k * (k - 1) // 2
-
-        def g(k, m, x, y):
-            return binom2(k - m) * x + (binom2(k) - binom2(m)) * y
-
+        ratio_max = _prefix_ratio_max(table)
         exact_checks = 0
         for n, lo, hi, si, m0, e in issued:
             f = table.frontier_at(lo)
             assert table.frontier_at(hi) is f and not lo <= m0 <= hi
-            f0_vertices = table.frontier_at(m0).vertices
-            f0_cache = {}
-
-            def f_m0(k):
-                if k not in f0_cache:
-                    f0_cache[k] = table.obf(m0) + min(g(k, m0, x, y) for x, y in f0_vertices)
-                return f0_cache[k]
-
+            f_m0 = _warm_start(table, m0)
             top = n + 300 if e is None else min(e, n + 300)
-            if top >= n:
-                ks = np.arange(n, top + 1, dtype=np.float64)[:, None]
-                ms = np.arange(lo, hi + 1, dtype=np.float64)[None, :]
-                d = np.min(
-                    [((ks - ms) * (ks - ms - 1) / 2 * float(x)
-                      + (ks * (ks - 1) - ms * (ms - 1)) / 2 * float(y))
-                     for x, y in f.vertices],
-                    axis=0,
-                )
-                f0 = np.array([float(f_m0(k)) for k in range(n, top + 1)])
-                close = np.argwhere(np.asarray(obf[lo : hi + 1]) + d > f0[:, None] - 1e-3)
-                for i, j in close:
-                    k, m = n + int(i), lo + int(j)
-                    assert lp_dual_value(k, m, f, table) <= f_m0(k), (n, lo, hi, k, m)
-                    exact_checks += 1
+            ks = list(range(n, top + 1))
+            exact_checks += _assert_below_warm_start(table, f, f_m0, ks, lo, hi)
 
             # the one-vertex bounds: monotone, and quadratic where convex
             candidates = []
@@ -400,25 +457,94 @@ class TestHorizons:
             for x, y in f.vertices:
                 candidates.append((x, y, [(table.obf(hi), lo)]))
                 if r + x - y >= 0:
-                    candidates.append((x, y, [(r * binom2(lo), lo), (r * binom2(hi), hi)]))
+                    candidates.append((x, y, [(r * _binom2(lo), lo), (r * _binom2(hi), hi)]))
 
             def holds(c, k):
                 x, y, terms = c
-                return all(alpha + g(k, a, x, y) <= f_m0(k) for alpha, a in terms)
+                return all(alpha + _g(k, a, x, y) <= f_m0(k) for alpha, a in terms)
 
-            window = [*range(n, top + 1), *([] if e is None or e <= top else [e])]
-            assert any(all(holds(c, k) for k in window) for c in candidates), (n, lo, hi)
-            if e is not None:
-                for c in candidates:
-                    if holds(c, e + 1):
-                        assert not all(holds(c, k) for k in range(n, e + 1)), (n, lo, hi)
+            _assert_exact(candidates, holds, n, e)
         assert exact_checks > 0  # the near ties, next to m0, were compared exactly
+
+    def test_tail_horizons_hold_to_3000(self):
+        """Each tail horizon is sound and exact while it is in use.
+
+        A tail horizon issued at step n for the tail (c, k-1] is in use up
+        to the step before the next one is issued, which is at most E.  At
+        every step k of that window, every m of the tail has LP(k, m) <=
+        LP(k, m0) on Fractions.  Exact: some convex vertex's quadratic bound
+        at m = c + 1 and at m = k - 1, rebuilt on Fractions, holds from
+        step c + 2 on, and when E is finite each one fails by E + 1.
+        """
+        table, issued = _issued(3000, "_tail_horizon")
+        assert len(issued) > 5 and any(e is not None and e > 10**4 for *_, e in issued)
+        ratio_max = _prefix_ratio_max(table)
+        ends = [n for n, *_ in issued[1:]] + [table.n_max + 1]
+        exact_checks = 0
+        for (n, c, si, m0, e), end in zip(issued, ends):
+            assert c == n - 1 and not c < m0 < n
+            f = table._seg_frontiers[si]
+            assert table.frontier_at(c) is f
+            assert e is None or end - 1 <= e, (n, e, end)
+            f_m0 = _warm_start(table, m0)
+            exact_checks += _assert_below_warm_start(
+                table, f, f_m0, list(range(c + 2, end)), c + 1, end - 2
+            )
+
+            r = ratio_max[n - 1]
+            candidates = [(x, y) for x, y in f.vertices if r + x - y >= 0]
+
+            def holds(v, k):
+                x, y = v
+                return (
+                    r * _binom2(c + 1) + _g(k, c + 1, x, y) <= f_m0(k)
+                    and r * _binom2(k - 1) + (k - 1) * y <= f_m0(k)
+                )
+
+            _assert_exact(candidates, holds, c + 2, e)
+        assert exact_checks > 0
+
+    def test_cut_horizons_hold_to_3000(self):
+        """Each skipped cut test would have found no cut, and each cut
+        horizon is exact: some vertex u of Theta_{m0}, rebuilt on Fractions,
+        keeps 1 + obf(m0) + g_u(k, m0) <= C(k-1,2) x_v + C(k,2) y_v at every
+        vertex v over the window and at E, and when E is finite each u fails
+        by E + 1."""
+        tested = set()
+        cuts = bounds._cuts
+
+        def record(theta, k, p, q):
+            tested.add(k)
+            return cuts(theta, k, p, q)
+
+        bounds._cuts = record
+        try:
+            table, issued = _issued(3000, "_cut_horizon")
+        finally:
+            bounds._cuts = cuts
+        skipped = [k for k in range(4, 3001) if k not in tested]
+        assert len(skipped) > 2900
+        for k in skipped:
+            obf_k = table.obf(k)
+            assert not cuts(table.frontier_at(k - 1), k, obf_k.numerator, obf_k.denominator), k
+
+        assert len(issued) > 5 and any(e is None for *_, e in issued)
+        for n, si, m0, e in issued:
+            f = table._seg_frontiers[si]
+            assert table.frontier_at(n - 1) is f
+
+            def holds(u, k):
+                value = 1 + table.obf(m0) + _g(k, m0, *u)
+                return all(value <= _binom2(k - 1) * x + _binom2(k) * y for x, y in f.vertices)
+
+            _assert_exact(table.frontier_at(m0).vertices, holds, n, e)
 
     def test_seeds_partition_every_step(self, table2000):
         """Driven as obf_table drives it, across the segments 1802-1807:
         at every step the seeds, the tail and m0 partition [2, n-1], each
-        piece inside one frontier segment, and the bounded intervals are
-        the seeds past their horizon plus the tail."""
+        piece inside one frontier segment, the tail's horizon has not
+        passed, and the bounded intervals are the seeds past their
+        horizon."""
         starts = [s for s, _ in table2000.frontier_log]
         horizons = bounds._Horizons()
         m0 = None
@@ -427,7 +553,7 @@ class TestHorizons:
             num, den, argmax = _max_lp(table2000, n, m0, horizons)
             assert Fraction(num, den) == table2000.obf(n) - 1, n
             last = bisect_right(starts, n - 1) - 1
-            seeds = [(lo, hi, si) for lo, hi, si, _ in horizons.seeds]
+            seeds = list(horizons.seeds)
             tail = [(horizons.cut + 1, n - 1, last)] if horizons.cut < n - 1 else []
             pieces = sorted(seeds + tail + [(m0, m0, None)])
             assert pieces[0][0] == 2 and pieces[-1][1] == n - 1, n
@@ -435,15 +561,15 @@ class TestHorizons:
             for lo, hi, si in seeds + tail:
                 assert table2000.frontier_at(lo) is table2000.frontier_at(hi)
                 assert table2000.frontier_at(lo) is table2000._seg_frontiers[si]
-            expired = [(lo, hi, si) for lo, hi, si, e in horizons.seeds if e is not None and e < n]
-            assert horizons.intervals(table2000, n, m0) == expired + tail, n
+            assert horizons.tail is None or horizons.tail >= n, n
+            expired = [s for s, e in horizons.seeds.items() if e is not None and e < n]
+            assert sorted(horizons.intervals(table2000, n, m0)) == sorted(expired), n
             m0 = argmax
 
     def test_one_exact_evaluation_per_step(self, monkeypatch):
         # the counts are deterministic: at N = 10000 a step evaluates the
-        # warm start and bounds little more than the tail
-        calls = {"exact": 0, "interval": 0}
-        exact, interval = bounds._dual_min_scaled, bounds._interval_bounds
+        # warm start and almost never bounds an interval or tests a cut
+        calls = {"exact": 0, "interval": 0, "cuts": 0}
 
         def count(key, fn):
             def counted(*args):
@@ -452,12 +578,25 @@ class TestHorizons:
 
             return counted
 
-        monkeypatch.setattr(bounds, "_dual_min_scaled", count("exact", exact))
-        monkeypatch.setattr(bounds, "_interval_bounds", count("interval", interval))
+        for key, name in (("exact", "_dual_min_scaled"), ("interval", "_interval_bounds"), ("cuts", "_cuts")):
+            monkeypatch.setattr(bounds, name, count(key, getattr(bounds, name)))
         obf_table(10000)
         steps = 10000 - 3
         assert steps <= calls["exact"] <= 1.01 * steps
-        assert calls["interval"] <= 1.13 * steps
+        assert calls["interval"] <= 0.02 * steps
+        assert calls["cuts"] <= 0.02 * steps
+
+    def test_far_table_digest(self):
+        """The values and frontier_log of obf_table(100000), which the
+        horizons carry across about 98k steps from one reset."""
+        table = obf_table(100000)
+        h = hashlib.sha256()
+        for n in range(2, table.n_max + 1):
+            h.update(f"{n}\t{table._num[n]}/{table._den[n]}\n".encode())
+        for s, crit in table.frontier_log:
+            h.update(f"{s}\t{' '.join(map(str, crit))}\n".encode())
+        assert h.hexdigest() == "6ff301b3c637235c8d9e9f7f638433830e7a0f750433d3489bddd5b5a580272f"
+        assert table.obf(100000) == Fraction(2446055802901537, 353976)
 
 
 class TestSeriesAndTail:
