@@ -1,6 +1,9 @@
-"""Shared generators for randomized harnesses (all seeded, deterministic)."""
+"""Shared generators for randomized harnesses (all seeded, deterministic)
+and the Fraction oracle of the bound cache's audit."""
 
 import random
+from fractions import Fraction
+from math import comb
 
 from laminar.setfam import Family
 
@@ -39,3 +42,19 @@ def random_laminar_family(rng: random.Random, n: int, t: int, tries: int = 60) -
         if ok:
             masks.append(cand)
     return Family(n, masks)
+
+
+def rec_bound_audit(table, n_max=None) -> bool:
+    """Oracle: the ratio recursion obf(n)/C(n,2) <= 1/C(n,2) + max_{k<n}
+    obf(k)/C(k,2) at every 3 < n <= n_max, with a running maximum, on
+    Fractions; an independent reference for the integer audit that
+    `bounds.load_cache` runs on every line."""
+    n_max = n_max or table.n_max
+    running = table.ratio(2)
+    for n in range(3, n_max + 1):
+        r = table.ratio(n)
+        if n > 3 and r > Fraction(1, comb(n, 2)) + running:
+            return False
+        if r > running:
+            running = r
+    return True

@@ -10,13 +10,12 @@ from math import comb
 
 import pytest
 
-from conftest import random_family
+from conftest import rec_bound_audit, random_family
 from laminar.bounds import (
     lp_dual_value,
     lp_primal_oracle,
     obf_table,
     projective_series,
-    rec_bound_audit,
     upper_limit_report,
 )
 from laminar.construct import (

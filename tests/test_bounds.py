@@ -3,11 +3,12 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import numpy as np
 import pytest
 
+from conftest import rec_bound_audit
 from laminar import bounds
 from laminar.bounds import (
     BoundTable,
@@ -26,7 +27,6 @@ from laminar.bounds import (
     obf_table,
     projective_series,
     rat_to_decimal,
-    rec_bound_audit,
     tail_sum,
     upper_limit_report,
 )
@@ -393,6 +393,45 @@ def _assert_below_warm_start(table, f, f_m0, ks, m_lo, m_hi):
     return int(close.sum())
 
 
+def _per_step_table(n_max, max_lp=_max_lp):
+    """Oracle: the table built with one `max_lp` call per step and the
+    cut test wherever the argmax moved or the cut horizon has passed,
+    as `obf_table` built it before windows."""
+    table = BoundTable()
+    frontier = Frontier((2,), ((1, 1),))
+    table._append_value(2, 1, 1)
+    table._push_frontier(2, frontier)
+
+    def install(n, p, q, uncut):
+        nonlocal frontier
+        table._append_value(n, p, q)
+        if not uncut and _cuts(frontier, n, p, q):
+            frontier = frontier_update(frontier, n, p, q)
+            table._push_frontier(n, frontier)
+
+    install(3, 4, 1, False)
+    argmax = None
+    horizons = bounds._Horizons()
+    for n in range(4, n_max + 1):
+        m0 = argmax or table._seg_starts[-1]
+        num, den, argmax = max_lp(table, n, m0, horizons)
+        g = gcd(num, den)
+        end = horizons.no_cut
+        install(n, (num + den) // g, den // g, argmax == m0 and (end is None or n <= end))
+    return table
+
+
+def _table_digest(table):
+    """sha256 of every value as "n<TAB>p/q" and every frontier segment as
+    "start<TAB>critical indices", one line each."""
+    h = hashlib.sha256()
+    for n in range(2, table.n_max + 1):
+        h.update(f"{n}\t{table._num[n]}/{table._den[n]}\n".encode())
+    for s, crit in table.frontier_log:
+        h.update(f"{s}\t{' '.join(map(str, crit))}\n".encode())
+    return h.hexdigest()
+
+
 class TestHorizons:
     def test_horizon_matches_brute_force(self):
         rng = random.Random(1406)
@@ -568,8 +607,9 @@ class TestHorizons:
 
     def test_one_exact_evaluation_per_step(self, monkeypatch):
         # the counts are deterministic: at N = 10000 a step evaluates the
-        # warm start and almost never bounds an interval or tests a cut
-        calls = {"exact": 0, "interval": 0, "cuts": 0}
+        # warm start, almost never bounds an interval or tests a cut, and
+        # almost always sits in a window, with no call to _max_lp
+        calls = {"exact": 0, "interval": 0, "cuts": 0, "max_lp": 0}
 
         def count(key, fn):
             def counted(*args):
@@ -578,25 +618,79 @@ class TestHorizons:
 
             return counted
 
-        for key, name in (("exact", "_dual_min_scaled"), ("interval", "_interval_bounds"), ("cuts", "_cuts")):
+        for key, name in (
+            ("exact", "_dual_min_scaled"),
+            ("interval", "_interval_bounds"),
+            ("cuts", "_cuts"),
+            ("max_lp", "_max_lp"),
+        ):
             monkeypatch.setattr(bounds, name, count(key, getattr(bounds, name)))
         obf_table(10000)
         steps = 10000 - 3
         assert steps <= calls["exact"] <= 1.01 * steps
         assert calls["interval"] <= 0.02 * steps
         assert calls["cuts"] <= 0.02 * steps
+        assert 0 < calls["max_lp"] <= 0.01 * steps
+
+    @pytest.mark.parametrize("n_max", [3000, 20000])
+    def test_windows_match_per_step_oracle(self, n_max):
+        """Windows change nothing: the values, the ratio records and the
+        frontier_log equal those of one `_max_lp` call per step."""
+        table = obf_table(n_max)
+        want = _per_step_table(n_max)
+        assert table._num == want._num and table._den == want._den
+        assert table._rec_ks == want._rec_ks and table._rec_ratios == want._rec_ratios
+        assert table.frontier_log == want.frontier_log
+
+    def test_windows_are_idle_steps(self):
+        """Driven one step at a time to N = 20000: at every step of a
+        window `_max_lp` returns the warm start and leaves the horizons as
+        they were, so `intervals` returned nothing; the step after a
+        window that ends before N bounds a leaf, changes them or is past
+        the cut horizon, so each window is as long as it may be."""
+        n_max = 20000
+        until = 0
+        idle = []
+
+        def state(h):
+            return h.key, h.cut, h.tail, h.no_cut, dict(h.seeds), list(h.pending), list(h.expired)
+
+        def checked_max_lp(table, n, m0, horizons):
+            nonlocal until
+            before = state(horizons)
+            num, den, argmax = _max_lp(table, n, m0, horizons)
+            after = state(horizons)
+            if n <= until:
+                assert after == before and not horizons.expired and argmax == m0, n
+                idle.append(n)
+                return num, den, argmax
+            if until and n == until + 1:
+                # this step bounds a leaf, changes the horizons or tests for a cut
+                end = before[3]
+                assert after != before or after[6] or (end is not None and n > end), n
+            end = horizons.no_cut
+            if argmax == m0 and (end is None or n <= end):
+                until = horizons.until(n, n_max)
+            return num, den, argmax
+
+        _per_step_table(n_max, checked_max_lp)
+        assert len(idle) > 0.99 * (n_max - 3)
 
     def test_far_table_digest(self):
         """The values and frontier_log of obf_table(100000), which the
         horizons carry across about 98k steps from one reset."""
         table = obf_table(100000)
-        h = hashlib.sha256()
-        for n in range(2, table.n_max + 1):
-            h.update(f"{n}\t{table._num[n]}/{table._den[n]}\n".encode())
-        for s, crit in table.frontier_log:
-            h.update(f"{s}\t{' '.join(map(str, crit))}\n".encode())
-        assert h.hexdigest() == "6ff301b3c637235c8d9e9f7f638433830e7a0f750433d3489bddd5b5a580272f"
+        assert _table_digest(table) == "6ff301b3c637235c8d9e9f7f638433830e7a0f750433d3489bddd5b5a580272f"
         assert table.obf(100000) == Fraction(2446055802901537, 353976)
+
+    @pytest.mark.slow
+    def test_million_table_digest(self):
+        """obf_table(10**6) by the same digest: about 4 s on a 2-core VM,
+        a quarter of it formatting the digest's million lines."""
+        table = obf_table(1000000)
+        assert _table_digest(table) == "5ff5e160de31b19e6e183c3c602eb467e2d5762fb126ac57faf2c172fd1d67b4"
+        assert table.obf(1000000) == Fraction(4991997099704113, 7224)
+        assert table.critical == (1, 2, 3, 7, 43, 1807)
 
 
 class TestSeriesAndTail:
@@ -627,6 +721,29 @@ class TestAudits:
 
     def test_audit_sweep(self, table600):
         assert rec_bound_audit(table600)
+
+    def test_load_cache_audit_matches_oracle(self, tmp_path, table600):
+        """`load_cache`'s integer audit accepts a last line exactly when
+        the Fraction oracle does: at the largest obf(n) that the ratio
+        recursion allows, and just above it."""
+        for n in (4, 5, 8, 43, 44, 250, 600):
+            running = max(table600.ratio(k) for k in range(2, n))
+            top = 1 + comb(n, 2) * running
+            for value, ok in ((top, True), (top + Fraction(1, 7), False)):
+                probe = BoundTable()
+                for k in range(2, n):
+                    probe._append_value(k, table600._num[k], table600._den[k])
+                probe._append_value(n, value.numerator, value.denominator)
+                assert rec_bound_audit(probe) is ok, (n, value)
+                path = tmp_path / f"obf{n}.cache"
+                path.write_text(
+                    "".join(f"{k}\t{probe._num[k]}/{probe._den[k]}\n" for k in range(2, n + 1))
+                )
+                if ok:
+                    assert load_cache(str(path))[-1] == (value.numerator, value.denominator)
+                else:
+                    with pytest.raises(CacheError, match=f"obf\\({n}\\) fails the ratio"):
+                        load_cache(str(path))
 
     def test_upper_limit_small(self, table60):
         rep = upper_limit_report(table60, 4)
