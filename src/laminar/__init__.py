@@ -2,10 +2,12 @@
 
 A family is t-laminar when any two members sharing at least t points
 are nested.  This package builds large 2- and 3-laminar families by
-nesting finite-geometry designs (affine/projective planes, circle
-geometries) and bounds their maximum size from above with an
-exact-rational recursive linear program, bracketing the limiting ratio
-f(n)/C(n,2) inside [1.3818, 1.3821].
+nesting one t-laminar family into every block of a finite-geometry
+design (`nested`; the Fano tower over affine planes and the circle
+tower over circle geometries), searches small n exactly, and bounds
+the maximum size from above with an exact-rational recursive linear
+program, bracketing the limiting ratio f(n)/C(n,2) inside
+[1.3818, 1.3821].
 """
 
 from .bounds import (
@@ -24,10 +26,7 @@ from .construct import (
     TowerReport,
     circle_tower,
     fano_tower,
-    general_n_lower_bound,
     nested,
-    seven_series,
-    three_series_report,
 )
 from .geometry import (
     Design,
@@ -47,7 +46,6 @@ from .setfam import (
     forbidden_matrix,
     incidence_matrix,
     is_t_laminar,
-    maximal_sets,
     unique_chain_check,
 )
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .setfam import Family, csr_points, masks_from_csr
+from .setfam import Family, csr_points, family_to_text, masks_from_csr
 
 
 class NotPrimePower(ValueError):
@@ -34,7 +34,8 @@ class GeometryError(RuntimeError):
 
     Every check that raises it holds by theorem (an irreducible of each
     degree exists, GF(q) sits inside GF(q^2), a circle geometry has
-    q(q^2+1) circles), so it means a bug, never bad input.
+    q(q^2+1) circles, a tower level holds its counted members), so it
+    means a bug, never bad input.
     """
 
 
@@ -98,7 +99,7 @@ def _is_irreducible(poly, p):
 
 
 class FiniteField:
-    """GF(p^k) with dense add/mul/inv tables over integer element codes.
+    """GF(p^k) with dense add/mul tables over integer element codes.
 
     The modulus is the lexicographically smallest monic irreducible of
     degree k over GF(p), comparing coefficient vectors lowest degree
@@ -126,7 +127,7 @@ class FiniteField:
         raise GeometryError(f"no monic irreducible of degree {k} over GF({p}) found")
 
     def _build_tables(self):
-        """add/mul/inv tables over all code pairs at once.  add sums
+        """add/mul tables over all code pairs at once.  add sums
         the base-p digits mod p.  mul forms the coefficient arrays of
         the product polynomial, then reduces them by the monic modulus
         from the top degree down."""
@@ -148,43 +149,12 @@ class FiniteField:
         mul = sum(prod[j] % p * place[j] for j in range(k))
         self.add_table = add
         self.mul_table = mul
-        # row 0 of mul holds no 1, so argmax leaves inv[0] = 0
-        self.inv_table = np.argmax(mul == 1, axis=1).astype(dtype)
-
-    def coeffs(self, code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.k):
-            out.append(code % self.p)
-            code //= self.p
-        return tuple(out)
-
-    def from_coeffs(self, coeffs) -> int:
-        code = 0
-        for c in reversed(list(coeffs)):
-            code = code * self.p + c % self.p
-        return code
 
     def add(self, a: int, b: int) -> int:
         return int(self.add_table[a, b])
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[a, b])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return int(self.inv_table[a])
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        r, b = 1, a
-        while e:
-            if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return r
 
     def powers(self, e: int) -> np.ndarray:
         """x**e for every element code x (e >= 1), by square-and-multiply
@@ -451,25 +421,8 @@ def greedy_packing(n: int, k: int, t: int, order_seed: int = 0) -> Design:
 
 
 def design_to_text(d: Design) -> str:
-    from .setfam import family_to_text
-
+    """The blocks in the family text format, headed by a ``design t=..
+    v=.. lambda=.. kind=..`` comment; `family_from_text` reads the file
+    back as the block family."""
     meta = f"design t={d.t} v={d.v} lambda={d.lam} kind={d.kind}"
     return family_to_text(d.blocks, t=d.t, comments=[meta])
-
-
-def design_from_text(text: str) -> Design:
-    from .setfam import family_from_text
-
-    fam, t, comments = family_from_text(text)
-    meta = next((c for c in comments if c.startswith("design ")), None)
-    if meta is None:
-        raise ValueError("missing design metadata comment")
-    kv = dict(item.split("=", 1) for item in meta.split()[1:])
-    return Design(
-        t=int(kv["t"]),
-        v=int(kv["v"]),
-        lam=int(kv["lambda"]),
-        blocks=fam,
-        kind=kv["kind"],
-    )
-

@@ -15,13 +15,14 @@ greedy clique per orbit sets before any of them runs.  For t = 2 and
 the counting convention of f(n) the search stops as soon as the
 incumbent reaches floor(obf(n)) from the bound table, which caps f(n).
 The graph is built, and its rows relabelled, in numpy blocks of 64
-rows.  This settles t = 2 up to n = 13: f(8) = 37 by search (its greedy
-seed holds 37 of floor(obf(8)) = 38), and f(9) = 49, f(10) = 61,
-f(11) = 74, f(12) = 89 and f(13) = 105, each floor(obf(n)), by the
-greedy seed alone, in 0.005 to 0.5 s.  For t = 3 it settles n up to 9
-(71 on [8], 103 on [9]).  Beyond that it runs best-effort under a time
-budget, downgrading the result to a certified lower bound when the
-budget runs out.  The maximum family returned may differ from the one
+rows.  This settles t = 2 up to n = 13, and n = 15: f(8) = 37 by
+search (its greedy seed holds 37 of floor(obf(8)) = 38), and f(9) = 49,
+f(10) = 61, f(11) = 74, f(12) = 89, f(13) = 105 and f(15) = 142, each
+floor(obf(n)), by the greedy seed alone, in 0.005 to 0.5 s up to
+n = 13 and 7.7 s at n = 15.  For t = 3 it settles n up to 10 (71 on
+[8], 103 on [9], 151 on [10] in 781,017 branch nodes and about 40 s).
+Beyond that it runs best-effort under a time budget, downgrading the
+result to a certified lower bound when the budget runs out.  The maximum family returned may differ from the one
 earlier versions returned; its size does not.
 
 The budget starts after the graph is built, so ground sets above
@@ -232,8 +233,9 @@ def max_laminar_exact(
     no budget is needed then.
 
     This proves f(8) = 37 by search (223 branch nodes) and f(9) to
-    f(13) = 49, 61, 74, 89, 105 by the greedy seed meeting the bound,
-    with no branch node; for t = 3 it proves 71 on [8] and 103 on [9].
+    f(13) = 49, 61, 74, 89, 105 and f(15) = 142 by the greedy seed
+    meeting the bound, with no branch node; for t = 3 it proves 71 on
+    [8], 103 on [9] and 151 on [10].
     The maximum family returned may differ from the one earlier
     versions returned; its size does not.  When the shared budget runs
     out the best family found so far is returned with ``exact=False``,

@@ -26,11 +26,10 @@ On the 1625-set tower (n = 49, t = 2) the three take about 15, 10 and
 2-core VM).
 
 Members are int masks: ground point i (1-based) is bit i-1.  A Family
-is a ground-set size n and a tuple of masks; it orders its members, and
-canonical order is by (cardinality, mask value) so derived artifacts
-are byte-reproducible.  Every conversion between masks and other forms
-goes through one codec: `masks_from_csr` packs 0-based points,
-delimited CSR-style by offsets, into masks with one
+is a ground-set size n and a tuple of masks; it keeps its members in
+order, so derived artifacts are byte-reproducible.  Every conversion
+between masks and other forms goes through one codec: `masks_from_csr`
+packs 0-based points, delimited CSR-style by offsets, into masks with one
 ``np.bitwise_or.at``; `mask_bits` unpacks masks into zero-one uint8 bit
 rows, and `masks_from_bits` packs such rows back.  `Family.to_words`,
 `incidence_matrix` and `csr_points` are built on the unpacker.
@@ -161,10 +160,6 @@ class Family:
     def __iter__(self) -> Iterator[int]:
         return iter(self.masks)
 
-    def canonical(self) -> "Family":
-        """Members sorted by (cardinality, mask value)."""
-        return Family(self.n, sorted(self.masks, key=lambda m: (m.bit_count(), m)))
-
     def count_size_geq(self, k: int) -> int:
         return sum(1 for m in self.masks if m.bit_count() >= k)
 
@@ -190,20 +185,6 @@ def is_t_laminar(fam: Family, t: int) -> bool:
     The empty family and singleton families are vacuously laminar.
     """
     return violating_pair(fam, t) is None
-
-
-def maximal_sets(fam: Family, exclude_universe: bool = False) -> Family:
-    """Blocks not strictly contained in another eligible block (an antichain).
-
-    With exclude_universe the full set [n] is removed before taking
-    maximal elements, matching the structural decomposition that feeds
-    the packing inequalities.
-    """
-    full = (1 << fam.n) - 1
-    eligible = [m for m in fam.masks if not (exclude_universe and m == full)]
-    return Family(
-        fam.n, [m for m in eligible if not any(m != c and m & c == m for c in eligible)]
-    )
 
 
 def incidence_matrix(fam: Family) -> np.ndarray:

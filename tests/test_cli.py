@@ -190,6 +190,19 @@ class TestConstructCommand:
         assert code == 4 and out == "" and not out_path.exists()
         assert err.count("\n") == 1 and "block count 29 != 30" in err
 
+    def test_tower_count_mismatch_exit_4(self, tmp_path, capsys, monkeypatch):
+        real = construct.nested
+        monkeypatch.setattr(
+            construct, "nested",
+            lambda packing, fam: setfam.Family(packing.v, real(packing, fam).masks[1:]))
+        out_path = tmp_path / "t.family"
+        code, out, err = run(
+            ["construct", "fano-tower", "--r", "1", "--materialize", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 4 and out == "" and not out_path.exists()
+        assert err.count("\n") == 1 and "materialized tower count mismatch" in err
+
     def test_tower_report_without_materialize(self, capsys):
         code, out, _ = run(["construct", "fano-tower", "--r", "2", "--json"], capsys)
         assert code == 0

@@ -12,61 +12,54 @@ from laminar.construct import (
     CapExceeded,
     circle_tower,
     fano_tower,
-    general_n_lower_bound,
-    known_laminar_lower,
     nested,
-    seven_series,
-    three_bracket,
-    three_series_report,
 )
-from laminar.geometry import greedy_packing, projective_plane
+from laminar.geometry import Design, affine_plane, greedy_packing, projective_plane
 from laminar.setfam import Family, family_to_text, is_t_laminar
 
 
 class TestNested:
     def test_blocks_as_singletons(self):
         fano = projective_plane(2)
-        out = nested(fano, lambda k: Family(k.bit_count(), [(1 << k.bit_count()) - 1]))
+        out = nested(fano, Family(3, [0b111]))
         assert len(out) == 7
         assert set(members(out)) == set(members(fano.blocks))
         assert is_t_laminar(out, 2)
 
     def test_blocks_with_pairs(self):
         fano = projective_plane(2)
-
-        def repl(k):
-            sets = [list(p) for p in combinations(range(1, 4), 2)] + [[1, 2, 3]]
-            return Family.of(3, sets)
-
-        out = nested(fano, repl)
+        pairs = Family.of(3, [*combinations(range(1, 4), 2), [1, 2, 3]])
+        out = nested(fano, pairs)
         # every pair of [7] lies in exactly one block: 21 pairs + 7 blocks
         assert len(out) == 28
         assert is_t_laminar(out, 2)
 
     def test_affine_49_nesting_count(self):
         _, f0 = fano_tower(0, materialize=True)
-        from laminar.geometry import affine_plane
-
-        out = nested(affine_plane(7), lambda k: f0)
+        out = nested(affine_plane(7), f0)
         assert len(out) == 56 * 29
         out_with_universe = Family(49, out.masks + ((1 << 49) - 1,))
         assert len(out_with_universe) == 1625
 
     def test_rejects_non_laminar_replacement(self):
-        from laminar.geometry import Design
-
         packing = Design(
             t=1, v=6, lam=1, blocks=Family.of(6, [[1, 2, 3], [4, 5, 6]]),
             kind="packing",
         )
         bad = Family.of(3, [[1, 2], [2, 3]])  # overlapping, incomparable
         with pytest.raises(ValueError, match="not t-laminar"):
-            nested(packing, lambda k: bad)
+            nested(packing, bad)
 
     def test_rejects_ground_mismatch(self):
         fano = projective_plane(2)
-        with pytest.raises(ValueError, match="ground size"):
-            nested(fano, lambda k: Family.of(4, [[1, 2]]))
+        with pytest.raises(ValueError, match="ground size 4 != block size 3"):
+            nested(fano, Family.of(4, [[1, 2]]))
+        # blocks of two sizes: the family fits the first block, not the second
+        mixed = Design(
+            t=2, v=5, lam=1, blocks=Family.of(5, [[1, 2, 3], [3, 4]]), kind="packing",
+        )
+        with pytest.raises(ValueError, match="ground size 3 != block size 2"):
+            nested(mixed, Family.of(3, [[1, 2]]))
 
     def test_random_property(self):
         rng = random.Random(99)
@@ -76,7 +69,7 @@ class TestNested:
             t = rng.randint(1, k)
             packing = greedy_packing(n, k, t, rng.randint(0, 999))
             repl = random_laminar_family(rng, k, t)
-            out = nested(packing, lambda _b: repl)
+            out = nested(packing, repl)
             assert is_t_laminar(out, t)
             assert out.masks == _nested_loop(packing, repl)
 
@@ -92,15 +85,20 @@ def _nested_loop(packing, repl):
 
 
 class TestSevenSeries:
+    """The t = 2 tower's ratio at n = 7^(2^r) is the bracket series
+    1 + 1/C(3,2) + 1/C(7,2) + 1/C(49,2) + ... + 1/C(n,2)."""
+
     def test_level_values(self):
-        assert seven_series(0) == Fraction(29, 21)
-        assert seven_series(1) == Fraction(1625, 1176)
+        assert fano_tower(0)[0].ratio == Fraction(29, 21)
+        assert fano_tower(1)[0].ratio == Fraction(1625, 1176)
 
     def test_level2_exceeds_threshold(self):
-        assert seven_series(2) >= Fraction(13818, 10000)
+        assert fano_tower(2)[0].ratio >= Fraction(13818, 10000)
 
     def test_matches_bracket_shape(self):
-        assert seven_series(0) == 1 + Fraction(1, 3) + Fraction(1, 21)
+        series = 1 + Fraction(1, 3) + Fraction(1, 21)
+        assert fano_tower(0)[0].ratio == series
+        assert fano_tower(1)[0].ratio == series + Fraction(1, comb(49, 2))
 
 
 class TestFanoTower:
@@ -153,9 +151,25 @@ class TestCircleTower:
         assert rep.n == 82
         assert rep.count_geq_t == 738 * 151 + 1
 
+    def test_r1_full_size(self):
+        rep, fam = circle_tower(1, materialize=True)
+        assert rep.count_geq_t == fam.count_size_geq(3) == 111439
+        assert len(fam) == 82 + comb(82, 2) + 111439 == 114842
+
     def test_bracket(self):
-        assert three_bracket(0) == Fraction(5, 4)
-        assert three_bracket(1) == Fraction(5, 4) + Fraction(1, 120)
+        """The displayed t = 3 bracket 1 + 1/C(4,3) + ...: the count is
+        1 + C(n,3) * bracket, the universe carried by the leading 1."""
+        for r, bracket in ((0, Fraction(5, 4)), (1, Fraction(5, 4) + Fraction(1, 120))):
+            rep, _ = circle_tower(r)
+            assert rep.formula_value == 1 + comb(rep.n, 3) * bracket
+
+    def test_bracket_limit_partial_sum(self):
+        """The series sums to about 1.2583, not the 1.5083 sometimes
+        quoted alongside the displayed formula; the level on 6562 points
+        is within 1/C(6562,3) of the sum through 82 points."""
+        limit = 1 + Fraction(1, 4) + Fraction(1, 120) + Fraction(1, 88560)
+        assert abs(float(limit) - 1.25834) < 5e-6
+        assert circle_tower(2)[0].ratio == limit + Fraction(1, comb(6562, 3))
 
 
 @pytest.mark.parametrize(
@@ -189,8 +203,6 @@ def test_tower_reports_pinned():
         "be9f952513f8d77d3b0dca5cb9cfe729ddc49cbc61d09c9fac7eb74297f63817")
     assert _report_digest(circle) == (
         "912f4fc6fbb53c802521693a161d881d9d4f04fcabc760dc8d942350ec54652d")
-    assert _report_digest(three_series_report(r) for r in range(3)) == (
-        "8ffba3effe280464ca970e2bc2a92b04890ce629ed8ba46208ed0515fcb123d6")
     m, g = 7, 29
     for rep in fano:
         assert (rep.t, rep.n, rep.count_geq_t) == (2, m, g)
@@ -201,56 +213,21 @@ def test_tower_reports_pinned():
         q, g = q * q, q * q * (q**4 + 1) * g + 1
 
 
-class TestThreeSeriesReport:
-    def test_r0(self):
-        rep = three_series_report(0)
-        assert rep.printed_bracket == Fraction(5, 4)
-        assert rep.count_geq3 == 151
-        assert rep.printed_total == 206 == rep.full_size
-
-    def test_r1(self):
-        rep = three_series_report(1)
-        assert rep.count_geq3 == 111439
-        assert rep.printed_total == rep.full_size == 114842
-
-    def test_discrepancy_flagged_not_asserted(self):
-        rep = three_series_report(0)
-        assert "1.5083" in rep.note
-        assert "1.2583" in rep.note
-        assert rep.printed_total == 206 and rep.count_geq3 == 151
-
-    def test_bracket_limit_partial_sum(self):
-        limit = 1 + Fraction(1, 4) + Fraction(1, 120) + Fraction(1, 88560)
-        assert abs(float(limit) - 1.25834) < 5e-6
-
-
 class TestGeneralLowerBound:
+    """f(n) >= b * g(k) + 1 from a 2-(n,k,1) packing with b blocks and a
+    2-laminar family of g(k) members on k points: nest it into every
+    block and add the universe."""
+
     def test_fano_packing(self):
-        fano = projective_plane(2)
-        assert general_n_lower_bound(7, 3, fano) == 29
+        f3 = Family.of(3, [*combinations(range(1, 4), 2), [1, 2, 3]])
+        out = nested(projective_plane(2), f3)
+        full = Family(7, out.masks + ((1 << 7) - 1,))
+        assert len(full) == 7 * 4 + 1 == 29
+        assert is_t_laminar(full, 2)
 
     def test_greedy_13(self):
         p = greedy_packing(13, 3, 2, 7)
-        b = p.block_count()
-        assert general_n_lower_bound(13, 3, p) == 4 * b + 1
-
-    def test_rejects_full_block(self):
-        p = greedy_packing(5, 5, 2, 0)
-        with pytest.raises(ValueError, match="k < n"):
-            general_n_lower_bound(5, 5, p)
-
-    def test_rejects_invalid_packing(self):
-        from laminar.geometry import Design
-
-        bad = Design(
-            t=2, v=5, lam=1, blocks=Family.of(5, [[1, 2, 3], [1, 2, 4]]),
-            kind="packing",
-        )
-        with pytest.raises(ValueError, match="invalid packing"):
-            general_n_lower_bound(5, 3, bad)
-
-    def test_known_lower_values(self):
-        assert known_laminar_lower(2) == 1
-        assert known_laminar_lower(3) == 4
-        assert known_laminar_lower(7) == 29
-        assert known_laminar_lower(49) == 1625
+        f3 = Family.of(3, [*combinations(range(1, 4), 2), [1, 2, 3]])
+        out = nested(p, f3)
+        assert len(out) == 4 * p.block_count()
+        assert is_t_laminar(out, 2)

@@ -22,7 +22,6 @@ from laminar.setfam import (
     incidence_matrix,
     is_t_laminar,
     masks_from_csr,
-    maximal_sets,
     unique_chain_check,
     verify_t_laminar,
     violating_pair,
@@ -82,10 +81,6 @@ class TestBlockFamily:
         with pytest.raises(ValueError, match="positive"):
             Family(0, ())
         assert Family(3, [0b111, 0]).masks == (0b111, 0)
-
-    def test_canonical_order(self):
-        f = fam(4, [1, 2, 3], [4], [1, 2]).canonical()
-        assert members(f) == [(4,), (1, 2), (1, 2, 3)]
 
 
 def _words_loop(f: Family) -> np.ndarray:
@@ -167,42 +162,6 @@ class TestWitness:
                     a, b = (f.masks[i] for i in w)
                     c = a & b
                     assert c.bit_count() >= t and c != a and c != b
-
-
-class TestMaximalSets:
-    def test_basic(self):
-        f = fam(5, [1, 2], [1, 2, 3], [4, 5])
-        out = maximal_sets(f)
-        assert set(members(out)) == {(1, 2, 3), (4, 5)}
-
-    def test_universe_dropped(self):
-        f = fam(5, [1, 2, 3, 4, 5], [1, 2], [3, 4])
-        out = maximal_sets(f, exclude_universe=True)
-        assert set(members(out)) == {(1, 2), (3, 4)}
-
-    def test_fano_blocks_are_maximal(self):
-        _, f0 = fano_tower(0, materialize=True)
-        out = maximal_sets(f0, exclude_universe=True)
-        assert len(out) == 7
-        assert all(m.bit_count() == 3 for m in out)
-
-    def test_antichain_and_coverage(self):
-        rng = random.Random(23)
-        for _ in range(150):
-            f = random_family(rng)
-            out = maximal_sets(f, exclude_universe=True)
-            for a in out:
-                for b in out:
-                    assert a == b or not (a & b == a)
-            full = (1 << f.n) - 1
-            for b in f:
-                if b == full:
-                    continue
-                containers = [c for c in out if b & c == b]
-                assert containers
-                # container unique when the family is 2-laminar
-                if is_t_laminar(f, 2) and b not in set(out):
-                    assert len(containers) >= 1
 
 
 class TestMatrices:
