@@ -172,6 +172,19 @@ class TestCircleTower:
         assert circle_tower(2)[0].ratio == limit + Fraction(1, comb(6562, 3))
 
 
+class TestThreeSeriesReport:
+    def test_r0(self):
+        """The displayed t = 3 full-size formula 1 + n + C(n,2) + C(n,3) *
+        bracket, bracket 5/4 on the 10-point base, equals the size of the
+        materialized family."""
+        rep, fam = circle_tower(0, materialize=True)
+        n = rep.n
+        printed_total = 1 + n + comb(n, 2) + comb(n, 3) * Fraction(5, 4)
+        assert rep.count_geq_t == 151
+        assert printed_total == 206 == len(fam)
+        assert printed_total == n + comb(n, 2) + rep.formula_value
+
+
 @pytest.mark.parametrize(
     "build,t,digest",
     [
