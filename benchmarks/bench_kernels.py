@@ -21,7 +21,6 @@ from laminar.search import max_laminar_exact
 from laminar.setfam import (
     Family,
     contains_config,
-    csr_points,
     forbidden_matrix,
     incidence_matrix,
     unique_chain_check,
@@ -111,8 +110,11 @@ def bench_cover_counts(repeats):
         ("pair cover counts: 2-(2401,49,1)", affine_plane(49)),
         ("triple cover counts: 3-(82,10,1)", circle_geometry(9)),
     ):
-        pts, offs = csr_points(design.blocks)
-        _row(label, lambda: _kernels.cover_counts(pts, offs, design.v, design.t), repeats)
+        _row(
+            label,
+            lambda: _kernels.cover_counts(design.points, design.offsets, design.v, design.t),
+            repeats,
+        )
 
 
 def main():

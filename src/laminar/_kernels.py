@@ -16,11 +16,14 @@ Two inner loops dominate runtime in this package:
     (``cover_counts``, any strength t >= 1).  Blocks are grouped by
     size, each size has one table of t-subset positions, and the colex
     ranks of the t-subsets of a run of blocks, at most ``_COVER_CHUNK``
-    = 2^17 at a time, go into one preallocated C(v, t) int32 count
+    = 2^17 at a time, go into one preallocated C(v, t) uint8 count
     array through ``np.add.at``, which counts a rank repeated inside a
-    chunk once per repeat.  On the 2-(2401,49,1) affine plane that is
-    2.9M pair ranks in about 40 ms, with 3 MB of temporaries beside the
-    11.5 MB count array.
+    chunk once per repeat.  Ranks are int32 whenever C(v, t) < 2^31.
+    The counts are exact iff they sum to the number of ranks added (a
+    count of 256 or more wraps and breaks that sum); otherwise they are
+    recounted into int32.  On the 2-(2401,49,1) affine plane that is
+    2.9M pair ranks in about 20 ms, with 3 MB of temporaries beside the
+    2.9 MB count array.
 
 A third kernel, ``scan_topk``, is the double-precision top-K scan that
 used to shortlist argmax candidates for the bound table.  The bound
@@ -121,25 +124,46 @@ def cover_counts(points: np.ndarray, offsets: np.ndarray, v: int, t: int) -> np.
 
     ``points`` holds all block members (0-based, sorted within a block)
     concatenated; ``offsets`` delimits blocks CSR-style.  Any t >= 1.
-    Counts are int32: none can exceed the number of blocks.
+    Counts are exact, uint8 when every count is below 256 and int32
+    otherwise.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    points = np.ascontiguousarray(points, dtype=np.int64)
+    total = comb(v, t)
+    # every rank, and every binomial a rank sums, is below C(v, t)
+    rank_dtype = np.int32 if total < 2**31 else np.int64
+    points = np.ascontiguousarray(points, dtype=rank_dtype)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    counts = np.zeros(total, dtype=np.uint8)
+    added = _add_cover_ranks(counts, points, offsets, v, t)
+    # a count of 256 or more wraps in uint8, and only a wrap makes the
+    # stored counts sum to less than the ranks added
+    if int(counts.sum(dtype=np.int64)) != added:
+        counts = np.zeros(total, dtype=np.int32)
+        _add_cover_ranks(counts, points, offsets, v, t)
+    return counts
+
+
+def _add_cover_ranks(
+    counts: np.ndarray, points: np.ndarray, offsets: np.ndarray, v: int, t: int
+) -> int:
+    """Add one to ``counts`` at the colex rank of every t-subset of
+    every block; returns the number of ranks added."""
     # np.add.at, unlike ``counts[r] += 1``, counts a rank that repeats
     # inside a chunk once per repeat, so a t-subset that two blocks of
-    # one chunk share is never lost.  Its increment is np.int32(1): with
-    # a Python int 1, np.add.at on int32 counts leaves its fast path
-    # (0.61 s instead of 38 ms on the 2-(2401,49,1) plane).
-    counts = np.zeros(comb(v, t), dtype=np.int32)
-    # binom[i][x] = C(x, i + 1); the colex rank of {a_0 < ... < a_{t-1}}
-    # is the sum of binom[i][a_i], and binom[0] is the identity.  Since
-    # a_i <= v - t + i, no entry exceeds C(v, t).
-    binom = [
-        np.array([comb(x, i + 1) for x in range(v - t + i + 1)], dtype=np.int64)
-        for i in range(t)
-    ]
+    # one chunk share is never lost.  Its increment has the counts'
+    # dtype: with a Python int 1, np.add.at leaves its fast path (0.61 s
+    # instead of 38 ms on the 2-(2401,49,1) plane with int32 counts).
+    one = counts.dtype.type(1)
+    # binom[i, x] = C(x, i + 1); the colex rank of {a_0 < ... < a_{t-1}}
+    # is the sum of binom[i, a_i], and binom[0] is the identity.  Since
+    # a_i <= v - t + i, no entry used exceeds C(v, t); the entries past
+    # v - t + i are never summed, so they stay 0 rather than overflow.
+    binom = np.zeros((t, v), dtype=points.dtype)
+    for i in range(t):
+        used = range(v - t + i + 1)
+        binom[i, : len(used)] = [comb(x, i + 1) for x in used]
+    added = 0
     sizes = np.diff(offsets)
     for s in sorted(set(sizes[sizes >= t].tolist())):
         starts = offsets[:-1][sizes == s]
@@ -149,13 +173,16 @@ def cover_counts(points: np.ndarray, offsets: np.ndarray, v: int, t: int) -> np.
         step = max(1, _COVER_CHUNK // per_block)
         for lo in range(0, starts.size, step):
             members = points[starts[lo : lo + step, None] + np.arange(s)]
+            # C(member, i + 1) once per member and position i
+            terms = [members] + [binom[i, members] for i in range(1, t)]
             for c0 in range(0, per_block, _COVER_CHUNK):
                 cols = table[:, c0 : c0 + _COVER_CHUNK]
-                rank = members[:, cols[0]]
+                rank = terms[0][:, cols[0]]
                 for i in range(1, t):
-                    rank += binom[i][members[:, cols[i]]]
-                np.add.at(counts, rank, np.int32(1))
-    return counts
+                    rank += terms[i][:, cols[i]]
+                np.add.at(counts, rank, one)
+                added += rank.size
+    return added
 
 
 # ---------------------------------------------------------------------------

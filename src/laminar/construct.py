@@ -82,16 +82,15 @@ def nested(packing: Design, fam: Family) -> Family:
     whenever the inputs satisfy the preconditions: fam is checked here,
     the packing is not (validate it separately, it may be expensive).
     """
-    block_points, block_offsets = csr_points(packing.blocks)
-    sizes = np.diff(block_offsets)
+    sizes = np.diff(packing.offsets)
     wrong = np.flatnonzero(sizes != fam.n)
     if wrong.size:
         raise ValueError(f"replacement ground size {fam.n} != block size {sizes[wrong[0]]}")
     if not is_t_laminar(fam, packing.t):
         raise ValueError("replacement family is not t-laminar")
     rel_points, rel_offsets = csr_points(fam)
-    b = len(packing.blocks)
-    points = block_points.reshape(b, fam.n)[:, rel_points]
+    b = packing.block_count()
+    points = packing.points.reshape(b, fam.n)[:, rel_points]
     offsets = np.zeros(b * len(fam) + 1, dtype=np.int64)
     offsets[1:] = (rel_offsets[1:] + rel_points.size * np.arange(b)[:, None]).ravel()
     masks = masks_from_csr(packing.v, points.ravel(), offsets)

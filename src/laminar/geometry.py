@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .setfam import Family, csr_points, family_to_text, masks_from_csr
+from .setfam import Family, csr_from_sets, csr_to_text, masks_from_csr
 
 
 class NotPrimePower(ValueError):
@@ -195,9 +196,14 @@ def field_for_order(q: int) -> FiniteField:
 # designs and packings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
     """A block system with declared strength t and index lambda.
+
+    The blocks are CSR arrays: ``points`` holds every block's 0-based
+    points, strictly increasing within a block, concatenated in block
+    order, and block i is ``points[offsets[i]:offsets[i+1]]``.  Both are
+    stored as read-only int64 copies, so designs compare by identity.
 
     kind "design" claims every t-subset lies in exactly lambda blocks;
     kind "packing" claims at most lambda.  Claims are checked by
@@ -207,39 +213,72 @@ class Design:
     t: int
     v: int
     lam: int
-    blocks: Family
+    points: np.ndarray
+    offsets: np.ndarray
     kind: str  # "design" | "packing"
 
     def __post_init__(self):
         if self.kind not in ("design", "packing"):
             raise ValueError("kind must be 'design' or 'packing'")
-        if self.blocks.n != self.v:
-            raise ValueError("block family ground size must equal v")
+        if self.v < 1:
+            raise ValueError("v must be positive")
+        points = np.array(self.points, dtype=np.int64)
+        offsets = np.array(self.offsets, dtype=np.int64)
+        if points.ndim != 1 or offsets.ndim != 1 or offsets.size == 0:
+            raise ValueError("points and offsets must be 1-D, offsets nonempty")
+        sizes = np.diff(offsets)
+        if offsets[0] != 0 or offsets[-1] != points.size or (sizes < 0).any():
+            raise ValueError("offsets must run nondecreasing from 0 to the point count")
+        if points.size and (points.min() < 0 or points.max() >= self.v):
+            raise ValueError(f"block point outside 0..{self.v - 1}")
+        first = np.zeros(points.size, dtype=bool)  # first point of a block
+        first[offsets[:-1][sizes > 0]] = True
+        if ((np.diff(points) <= 0) & ~first[1:]).any():
+            raise ValueError("block points must strictly increase")
+        points.flags.writeable = False
+        offsets.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "offsets", offsets)
+
+    @classmethod
+    def of(cls, t: int, v: int, lam: int, sets: Iterable[Iterable[int]], kind: str) -> "Design":
+        """One block per iterable of points in 1..v, in any order."""
+        points, offsets = csr_from_sets(v, (sorted(s) for s in sets))
+        return cls(t=t, v=v, lam=lam, points=points, offsets=offsets, kind=kind)
+
+    @cached_property
+    def blocks(self) -> Family:
+        """The blocks as a Family of masks, in block order."""
+        return Family(self.v, masks_from_csr(self.v, self.points, self.offsets))
 
     def block_count(self) -> int:
-        return len(self.blocks)
+        return len(self.offsets) - 1
 
 
-def _subset_cover_counts(d: Design) -> np.ndarray:
-    """Block-coverage count of every t-subset of [v], colex-ranked."""
-    points, offsets = csr_points(d.blocks)
-    return _kernels.cover_counts(points, offsets, d.v, d.t)
+def _subset_cover_counts(d: Design) -> Optional[np.ndarray]:
+    """Block-coverage count of every t-subset of [v], colex-ranked, or
+    None when some block has fewer than t points."""
+    if (np.diff(d.offsets) < d.t).any():
+        return None
+    return _kernels.cover_counts(d.points, d.offsets, d.v, d.t)
 
 
 def is_design(d: Design) -> bool:
     """Exhaustively: every t-subset of [v] lies in exactly lambda blocks."""
-    if any(b.bit_count() < d.t for b in d.blocks):
-        return False
     counts = _subset_cover_counts(d)
-    return bool((counts == d.lam).all())
+    if counts is None:
+        return False
+    # min and max as Python ints, so lambda compares exactly with any
+    # count dtype
+    return counts.size == 0 or int(counts.min()) == int(counts.max()) == d.lam
 
 
 def is_packing(d: Design) -> bool:
     """Exhaustively: every t-subset of [v] lies in at most lambda blocks."""
-    if any(b.bit_count() < d.t for b in d.blocks):
-        return False
     counts = _subset_cover_counts(d)
-    return bool((counts <= d.lam).all())
+    if counts is None:
+        return False
+    return counts.size == 0 or int(counts.max()) <= d.lam
 
 
 def affine_plane(q: int) -> Design:
@@ -256,8 +295,8 @@ def affine_plane(q: int) -> Design:
     graphs = x * q + f.add_table[f.mul_table[:, None, :], x[None, :, None]]
     verticals = x[:, None] * q + x[None, :]
     rows = np.concatenate([graphs.reshape(q * q, q), verticals])
-    fam = Family(q * q, masks_from_csr(q * q, rows.ravel(), np.arange(0, rows.size + 1, q)))
-    return Design(t=2, v=q * q, lam=1, blocks=fam, kind="design")
+    return Design(t=2, v=q * q, lam=1, points=rows.ravel(),
+                  offsets=np.arange(0, rows.size + 1, q), kind="design")
 
 
 def projective_plane(q: int) -> Design:
@@ -288,9 +327,8 @@ def projective_plane(q: int) -> Design:
                 s = f.add(s, f.mul(uu, vv))
             if s == 0:
                 line.append(index[v])
-        blocks.append(sorted(line))
-    fam = Family.of(len(vecs), blocks)
-    return Design(t=2, v=len(vecs), lam=1, blocks=fam, kind="design")
+        blocks.append(line)
+    return Design.of(2, len(vecs), 1, blocks, "design")
 
 
 def circle_geometry(q: int) -> Design:
@@ -351,9 +389,8 @@ def circle_geometry(q: int) -> Design:
         raise GeometryError(
             f"circle geometry block count {uniq.shape[0]} != {expected}"
         )
-    offsets = np.arange(0, uniq.size + 1, q + 1)
-    fam = Family(big + 1, masks_from_csr(big + 1, uniq.ravel(), offsets))
-    return Design(t=3, v=big + 1, lam=1, blocks=fam, kind="design")
+    return Design(t=3, v=big + 1, lam=1, points=uniq.ravel(),
+                  offsets=np.arange(0, uniq.size + 1, q + 1), kind="design")
 
 
 def _unique_rows(rows: np.ndarray, base: int) -> np.ndarray:
@@ -390,16 +427,16 @@ def greedy_packing(n: int, k: int, t: int, order_seed: int = 0) -> Design:
     if not t <= k <= n:
         raise ValueError("need t <= k <= n")
     rng = random.Random(order_seed)
-    accepted: list[int] = []
+    accepted: list[tuple[int, Sequence[int]]] = []  # (mask, points)
 
     def try_add(points):
         m = 0
         for pt in points:
             m |= 1 << (pt - 1)
-        for other in accepted:
+        for other, _ in accepted:
             if (m & other).bit_count() >= t:
                 return
-        accepted.append(m)
+        accepted.append((m, points))
 
     if comb(n, k) <= 2_000_000:
         cands = list(combinations(range(1, n + 1), k))
@@ -412,8 +449,8 @@ def greedy_packing(n: int, k: int, t: int, order_seed: int = 0) -> Design:
             before = len(accepted)
             try_add(rng.sample(range(1, n + 1), k))
             misses = 0 if len(accepted) > before else misses + 1
-    fam = Family(n, sorted(accepted, key=lambda m: (m.bit_count(), m)))
-    return Design(t=t, v=n, lam=1, blocks=fam, kind="packing")
+    accepted.sort(key=lambda block: (block[0].bit_count(), block[0]))
+    return Design.of(t, n, 1, (points for _, points in accepted), "packing")
 
 
 # ---------------------------------------------------------------------------
@@ -425,4 +462,4 @@ def design_to_text(d: Design) -> str:
     v=.. lambda=.. kind=..`` comment; `family_from_text` reads the file
     back as the block family."""
     meta = f"design t={d.t} v={d.v} lambda={d.lam} kind={d.kind}"
-    return family_to_text(d.blocks, t=d.t, comments=[meta])
+    return csr_to_text(d.v, d.points, d.offsets, t=d.t, comments=[meta])

@@ -28,11 +28,14 @@ On the 1625-set tower (n = 49, t = 2) the three take about 15, 10 and
 Members are int masks: ground point i (1-based) is bit i-1.  A Family
 is a ground-set size n and a tuple of masks; it keeps its members in
 order, so derived artifacts are byte-reproducible.  Every conversion
-between masks and other forms goes through one codec: `masks_from_csr`
-packs 0-based points, delimited CSR-style by offsets, into masks with one
+between masks and other forms goes through one codec: `csr_from_sets`
+turns 1-based point lists into 0-based points delimited CSR-style by
+offsets, `masks_from_csr` packs such points into masks with one
 ``np.bitwise_or.at``; `mask_bits` unpacks masks into zero-one uint8 bit
 rows, and `masks_from_bits` packs such rows back.  `Family.to_words`,
-`incidence_matrix` and `csr_points` are built on the unpacker.
+`incidence_matrix` and `csr_points` are built on the unpacker.  The
+text writer `csr_to_text` reads CSR points, so a design, whose blocks
+are CSR arrays already (`geometry.Design`), is written with no masks.
 """
 
 from __future__ import annotations
@@ -83,6 +86,23 @@ def _byte_masks(packed: np.ndarray) -> list[int]:
     return [
         int.from_bytes(buf[i * width : (i + 1) * width], "little") for i in range(len(packed))
     ]
+
+
+def csr_from_sets(n: int, sets: Iterable[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-based point iterables as 0-based int64 points, concatenated
+    in order, and the int64 offsets delimiting them CSR-style.  A point
+    too large for int64 raises ValueError; the range 1..n is left to
+    the caller."""
+    rows = [list(s) for s in sets]
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    try:
+        points = np.fromiter(
+            map(operator.index, chain.from_iterable(rows)), np.int64, int(offsets[-1])
+        )
+    except OverflowError:
+        raise ValueError(f"point outside 1..{n}") from None
+    return points - 1, offsets
 
 
 def masks_from_csr(n: int, points: np.ndarray, offsets: np.ndarray) -> list[int]:
@@ -143,16 +163,7 @@ class Family:
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "Family":
         """One member per iterable of points in 1..n, packed by masks_from_csr."""
-        rows = [list(s) for s in sets]
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(r) for r in rows], out=offsets[1:])
-        try:
-            points = np.fromiter(
-                map(operator.index, chain.from_iterable(rows)), np.int64, int(offsets[-1])
-            )
-        except OverflowError:
-            raise ValueError(f"point outside 1..{n}") from None
-        return cls(n, masks_from_csr(n, points - 1, offsets))
+        return cls(n, masks_from_csr(n, *csr_from_sets(n, sets)))
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -368,18 +379,26 @@ class FamilyParseError(ValueError):
         self.line = line
 
 
-def family_to_text(fam: Family, t: int | None = None, comments: Iterable[str] = ()) -> str:
-    if 0 in fam.masks:
+def csr_to_text(
+    n: int, points: np.ndarray, offsets: np.ndarray,
+    t: int | None = None, comments: Iterable[str] = (),
+) -> str:
+    """The members given as CSR points (0-based, ascending within a
+    member) in the text format.  Every label comes from one gather of
+    the 1-based point names."""
+    if (np.diff(offsets) == 0).any():
         raise ValueError("the text format cannot hold the empty member")
     lines = [f"# {c}" for c in comments]
-    header = f"n={fam.n}" if t is None else f"n={fam.n} t={t}"
-    lines.append(header)
-    points, offsets = csr_points(fam)
-    names = [str(i) for i in range(1, fam.n + 1)]
-    words = [names[p] for p in points.tolist()]
+    lines.append(f"n={n}" if t is None else f"n={n} t={t}")
+    names = np.array([str(i) for i in range(1, n + 1)], dtype=object)
+    words = names[points].tolist()
     ends = offsets.tolist()
     lines.extend(" ".join(words[a:b]) for a, b in zip(ends, ends[1:]))
     return "\n".join(lines) + "\n"
+
+
+def family_to_text(fam: Family, t: int | None = None, comments: Iterable[str] = ()) -> str:
+    return csr_to_text(fam.n, *csr_points(fam), t=t, comments=comments)
 
 
 def family_from_text(text: str) -> tuple[Family, int | None, list[str]]:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import random
@@ -140,6 +141,27 @@ class TestConstructCommand:
         )
         assert code == 0
         assert json.loads(out)["blocks"] == 30
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["affine", "--q", "49"],
+             "5d928fd34ecd769a09b5df94c6614e4ee18ad312f20960880ec815957b1df2b9"),
+            (["circle", "--q", "9"],
+             "095da9ac90c335255a76047e82441e823e494ad92cb052c559089a9f750f9e19"),
+            (["fano-tower", "--r", "1", "--materialize"],
+             "df40f4b4e0a29631abf66521746a8b8d524a2467f548f595834bdd201cd8c8fb"),
+            (["packing", "--n", "13", "--k", "4", "--t", "2", "--seed", "5"],
+             "6f6f9831e44880e5cd95b6d4fc4d656858d1878250ce80d19c1d736ad158ee46"),
+        ],
+        ids=["affine-49", "circle-9", "fano-tower-1", "packing-13-4-2"],
+    )
+    def test_written_files_pinned(self, argv, digest, tmp_path, capsys):
+        """The files construct writes, byte for byte."""
+        out_path = tmp_path / "out"
+        code, _, _ = run(["construct", *argv, "--out", str(out_path)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
     def test_affine_bad_q_exit_2(self, capsys):
         code, _, err = run(["construct", "affine", "--q", "6"], capsys)

@@ -42,10 +42,7 @@ class TestNested:
         assert len(out_with_universe) == 1625
 
     def test_rejects_non_laminar_replacement(self):
-        packing = Design(
-            t=1, v=6, lam=1, blocks=Family.of(6, [[1, 2, 3], [4, 5, 6]]),
-            kind="packing",
-        )
+        packing = Design.of(1, 6, 1, [[1, 2, 3], [4, 5, 6]], "packing")
         bad = Family.of(3, [[1, 2], [2, 3]])  # overlapping, incomparable
         with pytest.raises(ValueError, match="not t-laminar"):
             nested(packing, bad)
@@ -55,9 +52,7 @@ class TestNested:
         with pytest.raises(ValueError, match="ground size 4 != block size 3"):
             nested(fano, Family.of(4, [[1, 2]]))
         # blocks of two sizes: the family fits the first block, not the second
-        mixed = Design(
-            t=2, v=5, lam=1, blocks=Family.of(5, [[1, 2, 3], [3, 4]]), kind="packing",
-        )
+        mixed = Design.of(2, 5, 1, [[1, 2, 3], [3, 4]], "packing")
         with pytest.raises(ValueError, match="ground size 3 != block size 2"):
             nested(mixed, Family.of(3, [[1, 2]]))
 

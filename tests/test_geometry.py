@@ -253,35 +253,84 @@ class TestCircleGeometries:
             circle_geometry(6)
 
 
+class TestDesignArrays:
+    @pytest.mark.parametrize(
+        "points,offsets",
+        [
+            ([0, 1, 4], [0, 3]),  # point 4 outside 0..3
+            ([-1, 1, 2], [0, 3]),  # negative point
+            ([0, 2, 1], [0, 3]),  # block not increasing
+            ([0, 1, 1], [0, 3]),  # repeated point inside a block
+            ([0, 1, 2], [1, 3]),  # offsets not starting at 0
+            ([0, 1, 2], [0, 2]),  # offsets not ending at the point count
+            ([0, 1, 2], [0, 3, 2, 3]),  # offsets decreasing
+            ([0, 1, 2], []),  # no offsets at all
+        ],
+    )
+    def test_malformed_arrays_raise(self, points, offsets):
+        with pytest.raises(ValueError):
+            Design(t=2, v=4, lam=1, points=np.array(points), offsets=np.array(offsets),
+                   kind="packing")
+
+    def test_blocks_may_restart_low(self):
+        # points fall between blocks, and empty blocks are allowed
+        d = Design(t=1, v=4, lam=1, points=np.array([2, 3, 0, 1]),
+                   offsets=np.array([0, 2, 2, 4]), kind="packing")
+        assert d.block_count() == 3
+        assert members(d.blocks) == [(3, 4), (), (1, 2)]
+
+    def test_arrays_are_read_only_copies(self):
+        points = np.array([0, 1, 2])
+        d = Design(t=2, v=3, lam=1, points=points, offsets=np.array([0, 3]), kind="design")
+        points[0] = 2
+        assert d.points.tolist() == [0, 1, 2]
+        assert d.points.dtype == d.offsets.dtype == np.int64
+        for arr in (d.points, d.offsets):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_of_sorts_each_block(self):
+        d = Design.of(2, 5, 1, [[3, 1, 2], [5, 4]], "packing")
+        assert d.points.tolist() == [0, 1, 2, 3, 4]
+        assert d.offsets.tolist() == [0, 3, 5]
+        with pytest.raises(ValueError):
+            Design.of(2, 5, 1, [[1, 6]], "packing")
+
+    @pytest.mark.parametrize(
+        "build",
+        [affine_plane, circle_geometry, projective_plane],
+        ids=["affine", "circle", "projective"],
+    )
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_blocks_are_the_point_lists(self, build, q):
+        d = build(q)
+        ends = d.offsets.tolist()
+        sets = [(d.points[a:b] + 1).tolist() for a, b in zip(ends, ends[1:])]
+        assert d.blocks.masks == Family.of(d.v, sets).masks
+        assert d.blocks is d.blocks  # derived once
+
+
 class TestValidators:
     def test_fano_is_design(self):
         assert is_design(projective_plane(2))
 
     def test_fano_minus_block_is_packing_not_design(self):
         fano = projective_plane(2)
-        trimmed = Design(
-            t=2, v=7, lam=1,
-            blocks=Family(7, fano.blocks.masks[1:]),
-            kind="packing",
-        )
+        trimmed = Design.of(2, 7, 1, members(fano.blocks)[1:], "packing")
         assert not is_design(trimmed)
         assert is_packing(trimmed)
 
     def test_shared_pair_fails_packing(self):
-        d = Design(
-            t=2, v=5, lam=1,
-            blocks=Family.of(5, [[1, 2, 3], [1, 2, 4]]),
-            kind="packing",
-        )
+        d = Design.of(2, 5, 1, [[1, 2, 3], [1, 2, 4]], "packing")
         assert not is_packing(d)
 
     def test_undersized_block_fails(self):
-        d = Design(t=2, v=4, lam=1, blocks=Family.of(4, [[1]]), kind="packing")
+        d = Design.of(2, 4, 1, [[1]], "packing")
         assert not is_packing(d)
 
     def test_general_t_path(self):
         # t=4 exercises the non-kernel counting branch
-        d = Design(t=4, v=6, lam=1, blocks=Family.of(6, [[1, 2, 3, 4]]), kind="packing")
+        d = Design.of(4, 6, 1, [[1, 2, 3, 4]], "packing")
         assert is_packing(d)
 
 

@@ -10,7 +10,7 @@ import pytest
 from laminar import _kernels
 from laminar.construct import fano_tower
 from laminar.geometry import Design, is_design, is_packing
-from laminar.setfam import Family, csr_points, is_t_laminar
+from laminar.setfam import Family, is_t_laminar
 
 
 def _random_words(rng, n_sets, n_bits):
@@ -189,10 +189,19 @@ class TestCoverCounts:
             got = _kernels.cover_counts(pts, offs, v, t)
             assert got.tolist() == _colex_counts(pts, offs, v, t)
 
-    def test_counts_are_int32(self):
-        pts = np.array([0, 1, 2], dtype=np.int64)
-        offs = np.array([0, 3], dtype=np.int64)
-        assert _kernels.cover_counts(pts, offs, 4, 2).dtype == np.int32
+    def test_count_dtype_contract(self):
+        # one block repeated: uint8 while every count is below 256; a
+        # count of 256 or more wraps there, fails the sum certificate
+        # and is recounted in int32, with exact values either way
+        block = [0, 2, 3, 5]
+        for repeats in (1, 255, 256, 300):
+            pts = np.array(block * repeats, dtype=np.int64)
+            offs = np.arange(0, pts.size + 1, len(block), dtype=np.int64)
+            for t in (1, 2, 3):
+                once = _colex_counts(pts[:4], offs[:2], 7, t)
+                counts = _kernels.cover_counts(pts, offs, 7, t)
+                assert counts.dtype == (np.uint8 if repeats < 256 else np.int32)
+                assert counts.tolist() == [repeats * c for c in once]
 
     def test_extreme_strength_tables_fit_int64(self):
         # C(69, 35) overflows int64, but no t-subset of [70] with t = 69
@@ -219,8 +228,8 @@ class TestCoverCounts:
         ],
     )
     def test_doubly_covered_subset_fails_design_and_packing(self, t, v, blocks):
-        d = Design(t=t, v=v, lam=1, blocks=Family.of(v, blocks), kind="design")
-        counts = _kernels.cover_counts(*csr_points(d.blocks), v, t)
+        d = Design.of(t, v, 1, blocks, "design")
+        counts = _kernels.cover_counts(d.points, d.offsets, v, t)
         assert sorted(counts.tolist()) == [1] * (len(counts) - 1) + [2]
         assert not is_design(d)
         assert not is_packing(d)
@@ -244,9 +253,10 @@ class TestCoverCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the C(2401, 2) int32 count array alone is 11.5 MB; measured
-        # 15.1 MB in all
-        assert peak < 16 * 2**20
+        # the C(2401, 2) uint8 count array is 2.9 MB; measured 5.5 MB
+        # in all (15.1 MB with int32 counts and the blocks unpacked
+        # from masks)
+        assert peak < 8 * 2**20
 
     def test_circle_geometry_peak_memory(self):
         import tracemalloc
@@ -276,28 +286,48 @@ class TestKnownDesigns:
     def test_all_5_subsets_of_7_are_a_4_design(self):
         # every 4-subset of [7] lies in the 3 five-subsets that add one
         # of the remaining 3 points
-        fam = Family.of(7, [list(c) for c in combinations(range(1, 8), 5)])
-        assert is_design(Design(t=4, v=7, lam=3, blocks=fam, kind="design"))
-        assert not is_design(Design(t=4, v=7, lam=2, blocks=fam, kind="design"))
-        assert is_packing(Design(t=4, v=7, lam=3, blocks=fam, kind="packing"))
+        blocks = list(combinations(range(1, 8), 5))
+        assert is_design(Design.of(4, 7, 3, blocks, "design"))
+        assert not is_design(Design.of(4, 7, 2, blocks, "design"))
+        assert is_packing(Design.of(4, 7, 3, blocks, "packing"))
 
     @pytest.mark.parametrize("v", [1, 6, 70])
     def test_partition_is_a_1_design(self, v):
         parts = [list(range(lo, min(lo + 4, v + 1))) for lo in range(1, v + 1, 4)]
-        assert is_design(Design(t=1, v=v, lam=1, blocks=Family.of(v, parts), kind="design"))
+        assert is_design(Design.of(1, v, 1, parts, "design"))
 
     def test_overlapping_cover_is_not_a_1_design(self):
-        fam = Family.of(4, [[1, 2], [2, 3, 4]])
-        assert not is_design(Design(t=1, v=4, lam=1, blocks=fam, kind="design"))
+        assert not is_design(Design.of(1, 4, 1, [[1, 2], [2, 3, 4]], "design"))
 
     def test_doubly_covered_4_subset_fails(self):
         # {1,2,3,4} lies in both blocks; all other 4-subsets in at most one
-        fam = Family.of(6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6]])
-        d = Design(t=4, v=6, lam=1, blocks=fam, kind="packing")
-        counts = _kernels.cover_counts(*csr_points(fam), 6, 4)
+        d = Design.of(4, 6, 1, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6]], "packing")
+        counts = _kernels.cover_counts(d.points, d.offsets, 6, 4)
         assert sorted(counts.tolist()) == [0] * 6 + [1] * 8 + [2]
         assert not is_packing(d)
         assert not is_design(d)
+
+
+    @pytest.mark.parametrize("lam", [255, 256, 300])
+    def test_index_past_uint8(self, lam):
+        # one block repeated lam times covers each of its t-subsets lam
+        # times and every other one never: a 2-(4, 4, lam) design on
+        # its own points, a packing only for index >= lam
+        blocks = [[1, 2, 3, 4]] * lam
+        assert is_design(Design.of(2, 4, lam, blocks, "design"))
+        assert not is_design(Design.of(2, 5, lam, blocks, "design"))
+        assert not is_design(Design.of(2, 4, lam - 1, blocks, "design"))
+        assert not is_design(Design.of(2, 4, lam + 1, blocks, "design"))
+        assert is_packing(Design.of(2, 5, lam, blocks, "packing"))
+        assert not is_packing(Design.of(2, 5, lam - 1, blocks, "packing"))
+
+    def test_all_6_subsets_of_13_have_index_330(self):
+        # every pair of [13] lies in C(11, 4) = 330 of the 6-subsets
+        blocks = list(combinations(range(1, 14), 6))
+        assert is_design(Design.of(2, 13, 330, blocks, "design"))
+        assert not is_design(Design.of(2, 13, 330 - 256, blocks, "design"))
+        assert is_packing(Design.of(2, 13, 330, blocks, "packing"))
+        assert not is_packing(Design.of(2, 13, 329, blocks, "packing"))
 
 
 class TestScanTopK:
