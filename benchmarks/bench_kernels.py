@@ -2,10 +2,11 @@
 """Time the hot kernels and checks on representative workloads.
 
 Prints the best of ``--repeats`` runs, in ms, for the pairwise
-violation scan (on laminar towers, which it scans to the end, and on
-two families where it stops early), the config and chain checks of
-``laminar verify``, the cover-count kernel, and the build, validation
-and text of the two designs of the lower-bound constructions.
+violation check over the member pairs that share a t-subset (on
+laminar towers, which it checks to the end, and on two families with a
+violation), the config and chain checks of ``laminar verify``, the
+cover-count kernel, and the build, validation and text of the two
+designs of the lower-bound constructions.
 
 Usage: python benchmarks/bench_kernels.py [--repeats 5]
 """
@@ -38,12 +39,12 @@ def _time(fn, repeats):
 
 
 def _row(name, fn, repeats):
-    print(f"{name:<50} {_time(fn, repeats)*1e3:9.2f} ms")
+    print(f"{name:<60} {_time(fn, repeats)*1e3:9.2f} ms")
 
 
 def _towers():
     """The 1625-set tower, and four disjoint relabeled copies of it:
-    6500 sets over 196 points, laminar, so every scan runs to the end."""
+    6500 sets over 196 points, laminar, so every check runs to the end."""
     _, fam49 = fano_tower(1, materialize=True)
     shifted = [m << (49 * copy) for copy in range(4) for m in fam49]
     return (
@@ -55,10 +56,15 @@ def _towers():
 def bench_violation(towers, repeats):
     for label, fam in towers:
         words = fam.to_words()
-        _row(f"violation scan: {label}", lambda: _kernels.find_violation(words, 2), repeats)
-    # what the two verify workloads that stop early scan: the tower with
-    # a random crossing set appended, and the small family of a search
-    # (through violating_pair, so packing the words is included)
+        _row(
+            f"violation check, shared pairs: {label}",
+            lambda: _kernels.find_violation(words, 2),
+            repeats,
+        )
+    # what the two verify workloads with a crossing or a small family
+    # check: the tower with a random crossing set appended, and the
+    # family of a search (through violating_pair, so packing the words
+    # is included)
     tower = towers[0][1]
     present = set(tower)
     rng = random.Random(0)
@@ -71,24 +77,25 @@ def bench_violation(towers, repeats):
             break
     words = corrupt.to_words()
     _row(
-        "violation scan: tower + crossing set (first hit)",
+        "violation check, shared pairs: tower + crossing set",
         lambda: _kernels.find_violation(words, 2),
         repeats,
     )
     found = max_laminar_exact(9, 2).family
     _row(
-        f"violation scan: n=9 search family ({len(found)} sets)",
+        f"violation check, shared pairs: n=9 search ({len(found)} sets)",
         lambda: violating_pair(found, 2),
         repeats,
     )
 
 
 def bench_verify_checks(towers, repeats):
-    """The Gram-matrix config check and the incidence-driven chain check."""
+    """The config check over shared pairs and the incidence-driven chain
+    check."""
     z = forbidden_matrix(2)
     for label, fam in towers:
         m = incidence_matrix(fam)
-        _row(f"config check: {label}", lambda: contains_config(m, z), repeats)
+        _row(f"config check, shared pairs: {label}", lambda: contains_config(m, z), repeats)
     for label, fam in towers:
         _row(f"chain check: {label}", lambda: unique_chain_check(fam, 2), repeats)
 

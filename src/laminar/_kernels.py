@@ -3,15 +3,23 @@
 Two inner loops dominate runtime in this package:
 
   * pairwise laminarity scans over bit-packed set families
-    (``find_violation``).  Rows are taken in blocks: rows i0..i1-1
-    against every later row, one (B x R) array per word, with B set so
-    that B * R * W stays within ``_VIOLATION_BLOCK_CELLS`` = 2^17 row-pair
-    words, so no temporary exceeds 1 MB whatever the family size.  Only
-    the cells with j > i and a nonempty intersection go on to the
-    popcount and the two containment tests, and the first hit in
-    row-major order is the first violating pair in row order.  On four
-    disjoint copies of the 1625-set tower (6500 sets, 4 words) the scan
-    takes about 0.3 s at a 1 MB ``tracemalloc`` peak,
+    (``find_violation``).  Two members can break t-laminarity only if
+    they share t points, so the pairs to test are those that
+    ``shared_pairs`` lists: one row per t-subset of a member, one
+    ``np.lexsort`` grouping equal t-subsets, and the pairs within each
+    group, with no Python loop over groups.  Sparse families take this
+    path: the 1625-set tower has 4,704 t-subset rows against 1,319,500
+    member pairs, and 4,368 pairs share a point pair.  When the rows or
+    the pairs within groups would outnumber all C(F, 2) pairs, as in
+    dense random families, the rows are scanned in blocks instead:
+    rows i0..i1-1 against every later row, one (B x R) array per word,
+    with B set so that B * R * W stays within
+    ``_VIOLATION_BLOCK_CELLS`` = 2^17 row-pair words, so no temporary
+    exceeds 1 MB whatever the family size.  Either way the first hit
+    in (i, j) order is the first violating pair in row order.  On four
+    disjoint copies of the tower (6500 sets, 4 words) the grouped path
+    takes about 16 ms at a 5.4 MB ``tracemalloc`` peak, and the blocked
+    one about 0.23 s at 1 MB,
   * covered-t-subset counting when validating designs and packings
     (``cover_counts``, any strength t >= 1).  Blocks are grouped by
     size, each size has one table of t-subset positions, and the colex
@@ -62,9 +70,10 @@ def popcount_u64(x: np.ndarray) -> np.ndarray:
 # pairwise laminarity violation scan
 
 
-# row pairs times words per block in find_violation: a block of B rows
-# against the R rows after its first has B * R * W <= this, so each of
-# its temporaries holds at most 2^17 words (1 MB)
+# row pairs times words per block in find_violation's blocked scan: a
+# block of B rows against the R rows after its first has B * R * W <=
+# this, so each of its temporaries holds at most 2^17 words (1 MB); the
+# grouped path tests at most this many pair words at a time
 _VIOLATION_BLOCK_CELLS = 1 << 17
 
 
@@ -74,9 +83,41 @@ def find_violation(words: np.ndarray, t: int) -> tuple[int, int] | None:
     A pair violates when the sets share >= t points and neither contains
     the other.  The pairs are visited in row order: the smallest i with
     a violation, then the smallest j > i.  Any t >= 1.
+
+    Only a pair that shares a t-subset can violate, so the pairs come
+    from ``shared_pairs`` on the rows' points, in row order; when that
+    enumeration would cost more than every pair, the rows are scanned
+    in blocks instead (``_scan_violation``).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    words = np.ascontiguousarray(words)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    pairs = shared_pairs(*csr_of_rows(bits), t)
+    if pairs is None:
+        return _scan_violation(words, t)
+    step = max(1, _VIOLATION_BLOCK_CELLS // words.shape[1])
+    for lo in range(0, pairs[0].size, step):
+        i, j = pairs[0][lo : lo + step], pairs[1][lo : lo + step]
+        first = np.flatnonzero(_violates(words[i], words[j], t))
+        if first.size:
+            h = first[0]
+            return int(i[h]), int(j[h])
+    return None
+
+
+def _violates(wi: np.ndarray, wj: np.ndarray, t: int) -> np.ndarray:
+    """Which word rows wi[k], wj[k] share >= t points, neither holding
+    the other."""
+    common = wi & wj
+    hit = popcount_u64(common).sum(axis=1) >= t
+    hit &= (common != wi).any(axis=1)
+    hit &= (common != wj).any(axis=1)
+    return hit
+
+
+def _scan_violation(words: np.ndarray, t: int) -> tuple[int, int] | None:
+    """find_violation over every row pair, in blocks of rows."""
     f, w = words.shape
     i0 = 0
     while i0 < f - 1:
@@ -97,18 +138,98 @@ def find_violation(words: np.ndarray, t: int) -> tuple[int, int] | None:
         cand[:, :b] &= k[None, :] >= k[:, None]
         rows, cols = np.nonzero(cand)  # row-major: ascending (i, j)
         if rows.size:
-            wi = block[rows]
-            wj = rest[cols]
-            common = wi & wj
-            hit = popcount_u64(common).sum(axis=1) >= t
-            hit &= (common != wi).any(axis=1)
-            hit &= (common != wj).any(axis=1)
-            first = np.flatnonzero(hit)
+            first = np.flatnonzero(_violates(block[rows], rest[cols], t))
             if first.size:
                 h = first[0]
                 return i0 + int(rows[h]), i0 + 1 + int(cols[h])
         i0 = i1
     return None
+
+
+# ---------------------------------------------------------------------------
+# member pairs that share a t-subset
+
+
+def csr_of_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of every nonzero entry of a 2-d array, row by row and
+    ascending within a row, and the int64 offsets delimiting the rows
+    CSR-style: the members' points when the rows are incidence rows."""
+    rows, points = np.nonzero(bits)
+    offsets = np.zeros(bits.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=bits.shape[0]), out=offsets[1:])
+    return points, offsets
+
+
+def shared_pairs(
+    points: np.ndarray, offsets: np.ndarray, t: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Every member pair (i < j) sharing at least t points, or None.
+
+    ``points`` holds all members' points (0-based, strictly increasing
+    within a member) concatenated; ``offsets`` delimits the F members
+    CSR-style.  Returns two int64 arrays, i and j, in ascending (i, j)
+    order.  Returns None, having built nothing, when the R = sum of
+    C(|S|, t) t-subset rows exceed the C(F, 2) pairs, and None again
+    when the E = sum of C(g, 2) pairs within the groups of rows that
+    share one t-subset exceed them; a caller then visits every pair.
+    Any t >= 1.
+    """
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    offsets = np.asarray(offsets, dtype=np.int64)
+    f = offsets.size - 1
+    every = f * (f - 1) // 2
+    sizes = np.diff(offsets)
+    held = np.bincount(sizes)
+    present = (np.flatnonzero(held[t:]) + t).tolist()
+    if sum(int(held[s]) * comb(s, t) for s in present) > every:
+        return None
+    if not present:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none
+    # one row per t-subset of a member, members in order: member i has
+    # rows for the first C(|S_i|, t) t-subsets of positions in colex
+    # order, which are those of range(|S_i|); every count is at most R
+    per_size = np.zeros(held.size, dtype=np.int64)
+    per_size[present] = [comb(s, t) for s in present]
+    count = per_size[sizes]
+    ids = np.repeat(np.arange(f), count)
+    k = np.arange(ids.size) - np.repeat(np.cumsum(count) - count, count)
+    colex = np.array(list(combinations(range(present[-1] - 1, -1, -1), t)), dtype=np.int64)
+    cols = points[offsets[ids, None] + colex[::-1, ::-1][k]]
+    # by t-subset; lexsort is stable and its last key the primary one,
+    # so each group of equal t-subsets keeps its members ascending
+    order = np.lexsort(tuple(cols[:, q] for q in range(t - 1, -1, -1)))
+    cols = cols[order]
+    ids = ids[order]
+    r = ids.size
+    cut = np.empty(r + 1, dtype=bool)
+    cut[0] = cut[r] = True
+    cut[1:r] = cols[1:, 0] != cols[:-1, 0]
+    for q in range(1, t):
+        cut[1:r] |= cols[1:, q] != cols[:-1, q]
+    bounds = np.flatnonzero(cut)
+    g = bounds[1:] - bounds[:-1]
+    e = int((g * (g - 1)).sum()) // 2
+    if e > every:
+        return None
+    # row a pairs with the `later[a]` rows after it in its group; output
+    # position p of a's run, which starts at run[a], pairs a with
+    # b = a + 1 + (p - run[a])
+    a = np.arange(r)
+    later = np.repeat(bounds[1:], g) - a - 1
+    run = np.cumsum(later) - later
+    b = np.arange(e) - np.repeat(run - a - 1, later)
+    a = np.repeat(a, later)
+    # a member holds a t-subset once, so a group's members are distinct:
+    # ids[a] < ids[b]
+    keys = ids[a] * f + ids[b]
+    keys.sort()
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    keep[1:] = keys[1:] != keys[:-1]
+    keys = keys[keep]
+    return keys // f, keys % f
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,12 @@ def nested(packing: Design, fam: Family) -> Family:
     whenever the inputs satisfy the preconditions: fam is checked here,
     the packing is not (validate it separately, it may be expensive).
     """
+    return Family(packing.v, _nested_masks(packing, fam))
+
+
+def _nested_masks(packing: Design, fam: Family) -> tuple[int, ...]:
+    """The members of nested(packing, fam), deduplicated, as a tuple of
+    masks not yet checked for duplicates by a Family."""
     sizes = np.diff(packing.offsets)
     wrong = np.flatnonzero(sizes != fam.n)
     if wrong.size:
@@ -94,7 +100,7 @@ def nested(packing: Design, fam: Family) -> Family:
     offsets = np.zeros(b * len(fam) + 1, dtype=np.int64)
     offsets[1:] = (rel_offsets[1:] + rel_points.size * np.arange(b)[:, None]).ravel()
     masks = masks_from_csr(packing.v, points.ravel(), offsets)
-    return Family(packing.v, tuple(dict.fromkeys(masks)))
+    return tuple(dict.fromkeys(masks))
 
 
 def _fano_level0() -> Family:
@@ -158,7 +164,8 @@ def _tower(t: int, r: int, materialize: bool) -> tuple[TowerReport, Optional[Fam
     fam = _fano_level0() if t == 2 else _circle_level0()
     for k, v in zip(sizes[1:], sizes[2:]):
         design = affine_plane(k) if t == 2 else circle_geometry(k - 1)
-        fam = Family(v, nested(design, fam).masks + ((1 << v) - 1,))
+        # one Family per level: the universe is checked with the rest
+        fam = Family(v, _nested_masks(design, fam) + ((1 << v) - 1,))
     if fam.count_size_geq(t) != count:
         raise GeometryError("materialized tower count mismatch")
     return report, fam

@@ -5,25 +5,35 @@ points are nested.  The classical laminar condition is t = 1.  Three
 equivalent views are implemented and cross-checked (`verify_t_laminar`
 runs all three, as `laminar verify` does):
 
-  1. the pairwise predicate itself (`is_t_laminar`, `violating_pair`):
-     O(|F|^2) pair tests, bit-packed through `_kernels.find_violation`
-     for every family, in blocks of rows, stopping at the first block
-     with a violating pair; memory O(|F| n / 64) plus a fixed block.
+  1. the pairwise predicate itself (`is_t_laminar`, `violating_pair`),
+     bit-packed through `_kernels.find_violation`: only the member
+     pairs that share a t-subset can violate, and
+     `_kernels.shared_pairs` lists them from one sort of the members'
+     t-subsets (sum over members S of C(|S|, t) rows).  When those rows
+     or the pairs they list would outnumber all C(|F|, 2) pairs, every
+     pair is tested instead, in blocks of rows, stopping at the first
+     block with a violating pair; memory O(|F| n / 64) plus a fixed
+     block.
   2. avoidance of a forbidden 2 x (t+2) zero-one configuration in the
      family's incidence matrix (`contains_config` / `forbidden_matrix`):
-     the row-pair column-type counts come from a float64 Gram matrix,
-     |F|^2 n / 2 multiply-adds through BLAS, taken in blocks of 256
-     rows and stopping at the first block with a hit; memory
-     O(256 |F|), never a dense |F| x |F| matrix.
+     rows that host it share t columns, so the row pairs tested are
+     again those of `_kernels.shared_pairs`, each with an int64 dot
+     product.  When the enumeration is refused, the column-type counts
+     come from a float64 Gram matrix, |F|^2 n / 2 multiply-adds through
+     BLAS, in blocks of 256 rows, stopping at the first block with a
+     hit; memory O(256 |F|), never a dense |F| x |F| matrix.
   3. a unique-chain condition on t-subsets after augmenting the family
      with all of them (`unique_chain_check`): sum over members S of
      C(|S|, t) dictionary steps, and memory one entry per t-subset
      that some member covers.
 
-On the 1625-set tower (n = 49, t = 2) the three take about 15, 10 and
-6 ms; on four disjoint copies of it (6500 sets, n = 196) about 0.3 s,
-0.23 s and 25 ms, all under a 100 MB process peak (one thread of a
-2-core VM).
+On sparse families checks 1 and 2 share the t-subset enumeration, so a
+fault in it could hide a violation from both; check 3 shares no code
+with them and is the independent witness.  On the 1625-set tower (n =
+49, t = 2) the three take about 2, 2 and 3 ms; on four disjoint copies
+of it (6500 sets, n = 196) about 16, 15 and 16 ms; on the circle tower
+r = 1 (114,842 sets, n = 82, t = 3) about 0.4, 0.3 and 0.5 s (one
+thread of a 2-core VM).
 
 Members are int masks: ground point i (1-based) is bit i-1.  A Family
 is a ground-set size n and a tuple of masks; it keeps its members in
@@ -226,6 +236,10 @@ def forbidden_matrix(t: int) -> np.ndarray:
 # block holds one or two (block x F) float64 arrays and a few bool ones
 _GRAM_BLOCK_ROWS = 256
 
+# row-pair cells (pairs times columns) per chunk of shared pairs in
+# contains_config: two uint8 gathers of at most 1 MB each
+_PAIR_CHUNK_CELLS = 1 << 20
+
 
 def contains_config(m: np.ndarray, z: np.ndarray) -> bool:
     """True iff some row/column permutation of z is a submatrix of m.
@@ -235,10 +249,16 @@ def contains_config(m: np.ndarray, z: np.ndarray) -> bool:
     least as many columns of that type on (i, j) as z has on its rows
     in one of the two orders.  With G = m m^T and row sums s, the
     counts of the pair are 11 = G, 10 = s_i - G, 01 = s_j - G and
-    00 = n - s_i - s_j + G.  G is a float64 matmul, exact because every
-    entry is at most n, taken over the upper triangle in blocks of
-    _GRAM_BLOCK_ROWS rows, so memory is O(block x F) and the scan stops
-    at the first block with a hit.
+    00 = n - s_i - s_j + G.
+
+    Rows that host z share z's z11 columns of type 11.  So when z11 >= 1
+    the candidate pairs are `_kernels.shared_pairs` of m's rows at
+    t = z11, and G is an int64 dot product of each candidate pair, in
+    chunks of _PAIR_CHUNK_CELLS.  When z11 = 0, or the enumeration
+    would cost more than every pair, G is a float64 matmul, exact
+    because every entry is at most n, taken over the upper triangle in
+    blocks of _GRAM_BLOCK_ROWS rows, so memory is O(block x F) and the
+    scan stops at the first block with a hit.
 
     Arbitrary z falls back to enumerating row selections and
     permutations with multiset matching on columns; that search is
@@ -262,13 +282,9 @@ def _contains_two_row(m: np.ndarray, z: np.ndarray) -> bool:
     # both are compared side by side, with no (block x F) float temporary
     z_lo, z_hi = sorted((int((z0 & (1 - z1)).sum()), int(((1 - z0) & z1).sum())))
     n = m.shape[1]
-    a = m.astype(np.float64)
-    s = a.sum(axis=1)
-    for r0 in range(0, a.shape[0], _GRAM_BLOCK_ROWS):
-        r1 = min(r0 + _GRAM_BLOCK_ROWS, a.shape[0])
-        g = a[r0:r1] @ a[r0:].T  # rows r0..r1 against rows r0..F
-        si = s[r0:r1, None]
-        sj = s[None, r0:]
+
+    def hosts(g, si, sj):
+        """Which pairs with 11-counts g and row sums si, sj host z."""
         hit = g >= z11
         hit &= g <= si - z_lo
         hit &= g <= sj - z_lo
@@ -276,6 +292,28 @@ def _contains_two_row(m: np.ndarray, z: np.ndarray) -> bool:
             hit &= (g <= si - z_hi) | (g <= sj - z_hi)
         if z00:
             hit &= g >= si + sj + (z00 - n)
+        return hit
+
+    if z11:
+        points, offsets = _kernels.csr_of_rows(m)
+        pairs = _kernels.shared_pairs(points, offsets, z11)
+        if pairs is not None:
+            s = np.diff(offsets)  # the row sums of a zero-one m
+            step = max(1, _PAIR_CHUNK_CELLS // n)
+            for lo in range(0, pairs[0].size, step):
+                i, j = pairs[0][lo : lo + step], pairs[1][lo : lo + step]
+                # zero-one rows, so & is the product; summed in int64,
+                # since a uint8 sum wraps at 256 shared columns
+                g = (m[i] & m[j]).sum(axis=1, dtype=np.int64)
+                if hosts(g, s[i], s[j]).any():
+                    return True
+            return False
+    a = m.astype(np.float64)
+    s = a.sum(axis=1)
+    for r0 in range(0, a.shape[0], _GRAM_BLOCK_ROWS):
+        r1 = min(r0 + _GRAM_BLOCK_ROWS, a.shape[0])
+        g = a[r0:r1] @ a[r0:].T  # rows r0..r1 against rows r0..F
+        hit = hosts(g, s[r0:r1, None], s[None, r0:])
         k = np.arange(r1 - r0)
         hit[:, : r1 - r0] &= k[None, :] > k[:, None]  # j > i only
         if hit.any():
@@ -402,11 +440,18 @@ def family_to_text(fam: Family, t: int | None = None, comments: Iterable[str] = 
 
 
 def family_from_text(text: str) -> tuple[Family, int | None, list[str]]:
-    """Parse the text format; returns (family, t or None, comment lines)."""
+    """Parse the text format; returns (family, t or None, comment lines).
+
+    Every member's tokens go through one ``map(int, ...)`` pass into
+    int64 points, delimited by offsets from the tokens per line, and
+    one ``np.diff`` tests that the points increase within each member.
+    A file that fails either test is named by its first bad line.
+    """
     comments: list[str] = []
     header: str | None = None
     header_line = 0
-    sets: list[list[int]] = []
+    rows: list[list[str]] = []
+    row_lines: list[int] = []
     n = 0
     t: int | None = None
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -430,16 +475,34 @@ def family_from_text(text: str) -> tuple[Family, int | None, list[str]]:
             except ValueError:
                 raise FamilyParseError("malformed header values", ln) from None
             continue
-        try:
-            pts = [int(x) for x in line.split()]
-        except ValueError:
-            raise FamilyParseError("non-integer point", ln) from None
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise FamilyParseError("points must be strictly increasing", ln)
-        sets.append(pts)
+        rows.append(line.split())
+        row_lines.append(ln)
     if header is None:
         raise FamilyParseError("missing header line", header_line or 1)
-    return Family.of(n, sets), t, comments
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    try:
+        points = np.fromiter(map(int, chain.from_iterable(rows)), np.int64, int(offsets[-1]))
+    except (ValueError, OverflowError):
+        # a token int() rejects, or a point past int64: the first line
+        # that fails a check line by line is the error
+        for ln, row in zip(row_lines, rows):
+            try:
+                pts = [int(x) for x in row]
+            except ValueError:
+                raise FamilyParseError("non-integer point", ln) from None
+            if any(b <= a for a, b in zip(pts, pts[1:])):
+                raise FamilyParseError("points must be strictly increasing", ln)
+        raise ValueError(f"point outside 1..{n}") from None
+    # step k compares points k and k + 1; the steps into a member's
+    # first point cross from one member to the next
+    down = np.diff(points) <= 0
+    down[offsets[1:-1] - 1] = False
+    bad = np.flatnonzero(down)
+    if bad.size:
+        member = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+        raise FamilyParseError("points must be strictly increasing", row_lines[member])
+    return Family(n, masks_from_csr(n, points - 1, offsets)), t, comments
 
 
 def family_to_json(fam: Family, t: int | None = None) -> dict:

@@ -5,6 +5,9 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
+
+from laminar import _kernels
 from laminar.setfam import Family
 
 
@@ -24,6 +27,36 @@ def random_family(rng: random.Random, n_cap: int = 7, size_cap: int = 12) -> Fam
         if len(masks) >= (1 << n) - 1:
             break
     return Family(n, sorted(masks))
+
+
+def sparse_family(rng: random.Random, n: int, f_cap: int = 30, size_cap: int = 5) -> Family:
+    """A duplicate-free random family on [n] of members with at most
+    size_cap points, all drawn from a small pool, so that members often
+    share points and few members' t-subsets outnumber the member pairs."""
+    pool = rng.sample(range(1, n + 1), rng.randint(min(3, n), min(12, n)))
+    sets = {
+        tuple(sorted(rng.sample(pool, rng.randint(1, min(size_cap, len(pool))))))
+        for _ in range(rng.randint(0, f_cap))
+    }
+    return Family.of(n, sorted(sets))
+
+
+@pytest.fixture(params=["grouped", "blocked"])
+def pair_path(request, monkeypatch):
+    """Run a test on each path of the pairwise and config checks: the
+    grouped one over `_kernels.shared_pairs`, and the blocked one, forced
+    by making shared_pairs return None.  Yields the path's name and a
+    list that records, per shared_pairs call, whether it listed pairs."""
+    real = _kernels.shared_pairs
+    listed = []
+
+    def shared_pairs(points, offsets, t):
+        got = real(points, offsets, t) if request.param == "grouped" else None
+        listed.append(got is not None)
+        return got
+
+    monkeypatch.setattr(_kernels, "shared_pairs", shared_pairs)
+    yield request.param, listed
 
 
 def random_laminar_family(rng: random.Random, n: int, t: int, tries: int = 60) -> Family:

@@ -3,12 +3,16 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 
+import numpy as np
 import pytest
 
 from conftest import random_family
-from laminar import cli, construct, geometry, search, setfam
+import laminar
+from laminar import _kernels, cli, construct, geometry, search, setfam
 from laminar.cli import main
 from laminar.setfam import family_from_text, family_to_text, is_t_laminar
 
@@ -213,10 +217,9 @@ class TestConstructCommand:
         assert err.count("\n") == 1 and "block count 29 != 30" in err
 
     def test_tower_count_mismatch_exit_4(self, tmp_path, capsys, monkeypatch):
-        real = construct.nested
+        real = construct._nested_masks
         monkeypatch.setattr(
-            construct, "nested",
-            lambda packing, fam: setfam.Family(packing.v, real(packing, fam).masks[1:]))
+            construct, "_nested_masks", lambda packing, fam: real(packing, fam)[1:])
         out_path = tmp_path / "t.family"
         code, out, err = run(
             ["construct", "fano-tower", "--r", "1", "--materialize", "--out", str(out_path)],
@@ -334,6 +337,41 @@ class TestVerifyCommand:
             open(path, "w").write(family_to_text(fam, t=t))
             code, _, _ = run(["verify", path], capsys)
             assert (code == 0) == is_t_laminar(fam, t)
+
+
+    def test_dropped_shared_pairs_exit_4(self, tmp_path, capsys, monkeypatch):
+        # the pairwise and config checks share the t-subset enumeration;
+        # if it loses every pair, the chain check still sees the crossing
+        _, tower = construct.fano_tower(1, materialize=True)
+        crossed = setfam.Family(49, tower.masks + (0b111 | 1 << 48,))
+        path = str(tmp_path / "crossed.family")
+        open(path, "w").write(family_to_text(crossed, t=2))
+        none = np.zeros(0, dtype=np.int64)
+        monkeypatch.setattr(_kernels, "shared_pairs", lambda points, offsets, t: (none, none))
+        code, out, err = run(["verify", path], capsys)
+        assert code == 4 and out == ""
+        assert "pairwise=True config-free=True unique-chain=False" in err
+
+    def test_tower_verify_leaves_numpy_ma_unimported(self, tmp_path):
+        # every command runs in a fresh process, where importing
+        # numpy.ma (as np.unique does) costs more than the whole check
+        path = str(tmp_path / "tower.family")
+        _, tower = construct.fano_tower(1, materialize=True)
+        open(path, "w").write(family_to_text(tower, t=2))
+        src = os.path.dirname(os.path.dirname(laminar.__file__))
+        script = (
+            "import sys\n"
+            "from laminar import cli\n"
+            f"code = cli.main(['verify', {path!r}])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.splitlines() == [
+            "t-laminar (t=2): 1625 sets, all three checks agree", "0 False",
+        ], done.stderr
 
 
 class TestSearchCommand:

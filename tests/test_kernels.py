@@ -1,12 +1,14 @@
 """The numpy kernels must agree exactly with plain-Python references."""
 
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 
+from conftest import sparse_family
 from laminar import _kernels
 from laminar.construct import fano_tower
 from laminar.geometry import Design, is_design, is_packing
@@ -131,19 +133,120 @@ class TestViolationOnTower:
         got = _kernels.find_violation(Family(196, masks).to_words(), 2)
         assert got == want
 
-    def test_peak_memory(self, tower4):
+    def test_peak_memory(self, tower4, monkeypatch):
         import tracemalloc
 
         words = Family(196, tower4).to_words()
-        tracemalloc.start()
-        try:
-            assert _kernels.find_violation(words, 2) is None
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # each block's temporaries hold at most _VIOLATION_BLOCK_CELLS
-        # words (1 MB); measured about 1 MB in all
-        assert peak < 16 * 2**20
+        for path in ("grouped", "blocked"):
+            if path == "blocked":
+                monkeypatch.setattr(_kernels, "shared_pairs", lambda points, offsets, t: None)
+            tracemalloc.start()
+            try:
+                assert _kernels.find_violation(words, 2) is None
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # each block's temporaries hold at most _VIOLATION_BLOCK_CELLS
+            # words (1 MB); measured about 1 MB in all, and 5.4 MB on
+            # the grouped path (unpacked rows, CSR points, t-subset rows)
+            assert peak < 16 * 2**20, (path, peak)
+
+
+def _csr(sets):
+    """0-based sorted point lists as CSR points and int64 offsets."""
+    pts = np.array([p for s in sets for p in s], dtype=np.int64)
+    offs = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in sets], out=offs[1:])
+    return pts, offs
+
+
+class TestSharedPairs:
+    @pytest.mark.parametrize("n", [63, 64, 65, 128])
+    def test_matches_brute_force(self, n):
+        # members of 0..5 points from a small pool: some smaller than t,
+        # some repeated, families of 0 and 1 members among them
+        rng = random.Random(n)
+        outcomes = Counter()
+        for _ in range(150):
+            pool = rng.sample(range(n), rng.randint(3, 12))
+            sets = [
+                sorted(rng.sample(pool, rng.randint(0, min(5, len(pool)))))
+                for _ in range(rng.randint(0, 25))
+            ]
+            pts, offs = _csr(sets)
+            every = comb(len(sets), 2)
+            for t in (1, 2, 3):
+                got = _kernels.shared_pairs(pts, offs, t)
+                rows = sum(comb(len(s), t) for s in sets)
+                groups = Counter(sub for s in sets for sub in combinations(s, t))
+                within = sum(comb(g, 2) for g in groups.values())
+                if rows > every:
+                    assert got is None, (sets, t)
+                    outcomes["rows"] += 1
+                elif within > every:
+                    assert got is None, (sets, t)
+                    outcomes["pairs"] += 1
+                else:
+                    want = [
+                        (i, j)
+                        for i, j in combinations(range(len(sets)), 2)
+                        if len(set(sets[i]) & set(sets[j])) >= t
+                    ]
+                    assert got[0].dtype == got[1].dtype == np.int64
+                    assert list(zip(got[0].tolist(), got[1].tolist())) == want, (sets, t)
+                    outcomes["listed"] += 1
+        assert min(outcomes[k] for k in ("rows", "pairs", "listed")) >= 10, outcomes
+
+    def test_fewer_than_two_members(self):
+        pts, offs = _csr([])
+        i, j = _kernels.shared_pairs(pts, offs, 1)
+        assert i.size == j.size == 0
+        # one member: no pair, but its C(3, t) rows already exceed the 0 pairs
+        assert _kernels.shared_pairs(*_csr([[0, 1, 2]]), 2) is None
+        i, j = _kernels.shared_pairs(*_csr([[0, 1, 2]]), 4)
+        assert i.size == j.size == 0
+
+    def test_rejects_t_below_one(self):
+        with pytest.raises(ValueError):
+            _kernels.shared_pairs(*_csr([[0, 1], [1, 2]]), 0)
+
+
+class TestViolationPaths:
+    """find_violation's grouped and blocked paths against the references."""
+
+    @pytest.mark.parametrize("cells", [3, _kernels._VIOLATION_BLOCK_CELLS])
+    @pytest.mark.parametrize("n_bits", [6, 63, 64, 65, 130])
+    def test_sparse_families(self, n_bits, cells, pair_path, monkeypatch):
+        # 3 cells give chunks of a pair or a few pairs on the grouped path
+        monkeypatch.setattr(_kernels, "_VIOLATION_BLOCK_CELLS", cells)
+        name, listed = pair_path
+        rng = random.Random(7 * n_bits + cells)
+        seen = set()
+        for _ in range(40):
+            fam = sparse_family(rng, n_bits)
+            words = fam.to_words()
+            for t in (1, 2, 3):
+                got = _kernels.find_violation(words, t)
+                assert got == _first_violation(list(fam), t), (fam, t)
+                seen.add(got is None)
+        assert seen == {True, False}
+        assert any(listed) == (name == "grouped")
+
+    def test_crossed_4x_tower(self, tower4, pair_path):
+        name, listed = pair_path
+        crossing = TestViolationOnTower.CROSSING
+        pos = len(tower4) // 2
+        masks = tower4[:pos] + [crossing] + tower4[pos:]
+        # the tower is laminar, so the first violating pair is the
+        # inserted set's first crossing partner, paired in row order
+        partner = next(
+            i for i, m in enumerate(masks)
+            if i != pos and (m & crossing).bit_count() >= 2 and m & crossing not in (m, crossing)
+        )
+        got = _kernels.find_violation(Family(196, masks).to_words(), 2)
+        assert got == tuple(sorted((partner, pos)))
+        assert _kernels.find_violation(Family(196, tower4).to_words(), 2) is None
+        assert listed == [name == "grouped"] * 2
 
 
 def _random_csr(rng, t, v_cap=14, blocks_cap=10):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import members, random_family
+from conftest import members, random_family, sparse_family
 from laminar import setfam
 from laminar.construct import fano_tower
 from laminar.setfam import (
@@ -349,19 +349,75 @@ class TestGramConfig:
         bad = _tower4(crossing=[1, 2, 60, 61])
         assert contains_config(incidence_matrix(bad), forbidden_matrix(2))
 
-    def test_memory_is_blocked(self):
+    def test_memory_is_blocked(self, monkeypatch):
         m = incidence_matrix(Family(196, _tower4().masks[:4000]))
         assert m.shape == (4000, 196)
-        tracemalloc.start()
-        try:
-            found = contains_config(m, forbidden_matrix(2))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # laminar, so every block is scanned; four dense 4000 x 4000
-        # int64 count matrices would need 512 MB
-        assert not found
-        assert peak < 64 * 2**20, peak
+        # the tower takes the grouped path; forced off it, the Gram
+        # check must stay blocked too
+        for path in ("grouped", "blocked"):
+            if path == "blocked":
+                monkeypatch.setattr(
+                    setfam._kernels, "shared_pairs", lambda points, offsets, t: None)
+            tracemalloc.start()
+            try:
+                found = contains_config(m, forbidden_matrix(2))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # laminar, so every block is scanned; four dense 4000 x 4000
+            # int64 count matrices would need 512 MB
+            assert not found
+            assert peak < 64 * 2**20, (path, peak)
+
+
+class TestConfigPaths:
+    """contains_config's grouped and blocked paths against the general
+    enumerator and the pairwise predicate."""
+
+    def test_random_two_row_z(self, pair_path):
+        name, listed = pair_path
+        rng = random.Random(4099)
+        hits = misses = 0
+        for _ in range(80):
+            f = sparse_family(rng, rng.randint(3, 9), f_cap=20)
+            m = incidence_matrix(f)
+            width = rng.randint(1, min(5, f.n))
+            z = np.array(
+                [[rng.randint(0, 1) for _ in range(width)] for _ in range(2)],
+                dtype=np.uint8,
+            )
+            z[:, 0] = 1  # at least one 11 column
+            for zz in (z, forbidden_matrix(1), forbidden_matrix(2), forbidden_matrix(3)):
+                got = contains_config(m, zz)
+                assert got == _contains_config_general(m, zz), (f, zz.tolist())
+                hits += got
+                misses += not got
+        assert hits > 50 and misses > 50
+        assert any(listed) == (name == "grouped")
+
+    def test_crossed_4x_tower(self, pair_path):
+        name, listed = pair_path
+        assert not contains_config(incidence_matrix(_tower4()), forbidden_matrix(2))
+        bad = _tower4(crossing=[1, 2, 60, 61])
+        assert contains_config(incidence_matrix(bad), forbidden_matrix(2))
+        assert violating_pair(bad, 2) is not None
+        assert listed[:2] == [name == "grouped"] * 2
+
+    def test_shared_columns_past_uint8(self, pair_path):
+        # rows 0 and 1 share 300 columns and differ in one each; 40
+        # singleton rows make the pairs outnumber the rows' points, so
+        # the grouped path takes the family.  z needs a 00 column, whose
+        # count n - s_i - s_j + G = 40 is negative if G wraps to 44
+        name, listed = pair_path
+        n = 342
+        m = np.zeros((42, n), dtype=np.uint8)
+        m[0, :301] = 1
+        m[1, :300] = 1
+        m[1, 301] = 1
+        m[np.arange(2, 42), np.arange(302, 342)] = 1
+        z = np.array([[0, 1, 1, 0], [1, 0, 1, 0]], dtype=np.uint8)
+        assert contains_config(m, z)
+        assert listed == [name == "grouped"]
 
 
 class TestUniqueChain:
