@@ -3,10 +3,12 @@
 
 Prints the best of ``--repeats`` runs, in ms, for the pairwise
 violation check over the member pairs that share a t-subset (on
-laminar towers, which it checks to the end, and on two families with a
-violation), the config and chain checks of ``laminar verify``, the
-cover-count kernel, and the build, validation and text of the two
-designs of the lower-bound constructions.
+laminar towers, which it checks to the end, and on the tower with a
+crossing set), and over every pair of the 49-set search family, too
+small to repay listing its shared pairs; the config and chain checks
+of ``laminar verify``, the cover-count kernel, and the build,
+validation and text of the two designs of the lower-bound
+constructions.
 
 Usage: python benchmarks/bench_kernels.py [--repeats 5]
 """
@@ -83,7 +85,7 @@ def bench_violation(towers, repeats):
     )
     found = max_laminar_exact(9, 2).family
     _row(
-        f"violation check, shared pairs: n=9 search ({len(found)} sets)",
+        f"violation check, blocked rows: n=9 search ({len(found)} sets)",
         lambda: violating_pair(found, 2),
         repeats,
     )

@@ -5,21 +5,24 @@ Two inner loops dominate runtime in this package:
   * pairwise laminarity scans over bit-packed set families
     (``find_violation``).  Two members can break t-laminarity only if
     they share t points, so the pairs to test are those that
-    ``shared_pairs`` lists: one row per t-subset of a member, one
-    ``np.lexsort`` grouping equal t-subsets, and the pairs within each
-    group, with no Python loop over groups.  Sparse families take this
-    path: the 1625-set tower has 4,704 t-subset rows against 1,319,500
-    member pairs, and 4,368 pairs share a point pair.  When the rows or
-    the pairs within groups would outnumber all C(F, 2) pairs, as in
-    dense random families, the rows are scanned in blocks instead:
-    rows i0..i1-1 against every later row, one (B x R) array per word,
-    with B set so that B * R * W stays within
+    ``shared_pairs`` lists: one int64 key per t-subset of a member, one
+    ``np.argsort`` grouping equal t-subsets, and the pairs within each
+    group, listed in chunks of at most ``_PAIR_CHUNK`` = 2^17 pairs in
+    row order, with no Python loop over groups.  Sparse families take
+    this path: the 1625-set tower has 4,704 t-subset rows against
+    1,319,500 member pairs, and 4,368 pairs share a point pair.  When
+    listing would cost more than testing every pair, by costs measured
+    on both paths (small families, dense random ones), or would hold
+    more than ``_ROWS_MAX`` = 2^20 rows, the rows are scanned in blocks
+    instead: rows i0..i1-1 against every later row, one (B x R) array
+    per word, with B set so that B * R * W stays within
     ``_VIOLATION_BLOCK_CELLS`` = 2^17 row-pair words, so no temporary
     exceeds 1 MB whatever the family size.  Either way the first hit
-    in (i, j) order is the first violating pair in row order.  On four
+    in (i, j) order is the first violating pair in row order, and the
+    scan stops at the first chunk or block with a hit.  On four
     disjoint copies of the tower (6500 sets, 4 words) the grouped path
-    takes about 16 ms at a 5.4 MB ``tracemalloc`` peak, and the blocked
-    one about 0.23 s at 1 MB,
+    takes about 9 ms at a 4.8 MB ``tracemalloc`` peak, and the blocked
+    one about 0.35 s at 1 MB,
   * covered-t-subset counting when validating designs and packings
     (``cover_counts``, any strength t >= 1).  Blocks are grouped by
     size, each size has one table of t-subset positions, and the colex
@@ -76,34 +79,70 @@ def popcount_u64(x: np.ndarray) -> np.ndarray:
 # grouped path tests at most this many pair words at a time
 _VIOLATION_BLOCK_CELLS = 1 << 17
 
+# words unpacked at a time when find_violation lists its rows' points:
+# 1 MB of zero-one bytes
+_UNPACK_WORDS = 1 << 14
 
-def find_violation(words: np.ndarray, t: int) -> tuple[int, int] | None:
+# find_violation's and contains_config's default for ``pairs``: list
+# the pairs that share t points from the rows themselves
+FROM_ROWS = object()
+
+
+def find_violation(words: np.ndarray, t: int, pairs=FROM_ROWS) -> tuple[int, int] | None:
     """First index pair (i < j) violating t-laminarity, or None.
 
     A pair violates when the sets share >= t points and neither contains
     the other.  The pairs are visited in row order: the smallest i with
     a violation, then the smallest j > i.  Any t >= 1.
 
-    Only a pair that shares a t-subset can violate, so the pairs come
-    from ``shared_pairs`` on the rows' points, in row order; when that
-    enumeration would cost more than every pair, the rows are scanned
-    in blocks instead (``_scan_violation``).
+    Only a pair that shares a t-subset can violate, so the pairs tested
+    are ``shared_pairs`` of the rows at t, chunk by chunk in row order,
+    stopping at the first chunk with a hit.  ``pairs`` is that listing
+    when the caller has built it, and None to test every pair; by
+    default it is built here, unpacking the rows' points only when
+    their t-subsets are few enough to list.  With None, or when the
+    listing is refused, the rows are scanned in blocks instead
+    (``_scan_violation``).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     words = np.ascontiguousarray(words)
-    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    pairs = shared_pairs(*csr_of_rows(bits), t)
+    if pairs is FROM_ROWS:
+        sizes = popcount_u64(words).sum(axis=1, dtype=np.int64)
+        pairs = shared_pairs(*_csr_of_words(words, sizes), t) if _listable(sizes, t) else None
     if pairs is None:
         return _scan_violation(words, t)
     step = max(1, _VIOLATION_BLOCK_CELLS // words.shape[1])
-    for lo in range(0, pairs[0].size, step):
-        i, j = pairs[0][lo : lo + step], pairs[1][lo : lo + step]
-        first = np.flatnonzero(_violates(words[i], words[j], t))
-        if first.size:
-            h = first[0]
-            return int(i[h]), int(j[h])
+    for i_all, j_all in pairs:
+        for lo in range(0, i_all.size, step):
+            i, j = i_all[lo : lo + step], j_all[lo : lo + step]
+            first = np.flatnonzero(_violates(words[i], words[j], t))
+            if first.size:
+                h = first[0]
+                return int(i[h]), int(j[h])
     return None
+
+
+def _csr_of_words(words: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based points of bit-packed rows with popcounts ``sizes``,
+    and the int64 offsets delimiting them, unpacking _UNPACK_WORDS
+    words at a time."""
+    f, w = words.shape
+    step = max(1, _UNPACK_WORDS // w)
+    points = [
+        _columns(np.unpackbits(words[lo : lo + step].view(np.uint8), axis=1, bitorder="little"))
+        for lo in range(0, f, step)
+    ]
+    offsets = np.zeros(f + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return np.concatenate(points) if points else np.zeros(0, dtype=np.intp), offsets
+
+
+def _columns(bits: np.ndarray) -> np.ndarray:
+    """The column of every one of a 2-d zero-one uint8 array, row by
+    row; one flat ``np.flatnonzero`` of its bool view, since a 2-d
+    ``np.nonzero`` takes over ten times longer."""
+    return np.flatnonzero(bits.view(bool)) % bits.shape[1]
 
 
 def _violates(wi: np.ndarray, wj: np.ndarray, t: int) -> np.ndarray:
@@ -149,87 +188,173 @@ def _scan_violation(words: np.ndarray, t: int) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 # member pairs that share a t-subset
 
+# shared_pairs lists the pairs only when that costs less than testing
+# all C(F, 2) pairs in blocks.  In units of one blocked pair test (of
+# find_violation and contains_config together), listing and testing
+# the pairs costs _LISTING_COST once, _ROW_COST per t-subset row and
+# _PAIR_COST per pair within a group; benchmarks/listing_crossover.py
+# measured these (see shared_pairs)
+_LISTING_COST = 5000
+_ROW_COST = 1
+_PAIR_COST = 3
 
-def csr_of_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of every nonzero entry of a 2-d array, row by row and
-    ascending within a row, and the int64 offsets delimiting the rows
-    CSR-style: the members' points when the rows are incidence rows."""
-    rows, points = np.nonzero(bits)
+# t-subset rows shared_pairs builds at most: they peak at about 67
+# bytes each while they are built and sorted, so 2^20 rows bound them
+# to about 70 MB; the circle tower r = 1 has 354,240 (a 23 MB peak)
+_ROWS_MAX = 1 << 20
+
+# pairs listed per chunk by shared_pairs: a few 1 MB int64 arrays
+_PAIR_CHUNK = 1 << 17
+
+
+def _listable(sizes: np.ndarray, t: int) -> bool:
+    """Whether shared_pairs builds the t-subset rows of members with
+    these sizes: there are at most _ROWS_MAX, and listing them costs
+    less than testing every pair."""
+    held = np.bincount(sizes)
+    present = np.flatnonzero(held[t:]) + t
+    r = sum(int(held[s]) * comb(s, t) for s in present.tolist())
+    f = sizes.size
+    return r <= _ROWS_MAX and _LISTING_COST + r * _ROW_COST <= f * (f - 1) // 2
+
+
+def row_pairs(bits: np.ndarray, t: int) -> PairChunks | None:
+    """``shared_pairs`` at t of the members whose incidence rows are
+    those of the 2-d zero-one uint8 array ``bits``, or None; the rows'
+    points are listed only once their sizes show the t-subsets
+    _listable."""
+    sizes = bits.sum(axis=1, dtype=np.int64)
+    if not _listable(sizes, t):
+        return None
     offsets = np.zeros(bits.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=bits.shape[0]), out=offsets[1:])
-    return points, offsets
+    np.cumsum(sizes, out=offsets[1:])
+    return shared_pairs(_columns(bits), offsets, t)
 
 
-def shared_pairs(
-    points: np.ndarray, offsets: np.ndarray, t: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Every member pair (i < j) sharing at least t points, or None.
+class PairChunks:
+    """Every member pair (i < j) sharing at least t points, in ascending
+    (i, j) order, as chunks: each iteration yields int64 arrays i and
+    j, all the pairs of a run of consecutive i, at most _PAIR_CHUNK of
+    them unless one member alone has more.  It can be iterated again;
+    each pass lists the pairs anew from the sorted rows.  ``rows`` is
+    the number R of t-subset rows, and ``within`` the number E of
+    pairs within groups, a pair counted once per t-subset it shares."""
+
+    def __init__(self, f: int, ids: np.ndarray, later: np.ndarray, pos: np.ndarray,
+                 row_offsets: np.ndarray):
+        # ids and later are per sorted row: its member, and the rows
+        # after it in its group, all of later members; pos[r] is the
+        # sorted position of row r in member order, in which member i
+        # has rows row_offsets[i]..row_offsets[i+1]-1
+        self._f, self._ids, self._later, self._pos = f, ids, later, pos
+        self._rows = row_offsets
+        # pairs listed for the members before member i, duplicates counted
+        before = np.zeros(later.size + 1, dtype=np.int64)
+        np.cumsum(later[pos], out=before[1:])
+        self._before = before[row_offsets]
+        self.rows, self.within = later.size, int(before[-1])
+
+    def __iter__(self):
+        f, ids, later, before = self._f, self._ids, self._later, self._before
+        i0 = 0
+        while before[i0] < before[f]:
+            i1 = max(i0 + 1, int(np.searchsorted(before, before[i0] + _PAIR_CHUNK, "right")) - 1)
+            # the rows of members i0..i1-1 with a later row in their
+            # group; output position p of row a's run, which starts at
+            # run[a], pairs a with b = a + 1 + (p - run[a])
+            a = self._pos[self._rows[i0] : self._rows[i1]]
+            a = a[later[a] > 0]
+            count = later[a]
+            run = np.cumsum(count) - count
+            b = np.arange(int(before[i1] - before[i0])) - np.repeat(run - a - 1, count)
+            keys = np.repeat(ids[a] * f, count) + ids[b]
+            keys.sort()
+            keep = np.empty(keys.size, dtype=bool)
+            keep[:1] = True
+            keep[1:] = keys[1:] != keys[:-1]
+            keys = keys[keep]
+            yield keys // f, keys % f
+            i0 = i1
+
+
+def shared_pairs(points: np.ndarray, offsets: np.ndarray, t: int) -> PairChunks | None:
+    """The member pairs (i < j) sharing at least t points, or None.
 
     ``points`` holds all members' points (0-based, strictly increasing
     within a member) concatenated; ``offsets`` delimits the F members
-    CSR-style.  Returns two int64 arrays, i and j, in ascending (i, j)
-    order.  Returns None, having built nothing, when the R = sum of
-    C(|S|, t) t-subset rows exceed the C(F, 2) pairs, and None again
-    when the E = sum of C(g, 2) pairs within the groups of rows that
-    share one t-subset exceed them; a caller then visits every pair.
-    Any t >= 1.
+    CSR-style.  Builds one row per t-subset of a member, R = sum of
+    C(|S|, t) rows, each one int64 key: the t-subset's points in base
+    v = 1 + the largest point, then the member.  One ``np.argsort``
+    orders the keys, so equal t-subsets form groups with their members
+    ascending, and a group lists the pairs of its members.  Any t >= 1.
+
+    Returns None, having built nothing, unless ``_listable``: at most
+    _ROWS_MAX rows, and _LISTING_COST + R * _ROW_COST at most the
+    C(F, 2) pairs.  Returns None also when v^t * F, which bounds the
+    keys, exceeds int64, and when the E = sum of C(g, 2) pairs within
+    the groups add E * _PAIR_COST to that cost and take it above
+    C(F, 2).  A caller then visits every pair.
+
+    The three costs are where this choice loses least time, summed
+    over (chosen time / faster time - 1), when ``laminar verify``'s
+    first two checks run at full work on 119 random families (F =
+    20..3137 members of up to 30 points, n = 30..300, t = 1..3), the
+    tower, four copies of it and the 49-set search family
+    (``benchmarks/listing_crossover.py``, one BLAS thread of a 2-core
+    VM): the summed excess was 0.32, and no family took more than 1.12
+    times the faster path's time.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     offsets = np.asarray(offsets, dtype=np.int64)
     f = offsets.size - 1
-    every = f * (f - 1) // 2
     sizes = np.diff(offsets)
+    if not _listable(sizes, t):
+        return None
+    points = np.asarray(points, dtype=np.int64)
+    v = int(points.max()) + 1 if points.size else 1
+    if v**t * f >= 2**63:
+        return None
     held = np.bincount(sizes)
     present = (np.flatnonzero(held[t:]) + t).tolist()
-    if sum(int(held[s]) * comb(s, t) for s in present) > every:
-        return None
-    if not present:
-        none = np.zeros(0, dtype=np.int64)
-        return none, none
     # one row per t-subset of a member, members in order: member i has
     # rows for the first C(|S_i|, t) t-subsets of positions in colex
     # order, which are those of range(|S_i|); every count is at most R
     per_size = np.zeros(held.size, dtype=np.int64)
     per_size[present] = [comb(s, t) for s in present]
     count = per_size[sizes]
-    ids = np.repeat(np.arange(f), count)
-    k = np.arange(ids.size) - np.repeat(np.cumsum(count) - count, count)
-    colex = np.array(list(combinations(range(present[-1] - 1, -1, -1), t)), dtype=np.int64)
-    cols = points[offsets[ids, None] + colex[::-1, ::-1][k]]
-    # by t-subset; lexsort is stable and its last key the primary one,
-    # so each group of equal t-subsets keeps its members ascending
-    order = np.lexsort(tuple(cols[:, q] for q in range(t - 1, -1, -1)))
-    cols = cols[order]
-    ids = ids[order]
-    r = ids.size
+    row_offsets = np.zeros(f + 1, dtype=np.int64)
+    np.cumsum(count, out=row_offsets[1:])
+    r = int(row_offsets[-1])
+    first = np.repeat(offsets[:-1], count)
+    k = np.arange(r) - np.repeat(row_offsets[:-1], count)
+    top = present[-1] if present else t
+    colex = np.array(list(combinations(range(top - 1, -1, -1), t)), dtype=np.int64)[::-1, ::-1]
+    key = points[first + colex[k, 0]]
+    for q in range(1, t):
+        key *= v
+        key += points[first + colex[k, q]]
+    del first, k
+    key *= f
+    key += np.repeat(np.arange(f), count)
+    # keys are distinct, so the order is that of (t-subset, member)
+    order = np.argsort(key)
+    key = key[order]
+    ids = key % f
+    key //= f
     cut = np.empty(r + 1, dtype=bool)
     cut[0] = cut[r] = True
-    cut[1:r] = cols[1:, 0] != cols[:-1, 0]
-    for q in range(1, t):
-        cut[1:r] |= cols[1:, q] != cols[:-1, q]
+    np.not_equal(key[1:], key[:-1], out=cut[1:r])
+    del key
     bounds = np.flatnonzero(cut)
     g = bounds[1:] - bounds[:-1]
-    e = int((g * (g - 1)).sum()) // 2
-    if e > every:
+    cost = _LISTING_COST + r * _ROW_COST + int((g * (g - 1)).sum()) // 2 * _PAIR_COST
+    if cost > f * (f - 1) // 2:
         return None
-    # row a pairs with the `later[a]` rows after it in its group; output
-    # position p of a's run, which starts at run[a], pairs a with
-    # b = a + 1 + (p - run[a])
-    a = np.arange(r)
-    later = np.repeat(bounds[1:], g) - a - 1
-    run = np.cumsum(later) - later
-    b = np.arange(e) - np.repeat(run - a - 1, later)
-    a = np.repeat(a, later)
-    # a member holds a t-subset once, so a group's members are distinct:
-    # ids[a] < ids[b]
-    keys = ids[a] * f + ids[b]
-    keys.sort()
-    keep = np.empty(keys.size, dtype=bool)
-    keep[:1] = True
-    keep[1:] = keys[1:] != keys[:-1]
-    keys = keys[keep]
-    return keys // f, keys % f
+    later = np.repeat(bounds[1:], g) - np.arange(r) - 1
+    pos = np.empty(r, dtype=np.int64)
+    pos[order] = np.arange(r)
+    return PairChunks(f, ids, later, pos, row_offsets)
 
 
 # ---------------------------------------------------------------------------

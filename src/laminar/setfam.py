@@ -9,31 +9,32 @@ runs all three, as `laminar verify` does):
      bit-packed through `_kernels.find_violation`: only the member
      pairs that share a t-subset can violate, and
      `_kernels.shared_pairs` lists them from one sort of the members'
-     t-subsets (sum over members S of C(|S|, t) rows).  When those rows
-     or the pairs they list would outnumber all C(|F|, 2) pairs, every
-     pair is tested instead, in blocks of rows, stopping at the first
-     block with a violating pair; memory O(|F| n / 64) plus a fixed
-     block.
+     t-subsets (sum over members S of C(|S|, t) rows), in chunks.  When
+     listing would cost more than testing every pair, as on small or
+     dense families, or would take more than 2^20 rows, every pair is
+     tested instead, in blocks of rows, stopping at the first block
+     with a violating pair; memory O(|F| n / 64) plus a fixed block.
   2. avoidance of a forbidden 2 x (t+2) zero-one configuration in the
      family's incidence matrix (`contains_config` / `forbidden_matrix`):
      rows that host it share t columns, so the row pairs tested are
-     again those of `_kernels.shared_pairs`, each with an int64 dot
-     product.  When the enumeration is refused, the column-type counts
-     come from a float64 Gram matrix, |F|^2 n / 2 multiply-adds through
-     BLAS, in blocks of 256 rows, stopping at the first block with a
-     hit; memory O(256 |F|), never a dense |F| x |F| matrix.
+     again those of `_kernels.shared_pairs`, each with a popcount of
+     the words both rows hold.  Without that listing, the column-type
+     counts come from a float64 Gram matrix, |F|^2 n / 2 multiply-adds
+     through BLAS, in blocks of 256 rows, stopping at the first block
+     with a hit; memory O(256 |F|), never a dense |F| x |F| matrix.
   3. a unique-chain condition on t-subsets after augmenting the family
      with all of them (`unique_chain_check`): sum over members S of
      C(|S|, t) dictionary steps, and memory one entry per t-subset
      that some member covers.
 
-On sparse families checks 1 and 2 share the t-subset enumeration, so a
-fault in it could hide a violation from both; check 3 shares no code
-with them and is the independent witness.  On the 1625-set tower (n =
-49, t = 2) the three take about 2, 2 and 3 ms; on four disjoint copies
-of it (6500 sets, n = 196) about 16, 15 and 16 ms; on the circle tower
-r = 1 (114,842 sets, n = 82, t = 3) about 0.4, 0.3 and 0.5 s (one
-thread of a 2-core VM).
+`verify_t_laminar` lists the shared pairs once for checks 1 and 2, so
+a fault in the listing could hide a violation from both; check 3
+shares no code with it and is the independent witness.  On the
+1625-set tower (n = 49, t = 2) the three take about 2, 2 and 5 ms; on
+four disjoint copies of it (6500 sets, n = 196) about 9, 7 and 18 ms;
+on the circle tower r = 1 (114,842 sets, n = 82, t = 3) about 0.2,
+0.2 and 0.6 s (one thread of a 2-core VM), each check listing its own
+pairs.
 
 Members are int masks: ground point i (1-based) is bit i-1.  A Family
 is a ground-set size n and a tuple of masks; it keeps its members in
@@ -53,7 +54,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -98,18 +99,19 @@ def _byte_masks(packed: np.ndarray) -> list[int]:
     ]
 
 
-def csr_from_sets(n: int, sets: Iterable[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
+def csr_from_sets(
+    n: int, sets: Iterable[Iterable], point: Callable[[object], int] = operator.index
+) -> tuple[np.ndarray, np.ndarray]:
     """The 1-based point iterables as 0-based int64 points, concatenated
-    in order, and the int64 offsets delimiting them CSR-style.  A point
-    too large for int64 raises ValueError; the range 1..n is left to
-    the caller."""
+    in order, and the int64 offsets delimiting them CSR-style.  Every
+    point goes through ``point`` (``int`` reads text tokens), whose
+    ValueError passes through; a point too large for int64 raises
+    ValueError too.  The range 1..n is left to the caller."""
     rows = [list(s) for s in sets]
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=offsets[1:])
     try:
-        points = np.fromiter(
-            map(operator.index, chain.from_iterable(rows)), np.int64, int(offsets[-1])
-        )
+        points = np.fromiter(map(point, chain.from_iterable(rows)), np.int64, int(offsets[-1]))
     except OverflowError:
         raise ValueError(f"point outside 1..{n}") from None
     return points - 1, offsets
@@ -128,7 +130,11 @@ def masks_from_csr(n: int, points: np.ndarray, offsets: np.ndarray) -> list[int]
     points = np.asarray(points, dtype=np.int64)
     outside = np.flatnonzero((points < 0) | (points >= n))
     if outside.size:
-        raise ValueError(f"point {points[outside[0]] + 1} outside 1..{n}")
+        # csr_from_sets' shift to 0-based wraps the point -2^63 round to
+        # 2^63 - 1, and adding the 1 back wraps it home
+        with np.errstate(over="ignore"):
+            first = points[outside[0]] + 1
+        raise ValueError(f"point {first} outside 1..{n}")
     members = len(offsets) - 1
     packed = np.zeros((members, (n + 7) // 8), dtype=np.uint8)
     rows = np.repeat(np.arange(members), np.diff(offsets))
@@ -236,12 +242,12 @@ def forbidden_matrix(t: int) -> np.ndarray:
 # block holds one or two (block x F) float64 arrays and a few bool ones
 _GRAM_BLOCK_ROWS = 256
 
-# row-pair cells (pairs times columns) per chunk of shared pairs in
-# contains_config: two uint8 gathers of at most 1 MB each
-_PAIR_CHUNK_CELLS = 1 << 20
+# row-pair words (pairs times words per row) per chunk of shared pairs
+# in contains_config: two uint64 gathers of at most 1 MB each
+_PAIR_CHUNK_WORDS = 1 << 17
 
 
-def contains_config(m: np.ndarray, z: np.ndarray) -> bool:
+def contains_config(m: np.ndarray, z: np.ndarray, pairs=_kernels.FROM_ROWS) -> bool:
     """True iff some row/column permutation of z is a submatrix of m.
 
     Two-row z reduces exactly to column-type counting over row pairs of
@@ -253,9 +259,11 @@ def contains_config(m: np.ndarray, z: np.ndarray) -> bool:
 
     Rows that host z share z's z11 columns of type 11.  So when z11 >= 1
     the candidate pairs are `_kernels.shared_pairs` of m's rows at
-    t = z11, and G is an int64 dot product of each candidate pair, in
-    chunks of _PAIR_CHUNK_CELLS.  When z11 = 0, or the enumeration
-    would cost more than every pair, G is a float64 matmul, exact
+    t = z11, and G is the popcount of the bit-packed words both rows of
+    a candidate pair hold, in chunks of _PAIR_CHUNK_WORDS.  ``pairs``
+    is that listing when the caller has built it, and None to test
+    every pair; by default it is built here (`_kernels.row_pairs`).
+    When z11 = 0, or the listing is None, G is a float64 matmul, exact
     because every entry is at most n, taken over the upper triangle in
     blocks of _GRAM_BLOCK_ROWS rows, so memory is O(block x F) and the
     scan stops at the first block with a hit.
@@ -269,11 +277,11 @@ def contains_config(m: np.ndarray, z: np.ndarray) -> bool:
     if z.shape[0] > m.shape[0] or z.shape[1] > m.shape[1]:
         return False
     if z.shape[0] == 2:
-        return _contains_two_row(m, z)
+        return _contains_two_row(m, z, pairs)
     return _contains_config_general(m, z)
 
 
-def _contains_two_row(m: np.ndarray, z: np.ndarray) -> bool:
+def _contains_two_row(m: np.ndarray, z: np.ndarray, pairs) -> bool:
     z0, z1 = z.astype(np.int64)
     z11 = int((z0 & z1).sum())
     z00 = int(((1 - z0) & (1 - z1)).sum())
@@ -294,20 +302,26 @@ def _contains_two_row(m: np.ndarray, z: np.ndarray) -> bool:
             hit &= g >= si + sj + (z00 - n)
         return hit
 
-    if z11:
-        points, offsets = _kernels.csr_of_rows(m)
-        pairs = _kernels.shared_pairs(points, offsets, z11)
-        if pairs is not None:
-            s = np.diff(offsets)  # the row sums of a zero-one m
-            step = max(1, _PAIR_CHUNK_CELLS // n)
-            for lo in range(0, pairs[0].size, step):
-                i, j = pairs[0][lo : lo + step], pairs[1][lo : lo + step]
-                # zero-one rows, so & is the product; summed in int64,
-                # since a uint8 sum wraps at 256 shared columns
-                g = (m[i] & m[j]).sum(axis=1, dtype=np.int64)
+    if not z11:
+        pairs = None
+    elif pairs is _kernels.FROM_ROWS:
+        pairs = _kernels.row_pairs(m, z11)
+    if pairs is not None:
+        s = m.sum(axis=1, dtype=np.int64)
+        # the rows bit-packed into little-endian words: G of a pair is
+        # the popcount of the words both rows hold, summed in int64
+        packed = np.packbits(m, axis=1, bitorder="little")
+        words = np.zeros((m.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+        words[:, : packed.shape[1]] = packed
+        words = words.view("<u8")
+        step = max(1, _PAIR_CHUNK_WORDS // words.shape[1])
+        for i_all, j_all in pairs:
+            for lo in range(0, i_all.size, step):
+                i, j = i_all[lo : lo + step], j_all[lo : lo + step]
+                g = _kernels.popcount_u64(words[i] & words[j]).sum(axis=1, dtype=np.int64)
                 if hosts(g, s[i], s[j]).any():
                     return True
-            return False
+        return False
     a = m.astype(np.float64)
     s = a.sum(axis=1)
     for r0 in range(0, a.shape[0], _GRAM_BLOCK_ROWS):
@@ -390,12 +404,17 @@ class ChecksDisagree(RuntimeError):
 def verify_t_laminar(fam: Family, t: int) -> Optional[tuple[int, int]]:
     """Run all three characterizations; the first violating pair or None.
 
-    Each check runs on its own, so a fault in one shows up as a
-    disagreement (ChecksDisagree) rather than a wrong verdict.  The pair
-    is violating_pair's, in family order.
+    The member pairs that share t points are listed once, from the
+    incidence matrix, and checks 1 and 2 each test their own predicate
+    on them; check 3 shares no code with that listing.  So a fault in
+    one check, or in the listing, shows up as a disagreement
+    (ChecksDisagree) rather than a wrong verdict.  The pair is
+    violating_pair's, in family order.
     """
-    hit = violating_pair(fam, t)
-    avoided = not contains_config(incidence_matrix(fam), forbidden_matrix(t))
+    m = incidence_matrix(fam)
+    pairs = _kernels.row_pairs(m, t)
+    hit = _kernels.find_violation(fam.to_words(), t, pairs)
+    avoided = not contains_config(m, forbidden_matrix(t), pairs)
     chained = unique_chain_check(fam, t)
     if not (hit is None) == avoided == chained:
         raise ChecksDisagree(hit is None, avoided, chained)
@@ -442,10 +461,10 @@ def family_to_text(fam: Family, t: int | None = None, comments: Iterable[str] = 
 def family_from_text(text: str) -> tuple[Family, int | None, list[str]]:
     """Parse the text format; returns (family, t or None, comment lines).
 
-    Every member's tokens go through one ``map(int, ...)`` pass into
-    int64 points, delimited by offsets from the tokens per line, and
-    one ``np.diff`` tests that the points increase within each member.
-    A file that fails either test is named by its first bad line.
+    Every member's tokens go through one ``int`` pass into CSR points
+    (``csr_from_sets``), and one comparison of neighbouring points tests
+    that they increase within each member.  A file that fails either
+    test is named by its first bad line.
     """
     comments: list[str] = []
     header: str | None = None
@@ -479,13 +498,12 @@ def family_from_text(text: str) -> tuple[Family, int | None, list[str]]:
         row_lines.append(ln)
     if header is None:
         raise FamilyParseError("missing header line", header_line or 1)
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=offsets[1:])
     try:
-        points = np.fromiter(map(int, chain.from_iterable(rows)), np.int64, int(offsets[-1]))
-    except (ValueError, OverflowError):
+        points, offsets = csr_from_sets(n, rows, int)
+    except ValueError:
         # a token int() rejects, or a point past int64: the first line
-        # that fails a check line by line is the error
+        # that fails a check line by line is the error, else the point
+        # past int64 is
         for ln, row in zip(row_lines, rows):
             try:
                 pts = [int(x) for x in row]
@@ -493,16 +511,18 @@ def family_from_text(text: str) -> tuple[Family, int | None, list[str]]:
                 raise FamilyParseError("non-integer point", ln) from None
             if any(b <= a for a, b in zip(pts, pts[1:])):
                 raise FamilyParseError("points must be strictly increasing", ln)
-        raise ValueError(f"point outside 1..{n}") from None
-    # step k compares points k and k + 1; the steps into a member's
-    # first point cross from one member to the next
-    down = np.diff(points) <= 0
+        raise
+    # position k compares points k and k + 1, unless point k + 1 is the
+    # first of a member; they are compared as read, since the shift to
+    # 0-based wraps the point -2^63 round to 2^63 - 1
+    read = points + 1
+    down = read[1:] <= read[:-1]
     down[offsets[1:-1] - 1] = False
     bad = np.flatnonzero(down)
     if bad.size:
         member = int(np.searchsorted(offsets, bad[0], side="right")) - 1
         raise FamilyParseError("points must be strictly increasing", row_lines[member])
-    return Family(n, masks_from_csr(n, points - 1, offsets)), t, comments
+    return Family(n, masks_from_csr(n, points, offsets)), t, comments
 
 
 def family_to_json(fam: Family, t: int | None = None) -> dict:

@@ -44,11 +44,14 @@ def sparse_family(rng: random.Random, n: int, f_cap: int = 30, size_cap: int = 5
 @pytest.fixture(params=["grouped", "blocked"])
 def pair_path(request, monkeypatch):
     """Run a test on each path of the pairwise and config checks: the
-    grouped one over `_kernels.shared_pairs`, and the blocked one, forced
-    by making shared_pairs return None.  Yields the path's name and a
-    list that records, per shared_pairs call, whether it listed pairs."""
+    grouped one over `_kernels.shared_pairs`, forced by pricing its
+    listing at zero, and the blocked one, forced by making shared_pairs
+    return None.  Yields the path's name and a list that records, per
+    shared_pairs call, whether it listed pairs."""
     real = _kernels.shared_pairs
     listed = []
+    for cost in ("_LISTING_COST", "_ROW_COST", "_PAIR_COST"):
+        monkeypatch.setattr(_kernels, cost, 0)
 
     def shared_pairs(points, offsets, t):
         got = real(points, offsets, t) if request.param == "grouped" else None

@@ -147,8 +147,8 @@ class TestViolationOnTower:
             finally:
                 tracemalloc.stop()
             # each block's temporaries hold at most _VIOLATION_BLOCK_CELLS
-            # words (1 MB); measured about 1 MB in all, and 5.4 MB on
-            # the grouped path (unpacked rows, CSR points, t-subset rows)
+            # words (1 MB); measured about 1 MB in all, and 4.8 MB on
+            # the grouped path (CSR points, t-subset rows and a chunk)
             assert peak < 16 * 2**20, (path, peak)
 
 
@@ -160,11 +160,29 @@ def _csr(sets):
     return pts, offs
 
 
+def _listed(chunks):
+    """All pairs of a PairChunks listing, chunk by chunk, as (i, j) tuples."""
+    out = []
+    for i, j in chunks:
+        assert i.dtype == j.dtype == np.int64
+        out += zip(i.tolist(), j.tolist())
+    return out
+
+
 class TestSharedPairs:
+    @pytest.mark.parametrize("costs, chunk", [
+        ((0, 0, 0), 3), ((0, 0, 0), _kernels._PAIR_CHUNK), ((0, 1, 1), 3), ((10, 1, 3), 3),
+    ])
     @pytest.mark.parametrize("n", [63, 64, 65, 128])
-    def test_matches_brute_force(self, n):
+    def test_matches_brute_force(self, n, costs, chunk, monkeypatch):
         # members of 0..5 points from a small pool: some smaller than t,
-        # some repeated, families of 0 and 1 members among them
+        # some repeated, families of 0 and 1 members among them; a chunk
+        # of 3 pairs splits the listing between and inside members' runs
+        listing, per_row, per_pair = costs
+        monkeypatch.setattr(_kernels, "_LISTING_COST", listing)
+        monkeypatch.setattr(_kernels, "_ROW_COST", per_row)
+        monkeypatch.setattr(_kernels, "_PAIR_COST", per_pair)
+        monkeypatch.setattr(_kernels, "_PAIR_CHUNK", chunk)
         rng = random.Random(n)
         outcomes = Counter()
         for _ in range(150):
@@ -180,10 +198,10 @@ class TestSharedPairs:
                 rows = sum(comb(len(s), t) for s in sets)
                 groups = Counter(sub for s in sets for sub in combinations(s, t))
                 within = sum(comb(g, 2) for g in groups.values())
-                if rows > every:
+                if listing + rows * per_row > every:
                     assert got is None, (sets, t)
                     outcomes["rows"] += 1
-                elif within > every:
+                elif listing + rows * per_row + within * per_pair > every:
                     assert got is None, (sets, t)
                     outcomes["pairs"] += 1
                 else:
@@ -192,19 +210,70 @@ class TestSharedPairs:
                         for i, j in combinations(range(len(sets)), 2)
                         if len(set(sets[i]) & set(sets[j])) >= t
                     ]
-                    assert got[0].dtype == got[1].dtype == np.int64
-                    assert list(zip(got[0].tolist(), got[1].tolist())) == want, (sets, t)
+                    assert _listed(got) == want, (sets, t)
+                    # a second pass lists the same pairs again
+                    assert _listed(got) == want, (sets, t)
                     outcomes["listed"] += 1
-        assert min(outcomes[k] for k in ("rows", "pairs", "listed")) >= 10, outcomes
+        if costs == (0, 0, 0):
+            assert outcomes.keys() == {"listed"}
+        else:
+            assert min(outcomes[k] for k in ("rows", "pairs", "listed")) >= 10, outcomes
 
-    def test_fewer_than_two_members(self):
-        pts, offs = _csr([])
-        i, j = _kernels.shared_pairs(pts, offs, 1)
-        assert i.size == j.size == 0
+    def test_fewer_than_two_members(self, monkeypatch):
+        # listing has a fixed cost, which no pair of so few members repays
+        assert _kernels.shared_pairs(*_csr([]), 1) is None
+        assert _kernels.shared_pairs(*_csr([[0, 1, 2]]), 2) is None
+        monkeypatch.setattr(_kernels, "_LISTING_COST", 0)
+        assert _listed(_kernels.shared_pairs(*_csr([]), 1)) == []
         # one member: no pair, but its C(3, t) rows already exceed the 0 pairs
         assert _kernels.shared_pairs(*_csr([[0, 1, 2]]), 2) is None
-        i, j = _kernels.shared_pairs(*_csr([[0, 1, 2]]), 4)
-        assert i.size == j.size == 0
+        assert _listed(_kernels.shared_pairs(*_csr([[0, 1, 2]]), 4)) == []
+
+    def test_rows_max(self, monkeypatch):
+        # 30,000 members of 16 points: R = 3.6M rows, below the 4.5e8
+        # pairs, but above _ROWS_MAX, so nothing is built; the points
+        # are never read
+        offs = np.arange(0, 16 * 30_001, 16, dtype=np.int64)
+        assert 30_000 * comb(16, 2) > _kernels._ROWS_MAX
+        assert _kernels.shared_pairs(np.zeros(0, dtype=np.int64), offs, 2) is None
+        monkeypatch.setattr(_kernels, "_LISTING_COST", 0)
+        sets = [[0, 1, 2], [1, 2, 3], [2, 3, 4]] + [[5 + k] for k in range(6)]
+        assert _listed(_kernels.shared_pairs(*_csr(sets), 2)) == [(0, 1), (1, 2)]
+        monkeypatch.setattr(_kernels, "_ROWS_MAX", 8)
+        assert _kernels.shared_pairs(*_csr(sets), 2) is None
+
+    def test_key_range(self, monkeypatch):
+        # keys run up to v^t * F: 65^10 * 2 fits int64, 65^11 * 2 does not
+        monkeypatch.setattr(_kernels, "_LISTING_COST", 0)
+        monkeypatch.setattr(_kernels, "_ROW_COST", 0)
+        monkeypatch.setattr(_kernels, "_PAIR_COST", 0)
+        sets = [list(range(64 - 11, 65)), list(range(64 - 12, 64)) + [64]]
+        assert _listed(_kernels.shared_pairs(*_csr(sets), 10)) == [(0, 1)]
+        assert _kernels.shared_pairs(*_csr(sets), 11) is None
+
+    def test_dense_family_memory(self):
+        import tracemalloc
+
+        # 2000 random 12-point members of [196] at t = 2: 132,000 rows
+        # and 456,386 pairs within groups, listed since that costs less
+        # than the 2M pairs; the pairs come in chunks of 2^17, so they
+        # are never all held at once (17 MB in five int64 arrays).
+        # Measured: 6.5 MB for the rows, 9.4 MB with the chunks
+        rng = random.Random(5)
+        sets = [sorted(rng.sample(range(196), 12)) for _ in range(2000)]
+        pts, offs = _csr(sets)
+        tracemalloc.start()
+        try:
+            chunks = _kernels.shared_pairs(pts, offs, 2)
+            assert chunks is not None
+            listed = sum(i.size for i, j in chunks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = np.zeros((len(sets), 196))
+        m[np.repeat(np.arange(len(sets)), 12), pts] = 1
+        assert listed == int(np.triu(m @ m.T >= 2, 1).sum())  # exact: entries <= 12
+        assert peak < 12 * 2**20, peak
 
     def test_rejects_t_below_one(self):
         with pytest.raises(ValueError):
@@ -228,9 +297,30 @@ class TestViolationPaths:
             for t in (1, 2, 3):
                 got = _kernels.find_violation(words, t)
                 assert got == _first_violation(list(fam), t), (fam, t)
+                # pairs=None scans every pair whatever the path
+                assert _kernels.find_violation(words, t, None) == got
                 seen.add(got is None)
         assert seen == {True, False}
         assert any(listed) == (name == "grouped")
+
+    def test_many_rows_take_the_blocked_scan(self):
+        import tracemalloc
+
+        # 30,000 random 16-point members of [196] at t = 2 have 3.6M
+        # t-subset rows, too many to list (the pairs within groups
+        # would be about 3.4e8); the blocked scan stops at its first
+        # block with a violation
+        rng = random.Random(11)
+        masks = sorted({sum(1 << p for p in rng.sample(range(196), 16)) for _ in range(30_000)})
+        words = Family(196, masks).to_words()
+        tracemalloc.start()
+        try:
+            got = _kernels.find_violation(words, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == _first_violation(masks, 2)
+        assert peak < 8 * 2**20, peak
 
     def test_crossed_4x_tower(self, tower4, pair_path):
         name, listed = pair_path

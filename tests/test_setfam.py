@@ -488,6 +488,22 @@ class TestVerifyThreeWays:
         assert verify_t_laminar(f, 2) == violating_pair(f, 2) == (1, 2)
         assert verify_t_laminar(fam(3, [1, 2], [1, 2, 3]), 2) is None
 
+    @pytest.mark.parametrize("crossing", [None, [1, 2, 60, 61]])
+    def test_lists_the_shared_pairs_once(self, crossing, monkeypatch):
+        # checks 1 and 2 test one listing; the crossed tower's verdict
+        # and witness are those of violating_pair, which lists its own
+        f = _tower4(crossing)
+        calls = []
+        real = setfam._kernels.shared_pairs
+
+        def shared_pairs(points, offsets, t):
+            calls.append(t)
+            return real(points, offsets, t)
+
+        monkeypatch.setattr(setfam._kernels, "shared_pairs", shared_pairs)
+        assert verify_t_laminar(f, 2) == (None if crossing is None else violating_pair(f, 2))
+        assert calls == [2] * (1 if crossing is None else 2)
+
     def test_disagreement_is_typed(self, monkeypatch):
         monkeypatch.setattr(setfam, "unique_chain_check", lambda f, t: False)
         with pytest.raises(ChecksDisagree) as info:
@@ -517,3 +533,23 @@ class TestSerialization:
             family_from_text("n=3\n2 1\n")
         with pytest.raises(FamilyParseError, match="header"):
             family_from_text("1 2\n")
+
+    @pytest.mark.parametrize("text, error", [
+        ("n=5\n1 2\n\n# c\n3 4\n4 3\n", "line 6: points must be strictly increasing"),
+        ("n=5\n1 2\n2 2\n1 x\n", "line 3: points must be strictly increasing"),
+        ("n=5\n1 2\n1 x\n2 1\n", "line 3: non-integer point"),
+        (f"n=5\n1 {2**70}\n2 1\n", "line 3: points must be strictly increasing"),
+        (f"n=5\n1 {2**70}\n", "point outside 1..5"),
+        # neighbours whose difference overflows int64
+        ("n=5\n-9000000000000000000 9000000000000000000\n",
+         "point -9000000000000000000 outside 1..5"),
+        ("n=5\n9000000000000000000 -9000000000000000000\n",
+         "line 2: points must be strictly increasing"),
+        # the smallest int64, which the shift to 0-based wraps
+        (f"n=5\n{-2**63} 1\n", f"point {-2**63} outside 1..5"),
+        (f"n=5\n1 2\n{2**63 - 1} {-2**63}\n", "line 3: points must be strictly increasing"),
+    ])
+    def test_parse_errors_name_the_first_bad_line(self, text, error):
+        with pytest.raises(ValueError) as info:
+            family_from_text(text)
+        assert str(info.value) == error
