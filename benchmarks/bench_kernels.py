@@ -6,7 +6,8 @@ violation check over the member pairs that share a t-subset (on
 laminar towers, which it checks to the end, and on the tower with a
 crossing set), and over every pair of the 49-set search family, too
 small to repay listing its shared pairs; the config and chain checks
-of ``laminar verify``, the cover-count kernel, and the build,
+of ``laminar verify`` (the chain check also on the circle tower r = 1,
+114,842 sets at t = 3), the cover-count kernel, and the build,
 validation and text of the two designs of the lower-bound
 constructions.
 
@@ -18,7 +19,7 @@ import random
 import time
 
 from laminar import _kernels
-from laminar.construct import fano_tower
+from laminar.construct import circle_tower, fano_tower
 from laminar.geometry import affine_plane, circle_geometry, design_to_text, is_design
 from laminar.search import max_laminar_exact
 from laminar.setfam import (
@@ -100,6 +101,12 @@ def bench_verify_checks(towers, repeats):
         _row(f"config check, shared pairs: {label}", lambda: contains_config(m, z), repeats)
     for label, fam in towers:
         _row(f"chain check: {label}", lambda: unique_chain_check(fam, 2), repeats)
+    _, circles = circle_tower(1, materialize=True)
+    _row(
+        f"chain check: circle tower r=1 ({len(circles)} sets, t=3)",
+        lambda: unique_chain_check(circles, 3),
+        repeats,
+    )
 
 
 def bench_designs(repeats):

@@ -7,34 +7,24 @@ Two inner loops dominate runtime in this package:
     they share t points, so the pairs to test are those that
     ``shared_pairs`` lists: one int64 key per t-subset of a member, one
     ``np.argsort`` grouping equal t-subsets, and the pairs within each
-    group, listed in chunks of at most ``_PAIR_CHUNK`` = 2^17 pairs in
-    row order, with no Python loop over groups.  Sparse families take
-    this path: the 1625-set tower has 4,704 t-subset rows against
-    1,319,500 member pairs, and 4,368 pairs share a point pair.  When
-    listing would cost more than testing every pair, by costs measured
-    on both paths (small families, dense random ones), or would hold
-    more than ``_ROWS_MAX`` = 2^20 rows, the rows are scanned in blocks
-    instead: rows i0..i1-1 against every later row, one (B x R) array
-    per word, with B set so that B * R * W stays within
-    ``_VIOLATION_BLOCK_CELLS`` = 2^17 row-pair words, so no temporary
-    exceeds 1 MB whatever the family size.  Either way the first hit
-    in (i, j) order is the first violating pair in row order, and the
-    scan stops at the first chunk or block with a hit.  On four
-    disjoint copies of the tower (6500 sets, 4 words) the grouped path
-    takes about 9 ms at a 4.8 MB ``tracemalloc`` peak, and the blocked
-    one about 0.35 s at 1 MB,
+    group, in chunks of at most ``_PAIR_CHUNK`` = 2^17 pairs in row
+    order.  The 1625-set tower has 4,704 t-subset rows against
+    1,319,500 member pairs.  When listing would cost more than testing
+    every pair, by costs measured on both paths, or would hold more
+    than ``_ROWS_MAX`` = 2^20 rows, rows i0..i1-1 are scanned against
+    every later row instead, in blocks of at most
+    ``_VIOLATION_BLOCK_CELLS`` = 2^17 row-pair words (1 MB).  Either
+    way the first hit in (i, j) order is returned, and the scan stops
+    at the first chunk or block with a hit,
   * covered-t-subset counting when validating designs and packings
-    (``cover_counts``, any strength t >= 1).  Blocks are grouped by
-    size, each size has one table of t-subset positions, and the colex
-    ranks of the t-subsets of a run of blocks, at most ``_COVER_CHUNK``
-    = 2^17 at a time, go into one preallocated C(v, t) uint8 count
-    array through ``np.add.at``, which counts a rank repeated inside a
-    chunk once per repeat.  Ranks are int32 whenever C(v, t) < 2^31.
-    The counts are exact iff they sum to the number of ranks added (a
-    count of 256 or more wraps and breaks that sum); otherwise they are
-    recounted into int32.  On the 2-(2401,49,1) affine plane that is
-    2.9M pair ranks in about 20 ms, with 3 MB of temporaries beside the
-    2.9 MB count array.
+    (``cover_counts``, any strength t >= 1).  ``colex_ranks`` yields the
+    colex ranks of the blocks' t-subsets, blocks grouped by size, at
+    most ``_COVER_CHUNK`` = 2^17 at a time, and ``np.add.at`` adds them
+    into one C(v, t) uint8 count array.  The counts are exact iff they
+    sum to the number of ranks added (a count of 256 or more wraps and
+    breaks that sum); otherwise they are recounted into int32.  On the
+    2-(2401,49,1) affine plane that is 2.9M pair ranks in about 20 ms.
+    The same ranks drive `setfam.unique_chain_check`.
 
 A third kernel, ``scan_topk``, is the double-precision top-K scan that
 used to shortlist argmax candidates for the bound table.  The bound
@@ -376,10 +366,6 @@ def cover_counts(points: np.ndarray, offsets: np.ndarray, v: int, t: int) -> np.
     if t < 1:
         raise ValueError("t must be >= 1")
     total = comb(v, t)
-    # every rank, and every binomial a rank sums, is below C(v, t)
-    rank_dtype = np.int32 if total < 2**31 else np.int64
-    points = np.ascontiguousarray(points, dtype=rank_dtype)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     counts = np.zeros(total, dtype=np.uint8)
     added = _add_cover_ranks(counts, points, offsets, v, t)
     # a count of 256 or more wraps in uint8, and only a wrap makes the
@@ -401,34 +387,82 @@ def _add_cover_ranks(
     # dtype: with a Python int 1, np.add.at leaves its fast path (0.61 s
     # instead of 38 ms on the 2-(2401,49,1) plane with int32 counts).
     one = counts.dtype.type(1)
+    added = 0
+    # every rank, and every binomial a rank sums, is below C(v, t)
+    dtype = np.int32 if counts.size < 2**31 else np.int64
+    for _, rank in colex_ranks(points, offsets, v, t, dtype):
+        np.add.at(counts, rank, one)
+        added += rank.size
+        del rank  # not alive while the next chunk is ranked
+    return added
+
+
+def _colex_table(s: int, t: int) -> np.ndarray:
+    """The t-subsets of range(s) in colex order, as a (t, C(s, t)) int64
+    array whose row i holds each subset's i-th smallest element; the
+    first C(r, t) columns are the t-subsets of range(r).  Built in lex
+    order of the complements s - 1 - x, each prefix extended by every
+    element allowed after its last in one broadcast: element i is at
+    most s - t + i, so no step holds more than C(s, t) prefixes."""
+    rows = [np.arange(s - t + 1)]
+    for i in range(1, t):
+        last = rows[-1]
+        count = s - t + i - last
+        start = count.cumsum() - count - last - 1
+        rows = [r.repeat(count) for r in rows]
+        rows.append(np.arange(len(rows[0])) - start.repeat(count))
+    return (s - 1 - np.array(rows))[::-1, ::-1]
+
+
+def colex_ranks(points: np.ndarray, offsets: np.ndarray, v: int, t: int, dtype=np.int64):
+    """The t-subsets of every block, as colex ranks, chunk by chunk.
+
+    ``points`` and ``offsets`` are as for cover_counts.  Yields
+    (blocks, rank): the indices of a run of blocks of one size s, runs
+    by ascending s and blocks ascending within a size, and rank[k, c],
+    the colex rank in [0, C(v, t)) of t-subset c of block blocks[k], at
+    most _COVER_CHUNK ranks a chunk (a block with more t-subsets comes
+    in several).  Ranks have the integer ``dtype``, which must hold
+    C(v, t) - 1.  With ``dtype`` None, which C(v, t) > 2^63 needs, rank
+    is instead the (t, b, c) int64 stack of the subsets' points, point i
+    of each in rank[i]: the points and the rank of a t-subset determine
+    each other.
+    """
+    ranked = dtype is not None
+    dtype = dtype or np.int64
+    points = np.ascontiguousarray(points, dtype=dtype)
+    offsets = np.asarray(offsets, dtype=np.int64)
     # binom[i, x] = C(x, i + 1); the colex rank of {a_0 < ... < a_{t-1}}
     # is the sum of binom[i, a_i], and binom[0] is the identity.  Since
-    # a_i <= v - t + i, no entry used exceeds C(v, t); the entries past
-    # v - t + i are never summed, so they stay 0 rather than overflow.
-    binom = np.zeros((t, v), dtype=points.dtype)
-    for i in range(t):
+    # a_i <= v - t + i, no entry used exceeds the rank of the last
+    # t-subset; the entries past v - t + i are never summed, so they
+    # stay 0 rather than overflow.
+    binom = np.zeros((t, v), dtype=dtype)
+    for i in range(t if ranked else 0):
         used = range(v - t + i + 1)
         binom[i, : len(used)] = [comb(x, i + 1) for x in used]
-    added = 0
-    sizes = np.diff(offsets)
-    for s in sorted(set(sizes[sizes >= t].tolist())):
-        starts = offsets[:-1][sizes == s]
-        # row i: the position in the block of each t-subset's i-th point
-        table = np.array(list(combinations(range(s), t)), dtype=np.intp).T
-        per_block = table.shape[1]
+    sizes = offsets[1:] - offsets[:-1]
+    present = sorted(set(sizes[sizes >= t].tolist()))
+    # row i: the position in the block of each t-subset's i-th point
+    table = _colex_table(present[-1], t) if present else None
+    for s in present:
+        blocks = np.flatnonzero(sizes == s)
+        per_block = comb(s, t)
         step = max(1, _COVER_CHUNK // per_block)
-        for lo in range(0, starts.size, step):
-            members = points[starts[lo : lo + step, None] + np.arange(s)]
+        for lo in range(0, blocks.size, step):
+            run = blocks[lo : lo + step]
+            members = points[offsets[run, None] + np.arange(s)]
             # C(member, i + 1) once per member and position i
-            terms = [members] + [binom[i, members] for i in range(1, t)]
+            terms = [members] + [binom[i, members] for i in range(1, t) if ranked]
             for c0 in range(0, per_block, _COVER_CHUNK):
-                cols = table[:, c0 : c0 + _COVER_CHUNK]
+                cols = table[:, c0 : min(c0 + _COVER_CHUNK, per_block)]
+                if not ranked:
+                    yield run, members[:, cols].transpose(1, 0, 2)
+                    continue
                 rank = terms[0][:, cols[0]]
                 for i in range(1, t):
                     rank += terms[i][:, cols[i]]
-                np.add.at(counts, rank, one)
-                added += rank.size
-    return added
+                yield run, rank
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,16 @@ def _load_family(path: str) -> tuple[setfam.Family, int | None]:
     return fam, t
 
 
+def _paths_line(paths: dict) -> str:
+    """The stderr line naming the paths verify_t_laminar's checks took."""
+    pairs = paths["pairs"]
+    if pairs is None:
+        listing = "scanned every pair in blocks"
+    else:
+        listing = f"listed shared pairs ({pairs.rows} t-subset rows, {pairs.within} within groups)"
+    return f"verify: checks 1-2 {listing}; check 3 sorted {paths['chain_rows']} t-subset rows"
+
+
 def cmd_verify(args) -> int:
     try:
         fam, file_t = _load_family(args.file)
@@ -219,11 +229,15 @@ def cmd_verify(args) -> int:
         _log("t must be >= 1")
         return EXIT_USAGE
 
+    paths: dict = {}
     try:
-        hit = setfam.verify_t_laminar(fam, t)
+        hit = setfam.verify_t_laminar(fam, t, paths)
     except setfam.ChecksDisagree as exc:
         _log(str(exc))
         return EXIT_CORRUPT
+    finally:
+        if paths:
+            _log(_paths_line(paths))
     if hit is None:
         print(f"t-laminar (t={t}): {len(fam)} sets, all three checks agree")
         return EXIT_OK

@@ -5,35 +5,32 @@ points are nested.  The classical laminar condition is t = 1.  Three
 equivalent views are implemented and cross-checked (`verify_t_laminar`
 runs all three, as `laminar verify` does):
 
-  1. the pairwise predicate itself (`is_t_laminar`, `violating_pair`),
-     bit-packed through `_kernels.find_violation`: only the member
-     pairs that share a t-subset can violate, and
-     `_kernels.shared_pairs` lists them from one sort of the members'
-     t-subsets (sum over members S of C(|S|, t) rows), in chunks.  When
-     listing would cost more than testing every pair, as on small or
-     dense families, or would take more than 2^20 rows, every pair is
-     tested instead, in blocks of rows, stopping at the first block
-     with a violating pair; memory O(|F| n / 64) plus a fixed block.
+  1. the pairwise predicate (`is_t_laminar`, `violating_pair`) on
+     bit-packed words, `_kernels.find_violation`: only member pairs
+     sharing a t-subset can violate, and `_kernels.shared_pairs` lists
+     them from one sort of the members' t-subsets (sum over members S
+     of C(|S|, t) rows), in chunks.  Where listing costs more than
+     testing every pair (small or dense families, or more than 2^20
+     rows), all pairs are tested in blocks of rows, stopping at the
+     first block with a violating pair.
   2. avoidance of a forbidden 2 x (t+2) zero-one configuration in the
-     family's incidence matrix (`contains_config` / `forbidden_matrix`):
-     rows that host it share t columns, so the row pairs tested are
-     again those of `_kernels.shared_pairs`, each with a popcount of
-     the words both rows hold.  Without that listing, the column-type
-     counts come from a float64 Gram matrix, |F|^2 n / 2 multiply-adds
-     through BLAS, in blocks of 256 rows, stopping at the first block
-     with a hit; memory O(256 |F|), never a dense |F| x |F| matrix.
+     incidence matrix (`contains_config` / `forbidden_matrix`): rows
+     that host it share t columns, so the pairs tested are again those
+     of `_kernels.shared_pairs`, by popcounts of the words both hold;
+     without that listing, by a float64 Gram matrix through BLAS in
+     blocks of 256 rows.
   3. a unique-chain condition on t-subsets after augmenting the family
-     with all of them (`unique_chain_check`): sum over members S of
-     C(|S|, t) dictionary steps, and memory one entry per t-subset
-     that some member covers.
+     with all of them (`unique_chain_check`): one sort of the colex
+     ranks of the members' t-subsets, and a subset test of each pair
+     of neighbours in a group of equal ranks; memory O(sum C(|S|, t)).
 
 `verify_t_laminar` lists the shared pairs once for checks 1 and 2, so
 a fault in the listing could hide a violation from both; check 3
 shares no code with it and is the independent witness.  On the
-1625-set tower (n = 49, t = 2) the three take about 2, 2 and 5 ms; on
-four disjoint copies of it (6500 sets, n = 196) about 9, 7 and 18 ms;
+1625-set tower (n = 49, t = 2) the three take about 2, 2 and 1 ms; on
+four disjoint copies of it (6500 sets, n = 196) about 9, 7 and 5 ms;
 on the circle tower r = 1 (114,842 sets, n = 82, t = 3) about 0.2,
-0.2 and 0.6 s (one thread of a 2-core VM), each check listing its own
+0.2 and 0.1 s (one thread of a 2-core VM), each check listing its own
 pairs.
 
 Members are int masks: ground point i (1-based) is bit i-1.  A Family
@@ -43,8 +40,9 @@ between masks and other forms goes through one codec: `csr_from_sets`
 turns 1-based point lists into 0-based points delimited CSR-style by
 offsets, `masks_from_csr` packs such points into masks with one
 ``np.bitwise_or.at``; `mask_bits` unpacks masks into zero-one uint8 bit
-rows, and `masks_from_bits` packs such rows back.  `Family.to_words`,
-`incidence_matrix` and `csr_points` are built on the unpacker.  The
+rows, and `masks_from_bits` packs such rows back.  `Family.to_words`
+and `incidence_matrix` are built on the unpacker, and `csr_points`
+unpacks bytes a bounded run of rows at a time.  The
 text writer `csr_to_text` reads CSR points, so a design, whose blocks
 are CSR arrays already (`geometry.Design`), is written with no masks.
 """
@@ -54,6 +52,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations
+from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -85,18 +84,39 @@ def _mask_bytes(masks: Sequence[int], width: int) -> np.ndarray:
 def _byte_masks(packed: np.ndarray) -> list[int]:
     """Inverse of _mask_bytes: each little-endian uint8 row as an int.
 
-    Rows of at most 8 bytes are zero-padded to 8 and read as one
-    little-endian uint64 each, in a single ``tolist``.
+    Rows of at most 16 bytes are zero-padded to 8 or 16 and read as one
+    or two little-endian uint64 columns, each in one ``tolist``.
     """
     width = packed.shape[1]
-    if width <= 8:
-        wide = np.zeros((len(packed), 8), dtype=np.uint8)
+    if width <= 16:
+        wide = np.zeros((len(packed), 8 if width <= 8 else 16), dtype=np.uint8)
         wide[:, :width] = packed
-        return wide.view("<u8").ravel().tolist()
+        cols = wide.view("<u8").T.tolist()
+        return cols[0] if width <= 8 else [a | b << 64 for a, b in zip(*cols)]
     buf = packed.tobytes()
     return [
         int.from_bytes(buf[i * width : (i + 1) * width], "little") for i in range(len(packed))
     ]
+
+
+# bits unpacked at a time by _csr_of_bytes: 1 MB of zero-one bytes
+_UNPACK_BITS = 1 << 20
+
+
+def _csr_of_bytes(packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based points below n of _mask_bytes rows, ascending within a
+    row and concatenated in row order, and the int64 offsets delimiting
+    the rows CSR-style; _UNPACK_BITS zero-one bytes at a time."""
+    f = len(packed)
+    step = max(1, _UNPACK_BITS // n)
+    flat = [np.zeros(0, dtype=np.intp)]
+    for lo in range(0, f, step):
+        bits = np.unpackbits(packed[lo : lo + step], axis=1, count=n, bitorder="little")
+        flat.append(np.flatnonzero(bits.view(bool)) + lo * n)
+    rows, points = np.divmod(np.concatenate(flat), n)
+    offsets = np.zeros(f + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=f), out=offsets[1:])
+    return points, offsets
 
 
 def csr_from_sets(
@@ -222,10 +242,7 @@ def incidence_matrix(fam: Family) -> np.ndarray:
 def csr_points(fam: Family) -> tuple[np.ndarray, np.ndarray]:
     """Every member's 0-based points, ascending, concatenated in family
     order, and the int64 offsets delimiting the members CSR-style."""
-    points = np.flatnonzero(mask_bits(fam.masks, fam.n).view(bool)) % fam.n
-    offsets = np.zeros(len(fam) + 1, dtype=np.int64)
-    np.cumsum([m.bit_count() for m in fam.masks], out=offsets[1:])
-    return points, offsets
+    return _csr_of_bytes(_mask_bytes(fam.masks, (fam.n + 7) // 8), fam.n)
 
 
 def forbidden_matrix(t: int) -> np.ndarray:
@@ -362,27 +379,57 @@ def unique_chain_check(fam: Family, t: int) -> bool:
     together with T itself, must be totally ordered by inclusion; this
     is equivalent to t-laminarity.  (Without the augmentation the
     condition would be vacuous for families lacking size-t members.)
+    The added t-sets never need to be visited: T is the only added set
+    in T's group, and it lies below every member of it.
 
-    The check is driven by the incidences: every member S of size >= t
-    emits its C(|S|, t) subsets T by bit iteration, and members are
-    visited by nondecreasing size, so each T's group arrives in chain
-    order and must grow by inclusion.  The added t-sets never need to
-    be visited: a t-set contains no other t-set, so T is the only
-    added set in T's group, and T lies below every member of it.
-    Adding it cannot break a chain.  Cost: sum of C(|S|, t) steps, and
-    the t-subsets no member covers cost nothing.
+    The check is driven by the incidences, with its own packing of the
+    masks: every member S of size >= t emits the colex ranks of its
+    C(|S|, t) t-subsets (`_kernels.colex_ranks`), and one sort of the
+    int64 keys (rank (n + 1) + |S|) |F| + member groups each T's members
+    by nondecreasing size.  The group is a chain iff each member holds
+    the one before it, so every pair of neighbours (a, b) in a group is
+    tested for a & ~b == 0 on bit-packed words, _PAIR_CHUNK_WORDS pair
+    words at a time.  When the keys would not fit int64, the groups
+    come from one ``np.lexsort`` of the t-subsets' points instead.
+    Memory is O(sum of C(|S|, t)), with no array of C(n, t) entries.
+    The circle tower r = 1 (354,240 t-subset rows) takes about 0.1 s,
+    against 0.6 s for one dictionary step per t-subset.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    top: dict[int, int] = {}  # t-subset -> largest member seen containing it
-    for mask in sorted((m for m in fam.masks if m.bit_count() >= t), key=int.bit_count):
-        bits = [1 << p for p in _bit_positions(mask)]
-        for sub in combinations(bits, t):
-            key = sum(sub)
-            below = top.get(key)
-            if below is not None and below & mask != below:
-                return False
-            top[key] = mask
+    f = len(fam)
+    packed = _mask_bytes(fam.masks, 8 * ((fam.n + 63) // 64))
+    points, offsets = _csr_of_bytes(packed, fam.n)
+    # member i's tail (|S_i|, i) of a key, as one int below scale
+    scale = (fam.n + 1) * f
+    tail = (offsets[1:] - offsets[:-1]) * f + np.arange(f)
+    ranked = comb(fam.n, t) * scale <= 2**63
+    chunks = _kernels.colex_ranks(points, offsets, fam.n, t, np.int64 if ranked else None)
+    if ranked:
+        key = np.concatenate(
+            [np.zeros(0, dtype=np.int64)]
+            + [(rank * scale + tail[run, None]).ravel() for run, rank in chunks]
+        )
+        key.sort()
+        subset = key // scale
+        same = np.flatnonzero(subset[1:] == subset[:-1])
+        key %= f
+    else:
+        cols = [np.zeros((t, 0), dtype=np.int64)]
+        rows = [np.zeros(0, dtype=np.int64)]
+        for run, subsets in chunks:
+            cols.append(subsets.reshape(t, -1))
+            rows.append(np.repeat(tail[run], subsets.shape[2]))
+        cols, key = np.concatenate(cols, axis=1), np.concatenate(rows)
+        order = np.lexsort((key, *cols))
+        cols, key = cols[:, order], key[order] % f
+        same = np.flatnonzero((cols[:, 1:] == cols[:, :-1]).all(axis=0))
+    words = packed.view("<u8")
+    step = max(1, _PAIR_CHUNK_WORDS // words.shape[1])
+    for lo in range(0, same.size, step):
+        k = same[lo : lo + step]
+        if (words[key[k]] & ~words[key[k + 1]]).any():
+            return False
     return True
 
 
@@ -401,19 +448,32 @@ class ChecksDisagree(RuntimeError):
         )
 
 
-def verify_t_laminar(fam: Family, t: int) -> Optional[tuple[int, int]]:
+def verify_t_laminar(
+    fam: Family, t: int, paths: Optional[dict] = None
+) -> Optional[tuple[int, int]]:
     """Run all three characterizations; the first violating pair or None.
 
-    The member pairs that share t points are listed once, from the
-    incidence matrix, and checks 1 and 2 each test their own predicate
-    on them; check 3 shares no code with that listing.  So a fault in
-    one check, or in the listing, shows up as a disagreement
+    The masks are packed once, into words for check 1 and, unpacked,
+    the incidence matrix for check 2.  The member pairs that share t
+    points are listed once, from the incidence matrix, and checks 1 and
+    2 each test their own predicate on them; check 3 packs the masks
+    itself and shares no code with that listing.  So a fault in one
+    check, or in the listing, shows up as a disagreement
     (ChecksDisagree) rather than a wrong verdict.  The pair is
     violating_pair's, in family order.
+
+    A dict passed as ``paths`` receives, before the checks run, the
+    listing of checks 1 and 2 under "pairs" (a `_kernels.PairChunks`,
+    or None when they test every pair in blocks) and the number of
+    t-subset rows check 3 sorts under "chain_rows".
     """
-    m = incidence_matrix(fam)
+    packed = _mask_bytes(fam.masks, 8 * ((fam.n + 63) // 64))
+    m = np.unpackbits(packed, axis=1, count=fam.n, bitorder="little")
     pairs = _kernels.row_pairs(m, t)
-    hit = _kernels.find_violation(fam.to_words(), t, pairs)
+    if paths is not None:
+        held = np.bincount(m.sum(axis=1, dtype=np.int64), minlength=1).tolist()
+        paths.update(pairs=pairs, chain_rows=sum(c * comb(s, t) for s, c in enumerate(held)))
+    hit = _kernels.find_violation(packed.view("<u8"), t, pairs)
     avoided = not contains_config(m, forbidden_matrix(t), pairs)
     chained = unique_chain_check(fam, t)
     if not (hit is None) == avoided == chained:

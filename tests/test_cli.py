@@ -16,6 +16,11 @@ from laminar.cli import main
 from laminar.setfam import family_from_text, family_to_text, is_t_laminar
 
 
+# the start of verify's stderr line for a family whose pairs are all
+# tested in blocks
+BLOCKED = "verify: checks 1-2 scanned every pair in blocks"
+
+
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
@@ -346,10 +351,30 @@ class TestVerifyCommand:
         crossed = setfam.Family(49, tower.masks + (0b111 | 1 << 48,))
         path = str(tmp_path / "crossed.family")
         open(path, "w").write(family_to_text(crossed, t=2))
-        monkeypatch.setattr(_kernels, "shared_pairs", lambda points, offsets, t: [])
+        monkeypatch.setattr(_kernels.PairChunks, "__iter__", lambda self: iter(()))
         code, out, err = run(["verify", path], capsys)
         assert code == 4 and out == ""
         assert "pairwise=True config-free=True unique-chain=False" in err
+
+    def test_stderr_names_the_paths(self, tmp_path, capsys):
+        # the tower lists its shared pairs; the 49 sets of a search on
+        # 9 points are too few to repay listing and are scanned in blocks
+        _, tower = construct.fano_tower(1, materialize=True)
+        path = tmp_path / "tower.family"
+        path.write_text(family_to_text(tower, t=2))
+        code, _, err = run(["verify", str(path)], capsys)
+        assert (code, err) == (0, (
+            "verify: checks 1-2 listed shared pairs (4704 t-subset rows, 7056 within"
+            " groups); check 3 sorted 4704 t-subset rows\n"
+        ))
+        code, out, _ = run(["search", "--n", "9", "--t", "2", "--json"], capsys)
+        found = tmp_path / "found.json"
+        found.write_text(out)
+        assert run(["verify", str(found)], capsys) == (
+            0,
+            "t-laminar (t=2): 49 sets, all three checks agree\n",
+            f"{BLOCKED}; check 3 sorted 108 t-subset rows\n",
+        )
 
     def test_tower_verify_leaves_numpy_ma_unimported(self, tmp_path):
         # every command runs in a fresh process, where importing
@@ -400,7 +425,7 @@ class TestSearchCommand:
         path = tmp_path / ("found.json" if json_flag else "found.family")
         path.write_text(out)
         code, out, err = run(["verify", str(path)], capsys)
-        assert (code, err) == (0, "")
+        assert (code, err) == (0, f"{BLOCKED}; check 3 sorted 42 t-subset rows\n")
         assert out == "t-laminar (t=2): 20 sets, all three checks agree\n"
 
     @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
@@ -422,7 +447,7 @@ class TestSearchCommand:
         path = tmp_path / "found.json"
         path.write_text(out)
         code, out, err = run(["verify", str(path)], capsys)
-        assert (code, err) == (0, "")
+        assert (code, err) == (0, f"{BLOCKED}; check 3 sorted 83 t-subset rows\n")
         assert out.startswith("t-laminar (t=2):")
 
     def test_zero_budget_meets_the_bound_exit_0(self, capsys):

@@ -396,6 +396,43 @@ class TestCoverCounts:
                 assert counts.dtype == (np.uint8 if repeats < 256 else np.int32)
                 assert counts.tolist() == [repeats * c for c in once]
 
+    def test_colex_tables(self):
+        for s in range(1, 10):
+            for t in range(1, s + 1):
+                want = sorted(combinations(range(s), t), key=lambda c: c[::-1])
+                got = _kernels._colex_table(s, t)
+                assert got.shape == (t, comb(s, t)) and list(zip(*got.tolist())) == want, (s, t)
+        # the prefixes never outnumber the subsets: C(70, 35) would not fit
+        assert _kernels._colex_table(70, 69).shape == (69, 70)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_colex_ranks_visit_every_subset_once(self, t, monkeypatch):
+        # blocks by nondecreasing size; unranked, the same chunks carry
+        # the points whose colex rank the ranked chunks hold
+        monkeypatch.setattr(_kernels, "_COVER_CHUNK", 5)
+        rng = random.Random(t)
+        for _ in range(10):
+            pts, offs, v = _random_csr(rng, t, v_cap=12, blocks_cap=6)
+            sizes = np.diff(offs).tolist()
+            chunks = zip(
+                _kernels.colex_ranks(pts, offs, v, t),
+                _kernels.colex_ranks(pts, offs, v, t, None),
+            )
+            seen, visited = [], []
+            for (run, rank), (run2, sub) in chunks:
+                assert np.array_equal(run, run2) and sub.shape == (t,) + rank.shape
+                visited += [sizes[b] for b in run.tolist()]
+                for k, b in enumerate(run.tolist()):
+                    for c, subset in enumerate(sub[:, k].T.tolist()):
+                        seen.append((b, tuple(subset)))
+                        assert rank[k, c] == sum(comb(x, i + 1) for i, x in enumerate(subset))
+            assert visited == sorted(visited)
+            want = [
+                (b, c) for b in range(len(sizes))
+                for c in combinations(pts[offs[b] : offs[b + 1]].tolist(), t)
+            ]
+            assert sorted(seen) == sorted(want)
+
     def test_extreme_strength_tables_fit_int64(self):
         # C(69, 35) overflows int64, but no t-subset of [70] with t = 69
         # reaches that binomial: the block [70] covers each once

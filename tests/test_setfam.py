@@ -1,11 +1,13 @@
 import random
 import tracemalloc
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
 from conftest import members, random_family, sparse_family
-from laminar import setfam
+from laminar import _kernels, setfam
 from laminar.construct import fano_tower
 from laminar.setfam import (
     ChecksDisagree,
@@ -190,9 +192,10 @@ class TestMatrices:
             assert [tuple(np.flatnonzero(row) + 1) for row in m] == members(f)
             assert setfam.masks_from_bits(m) == list(f)
 
-    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 17])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 16, 17, 24])
     def test_byte_codec_round_trip(self, width):
-        # rows of at most 8 bytes take the one-uint64-per-row path
+        # rows of at most 16 bytes take the two-uint64-columns path,
+        # wider ones int.from_bytes per row
         rng = random.Random(width)
         bits = 8 * width
         masks = [0, (1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(50)]
@@ -204,6 +207,15 @@ class TestMatrices:
         assert setfam._byte_masks(packed[:0]) == []
         # a sliced, non-contiguous block of rows converts alike
         assert setfam._byte_masks(packed[::2]) == masks[::2]
+
+    @pytest.mark.parametrize("width", [3, 8, 9, 11, 16, 17, 31])
+    def test_byte_masks_match_int_from_bytes(self, width):
+        rng = np.random.default_rng(width)
+        packed = rng.integers(0, 256, (200, width), dtype=np.uint8)
+        packed[:, -1] |= 0x80  # the top bit of every row is set
+        assert setfam._byte_masks(packed) == [
+            int.from_bytes(row.tobytes(), "little") for row in packed
+        ]
 
     def test_csr_points_match_members(self):
         rng = random.Random(64)
@@ -420,6 +432,21 @@ class TestConfigPaths:
         assert listed == [name == "grouped"]
 
 
+def _dict_chain_check(fam, t):
+    """Reference for unique_chain_check: members of size >= t by
+    nondecreasing size, and one dictionary step per t-subset of each,
+    which must contain the last member seen holding that t-subset."""
+    top = {}  # t-subset -> largest member seen containing it
+    for mask in sorted((m for m in fam.masks if m.bit_count() >= t), key=int.bit_count):
+        bits = [1 << p for p in setfam._bit_positions(mask)]
+        for sub in combinations(bits, t):
+            below = top.get(sum(sub))
+            if below is not None and below & mask != below:
+                return False
+            top[sum(sub)] = mask
+    return True
+
+
 class TestUniqueChain:
     def test_fano_level0(self):
         _, f0 = fano_tower(0, materialize=True)
@@ -463,6 +490,73 @@ class TestUniqueChain:
     def test_4x_tower(self):
         assert unique_chain_check(_tower4(), 2)
         assert not unique_chain_check(_tower4(crossing=[1, 2, 60, 61]), 2)
+
+    @pytest.fixture(params=["default", "small"])
+    def chunks(self, request, monkeypatch):
+        # small chunks split a member's t-subsets over several rank
+        # chunks and test one neighbour pair at a time
+        if request.param == "small":
+            monkeypatch.setattr(_kernels, "_COVER_CHUNK", 3)
+            monkeypatch.setattr(setfam, "_PAIR_CHUNK_WORDS", 1)
+
+    @pytest.mark.parametrize("n", [5, 40, 64, 65, 130])
+    def test_against_dict_reference(self, n, chunks):
+        # one word up to n = 64, several beyond; members smaller than t
+        # and members of equal size that break a chain are frequent
+        rng = random.Random(n)
+        seen = set()
+        for _ in range(60):
+            f = sparse_family(rng, n, f_cap=20, size_cap=7)
+            for t in (1, 2, 3, 4):
+                want = _dict_chain_check(f, t)
+                assert unique_chain_check(f, t) == want, (f, t)
+                seen.add(want)
+        assert seen == {True, False}
+
+    def test_edge_cases_match_reference(self):
+        cases = [
+            (Family(4, ()), 2),  # the empty family
+            (fam(3, [1, 2], [2, 3]), 4),  # t > n
+            (fam(3, [1], [2], [3]), 2),  # every member smaller than t
+            (fam(6, [1, 2, 3], [1, 2, 4], [1, 2, 5]), 2),  # equal sizes
+            (fam(6, [1, 2], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4, 5, 6]), 2),  # a chain
+            (fam(6, [], [1, 2, 3], [4, 5, 6]), 1),  # the empty member
+        ]
+        for f, t in cases:
+            assert unique_chain_check(f, t) == _dict_chain_check(f, t) == is_t_laminar(f, t)
+
+    def test_binomial_beyond_int64_groups_by_points(self):
+        # C(200, 20) >= 2^63: no colex rank fits int64, so the groups
+        # come from the points of each t-subset
+        n, t = 200, 20
+        assert comb(n, t) >= 2**63
+        rng = random.Random(20)
+        pool = rng.sample(range(1, n + 1), 24)
+        chain = [sorted(pool[:k]) for k in (20, 21, 23)]
+        assert unique_chain_check(Family.of(n, chain), t)
+        seen = set()
+        for _ in range(12):
+            sets = {tuple(sorted(rng.sample(pool, rng.randint(20, 23)))) for _ in range(4)}
+            f = Family.of(n, sorted(sets))
+            want = _dict_chain_check(f, t)
+            assert unique_chain_check(f, t) == want == is_t_laminar(f, t)
+            seen.add(want)
+        assert seen == {True, False}
+        crossed = Family.of(n, chain + [sorted(pool[:20] + pool[23:])])  # crosses pool[:21]
+        assert not unique_chain_check(crossed, t)
+
+    def test_independent_of_the_pair_listing(self, monkeypatch):
+        # check 3 is the witness for checks 1 and 2, so it must reach no
+        # kernel that they share
+        def broken(*args, **kwargs):
+            raise AssertionError("check 3 reached a kernel of checks 1 and 2")
+
+        _, tower = fano_tower(1, materialize=True)
+        crossed = _tower4(crossing=[1, 2, 60, 61])
+        for name in ("shared_pairs", "row_pairs", "find_violation"):
+            monkeypatch.setattr(_kernels, name, broken)
+        assert unique_chain_check(tower, 2)
+        assert not unique_chain_check(crossed, 2)
 
 
 class TestEquivalences:
@@ -514,6 +608,18 @@ class TestVerifyThreeWays:
     def test_rejects_t_below_one(self):
         with pytest.raises(ValueError):
             verify_t_laminar(fam(3, [1, 2]), 0)
+
+    def test_reports_its_paths(self):
+        _, tower = fano_tower(1, materialize=True)
+        paths = {}
+        assert verify_t_laminar(tower, 2, paths) is None
+        assert (paths["pairs"].rows, paths["pairs"].within) == (4704, 7056)
+        assert paths["chain_rows"] == 4704
+        # three 2-sets and one 3-set: listing would cost more than the
+        # three pairs it could save
+        paths = {}
+        verify_t_laminar(fam(4, [1, 2], [1, 3], [2, 3], [1, 2, 3]), 2, paths)
+        assert paths == {"pairs": None, "chain_rows": 6}
 
 
 class TestSerialization:
