@@ -3,28 +3,21 @@
 Two inner loops dominate runtime in this package:
 
   * pairwise laminarity scans over bit-packed set families
-    (``find_violation``).  Two members can break t-laminarity only if
-    they share t points, so the pairs to test are those that
-    ``shared_pairs`` lists: one int64 key per t-subset of a member, one
-    ``np.argsort`` grouping equal t-subsets, and the pairs within each
-    group, in chunks of at most ``_PAIR_CHUNK`` = 2^17 pairs in row
-    order.  The 1625-set tower has 4,704 t-subset rows against
-    1,319,500 member pairs.  When listing would cost more than testing
-    every pair, by costs measured on both paths, or would hold more
-    than ``_ROWS_MAX`` = 2^20 rows, rows i0..i1-1 are scanned against
-    every later row instead, in blocks of at most
-    ``_VIOLATION_BLOCK_CELLS`` = 2^17 row-pair words (1 MB).  Either
-    way the first hit in (i, j) order is returned, and the scan stops
+    (``find_violation``).  Only members sharing t points can break
+    t-laminarity, so the pairs tested are those ``shared_pairs`` lists
+    from one ``np.argsort`` of the members' t-subsets (4,704 rows
+    against 1,319,500 pairs on the 1625-set tower), in chunks of at
+    most ``_PAIR_CHUNK`` = 2^17 pairs.  Where listing costs more, by
+    measured costs, or would hold more than ``_ROWS_MAX`` = 2^20 rows,
+    every pair is scanned in blocks of at most
+    ``_VIOLATION_BLOCK_CELLS`` = 2^17 row-pair words (1 MB).  Both stop
     at the first chunk or block with a hit,
   * covered-t-subset counting when validating designs and packings
-    (``cover_counts``, any strength t >= 1).  ``colex_ranks`` yields the
-    colex ranks of the blocks' t-subsets, blocks grouped by size, at
-    most ``_COVER_CHUNK`` = 2^17 at a time, and ``np.add.at`` adds them
-    into one C(v, t) uint8 count array.  The counts are exact iff they
-    sum to the number of ranks added (a count of 256 or more wraps and
-    breaks that sum); otherwise they are recounted into int32.  On the
-    2-(2401,49,1) affine plane that is 2.9M pair ranks in about 20 ms.
-    The same ranks drive `setfam.unique_chain_check`.
+    (``cover_counts``, any t >= 1): ``np.add.at`` adds the colex ranks
+    of the blocks' t-subsets (``colex_ranks``, which also drives
+    `setfam.unique_chain_check`) into one C(v, t) uint8 count array,
+    recounted into int32 if a count wraps.  On the 2-(2401,49,1)
+    affine plane that is 2.9M pair ranks in about 20 ms.
 
 A third kernel, ``scan_topk``, is the double-precision top-K scan that
 used to shortlist argmax candidates for the bound table.  The bound
@@ -197,13 +190,19 @@ _ROWS_MAX = 1 << 20
 _PAIR_CHUNK = 1 << 17
 
 
+def row_count(sizes: np.ndarray, t: int) -> int:
+    """R, the sum of C(s, t) over ``sizes``: the number of t-subset rows
+    of members with these sizes."""
+    held = np.bincount(sizes)
+    present = np.flatnonzero(held[t:]) + t
+    return sum(int(held[s]) * comb(s, t) for s in present.tolist())
+
+
 def _listable(sizes: np.ndarray, t: int) -> bool:
     """Whether shared_pairs builds the t-subset rows of members with
     these sizes: there are at most _ROWS_MAX, and listing them costs
     less than testing every pair."""
-    held = np.bincount(sizes)
-    present = np.flatnonzero(held[t:]) + t
-    r = sum(int(held[s]) * comb(s, t) for s in present.tolist())
+    r = row_count(sizes, t)
     f = sizes.size
     return r <= _ROWS_MAX and _LISTING_COST + r * _ROW_COST <= f * (f - 1) // 2
 
@@ -393,7 +392,9 @@ def _add_cover_ranks(
     for _, rank in colex_ranks(points, offsets, v, t, dtype):
         np.add.at(counts, rank, one)
         added += rank.size
-        del rank  # not alive while the next chunk is ranked
+        # else three chunks are alive while colex_ranks sums the next one
+        # (a 4.4 instead of 3.9 MB peak for the 2-(2401,49,1) plane)
+        del rank
     return added
 
 
@@ -422,23 +423,17 @@ def colex_ranks(points: np.ndarray, offsets: np.ndarray, v: int, t: int, dtype=n
     by ascending s and blocks ascending within a size, and rank[k, c],
     the colex rank in [0, C(v, t)) of t-subset c of block blocks[k], at
     most _COVER_CHUNK ranks a chunk (a block with more t-subsets comes
-    in several).  Ranks have the integer ``dtype``, which must hold
-    C(v, t) - 1.  With ``dtype`` None, which C(v, t) > 2^63 needs, rank
-    is instead the (t, b, c) int64 stack of the subsets' points, point i
-    of each in rank[i]: the points and the rank of a t-subset determine
-    each other.
+    in several).  Ranks have ``dtype``: an integer type that holds
+    C(v, t) - 1, or object, whose Python ints hold any rank.
     """
-    ranked = dtype is not None
-    dtype = dtype or np.int64
-    points = np.ascontiguousarray(points, dtype=dtype)
+    points = np.asarray(points, dtype=np.intp)
     offsets = np.asarray(offsets, dtype=np.int64)
     # binom[i, x] = C(x, i + 1); the colex rank of {a_0 < ... < a_{t-1}}
-    # is the sum of binom[i, a_i], and binom[0] is the identity.  Since
-    # a_i <= v - t + i, no entry used exceeds the rank of the last
-    # t-subset; the entries past v - t + i are never summed, so they
-    # stay 0 rather than overflow.
+    # is the sum of binom[i, a_i].  Since a_i <= v - t + i, no entry used
+    # exceeds the rank of the last t-subset; the entries past v - t + i
+    # are never summed, so they stay 0 rather than overflow.
     binom = np.zeros((t, v), dtype=dtype)
-    for i in range(t if ranked else 0):
+    for i in range(t):
         used = range(v - t + i + 1)
         binom[i, : len(used)] = [comb(x, i + 1) for x in used]
     sizes = offsets[1:] - offsets[:-1]
@@ -453,12 +448,9 @@ def colex_ranks(points: np.ndarray, offsets: np.ndarray, v: int, t: int, dtype=n
             run = blocks[lo : lo + step]
             members = points[offsets[run, None] + np.arange(s)]
             # C(member, i + 1) once per member and position i
-            terms = [members] + [binom[i, members] for i in range(1, t) if ranked]
+            terms = [binom[i, members] for i in range(t)]
             for c0 in range(0, per_block, _COVER_CHUNK):
                 cols = table[:, c0 : min(c0 + _COVER_CHUNK, per_block)]
-                if not ranked:
-                    yield run, members[:, cols].transpose(1, 0, 2)
-                    continue
                 rank = terms[0][:, cols[0]]
                 for i in range(1, t):
                     rank += terms[i][:, cols[i]]

@@ -211,7 +211,8 @@ def _paths_line(paths: dict) -> str:
         listing = "scanned every pair in blocks"
     else:
         listing = f"listed shared pairs ({pairs.rows} t-subset rows, {pairs.within} within groups)"
-    return f"verify: checks 1-2 {listing}; check 3 sorted {paths['chain_rows']} t-subset rows"
+    chain = "one dictionary step each" if paths["chain_dict"] else "sorted in chunks"
+    return f"verify: checks 1-2 {listing}; check 3: {paths['chain_rows']} t-subset rows, {chain}"
 
 
 def cmd_verify(args) -> int:

@@ -6,32 +6,19 @@ equivalent views are implemented and cross-checked (`verify_t_laminar`
 runs all three, as `laminar verify` does):
 
   1. the pairwise predicate (`is_t_laminar`, `violating_pair`) on
-     bit-packed words, `_kernels.find_violation`: only member pairs
-     sharing a t-subset can violate, and `_kernels.shared_pairs` lists
-     them from one sort of the members' t-subsets (sum over members S
-     of C(|S|, t) rows), in chunks.  Where listing costs more than
-     testing every pair (small or dense families, or more than 2^20
-     rows), all pairs are tested in blocks of rows, stopping at the
-     first block with a violating pair.
+     bit-packed words (`_kernels.find_violation`),
   2. avoidance of a forbidden 2 x (t+2) zero-one configuration in the
-     incidence matrix (`contains_config` / `forbidden_matrix`): rows
-     that host it share t columns, so the pairs tested are again those
-     of `_kernels.shared_pairs`, by popcounts of the words both hold;
-     without that listing, by a float64 Gram matrix through BLAS in
-     blocks of 256 rows.
+     incidence matrix (`contains_config` / `forbidden_matrix`),
   3. a unique-chain condition on t-subsets after augmenting the family
-     with all of them (`unique_chain_check`): one sort of the colex
-     ranks of the members' t-subsets, and a subset test of each pair
-     of neighbours in a group of equal ranks; memory O(sum C(|S|, t)).
+     with all of them (`unique_chain_check`).
 
-`verify_t_laminar` lists the shared pairs once for checks 1 and 2, so
-a fault in the listing could hide a violation from both; check 3
-shares no code with it and is the independent witness.  On the
-1625-set tower (n = 49, t = 2) the three take about 2, 2 and 1 ms; on
-four disjoint copies of it (6500 sets, n = 196) about 9, 7 and 5 ms;
-on the circle tower r = 1 (114,842 sets, n = 82, t = 3) about 0.2,
-0.2 and 0.1 s (one thread of a 2-core VM), each check listing its own
-pairs.
+Only member pairs sharing t points can break 1 or 2, and
+`verify_t_laminar` lists them once for both (`_kernels.shared_pairs`),
+or scans every pair in blocks where listing costs more.  Check 3
+shares no code with that listing and is the independent witness.  On
+the 1625-set tower (n = 49, t = 2) the three take about 2, 2 and 1 ms;
+on the circle tower r = 1 (114,842 sets, n = 82, t = 3) about 0.2, 0.2
+and 0.1 s (one thread of a 2-core VM).
 
 Members are int masks: ground point i (1-based) is bit i-1.  A Family
 is a ground-set size n and a tuple of masks; it keeps its members in
@@ -40,10 +27,7 @@ between masks and other forms goes through one codec: `csr_from_sets`
 turns 1-based point lists into 0-based points delimited CSR-style by
 offsets, `masks_from_csr` packs such points into masks with one
 ``np.bitwise_or.at``; `mask_bits` unpacks masks into zero-one uint8 bit
-rows, and `masks_from_bits` packs such rows back.  `Family.to_words`
-and `incidence_matrix` are built on the unpacker, and `csr_points`
-unpacks bytes a bounded run of rows at a time.  The
-text writer `csr_to_text` reads CSR points, so a design, whose blocks
+rows, and `masks_from_bits` packs such rows back.  The text writer `csr_to_text` reads CSR points, so a design, whose blocks
 are CSR arrays already (`geometry.Design`), is written with no masks.
 """
 
@@ -372,6 +356,11 @@ def _contains_config_general(m: np.ndarray, z: np.ndarray) -> bool:
     return False
 
 
+# up to this many t-subset rows a dictionary beats the sort's fixed
+# cost: 0.1 against 0.4 ms on the 108 rows of `search --n 9`'s 49 sets
+_CHAIN_DICT_ROWS = 256
+
+
 def unique_chain_check(fam: Family, t: int) -> bool:
     """Chain condition on t-subsets after augmenting fam with all of them.
 
@@ -379,58 +368,68 @@ def unique_chain_check(fam: Family, t: int) -> bool:
     together with T itself, must be totally ordered by inclusion; this
     is equivalent to t-laminarity.  (Without the augmentation the
     condition would be vacuous for families lacking size-t members.)
-    The added t-sets never need to be visited: T is the only added set
-    in T's group, and it lies below every member of it.
+    T itself, below every member holding it, never needs a visit.
 
-    The check is driven by the incidences, with its own packing of the
-    masks: every member S of size >= t emits the colex ranks of its
-    C(|S|, t) t-subsets (`_kernels.colex_ranks`), and one sort of the
-    int64 keys (rank (n + 1) + |S|) |F| + member groups each T's members
-    by nondecreasing size.  The group is a chain iff each member holds
-    the one before it, so every pair of neighbours (a, b) in a group is
-    tested for a & ~b == 0 on bit-packed words, _PAIR_CHUNK_WORDS pair
-    words at a time.  When the keys would not fit int64, the groups
-    come from one ``np.lexsort`` of the t-subsets' points instead.
-    Memory is O(sum of C(|S|, t)), with no array of C(n, t) entries.
-    The circle tower r = 1 (354,240 t-subset rows) takes about 0.1 s,
-    against 0.6 s for one dictionary step per t-subset.
+    Members S of size >= t are met by nondecreasing size, and each of
+    their C(|S|, t) t-subsets T (a row) must lie in the last member met
+    holding T.  Up to _CHAIN_DICT_ROWS rows, that is one dictionary step
+    per row.  Beyond, the check packs the masks itself and ranks the
+    rows (`_kernels.colex_ranks`) in chunks of at most _COVER_CHUNK.
+    One sort of a chunk with the t-subsets met before it, each with its
+    last member, lines up every T's members in the order met, and each
+    pair of neighbours (a, b) is tested for a & ~b == 0 on bit-packed
+    words, _PAIR_CHUNK_WORDS pair words at a time; the first chunk with
+    a broken chain ends the check.  Keys are int64, or Python ints where
+    C(n, t) is too large.  Memory is a chunk plus a rank and a member
+    per t-subset met.  The circle tower r = 1 (354,240 rows) takes about
+    0.1 s, against 0.4 s for the dictionary.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    f = len(fam)
+    if _chain_by_dict(fam, t):
+        holder: dict[int, int] = {}  # t-subset -> the last member met holding it
+        for mask in sorted((m for m in fam.masks if m.bit_count() >= t), key=int.bit_count):
+            for sub in combinations([1 << p for p in _bit_positions(mask)], t):
+                key = sum(sub)
+                below = holder.get(key)
+                if below is not None and below & mask != below:
+                    return False
+                holder[key] = mask
+        return True
     packed = _mask_bytes(fam.masks, 8 * ((fam.n + 63) // 64))
-    points, offsets = _csr_of_bytes(packed, fam.n)
-    # member i's tail (|S_i|, i) of a key, as one int below scale
-    scale = (fam.n + 1) * f
-    tail = (offsets[1:] - offsets[:-1]) * f + np.arange(f)
-    ranked = comb(fam.n, t) * scale <= 2**63
-    chunks = _kernels.colex_ranks(points, offsets, fam.n, t, np.int64 if ranked else None)
-    if ranked:
-        key = np.concatenate(
-            [np.zeros(0, dtype=np.int64)]
-            + [(rank * scale + tail[run, None]).ravel() for run, rank in chunks]
-        )
-        key.sort()
-        subset = key // scale
-        same = np.flatnonzero(subset[1:] == subset[:-1])
-        key %= f
-    else:
-        cols = [np.zeros((t, 0), dtype=np.int64)]
-        rows = [np.zeros(0, dtype=np.int64)]
-        for run, subsets in chunks:
-            cols.append(subsets.reshape(t, -1))
-            rows.append(np.repeat(tail[run], subsets.shape[2]))
-        cols, key = np.concatenate(cols, axis=1), np.concatenate(rows)
-        order = np.lexsort((key, *cols))
-        cols, key = cols[:, order], key[order] % f
-        same = np.flatnonzero((cols[:, 1:] == cols[:, :-1]).all(axis=0))
     words = packed.view("<u8")
+    points, offsets = _csr_of_bytes(packed, fam.n)
+    # a sort key is rank << shift | place: place 0 for a t-subset met
+    # in an earlier chunk, and 1, 2, ... for the chunk's ranks in order
+    shift = _kernels._COVER_CHUNK.bit_length()
+    dtype = np.int64 if comb(fam.n, t) << shift <= 2**63 else object
+    seen = np.zeros(0, dtype=dtype)  # the t-subsets met so far, ascending
+    top = np.zeros(0, dtype=np.intp)  # the last member met holding each
     step = max(1, _PAIR_CHUNK_WORDS // words.shape[1])
-    for lo in range(0, same.size, step):
-        k = same[lo : lo + step]
-        if (words[key[k]] & ~words[key[k + 1]]).any():
-            return False
+    for run, chunk in _kernels.colex_ranks(points, offsets, fam.n, t, dtype):
+        key = np.concatenate([seen << shift, chunk.ravel() << shift | np.arange(1, chunk.size + 1)])
+        key.sort()
+        rank, place = key >> shift, key & ((1 << shift) - 1)
+        # chunk row j holds places j c + 1 ... (j + 1) c of run[j]
+        member = run[(place.astype(np.intp) - 1) // chunk.shape[1]]
+        member[place == 0] = top
+        same = np.flatnonzero(rank[1:] == rank[:-1])
+        for lo in range(0, same.size, step):
+            k = same[lo : lo + step]
+            if (words[member[k]] & ~words[member[k + 1]]).any():
+                return False
+        last = np.ones(rank.size, dtype=bool)
+        last[same] = False
+        seen, top = rank[last], member[last]
     return True
+
+
+def _chain_by_dict(fam: Family, t: int) -> bool:
+    """Whether unique_chain_check takes one dictionary step per t-subset
+    row: fam has at most _CHAIN_DICT_ROWS of them."""
+    return len(fam) <= _CHAIN_DICT_ROWS and (
+        sum(comb(m.bit_count(), t) for m in fam.masks) <= _CHAIN_DICT_ROWS
+    )
 
 
 class ChecksDisagree(RuntimeError):
@@ -453,26 +452,24 @@ def verify_t_laminar(
 ) -> Optional[tuple[int, int]]:
     """Run all three characterizations; the first violating pair or None.
 
-    The masks are packed once, into words for check 1 and, unpacked,
-    the incidence matrix for check 2.  The member pairs that share t
-    points are listed once, from the incidence matrix, and checks 1 and
-    2 each test their own predicate on them; check 3 packs the masks
-    itself and shares no code with that listing.  So a fault in one
-    check, or in the listing, shows up as a disagreement
-    (ChecksDisagree) rather than a wrong verdict.  The pair is
-    violating_pair's, in family order.
+    One packing of the masks gives the words of check 1 and the
+    incidence rows of check 2, and the member pairs sharing t points
+    are listed once for both; check 3 shares no code with that listing.
+    So a fault in one check, or in the listing, shows up as a
+    disagreement (ChecksDisagree) rather than a wrong verdict.  The pair
+    is violating_pair's, in family order.
 
-    A dict passed as ``paths`` receives, before the checks run, the
-    listing of checks 1 and 2 under "pairs" (a `_kernels.PairChunks`,
-    or None when they test every pair in blocks) and the number of
-    t-subset rows check 3 sorts under "chain_rows".
+    A ``paths`` dict receives, before the checks run, the listing of
+    checks 1-2 under "pairs" (a `_kernels.PairChunks`, or None when they
+    scan every pair in blocks), check 3's t-subset rows under
+    "chain_rows", and under "chain_dict" whether it steps through them.
     """
     packed = _mask_bytes(fam.masks, 8 * ((fam.n + 63) // 64))
     m = np.unpackbits(packed, axis=1, count=fam.n, bitorder="little")
     pairs = _kernels.row_pairs(m, t)
     if paths is not None:
-        held = np.bincount(m.sum(axis=1, dtype=np.int64), minlength=1).tolist()
-        paths.update(pairs=pairs, chain_rows=sum(c * comb(s, t) for s, c in enumerate(held)))
+        rows = _kernels.row_count(m.sum(axis=1, dtype=np.int64), t)
+        paths.update(pairs=pairs, chain_rows=rows, chain_dict=_chain_by_dict(fam, t))
     hit = _kernels.find_violation(packed.view("<u8"), t, pairs)
     avoided = not contains_config(m, forbidden_matrix(t), pairs)
     chained = unique_chain_check(fam, t)

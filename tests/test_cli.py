@@ -19,6 +19,7 @@ from laminar.setfam import family_from_text, family_to_text, is_t_laminar
 # the start of verify's stderr line for a family whose pairs are all
 # tested in blocks
 BLOCKED = "verify: checks 1-2 scanned every pair in blocks"
+STEPS = "one dictionary step each"
 
 
 def run(argv, capsys):
@@ -357,15 +358,16 @@ class TestVerifyCommand:
         assert "pairwise=True config-free=True unique-chain=False" in err
 
     def test_stderr_names_the_paths(self, tmp_path, capsys):
-        # the tower lists its shared pairs; the 49 sets of a search on
-        # 9 points are too few to repay listing and are scanned in blocks
+        # the tower lists its shared pairs and sorts its chain rows; the
+        # 49 sets of a search on 9 points are too few to repay listing or
+        # sorting, so they are scanned in blocks and looked up one by one
         _, tower = construct.fano_tower(1, materialize=True)
         path = tmp_path / "tower.family"
         path.write_text(family_to_text(tower, t=2))
         code, _, err = run(["verify", str(path)], capsys)
         assert (code, err) == (0, (
             "verify: checks 1-2 listed shared pairs (4704 t-subset rows, 7056 within"
-            " groups); check 3 sorted 4704 t-subset rows\n"
+            " groups); check 3: 4704 t-subset rows, sorted in chunks\n"
         ))
         code, out, _ = run(["search", "--n", "9", "--t", "2", "--json"], capsys)
         found = tmp_path / "found.json"
@@ -373,7 +375,7 @@ class TestVerifyCommand:
         assert run(["verify", str(found)], capsys) == (
             0,
             "t-laminar (t=2): 49 sets, all three checks agree\n",
-            f"{BLOCKED}; check 3 sorted 108 t-subset rows\n",
+            f"{BLOCKED}; check 3: 108 t-subset rows, one dictionary step each\n",
         )
 
     def test_tower_verify_leaves_numpy_ma_unimported(self, tmp_path):
@@ -425,7 +427,7 @@ class TestSearchCommand:
         path = tmp_path / ("found.json" if json_flag else "found.family")
         path.write_text(out)
         code, out, err = run(["verify", str(path)], capsys)
-        assert (code, err) == (0, f"{BLOCKED}; check 3 sorted 42 t-subset rows\n")
+        assert (code, err) == (0, f"{BLOCKED}; check 3: 42 t-subset rows, {STEPS}\n")
         assert out == "t-laminar (t=2): 20 sets, all three checks agree\n"
 
     @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
@@ -447,7 +449,7 @@ class TestSearchCommand:
         path = tmp_path / "found.json"
         path.write_text(out)
         code, out, err = run(["verify", str(path)], capsys)
-        assert (code, err) == (0, f"{BLOCKED}; check 3 sorted 83 t-subset rows\n")
+        assert (code, err) == (0, f"{BLOCKED}; check 3: 83 t-subset rows, {STEPS}\n")
         assert out.startswith("t-laminar (t=2):")
 
     def test_zero_budget_meets_the_bound_exit_0(self, capsys):

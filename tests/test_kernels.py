@@ -407,8 +407,8 @@ class TestCoverCounts:
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_colex_ranks_visit_every_subset_once(self, t, monkeypatch):
-        # blocks by nondecreasing size; unranked, the same chunks carry
-        # the points whose colex rank the ranked chunks hold
+        # blocks by nondecreasing size, each t-subset of each once, and
+        # the same ranks as int64 and as Python ints
         monkeypatch.setattr(_kernels, "_COVER_CHUNK", 5)
         rng = random.Random(t)
         for _ in range(10):
@@ -416,19 +416,18 @@ class TestCoverCounts:
             sizes = np.diff(offs).tolist()
             chunks = zip(
                 _kernels.colex_ranks(pts, offs, v, t),
-                _kernels.colex_ranks(pts, offs, v, t, None),
+                _kernels.colex_ranks(pts, offs, v, t, object),
             )
             seen, visited = [], []
-            for (run, rank), (run2, sub) in chunks:
-                assert np.array_equal(run, run2) and sub.shape == (t,) + rank.shape
+            for (run, rank), (run2, big) in chunks:
+                assert np.array_equal(run, run2) and big.dtype == object
+                assert rank.tolist() == big.tolist()
                 visited += [sizes[b] for b in run.tolist()]
-                for k, b in enumerate(run.tolist()):
-                    for c, subset in enumerate(sub[:, k].T.tolist()):
-                        seen.append((b, tuple(subset)))
-                        assert rank[k, c] == sum(comb(x, i + 1) for i, x in enumerate(subset))
+                seen += [(b, r) for b, row in zip(run.tolist(), rank.tolist()) for r in row]
             assert visited == sorted(visited)
             want = [
-                (b, c) for b in range(len(sizes))
+                (b, sum(comb(x, i + 1) for i, x in enumerate(c)))
+                for b in range(len(sizes))
                 for c in combinations(pts[offs[b] : offs[b + 1]].tolist(), t)
             ]
             assert sorted(seen) == sorted(want)

@@ -469,9 +469,20 @@ class TestUniqueChain:
         assert not unique_chain_check(fam(5, [1, 2, 3], [1, 2, 4], [1, 2, 3, 4, 5]), 2)
         assert unique_chain_check(fam(5, [1, 2, 3], [1, 4, 5], [1, 2, 3, 4, 5]), 2)
 
-    def test_against_pairwise_beyond_one_word(self):
+    @pytest.fixture(params=["dict", "sorted", "sorted in small chunks"])
+    def path(self, request, monkeypatch):
+        # check 3 steps through a dictionary up to _CHAIN_DICT_ROWS rows;
+        # small chunks split a member's t-subsets over several chunks
+        # and test one neighbour pair at a time
+        if request.param != "dict":
+            monkeypatch.setattr(setfam, "_CHAIN_DICT_ROWS", -1)
+        if request.param == "sorted in small chunks":
+            monkeypatch.setattr(_kernels, "_COVER_CHUNK", 3)
+            monkeypatch.setattr(setfam, "_PAIR_CHUNK_WORDS", 1)
+
+    def test_against_pairwise_beyond_one_word(self, monkeypatch):
         rng = random.Random(65)
-        seen = set()
+        seen, few = set(), setfam._CHAIN_DICT_ROWS
         for _ in range(150):
             n = rng.randint(65, 140)
             # points drawn from a small pool, so members often overlap
@@ -483,7 +494,9 @@ class TestUniqueChain:
             f = Family.of(n, sets)
             for t in (1, 2, 3):
                 lam = is_t_laminar(f, t)
-                assert unique_chain_check(f, t) == lam, (f, t)
+                for rows in (few, -1):  # the dictionary up to few rows, then the sort
+                    monkeypatch.setattr(setfam, "_CHAIN_DICT_ROWS", rows)
+                    assert unique_chain_check(f, t) == lam, (f, t, rows)
                 seen.add(lam)
         assert seen == {True, False}
 
@@ -491,16 +504,8 @@ class TestUniqueChain:
         assert unique_chain_check(_tower4(), 2)
         assert not unique_chain_check(_tower4(crossing=[1, 2, 60, 61]), 2)
 
-    @pytest.fixture(params=["default", "small"])
-    def chunks(self, request, monkeypatch):
-        # small chunks split a member's t-subsets over several rank
-        # chunks and test one neighbour pair at a time
-        if request.param == "small":
-            monkeypatch.setattr(_kernels, "_COVER_CHUNK", 3)
-            monkeypatch.setattr(setfam, "_PAIR_CHUNK_WORDS", 1)
-
     @pytest.mark.parametrize("n", [5, 40, 64, 65, 130])
-    def test_against_dict_reference(self, n, chunks):
+    def test_against_dict_reference(self, n, path):
         # one word up to n = 64, several beyond; members smaller than t
         # and members of equal size that break a chain are frequent
         rng = random.Random(n)
@@ -513,7 +518,7 @@ class TestUniqueChain:
                 seen.add(want)
         assert seen == {True, False}
 
-    def test_edge_cases_match_reference(self):
+    def test_edge_cases_match_reference(self, path):
         cases = [
             (Family(4, ()), 2),  # the empty family
             (fam(3, [1, 2], [2, 3]), 4),  # t > n
@@ -525,9 +530,9 @@ class TestUniqueChain:
         for f, t in cases:
             assert unique_chain_check(f, t) == _dict_chain_check(f, t) == is_t_laminar(f, t)
 
-    def test_binomial_beyond_int64_groups_by_points(self):
-        # C(200, 20) >= 2^63: no colex rank fits int64, so the groups
-        # come from the points of each t-subset
+    def test_binomial_beyond_int64_sorts_python_ints(self, path):
+        # C(200, 20) >= 2^63: no colex rank fits int64, so the sort keys
+        # are Python ints
         n, t = 200, 20
         assert comb(n, t) >= 2**63
         rng = random.Random(20)
@@ -544,6 +549,20 @@ class TestUniqueChain:
         assert seen == {True, False}
         crossed = Family.of(n, chain + [sorted(pool[:20] + pool[23:])])  # crosses pool[:21]
         assert not unique_chain_check(crossed, t)
+
+    def test_dense_family_stops_at_the_first_chunk(self):
+        # 3000 random 60-subsets of [120] have about 10^8 rows at t = 3
+        # (0.8 GB as int64); equal-size members share t-subsets, so the
+        # first chunk breaks a chain and nothing grows with the rows
+        rng = random.Random(3)
+        f = Family.of(120, [sorted(rng.sample(range(1, 121), 60)) for _ in range(3000)])
+        tracemalloc.start()
+        try:
+            assert not unique_chain_check(f, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_independent_of_the_pair_listing(self, monkeypatch):
         # check 3 is the witness for checks 1 and 2, so it must reach no
@@ -614,12 +633,12 @@ class TestVerifyThreeWays:
         paths = {}
         assert verify_t_laminar(tower, 2, paths) is None
         assert (paths["pairs"].rows, paths["pairs"].within) == (4704, 7056)
-        assert paths["chain_rows"] == 4704
+        assert (paths["chain_rows"], paths["chain_dict"]) == (4704, False)
         # three 2-sets and one 3-set: listing would cost more than the
         # three pairs it could save
         paths = {}
         verify_t_laminar(fam(4, [1, 2], [1, 3], [2, 3], [1, 2, 3]), 2, paths)
-        assert paths == {"pairs": None, "chain_rows": 6}
+        assert paths == {"pairs": None, "chain_rows": 6, "chain_dict": True}
 
 
 class TestSerialization:
