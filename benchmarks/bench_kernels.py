@@ -9,16 +9,21 @@ small to repay listing its shared pairs; the config and chain checks
 of ``laminar verify`` (the chain check also on the circle tower r = 1,
 114,842 sets at t = 3), the cover-count kernel, and the build,
 validation and text of the two designs of the lower-bound
-constructions.
+constructions, and the bound table at N = 10^4: built with no cache, and
+reloaded from a full cache, which builds it cold and compares every
+line.
 
 Usage: python benchmarks/bench_kernels.py [--repeats 5]
 """
 
 import argparse
+import os
 import random
+import tempfile
 import time
 
 from laminar import _kernels
+from laminar.bounds import obf_table
 from laminar.construct import circle_tower, fano_tower
 from laminar.geometry import affine_plane, circle_geometry, design_to_text, is_design
 from laminar.search import max_laminar_exact
@@ -133,6 +138,19 @@ def bench_cover_counts(repeats):
         )
 
 
+def bench_bound_table(repeats):
+    """obf_table(10^4) cold, and reloaded from the cache it wrote."""
+    _row("obf_table(10000), no cache", lambda: obf_table(10000), repeats)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "obf.cache")
+        obf_table(10000, cache_path=path)
+        _row(
+            "obf_table(10000), reload of a full cache",
+            lambda: obf_table(10000, cache_path=path),
+            repeats,
+        )
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeats", type=int, default=5)
@@ -143,6 +161,7 @@ def main():
     bench_verify_checks(towers, args.repeats)
     bench_cover_counts(args.repeats)
     bench_designs(args.repeats)
+    bench_bound_table(args.repeats)
 
 
 if __name__ == "__main__":

@@ -91,25 +91,28 @@ evaluation, a gcd and two appends.
 
 The table stores each obf(n) as an integer pair (numerator,
 denominator) in lowest terms; a Fraction is made only when a caller
-asks for one (`BoundTable.obf`, the reports) or for an error message.
-Window steps and a reload keep one int object per distinct
-denominator: 129 for the first 10^6 values.
+asks for one (`BoundTable.obf`, the reports).  Window steps keep one
+int object per distinct denominator: 129 for the first 10^6 values.
 Frontier vertices are homogeneous integer points (X, Y, D) while the
 frontier is rebuilt, and pre-scaled to a common denominator after, so
 every comparison runs on cross-multiplied Python integers.  The only
 inexact arithmetic in this module is the Decimal rendering in
 `rat_to_decimal`.  No float or fixed-width integer is used: the
-products in the audit and the bounds outgrow 64 bits as N grows.
+products in the bounds outgrow 64 bits as N grows.
 
-A table persists as append-only "n<TAB>p/q" lines.  `load_cache` reads
-each line into a reduced integer pair and checks every line before any
-value is reused: the base values, that the n are contiguous, that the
-values never decrease, and the ratio recursion obf(n)/C(n,2) <=
-1/C(n,2) + max_{k<n} obf(k)/C(k,2), which every computed value
-satisfies.  A file with no non-blank line holds no values; one holding
-only obf(2) is rejected.  `obf_table` opens the cache for append before
-it computes the first value, so an unwritable path fails at once, and
-flushes new lines in batches.
+A table persists as append-only lines "n<TAB>p/q", written by the one
+formatter `_cache_line`; blank lines hold no value.  A cache is never
+parsed.  `obf_table` computes the table cold either way and compares
+each line the cache holds with the bytes it would write for that n, so
+a line is accepted only when it is byte-identical: a value changed up
+or down, a gap, a duplicate, a truncated line, a non-ASCII byte or a
+non-canonical spelling such as "26/2" raises CacheError naming the
+line and both texts.  A reload thus costs one cold build plus one
+formatting and one comparison per line.  Every cached line is checked
+before the first new one is appended, so a cache that fails is left
+unchanged.  `obf_table` opens the cache for append before it computes
+the first value, so an unwritable path fails at once, and checks and
+writes lines in batches.
 """
 
 from __future__ import annotations
@@ -121,8 +124,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, isqrt, lcm
-from typing import Callable, NamedTuple, Optional, TextIO
+from typing import BinaryIO, Callable, NamedTuple, Optional
 
 
 def rat_to_decimal(value: Fraction, digits: int = 20) -> str:
@@ -264,7 +268,8 @@ class BoundTable:
     def __init__(self):
         self._num: list[int] = [0, 0]
         self._den: list[int] = [1, 1]
-        #: how many of the values were read from a cache
+        #: how many of the values a cache held, each checked against the
+        #: computed one
         self.n_cached = 0
         self._seg_starts: list[int] = []
         self._seg_frontiers: list[Frontier] = []
@@ -745,10 +750,9 @@ def lp_primal_oracle(n: int, m: int, table: BoundTable) -> Fraction:
 # ---------------------------------------------------------------------------
 # cache persistence: append-only "n<TAB>p/q" lines
 
-
-def _malformed(raw: str, ln: int) -> CacheError:
-    what = "malformed entry" if raw.isascii() else "non-ASCII bytes in"
-    return CacheError(f"cache line {ln}: {what} {raw!r}")
+#: the one formatter of cache lines, for writing and for checking:
+#: row (n, p, q) -> b"n\tp/q\n"
+_cache_line = b"%d\t%d/%d\n".__mod__
 
 
 def cache_has_values(path: str) -> bool:
@@ -759,88 +763,66 @@ def cache_has_values(path: str) -> bool:
     counts as a line, so that `load_cache` raises it.
     """
     try:
-        with open(path, encoding="ascii", errors="surrogateescape") as fh:
-            return any(line.strip() for line in fh)
+        with open(path, "rb") as fh:
+            return any(map(bytes.strip, fh))
     except FileNotFoundError:
         return False
     except OSError:
         return True
 
 
-def load_cache(path: str) -> list[tuple[int, int]]:
-    """Read and verify a persisted table.
+class _CacheLines:
+    """The non-blank lines of a cache file as bytes, newline included.
 
-    Returns the values from n = 2 on as (numerator, denominator) pairs
-    in lowest terms with positive denominators; a file with no
-    non-blank line gives none.  Each "p/q" (or bare "p") is read with
-    int() and reduced, so it accepts exactly what Fraction(int(p),
-    int(q)) does.  Verifies the base values, contiguous indices, that
-    values never decrease (the branch-and-bound's monotone bound relies
-    on it), and audits every line against the ratio recursion; any
-    failure, including a non-ASCII byte, raises CacheError naming the
-    offending line; a file holding obf(2) alone raises CacheError too.
-    OSError from opening or reading the file propagates.
+    They are counted once, when made; each iteration reads the file
+    again, so the lines are never all in memory at once.
     """
-    values: list[tuple[int, int]] = []
-    # one int object per distinct denominator (a table has a few dozen),
-    # so the pairs cost little more memory than their numerators
-    dens: dict[int, int] = {}
-    # running max of obf(k)/C(k,2) and the previous value, as integer pairs
-    run_p, run_q = 0, 1
-    prev_p, prev_q = 0, 1
-    # a non-ASCII byte decodes to a lone surrogate, which no int() accepts,
-    # so it fails the parse on its own line
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                n_str, v_str = raw.rstrip("\n").split("\t")
-                n = int(n_str)
-                if "/" in v_str:
-                    p_str, q_str = v_str.split("/")
-                    p, q = int(p_str), int(q_str)
-                else:
-                    p, q = int(v_str), 1
-            except ValueError:
-                raise _malformed(raw, ln) from None
-            if q == 0:
-                raise _malformed(raw, ln)
-            if q < 0:
-                p, q = -p, -q
-            g = gcd(p, q)
-            if g != 1:
-                p, q = p // g, q // g
-            expect = len(values) + 2
-            if n != expect:
-                raise CacheError(f"cache line {ln}: expected n={expect}, got n={n}")
-            if n == 2 and (p, q) != (1, 1):
-                raise CacheError(f"cache line {ln}: obf(2) must be 1, got {Fraction(p, q)}")
-            if n == 3 and (p, q) != (4, 1):
-                raise CacheError(f"cache line {ln}: obf(3) must be 4, got {Fraction(p, q)}")
-            if p * prev_q < prev_p * q:
-                raise CacheError(
-                    f"cache line {ln}: obf({n}) = {Fraction(p, q)} is below obf({n - 1})"
-                )
-            c = n * (n - 1) // 2
-            # p/(q c) <= 1/c + run_p/run_q, times c * q * run_q
-            if n > 3 and p * run_q > q * (run_q + run_p * c):
-                raise CacheError(
-                    f"cache line {ln}: obf({n}) fails the ratio recursion audit"
-                )
-            if p * run_q > run_p * q * c:
-                run_p, run_q = p, q * c
-            q = dens.setdefault(q, q)
-            values.append((p, q))
-            prev_p, prev_q = p, q
-    if len(values) == 1:
-        raise CacheError("cache must contain at least obf(2) and obf(3)")
-    return values
+
+    __slots__ = ("path", "count")
+
+    def __init__(self, path: str):
+        self.path = path
+        with open(path, "rb") as fh:
+            self.count = sum(map(bool, map(bytes.strip, fh)))
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        with open(self.path, "rb") as fh:
+            yield from filter(bytes.strip, fh)
 
 
-def _append_cache(fh: TextIO, rows: list[tuple[int, int, int]]):
+def load_cache(path: str) -> _CacheLines:
+    """The cache at path, one entry per non-blank line (obf(2) first).
+
+    Neither parses nor checks a line: `obf_table` compares each with the
+    line it would write.  OSError from opening or reading the file
+    propagates.
+    """
+    return _CacheLines(path)
+
+
+def _check_cache(path: str, lines, rows: list[tuple[int, int, int]]):
+    """Compare rows (n, p, q) as `_cache_line` formats them with the next
+    lines of the cache at path; raise CacheError at the first that is
+    not byte-identical, naming its line number and both texts."""
+    want = list(map(_cache_line, rows))
+    got = list(islice(lines, len(want)))
+    if got == want:
+        return
+    i = next((i for i, (w, g) in enumerate(zip(want, got)) if w != g), len(got))
+    with open(path, "rb") as fh:
+        # the line number of the (n - 2)-th non-blank line
+        numbers = (ln for ln, raw in enumerate(fh, start=1) if raw.strip())
+        ln = next(islice(numbers, rows[i][0] - 2, None), "?")
+    found = got[i] if i < len(got) else b""
+    raise CacheError(f"cache line {ln}: expected {repr(want[i])[1:]}, found {repr(found)[1:]}")
+
+
+def _append_cache(fh: BinaryIO, rows: list[tuple[int, int, int]]):
     """Write rows (n, p, q) as cache lines and flush them to the OS."""
-    fh.writelines(f"{n}\t{p}/{q}\n" for n, p, q in rows)
+    fh.writelines(map(_cache_line, rows))
     fh.flush()
 
 
@@ -850,7 +832,8 @@ def _append_cache(fh: TextIO, rows: list[tuple[int, int, int]]):
 #: obf_table calls `progress(n)` at every computed n divisible by this
 _PROGRESS_EVERY = 1000
 
-#: new cache lines are written and flushed in batches of this many
+#: cache lines are checked, and new ones written and flushed, in batches
+#: of this many
 _FLUSH_EVERY = 2000
 
 
@@ -860,30 +843,37 @@ def obf_table(
     cache_path: Optional[str] = None,
     progress: Optional[Callable[[int], None]] = None,
 ) -> BoundTable:
-    """Build (or extend from cache) the bound table up to n_max.
+    """Build the bound table up to n_max, checked against a cache and
+    extending it.
 
-    Cached values are replayed: each is appended and tested against the
-    frontier on integers, and the frontier is rebuilt only where it
-    cuts.  Each new value takes the certified max over m from
+    Every value is computed.  Each takes the certified max over m from
     `_max_lp`, warm-started at the previous step's argmax, and is
     tested for a cut unless its argmax is the warm start and the cut
     horizon covers the step.  After such a step the steps up to
     `_Horizons.until` form a window: each is LP(n, m0) from one exact
     evaluation, appended with no call to `_max_lp` and no cut or record
     test.  The table always holds the base values obf(2) and obf(3).
-    When there is a value to compute, the cache is opened for append
-    before the first one, so an unwritable path fails at once; new
-    lines are flushed in batches.  `progress(n)` is called at every
-    computed n divisible by _PROGRESS_EVERY.
+
+    With a cache, the table runs to the cache's length if that exceeds
+    n_max.  Each value the cache holds is formatted by `_cache_line` and
+    compared with the cache's line, and a line that differs raises
+    CacheError before any line is appended, so a cache that fails is
+    left unchanged.  The values past the cache are appended.  When there
+    are any, the cache is opened for append before the first value is
+    computed, so an unwritable path fails at once.  Lines are checked
+    and written in batches of _FLUSH_EVERY.  `progress(n)` is called at
+    every n past the cache divisible by _PROGRESS_EVERY.
     """
     if n_max < 2:
         raise ValueError("table starts at n = 2")
-    cached: list[tuple[int, int]] = []
-    if cache_path and os.path.exists(cache_path):
-        cached = load_cache(cache_path)
+    cached = load_cache(cache_path) if cache_path and os.path.exists(cache_path) else ()
     table = BoundTable()
     table.n_cached = len(cached)
     top = max(n_max, len(cached) + 1, 3)
+    first = len(cached) + 2  # the first n not in the cache
+    writing = bool(cache_path) and first <= top
+    lines = iter(cached)  # read in step with the computed values
+    rows: Optional[list[tuple[int, int, int]]] = [(2, 1, 1), (3, 4, 1)] if cache_path else None
 
     frontier = Frontier((2,), ((1, 1),))
     table._append_value(2, 1, 1)
@@ -897,31 +887,33 @@ def obf_table(
             frontier = frontier_update(frontier, n, p, q)
             table._push_frontier(n, frontier)
 
-    for n in range(3, len(cached) + 2):
-        install(n, *cached[n - 2])
-
-    first = len(cached) + 2  # the first n not in the cache
-    writing = bool(cache_path) and first <= top
+    install(3, 4, 1)
     nums, dens = table._num, table._den
-    with open(cache_path, "a", encoding="ascii") if writing else nullcontext() as out:
-        fresh: list[tuple[int, int, int]] = [(2, 1, 1)] if writing and first == 2 else []
+    with open(cache_path, "ab") if writing else nullcontext() as out:
+
+        def settle():
+            # the batch's rows that the cache holds are checked, the rest written
+            k = max(0, min(len(rows), first - rows[0][0]))
+            if k:
+                _check_cache(cache_path, lines, rows[:k])
+            if k < len(rows):
+                _append_cache(out, rows[k:])
+            rows.clear()
+
         argmax = None
         horizons = _Horizons()
         until = 0  # the last step of the current window
         shared: dict[int, int] = {}
-        for n in range(max(first, 3), top + 1):
+        for n in range(4, top + 1):
             if n <= until:
                 # a window step: argmax m0 and no cut, hence no ratio record
                 num, den = _lp_value(table, n, m0, f0)
                 g = gcd(num, den)
                 p, q = (num + den) // g, den // g
-                # one int object per distinct denominator, as in load_cache
+                # one int object per distinct denominator
                 q = shared.setdefault(q, q)
                 nums.append(p)
                 dens.append(q)
-            elif n == 3:
-                p, q = 4, 1
-                install(n, p, q)
             else:
                 # cold start at the newest critical index, where the argmax sits
                 m0 = argmax or table._seg_starts[-1]
@@ -934,15 +926,14 @@ def obf_table(
                 if uncut:
                     until = horizons.until(n, top)
                     f0 = table.frontier_at(m0)
-            if progress and n % _PROGRESS_EVERY == 0:
+            if progress and n % _PROGRESS_EVERY == 0 and n >= first:
                 progress(n)
-            if writing:
-                fresh.append((n, p, q))
-                if len(fresh) >= _FLUSH_EVERY:
-                    _append_cache(out, fresh)
-                    fresh.clear()
-        if writing and fresh:
-            _append_cache(out, fresh)
+            if rows is not None:
+                rows.append((n, p, q))
+                if len(rows) >= _FLUSH_EVERY:
+                    settle()
+        if rows:
+            settle()
     return table
 
 

@@ -1,7 +1,7 @@
 """Command-line surface: constructions, verification, search, bounds.
 
 Subcommands
-  obf        build/extend the cached bound table and report obf(N)
+  obf        build the bound table, check and extend its cache, report obf(N)
   construct  generate towers, planes, circle geometries, greedy packings
   verify     check a family file for t-laminarity (three equivalent ways)
   search     exact maximum-family search on small ground sets
@@ -11,6 +11,9 @@ Exit codes: 0 success / property holds, 1 property fails, 2 usage or
 input error, 3 resource/budget exceeded, 4 data corruption.  Reports go
 to stdout, progress and diagnostics to stderr.  The environment
 variable LAMINAR_CACHE overrides the default bound-table cache path.
+`obf` and `summary` compute the table cold and accept each cache line
+only if it is byte-identical to the line they would write; a line that
+is not exits 4, naming it, and leaves the cache unchanged.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def cmd_obf(args) -> int:
     if isinstance(table, int):
         return table
     if table.n_cached:
-        _log(f"obf: loaded {table.n_cached} cached values from {path}")
+        _log(f"obf: checked {table.n_cached} cached values from {path}")
     if n == 2:
         report = {"N": 2, "obf_N": "1/1", "ratio_decimal": "1"}
         print(json.dumps(report) if args.json else "obf(2) = 1")

@@ -1,19 +1,22 @@
 import hashlib
 import random
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import rec_bound_audit
+from conftest import CORRUPTIONS, cache_mismatch, corrupt_cache, rec_bound_audit
 from laminar import bounds
 from laminar.bounds import (
     BoundTable,
     CacheError,
     Frontier,
+    _cache_line,
     _cuts,
     _horizon,
     _interval_bounds,
@@ -722,29 +725,6 @@ class TestAudits:
     def test_audit_sweep(self, table600):
         assert rec_bound_audit(table600)
 
-    def test_load_cache_audit_matches_oracle(self, tmp_path, table600):
-        """`load_cache`'s integer audit accepts a last line exactly when
-        the Fraction oracle does: at the largest obf(n) that the ratio
-        recursion allows, and just above it."""
-        for n in (4, 5, 8, 43, 44, 250, 600):
-            running = max(table600.ratio(k) for k in range(2, n))
-            top = 1 + comb(n, 2) * running
-            for value, ok in ((top, True), (top + Fraction(1, 7), False)):
-                probe = BoundTable()
-                for k in range(2, n):
-                    probe._append_value(k, table600._num[k], table600._den[k])
-                probe._append_value(n, value.numerator, value.denominator)
-                assert rec_bound_audit(probe) is ok, (n, value)
-                path = tmp_path / f"obf{n}.cache"
-                path.write_text(
-                    "".join(f"{k}\t{probe._num[k]}/{probe._den[k]}\n" for k in range(2, n + 1))
-                )
-                if ok:
-                    assert load_cache(str(path))[-1] == (value.numerator, value.denominator)
-                else:
-                    with pytest.raises(CacheError, match=f"obf\\({n}\\) fails the ratio"):
-                        load_cache(str(path))
-
     def test_upper_limit_small(self, table60):
         rep = upper_limit_report(table60, 4)
         assert rep.upper_limit == Fraction(8, 6) + Fraction(1, 2) == Fraction(11, 6)
@@ -783,8 +763,8 @@ class TestCache:
         lines = open(path).read().splitlines()
         lines[0] = "2\t5/1"
         open(path, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(CacheError, match="obf\\(2\\)"):
-            load_cache(path)
+        with pytest.raises(CacheError, match=re.escape(cache_mismatch(1, b"2\t1/1\n", b"2\t5/1\n"))):
+            obf_table(50, cache_path=path)
 
     def test_gap_detected(self, tmp_path):
         path = str(tmp_path / "obf.cache")
@@ -792,15 +772,15 @@ class TestCache:
         lines = open(path).read().splitlines()
         del lines[10]
         open(path, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(CacheError, match="expected n="):
-            load_cache(path)
+        with pytest.raises(CacheError, match=re.escape("cache line 11: expected '12\\t")):
+            obf_table(50, cache_path=path)
 
     def test_malformed_line(self, tmp_path):
         path = str(tmp_path / "obf.cache")
         with open(path, "w") as fh:
             fh.write("2\t1/1\n3\tfour\n")
-        with pytest.raises(CacheError, match="line 2"):
-            load_cache(path)
+        with pytest.raises(CacheError, match=re.escape(cache_mismatch(2, b"3\t4/1\n", b"3\tfour\n"))):
+            obf_table(10, cache_path=path)
 
     def test_audit_catches_inflated_value(self, tmp_path):
         path = str(tmp_path / "obf.cache")
@@ -808,10 +788,11 @@ class TestCache:
         lines = open(path).read().splitlines()
         # inflate obf(100) beyond the recursion bound
         assert lines[98].startswith("100\t")
+        want = (lines[98] + "\n").encode()
         lines[98] = "100\t99999/1"
         open(path, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(CacheError, match="ratio recursion"):
-            load_cache(path)
+        with pytest.raises(CacheError, match=re.escape(cache_mismatch(99, want, b"100\t99999/1\n"))):
+            obf_table(250, cache_path=path)
 
     def test_reload_matches_cold_2000(self, tmp_path, table2000):
         path = str(tmp_path / "obf.cache")
@@ -828,37 +809,101 @@ class TestCache:
             fh.write("".join(line + "\n" for line in lines))
         return path
 
-    def test_lines_reduced_to_lowest_terms(self, tmp_path):
-        base = ("2\t1/1", "3\t4/1", "4\t8/1")
-        unreduced = load_cache(self._cache(tmp_path, *base, "5\t26/2"))
-        assert unreduced == load_cache(self._cache(tmp_path, *base, "5\t13/1"))
-        assert unreduced[-1] == (13, 1)
-        assert load_cache(self._cache(tmp_path, "2\t2/2", "3\t-4/-1", "4\t8")) == [
-            (1, 1), (4, 1), (8, 1)]
-        with pytest.raises(CacheError, match=r"line 4: malformed entry '5\\t3/0"):
-            load_cache(self._cache(tmp_path, *base, "5\t3/0"))
-
     def test_blank_cache_holds_no_values(self, tmp_path):
         assert not cache_has_values(str(tmp_path / "missing.cache"))
         # an interrupted first run leaves the empty file it opened
         path = self._cache(tmp_path)
-        assert load_cache(path) == [] and not cache_has_values(path)
+        assert len(load_cache(path)) == 0 and not cache_has_values(path)
         path = self._cache(tmp_path, "", "  ")
-        assert load_cache(path) == [] and not cache_has_values(path)
+        assert len(load_cache(path)) == 0 and not cache_has_values(path)
         assert cache_has_values(str(tmp_path))  # left to load_cache to raise
         table = obf_table(50, cache_path=path)
         assert table.n_cached == 0
-        assert load_cache(path) == [
-            (table.obf(n).numerator, table.obf(n).denominator) for n in range(2, 51)
+        assert len(load_cache(path)) == 49
+        assert list(load_cache(path)) == [
+            _cache_line((n, table._num[n], table._den[n])) for n in range(2, 51)
         ]
         assert cache_has_values(path)
 
-    def test_lone_base_value_rejected(self, tmp_path):
-        with pytest.raises(CacheError, match="at least obf\\(2\\) and obf\\(3\\)"):
-            load_cache(self._cache(tmp_path, "2\t1/1"))
+    def test_lone_base_value_is_a_prefix(self, tmp_path):
+        """A cache holding obf(2) alone is the first line of every cold
+        build, so it is checked and extended like any shorter cache."""
+        path = self._cache(tmp_path, "2\t1/1")
+        assert obf_table(10, cache_path=path).n_cached == 1
+        cold = tmp_path / "cold.cache"
+        obf_table(10, cache_path=str(cold))
+        assert Path(path).read_bytes() == cold.read_bytes()
 
     def test_table_to_2_writes_both_base_values(self, tmp_path):
         path = str(tmp_path / "obf.cache")
         assert obf_table(2, cache_path=path).obf(2) == 1
         assert open(path).read() == "2\t1/1\n3\t4/1\n"
         assert obf_table(10, cache_path=path).n_cached == 2
+
+
+class TestCacheCheck:
+    """A reload computes the table cold and accepts a cache line only if
+    it is byte-identical to the line that build writes."""
+
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_corruption_rejected_and_left_alone(self, case, tmp_path):
+        path = tmp_path / "obf.cache"
+        obf_table(200, cache_path=str(path))
+        lines = path.read_bytes().splitlines(keepends=True)
+        bad, i = corrupt_cache(lines, case)
+        path.write_bytes(b"".join(bad))
+        found = bad[i] if i < len(bad) else b""
+        message = cache_mismatch(i + 1, lines[i], found)
+        # 3000 > 200: the check fails before any new value is appended
+        for n_max in (100, 200, 3000):
+            with pytest.raises(CacheError, match=re.escape(message)):
+                obf_table(n_max, cache_path=str(path))
+            assert path.read_bytes() == b"".join(bad)
+
+    def test_every_line_is_the_formatter_output(self, tmp_path, table2000):
+        path = tmp_path / "obf.cache"
+        obf_table(2000, cache_path=str(path))
+        want = [_cache_line((n, table2000._num[n], table2000._den[n])) for n in range(2, 2001)]
+        assert path.read_bytes().splitlines(keepends=True) == want
+        # the canonical spelling: n, a tab, then p/q in lowest terms
+        assert want == [
+            f"{n}\t{table2000.obf(n).numerator}/{table2000.obf(n).denominator}\n".encode()
+            for n in range(2, 2001)
+        ]
+
+    def test_longer_cache_extends_the_table(self, tmp_path):
+        path = tmp_path / "obf.cache"
+        obf_table(300, cache_path=str(path))
+        before = path.read_bytes()
+        table = obf_table(50, cache_path=str(path))
+        assert table.n_max == 300 and table.n_cached == 299
+        assert path.read_bytes() == before
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "obf.cache"
+        obf_table(30, cache_path=str(path))
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:5] + [b"\n", b" \t\n"] + lines[5:]))
+        assert obf_table(30, cache_path=str(path)).n_cached == 29
+        lines[9] = b"11\t0/1\n"
+        path.write_bytes(b"".join(lines[:5] + [b"\n"] + lines[5:]))
+        # the line number counts the blank line
+        with pytest.raises(CacheError, match="cache line 11: "):
+            obf_table(30, cache_path=str(path))
+
+    def test_unwritable_path_fails_before_work(self, tmp_path, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("computed a value")
+
+        monkeypatch.setattr(bounds, "_max_lp", no_work)
+        with pytest.raises(FileNotFoundError):
+            obf_table(2500, cache_path=str(tmp_path / "missing" / "obf.cache"))
+
+    def test_reload_streams_the_cache(self, tmp_path):
+        """load_cache counts the non-blank lines; each iteration reads
+        the file again, so the lines are never held in a list."""
+        path = tmp_path / "obf.cache"
+        obf_table(100, cache_path=str(path))
+        cached = load_cache(str(path))
+        assert len(cached) == 99
+        assert list(cached) == list(cached) == path.read_bytes().splitlines(keepends=True)

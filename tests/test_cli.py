@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import random_family
+from conftest import CORRUPTIONS, cache_mismatch, corrupt_cache, random_family
 import laminar
 from laminar import _kernels, cli, construct, geometry, search, setfam
 from laminar.cli import main
@@ -62,17 +62,17 @@ class TestObfCommand:
         lines = open(cache).read().splitlines()
         v39, v40, v41 = (lines[i].split("\t")[1] for i in (37, 38, 39))
         # swapping obf(40) and obf(41) raises obf(40) first, which the
-        # ratio audit rejects on its own line
+        # check rejects on its own line
         swapped = lines[:38] + [f"40\t{v41}", f"41\t{v40}"] + lines[40:]
         open(cache, "w").write("\n".join(swapped) + "\n")
         code, _, err = run(["obf", "--N", "60", "--cache", cache], capsys)
-        assert code == 4 and "line 39: obf(40) fails the ratio recursion" in err
+        assert code == 4 and f"line 39: expected '40\\t{v40}\\n', found '40\\t{v41}\\n'" in err
         # lowering obf(41) to obf(39) is a pure decrease
         lines[39] = f"41\t{v39}"
         open(cache, "w").write("\n".join(lines) + "\n")
         code, _, err = run(["obf", "--N", "60", "--cache", cache], capsys)
         assert code == 4
-        assert "line 40: obf(41)" in err and "below obf(40)" in err
+        assert f"line 40: expected '41\\t{v41}\\n', found '41\\t{v39}\\n'" in err
 
     def test_every_cache_line_audited(self, tmp_path, capsys):
         cache = str(tmp_path / "c.cache")
@@ -85,7 +85,7 @@ class TestObfCommand:
         open(cache, "w").write("\n".join(lines) + "\n")
         code, out, err = run(["obf", "--N", "200", "--cache", cache], capsys)
         assert code == 4 and out == ""
-        assert "cache line 56: obf(57) fails the ratio recursion audit" in err
+        assert "cache line 56: expected '57\\t2205/1\\n', found '57\\t15986/7\\n'" in err
 
     @pytest.mark.parametrize("command", ["obf", "summary"])
     def test_non_ascii_cache_exit_4(self, command, tmp_path, capsys):
@@ -94,7 +94,8 @@ class TestObfCommand:
         argv = [command, "--cache", str(cache)] + (["--N", "10"] if command == "obf" else [])
         code, out, err = run(argv, capsys)
         assert code == 4 and out == ""
-        assert err.count("\n") == 1 and "cache line 3: non-ASCII" in err
+        assert err.count("\n") == 1
+        assert "cache line 3: expected '4\\t8/1\\n', found '4\\t\\xff8/1\\n'" in err
 
     @pytest.mark.parametrize("command", ["obf", "summary"])
     def test_unreadable_cache_exit_2(self, command, tmp_path, capsys):
@@ -116,7 +117,7 @@ class TestObfCommand:
         assert code == 0 and "obf(2) = 1" in out
         # the cache it leaves holds both base values, so it reloads
         code, _, err = run(["obf", "--N", "10", "--cache", str(tmp_path / "c")], capsys)
-        assert code == 0 and err == f"obf: loaded 2 cached values from {tmp_path / 'c'}\n"
+        assert code == 0 and err == f"obf: checked 2 cached values from {tmp_path / 'c'}\n"
 
     def test_reload_reports_load_not_progress(self, tmp_path, capsys):
         cache = str(tmp_path / "c.cache")
@@ -124,7 +125,22 @@ class TestObfCommand:
         assert code == 0 and err == "obf progress: n=1000/1000\n"
         code, warm, err = run(["obf", "--N", "1000", "--cache", cache, "--json"], capsys)
         assert code == 0 and warm == cold
-        assert err == f"obf: loaded 999 cached values from {cache}\n"
+        assert err == f"obf: checked 999 cached values from {cache}\n"
+
+    @pytest.mark.parametrize("command", ["obf", "summary"])
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_corrupt_cache_exit_4_names_line(self, case, command, tmp_path, capsys):
+        cache = tmp_path / "c.cache"
+        run(["obf", "--N", "200", "--cache", str(cache)], capsys)
+        lines = cache.read_bytes().splitlines(keepends=True)
+        bad, i = corrupt_cache(lines, case)
+        cache.write_bytes(b"".join(bad))
+        argv = [command, "--cache", str(cache)] + (["--N", "300"] if command == "obf" else [])
+        code, out, err = run(argv, capsys)
+        assert code == 4 and out == ""
+        found = bad[i] if i < len(bad) else b""
+        assert err == f"cache verification failed: {cache_mismatch(i + 1, lines[i], found)}\n"
+        assert cache.read_bytes() == b"".join(bad)
 
     def test_unwritable_cache_fails_before_work(self, tmp_path, capsys):
         cache = str(tmp_path / "missing" / "c")
