@@ -9,7 +9,8 @@ small to repay listing its shared pairs; the config and chain checks
 of ``laminar verify`` (the chain check also on the circle tower r = 1,
 114,842 sets at t = 3), the cover-count kernel, and the build,
 validation and text of the two designs of the lower-bound
-constructions, and the bound table at N = 10^4: built with no cache, and
+constructions, and the bound table: built with no cache at N = 10^4 and
+10^5, where almost every step is a window step, and at N = 10^4
 reloaded from a full cache, which builds it cold and compares every
 line.
 
@@ -139,8 +140,10 @@ def bench_cover_counts(repeats):
 
 
 def bench_bound_table(repeats):
-    """obf_table(10^4) cold, and reloaded from the cache it wrote."""
+    """obf_table(10^4) and obf_table(10^5) cold, and the first reloaded
+    from the cache it wrote."""
     _row("obf_table(10000), no cache", lambda: obf_table(10000), repeats)
+    _row("obf_table(100000), no cache", lambda: obf_table(100000), repeats)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "obf.cache")
         obf_table(10000, cache_path=path)

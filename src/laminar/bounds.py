@@ -79,15 +79,20 @@ covers, `_Horizons.until` gives the last step at which nothing is
 due: the least of the first pending seed horizon, the tail's and the
 cut test's, capped at the table's end; none while a leaf is past its
 horizon, since a leaf is bounded at every step.  Each step n of the
-window takes obf(n) = 1 + LP(n, m0) from one exact evaluation and is
-appended with no call to `_max_lp` and no cut or record test.  That
-is exact: at such a step `intervals` returns nothing and changes no
-state, so `_max_lp` would return LP(n, m0) with argmax m0; the cut
-horizon proves that eta_n cuts nothing, and a value with a new ratio
-record would cut the vertex (0, R).  The step after the window goes
-through `_max_lp`, so the horizons evolve as before.  At N = 10^4 only
-49 of the 9997 steps call `_max_lp`; a window step costs one exact
-evaluation, a gcd and two appends.
+window takes obf(n) = 1 + LP(n, m0) and is appended with no call to
+`_max_lp` and no cut or record test.  That is exact: at such a step
+`intervals` returns nothing and changes no state, so `_max_lp` would
+return LP(n, m0) with argmax m0; the cut horizon proves that eta_n
+cuts nothing, and a value with a new ratio record would cut the vertex
+(0, R).  The step after the window goes through `_max_lp`, so the
+horizons evolve as before.  At N = 10^4 only 49 of the 9997 steps call
+`_max_lp`.  The kernel `_window` runs the window's steps by finite
+differences: with m0 and Theta_{m0} fixed, each vertex's numerator of
+1 + LP(n, m0) is an integer quadratic in n, so a step costs a few
+integer additions, a gcd and two divisions, with no exact evaluation
+from scratch.  A run of window steps ends at each progress step and
+each full cache batch, so a batch never holds more than _FLUSH_EVERY
+rows.
 
 The table stores each obf(n) as an integer pair (numerator,
 denominator) in lowest terms; a Fraction is made only when a caller
@@ -108,11 +113,13 @@ a line is accepted only when it is byte-identical: a value changed up
 or down, a gap, a duplicate, a truncated line, a non-ASCII byte or a
 non-canonical spelling such as "26/2" raises CacheError naming the
 line and both texts.  A reload thus costs one cold build plus one
-formatting and one comparison per line.  Every cached line is checked
-before the first new one is appended, so a cache that fails is left
-unchanged.  `obf_table` opens the cache for append before it computes
-the first value, so an unwritable path fails at once, and checks and
-writes lines in batches.
+formatting per line and one read and comparison per batch of lines; a
+batch whose bytes differ is read again line by line, which skips blank
+lines and names the first line that differs.  Every cached line is
+checked before the first new one is appended, so a cache that fails is
+left unchanged.  `obf_table` opens the cache for append before it
+computes the first value, so an unwritable path fails at once, and
+checks and writes lines in batches.
 """
 
 from __future__ import annotations
@@ -346,6 +353,69 @@ def _lp_value(table: BoundTable, n: int, m: int, f: Frontier) -> tuple[int, int]
     (numerator, denominator) pair; f is the frontier segment holding m."""
     q, s = table._den[m], f.scale
     return table._num[m] * s + _dual_min_scaled(n, m, f) * q, q * s
+
+
+def _window(table: BoundTable, m0: int, lo: int, hi: int, shared: dict[int, int]):
+    """Append obf(n) = 1 + LP(n, m0) for every window step lo <= n <= hi.
+
+    In a window m0, obf(m0) = p0/q0 and the vertices (x_v, y_v)/S of
+    Theta_{m0} are fixed, so with g_v(n) = C(n-m0,2) x_v +
+    (C(n,2) - C(m0,2)) y_v and D(n) = min_v g_v(n)
+
+        obf(n) = ((p0 + q0) S + q0 D(n)) / (q0 S).
+
+    Each numerator N_v(n) = (p0 + q0) S + q0 g_v(n) is an integer
+    quadratic in n, with first difference q0 ((n - m0) x_v + n y_v) and
+    second difference q0 (x_v + y_v); a step costs two additions per
+    tracked vertex, a gcd against the fixed q0 S and two divisions.
+    Denominators share one int object each through `shared`.
+
+    The minimum is tracked, not searched.  Vertex i and vertex i + 1
+    both lie on eta_k, k = ks[i+1], whose points with decreasing x run
+    along (-k, k-2); so from vertex i to i + 1 the objective changes by
+    a positive multiple of (k-2) c2 - k c1, with c1 = C(n-m0,2) and
+    c2 = C(n,2) - C(m0,2) > 0.  Its sign is that of (k-2)/k - r with
+    r = c1/c2 = (n-m0-1)/(n+m0-1).  The ks increase along the chain, so
+    the values along it fall, then rise (the ray past the last vertex,
+    x = 0, only rises): a vertex no worse than the next one is a
+    minimum.  r only grows with n, so an edge that falls keeps falling
+    and the first minimal vertex only moves to higher indices.  The
+    kernel keeps that vertex and the next one by finite differences and
+    moves on while the next one is no worse.
+    """
+    nums, dens = table._num, table._den
+    f0 = table.frontier_at(m0)
+    pts = f0.scaled_pts
+    q0, s = dens[m0], f0.scale
+    base, den, a0 = (nums[m0] + q0) * s, q0 * s, m0 * (m0 - 1) // 2
+
+    def at(v: int, n: int) -> tuple[int, int, int]:
+        # N_v(n) and its first and second differences at n; past the last
+        # vertex a copy of the last one plus 1, which never wins
+        if v == len(pts):
+            num, d, dd = at(v - 1, n)
+            return num + 1, d, dd
+        x, y = pts[v]
+        g = (n - m0) * (n - m0 - 1) // 2 * x + (n * (n - 1) // 2 - a0) * y
+        return base + q0 * g, q0 * ((n - m0) * x + n * y), q0 * (x + y)
+
+    v = 0
+    num, d, dd = at(0, lo)
+    nxt, nd, ndd = at(1, lo)
+    add_num, add_den, share = nums.append, dens.append, shared.setdefault
+    for n in range(lo, hi + 1):
+        while nxt <= num:
+            v += 1
+            num, d, dd = nxt, nd, ndd
+            nxt, nd, ndd = at(v + 1, n)
+        g = gcd(num, den)
+        add_num(num // g)
+        q = den // g
+        add_den(share(q, q))
+        num += d
+        d += dd
+        nxt += nd
+        nd += ndd
 
 
 # ---------------------------------------------------------------------------
@@ -796,25 +866,37 @@ class _CacheLines:
 def load_cache(path: str) -> _CacheLines:
     """The cache at path, one entry per non-blank line (obf(2) first).
 
-    Neither parses nor checks a line: `obf_table` compares each with the
-    line it would write.  OSError from opening or reading the file
+    Neither parses nor checks a line: `obf_table` needs only the count,
+    and reads the file once more, a batch at a time, to compare it with
+    the lines it would write.  OSError from opening or reading the file
     propagates.
     """
     return _CacheLines(path)
 
 
-def _check_cache(path: str, lines, rows: list[tuple[int, int, int]]):
+def _check_cache(path: str, fh: BinaryIO, rows: list[tuple[int, int, int]]):
     """Compare rows (n, p, q) as `_cache_line` formats them with the next
-    lines of the cache at path; raise CacheError at the first that is
-    not byte-identical, naming its line number and both texts."""
+    non-blank lines of the cache at path, open as fh; raise CacheError at
+    the first that is not byte-identical, naming its line number and both
+    texts.
+
+    One read of the batch's length settles a batch of bare lines.  Only
+    when those bytes differ is the batch read again line by line from
+    where it starts, skipping blank lines.
+    """
+    start = fh.tell()
+    blob = b"".join(map(_cache_line, rows))
+    if fh.read(len(blob)) == blob:
+        return
+    fh.seek(start)
     want = list(map(_cache_line, rows))
-    got = list(islice(lines, len(want)))
+    got = list(islice(filter(bytes.strip, fh), len(want)))
     if got == want:
         return
     i = next((i for i, (w, g) in enumerate(zip(want, got)) if w != g), len(got))
-    with open(path, "rb") as fh:
+    with open(path, "rb") as whole:
         # the line number of the (n - 2)-th non-blank line
-        numbers = (ln for ln, raw in enumerate(fh, start=1) if raw.strip())
+        numbers = (ln for ln, raw in enumerate(whole, start=1) if raw.strip())
         ln = next(islice(numbers, rows[i][0] - 2, None), "?")
     found = got[i] if i < len(got) else b""
     raise CacheError(f"cache line {ln}: expected {repr(want[i])[1:]}, found {repr(found)[1:]}")
@@ -850,9 +932,10 @@ def obf_table(
     `_max_lp`, warm-started at the previous step's argmax, and is
     tested for a cut unless its argmax is the warm start and the cut
     horizon covers the step.  After such a step the steps up to
-    `_Horizons.until` form a window: each is LP(n, m0) from one exact
-    evaluation, appended with no call to `_max_lp` and no cut or record
-    test.  The table always holds the base values obf(2) and obf(3).
+    `_Horizons.until` form a window: `_window` appends 1 + LP(n, m0) for
+    each by finite differences, with no call to `_max_lp` and no cut or
+    record test.  The table always holds the base values obf(2) and
+    obf(3).
 
     With a cache, the table runs to the cache's length if that exceeds
     n_max.  Each value the cache holds is formatted by `_cache_line` and
@@ -872,7 +955,6 @@ def obf_table(
     top = max(n_max, len(cached) + 1, 3)
     first = len(cached) + 2  # the first n not in the cache
     writing = bool(cache_path) and first <= top
-    lines = iter(cached)  # read in step with the computed values
     rows: Optional[list[tuple[int, int, int]]] = [(2, 1, 1), (3, 4, 1)] if cache_path else None
 
     frontier = Frontier((2,), ((1, 1),))
@@ -889,13 +971,16 @@ def obf_table(
 
     install(3, 4, 1)
     nums, dens = table._num, table._den
-    with open(cache_path, "ab") if writing else nullcontext() as out:
+    with (
+        open(cache_path, "ab") if writing else nullcontext() as out,
+        open(cache_path, "rb") if cached else nullcontext() as src,
+    ):
 
         def settle():
             # the batch's rows that the cache holds are checked, the rest written
             k = max(0, min(len(rows), first - rows[0][0]))
             if k:
-                _check_cache(cache_path, lines, rows[:k])
+                _check_cache(cache_path, src, rows[:k])
             if k < len(rows):
                 _append_cache(out, rows[k:])
             rows.clear()
@@ -904,16 +989,18 @@ def obf_table(
         horizons = _Horizons()
         until = 0  # the last step of the current window
         shared: dict[int, int] = {}
-        for n in range(4, top + 1):
+        n = 4
+        while n <= top:
             if n <= until:
-                # a window step: argmax m0 and no cut, hence no ratio record
-                num, den = _lp_value(table, n, m0, f0)
-                g = gcd(num, den)
-                p, q = (num + den) // g, den // g
-                # one int object per distinct denominator
-                q = shared.setdefault(q, q)
-                nums.append(p)
-                dens.append(q)
+                # window steps: argmax m0 and no cut, hence no ratio record;
+                # each run ends at the next progress step or full batch
+                last = min(until, n + (-n) % _PROGRESS_EVERY)
+                if rows is not None:
+                    last = min(last, n + _FLUSH_EVERY - 1 - len(rows))
+                _window(table, m0, n, last, shared)
+                if rows is not None:
+                    rows.extend(zip(range(n, last + 1), nums[n:], dens[n:]))
+                n = last
             else:
                 # cold start at the newest critical index, where the argmax sits
                 m0 = argmax or table._seg_starts[-1]
@@ -925,13 +1012,13 @@ def obf_table(
                 install(n, p, q, uncut)
                 if uncut:
                     until = horizons.until(n, top)
-                    f0 = table.frontier_at(m0)
+                if rows is not None:
+                    rows.append((n, p, q))
             if progress and n % _PROGRESS_EVERY == 0 and n >= first:
                 progress(n)
-            if rows is not None:
-                rows.append((n, p, q))
-                if len(rows) >= _FLUSH_EVERY:
-                    settle()
+            if rows is not None and len(rows) >= _FLUSH_EVERY:
+                settle()
+            n += 1
         if rows:
             settle()
     return table

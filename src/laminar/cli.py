@@ -354,20 +354,14 @@ def cmd_summary(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="laminar",
-        description="t-laminar family constructions and exact LP bounds",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("obf", help="build/extend the bound table")
+def _obf_args(sp: argparse.ArgumentParser):
     sp.add_argument("--N", "--n", dest="N", type=int, required=True)
     sp.add_argument("--cache", default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_obf)
 
-    sp = sub.add_parser("construct", help="generate designs and tower families")
+
+def _construct_args(sp: argparse.ArgumentParser):
     sp.add_argument(
         "kind",
         choices=["fano-tower", "circle-tower", "affine", "projective", "circle", "packing"],
@@ -383,22 +377,57 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_construct)
 
-    sp = sub.add_parser("verify", help="check a family file for t-laminarity")
+
+def _verify_args(sp: argparse.ArgumentParser):
     sp.add_argument("file")
     sp.add_argument("--t", type=int, default=None)
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("search", help="exact maximum-family search")
+
+def _search_args(sp: argparse.ArgumentParser):
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--t", type=int, default=2)
     sp.add_argument("--budget", type=float, default=60.0)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_search)
 
-    sp = sub.add_parser("summary", help="reconcile constructions against the bound")
+
+def _summary_args(sp: argparse.ArgumentParser):
     sp.add_argument("--cache", default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_summary)
+
+
+#: every subcommand: its help and the function adding its arguments and handler
+_COMMANDS = {
+    "obf": ("build/extend the bound table", _obf_args),
+    "construct": ("generate designs and tower families", _construct_args),
+    "verify": ("check a family file for t-laminarity", _verify_args),
+    "search": ("exact maximum-family search", _search_args),
+    "summary": ("reconcile constructions against the bound", _summary_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `laminar` parser.  With `command` one of _COMMANDS it holds only
+    that subparser, which parses an argv starting with `command` as the
+    full parser does; otherwise all five.
+
+    The lone subparser's action lists every command as its metavar, so
+    usage lines stay those of the full parser.  The full parser keeps
+    none: its errors for a missing or unknown command name the action by
+    its dest, `command`, and a lone subparser never meets those errors.
+    """
+    p = argparse.ArgumentParser(
+        prog="laminar",
+        description="t-laminar family constructions and exact LP bounds",
+    )
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_, add_args = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_))
     return p
 
 
@@ -409,8 +438,10 @@ def main(argv: list[str] | None = None) -> int:
     # `verify`, and where it falls depends on how much the imports allocate.
     gc.freeze()
     try:
+        if argv is None:
+            argv = sys.argv[1:]
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else 0
         return args.func(args)

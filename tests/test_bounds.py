@@ -609,9 +609,10 @@ class TestHorizons:
             m0 = argmax
 
     def test_one_exact_evaluation_per_step(self, monkeypatch):
-        # the counts are deterministic: at N = 10000 a step evaluates the
-        # warm start, almost never bounds an interval or tests a cut, and
-        # almost always sits in a window, with no call to _max_lp
+        # the counts are deterministic: at N = 10000 a step outside the
+        # windows evaluates the warm start and almost never bounds an
+        # interval or tests a cut; almost every step sits in a window, with
+        # no call to _max_lp and no exact evaluation from scratch
         calls = {"exact": 0, "interval": 0, "cuts": 0, "max_lp": 0}
 
         def count(key, fn):
@@ -628,9 +629,22 @@ class TestHorizons:
             ("max_lp", "_max_lp"),
         ):
             monkeypatch.setattr(bounds, name, count(key, getattr(bounds, name)))
+        kernel = bounds._window
+        windowed = 0
+
+        def window(table, m0, lo, hi, shared):
+            nonlocal windowed
+            before = calls["exact"]
+            kernel(table, m0, lo, hi, shared)
+            assert calls["exact"] == before, (lo, hi)
+            windowed += hi - lo + 1
+
+        monkeypatch.setattr(bounds, "_window", window)
         obf_table(10000)
         steps = 10000 - 3
-        assert steps <= calls["exact"] <= 1.01 * steps
+        # only the steps outside the windows evaluate exactly
+        assert 0 < calls["exact"] <= 0.01 * steps
+        assert windowed > 0.99 * steps
         assert calls["interval"] <= 0.02 * steps
         assert calls["cuts"] <= 0.02 * steps
         assert 0 < calls["max_lp"] <= 0.01 * steps
@@ -688,12 +702,65 @@ class TestHorizons:
 
     @pytest.mark.slow
     def test_million_table_digest(self):
-        """obf_table(10**6) by the same digest: about 4 s on a 2-core VM,
-        a quarter of it formatting the digest's million lines."""
+        """obf_table(10**6) by the same digest: about 1 s on a 2-core VM,
+        a third of it formatting the digest's million lines."""
         table = obf_table(1000000)
         assert _table_digest(table) == "5ff5e160de31b19e6e183c3c602eb467e2d5762fb126ac57faf2c172fd1d67b4"
         assert table.obf(1000000) == Fraction(4991997099704113, 7224)
         assert table.critical == (1, 2, 3, 7, 43, 1807)
+
+
+def _window_exact(table, n, m0):
+    """1 + LP(n, m0) in lowest terms from one exact evaluation, as
+    `obf_table` computed a window step before the finite differences."""
+    f0 = table.frontier_at(m0)
+    q0 = table._den[m0]
+    num = table._num[m0] * f0.scale + bounds._dual_min_scaled(n, m0, f0) * q0
+    den = q0 * f0.scale
+    g = gcd(num, den)
+    return (num + den) // g, den // g
+
+
+class TestWindowKernel:
+    """`_window` appends 1 + LP(n, m0) by finite differences."""
+
+    def test_windows_match_exact_evaluation_to_20000(self, monkeypatch):
+        kernel = bounds._window
+        runs = []
+
+        def window(table, m0, lo, hi, shared):
+            runs.append((m0, lo, hi))
+            kernel(table, m0, lo, hi, shared)
+
+        monkeypatch.setattr(bounds, "_window", window)
+        table = obf_table(20000)
+        steps = [(n, m0) for m0, lo, hi in runs for n in range(lo, hi + 1)]
+        assert len(steps) > 0.99 * (20000 - 3)
+        for n, m0 in steps:
+            assert (table._num[n], table._den[n]) == _window_exact(table, n, m0), n
+        # one int object per distinct denominator
+        dens = [table._den[n] for n, _ in steps]
+        assert len(set(map(id, dens))) == len(set(dens))
+
+    @pytest.mark.parametrize("m0, hi", [(3, 50), (7, 200), (43, 2000)])
+    def test_kernel_follows_the_minimal_vertex(self, table2000, m0, hi):
+        """One run from m0 + 1 to hi passes every step at which the
+        minimal vertex of Theta_{m0} moves on (for m0 = 43 at 87, 259 and
+        1807), so each vertex is the minimum somewhere in it, and matches
+        the exact evaluation at every step."""
+        part = BoundTable()
+        part._num, part._den = table2000._num[: m0 + 1], table2000._den[: m0 + 1]
+        part._seg_starts, part._seg_frontiers = table2000._seg_starts, table2000._seg_frontiers
+        bounds._window(part, m0, m0 + 1, hi, {})
+        assert part.n_max == hi
+        pts = table2000.frontier_at(m0).scaled_pts
+        minimal = set()
+        for n in range(m0 + 1, hi + 1):
+            assert (part._num[n], part._den[n]) == _window_exact(table2000, n, m0), n
+            c1, c2 = comb(n - m0, 2), comb(n, 2) - comb(m0, 2)
+            values = [c1 * x + c2 * y for x, y in pts]
+            minimal.add(values.index(min(values)))
+        assert minimal == set(range(len(pts)))
 
 
 class TestSeriesAndTail:
@@ -890,6 +957,45 @@ class TestCacheCheck:
         # the line number counts the blank line
         with pytest.raises(CacheError, match="cache line 11: "):
             obf_table(30, cache_path=str(path))
+
+    def test_blank_lines_at_batch_edges(self, tmp_path):
+        """Blank lines before the first line, at the edge between two
+        batches and after the last line are skipped; a changed line after
+        them is named by its line number in the file."""
+        path = tmp_path / "obf.cache"
+        obf_table(5000, cache_path=str(path))
+        lines = path.read_bytes().splitlines(keepends=True)
+        edge = bounds._FLUSH_EVERY  # lines[edge] starts the second batch
+        spaced = [b"\n", *lines[:edge], b" \n", b"\n", *lines[edge:], b"\n"]
+        path.write_bytes(b"".join(spaced))
+        assert obf_table(5000, cache_path=str(path)).n_cached == 4999
+        i = edge + 5
+        spaced[i + 3] = b"%d\t0/1\n" % (i + 2)
+        path.write_bytes(b"".join(spaced))
+        with pytest.raises(CacheError, match=re.escape(cache_mismatch(i + 4, lines[i], spaced[i + 3]))):
+            obf_table(5000, cache_path=str(path))
+        assert path.read_bytes() == b"".join(spaced)
+
+    def test_batches_hold_at_most_flush_every_rows(self, tmp_path, monkeypatch):
+        """Window runs end where a batch is full: each batch checked or
+        written holds at most _FLUSH_EVERY rows, and together they hold
+        every n once, in order."""
+        batches = []
+        for name in ("_check_cache", "_append_cache"):
+
+            def spy(*args, fn=getattr(bounds, name), name=name):
+                batches.append((name, [n for n, _, _ in args[-1]]))
+                return fn(*args)
+
+            monkeypatch.setattr(bounds, name, spy)
+        path = str(tmp_path / "obf.cache")
+        for n_max, checked in ((7000, 0), (12345, 6999), (12345, 12344)):
+            batches.clear()
+            obf_table(n_max, cache_path=path)
+            assert max(len(ns) for _, ns in batches) == bounds._FLUSH_EVERY
+            assert [n for _, ns in batches for n in ns] == list(range(2, n_max + 1))
+            names = [name for name, ns in batches for _ in ns]
+            assert names == ["_check_cache"] * checked + ["_append_cache"] * (n_max - 1 - checked)
 
     def test_unwritable_path_fails_before_work(self, tmp_path, monkeypatch):
         def no_work(*args):

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import json
@@ -538,6 +539,36 @@ class TestUsage:
         main(["search", "--n", "3"])
         assert seen[0] > 0 and gc.get_freeze_count() == 0
         assert main(["frobnicate"]) == 2 and gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["-h"], ["--help"], ["frobnicate"], ["frobnicate", "--N", "5"], ["-x", "obf"],
+            ["obf", "-h"], ["construct", "-h"], ["verify", "-h"], ["search", "-h"], ["summary", "-h"],
+            ["obf"], ["obf", "--bad"], ["obf", "--N", "5", "extra"], ["obf", "--N", "x"],
+            ["obf", "--n", "5", "--json"], ["construct", "nope"], ["construct", "affine", "--q", "3"],
+            ["verify"], ["verify", "a", "b"], ["verify", "a", "--t", "3"], ["search", "--n"],
+            ["search", "--n", "9", "--budget", "1.5"], ["summary", "--cache", "c", "--json"],
+        ],
+        ids=lambda argv: " ".join(argv) or "(none)",
+    )
+    def test_lazy_parser_matches_full(self, argv, capsys):
+        """The parser built for argv[0] alone prints, exits and parses as
+        the full one does."""
+
+        def parse(parser):
+            try:
+                result = parser.parse_args(argv)
+            except SystemExit as exc:
+                result = exc.code
+            out = capsys.readouterr()
+            return result, out.out, out.err
+
+        lazy = cli.build_parser(argv[0] if argv else None)
+        assert parse(lazy) == parse(cli.build_parser())
+        every = ["obf", "construct", "verify", "search", "summary"]
+        built = next(a for a in lazy._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(built.choices) == (argv[:1] if argv and argv[0] in every else every)
 
     def test_obf_n1_exit_2(self, tmp_path, capsys):
         code, _, _ = run(["obf", "--N", "1", "--cache", str(tmp_path / "c")], capsys)
