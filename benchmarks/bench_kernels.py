@@ -55,16 +55,16 @@ def _towers():
     """The 1625-set tower, and four disjoint relabeled copies of it:
     6500 sets over 196 points, laminar, so every check runs to the end."""
     _, fam49 = fano_tower(1, materialize=True)
-    shifted = [m << (49 * copy) for copy in range(4) for m in fam49]
+    shifted = [m << (49 * copy) for copy in range(4) for m in fam49.masks]
     return (
         ("tower n=49 (1625 sets)", fam49),
-        ("4x tower n=196 (6500 sets)", Family(196, shifted)),
+        ("4x tower n=196 (6500 sets)", Family.from_masks(196, shifted)),
     )
 
 
 def bench_violation(towers, repeats):
     for label, fam in towers:
-        words = fam.to_words()
+        words = fam.words
         _row(
             f"violation check, shared pairs: {label}",
             lambda: _kernels.find_violation(words, 2),
@@ -75,16 +75,16 @@ def bench_violation(towers, repeats):
     # family of a search (through violating_pair, so packing the words
     # is included)
     tower = towers[0][1]
-    present = set(tower)
+    present = set(tower.masks)
     rng = random.Random(0)
     while True:
         extra = sum(1 << p for p in rng.sample(range(tower.n), rng.randint(3, 8)))
         if extra in present:
             continue
-        corrupt = Family(tower.n, tower.masks + (extra,))
+        corrupt = Family.from_masks(tower.n, tower.masks + (extra,))
         if violating_pair(corrupt, 2) is not None:
             break
-    words = corrupt.to_words()
+    words = corrupt.words
     _row(
         "violation check, shared pairs: tower + crossing set",
         lambda: _kernels.find_violation(words, 2),

@@ -50,14 +50,14 @@ def _random_family(rng):
     while len(masks) < f:
         size = rng.randint(max(1, s // 2), s)
         masks.add(sum(1 << p for p in rng.sample(range(n), size)))
-    return f"random n={n} F={f} |S|<={s} t={t}", Family(n, sorted(masks)), t
+    return f"random n={n} F={f} |S|<={s} t={t}", Family.from_masks(n, sorted(masks)), t
 
 
 def _time_paths(fam, t, repeats):
     """(R, E, C(F, 2), listed seconds, blocked seconds) of one family,
     or None when it has more than _ROWS_MAX t-subset rows."""
-    words, m = fam.to_words(), incidence_matrix(fam)
-    pairs = _kernels.row_pairs(m, t)
+    words, m = fam.words, incidence_matrix(fam)
+    pairs = _kernels.shared_pairs(fam.points, fam.offsets, t)
     if pairs is None:
         return None
     never = np.ones((2, fam.n), dtype=np.uint8)
@@ -68,7 +68,7 @@ def _time_paths(fam, t, repeats):
         _kernels.find_violation(words, fam.n + 1, pairs)
         contains_config(m, never, pairs)
 
-    listed = _best(lambda: checks(_kernels.row_pairs(m, t)), repeats)
+    listed = _best(lambda: checks(_kernels.shared_pairs(fam.points, fam.offsets, t)), repeats)
     blocked = _best(lambda: checks(None), repeats)
     f = len(fam)
     return pairs.rows, pairs.within, f * (f - 1) // 2, listed, blocked
@@ -95,10 +95,10 @@ def main():
     # time both paths whatever they cost
     _kernels._LISTING_COST = _kernels._ROW_COST = _kernels._PAIR_COST = 0
     _, tower = fano_tower(1, materialize=True)
-    shifted = [m << (49 * copy) for copy in range(4) for m in tower]
+    shifted = [m << (49 * copy) for copy in range(4) for m in tower.masks]
     families = [
         ("tower n=49 (1625 sets) t=2", tower, 2),
-        ("4x tower n=196 (6500 sets) t=2", Family(196, shifted), 2),
+        ("4x tower n=196 (6500 sets) t=2", Family.from_masks(196, shifted), 2),
         ("n=9 search (49 sets) t=2", max_laminar_exact(9, 2).family, 2),
     ]
     for seed in args.seeds:

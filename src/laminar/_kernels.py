@@ -347,6 +347,50 @@ def shared_pairs(points: np.ndarray, offsets: np.ndarray, t: int) -> PairChunks 
 
 
 # ---------------------------------------------------------------------------
+# equal rows, by sorting
+
+
+def row_order(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexicographic order of the rows of a 2-d array with
+    entries in [0, base), and, per sorted position, whether that row
+    equals the one before it.  One ``np.lexsort`` of the rows packed
+    base-``base`` into as few int64 keys as hold them."""
+    f, s = rows.shape
+    width = 1  # columns per key
+    while width < s and base ** (width + 1) < 2**63:
+        width += 1
+    keys = []
+    for c0 in range(0, s, width):
+        key = np.zeros(f, dtype=np.int64)
+        for col in rows[:, c0 : c0 + width].T:
+            key = key * base + col
+        keys.append(key)
+    order = np.lexsort(keys[::-1]) if keys else np.arange(f)  # the primary key is the last
+    same = np.ones(f, dtype=bool)
+    same[:1] = False
+    for key in keys:
+        key = key[order]
+        same[1:] &= key[1:] == key[:-1]
+    return order, same
+
+
+def repeated_rows(points: np.ndarray, offsets: np.ndarray, v: int, below: int | None = None):
+    """Which CSR rows of points in [0, v) equal an earlier row, as a bool
+    array: rows of each size s (s < ``below`` only, when given) gathered
+    into an s-column array and sorted by row_order, so no row is hashed."""
+    sizes = np.diff(offsets)
+    out = np.zeros(sizes.size, dtype=bool)
+    for s in np.flatnonzero(np.bincount(sizes)).tolist():
+        if below is not None and s >= below:
+            break
+        rows = np.flatnonzero(sizes == s)
+        if rows.size > 1:
+            order, same = row_order(points[offsets[rows, None] + np.arange(s)], v)
+            out[rows[order[same]]] = True
+    return out
+
+
+# ---------------------------------------------------------------------------
 # covered t-subset counting for design/packing validation
 
 # t-subsets ranked per np.add.at call in cover_counts; bounds its

@@ -27,6 +27,8 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from . import bounds, construct, geometry, search, setfam
 
 EXIT_OK = 0
@@ -246,17 +248,16 @@ def cmd_verify(args) -> int:
         print(f"t-laminar (t={t}): {len(fam)} sets, all three checks agree")
         return EXIT_OK
     i, j = hit
-    a, b = fam.masks[i], fam.masks[j]
+    a, b = (fam.points[fam.offsets[k] : fam.offsets[k + 1]] + 1 for k in (i, j))
     ia, ib = i + 1, j + 1
 
-    def points(mask: int) -> list[str]:
-        return [str(p + 1) for p in setfam._bit_positions(mask)]
+    def points(pts) -> str:
+        return ",".join(map(str, pts.tolist()))
 
     print(f"NOT t-laminar (t={t})")
-    print(f"witness sets #{ia} and #{ib}:"
-          f" {{{','.join(points(a))}}} vs {{{','.join(points(b))}}}")
-    print(f"forbidden submatrix rows ({ia},{ib}), columns w={points(b & ~a)[0]}"
-          f" x={points(a & ~b)[0]} shared={','.join(points(a & b)[:t])}")
+    print(f"witness sets #{ia} and #{ib}: {{{points(a)}}} vs {{{points(b)}}}")
+    print(f"forbidden submatrix rows ({ia},{ib}), columns w={np.setdiff1d(b, a)[0]}"
+          f" x={np.setdiff1d(a, b)[0]} shared={points(np.intersect1d(a, b)[:t])}")
     return EXIT_PROPERTY_FAILS
 
 

@@ -18,15 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Optional
 
 import numpy as np
 
+from . import _kernels
 from .bounds import rat_to_decimal
 from .geometry import Design, GeometryError, affine_plane, circle_geometry, projective_plane
-from .setfam import Family, csr_points, is_t_laminar, masks_from_csr
+from .setfam import Family, is_t_laminar
 
 # materialization caps: beyond these the towers are counted, not built
 FANO_TOWER_CAP = 2401
@@ -76,41 +77,47 @@ def nested(packing: Design, fam: Family) -> Family:
 
     fam lives on the ground set {1..k}, and every block must have k
     points; point i goes to the i-th smallest point of each block.  All
-    blocks are relabeled by one fancy index and packed at once, then
-    deduplicated in first-seen order (block by block, fam's order within
-    a block).  The result is t-laminar on the packing's point set
-    whenever the inputs satisfy the preconditions: fam is checked here,
-    the packing is not (validate it separately, it may be expensive).
+    blocks are relabeled by one fancy index of the CSR points, block by
+    block and in fam's order within a block.  Members of size >= t from
+    different blocks share fewer than t points, so only smaller members
+    can repeat; the repeats are dropped, keeping each first one (found
+    by sorting, `_kernels.repeated_rows`).  The result is t-laminar on
+    the packing's point set whenever the inputs satisfy the
+    preconditions: fam is checked here, the packing is not (validate it
+    separately, it may be expensive).
     """
-    return Family(packing.v, _nested_masks(packing, fam))
+    return Family(packing.v, *_nested_csr(packing, fam))
 
 
-def _nested_masks(packing: Design, fam: Family) -> tuple[int, ...]:
-    """The members of nested(packing, fam), deduplicated, as a tuple of
-    masks not yet checked for duplicates by a Family."""
+def _nested_csr(packing: Design, fam: Family) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR points and offsets of nested(packing, fam)'s members."""
     sizes = np.diff(packing.offsets)
     wrong = np.flatnonzero(sizes != fam.n)
     if wrong.size:
         raise ValueError(f"replacement ground size {fam.n} != block size {sizes[wrong[0]]}")
     if not is_t_laminar(fam, packing.t):
         raise ValueError("replacement family is not t-laminar")
-    rel_points, rel_offsets = csr_points(fam)
     b = packing.block_count()
-    points = packing.points.reshape(b, fam.n)[:, rel_points]
-    offsets = np.zeros(b * len(fam) + 1, dtype=np.int64)
-    offsets[1:] = (rel_offsets[1:] + rel_points.size * np.arange(b)[:, None]).ravel()
-    masks = masks_from_csr(packing.v, points.ravel(), offsets)
-    return tuple(dict.fromkeys(masks))
+    points = packing.points.reshape(b, fam.n)[:, fam.points].ravel()
+    counts = np.tile(np.diff(fam.offsets), b)
+    keep = ~_kernels.repeated_rows(
+        points, _offsets(counts), packing.v, below=packing.t)
+    return points[np.repeat(keep, counts)], _offsets(counts[keep])
 
 
-def _fano_level0() -> Family:
-    pairs = Family.of(7, combinations(range(1, 8), 2))
-    return Family(7, pairs.masks + projective_plane(2).blocks.masks + ((1 << 7) - 1,))
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets delimiting runs of these lengths."""
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
 
 
-def _circle_level0() -> Family:
-    small = Family.of(10, (p for k in (1, 2, 3) for p in combinations(range(1, 11), k)))
-    return Family(10, small.masks + circle_geometry(3).blocks.masks + ((1 << 10) - 1,))
+def _level0(n: int, small: range, design: Design) -> Family:
+    """Every subset of [n] with a size in ``small``, the blocks of the
+    design, and [n] itself."""
+    subsets = (p for k in small for p in combinations(range(1, n + 1), k))
+    blocks = design.points.reshape(design.block_count(), -1) + 1
+    return Family.of(n, chain(subsets, blocks.tolist(), [range(1, n + 1)]))
 
 
 def _chain(t: int):
@@ -161,11 +168,16 @@ def _tower(t: int, r: int, materialize: bool) -> tuple[TowerReport, Optional[Fam
     cap = FANO_TOWER_CAP if t == 2 else CIRCLE_TOWER_CAP
     if n > cap:
         raise CapExceeded(f"materializing n={n} exceeds the cap {cap}")
-    fam = _fano_level0() if t == 2 else _circle_level0()
+    if t == 2:
+        fam = _level0(7, range(2, 3), projective_plane(2))
+    else:
+        fam = _level0(10, range(1, 4), circle_geometry(3))
     for k, v in zip(sizes[1:], sizes[2:]):
         design = affine_plane(k) if t == 2 else circle_geometry(k - 1)
+        points, offsets = _nested_csr(design, fam)
         # one Family per level: the universe is checked with the rest
-        fam = Family(v, _nested_masks(design, fam) + ((1 << v) - 1,))
+        fam = Family(v, np.concatenate([points, np.arange(v)]),
+                     np.append(offsets, offsets[-1] + v))
     if fam.count_size_geq(t) != count:
         raise GeometryError("materialized tower count mismatch")
     return report, fam

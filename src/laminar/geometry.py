@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .setfam import Family, csr_from_sets, csr_to_text, masks_from_csr
+from .setfam import Family, csr_from_sets, csr_to_text
 
 
 class NotPrimePower(ValueError):
@@ -248,8 +248,8 @@ class Design:
 
     @cached_property
     def blocks(self) -> Family:
-        """The blocks as a Family of masks, in block order."""
-        return Family(self.v, masks_from_csr(self.v, self.points, self.offsets))
+        """The blocks as a Family, in block order."""
+        return Family(self.v, self.points, self.offsets)
 
     def block_count(self) -> int:
         return len(self.offsets) - 1
@@ -395,22 +395,9 @@ def circle_geometry(q: int) -> Design:
 
 def _unique_rows(rows: np.ndarray, base: int) -> np.ndarray:
     """The distinct rows of a matrix with entries in [0, base), sorted
-    lexicographically: np.unique(rows, axis=0), by one lexsort over the
-    rows packed base-`base` into as few int64 keys as hold them."""
-    width = 1  # columns per key
-    while base ** (width + 1) < 2**63:
-        width += 1
-    keys = []
-    for c0 in range(0, rows.shape[1], width):
-        key = np.zeros(rows.shape[0], dtype=np.int64)
-        for col in rows[:, c0 : c0 + width].T:
-            key = key * base + col
-        keys.append(key)
-    order = np.lexsort(keys[::-1])  # lexsort's primary key is its last
-    packed = np.stack(keys, axis=1)[order]
-    keep = np.ones(order.size, dtype=bool)
-    keep[1:] = (packed[1:] != packed[:-1]).any(axis=1)
-    return rows[order[keep]]
+    lexicographically: np.unique(rows, axis=0), by `_kernels.row_order`."""
+    order, same = _kernels.row_order(rows, base)
+    return rows[order[~same]]
 
 
 def greedy_packing(n: int, k: int, t: int, order_seed: int = 0) -> Design:

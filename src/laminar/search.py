@@ -296,7 +296,7 @@ def max_laminar_exact(
     members = tuple(verts[i] for i in _bit_positions(forced | best_mask))
     return SearchResult(
         size=len(members),
-        family=Family(n, members),
+        family=Family.from_masks(n, members),
         exact=exact,
         nodes=nodes,
         forced=forced.bit_count(),

@@ -20,24 +20,26 @@ the 1625-set tower (n = 49, t = 2) the three take about 2, 2 and 1 ms;
 on the circle tower r = 1 (114,842 sets, n = 82, t = 3) about 0.2, 0.2
 and 0.1 s (one thread of a 2-core VM).
 
-Members are int masks: ground point i (1-based) is bit i-1.  A Family
-is a ground-set size n and a tuple of masks; it keeps its members in
-order, so derived artifacts are byte-reproducible.  Every conversion
-between masks and other forms goes through one codec: `csr_from_sets`
-turns 1-based point lists into 0-based points delimited CSR-style by
-offsets, `masks_from_csr` packs such points into masks with one
-``np.bitwise_or.at``; `mask_bits` unpacks masks into zero-one uint8 bit
-rows, and `masks_from_bits` packs such rows back.  The text writer `csr_to_text` reads CSR points, so a design, whose blocks
-are CSR arrays already (`geometry.Design`), is written with no masks.
+A Family holds its members as CSR arrays, as `geometry.Design` holds
+its blocks: ``points`` is every member's 0-based points, strictly
+increasing within a member, concatenated in family order, and
+``offsets`` delimits the members.  The parsers build these arrays, the
+writers read them, and the kernels take them or the words packed from
+them once (`Family.words`).  Int masks (bit i-1 for point i) are derived
+only on request (`Family.masks`, `Family.from_masks`), for the small
+families of `search` and the dictionary chain check: `mask_bits` and
+`masks_from_bits` convert between masks and zero-one uint8 bit rows.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, permutations
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +57,7 @@ def _bit_positions(mask: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# codec: CSR points and zero-one bit rows to int masks and back
+# codec: int masks to bytes, CSR points and zero-one bit rows
 
 
 def _mask_bytes(masks: Sequence[int], width: int) -> np.ndarray:
@@ -103,47 +105,62 @@ def _csr_of_bytes(packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return points, offsets
 
 
-def csr_from_sets(
-    n: int, sets: Iterable[Iterable], point: Callable[[object], int] = operator.index
-) -> tuple[np.ndarray, np.ndarray]:
+class MemberError(ValueError):
+    """A member that a Family cannot hold; ``member`` is its 0-based index."""
+
+    def __init__(self, message: str, member: int):
+        super().__init__(message)
+        self.member = member
+
+
+def csr_from_sets(n: int, sets: Iterable[Iterable]) -> tuple[np.ndarray, np.ndarray]:
     """The 1-based point iterables as 0-based int64 points, concatenated
     in order, and the int64 offsets delimiting them CSR-style.  Every
-    point goes through ``point`` (``int`` reads text tokens), whose
-    ValueError passes through; a point too large for int64 raises
-    ValueError too.  The range 1..n is left to the caller."""
+    point goes through ``operator.index``, whose TypeError passes
+    through; a point too large for int64 raises MemberError.  The range
+    1..n is left to the caller."""
     rows = [list(s) for s in sets]
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=offsets[1:])
     try:
-        points = np.fromiter(map(point, chain.from_iterable(rows)), np.int64, int(offsets[-1]))
+        points = np.fromiter(map(operator.index, chain.from_iterable(rows)), np.int64,
+                             int(offsets[-1]))
     except OverflowError:
-        raise ValueError(f"point outside 1..{n}") from None
+        member = next(i for i, r in enumerate(rows) if any(not -2**63 <= p < 2**63 for p in r))
+        raise MemberError(f"point outside 1..{n}", member) from None
     return points - 1, offsets
 
 
-def masks_from_csr(n: int, points: np.ndarray, offsets: np.ndarray) -> list[int]:
-    """One mask per member, member i holding the 0-based points
-    ``points[offsets[i]:offsets[i+1]]`` of the ground set [n].
-
-    A point outside 0..n-1 raises ValueError naming the first one as a
-    1-based point.  The points are set as bits of one little-endian
-    byte matrix by a single ``np.bitwise_or.at``.
-    """
+def csr_arrays(n: int, points, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 copies of CSR arrays of members of [n], checked:
+    offsets run nondecreasing from 0 to the point count, and every point
+    lies in 0..n-1 (the first one outside is named 1-based) and strictly
+    increases within its member (MemberError names the member)."""
     if n < 1:
         raise ValueError("ground-set size must be positive")
-    points = np.asarray(points, dtype=np.int64)
+    points = np.array(points, dtype=np.int64)
+    offsets = np.array(offsets, dtype=np.int64)
+    if points.ndim != 1 or offsets.ndim != 1 or offsets.size == 0:
+        raise ValueError("points and offsets must be 1-D, offsets nonempty")
+    sizes = np.diff(offsets)
+    if offsets[0] != 0 or offsets[-1] != points.size or (sizes < 0).any():
+        raise ValueError("offsets must run nondecreasing from 0 to the point count")
     outside = np.flatnonzero((points < 0) | (points >= n))
-    if outside.size:
-        # csr_from_sets' shift to 0-based wraps the point -2^63 round to
-        # 2^63 - 1, and adding the 1 back wraps it home
-        with np.errstate(over="ignore"):
-            first = points[outside[0]] + 1
-        raise ValueError(f"point {first} outside 1..{n}")
-    members = len(offsets) - 1
-    packed = np.zeros((members, (n + 7) // 8), dtype=np.uint8)
-    rows = np.repeat(np.arange(members), np.diff(offsets))
-    np.bitwise_or.at(packed, (rows, points >> 3), (1 << (points & 7)).astype(np.uint8))
-    return _byte_masks(packed)
+    first = np.zeros(points.size, dtype=bool)  # the first point of a member
+    first[offsets[:-1][sizes > 0]] = True
+    down = np.flatnonzero((points[1:] <= points[:-1]) & ~first[1:]) + 1
+    for bad, message in ((outside, "point {} outside 1..{}"),
+                         (down, "points must be strictly increasing")):
+        if bad.size:
+            # csr_from_sets' shift to 0-based wraps the point -2^63 round
+            # to 2^63 - 1, and adding the 1 back wraps it home
+            with np.errstate(over="ignore"):
+                name = points[bad[0]] + 1
+            member = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+            raise MemberError(message.format(name, n), member)
+    points.flags.writeable = False
+    offsets.flags.writeable = False
+    return points, offsets
 
 
 def mask_bits(masks: Sequence[int], width: int) -> np.ndarray:
@@ -162,43 +179,76 @@ def masks_from_bits(bits: np.ndarray) -> list[int]:
     return _byte_masks(np.packbits(bits, axis=1, bitorder="little"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Family:
-    """A duplicate-free ordered tuple of member masks over the ground set
-    [n]; bit i-1 of a mask is point i.  Any iterable of masks is stored
-    as a tuple."""
+    """A duplicate-free ordered family of members of the ground set [n],
+    held as CSR arrays: member i is the 0-based points
+    ``points[offsets[i]:offsets[i+1]]``, strictly increasing.  Both are
+    read-only int64 copies (`csr_arrays`); a repeated member raises
+    MemberError naming the later one, found by sorting the members of
+    each size (`_kernels.repeated_rows`).  Families compare by value."""
 
     n: int
-    masks: tuple[int, ...]
+    points: np.ndarray
+    offsets: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "masks", tuple(self.masks))
-        if self.n < 1:
-            raise ValueError("ground-set size must be positive")
-        if self.masks and (min(self.masks) < 0 or max(self.masks) >> self.n):
-            raise ValueError("mask has bits outside 1..n")
-        if len(set(self.masks)) != len(self.masks):
-            raise ValueError("duplicate blocks in family")
+        points, offsets = csr_arrays(self.n, self.points, self.offsets)
+        repeats = np.flatnonzero(_kernels.repeated_rows(points, offsets, self.n))
+        if repeats.size:
+            raise MemberError("duplicate blocks in family", int(repeats[0]))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "offsets", offsets)
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "Family":
-        """One member per iterable of points in 1..n, packed by masks_from_csr."""
-        return cls(n, masks_from_csr(n, *csr_from_sets(n, sets)))
+        """One member per iterable of points in 1..n, in any order; a point
+        repeated within one iterable is held once."""
+        return cls(n, *csr_from_sets(n, (sorted(set(s)) for s in sets)))
+
+    @classmethod
+    def from_masks(cls, n: int, masks: Iterable[int]) -> "Family":
+        """One member per int mask, bit i-1 for point i."""
+        masks = list(masks)
+        if n < 1:
+            raise ValueError("ground-set size must be positive")
+        if masks and (min(masks) < 0 or max(masks) >> n):
+            raise ValueError("mask has bits outside 1..n")
+        return cls(n, *_csr_of_bytes(_mask_bytes(masks, (n + 7) // 8), n))
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return self.offsets.size - 1
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.masks)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Family):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.points, other.points))
 
     def count_size_geq(self, k: int) -> int:
-        return sum(1 for m in self.masks if m.bit_count() >= k)
+        return int(np.count_nonzero(np.diff(self.offsets) >= k))
 
-    def to_words(self) -> np.ndarray:
-        """Bit-pack into a read-only (len, ceil(n/64)) uint64 matrix for the
-        kernels: the 8*ceil(n/64) little-endian bytes of every mask, viewed
-        as little-endian words."""
-        return _mask_bytes(self.masks, 8 * ((self.n + 63) // 64)).view("<u8")
+    @cached_property
+    def words(self) -> np.ndarray:
+        """The members bit-packed for the kernels: a read-only (len,
+        ceil(n/64)) uint64 matrix, point i at bit (i-1) % 64 of word
+        (i-1) // 64.  A member's points in one word are consecutive, so
+        one ``np.bitwise_or.reduceat`` over those runs fills every word."""
+        f, w = len(self), (self.n + 63) // 64
+        words = np.zeros(f * w, dtype=np.uint64)
+        if self.points.size:
+            cell = np.repeat(np.arange(f) * w, np.diff(self.offsets)) + (self.points >> 6)
+            run = np.flatnonzero(np.diff(cell, prepend=-1))
+            bits = np.left_shift(np.uint64(1), (self.points & 63).astype(np.uint64))
+            words[cell[run]] = np.bitwise_or.reduceat(bits, run)
+        words = words.reshape(f, w)
+        words.flags.writeable = False
+        return words
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Every member as an int mask, bit i-1 for point i."""
+        return tuple(_byte_masks(self.words.view(np.uint8)))
 
 
 def violating_pair(fam: Family, t: int) -> Optional[tuple[int, int]]:
@@ -207,7 +257,8 @@ def violating_pair(fam: Family, t: int) -> Optional[tuple[int, int]]:
     Pairs are visited row by row: the smallest i with a violation, then
     the smallest j > i.  None when fam is t-laminar.
     """
-    return _kernels.find_violation(fam.to_words(), t)
+    pairs = _kernels.shared_pairs(fam.points, fam.offsets, t)
+    return _kernels.find_violation(fam.words, t, pairs)
 
 
 def is_t_laminar(fam: Family, t: int) -> bool:
@@ -219,14 +270,9 @@ def is_t_laminar(fam: Family, t: int) -> bool:
 
 
 def incidence_matrix(fam: Family) -> np.ndarray:
-    """|F| x n zero-one matrix; entry (A, i) = 1 iff point i+1 in A."""
-    return mask_bits(fam.masks, fam.n)
-
-
-def csr_points(fam: Family) -> tuple[np.ndarray, np.ndarray]:
-    """Every member's 0-based points, ascending, concatenated in family
-    order, and the int64 offsets delimiting the members CSR-style."""
-    return _csr_of_bytes(_mask_bytes(fam.masks, (fam.n + 7) // 8), fam.n)
+    """|F| x n zero-one matrix; entry (A, i) = 1 iff point i+1 in A.  One
+    ``np.unpackbits`` of the members' words."""
+    return np.unpackbits(fam.words.view(np.uint8), axis=1, count=fam.n, bitorder="little")
 
 
 def forbidden_matrix(t: int) -> np.ndarray:
@@ -239,12 +285,9 @@ def forbidden_matrix(t: int) -> np.ndarray:
     return z
 
 
-# rows of the incidence matrix per Gram block in contains_config; a
-# block holds one or two (block x F) float64 arrays and a few bool ones
-_GRAM_BLOCK_ROWS = 256
-
-# row-pair words (pairs times words per row) per chunk of shared pairs
-# in contains_config: two uint64 gathers of at most 1 MB each
+# row-pair words (pairs times words per row) per chunk of shared pairs,
+# or per block of the scan over every pair, in contains_config: each
+# uint64 temporary holds at most 1 MB
 _PAIR_CHUNK_WORDS = 1 << 17
 
 
@@ -254,20 +297,20 @@ def contains_config(m: np.ndarray, z: np.ndarray, pairs=_kernels.FROM_ROWS) -> b
     Two-row z reduces exactly to column-type counting over row pairs of
     m: rows i, j host z iff, for each column type 00/01/10/11, m has at
     least as many columns of that type on (i, j) as z has on its rows
-    in one of the two orders.  With G = m m^T and row sums s, the
-    counts of the pair are 11 = G, 10 = s_i - G, 01 = s_j - G and
+    in one of the two orders.  With the Gram entry G = (m m^T)_ij, the
+    popcount of the bit-packed words both rows hold, and row sums s,
+    the counts of the pair are 11 = G, 10 = s_i - G, 01 = s_j - G and
     00 = n - s_i - s_j + G.
 
     Rows that host z share z's z11 columns of type 11.  So when z11 >= 1
     the candidate pairs are `_kernels.shared_pairs` of m's rows at
-    t = z11, and G is the popcount of the bit-packed words both rows of
-    a candidate pair hold, in chunks of _PAIR_CHUNK_WORDS.  ``pairs``
-    is that listing when the caller has built it, and None to test
-    every pair; by default it is built here (`_kernels.row_pairs`).
-    When z11 = 0, or the listing is None, G is a float64 matmul, exact
-    because every entry is at most n, taken over the upper triangle in
-    blocks of _GRAM_BLOCK_ROWS rows, so memory is O(block x F) and the
-    scan stops at the first block with a hit.
+    t = z11, tested in chunks of _PAIR_CHUNK_WORDS pair words.
+    ``pairs`` is that listing when the caller has built it, and None to
+    test every pair; by default it is built here (`_kernels.row_pairs`).
+    When z11 = 0, or the listing is None, every pair of the upper
+    triangle is tested in blocks of rows of at most _PAIR_CHUNK_WORDS
+    pair words, so memory is O(1 MB), and the scan stops at the first
+    block with a hit.
 
     Arbitrary z falls back to enumerating row selections and
     permutations with multiset matching on columns; that search is
@@ -288,9 +331,9 @@ def _contains_two_row(m: np.ndarray, z: np.ndarray, pairs) -> bool:
     z00 = int(((1 - z0) & (1 - z1)).sum())
     # the unordered pair of counts {10, 01} = {s_i - G, s_j - G} covers
     # z's pair in some order iff min >= the smaller and max >= the larger;
-    # both are compared side by side, with no (block x F) float temporary
+    # both are compared side by side
     z_lo, z_hi = sorted((int((z0 & (1 - z1)).sum()), int(((1 - z0) & z1).sum())))
-    n = m.shape[1]
+    f, n = m.shape
 
     def hosts(g, si, sj):
         """Which pairs with 11-counts g and row sums si, sj host z."""
@@ -307,15 +350,16 @@ def _contains_two_row(m: np.ndarray, z: np.ndarray, pairs) -> bool:
         pairs = None
     elif pairs is _kernels.FROM_ROWS:
         pairs = _kernels.row_pairs(m, z11)
+    s = m.sum(axis=1, dtype=np.int64)
+    # the rows bit-packed into little-endian words: G of a pair is the
+    # popcount of the words both rows hold, summed in int64
+    packed = np.packbits(m, axis=1, bitorder="little")
+    words = np.zeros((f, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    words = words.view("<u8")
+    w = words.shape[1]
     if pairs is not None:
-        s = m.sum(axis=1, dtype=np.int64)
-        # the rows bit-packed into little-endian words: G of a pair is
-        # the popcount of the words both rows hold, summed in int64
-        packed = np.packbits(m, axis=1, bitorder="little")
-        words = np.zeros((m.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-        words[:, : packed.shape[1]] = packed
-        words = words.view("<u8")
-        step = max(1, _PAIR_CHUNK_WORDS // words.shape[1])
+        step = max(1, _PAIR_CHUNK_WORDS // w)
         for i_all, j_all in pairs:
             for lo in range(0, i_all.size, step):
                 i, j = i_all[lo : lo + step], j_all[lo : lo + step]
@@ -323,16 +367,18 @@ def _contains_two_row(m: np.ndarray, z: np.ndarray, pairs) -> bool:
                 if hosts(g, s[i], s[j]).any():
                     return True
         return False
-    a = m.astype(np.float64)
-    s = a.sum(axis=1)
-    for r0 in range(0, a.shape[0], _GRAM_BLOCK_ROWS):
-        r1 = min(r0 + _GRAM_BLOCK_ROWS, a.shape[0])
-        g = a[r0:r1] @ a[r0:].T  # rows r0..r1 against rows r0..F
-        hit = hosts(g, s[r0:r1, None], s[None, r0:])
-        k = np.arange(r1 - r0)
-        hit[:, : r1 - r0] &= k[None, :] > k[:, None]  # j > i only
+    # rows i0..i1-1 against the rows after i0, as a (B x R) block
+    i0 = 0
+    while i0 < f - 1:
+        i1 = min(f - 1, i0 + max(1, _PAIR_CHUNK_WORDS // ((f - 1 - i0) * w)))
+        both = words[i0:i1, None, :] & words[None, i0 + 1 :, :]
+        g = _kernels.popcount_u64(both).sum(axis=2, dtype=np.int64)
+        hit = hosts(g, s[i0:i1, None], s[None, i0 + 1 :])
+        k = np.arange(i1 - i0)
+        hit[:, : i1 - i0] &= k[None, :] >= k[:, None]  # j > i only
         if hit.any():
             return True
+        i0 = i1
     return False
 
 
@@ -373,16 +419,17 @@ def unique_chain_check(fam: Family, t: int) -> bool:
     Members S of size >= t are met by nondecreasing size, and each of
     their C(|S|, t) t-subsets T (a row) must lie in the last member met
     holding T.  Up to _CHAIN_DICT_ROWS rows, that is one dictionary step
-    per row.  Beyond, the check packs the masks itself and ranks the
-    rows (`_kernels.colex_ranks`) in chunks of at most _COVER_CHUNK.
-    One sort of a chunk with the t-subsets met before it, each with its
-    last member, lines up every T's members in the order met, and each
-    pair of neighbours (a, b) is tested for a & ~b == 0 on bit-packed
-    words, _PAIR_CHUNK_WORDS pair words at a time; the first chunk with
-    a broken chain ends the check.  Keys are int64, or Python ints where
-    C(n, t) is too large.  Memory is a chunk plus a rank and a member
-    per t-subset met.  The circle tower r = 1 (354,240 rows) takes about
-    0.1 s, against 0.4 s for the dictionary.
+    per row on the members' masks.  Beyond, the check ranks the rows
+    from the members' points (`_kernels.colex_ranks`) in chunks of at
+    most _COVER_CHUNK.  One sort of a chunk with the t-subsets met
+    before it, each with its last member, lines up every T's members in
+    the order met, and each pair of neighbours (a, b) is tested for
+    a & ~b == 0 on the members' words, _PAIR_CHUNK_WORDS pair words at
+    a time; the first chunk with a broken chain ends the check.  Keys
+    are int64, or Python ints where C(n, t) is too large.  Memory is a
+    chunk plus a rank and a member per t-subset met.  The circle tower
+    r = 1 (354,240 rows) takes about 0.1 s, against 0.4 s for the
+    dictionary.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -396,9 +443,7 @@ def unique_chain_check(fam: Family, t: int) -> bool:
                     return False
                 holder[key] = mask
         return True
-    packed = _mask_bytes(fam.masks, 8 * ((fam.n + 63) // 64))
-    words = packed.view("<u8")
-    points, offsets = _csr_of_bytes(packed, fam.n)
+    words = fam.words
     # a sort key is rank << shift | place: place 0 for a t-subset met
     # in an earlier chunk, and 1, 2, ... for the chunk's ranks in order
     shift = _kernels._COVER_CHUNK.bit_length()
@@ -406,7 +451,7 @@ def unique_chain_check(fam: Family, t: int) -> bool:
     seen = np.zeros(0, dtype=dtype)  # the t-subsets met so far, ascending
     top = np.zeros(0, dtype=np.intp)  # the last member met holding each
     step = max(1, _PAIR_CHUNK_WORDS // words.shape[1])
-    for run, chunk in _kernels.colex_ranks(points, offsets, fam.n, t, dtype):
+    for run, chunk in _kernels.colex_ranks(fam.points, fam.offsets, fam.n, t, dtype):
         key = np.concatenate([seen << shift, chunk.ravel() << shift | np.arange(1, chunk.size + 1)])
         key.sort()
         rank, place = key >> shift, key & ((1 << shift) - 1)
@@ -428,7 +473,7 @@ def _chain_by_dict(fam: Family, t: int) -> bool:
     """Whether unique_chain_check takes one dictionary step per t-subset
     row: fam has at most _CHAIN_DICT_ROWS of them."""
     return len(fam) <= _CHAIN_DICT_ROWS and (
-        sum(comb(m.bit_count(), t) for m in fam.masks) <= _CHAIN_DICT_ROWS
+        _kernels.row_count(np.diff(fam.offsets), t) <= _CHAIN_DICT_ROWS
     )
 
 
@@ -452,26 +497,24 @@ def verify_t_laminar(
 ) -> Optional[tuple[int, int]]:
     """Run all three characterizations; the first violating pair or None.
 
-    One packing of the masks gives the words of check 1 and the
-    incidence rows of check 2, and the member pairs sharing t points
-    are listed once for both; check 3 shares no code with that listing.
-    So a fault in one check, or in the listing, shows up as a
-    disagreement (ChecksDisagree) rather than a wrong verdict.  The pair
-    is violating_pair's, in family order.
+    The members' words (`Family.words`, packed once) are check 1's rows
+    and, unpacked, check 2's incidence rows; the member pairs sharing t
+    points are listed once for both from the members' points; check 3
+    shares no code with that listing.  So a fault in one check, or in
+    the listing, shows up as a disagreement (ChecksDisagree) rather than
+    a wrong verdict.  The pair is violating_pair's, in family order.
 
     A ``paths`` dict receives, before the checks run, the listing of
     checks 1-2 under "pairs" (a `_kernels.PairChunks`, or None when they
     scan every pair in blocks), check 3's t-subset rows under
     "chain_rows", and under "chain_dict" whether it steps through them.
     """
-    packed = _mask_bytes(fam.masks, 8 * ((fam.n + 63) // 64))
-    m = np.unpackbits(packed, axis=1, count=fam.n, bitorder="little")
-    pairs = _kernels.row_pairs(m, t)
+    pairs = _kernels.shared_pairs(fam.points, fam.offsets, t)
     if paths is not None:
-        rows = _kernels.row_count(m.sum(axis=1, dtype=np.int64), t)
+        rows = _kernels.row_count(np.diff(fam.offsets), t)
         paths.update(pairs=pairs, chain_rows=rows, chain_dict=_chain_by_dict(fam, t))
-    hit = _kernels.find_violation(packed.view("<u8"), t, pairs)
-    avoided = not contains_config(m, forbidden_matrix(t), pairs)
+    hit = _kernels.find_violation(fam.words, t, pairs)
+    avoided = not contains_config(incidence_matrix(fam), forbidden_matrix(t), pairs)
     chained = unique_chain_check(fam, t)
     if not (hit is None) == avoided == chained:
         raise ChecksDisagree(hit is None, avoided, chained)
@@ -512,79 +555,134 @@ def csr_to_text(
 
 
 def family_to_text(fam: Family, t: int | None = None, comments: Iterable[str] = ()) -> str:
-    return csr_to_text(fam.n, *csr_points(fam), t=t, comments=comments)
+    return csr_to_text(fam.n, fam.points, fam.offsets, t=t, comments=comments)
+
+
+# str.splitlines breaks lines at these as well as at "\n"
+_OTHER_BREAKS = re.compile("[\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+# the bytes of a body that _bulk_members reads: digits, spaces, newlines
+_BULK_BYTES = np.zeros(256, dtype=bool)
+_BULK_BYTES[list(b"0123456789 \n")] = True
+
+
+def _numbered(text: str):
+    """(line number, line, offset just past it) for each line, numbered
+    as str.splitlines breaks them.  The offset is None when the text
+    breaks lines at more than "\n", so that no rest of it is read in bulk."""
+    if _OTHER_BREAKS.search(text):
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            yield ln, raw, None
+        return
+    pos = ln = 0
+    while pos < len(text):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        ln += 1
+        yield ln, text[pos:end], end + 1
+        pos = end + 1
 
 
 def family_from_text(text: str) -> tuple[Family, int | None, list[str]]:
     """Parse the text format; returns (family, t or None, comment lines).
 
-    Every member's tokens go through one ``int`` pass into CSR points
-    (``csr_from_sets``), and one comparison of neighbouring points tests
-    that they increase within each member.  A file that fails either
-    test is named by its first bad line.
+    The lines up to the header are read one by one.  The rest is read
+    in bulk when it holds only digits, spaces and newlines
+    (`_bulk_members`); any other rest, or one that the bulk pass does
+    not accept, is read line by line (`_members_by_line`), which names
+    the first bad line.
     """
     comments: list[str] = []
-    header: str | None = None
-    header_line = 0
-    rows: list[list[str]] = []
+    numbered = _numbered(text)
+    for ln, raw, end in numbered:
+        line = raw.strip()
+        if line.startswith("#"):
+            comments.append(line[1:].strip())
+        elif line:
+            break
+    else:
+        raise FamilyParseError("missing header line", 1)
+    parts = dict(kv.split("=", 1) for kv in line.split() if "=" in kv)
+    if "n" not in parts:
+        raise FamilyParseError("header must contain n=<int>", ln)
+    try:
+        n = int(parts["n"])
+        t = int(parts["t"]) if "t" in parts else None
+    except ValueError:
+        raise FamilyParseError("malformed header values", ln) from None
+    fam = None if end is None else _bulk_members(n, text[end:])
+    if fam is None:
+        fam = _members_by_line(n, numbered, comments)
+    return fam, t, comments
+
+
+def _bulk_members(n: int, body: str) -> Optional[Family]:
+    """The family of a body made only of digits, spaces and newlines, in
+    one numpy pass over its bytes: a token is a run of digits, read as
+    the sum of its digits times powers of ten, and a member is the
+    tokens of one line.  None for any other body, a token of over 18
+    digits, or members that Family rejects."""
+    if not body.isascii():
+        return None
+    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    if not _BULK_BYTES[b].all():
+        return None
+    edges = np.flatnonzero(np.diff(b > 32, prepend=False, append=False))
+    start, stop = edges[::2], edges[1::2]
+    length = stop - start
+    longest = int(length.max()) if length.size else 0
+    if longest > 18:
+        return None
+    value = np.zeros(start.size, dtype=np.int64)
+    for k in range(longest):
+        value = np.where(k < length, value * 10 + b[np.minimum(start + k, stop - 1)] - 48, value)
+    per_line = np.bincount(np.searchsorted(np.flatnonzero(b == 10), start))
+    held = per_line[per_line > 0]
+    offsets = np.zeros(held.size + 1, dtype=np.int64)
+    np.cumsum(held, out=offsets[1:])
+    try:
+        return Family(n, value - 1, offsets)
+    except ValueError:
+        return None
+
+
+def _members_by_line(n: int, numbered, comments: list[str]) -> Family:
+    """The family of the lines after the header, read one by one.  The
+    first line holding a token ``int`` rejects or points that do not
+    increase is the error; else the first holding a point outside 1..n;
+    else the first member that repeats an earlier one."""
+    rows: list[list[int]] = []
     row_lines: list[int] = []
-    n = 0
-    t: int | None = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw, _ in numbered:
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             comments.append(line[1:].strip())
             continue
-        if header is None:
-            header = line
-            header_line = ln
-            parts = dict(
-                kv.split("=", 1) for kv in line.split() if "=" in kv
-            )
-            if "n" not in parts:
-                raise FamilyParseError("header must contain n=<int>", ln)
-            try:
-                n = int(parts["n"])
-                t = int(parts["t"]) if "t" in parts else None
-            except ValueError:
-                raise FamilyParseError("malformed header values", ln) from None
-            continue
-        rows.append(line.split())
+        try:
+            pts = [int(x) for x in line.split()]
+        except ValueError:
+            raise FamilyParseError("non-integer point", ln) from None
+        if any(b <= a for a, b in zip(pts, pts[1:])):
+            raise FamilyParseError("points must be strictly increasing", ln)
+        rows.append(pts)
         row_lines.append(ln)
-    if header is None:
-        raise FamilyParseError("missing header line", header_line or 1)
+    if n < 1:
+        raise ValueError("ground-set size must be positive")
+    for ln, pts in zip(row_lines, rows):
+        bad = next((p for p in pts if not 1 <= p <= n), None)
+        if bad is not None:
+            point = f"point {bad}" if -2**63 <= bad < 2**63 else "point"
+            raise FamilyParseError(f"{point} outside 1..{n}", ln)
     try:
-        points, offsets = csr_from_sets(n, rows, int)
-    except ValueError:
-        # a token int() rejects, or a point past int64: the first line
-        # that fails a check line by line is the error, else the point
-        # past int64 is
-        for ln, row in zip(row_lines, rows):
-            try:
-                pts = [int(x) for x in row]
-            except ValueError:
-                raise FamilyParseError("non-integer point", ln) from None
-            if any(b <= a for a, b in zip(pts, pts[1:])):
-                raise FamilyParseError("points must be strictly increasing", ln)
-        raise
-    # position k compares points k and k + 1, unless point k + 1 is the
-    # first of a member; they are compared as read, since the shift to
-    # 0-based wraps the point -2^63 round to 2^63 - 1
-    read = points + 1
-    down = read[1:] <= read[:-1]
-    down[offsets[1:-1] - 1] = False
-    bad = np.flatnonzero(down)
-    if bad.size:
-        member = int(np.searchsorted(offsets, bad[0], side="right")) - 1
-        raise FamilyParseError("points must be strictly increasing", row_lines[member])
-    return Family(n, masks_from_csr(n, points, offsets)), t, comments
+        return Family(n, *csr_from_sets(n, rows))
+    except MemberError as exc:
+        raise FamilyParseError(str(exc), row_lines[exc.member]) from None
 
 
 def family_to_json(fam: Family, t: int | None = None) -> dict:
-    points, offsets = csr_points(fam)
-    flat, ends = (points + 1).tolist(), offsets.tolist()
+    flat, ends = (fam.points + 1).tolist(), fam.offsets.tolist()
     doc: dict = {"n": fam.n, "sets": [flat[a:b] for a, b in zip(ends, ends[1:])]}
     if t is not None:
         doc["t"] = t
@@ -592,6 +690,10 @@ def family_to_json(fam: Family, t: int | None = None) -> dict:
 
 
 def family_from_json(doc: dict) -> tuple[Family, int | None]:
-    return Family.of(int(doc["n"]), doc["sets"]), (
-        int(doc["t"]) if "t" in doc else None
-    )
+    """The family and t of a JSON document; a member Family rejects is
+    named by its 1-based index."""
+    try:
+        fam = Family.of(int(doc["n"]), doc["sets"])
+    except MemberError as exc:
+        raise ValueError(f"member {exc.member + 1}: {exc}") from None
+    return fam, (int(doc["t"]) if "t" in doc else None)

@@ -14,7 +14,7 @@ from laminar.setfam import Family
 
 def members(fam: Family) -> list[tuple[int, ...]]:
     """Every member's 1-based points, read off its mask one bit at a time."""
-    return [tuple(p for p in range(1, fam.n + 1) if m >> (p - 1) & 1) for m in fam]
+    return [tuple(p for p in range(1, fam.n + 1) if m >> (p - 1) & 1) for m in fam.masks]
 
 
 def random_family(rng: random.Random, n_cap: int = 7, size_cap: int = 12) -> Family:
@@ -27,7 +27,7 @@ def random_family(rng: random.Random, n_cap: int = 7, size_cap: int = 12) -> Fam
         masks.add(m)
         if len(masks) >= (1 << n) - 1:
             break
-    return Family(n, sorted(masks))
+    return Family.from_masks(n, sorted(masks))
 
 
 def sparse_family(rng: random.Random, n: int, f_cap: int = 30, size_cap: int = 5) -> Family:
@@ -78,7 +78,7 @@ def random_laminar_family(rng: random.Random, n: int, t: int, tries: int = 60) -
                 break
         if ok:
             masks.append(cand)
-    return Family(n, masks)
+    return Family.from_masks(n, masks)
 
 
 def rec_bound_audit(table, n_max=None) -> bool:

@@ -239,9 +239,13 @@ class TestConstructCommand:
         assert err.count("\n") == 1 and "block count 29 != 30" in err
 
     def test_tower_count_mismatch_exit_4(self, tmp_path, capsys, monkeypatch):
-        real = construct._nested_masks
-        monkeypatch.setattr(
-            construct, "_nested_masks", lambda packing, fam: real(packing, fam)[1:])
+        real = construct._nested_csr
+
+        def drop_first(packing, fam):  # one member fewer
+            points, offsets = real(packing, fam)
+            return points[offsets[1]:], offsets[1:] - offsets[1]
+
+        monkeypatch.setattr(construct, "_nested_csr", drop_first)
         out_path = tmp_path / "t.family"
         code, out, err = run(
             ["construct", "fano-tower", "--r", "1", "--materialize", "--out", str(out_path)],
@@ -366,7 +370,7 @@ class TestVerifyCommand:
         # pairs; if it loses every pair, the chain check still sees the
         # crossing
         _, tower = construct.fano_tower(1, materialize=True)
-        crossed = setfam.Family(49, tower.masks + (0b111 | 1 << 48,))
+        crossed = setfam.Family.from_masks(49, tower.masks + (0b111 | 1 << 48,))
         path = str(tmp_path / "crossed.family")
         open(path, "w").write(family_to_text(crossed, t=2))
         monkeypatch.setattr(_kernels.PairChunks, "__iter__", lambda self: iter(()))

@@ -21,7 +21,7 @@ from laminar.setfam import Family, family_to_text, is_t_laminar
 class TestNested:
     def test_blocks_as_singletons(self):
         fano = projective_plane(2)
-        out = nested(fano, Family(3, [0b111]))
+        out = nested(fano, Family.from_masks(3, [0b111]))
         assert len(out) == 7
         assert set(members(out)) == set(members(fano.blocks))
         assert is_t_laminar(out, 2)
@@ -38,7 +38,7 @@ class TestNested:
         _, f0 = fano_tower(0, materialize=True)
         out = nested(affine_plane(7), f0)
         assert len(out) == 56 * 29
-        out_with_universe = Family(49, out.masks + ((1 << 49) - 1,))
+        out_with_universe = Family.from_masks(49, out.masks + ((1 << 49) - 1,))
         assert len(out_with_universe) == 1625
 
     def test_rejects_non_laminar_replacement(self):
@@ -72,9 +72,9 @@ class TestNested:
 def _nested_loop(packing, repl):
     """Oracle: relabel bit by bit, block by block, keeping first sightings."""
     seen = {}
-    for block in packing.blocks:
+    for block in packing.blocks.masks:
         points = [p for p in range(packing.v) if block >> p & 1]
-        for m in repl:
+        for m in repl.masks:
             seen.setdefault(sum(1 << points[i] for i in range(repl.n) if m >> i & 1), None)
     return tuple(seen)
 
@@ -229,7 +229,7 @@ class TestGeneralLowerBound:
     def test_fano_packing(self):
         f3 = Family.of(3, [*combinations(range(1, 4), 2), [1, 2, 3]])
         out = nested(projective_plane(2), f3)
-        full = Family(7, out.masks + ((1 << 7) - 1,))
+        full = Family.from_masks(7, out.masks + ((1 << 7) - 1,))
         assert len(full) == 7 * 4 + 1 == 29
         assert is_t_laminar(full, 2)
 

@@ -129,7 +129,7 @@ class TestPlanes:
     def test_projective_q2_is_fano(self):
         d = projective_plane(2)
         assert (d.v, d.block_count()) == (7, 7)
-        assert all(b.bit_count() == 3 for b in d.blocks)
+        assert all(b.bit_count() == 3 for b in d.blocks.masks)
         assert is_design(d)
 
     def test_projective_q3(self):
@@ -225,7 +225,7 @@ class TestCircleGeometries:
     def test_small_orders(self, q, v, b):
         d = circle_geometry(q)
         assert (d.t, d.v, d.block_count()) == (3, v, b)
-        assert all(blk.bit_count() == q + 1 for blk in d.blocks)
+        assert all(blk.bit_count() == q + 1 for blk in d.blocks.masks)
         assert is_design(d)
         assert _block_count_matches(d)
 
@@ -236,7 +236,7 @@ class TestCircleGeometries:
     def test_infinity_is_last_point(self):
         d = circle_geometry(3)
         # the point at infinity lies on blocks through the sub-line copies
-        assert any(b >> (d.v - 1) & 1 for b in d.blocks)
+        assert any(b >> (d.v - 1) & 1 for b in d.blocks.masks)
 
     def test_unique_rows_matches_numpy(self):
         rng = random.Random(82)

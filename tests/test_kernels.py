@@ -22,8 +22,8 @@ def _random_words(rng, n_sets, n_bits):
         m = rng.getrandbits(n_bits)
         if m:
             masks.add(m)
-    fam = Family(n_bits, sorted(masks))
-    return fam, fam.to_words()
+    fam = Family.from_masks(n_bits, sorted(masks))
+    return fam, fam.words
 
 
 class TestPopcount:
@@ -51,7 +51,7 @@ class TestViolationKernel:
         rng = random.Random(n_bits)
         for _ in range(40):
             fam, words = _random_words(rng, 30, n_bits)
-            masks = list(fam)
+            masks = list(fam.masks)
             for t in (1, 2, 3):
                 assert _kernels.find_violation(words, t) == _first_violation(masks, t)
 
@@ -63,38 +63,38 @@ class TestViolationKernel:
         # first and last rows of blocks and blocks hold several words
         monkeypatch.setattr(_kernels, "_VIOLATION_BLOCK_CELLS", cells)
         rng = random.Random(1000 * cells + n_bits)
-        families = [Family(n_bits, [])]
+        families = [Family.from_masks(n_bits, [])]
         for _ in range(3):
-            families.append(Family(n_bits, [rng.getrandbits(n_bits) | 1]))
+            families.append(Family.from_masks(n_bits, [rng.getrandbits(n_bits) | 1]))
             # two members: nested either way, then overlapping in the
             # first word, then sharing only the two highest points
             low = rng.getrandbits(n_bits - 1) | 1
-            families.append(Family(n_bits, [low, low | 1 << (n_bits - 1)]))
-            families.append(Family(n_bits, [low | 1 << (n_bits - 1), low]))
-            families.append(Family(n_bits, [low, 1 << (n_bits - 1) | 3]))
+            families.append(Family.from_masks(n_bits, [low, low | 1 << (n_bits - 1)]))
+            families.append(Family.from_masks(n_bits, [low | 1 << (n_bits - 1), low]))
+            families.append(Family.from_masks(n_bits, [low, 1 << (n_bits - 1) | 3]))
             top = 3 << (n_bits - 2)
-            families.append(Family(n_bits, [top | 1, top | 1 << (n_bits - 3)]))
+            families.append(Family.from_masks(n_bits, [top | 1, top | 1 << (n_bits - 3)]))
         families += [_random_words(rng, 30, n_bits)[0] for _ in range(15)]
         for fam in families:
-            masks = list(fam)
-            words = fam.to_words()
+            masks = list(fam.masks)
+            words = fam.words
             for t in (1, 2, 3, n_bits + 1):
                 assert _kernels.find_violation(words, t) == _first_violation(masks, t)
 
     def test_rejects_t_below_one(self):
-        words = Family.of(3, [[1, 2], [2, 3]]).to_words()
+        words = Family.of(3, [[1, 2], [2, 3]]).words
         for t in (0, -1):
             with pytest.raises(ValueError):
                 _kernels.find_violation(words, t)
 
     def test_dispatcher_none_for_laminar(self):
         fam = Family.of(3, [[1, 2], [1, 3], [2, 3], [1, 2, 3]])
-        assert _kernels.find_violation(fam.to_words(), 2) is None
+        assert _kernels.find_violation(fam.words, 2) is None
 
     def test_large_family_uses_kernel_path(self):
         # every family goes through the bit-matrix kernel
         masks = list(range(1, 400))
-        fam = Family(16, masks)
+        fam = Family.from_masks(16, masks)
         assert is_t_laminar(fam, 2) == (_first_violation(masks, 2) is None)
 
 
@@ -103,7 +103,7 @@ def tower4():
     """Four disjoint relabeled copies of the 1625-set tower: 6500 laminar
     sets over 196 points, four words per row."""
     _, fam49 = fano_tower(1, materialize=True)
-    return [m << (49 * copy) for copy in range(4) for m in fam49]
+    return [m << (49 * copy) for copy in range(4) for m in fam49.masks]
 
 
 class TestViolationOnTower:
@@ -113,7 +113,7 @@ class TestViolationOnTower:
     CROSSING = 1 << 0 | 1 << 194 | 1 << 195
 
     def test_laminar_tower_has_no_violation(self, tower4):
-        assert _kernels.find_violation(Family(196, tower4).to_words(), 2) is None
+        assert _kernels.find_violation(Family.from_masks(196, tower4).words, 2) is None
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_inserted_crossing_set(self, tower4, where):
@@ -130,13 +130,13 @@ class TestViolationOnTower:
         ]
         assert crossing
         want = tuple(sorted((crossing[0], pos)))
-        got = _kernels.find_violation(Family(196, masks).to_words(), 2)
+        got = _kernels.find_violation(Family.from_masks(196, masks).words, 2)
         assert got == want
 
     def test_peak_memory(self, tower4, monkeypatch):
         import tracemalloc
 
-        words = Family(196, tower4).to_words()
+        words = Family.from_masks(196, tower4).words
         for path in ("grouped", "blocked"):
             if path == "blocked":
                 monkeypatch.setattr(_kernels, "shared_pairs", lambda points, offsets, t: None)
@@ -293,10 +293,10 @@ class TestViolationPaths:
         seen = set()
         for _ in range(40):
             fam = sparse_family(rng, n_bits)
-            words = fam.to_words()
+            words = fam.words
             for t in (1, 2, 3):
                 got = _kernels.find_violation(words, t)
-                assert got == _first_violation(list(fam), t), (fam, t)
+                assert got == _first_violation(list(fam.masks), t), (fam, t)
                 # pairs=None scans every pair whatever the path
                 assert _kernels.find_violation(words, t, None) == got
                 seen.add(got is None)
@@ -312,7 +312,7 @@ class TestViolationPaths:
         # block with a violation
         rng = random.Random(11)
         masks = sorted({sum(1 << p for p in rng.sample(range(196), 16)) for _ in range(30_000)})
-        words = Family(196, masks).to_words()
+        words = Family.from_masks(196, masks).words
         tracemalloc.start()
         try:
             got = _kernels.find_violation(words, 2)
@@ -333,9 +333,9 @@ class TestViolationPaths:
             i for i, m in enumerate(masks)
             if i != pos and (m & crossing).bit_count() >= 2 and m & crossing not in (m, crossing)
         )
-        got = _kernels.find_violation(Family(196, masks).to_words(), 2)
+        got = _kernels.find_violation(Family.from_masks(196, masks).words, 2)
         assert got == tuple(sorted((partner, pos)))
-        assert _kernels.find_violation(Family(196, tower4).to_words(), 2) is None
+        assert _kernels.find_violation(Family.from_masks(196, tower4).words, 2) is None
         assert listed == [name == "grouped"] * 2
 
 

@@ -30,7 +30,7 @@ class TestExactSearch:
         assert res.forced == _t_sets_and_universe(n, 2)
         assert len(res.family) == expected
         assert is_t_laminar(res.family, 2)
-        assert all(b.bit_count() >= 2 for b in res.family)
+        assert all(b.bit_count() >= 2 for b in res.family.masks)
 
     def test_f7_within_budget(self):
         res = max_laminar_exact(7, 2, budget_seconds=120)
@@ -64,7 +64,7 @@ def _t_sets_and_universe(n, t):
 
 
 def _assert_valid(res, t, min_size):
-    masks = list(res.family)
+    masks = list(res.family.masks)
     assert len(masks) == len(set(masks)) == res.size
     assert all(m.bit_count() >= min_size for m in masks)
     assert is_t_laminar(res.family, t)
@@ -218,7 +218,7 @@ class TestCompatGraph:
                 graphs[key] = CompatGraph.build(f.n, t, 1)
             g = graphs[key]
             index = {m: i for i, m in enumerate(g.vertices)}
-            ids = [index[m] for m in f]
+            ids = [index[m] for m in f.masks]
             clique = all(
                 g.adj[i] >> j & 1 for i in ids for j in ids if i != j
             )

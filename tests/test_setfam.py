@@ -13,9 +13,9 @@ from laminar.setfam import (
     ChecksDisagree,
     Family,
     FamilyParseError,
+    MemberError,
     _contains_config_general,
     contains_config,
-    csr_points,
     family_from_json,
     family_from_text,
     family_to_json,
@@ -23,7 +23,6 @@ from laminar.setfam import (
     forbidden_matrix,
     incidence_matrix,
     is_t_laminar,
-    masks_from_csr,
     unique_chain_check,
     verify_t_laminar,
     violating_pair,
@@ -34,11 +33,13 @@ def fam(n, *sets):
     return Family.of(n, sets)
 
 
-# every reader of point lists, each taking the sets of a family over [3]
+# every reader of point lists, each taking the sets of a family over
+# [3], with the prefix naming member k (0-based) in its errors
 _READERS = [
-    lambda sets: Family.of(3, sets),
-    lambda sets: family_from_text("n=3\n" + "\n".join(" ".join(map(str, s)) for s in sets))[0],
-    lambda sets: family_from_json({"n": 3, "sets": sets})[0],
+    (lambda sets: Family.of(3, sets), lambda k: ""),
+    (lambda sets: family_from_text("n=3\n" + "\n".join(" ".join(map(str, s)) for s in sets))[0],
+     lambda k: f"line {k + 2}: "),
+    (lambda sets: family_from_json({"n": 3, "sets": sets})[0], lambda k: f"member {k + 1}: "),
 ]
 
 
@@ -56,20 +57,24 @@ class TestBlockFamily:
         assert family_to_json(f)["sets"] == [pts, [], list(range(1, 71))]
 
     def test_block_rejects_out_of_range(self):
-        for read in _READERS:
-            for sets, bad in (([[1], [4]], 4), ([[1, 2, 4, 5]], 4), ([[0]], 0)):
-                with pytest.raises(ValueError, match=rf"^point {bad} outside 1\.\.3$"):
+        for read, at in _READERS:
+            for sets, bad, k in (([[1], [4]], 4, 1), ([[1, 2, 4, 5]], 4, 0), ([[0]], 0, 0)):
+                with pytest.raises(ValueError) as info:
                     read(sets)
+                assert str(info.value) == f"{at(k)}point {bad} outside 1..3"
         with pytest.raises(ValueError, match="outside 1..3"):
             fam(3, [2**70])
         with pytest.raises(TypeError):
             fam(3, [1.0])
 
     def test_family_rejects_duplicates(self):
-        for read in _READERS:
-            for sets in ([[1, 2], [1, 2]], [[3], [1], [3]]):
-                with pytest.raises(ValueError, match="^duplicate blocks in family$"):
+        # the member named is the first that repeats an earlier one
+        for read, at in _READERS:
+            for sets, k in (([[1, 2], [1, 2]], 1), ([[3], [1], [3]], 2),
+                            ([[1], [2, 3], [2, 3], [1]], 2)):
+                with pytest.raises(ValueError) as info:
                     read(sets)
+                assert str(info.value) == f"{at(k)}duplicate blocks in family"
         with pytest.raises(ValueError, match="duplicate"):
             fam(3, [1, 2], [2, 1])
 
@@ -77,22 +82,20 @@ class TestBlockFamily:
         # masks carry no ground size: a member of a larger ground set is a
         # mask with bits at or above n
         with pytest.raises(ValueError, match="outside 1..n"):
-            Family(3, (0b1, 0b1000))
+            Family.from_masks(3, (0b1, 0b1000))
         with pytest.raises(ValueError, match="outside 1..n"):
-            Family(3, (-1,))
+            Family.from_masks(3, (-1,))
         with pytest.raises(ValueError, match="positive"):
-            Family(0, ())
-        assert Family(3, [0b111, 0]).masks == (0b111, 0)
+            Family.from_masks(0, ())
+        assert Family.from_masks(3, [0b111, 0]).masks == (0b111, 0)
 
 
 def _words_loop(f: Family) -> np.ndarray:
-    """Oracle: to_words one 64-bit word at a time."""
-    n_words = (f.n + 63) // 64
-    out = np.zeros((len(f), n_words), dtype=np.uint64)
-    for i, m in enumerate(f):
-        for w in range(n_words):
-            out[i, w] = m & 0xFFFFFFFFFFFFFFFF
-            m >>= 64
+    """Oracle: Family.words one point at a time."""
+    out = np.zeros((len(f), (f.n + 63) // 64), dtype=np.uint64)
+    for i, (a, b) in enumerate(zip(f.offsets, f.offsets[1:])):
+        for p in f.points[a:b].tolist():
+            out[i, p // 64] |= np.uint64(1 << p % 64)
     return out
 
 
@@ -102,16 +105,17 @@ class TestToWords:
         rng = random.Random(n)
         masks = {rng.getrandbits(n) for _ in range(200)}
         masks |= {0, 1, 1 << (n - 1), (1 << n) - 1}
-        f = Family(n, sorted(masks))
-        words = f.to_words()
+        f = Family.from_masks(n, sorted(masks))
+        words = f.words
         assert words.dtype == np.uint64 and words.shape == (len(f), (n + 63) // 64)
         assert np.array_equal(words, _words_loop(f))
+        assert f.masks == tuple(sorted(masks))
 
     def test_tower_and_empty(self):
         _, tower = fano_tower(1, materialize=True)
-        assert np.array_equal(tower.to_words(), _words_loop(tower))
+        assert np.array_equal(tower.words, _words_loop(tower))
         for n in (1, 64, 65, 200):
-            assert Family(n, ()).to_words().shape == (0, (n + 63) // 64)
+            assert Family.from_masks(n, ()).words.shape == (0, (n + 63) // 64)
 
 
 class TestIsTLaminar:
@@ -128,7 +132,7 @@ class TestIsTLaminar:
         assert is_t_laminar(f0, 2)
 
     def test_empty_family_vacuous(self):
-        assert is_t_laminar(Family(5, ()), 1)
+        assert is_t_laminar(Family.from_masks(5, ()), 1)
 
     def test_monotone_in_t(self):
         rng = random.Random(11)
@@ -173,7 +177,7 @@ class TestMatrices:
 
     def test_incidence_empty(self):
         for n in (1, 3, 8, 9, 200):
-            m = incidence_matrix(Family(n, ()))
+            m = incidence_matrix(Family.from_masks(n, ()))
             assert m.shape == (0, n) and m.dtype == np.uint8
 
     def test_incidence_single(self):
@@ -186,11 +190,11 @@ class TestMatrices:
         assert [tuple(np.flatnonzero(row) + 1) for row in m] == members(f)
         rng = random.Random(130)
         for n in (1, 7, 8, 9, 63, 64, 65, 200):
-            f = Family(n, {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(20)})
+            f = Family.from_masks(n, {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(20)})
             m = incidence_matrix(f)
             assert m.shape == (len(f), n) and m.dtype == np.uint8
             assert [tuple(np.flatnonzero(row) + 1) for row in m] == members(f)
-            assert setfam.masks_from_bits(m) == list(f)
+            assert setfam.masks_from_bits(m) == list(f.masks)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 16, 17, 24])
     def test_byte_codec_round_trip(self, width):
@@ -221,29 +225,29 @@ class TestMatrices:
         rng = random.Random(64)
         for n in (1, 7, 8, 9, 63, 64, 65, 130, 200):
             masks = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(20)}
-            f = Family(n, sorted(masks))
-            points, offsets = csr_points(f)
+            f = Family.from_masks(n, sorted(masks))
+            points, offsets = f.points, f.offsets
             assert points.dtype == offsets.dtype == np.int64
             assert offsets[0] == 0 and offsets[-1] == points.size
             got = [tuple(points[a:b] + 1) for a, b in zip(offsets, offsets[1:])]
             assert got == members(f)
-            # the packer inverts csr_points, and the readers all pack alike
-            assert masks_from_csr(n, points, offsets) == list(f)
+            # the masks invert the points, and the readers all build alike
+            assert Family(n, points, offsets).masks == tuple(sorted(masks))
             assert Family.of(n, got) == f
             assert family_from_json(family_to_json(f)) == (f, None)
             # a blank line is no member in the text format, so the
             # empty member cannot be written
             with pytest.raises(ValueError, match="empty member"):
                 family_to_text(f, t=2)
-            nonempty = Family(n, [m for m in f if m])
+            nonempty = Family.from_masks(n, [m for m in f.masks if m])
             assert family_from_text(family_to_text(nonempty, t=2))[:2] == (nonempty, 2)
 
     def test_csr_points_empty(self):
         for n in (1, 3, 8, 9, 64, 65, 200):
-            f = Family(n, ())
-            points, offsets = csr_points(f)
+            f = Family.from_masks(n, ())
+            points, offsets = f.points, f.offsets
             assert points.size == 0 and offsets.tolist() == [0]
-            assert masks_from_csr(n, points, offsets) == []
+            assert f.masks == () and f.words.shape == (0, (n + 63) // 64)
             assert Family.of(n, []) == f
             assert family_from_text(family_to_text(f))[0] == f
             assert family_from_json(family_to_json(f))[0] == f
@@ -257,15 +261,14 @@ class TestMatrices:
             rows = {tuple(sorted(rng.sample(range(1, n + 1), k))) for _ in range(15)}
             rows = np.array(sorted(rows))
             offsets = np.arange(0, rows.size + 1, k)
-            got = masks_from_csr(n, rows.ravel() - 1, offsets)
-            assert Family(n, got) == Family.of(n, rows.tolist())
+            assert Family(n, rows.ravel() - 1, offsets) == Family.of(n, rows.tolist())
 
     def test_from_rows_rejects_points_outside_ground_set(self):
         offsets = np.array([0, 2])
-        with pytest.raises(ValueError, match=r"^point 5 outside 1\.\.4$"):
-            masks_from_csr(4, np.array([0, 4]), offsets)
-        with pytest.raises(ValueError, match=r"^point 0 outside 1\.\.4$"):
-            masks_from_csr(4, np.array([-1, 1]), offsets)
+        with pytest.raises(MemberError, match=r"^point 5 outside 1\.\.4$"):
+            Family(4, np.array([0, 4]), offsets)
+        with pytest.raises(MemberError, match=r"^point 0 outside 1\.\.4$"):
+            Family(4, np.array([-1, 1]), offsets)
 
     def test_forbidden_t2(self):
         assert forbidden_matrix(2).tolist() == [[0, 1, 1, 1], [1, 0, 1, 1]]
@@ -303,19 +306,22 @@ class TestMatrices:
 def _tower4(crossing=None):
     """Four disjoint relabelled copies of the 1625-set tower on 196 points."""
     _, f49 = fano_tower(1, materialize=True)
-    masks = [m << (49 * c) for c in range(4) for m in f49]
+    masks = [m << (49 * c) for c in range(4) for m in f49.masks]
     if crossing is not None:
         masks.append(sum(1 << (p - 1) for p in crossing))
-    return Family(196, masks)
+    return Family.from_masks(196, masks)
 
 
 class TestGramConfig:
-    """The blocked Gram-matrix config check against the general enumerator."""
+    """The config check that scans every pair in blocks, its Gram entries
+    popcounts of packed words, against the general enumerator."""
 
-    @pytest.fixture(params=[3, setfam._GRAM_BLOCK_ROWS])
+    @pytest.fixture(params=[3, 256])
     def block_rows(self, request, monkeypatch):
-        # 3 rows makes most random families span several blocks
-        monkeypatch.setattr(setfam, "_GRAM_BLOCK_ROWS", request.param)
+        # blocks of at most 3 row-pair words hold one row of a random
+        # family against at most 3 others, so most families span several
+        # blocks; 256 words hold every pair of one in a single block
+        monkeypatch.setattr(setfam, "_PAIR_CHUNK_WORDS", request.param)
 
     def test_forbidden_matrix_random(self, block_rows):
         rng = random.Random(1009)
@@ -362,10 +368,10 @@ class TestGramConfig:
         assert contains_config(incidence_matrix(bad), forbidden_matrix(2))
 
     def test_memory_is_blocked(self, monkeypatch):
-        m = incidence_matrix(Family(196, _tower4().masks[:4000]))
+        m = incidence_matrix(Family.from_masks(196, _tower4().masks[:4000]))
         assert m.shape == (4000, 196)
-        # the tower takes the grouped path; forced off it, the Gram
-        # check must stay blocked too
+        # the tower takes the grouped path; forced off it, the scan of
+        # every pair must stay blocked too
         for path in ("grouped", "blocked"):
             if path == "blocked":
                 monkeypatch.setattr(
@@ -520,7 +526,7 @@ class TestUniqueChain:
 
     def test_edge_cases_match_reference(self, path):
         cases = [
-            (Family(4, ()), 2),  # the empty family
+            (Family.from_masks(4, ()), 2),  # the empty family
             (fam(3, [1, 2], [2, 3]), 4),  # t > n
             (fam(3, [1], [2], [3]), 2),  # every member smaller than t
             (fam(6, [1, 2, 3], [1, 2, 4], [1, 2, 5]), 2),  # equal sizes
@@ -664,14 +670,14 @@ class TestSerialization:
         ("n=5\n1 2\n2 2\n1 x\n", "line 3: points must be strictly increasing"),
         ("n=5\n1 2\n1 x\n2 1\n", "line 3: non-integer point"),
         (f"n=5\n1 {2**70}\n2 1\n", "line 3: points must be strictly increasing"),
-        (f"n=5\n1 {2**70}\n", "point outside 1..5"),
+        (f"n=5\n1 {2**70}\n", "line 2: point outside 1..5"),
         # neighbours whose difference overflows int64
         ("n=5\n-9000000000000000000 9000000000000000000\n",
-         "point -9000000000000000000 outside 1..5"),
+         "line 2: point -9000000000000000000 outside 1..5"),
         ("n=5\n9000000000000000000 -9000000000000000000\n",
          "line 2: points must be strictly increasing"),
         # the smallest int64, which the shift to 0-based wraps
-        (f"n=5\n{-2**63} 1\n", f"point {-2**63} outside 1..5"),
+        (f"n=5\n{-2**63} 1\n", f"line 2: point {-2**63} outside 1..5"),
         (f"n=5\n1 2\n{2**63 - 1} {-2**63}\n", "line 3: points must be strictly increasing"),
     ])
     def test_parse_errors_name_the_first_bad_line(self, text, error):
