@@ -9,9 +9,9 @@ Two inner loops dominate runtime in this package:
     against 1,319,500 pairs on the 1625-set tower), in chunks of at
     most ``_PAIR_CHUNK`` = 2^17 pairs.  Where listing costs more, by
     measured costs, or would hold more than ``_ROWS_MAX`` = 2^20 rows,
-    every pair is scanned in blocks of at most
-    ``_VIOLATION_BLOCK_CELLS`` = 2^17 row-pair words (1 MB).  Both stop
-    at the first chunk or block with a hit,
+    every pair is tested (``every_pair``).  Both test at most
+    ``_VIOLATION_BLOCK_CELLS`` = 2^17 row-pair words (1 MB) at a time
+    and stop at the first chunk with a hit,
   * covered-t-subset counting when validating designs and packings
     (``cover_counts``, any t >= 1): ``np.add.at`` adds the colex ranks
     of the blocks' t-subsets (``colex_ranks``, which also drives
@@ -56,10 +56,8 @@ def popcount_u64(x: np.ndarray) -> np.ndarray:
 # pairwise laminarity violation scan
 
 
-# row pairs times words per block in find_violation's blocked scan: a
-# block of B rows against the R rows after its first has B * R * W <=
-# this, so each of its temporaries holds at most 2^17 words (1 MB); the
-# grouped path tests at most this many pair words at a time
+# pairs times words per row that find_violation tests at a time, listed
+# or not, so each of its temporaries holds at most 2^17 words (1 MB)
 _VIOLATION_BLOCK_CELLS = 1 << 17
 
 # words unpacked at a time when find_violation lists its rows' points:
@@ -84,19 +82,16 @@ def find_violation(words: np.ndarray, t: int, pairs=FROM_ROWS) -> tuple[int, int
     when the caller has built it, and None to test every pair; by
     default it is built here, unpacking the rows' points only when
     their t-subsets are few enough to list.  With None, or when the
-    listing is refused, the rows are scanned in blocks instead
-    (``_scan_violation``).
+    listing is refused, every pair is tested (``every_pair``), in chunks
+    of the same size.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     words = np.ascontiguousarray(words)
     if pairs is FROM_ROWS:
-        sizes = popcount_u64(words).sum(axis=1, dtype=np.int64)
-        pairs = shared_pairs(*_csr_of_words(words, sizes), t) if _listable(sizes, t) else None
-    if pairs is None:
-        return _scan_violation(words, t)
+        pairs = word_pairs(words, t)
     step = max(1, _VIOLATION_BLOCK_CELLS // words.shape[1])
-    for i_all, j_all in pairs:
+    for i_all, j_all in every_pair(words.shape[0], step) if pairs is None else pairs:
         for lo in range(0, i_all.size, step):
             i, j = i_all[lo : lo + step], j_all[lo : lo + step]
             first = np.flatnonzero(_violates(words[i], words[j], t))
@@ -138,34 +133,19 @@ def _violates(wi: np.ndarray, wj: np.ndarray, t: int) -> np.ndarray:
     return hit
 
 
-def _scan_violation(words: np.ndarray, t: int) -> tuple[int, int] | None:
-    """find_violation over every row pair, in blocks of rows."""
-    f, w = words.shape
+def every_pair(f: int, step: int):
+    """Every pair (i < j) of f rows in ascending (i, j) order, in chunks
+    as PairChunks yields them, at most ``step`` pairs unless one row
+    alone has more.  Position p of row i's run, which starts at run[i],
+    pairs i with j = i + 1 + (p - run[i])."""
     i0 = 0
     while i0 < f - 1:
-        rest = words[i0 + 1 :]
-        i1 = min(f - 1, i0 + max(1, _VIOLATION_BLOCK_CELLS // (rest.shape[0] * w)))
-        b = i1 - i0
-        # cell (k, c) pairs row i = i0 + k with row j = i0 + 1 + c; the
-        # candidates have a nonempty intersection (t >= 1 needs one),
-        # found one word at a time over the (B x R) block, and j > i
-        # (a cell with j <= i pairs a row with itself or mirrors a cell
-        # of an earlier row, so dropping those only saves work, up to
-        # half of a late block)
-        block = words[i0:i1]
-        cand = (block[:, 0, None] & rest[:, 0]) != 0
-        for q in range(1, w):
-            cand |= (block[:, q, None] & rest[:, q]) != 0
-        k = np.arange(b)
-        cand[:, :b] &= k[None, :] >= k[:, None]
-        rows, cols = np.nonzero(cand)  # row-major: ascending (i, j)
-        if rows.size:
-            first = np.flatnonzero(_violates(block[rows], rest[cols], t))
-            if first.size:
-                h = first[0]
-                return i0 + int(rows[h]), i0 + 1 + int(cols[h])
-        i0 = i1
-    return None
+        rows = np.arange(i0, min(f - 1, i0 + max(1, step // (f - 1 - i0))))
+        count = f - 1 - rows
+        run = np.cumsum(count) - count
+        j = np.arange(count.sum()) - np.repeat(run - rows - 1, count)
+        yield np.repeat(rows, count), j
+        i0 = rows[-1] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +187,12 @@ def _listable(sizes: np.ndarray, t: int) -> bool:
     return r <= _ROWS_MAX and _LISTING_COST + r * _ROW_COST <= f * (f - 1) // 2
 
 
-def row_pairs(bits: np.ndarray, t: int) -> PairChunks | None:
-    """``shared_pairs`` at t of the members whose incidence rows are
-    those of the 2-d zero-one uint8 array ``bits``, or None; the rows'
-    points are listed only once their sizes show the t-subsets
+def word_pairs(words: np.ndarray, t: int) -> PairChunks | None:
+    """``shared_pairs`` at t of bit-packed rows, or None; the rows'
+    points are unpacked only once their popcounts show the t-subsets
     _listable."""
-    sizes = bits.sum(axis=1, dtype=np.int64)
-    if not _listable(sizes, t):
-        return None
-    offsets = np.zeros(bits.shape[0] + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    return shared_pairs(_columns(bits), offsets, t)
+    sizes = popcount_u64(words).sum(axis=1, dtype=np.int64)
+    return shared_pairs(*_csr_of_words(words, sizes), t) if _listable(sizes, t) else None
 
 
 class PairChunks:
@@ -346,47 +321,27 @@ def shared_pairs(points: np.ndarray, offsets: np.ndarray, t: int) -> PairChunks 
     return PairChunks(f, ids, later, pos, row_offsets)
 
 
-# ---------------------------------------------------------------------------
-# equal rows, by sorting
-
-
-def row_order(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """The stable lexicographic order of the rows of a 2-d array with
-    entries in [0, base), and, per sorted position, whether that row
-    equals the one before it.  One ``np.lexsort`` of the rows packed
-    base-``base`` into as few int64 keys as hold them."""
-    f, s = rows.shape
-    width = 1  # columns per key
-    while width < s and base ** (width + 1) < 2**63:
-        width += 1
-    keys = []
-    for c0 in range(0, s, width):
-        key = np.zeros(f, dtype=np.int64)
-        for col in rows[:, c0 : c0 + width].T:
-            key = key * base + col
-        keys.append(key)
-    order = np.lexsort(keys[::-1]) if keys else np.arange(f)  # the primary key is the last
-    same = np.ones(f, dtype=bool)
-    same[:1] = False
-    for key in keys:
-        key = key[order]
-        same[1:] &= key[1:] == key[:-1]
+def row_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexicographic order of the rows of a 2-d array (one
+    ``np.lexsort`` of its columns), and, per sorted position, whether
+    that row equals the one before it."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(rows.shape[0])
+    ranked = rows[order]
+    same = np.zeros(order.size, dtype=bool)
+    same[1:] = (ranked[1:] == ranked[:-1]).all(axis=1)
     return order, same
 
 
-def repeated_rows(points: np.ndarray, offsets: np.ndarray, v: int, below: int | None = None):
-    """Which CSR rows of points in [0, v) equal an earlier row, as a bool
-    array: rows of each size s (s < ``below`` only, when given) gathered
-    into an s-column array and sorted by row_order, so no row is hashed."""
+def repeated_rows(points: np.ndarray, offsets: np.ndarray, below: int | None = None):
+    """Which CSR rows equal an earlier row, as a bool array: the rows of
+    each size s (s < ``below`` only, when given) gathered into an
+    s-column array and sorted by row_order, so no row is hashed."""
     sizes = np.diff(offsets)
     out = np.zeros(sizes.size, dtype=bool)
-    for s in np.flatnonzero(np.bincount(sizes)).tolist():
-        if below is not None and s >= below:
-            break
+    for s in np.flatnonzero(np.bincount(sizes)[:below]).tolist():
         rows = np.flatnonzero(sizes == s)
-        if rows.size > 1:
-            order, same = row_order(points[offsets[rows, None] + np.arange(s)], v)
-            out[rows[order[same]]] = True
+        order, same = row_order(points[offsets[rows, None] + np.arange(s)])
+        out[rows[order[same]]] = True
     return out
 
 

@@ -77,12 +77,11 @@ def nested(packing: Design, fam: Family) -> Family:
 
     fam lives on the ground set {1..k}, and every block must have k
     points; point i goes to the i-th smallest point of each block.  All
-    blocks are relabeled by one fancy index of the CSR points, block by
-    block and in fam's order within a block.  Members of size >= t from
-    different blocks share fewer than t points, so only smaller members
-    can repeat; the repeats are dropped, keeping each first one (found
-    by sorting, `_kernels.repeated_rows`).  The result is t-laminar on
-    the packing's point set whenever the inputs satisfy the
+    blocks are relabeled by one fancy index of fam's points, block by
+    block.  Members of size >= t from different blocks share fewer than
+    t points, so only smaller members can repeat; the later repeats are
+    dropped (found by sorting, `_kernels.repeated_rows`).  The result is
+    t-laminar on the packing's point set whenever the inputs satisfy the
     preconditions: fam is checked here, the packing is not (validate it
     separately, it may be expensive).
     """
@@ -100,21 +99,16 @@ def _nested_csr(packing: Design, fam: Family) -> tuple[np.ndarray, np.ndarray]:
     b = packing.block_count()
     points = packing.points.reshape(b, fam.n)[:, fam.points].ravel()
     counts = np.tile(np.diff(fam.offsets), b)
-    keep = ~_kernels.repeated_rows(
-        points, _offsets(counts), packing.v, below=packing.t)
-    return points[np.repeat(keep, counts)], _offsets(counts[keep])
+    keep = ~_kernels.repeated_rows(points, np.append(0, np.cumsum(counts)), below=packing.t)
+    return points[np.repeat(keep, counts)], np.append(0, np.cumsum(counts[keep]))
 
 
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """CSR offsets delimiting runs of these lengths."""
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
-
-
-def _level0(n: int, small: range, design: Design) -> Family:
-    """Every subset of [n] with a size in ``small``, the blocks of the
-    design, and [n] itself."""
+def _level0(t: int) -> Family:
+    """Level 0 of the t-tower: the pairs of [7], the Fano plane and [7]
+    for t = 2; every 1-, 2- and 3-subset of [10], the circle geometry of
+    order 3 and [10] for t = 3."""
+    n, small, design = ((7, (2,), projective_plane(2)) if t == 2
+                        else (10, (1, 2, 3), circle_geometry(3)))
     subsets = (p for k in small for p in combinations(range(1, n + 1), k))
     blocks = design.points.reshape(design.block_count(), -1) + 1
     return Family.of(n, chain(subsets, blocks.tolist(), [range(1, n + 1)]))
@@ -168,10 +162,7 @@ def _tower(t: int, r: int, materialize: bool) -> tuple[TowerReport, Optional[Fam
     cap = FANO_TOWER_CAP if t == 2 else CIRCLE_TOWER_CAP
     if n > cap:
         raise CapExceeded(f"materializing n={n} exceeds the cap {cap}")
-    if t == 2:
-        fam = _level0(7, range(2, 3), projective_plane(2))
-    else:
-        fam = _level0(10, range(1, 4), circle_geometry(3))
+    fam = _level0(t)
     for k, v in zip(sizes[1:], sizes[2:]):
         design = affine_plane(k) if t == 2 else circle_geometry(k - 1)
         points, offsets = _nested_csr(design, fam)

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .setfam import Family, csr_from_sets, csr_to_text
+from .setfam import Family, csr_arrays, csr_from_sets, csr_to_text
 
 
 class NotPrimePower(ValueError):
@@ -220,23 +220,7 @@ class Design:
     def __post_init__(self):
         if self.kind not in ("design", "packing"):
             raise ValueError("kind must be 'design' or 'packing'")
-        if self.v < 1:
-            raise ValueError("v must be positive")
-        points = np.array(self.points, dtype=np.int64)
-        offsets = np.array(self.offsets, dtype=np.int64)
-        if points.ndim != 1 or offsets.ndim != 1 or offsets.size == 0:
-            raise ValueError("points and offsets must be 1-D, offsets nonempty")
-        sizes = np.diff(offsets)
-        if offsets[0] != 0 or offsets[-1] != points.size or (sizes < 0).any():
-            raise ValueError("offsets must run nondecreasing from 0 to the point count")
-        if points.size and (points.min() < 0 or points.max() >= self.v):
-            raise ValueError(f"block point outside 0..{self.v - 1}")
-        first = np.zeros(points.size, dtype=bool)  # first point of a block
-        first[offsets[:-1][sizes > 0]] = True
-        if ((np.diff(points) <= 0) & ~first[1:]).any():
-            raise ValueError("block points must strictly increase")
-        points.flags.writeable = False
-        offsets.flags.writeable = False
+        points, offsets = csr_arrays(self.v, self.points, self.offsets)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "offsets", offsets)
 
@@ -383,7 +367,7 @@ def circle_geometry(q: int) -> Design:
     circles = add[codes[:, None, None], norms[None, :, :]].reshape(-1, q + 1)
     rows = np.concatenate([lines, circles])
     rows.sort(axis=1)
-    uniq = _unique_rows(rows, big + 1)
+    uniq = _unique_rows(rows)
     expected = q * (q * q + 1)
     if uniq.shape[0] != expected:
         raise GeometryError(
@@ -393,10 +377,10 @@ def circle_geometry(q: int) -> Design:
                   offsets=np.arange(0, uniq.size + 1, q + 1), kind="design")
 
 
-def _unique_rows(rows: np.ndarray, base: int) -> np.ndarray:
-    """The distinct rows of a matrix with entries in [0, base), sorted
-    lexicographically: np.unique(rows, axis=0), by `_kernels.row_order`."""
-    order, same = _kernels.row_order(rows, base)
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a matrix, sorted lexicographically:
+    np.unique(rows, axis=0), by `_kernels.row_order`."""
+    order, same = _kernels.row_order(rows)
     return rows[order[~same]]
 
 

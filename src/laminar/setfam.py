@@ -21,20 +21,19 @@ on the circle tower r = 1 (114,842 sets, n = 82, t = 3) about 0.2, 0.2
 and 0.1 s (one thread of a 2-core VM).
 
 A Family holds its members as CSR arrays, as `geometry.Design` holds
-its blocks: ``points`` is every member's 0-based points, strictly
-increasing within a member, concatenated in family order, and
-``offsets`` delimits the members.  The parsers build these arrays, the
-writers read them, and the kernels take them or the words packed from
-them once (`Family.words`).  Int masks (bit i-1 for point i) are derived
-only on request (`Family.masks`, `Family.from_masks`), for the small
-families of `search` and the dictionary chain check: `mask_bits` and
-`masks_from_bits` convert between masks and zero-one uint8 bit rows.
+its blocks.  The parsers build them, the writers read them, and the
+kernels take them or the words packed from them once (`Family.words`).
+Int masks (bit i-1 for point i) are derived only on request
+(`Family.masks`, `Family.from_masks`) for `search`'s small families and
+the dictionary chain check; `mask_bits` and `masks_from_bits` convert
+them to zero-one uint8 bit rows and back.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, permutations
@@ -85,26 +84,6 @@ def _byte_masks(packed: np.ndarray) -> list[int]:
     ]
 
 
-# bits unpacked at a time by _csr_of_bytes: 1 MB of zero-one bytes
-_UNPACK_BITS = 1 << 20
-
-
-def _csr_of_bytes(packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 0-based points below n of _mask_bytes rows, ascending within a
-    row and concatenated in row order, and the int64 offsets delimiting
-    the rows CSR-style; _UNPACK_BITS zero-one bytes at a time."""
-    f = len(packed)
-    step = max(1, _UNPACK_BITS // n)
-    flat = [np.zeros(0, dtype=np.intp)]
-    for lo in range(0, f, step):
-        bits = np.unpackbits(packed[lo : lo + step], axis=1, count=n, bitorder="little")
-        flat.append(np.flatnonzero(bits.view(bool)) + lo * n)
-    rows, points = np.divmod(np.concatenate(flat), n)
-    offsets = np.zeros(f + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=f), out=offsets[1:])
-    return points, offsets
-
-
 class MemberError(ValueError):
     """A member that a Family cannot hold; ``member`` is its 0-based index."""
 
@@ -115,10 +94,9 @@ class MemberError(ValueError):
 
 def csr_from_sets(n: int, sets: Iterable[Iterable]) -> tuple[np.ndarray, np.ndarray]:
     """The 1-based point iterables as 0-based int64 points, concatenated
-    in order, and the int64 offsets delimiting them CSR-style.  Every
-    point goes through ``operator.index``, whose TypeError passes
-    through; a point too large for int64 raises MemberError.  The range
-    1..n is left to the caller."""
+    in order, and the int64 offsets delimiting them CSR-style.  A point
+    ``operator.index`` rejects raises TypeError, one past int64
+    MemberError; the range 1..n is left to the caller."""
     rows = [list(s) for s in sets]
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=offsets[1:])
@@ -165,11 +143,8 @@ def csr_arrays(n: int, points, offsets) -> tuple[np.ndarray, np.ndarray]:
 
 def mask_bits(masks: Sequence[int], width: int) -> np.ndarray:
     """The masks as a len(masks) x width zero-one uint8 matrix, bit j of
-    each mask in column j.  Every mask must be below 2^(8 ceil(width/8)).
-
-    One ``np.unpackbits`` spreads the ``ceil(width/8)`` bytes of each
-    mask out.
-    """
+    each mask in column j, by one ``np.unpackbits`` of their bytes.
+    Every mask must be below 2^(8 ceil(width/8))."""
     packed = _mask_bytes(masks, (width + 7) // 8)
     return np.unpackbits(packed, axis=1, count=width, bitorder="little")
 
@@ -181,12 +156,11 @@ def masks_from_bits(bits: np.ndarray) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class Family:
-    """A duplicate-free ordered family of members of the ground set [n],
-    held as CSR arrays: member i is the 0-based points
-    ``points[offsets[i]:offsets[i+1]]``, strictly increasing.  Both are
-    read-only int64 copies (`csr_arrays`); a repeated member raises
-    MemberError naming the later one, found by sorting the members of
-    each size (`_kernels.repeated_rows`).  Families compare by value."""
+    """A duplicate-free ordered family of members of [n]: member i is the
+    0-based points ``points[offsets[i]:offsets[i+1]]``, read-only int64
+    copies (`csr_arrays`).  A repeated member, found by sorting the
+    members of each size (`_kernels.repeated_rows`), raises MemberError
+    naming the later one.  Families compare by value."""
 
     n: int
     points: np.ndarray
@@ -194,7 +168,7 @@ class Family:
 
     def __post_init__(self):
         points, offsets = csr_arrays(self.n, self.points, self.offsets)
-        repeats = np.flatnonzero(_kernels.repeated_rows(points, offsets, self.n))
+        repeats = np.flatnonzero(_kernels.repeated_rows(points, offsets))
         if repeats.size:
             raise MemberError("duplicate blocks in family", int(repeats[0]))
         object.__setattr__(self, "points", points)
@@ -202,19 +176,16 @@ class Family:
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "Family":
-        """One member per iterable of points in 1..n, in any order; a point
-        repeated within one iterable is held once."""
+        """One member per iterable of points in 1..n, taken as a set."""
         return cls(n, *csr_from_sets(n, (sorted(set(s)) for s in sets)))
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "Family":
         """One member per int mask, bit i-1 for point i."""
         masks = list(masks)
-        if n < 1:
-            raise ValueError("ground-set size must be positive")
-        if masks and (min(masks) < 0 or max(masks) >> n):
+        if masks and (min(masks) < 0 or max(masks) >> max(n, 0)):
             raise ValueError("mask has bits outside 1..n")
-        return cls(n, *_csr_of_bytes(_mask_bytes(masks, (n + 7) // 8), n))
+        return cls(n, *csr_from_sets(n, ([p + 1 for p in _bit_positions(m)] for m in masks)))
 
     def __len__(self) -> int:
         return self.offsets.size - 1
@@ -232,8 +203,8 @@ class Family:
     def words(self) -> np.ndarray:
         """The members bit-packed for the kernels: a read-only (len,
         ceil(n/64)) uint64 matrix, point i at bit (i-1) % 64 of word
-        (i-1) // 64.  A member's points in one word are consecutive, so
-        one ``np.bitwise_or.reduceat`` over those runs fills every word."""
+        (i-1) // 64, one ``np.bitwise_or.reduceat`` over each run of
+        points in one word."""
         f, w = len(self), (self.n + 63) // 64
         words = np.zeros(f * w, dtype=np.uint64)
         if self.points.size:
@@ -270,8 +241,7 @@ def is_t_laminar(fam: Family, t: int) -> bool:
 
 
 def incidence_matrix(fam: Family) -> np.ndarray:
-    """|F| x n zero-one matrix; entry (A, i) = 1 iff point i+1 in A.  One
-    ``np.unpackbits`` of the members' words."""
+    """|F| x n zero-one matrix (the words unpacked); entry (A, i) = 1 iff point i+1 in A."""
     return np.unpackbits(fam.words.view(np.uint8), axis=1, count=fam.n, bitorder="little")
 
 
@@ -285,9 +255,8 @@ def forbidden_matrix(t: int) -> np.ndarray:
     return z
 
 
-# row-pair words (pairs times words per row) per chunk of shared pairs,
-# or per block of the scan over every pair, in contains_config: each
-# uint64 temporary holds at most 1 MB
+# row-pair words (pairs times words per row) per chunk of pairs in
+# contains_config, listed or not: each uint64 temporary holds 1 MB
 _PAIR_CHUNK_WORDS = 1 << 17
 
 
@@ -306,11 +275,10 @@ def contains_config(m: np.ndarray, z: np.ndarray, pairs=_kernels.FROM_ROWS) -> b
     the candidate pairs are `_kernels.shared_pairs` of m's rows at
     t = z11, tested in chunks of _PAIR_CHUNK_WORDS pair words.
     ``pairs`` is that listing when the caller has built it, and None to
-    test every pair; by default it is built here (`_kernels.row_pairs`).
-    When z11 = 0, or the listing is None, every pair of the upper
-    triangle is tested in blocks of rows of at most _PAIR_CHUNK_WORDS
-    pair words, so memory is O(1 MB), and the scan stops at the first
-    block with a hit.
+    test every pair; by default it is built here (`_kernels.word_pairs`).
+    When z11 = 0, or the listing is None, every pair is tested
+    (`_kernels.every_pair`) in chunks of the same size, so memory is
+    O(1 MB).  The scan stops at the first chunk with a hit.
 
     Arbitrary z falls back to enumerating row selections and
     permutations with multiset matching on columns; that search is
@@ -346,10 +314,6 @@ def _contains_two_row(m: np.ndarray, z: np.ndarray, pairs) -> bool:
             hit &= g >= si + sj + (z00 - n)
         return hit
 
-    if not z11:
-        pairs = None
-    elif pairs is _kernels.FROM_ROWS:
-        pairs = _kernels.row_pairs(m, z11)
     s = m.sum(axis=1, dtype=np.int64)
     # the rows bit-packed into little-endian words: G of a pair is the
     # popcount of the words both rows hold, summed in int64
@@ -357,48 +321,26 @@ def _contains_two_row(m: np.ndarray, z: np.ndarray, pairs) -> bool:
     words = np.zeros((f, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
     words[:, : packed.shape[1]] = packed
     words = words.view("<u8")
-    w = words.shape[1]
-    if pairs is not None:
-        step = max(1, _PAIR_CHUNK_WORDS // w)
-        for i_all, j_all in pairs:
-            for lo in range(0, i_all.size, step):
-                i, j = i_all[lo : lo + step], j_all[lo : lo + step]
-                g = _kernels.popcount_u64(words[i] & words[j]).sum(axis=1, dtype=np.int64)
-                if hosts(g, s[i], s[j]).any():
-                    return True
-        return False
-    # rows i0..i1-1 against the rows after i0, as a (B x R) block
-    i0 = 0
-    while i0 < f - 1:
-        i1 = min(f - 1, i0 + max(1, _PAIR_CHUNK_WORDS // ((f - 1 - i0) * w)))
-        both = words[i0:i1, None, :] & words[None, i0 + 1 :, :]
-        g = _kernels.popcount_u64(both).sum(axis=2, dtype=np.int64)
-        hit = hosts(g, s[i0:i1, None], s[None, i0 + 1 :])
-        k = np.arange(i1 - i0)
-        hit[:, : i1 - i0] &= k[None, :] >= k[:, None]  # j > i only
-        if hit.any():
-            return True
-        i0 = i1
+    if not z11:
+        pairs = None
+    elif pairs is _kernels.FROM_ROWS:
+        pairs = _kernels.word_pairs(words, z11)
+    step = max(1, _PAIR_CHUNK_WORDS // words.shape[1])
+    for i_all, j_all in _kernels.every_pair(f, step) if pairs is None else pairs:
+        for lo in range(0, i_all.size, step):
+            i, j = i_all[lo : lo + step], j_all[lo : lo + step]
+            g = _kernels.popcount_u64(words[i] & words[j]).sum(axis=1, dtype=np.int64)
+            if hosts(g, s[i], s[j]).any():
+                return True
     return False
 
 
 def _contains_config_general(m: np.ndarray, z: np.ndarray) -> bool:
-    r = z.shape[0]
-
-    def col_counts(mat: np.ndarray) -> dict[tuple[int, ...], int]:
-        counts: dict[tuple[int, ...], int] = {}
-        for col in mat.T:
-            key = tuple(int(x) for x in col)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    for rows in combinations(range(m.shape[0]), r):
-        sub = m[list(rows)]
-        for perm in permutations(range(r)):
-            need = col_counts(z)
-            have = col_counts(sub[list(perm)])
-            if all(have.get(k, 0) >= v for k, v in need.items()):
-                return True
+    need = Counter(map(tuple, z.T.tolist()))  # z's columns by type
+    for rows in permutations(range(m.shape[0]), z.shape[0]):
+        have = Counter(map(tuple, m[list(rows)].T.tolist()))
+        if all(have[k] >= v for k, v in need.items()):
+            return True
     return False
 
 
@@ -497,12 +439,11 @@ def verify_t_laminar(
 ) -> Optional[tuple[int, int]]:
     """Run all three characterizations; the first violating pair or None.
 
-    The members' words (`Family.words`, packed once) are check 1's rows
-    and, unpacked, check 2's incidence rows; the member pairs sharing t
-    points are listed once for both from the members' points; check 3
-    shares no code with that listing.  So a fault in one check, or in
-    the listing, shows up as a disagreement (ChecksDisagree) rather than
-    a wrong verdict.  The pair is violating_pair's, in family order.
+    The members' words (packed once) are check 1's rows and, unpacked,
+    check 2's; the member pairs sharing t points are listed once for
+    both; check 3 shares no code with that listing.  So a fault in one
+    check, or in the listing, shows up as a disagreement (ChecksDisagree)
+    rather than a wrong verdict.  The pair is violating_pair's.
 
     A ``paths`` dict receives, before the checks run, the listing of
     checks 1-2 under "pairs" (a `_kernels.PairChunks`, or None when they
@@ -567,17 +508,15 @@ _BULK_BYTES[list(b"0123456789 \n")] = True
 
 
 def _numbered(text: str):
-    """(line number, line, offset just past it) for each line, numbered
-    as str.splitlines breaks them.  The offset is None when the text
-    breaks lines at more than "\n", so that no rest of it is read in bulk."""
+    """(line number, line, offset past it) per line as str.splitlines breaks
+    them; the offset is None when a line breaks at more than "\n"."""
     if _OTHER_BREAKS.search(text):
         for ln, raw in enumerate(text.splitlines(), start=1):
             yield ln, raw, None
         return
     pos = ln = 0
     while pos < len(text):
-        end = text.find("\n", pos)
-        end = len(text) if end < 0 else end
+        end = len(text) if (end := text.find("\n", pos)) < 0 else end
         ln += 1
         yield ln, text[pos:end], end + 1
         pos = end + 1
@@ -588,9 +527,10 @@ def family_from_text(text: str) -> tuple[Family, int | None, list[str]]:
 
     The lines up to the header are read one by one.  The rest is read
     in bulk when it holds only digits, spaces and newlines
-    (`_bulk_members`); any other rest, or one that the bulk pass does
-    not accept, is read line by line (`_members_by_line`), which names
-    the first bad line.
+    (`_bulk_members`).  Any other rest, or one the bulk pass does not
+    accept, is read line by line: the first line holding a token
+    ``int`` rejects or points that do not increase is the error, else
+    the line of the member that Family (or a point past int64) rejects.
     """
     comments: list[str] = []
     numbered = _numbered(text)
@@ -611,17 +551,36 @@ def family_from_text(text: str) -> tuple[Family, int | None, list[str]]:
     except ValueError:
         raise FamilyParseError("malformed header values", ln) from None
     fam = None if end is None else _bulk_members(n, text[end:])
-    if fam is None:
-        fam = _members_by_line(n, numbered, comments)
-    return fam, t, comments
+    if fam is not None:
+        return fam, t, comments
+    rows: list[list[int]] = []
+    row_lines: list[int] = []
+    for ln, raw, _ in numbered:
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            comments.append(line[1:].strip())
+            continue
+        try:
+            pts = [int(x) for x in line.split()]
+        except ValueError:
+            raise FamilyParseError("non-integer point", ln) from None
+        if any(b <= a for a, b in zip(pts, pts[1:])):
+            raise FamilyParseError("points must be strictly increasing", ln)
+        rows.append(pts)
+        row_lines.append(ln)
+    try:
+        return Family(n, *csr_from_sets(n, rows)), t, comments
+    except MemberError as exc:
+        raise FamilyParseError(str(exc), row_lines[exc.member]) from None
 
 
 def _bulk_members(n: int, body: str) -> Optional[Family]:
     """The family of a body made only of digits, spaces and newlines, in
-    one numpy pass over its bytes: a token is a run of digits, read as
-    the sum of its digits times powers of ten, and a member is the
-    tokens of one line.  None for any other body, a token of over 18
-    digits, or members that Family rejects."""
+    one numpy pass over its bytes: a token is a run of digits, read digit
+    by digit, and a member is the tokens of one line.  None for any other
+    body, a token of over 18 digits, or members that Family rejects."""
     if not body.isascii():
         return None
     b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
@@ -644,41 +603,6 @@ def _bulk_members(n: int, body: str) -> Optional[Family]:
         return Family(n, value - 1, offsets)
     except ValueError:
         return None
-
-
-def _members_by_line(n: int, numbered, comments: list[str]) -> Family:
-    """The family of the lines after the header, read one by one.  The
-    first line holding a token ``int`` rejects or points that do not
-    increase is the error; else the first holding a point outside 1..n;
-    else the first member that repeats an earlier one."""
-    rows: list[list[int]] = []
-    row_lines: list[int] = []
-    for ln, raw, _ in numbered:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            comments.append(line[1:].strip())
-            continue
-        try:
-            pts = [int(x) for x in line.split()]
-        except ValueError:
-            raise FamilyParseError("non-integer point", ln) from None
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise FamilyParseError("points must be strictly increasing", ln)
-        rows.append(pts)
-        row_lines.append(ln)
-    if n < 1:
-        raise ValueError("ground-set size must be positive")
-    for ln, pts in zip(row_lines, rows):
-        bad = next((p for p in pts if not 1 <= p <= n), None)
-        if bad is not None:
-            point = f"point {bad}" if -2**63 <= bad < 2**63 else "point"
-            raise FamilyParseError(f"{point} outside 1..{n}", ln)
-    try:
-        return Family(n, *csr_from_sets(n, rows))
-    except MemberError as exc:
-        raise FamilyParseError(str(exc), row_lines[exc.member]) from None
 
 
 def family_to_json(fam: Family, t: int | None = None) -> dict:

@@ -232,7 +232,7 @@ class TestConstructCommand:
 
     def test_failed_construction_check_exit_4(self, tmp_path, capsys, monkeypatch):
         real = geometry._unique_rows
-        monkeypatch.setattr(geometry, "_unique_rows", lambda rows, base: real(rows, base)[1:])
+        monkeypatch.setattr(geometry, "_unique_rows", lambda rows: real(rows)[1:])
         out_path = tmp_path / "c3.design"
         code, out, err = run(["construct", "circle", "--q", "3", "--out", str(out_path)], capsys)
         assert code == 4 and out == "" and not out_path.exists()

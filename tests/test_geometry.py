@@ -215,7 +215,7 @@ class TestClosedForms:
 
     def test_block_count_mismatch_raises(self, monkeypatch):
         real = geometry._unique_rows
-        monkeypatch.setattr(geometry, "_unique_rows", lambda rows, base: real(rows, base)[1:])
+        monkeypatch.setattr(geometry, "_unique_rows", lambda rows: real(rows)[1:])
         with pytest.raises(GeometryError, match="block count 29 != 30"):
             circle_geometry(3)
 
@@ -246,7 +246,7 @@ class TestCircleGeometries:
                 dtype=np.int64,
             )
             rows = np.vstack([rows, rows[::3]])  # force duplicates
-            assert np.array_equal(_unique_rows(rows, base), np.unique(rows, axis=0))
+            assert np.array_equal(_unique_rows(rows), np.unique(rows, axis=0))
 
     def test_not_prime_power(self):
         with pytest.raises(NotPrimePower):

@@ -578,7 +578,7 @@ class TestUniqueChain:
 
         _, tower = fano_tower(1, materialize=True)
         crossed = _tower4(crossing=[1, 2, 60, 61])
-        for name in ("shared_pairs", "row_pairs", "find_violation"):
+        for name in ("shared_pairs", "word_pairs", "find_violation"):
             monkeypatch.setattr(_kernels, name, broken)
         assert unique_chain_check(tower, 2)
         assert not unique_chain_check(crossed, 2)
