@@ -9,9 +9,10 @@ Two inner loops dominate runtime in this package:
     against 1,319,500 pairs on the 1625-set tower), in chunks of at
     most ``_PAIR_CHUNK`` = 2^17 pairs.  Where listing costs more, by
     measured costs, or would hold more than ``_ROWS_MAX`` = 2^20 rows,
-    every pair is tested (``every_pair``).  Both test at most
-    ``_VIOLATION_BLOCK_CELLS`` = 2^17 row-pair words (1 MB) at a time
-    and stop at the first chunk with a hit,
+    the pairs sharing a point are found in blocks of rows
+    (``block_pairs``).  Both hold at most ``_VIOLATION_BLOCK_CELLS`` =
+    2^17 row-pair words (1 MB) at a time and stop at the first chunk or
+    block with a hit,
   * covered-t-subset counting when validating designs and packings
     (``cover_counts``, any t >= 1): ``np.add.at`` adds the colex ranks
     of the blocks' t-subsets (``colex_ranks``, which also drives
@@ -56,8 +57,9 @@ def popcount_u64(x: np.ndarray) -> np.ndarray:
 # pairwise laminarity violation scan
 
 
-# pairs times words per row that find_violation tests at a time, listed
-# or not, so each of its temporaries holds at most 2^17 words (1 MB)
+# row pairs times words per block of block_pairs, and pairs times words
+# per row that find_violation tests at a time, so each temporary holds
+# at most 2^17 words (1 MB)
 _VIOLATION_BLOCK_CELLS = 1 << 17
 
 # words unpacked at a time when find_violation lists its rows' points:
@@ -82,8 +84,8 @@ def find_violation(words: np.ndarray, t: int, pairs=FROM_ROWS) -> tuple[int, int
     when the caller has built it, and None to test every pair; by
     default it is built here, unpacking the rows' points only when
     their t-subsets are few enough to list.  With None, or when the
-    listing is refused, every pair is tested (``every_pair``), in chunks
-    of the same size.
+    listing is refused, the pairs that share a point are found in
+    blocks of rows instead (``block_pairs``).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -91,7 +93,9 @@ def find_violation(words: np.ndarray, t: int, pairs=FROM_ROWS) -> tuple[int, int
     if pairs is FROM_ROWS:
         pairs = word_pairs(words, t)
     step = max(1, _VIOLATION_BLOCK_CELLS // words.shape[1])
-    for i_all, j_all in every_pair(words.shape[0], step) if pairs is None else pairs:
+    if pairs is None:
+        pairs = block_pairs(words, _VIOLATION_BLOCK_CELLS)
+    for i_all, j_all in pairs:
         for lo in range(0, i_all.size, step):
             i, j = i_all[lo : lo + step], j_all[lo : lo + step]
             first = np.flatnonzero(_violates(words[i], words[j], t))
@@ -133,19 +137,26 @@ def _violates(wi: np.ndarray, wj: np.ndarray, t: int) -> np.ndarray:
     return hit
 
 
-def every_pair(f: int, step: int):
-    """Every pair (i < j) of f rows in ascending (i, j) order, in chunks
-    as PairChunks yields them, at most ``step`` pairs unless one row
-    alone has more.  Position p of row i's run, which starts at run[i],
-    pairs i with j = i + 1 + (p - run[i])."""
+def block_pairs(words: np.ndarray, cells: int, meeting: bool = True):
+    """Every pair (i < j) of bit-packed rows, or with ``meeting`` only
+    those that share a point, in ascending (i, j) order as int arrays i
+    and j per block: rows i0..i1-1 against the R rows after i0, B x R x W
+    <= cells, the shared points found one word at a time (a cell with
+    j <= i pairs a row with itself or mirrors a cell of an earlier row)."""
+    f, w = words.shape
     i0 = 0
     while i0 < f - 1:
-        rows = np.arange(i0, min(f - 1, i0 + max(1, step // (f - 1 - i0))))
-        count = f - 1 - rows
-        run = np.cumsum(count) - count
-        j = np.arange(count.sum()) - np.repeat(run - rows - 1, count)
-        yield np.repeat(rows, count), j
-        i0 = rows[-1] + 1
+        rest = words[i0 + 1 :]
+        i1 = min(f - 1, i0 + max(1, cells // (rest.shape[0] * w)))
+        block = words[i0:i1]
+        cand = np.full((i1 - i0, rest.shape[0]), not meeting)
+        for q in range(w if meeting else 0):
+            cand |= (block[:, q, None] & rest[:, q]) != 0
+        k = np.arange(i1 - i0)
+        cand[:, : i1 - i0] &= k[None, :] >= k[:, None]
+        rows, cols = np.nonzero(cand)  # row-major: ascending (i, j)
+        yield rows + i0, cols + i0 + 1
+        i0 = i1
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +168,9 @@ def every_pair(f: int, step: int):
 # the pairs costs _LISTING_COST once, _ROW_COST per t-subset row and
 # _PAIR_COST per pair within a group; benchmarks/listing_crossover.py
 # measured these (see shared_pairs)
-_LISTING_COST = 5000
-_ROW_COST = 1
-_PAIR_COST = 3
+_LISTING_COST = 2000
+_ROW_COST = 0.5
+_PAIR_COST = 1.5
 
 # t-subset rows shared_pairs builds at most: they peak at about 67
 # bytes each while they are built and sorted, so 2^20 rows bound them

@@ -276,9 +276,10 @@ def contains_config(m: np.ndarray, z: np.ndarray, pairs=_kernels.FROM_ROWS) -> b
     t = z11, tested in chunks of _PAIR_CHUNK_WORDS pair words.
     ``pairs`` is that listing when the caller has built it, and None to
     test every pair; by default it is built here (`_kernels.word_pairs`).
-    When z11 = 0, or the listing is None, every pair is tested
-    (`_kernels.every_pair`) in chunks of the same size, so memory is
-    O(1 MB).  The scan stops at the first chunk with a hit.
+    When z11 = 0, or the listing is None, the pairs come from
+    `_kernels.block_pairs` (those sharing a point, unless z11 = 0) in
+    blocks of rows of at most _PAIR_CHUNK_WORDS pair words, so memory
+    is O(1 MB).  The scan stops at the first chunk with a hit.
 
     Arbitrary z falls back to enumerating row selections and
     permutations with multiset matching on columns; that search is
@@ -325,8 +326,10 @@ def _contains_two_row(m: np.ndarray, z: np.ndarray, pairs) -> bool:
         pairs = None
     elif pairs is _kernels.FROM_ROWS:
         pairs = _kernels.word_pairs(words, z11)
+    if pairs is None:
+        pairs = _kernels.block_pairs(words, _PAIR_CHUNK_WORDS, meeting=z11 > 0)
     step = max(1, _PAIR_CHUNK_WORDS // words.shape[1])
-    for i_all, j_all in _kernels.every_pair(f, step) if pairs is None else pairs:
+    for i_all, j_all in pairs:
         for lo in range(0, i_all.size, step):
             i, j = i_all[lo : lo + step], j_all[lo : lo + step]
             g = _kernels.popcount_u64(words[i] & words[j]).sum(axis=1, dtype=np.int64)

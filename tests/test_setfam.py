@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from itertools import combinations
@@ -684,3 +685,112 @@ class TestSerialization:
         with pytest.raises(ValueError) as info:
             family_from_text(text)
         assert str(info.value) == error
+
+
+def _random_text(rng: random.Random) -> str:
+    """A family file whose member lines vary in every way the format
+    allows or rejects: tabs, blank lines, trailing spaces, leading zeros,
+    signs, tokens of over 18 digits, comments, and now and then a point
+    outside 1..n, a repeated member, points out of order or a token that
+    is no integer."""
+    n = rng.choice([1, 5, 9, 64, 200])
+    rows = {tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, min(n, 6)))))
+            for _ in range(rng.randint(0, 12))}
+    rows = [list(r) for r in rows]
+    rng.shuffle(rows)
+    odd = rng.random() < 0.5  # only digits, spaces and newlines otherwise
+    lines = ["# drawn"] * rng.randint(0, 2) + [f"n={n}" + rng.choice(["", " t=2"])]
+    for row in rows:
+        if rng.random() < 0.05:
+            row[rng.randrange(len(row))] = rng.choice([0, n + 1, 2**70])
+        if rng.random() < 0.05 and len(row) > 1:
+            row.reverse()
+        tokens = [str(p) for p in row]
+        k = rng.randrange(len(tokens))
+        tokens[k] = rng.choice(["0" * rng.randint(1, 20), ""]) + tokens[k]
+        if odd:
+            tokens[k] = rng.choice(["+", "", " "]) + tokens[k]
+            if rng.random() < 0.05:
+                tokens[k] = "x"
+        sep = rng.choice(["\t", " "]) if odd else rng.choice([" ", "  "])
+        lines += [" " * rng.randint(0, 1)] * rng.randint(0, 1)  # blank lines
+        lines.append(sep.join(tokens) + " " * rng.randint(0, 2))
+        if rng.random() < 0.05:
+            lines.append(lines[-1])  # a repeated member
+        if odd and rng.random() < 0.1:
+            lines.append("# between members")
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+class TestParserPaths:
+    """The bulk byte pass of family_from_text against the line-by-line
+    pass, and the text and JSON round trips."""
+
+    def _parse(self, text):
+        try:
+            fam, t, comments = family_from_text(text)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return fam.n, fam.points.tolist(), fam.offsets.tolist(), t, comments
+
+    def test_bulk_pass_matches_line_by_line(self, monkeypatch):
+        rng = random.Random(1618)
+        texts = [_random_text(rng) for _ in range(1500)]
+        real = setfam._bulk_members
+        taken = []
+
+        def spy(n, body):
+            got = real(n, body)
+            taken.append(got is not None)
+            if got is not None:
+                # what the bulk pass returns, the line-by-line pass reads alike
+                monkeypatch.setattr(setfam, "_bulk_members", lambda n, body: None)
+                try:
+                    assert family_from_text(f"n={n}\n" + body)[0] == got
+                finally:
+                    monkeypatch.setattr(setfam, "_bulk_members", spy)
+            return got
+
+        monkeypatch.setattr(setfam, "_bulk_members", spy)
+        bulk = [self._parse(text) for text in texts]
+        monkeypatch.setattr(setfam, "_bulk_members", lambda n, body: None)
+        by_line = [self._parse(text) for text in texts]
+        for text, a, b in zip(texts, bulk, by_line):
+            assert a == b, text
+        # both passes were taken, and both parsed and rejected files
+        assert 300 < sum(taken) < len(taken)
+        errors = [a for a in bulk if isinstance(a[0], type)]
+        assert 100 < len(errors) < len(texts) - 300
+        assert {a[0] for a in errors} == {FamilyParseError}
+
+    def test_text_round_trip_is_byte_identical(self):
+        rng = random.Random(2)
+        _, tower = fano_tower(1, materialize=True)
+        families = [tower] + [sparse_family(rng, rng.choice([3, 64, 65, 130])) for _ in range(60)]
+        for f in families:
+            if (np.diff(f.offsets) == 0).any():
+                continue  # the empty member has no text form
+            text = family_to_text(f, t=2, comments=["a", "b c"])
+            back, t, comments = family_from_text(text)
+            assert (back, t, comments) == (f, 2, ["a", "b c"])
+            assert family_to_text(back, t=t, comments=comments) == text
+
+    def test_json_round_trip_is_byte_identical(self):
+        rng = random.Random(3)
+        _, tower = fano_tower(1, materialize=True)
+        families = [tower] + [sparse_family(rng, rng.choice([3, 64, 65, 130])) for _ in range(60)]
+        for f in families:
+            doc = json.dumps(family_to_json(f, t=3))
+            back, t = family_from_json(json.loads(doc))
+            assert (back, t) == (f, 3)
+            assert json.dumps(family_to_json(back, t=t)) == doc
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_from_masks_and_masks_are_inverse(self, n):
+        rng = random.Random(n)
+        masks = sorted({0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(100)})
+        f = Family.from_masks(n, masks)
+        assert f.masks == tuple(masks)
+        assert members(f) == [tuple(p + 1 for p in range(n) if m >> p & 1) for m in masks]
+        g = sparse_family(rng, n)
+        assert Family.from_masks(n, g.masks) == g
