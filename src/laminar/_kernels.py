@@ -139,19 +139,17 @@ def _violates(wi: np.ndarray, wj: np.ndarray, t: int) -> np.ndarray:
 
 def block_pairs(words: np.ndarray, cells: int, meeting: bool = True):
     """Every pair (i < j) of bit-packed rows, or with ``meeting`` only
-    those that share a point, in ascending (i, j) order as int arrays i
-    and j per block: rows i0..i1-1 against the R rows after i0, B x R x W
-    <= cells, the shared points found one word at a time (a cell with
-    j <= i pairs a row with itself or mirrors a cell of an earlier row)."""
+    those sharing a point (found one word at a time), in ascending (i, j)
+    order: int arrays i, j per block of rows i0..i1-1 against the R rows
+    after i0, with B x R x W <= cells."""
     f, w = words.shape
     i0 = 0
     while i0 < f - 1:
         rest = words[i0 + 1 :]
         i1 = min(f - 1, i0 + max(1, cells // (rest.shape[0] * w)))
-        block = words[i0:i1]
         cand = np.full((i1 - i0, rest.shape[0]), not meeting)
         for q in range(w if meeting else 0):
-            cand |= (block[:, q, None] & rest[:, q]) != 0
+            cand |= (words[i0:i1, q, None] & rest[:, q]) != 0
         k = np.arange(i1 - i0)
         cand[:, : i1 - i0] &= k[None, :] >= k[:, None]
         rows, cols = np.nonzero(cand)  # row-major: ascending (i, j)

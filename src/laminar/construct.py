@@ -104,9 +104,8 @@ def _nested_csr(packing: Design, fam: Family) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _level0(t: int) -> Family:
-    """Level 0 of the t-tower: the pairs of [7], the Fano plane and [7]
-    for t = 2; every 1-, 2- and 3-subset of [10], the circle geometry of
-    order 3 and [10] for t = 3."""
+    """Level 0 of the t-tower: for t = 2 the pairs of [7], the Fano plane
+    and [7]; for t = 3 the 1- to 3-subsets of [10], 3-(10,4,1) and [10]."""
     n, small, design = ((7, (2,), projective_plane(2)) if t == 2
                         else (10, (1, 2, 3), circle_geometry(3)))
     subsets = (p for k in small for p in combinations(range(1, n + 1), k))

@@ -191,10 +191,8 @@ class Family:
         return self.offsets.size - 1
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Family):
-            return NotImplemented
-        return (self.n == other.n and np.array_equal(self.offsets, other.offsets)
-                and np.array_equal(self.points, other.points))
+        return isinstance(other, Family) and self.n == other.n and np.array_equal(
+            self.offsets, other.offsets) and np.array_equal(self.points, other.points)
 
     def count_size_geq(self, k: int) -> int:
         return int(np.count_nonzero(np.diff(self.offsets) >= k))
@@ -316,12 +314,9 @@ def _contains_two_row(m: np.ndarray, z: np.ndarray, pairs) -> bool:
         return hit
 
     s = m.sum(axis=1, dtype=np.int64)
-    # the rows bit-packed into little-endian words: G of a pair is the
-    # popcount of the words both rows hold, summed in int64
-    packed = np.packbits(m, axis=1, bitorder="little")
-    words = np.zeros((f, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    words = words.view("<u8")
+    # the rows, padded to whole words, bit-packed into little-endian
+    # words: G of a pair is the popcount of the words both rows hold
+    words = np.packbits(np.pad(m, ((0, 0), (0, -n % 64))), axis=1, bitorder="little").view("<u8")
     if not z11:
         pairs = None
     elif pairs is _kernels.FROM_ROWS:
@@ -418,8 +413,7 @@ def _chain_by_dict(fam: Family, t: int) -> bool:
     """Whether unique_chain_check takes one dictionary step per t-subset
     row: fam has at most _CHAIN_DICT_ROWS of them."""
     return len(fam) <= _CHAIN_DICT_ROWS and (
-        _kernels.row_count(np.diff(fam.offsets), t) <= _CHAIN_DICT_ROWS
-    )
+        _kernels.row_count(np.diff(fam.offsets), t) <= _CHAIN_DICT_ROWS)
 
 
 class ChecksDisagree(RuntimeError):
@@ -506,16 +500,14 @@ def family_to_text(fam: Family, t: int | None = None, comments: Iterable[str] = 
 _OTHER_BREAKS = re.compile("[\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 # the bytes of a body that _bulk_members reads: digits, spaces, newlines
-_BULK_BYTES = np.zeros(256, dtype=bool)
-_BULK_BYTES[list(b"0123456789 \n")] = True
+_BULK_BYTES = np.isin(np.arange(256), list(b"0123456789 \n"))
 
 
 def _numbered(text: str):
     """(line number, line, offset past it) per line as str.splitlines breaks
     them; the offset is None when a line breaks at more than "\n"."""
     if _OTHER_BREAKS.search(text):
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            yield ln, raw, None
+        yield from ((ln, raw, None) for ln, raw in enumerate(text.splitlines(), start=1))
         return
     pos = ln = 0
     while pos < len(text):
@@ -599,11 +591,8 @@ def _bulk_members(n: int, body: str) -> Optional[Family]:
     for k in range(longest):
         value = np.where(k < length, value * 10 + b[np.minimum(start + k, stop - 1)] - 48, value)
     per_line = np.bincount(np.searchsorted(np.flatnonzero(b == 10), start))
-    held = per_line[per_line > 0]
-    offsets = np.zeros(held.size + 1, dtype=np.int64)
-    np.cumsum(held, out=offsets[1:])
     try:
-        return Family(n, value - 1, offsets)
+        return Family(n, value - 1, np.append(0, np.cumsum(per_line[per_line > 0])))
     except ValueError:
         return None
 
