@@ -248,16 +248,16 @@ def cmd_verify(args) -> int:
         print(f"t-laminar (t={t}): {len(fam)} sets, all three checks agree")
         return EXIT_OK
     i, j = hit
-    a, b = (fam.points[fam.offsets[k] : fam.offsets[k + 1]] + 1 for k in (i, j))
+    a, b = (set((fam.points[fam.offsets[k] : fam.offsets[k + 1]] + 1).tolist()) for k in (i, j))
     ia, ib = i + 1, j + 1
 
     def points(pts) -> str:
-        return ",".join(map(str, pts.tolist()))
+        return ",".join(map(str, sorted(pts)))
 
     print(f"NOT t-laminar (t={t})")
     print(f"witness sets #{ia} and #{ib}: {{{points(a)}}} vs {{{points(b)}}}")
-    print(f"forbidden submatrix rows ({ia},{ib}), columns w={np.setdiff1d(b, a)[0]}"
-          f" x={np.setdiff1d(a, b)[0]} shared={points(np.intersect1d(a, b)[:t])}")
+    print(f"forbidden submatrix rows ({ia},{ib}), columns w={min(b - a)}"
+          f" x={min(a - b)} shared={points(sorted(a & b)[:t])}")
     return EXIT_PROPERTY_FAILS
 
 
