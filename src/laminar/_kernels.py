@@ -150,8 +150,7 @@ def block_pairs(words: np.ndarray, cells: int, meeting: bool = True):
         cand = np.full((i1 - i0, rest.shape[0]), not meeting)
         for q in range(w if meeting else 0):
             cand |= (words[i0:i1, q, None] & rest[:, q]) != 0
-        k = np.arange(i1 - i0)
-        cand[:, : i1 - i0] &= k[None, :] >= k[:, None]
+        cand[:, : i1 - i0] &= ~np.tri(i1 - i0, k=-1, dtype=bool)  # j > i
         rows, cols = np.nonzero(cand)  # row-major: ascending (i, j)
         yield rows + i0, cols + i0 + 1
         i0 = i1
@@ -266,16 +265,16 @@ def shared_pairs(points: np.ndarray, offsets: np.ndarray, t: int) -> PairChunks 
     C(F, 2) pairs.  Returns None also when v^t * F, which bounds the
     keys, exceeds int64, and when the E = sum of C(g, 2) pairs within
     the groups add E * _PAIR_COST to that cost and take it above
-    C(F, 2).  A caller then visits every pair.
+    C(F, 2).  A caller then tests the pairs that `block_pairs` finds.
 
     The three costs are where this choice loses least time, summed
     over (chosen time / faster time - 1), when ``laminar verify``'s
     first two checks run at full work on 119 random families (F =
     20..3137 members of up to 30 points, n = 30..300, t = 1..3), the
     tower, four copies of it and the 49-set search family
-    (``benchmarks/listing_crossover.py``, one BLAS thread of a 2-core
-    VM): the summed excess was 0.32, and no family took more than 1.12
-    times the faster path's time.
+    (``benchmarks/listing_crossover.py``, one thread of a 2-core VM):
+    the summed excess was 1.21, and one family took 1.82 times the
+    faster path's time, the rest at most 1.17 times.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -331,9 +330,8 @@ def shared_pairs(points: np.ndarray, offsets: np.ndarray, t: int) -> PairChunks 
 
 
 def row_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable lexicographic order of the rows of a 2-d array (one
-    ``np.lexsort`` of its columns), and, per sorted position, whether
-    that row equals the one before it."""
+    """The stable lexicographic order of a 2-d array's rows (one ``np.lexsort``
+    of its columns) and, per sorted position, whether that row repeats the last."""
     order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(rows.shape[0])
     ranked = rows[order]
     same = np.zeros(order.size, dtype=bool)

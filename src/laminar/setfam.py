@@ -31,6 +31,7 @@ them to zero-one uint8 bit rows and back.
 
 from __future__ import annotations
 
+import io
 import operator
 import re
 from collections import Counter
@@ -123,19 +124,20 @@ def csr_arrays(n: int, points, offsets) -> tuple[np.ndarray, np.ndarray]:
     sizes = np.diff(offsets)
     if offsets[0] != 0 or offsets[-1] != points.size or (sizes < 0).any():
         raise ValueError("offsets must run nondecreasing from 0 to the point count")
-    outside = np.flatnonzero((points < 0) | (points >= n))
-    first = np.zeros(points.size, dtype=bool)  # the first point of a member
-    first[offsets[:-1][sizes > 0]] = True
-    down = np.flatnonzero((points[1:] <= points[:-1]) & ~first[1:]) + 1
-    for bad, message in ((outside, "point {} outside 1..{}"),
-                         (down, "points must be strictly increasing")):
-        if bad.size:
-            # csr_from_sets' shift to 0-based wraps the point -2^63 round
-            # to 2^63 - 1, and adding the 1 back wraps it home
-            with np.errstate(over="ignore"):
-                name = points[bad[0]] + 1
-            member = int(np.searchsorted(offsets, bad[0], side="right")) - 1
-            raise MemberError(message.format(name, n), member)
+    bad, message = np.flatnonzero((points < 0) | (points >= n)), "point {} outside 1..{}"
+    if not bad.size:
+        # every point is below n, so n times its member's index added to
+        # each point increases along the array iff within every member
+        key = points + n * np.repeat(np.arange(sizes.size), sizes)
+        bad = np.flatnonzero(key[1:] <= key[:-1]) + 1
+        message = "points must be strictly increasing"
+    if bad.size:
+        # csr_from_sets' shift to 0-based wraps the point -2^63 round to
+        # 2^63 - 1, and adding the 1 back wraps it home
+        with np.errstate(over="ignore"):
+            name = points[bad[0]] + 1
+        member = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+        raise MemberError(message.format(name, n), member)
     points.flags.writeable = False
     offsets.flags.writeable = False
     return points, offsets
@@ -159,8 +161,9 @@ class Family:
     """A duplicate-free ordered family of members of [n]: member i is the
     0-based points ``points[offsets[i]:offsets[i+1]]``, read-only int64
     copies (`csr_arrays`).  A repeated member, found by sorting the
-    members of each size (`_kernels.repeated_rows`), raises MemberError
-    naming the later one.  Families compare by value."""
+    members' words (n <= 64) or the members of each size
+    (`_kernels.repeated_rows`), raises MemberError naming the later one.
+    Families compare by value."""
 
     n: int
     points: np.ndarray
@@ -168,11 +171,15 @@ class Family:
 
     def __post_init__(self):
         points, offsets = csr_arrays(self.n, self.points, self.offsets)
-        repeats = np.flatnonzero(_kernels.repeated_rows(points, offsets))
-        if repeats.size:
-            raise MemberError("duplicate blocks in family", int(repeats[0]))
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "offsets", offsets)
+        if self.n <= 64:  # one sort of the members' words
+            order, same = _kernels.row_order(self.words)
+            repeats = order[same]
+        else:
+            repeats = np.flatnonzero(_kernels.repeated_rows(points, offsets))
+        if repeats.size:
+            raise MemberError("duplicate blocks in family", int(repeats.min()))
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "Family":
@@ -201,8 +208,7 @@ class Family:
     def words(self) -> np.ndarray:
         """The members bit-packed for the kernels: a read-only (len,
         ceil(n/64)) uint64 matrix, point i at bit (i-1) % 64 of word
-        (i-1) // 64, one ``np.bitwise_or.reduceat`` over each run of
-        points in one word."""
+        (i-1) // 64; one ``np.bitwise_or.reduceat`` per run of points."""
         f, w = len(self), (self.n + 63) // 64
         words = np.zeros(f * w, dtype=np.uint64)
         if self.points.size:
@@ -274,10 +280,9 @@ def contains_config(m: np.ndarray, z: np.ndarray, pairs=_kernels.FROM_ROWS) -> b
     t = z11, tested in chunks of _PAIR_CHUNK_WORDS pair words.
     ``pairs`` is that listing when the caller has built it, and None to
     test every pair; by default it is built here (`_kernels.word_pairs`).
-    When z11 = 0, or the listing is None, the pairs come from
-    `_kernels.block_pairs` (those sharing a point, unless z11 = 0) in
-    blocks of rows of at most _PAIR_CHUNK_WORDS pair words, so memory
-    is O(1 MB).  The scan stops at the first chunk with a hit.
+    When z11 = 0, or the listing is None, `_kernels.block_pairs` finds
+    the pairs (sharing a point, if z11 >= 1) in blocks of at most
+    _PAIR_CHUNK_WORDS pair words.  The scan stops at the first hit.
 
     Arbitrary z falls back to enumerating row selections and
     permutations with multiset matching on columns; that search is
@@ -314,9 +319,11 @@ def _contains_two_row(m: np.ndarray, z: np.ndarray, pairs) -> bool:
         return hit
 
     s = m.sum(axis=1, dtype=np.int64)
-    # the rows, padded to whole words, bit-packed into little-endian
-    # words: G of a pair is the popcount of the words both rows hold
-    words = np.packbits(np.pad(m, ((0, 0), (0, -n % 64))), axis=1, bitorder="little").view("<u8")
+    # the rows bit-packed into little-endian words: G of a pair is the
+    # popcount of the words both rows hold
+    words = np.zeros((f, -(-n // 64) * 8), dtype=np.uint8)
+    words[:, : -(-n // 8)] = np.packbits(m, axis=1, bitorder="little")
+    words = words.view("<u8")
     if not z11:
         pairs = None
     elif pairs is _kernels.FROM_ROWS:
@@ -496,25 +503,20 @@ def family_to_text(fam: Family, t: int | None = None, comments: Iterable[str] = 
     return csr_to_text(fam.n, fam.points, fam.offsets, t=t, comments=comments)
 
 
-# str.splitlines breaks lines at these as well as at "\n"
+# the line breaks of str.splitlines other than "\n", and the bytes of a
+# body that _bulk_members reads: digits, spaces and newlines
 _OTHER_BREAKS = re.compile("[\r\v\f\x1c-\x1e\x85\u2028\u2029]")
-
-# the bytes of a body that _bulk_members reads: digits, spaces, newlines
-_BULK_BYTES = np.isin(np.arange(256), list(b"0123456789 \n"))
+_BULK_BYTES = np.zeros(256, dtype=bool)
+_BULK_BYTES[list(b"0123456789 \n")] = True
 
 
 def _numbered(text: str):
     """(line number, line, offset past it) per line as str.splitlines breaks
     them; the offset is None when a line breaks at more than "\n"."""
-    if _OTHER_BREAKS.search(text):
-        yield from ((ln, raw, None) for ln, raw in enumerate(text.splitlines(), start=1))
-        return
-    pos = ln = 0
-    while pos < len(text):
-        end = len(text) if (end := text.find("\n", pos)) < 0 else end
-        ln += 1
-        yield ln, text[pos:end], end + 1
-        pos = end + 1
+    plain, end = _OTHER_BREAKS.search(text) is None, 0
+    for ln, raw in enumerate(io.StringIO(text, newline="\n") if plain else text.splitlines(), 1):
+        end = end + len(raw) if plain else None
+        yield ln, raw, end
 
 
 def family_from_text(text: str) -> tuple[Family, int | None, list[str]]:
