@@ -126,10 +126,9 @@ def csr_arrays(n: int, points, offsets) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("offsets must run nondecreasing from 0 to the point count")
     bad, message = np.flatnonzero((points < 0) | (points >= n)), "point {} outside 1..{}"
     if not bad.size:
-        # every point is below n, so n times its member's index added to
-        # each point increases along the array iff within every member
-        key = points + n * np.repeat(np.arange(sizes.size), sizes)
-        bad = np.flatnonzero(key[1:] <= key[:-1]) + 1
+        first = np.zeros(points.size, dtype=bool)  # the first point of a member
+        first[offsets[:-1][sizes > 0]] = True
+        bad = np.flatnonzero((points[1:] <= points[:-1]) & ~first[1:]) + 1
         message = "points must be strictly increasing"
     if bad.size:
         # csr_from_sets' shift to 0-based wraps the point -2^63 round to
