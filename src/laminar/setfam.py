@@ -121,14 +121,14 @@ def csr_arrays(n: int, points, offsets) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.array(offsets, dtype=np.int64)
     if points.ndim != 1 or offsets.ndim != 1 or offsets.size == 0:
         raise ValueError("points and offsets must be 1-D, offsets nonempty")
-    sizes = np.diff(offsets)
+    sizes = offsets[1:] - offsets[:-1]
     if offsets[0] != 0 or offsets[-1] != points.size or (sizes < 0).any():
         raise ValueError("offsets must run nondecreasing from 0 to the point count")
-    bad, message = np.flatnonzero((points < 0) | (points >= n)), "point {} outside 1..{}"
+    bad, message = ((points < 0) | (points >= n)).nonzero()[0], "point {} outside 1..{}"
     if not bad.size:
         first = np.zeros(points.size, dtype=bool)  # the first point of a member
         first[offsets[:-1][sizes > 0]] = True
-        bad = np.flatnonzero((points[1:] <= points[:-1]) & ~first[1:]) + 1
+        bad = ((points[1:] <= points[:-1]) & ~first[1:]).nonzero()[0] + 1
         message = "points must be strictly increasing"
     if bad.size:
         # csr_from_sets' shift to 0-based wraps the point -2^63 round to
@@ -182,8 +182,8 @@ class Family:
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "Family":
-        """One member per iterable of points in 1..n, taken as a set."""
-        return cls(n, *csr_from_sets(n, (sorted(set(s)) for s in sets)))
+        """One member per iterable of distinct points in 1..n, in any order."""
+        return cls(n, *csr_from_sets(n, (sorted(s) for s in sets)))
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "Family":
@@ -207,22 +207,19 @@ class Family:
     def words(self) -> np.ndarray:
         """The members bit-packed for the kernels: a read-only (len,
         ceil(n/64)) uint64 matrix, point i at bit (i-1) % 64 of word
-        (i-1) // 64; one ``np.bitwise_or.reduceat`` per run of points."""
-        f, w = len(self), (self.n + 63) // 64
-        words = np.zeros(f * w, dtype=np.uint64)
-        if self.points.size:
-            cell = np.repeat(np.arange(f) * w, np.diff(self.offsets)) + (self.points >> 6)
-            run = np.flatnonzero(np.diff(cell, prepend=-1))
-            bits = np.left_shift(np.uint64(1), (self.points & 63).astype(np.uint64))
-            words[cell[run]] = np.bitwise_or.reduceat(bits, run)
-        words = words.reshape(f, w)
+        (i-1) // 64, set by one ``np.bitwise_or.at``."""
+        words = np.zeros((len(self), (self.n + 63) // 64), dtype=np.uint64)
+        rows = np.repeat(np.arange(len(self)), self.offsets[1:] - self.offsets[:-1])
+        bits = np.left_shift(np.uint64(1), (self.points & 63).astype(np.uint64))
+        np.bitwise_or.at(words, (rows, self.points >> 6), bits)
         words.flags.writeable = False
         return words
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
         """Every member as an int mask, bit i-1 for point i."""
-        return tuple(_byte_masks(self.words.view(np.uint8)))
+        words = self.words
+        return tuple(words[:, 0].tolist() if self.n <= 64 else _byte_masks(words.view(np.uint8)))
 
 
 def violating_pair(fam: Family, t: int) -> Optional[tuple[int, int]]:

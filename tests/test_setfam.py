@@ -79,6 +79,13 @@ class TestBlockFamily:
         with pytest.raises(ValueError, match="duplicate"):
             fam(3, [1, 2], [2, 1])
 
+    def test_member_with_a_repeated_point_rejected(self):
+        # a point listed twice is no set of distinct points
+        with pytest.raises(MemberError, match=r"^points must be strictly increasing$"):
+            Family.of(3, [[1], [2, 2]])
+        with pytest.raises(ValueError, match=r"^member 2: points must be strictly increasing$"):
+            family_from_json({"n": 3, "sets": [[1], [2, 2]]})
+
     def test_family_rejects_mixed_ground(self):
         # masks carry no ground size: a member of a larger ground set is a
         # mask with bits at or above n
