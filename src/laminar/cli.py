@@ -27,8 +27,6 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from . import bounds, construct, geometry, search, setfam
 
 EXIT_OK = 0

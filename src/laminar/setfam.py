@@ -16,9 +16,9 @@ Only member pairs sharing t points can break 1 or 2, and
 `verify_t_laminar` lists them once for both (`_kernels.shared_pairs`),
 or scans every pair in blocks where listing costs more.  Check 3
 shares no code with that listing and is the independent witness.  On
-the 1625-set tower (n = 49, t = 2) the three take about 2, 2 and 1 ms;
-on the circle tower r = 1 (114,842 sets, n = 82, t = 3) about 0.2, 0.2
-and 0.1 s (one thread of a 2-core VM).
+the 1625-set tower (n = 49, t = 2) the three take about 0.8, 0.9 and
+0.5 ms; on the circle tower r = 1 (114,842 sets, n = 82, t = 3) about
+0.10, 0.10 and 0.04 s (one thread of a 2-core VM).
 
 A Family holds its members as CSR arrays, as `geometry.Design` holds
 its blocks.  The parsers build them, the writers read them, and the
@@ -172,7 +172,10 @@ class Family:
         points, offsets = csr_arrays(self.n, self.points, self.offsets)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "offsets", offsets)
-        if self.n <= 64:  # one sort of the members' words
+        # members of at most 64 points sort as one word each (words that
+        # verify packs anyway); wider words would cost ceil(n/64) words a
+        # member, so larger families sort the points of each size
+        if self.n <= 64:
             order, same = _kernels.row_order(self.words)
             repeats = order[same]
         else:
@@ -371,7 +374,7 @@ def unique_chain_check(fam: Family, t: int) -> bool:
     a time; the first chunk with a broken chain ends the check.  Keys
     are int64, or Python ints where C(n, t) is too large.  Memory is a
     chunk plus a rank and a member per t-subset met.  The circle tower
-    r = 1 (354,240 rows) takes about 0.1 s, against 0.4 s for the
+    r = 1 (354,240 rows) takes about 0.04 s, against 0.4 s for the
     dictionary.
     """
     if t < 1:
