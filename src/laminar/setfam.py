@@ -160,9 +160,8 @@ class Family:
     """A duplicate-free ordered family of members of [n]: member i is the
     0-based points ``points[offsets[i]:offsets[i+1]]``, read-only int64
     copies (`csr_arrays`).  A repeated member, found by sorting the
-    members' words (n <= 64) or the members of each size
-    (`_kernels.repeated_rows`), raises MemberError naming the later one.
-    Families compare by value."""
+    members of each size (`_kernels.repeated_rows`), raises MemberError
+    naming the later one.  Families compare by value."""
 
     n: int
     points: np.ndarray
@@ -172,21 +171,15 @@ class Family:
         points, offsets = csr_arrays(self.n, self.points, self.offsets)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "offsets", offsets)
-        # members of at most 64 points sort as one word each (words that
-        # verify packs anyway); wider words would cost ceil(n/64) words a
-        # member, so larger families sort the points of each size
-        if self.n <= 64:
-            order, same = _kernels.row_order(self.words)
-            repeats = order[same]
-        else:
-            repeats = np.flatnonzero(_kernels.repeated_rows(points, offsets))
+        repeats = np.flatnonzero(_kernels.repeated_rows(points, offsets))
         if repeats.size:
             raise MemberError("duplicate blocks in family", int(repeats.min()))
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "Family":
-        """One member per iterable of distinct points in 1..n, in any order."""
-        return cls(n, *csr_from_sets(n, (sorted(s) for s in sets)))
+        """One member per iterable of points in 1..n, in any order; a point
+        listed twice counts once."""
+        return cls(n, *csr_from_sets(n, (sorted(set(s)) for s in sets)))
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "Family":
@@ -221,8 +214,7 @@ class Family:
     @cached_property
     def masks(self) -> tuple[int, ...]:
         """Every member as an int mask, bit i-1 for point i."""
-        words = self.words
-        return tuple(words[:, 0].tolist() if self.n <= 64 else _byte_masks(words.view(np.uint8)))
+        return tuple(_byte_masks(self.words.view(np.uint8)))
 
 
 def violating_pair(fam: Family, t: int) -> Optional[tuple[int, int]]:
@@ -263,8 +255,13 @@ def forbidden_matrix(t: int) -> np.ndarray:
 _PAIR_CHUNK_WORDS = 1 << 17
 
 
-def contains_config(m: np.ndarray, z: np.ndarray, pairs=_kernels.FROM_ROWS) -> bool:
+def contains_config(
+    m: np.ndarray, z: np.ndarray, pairs=_kernels.FROM_ROWS, n: int | None = None
+) -> bool:
     """True iff some row/column permutation of z is a submatrix of m.
+
+    m is a zero-one matrix or, with ``n`` given, the rows of one with n
+    columns bit-packed as `Family.words` packs members.
 
     Two-row z reduces exactly to column-type counting over row pairs of
     m: rows i, j host z iff, for each column type 00/01/10/11, m has at
@@ -287,16 +284,28 @@ def contains_config(m: np.ndarray, z: np.ndarray, pairs=_kernels.FROM_ROWS) -> b
     permutations with multiset matching on columns; that search is
     exponential and intended for desk-scale oracles only.
     """
-    m = np.asarray(m, dtype=np.uint8)
     z = np.asarray(z, dtype=np.uint8)
-    if z.shape[0] > m.shape[0] or z.shape[1] > m.shape[1]:
+    packed = n is not None
+    if not packed:
+        m = np.asarray(m, dtype=np.uint8)
+        n = m.shape[1]
+    if z.shape[0] > m.shape[0] or z.shape[1] > n:
         return False
-    if z.shape[0] == 2:
-        return _contains_two_row(m, z, pairs)
-    return _contains_config_general(m, z)
+    if z.shape[0] != 2:
+        if packed:
+            m = np.unpackbits(m.view(np.uint8), axis=1, count=n, bitorder="little")
+        return _contains_config_general(m, z)
+    if not packed:
+        # the rows bit-packed into little-endian words
+        words = np.zeros((m.shape[0], -(-n // 64) * 8), dtype=np.uint8)
+        words[:, : -(-n // 8)] = np.packbits(m, axis=1, bitorder="little")
+        m = words.view("<u8")
+    return _contains_two_row(m, n, z, pairs)
 
 
-def _contains_two_row(m: np.ndarray, z: np.ndarray, pairs) -> bool:
+def _contains_two_row(words: np.ndarray, n: int, z: np.ndarray, pairs) -> bool:
+    """contains_config for two-row z on rows bit-packed into words: G of
+    a pair is the popcount of the words both rows hold."""
     z0, z1 = z.astype(np.int64)
     z11 = int((z0 & z1).sum())
     z00 = int(((1 - z0) & (1 - z1)).sum())
@@ -304,7 +313,6 @@ def _contains_two_row(m: np.ndarray, z: np.ndarray, pairs) -> bool:
     # z's pair in some order iff min >= the smaller and max >= the larger;
     # both are compared side by side
     z_lo, z_hi = sorted((int((z0 & (1 - z1)).sum()), int(((1 - z0) & z1).sum())))
-    f, n = m.shape
 
     def hosts(g, si, sj):
         """Which pairs with 11-counts g and row sums si, sj host z."""
@@ -317,12 +325,7 @@ def _contains_two_row(m: np.ndarray, z: np.ndarray, pairs) -> bool:
             hit &= g >= si + sj + (z00 - n)
         return hit
 
-    s = m.sum(axis=1, dtype=np.int64)
-    # the rows bit-packed into little-endian words: G of a pair is the
-    # popcount of the words both rows hold
-    words = np.zeros((f, -(-n // 64) * 8), dtype=np.uint8)
-    words[:, : -(-n // 8)] = np.packbits(m, axis=1, bitorder="little")
-    words = words.view("<u8")
+    s = _kernels.popcount_u64(words).sum(axis=1, dtype=np.int64)
     if not z11:
         pairs = None
     elif pairs is _kernels.FROM_ROWS:
@@ -442,8 +445,8 @@ def verify_t_laminar(
 ) -> Optional[tuple[int, int]]:
     """Run all three characterizations; the first violating pair or None.
 
-    The members' words (packed once) are check 1's rows and, unpacked,
-    check 2's; the member pairs sharing t points are listed once for
+    The members' words (packed once) are the rows of checks 1 and 2 and
+    check 3's subset test; the member pairs sharing t points are listed once for
     both; check 3 shares no code with that listing.  So a fault in one
     check, or in the listing, shows up as a disagreement (ChecksDisagree)
     rather than a wrong verdict.  The pair is violating_pair's.
@@ -458,7 +461,7 @@ def verify_t_laminar(
         rows = _kernels.row_count(np.diff(fam.offsets), t)
         paths.update(pairs=pairs, chain_rows=rows, chain_dict=_chain_by_dict(fam, t))
     hit = _kernels.find_violation(fam.words, t, pairs)
-    avoided = not contains_config(incidence_matrix(fam), forbidden_matrix(t), pairs)
+    avoided = not contains_config(fam.words, forbidden_matrix(t), pairs, n=fam.n)
     chained = unique_chain_check(fam, t)
     if not (hit is None) == avoided == chained:
         raise ChecksDisagree(hit is None, avoided, chained)

@@ -79,12 +79,15 @@ class TestBlockFamily:
         with pytest.raises(ValueError, match="duplicate"):
             fam(3, [1, 2], [2, 1])
 
-    def test_member_with_a_repeated_point_rejected(self):
-        # a point listed twice is no set of distinct points
+    def test_repeated_point_counts_once(self):
+        # Family.of and a JSON member take a set of points; the CSR
+        # constructor and a text line must list them strictly increasing
+        assert Family.of(3, [[1], [2, 2]]) == fam(3, [1], [2])
+        assert family_from_json({"n": 3, "sets": [[3, 1, 3]]})[0] == fam(3, [1, 3])
         with pytest.raises(MemberError, match=r"^points must be strictly increasing$"):
-            Family.of(3, [[1], [2, 2]])
-        with pytest.raises(ValueError, match=r"^member 2: points must be strictly increasing$"):
-            family_from_json({"n": 3, "sets": [[1], [2, 2]]})
+            Family(3, [0, 1, 1], [0, 1, 3])
+        with pytest.raises(FamilyParseError, match=r"^line 3: points must be strictly increasing$"):
+            family_from_text("n=3\n1\n2 2\n")
 
     def test_family_rejects_mixed_ground(self):
         # masks carry no ground size: a member of a larger ground set is a
@@ -309,6 +312,10 @@ class TestMatrices:
         z_impossible = np.zeros((3, 3), dtype=np.uint8)
         z_impossible[0] = 1
         assert not contains_config(np.eye(3, dtype=np.uint8), z_impossible)
+        words = Family.of(3, [[1], [2], [3], [1, 2, 3]]).words
+        assert contains_config(words, z3, n=3)
+        assert not contains_config(words[:3], z_impossible, n=3)
+        assert not contains_config(words, np.ones((2, 4), dtype=np.uint8), n=3)
 
 
 def _tower4(crossing=None):
@@ -341,6 +348,7 @@ class TestGramConfig:
                 z = forbidden_matrix(t)
                 got = contains_config(m, z)
                 assert got == _contains_config_general(m, z), (f, t)
+                assert contains_config(f.words, z, n=f.n) == got
                 hits += got
                 misses += not got
         assert hits > 50 and misses > 50
@@ -416,6 +424,7 @@ class TestConfigPaths:
             for zz in (z, forbidden_matrix(1), forbidden_matrix(2), forbidden_matrix(3)):
                 got = contains_config(m, zz)
                 assert got == _contains_config_general(m, zz), (f, zz.tolist())
+                assert contains_config(f.words, zz, n=f.n) == got
                 hits += got
                 misses += not got
         assert hits > 50 and misses > 50
