@@ -285,22 +285,18 @@ def contains_config(
     exponential and intended for desk-scale oracles only.
     """
     z = np.asarray(z, dtype=np.uint8)
-    packed = n is not None
-    if not packed:
+    if n is None:  # pack the rows into little-endian words
         m = np.asarray(m, dtype=np.uint8)
-        n = m.shape[1]
-    if z.shape[0] > m.shape[0] or z.shape[1] > n:
-        return False
-    if z.shape[0] != 2:
-        if packed:
-            m = np.unpackbits(m.view(np.uint8), axis=1, count=n, bitorder="little")
-        return _contains_config_general(m, z)
-    if not packed:
-        # the rows bit-packed into little-endian words
-        words = np.zeros((m.shape[0], -(-n // 64) * 8), dtype=np.uint8)
+        f, n = m.shape
+        words = np.zeros((f, -(-n // 64) * 8), dtype=np.uint8)
         words[:, : -(-n // 8)] = np.packbits(m, axis=1, bitorder="little")
         m = words.view("<u8")
-    return _contains_two_row(m, n, z, pairs)
+    if z.shape[0] > m.shape[0] or z.shape[1] > n:
+        return False
+    if z.shape[0] == 2:
+        return _contains_two_row(m, n, z, pairs)
+    bits = np.unpackbits(m.view(np.uint8), axis=1, count=n, bitorder="little")
+    return _contains_config_general(bits, z)
 
 
 def _contains_two_row(words: np.ndarray, n: int, z: np.ndarray, pairs) -> bool:
@@ -446,8 +442,8 @@ def verify_t_laminar(
     """Run all three characterizations; the first violating pair or None.
 
     The members' words (packed once) are the rows of checks 1 and 2 and
-    check 3's subset test; the member pairs sharing t points are listed once for
-    both; check 3 shares no code with that listing.  So a fault in one
+    check 3's subset test; the member pairs sharing t points are listed
+    once for checks 1-2; check 3 shares no code with that listing.  So a fault in one
     check, or in the listing, shows up as a disagreement (ChecksDisagree)
     rather than a wrong verdict.  The pair is violating_pair's.
 

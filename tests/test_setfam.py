@@ -78,6 +78,12 @@ class TestBlockFamily:
                 assert str(info.value) == f"{at(k)}duplicate blocks in family"
         with pytest.raises(ValueError, match="duplicate"):
             fam(3, [1, 2], [2, 1])
+        # members past one word, and equal sizes that differ in a late point
+        sets = [[1, 70, 130], [70], [1, 70, 131], [2, 70, 130], [70], [1, 70, 130]]
+        for k in range(2, len(sets) + 1):
+            with pytest.raises(MemberError, match="^duplicate") as info:
+                Family.of(200, sets[:k] + [[1, 70, 130]])
+            assert info.value.member == min(k, 4)
 
     def test_repeated_point_counts_once(self):
         # Family.of and a JSON member take a set of points; the CSR
