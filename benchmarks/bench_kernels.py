@@ -62,12 +62,17 @@ def _towers():
     )
 
 
+def _shared(fam):
+    """The pairs of fam's members that share 2 points, as verify lists them."""
+    return _kernels.shared_pairs(fam.points, fam.offsets, 2)
+
+
 def bench_violation(towers, repeats):
     for label, fam in towers:
         words = fam.words
         _row(
             f"violation check, shared pairs: {label}",
-            lambda: _kernels.find_violation(words, 2),
+            lambda: _kernels.find_violation(words, 2, _shared(fam)),
             repeats,
         )
     # what the two verify workloads with a crossing or a small family
@@ -87,7 +92,7 @@ def bench_violation(towers, repeats):
     words = corrupt.words
     _row(
         "violation check, shared pairs: tower + crossing set",
-        lambda: _kernels.find_violation(words, 2),
+        lambda: _kernels.find_violation(words, 2, _shared(corrupt)),
         repeats,
     )
     found = max_laminar_exact(9, 2).family
@@ -104,7 +109,11 @@ def bench_verify_checks(towers, repeats):
     z = forbidden_matrix(2)
     for label, fam in towers:
         m = incidence_matrix(fam)
-        _row(f"config check, shared pairs: {label}", lambda: contains_config(m, z), repeats)
+        _row(
+            f"config check, shared pairs: {label}",
+            lambda: contains_config(m, z, _shared(fam)),
+            repeats,
+        )
     for label, fam in towers:
         _row(f"chain check: {label}", lambda: unique_chain_check(fam, 2), repeats)
     _, circles = circle_tower(1, materialize=True)

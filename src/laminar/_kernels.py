@@ -4,15 +4,15 @@ Two inner loops dominate runtime in this package:
 
   * pairwise laminarity scans over bit-packed set families
     (``find_violation``).  Only members sharing t points can break
-    t-laminarity, so the pairs tested are those ``shared_pairs`` lists
-    from one ``np.argsort`` of the members' t-subsets (4,704 rows
-    against 1,319,500 pairs on the 1625-set tower), in chunks of at
-    most ``_PAIR_CHUNK`` = 2^17 pairs.  Where listing costs more, by
-    measured costs, or would hold more than ``_ROWS_MAX`` = 2^20 rows,
-    the pairs sharing a point are found in blocks of rows
-    (``block_pairs``).  Both hold at most ``_VIOLATION_BLOCK_CELLS`` =
-    2^17 row-pair words (1 MB) at a time and stop at the first chunk or
-    block with a hit,
+    t-laminarity, so the caller lists those pairs from the members' CSR
+    points with ``shared_pairs``: one ``np.argsort`` of the members'
+    t-subsets (4,704 rows against 1,319,500 pairs on the 1625-set
+    tower), in chunks of at most ``_PAIR_CHUNK`` = 2^17 pairs.  Where
+    listing costs more, by measured costs, or would hold more than
+    ``_ROWS_MAX`` = 2^20 rows, shared_pairs returns None and the pairs
+    sharing a point are found in blocks of rows (``block_pairs``).  Both
+    hold at most ``_VIOLATION_BLOCK_CELLS`` = 2^17 row-pair words (1 MB)
+    at a time and stop at the first chunk or block with a hit,
   * covered-t-subset counting when validating designs and packings
     (``cover_counts``, any t >= 1): ``np.add.at`` adds the colex ranks
     of the blocks' t-subsets (``colex_ranks``, which also drives
@@ -62,36 +62,23 @@ def popcount_u64(x: np.ndarray) -> np.ndarray:
 # at most 2^17 words (1 MB)
 _VIOLATION_BLOCK_CELLS = 1 << 17
 
-# words unpacked at a time when find_violation lists its rows' points:
-# 1 MB of zero-one bytes
-_UNPACK_WORDS = 1 << 14
 
-# find_violation's and contains_config's default for ``pairs``: list
-# the pairs that share t points from the rows themselves
-FROM_ROWS = object()
-
-
-def find_violation(words: np.ndarray, t: int, pairs=FROM_ROWS) -> tuple[int, int] | None:
+def find_violation(words: np.ndarray, t: int, pairs=None) -> tuple[int, int] | None:
     """First index pair (i < j) violating t-laminarity, or None.
 
     A pair violates when the sets share >= t points and neither contains
     the other.  The pairs are visited in row order: the smallest i with
     a violation, then the smallest j > i.  Any t >= 1.
 
-    Only a pair that shares a t-subset can violate, so the pairs tested
-    are ``shared_pairs`` of the rows at t, chunk by chunk in row order,
-    stopping at the first chunk with a hit.  ``pairs`` is that listing
-    when the caller has built it, and None to test every pair; by
-    default it is built here, unpacking the rows' points only when
-    their t-subsets are few enough to list.  With None, or when the
-    listing is refused, the pairs that share a point are found in
-    blocks of rows instead (``block_pairs``).
+    Only a pair that shares a t-subset can violate, so a caller holding
+    the rows' points passes ``pairs`` = ``shared_pairs`` of them at t,
+    tested chunk by chunk in row order, stopping at the first chunk with
+    a hit.  With None, the default and shared_pairs' refusal, the pairs
+    that share a point are found in blocks of rows (``block_pairs``).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     words = np.ascontiguousarray(words)
-    if pairs is FROM_ROWS:
-        pairs = word_pairs(words, t)
     step = max(1, _VIOLATION_BLOCK_CELLS // words.shape[1])
     if pairs is None:
         pairs = block_pairs(words, _VIOLATION_BLOCK_CELLS)
@@ -103,28 +90,6 @@ def find_violation(words: np.ndarray, t: int, pairs=FROM_ROWS) -> tuple[int, int
                 h = first[0]
                 return int(i[h]), int(j[h])
     return None
-
-
-def _csr_of_words(words: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 0-based points of bit-packed rows with popcounts ``sizes``,
-    and the int64 offsets delimiting them, unpacking _UNPACK_WORDS
-    words at a time."""
-    f, w = words.shape
-    step = max(1, _UNPACK_WORDS // w)
-    points = [
-        _columns(np.unpackbits(words[lo : lo + step].view(np.uint8), axis=1, bitorder="little"))
-        for lo in range(0, f, step)
-    ]
-    offsets = np.zeros(f + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    return np.concatenate(points) if points else np.zeros(0, dtype=np.intp), offsets
-
-
-def _columns(bits: np.ndarray) -> np.ndarray:
-    """The column of every one of a 2-d zero-one uint8 array, row by
-    row; one flat ``np.flatnonzero`` of its bool view, since a 2-d
-    ``np.nonzero`` takes over ten times longer."""
-    return np.flatnonzero(bits.view(bool)) % bits.shape[1]
 
 
 def _violates(wi: np.ndarray, wj: np.ndarray, t: int) -> np.ndarray:
@@ -186,23 +151,6 @@ def row_count(sizes: np.ndarray, t: int) -> int:
     return sum(int(held[s]) * comb(s, t) for s in present.tolist())
 
 
-def _listable(sizes: np.ndarray, t: int) -> bool:
-    """Whether shared_pairs builds the t-subset rows of members with
-    these sizes: there are at most _ROWS_MAX, and listing them costs
-    less than testing every pair."""
-    r = row_count(sizes, t)
-    f = sizes.size
-    return r <= _ROWS_MAX and _LISTING_COST + r * _ROW_COST <= f * (f - 1) // 2
-
-
-def word_pairs(words: np.ndarray, t: int) -> PairChunks | None:
-    """``shared_pairs`` at t of bit-packed rows, or None; the rows'
-    points are unpacked only once their popcounts show the t-subsets
-    _listable."""
-    sizes = popcount_u64(words).sum(axis=1, dtype=np.int64)
-    return shared_pairs(*_csr_of_words(words, sizes), t) if _listable(sizes, t) else None
-
-
 class PairChunks:
     """Every member pair (i < j) sharing at least t points, in ascending
     (i, j) order, as chunks: each iteration yields int64 arrays i and
@@ -260,12 +208,14 @@ def shared_pairs(points: np.ndarray, offsets: np.ndarray, t: int) -> PairChunks 
     orders the keys, so equal t-subsets form groups with their members
     ascending, and a group lists the pairs of its members.  Any t >= 1.
 
-    Returns None, having built nothing, unless ``_listable``: at most
-    _ROWS_MAX rows, and _LISTING_COST + R * _ROW_COST at most the
-    C(F, 2) pairs.  Returns None also when v^t * F, which bounds the
-    keys, exceeds int64, and when the E = sum of C(g, 2) pairs within
-    the groups add E * _PAIR_COST to that cost and take it above
-    C(F, 2).  A caller then tests the pairs that `block_pairs` finds.
+    Returns None, having built nothing, unless there are at most
+    _ROWS_MAX rows and _LISTING_COST + R * _ROW_COST is at most the
+    C(F, 2) pairs.  With no rows (R = 0, as for any t past the largest
+    member) the listing is empty.  Returns None also when v^t * F, which
+    bounds the keys, exceeds int64, and when the E = sum of C(g, 2)
+    pairs within the groups add E * _PAIR_COST to that cost and take it
+    above C(F, 2).  A caller then tests the pairs that `block_pairs`
+    finds.
 
     The three costs are where this choice loses least time, summed
     over (chosen time / faster time - 1), when ``laminar verify``'s
@@ -281,8 +231,12 @@ def shared_pairs(points: np.ndarray, offsets: np.ndarray, t: int) -> PairChunks 
     offsets = np.asarray(offsets, dtype=np.int64)
     f = offsets.size - 1
     sizes = np.diff(offsets)
-    if not _listable(sizes, t):
+    r = row_count(sizes, t)
+    if r > _ROWS_MAX or _LISTING_COST + r * _ROW_COST > f * (f - 1) // 2:
         return None
+    if not r:
+        none = np.zeros(0, dtype=np.int64)
+        return PairChunks(f, none, none, none, np.zeros(f + 1, dtype=np.int64))
     points = np.asarray(points, dtype=np.int64)
     v = int(points.max()) + 1 if points.size else 1
     if v**t * f >= 2**63:
@@ -297,11 +251,10 @@ def shared_pairs(points: np.ndarray, offsets: np.ndarray, t: int) -> PairChunks 
     count = per_size[sizes]
     row_offsets = np.zeros(f + 1, dtype=np.int64)
     np.cumsum(count, out=row_offsets[1:])
-    r = int(row_offsets[-1])
     first = np.repeat(offsets[:-1], count)
     k = np.arange(r) - np.repeat(row_offsets[:-1], count)
-    top = present[-1] if present else t
-    colex = np.array(list(combinations(range(top - 1, -1, -1), t)), dtype=np.int64)[::-1, ::-1]
+    colex = np.array(list(combinations(range(present[-1] - 1, -1, -1), t)),
+                     dtype=np.int64)[::-1, ::-1]
     key = points[first + colex[k, 0]]
     for q in range(1, t):
         key *= v
@@ -434,6 +387,10 @@ def colex_ranks(points: np.ndarray, offsets: np.ndarray, v: int, t: int, dtype=n
     """
     points = np.asarray(points, dtype=np.intp)
     offsets = np.asarray(offsets, dtype=np.int64)
+    sizes = offsets[1:] - offsets[:-1]
+    present = sorted(set(sizes[sizes >= t].tolist()))
+    if not present:  # nothing to rank, and t may exceed v: build no t x v table
+        return
     # binom[i, x] = C(x, i + 1); the colex rank of {a_0 < ... < a_{t-1}}
     # is the sum of binom[i, a_i].  Since a_i <= v - t + i, no entry used
     # exceeds the rank of the last t-subset; the entries past v - t + i
@@ -442,10 +399,8 @@ def colex_ranks(points: np.ndarray, offsets: np.ndarray, v: int, t: int, dtype=n
     for i in range(t):
         used = range(v - t + i + 1)
         binom[i, : len(used)] = [comb(x, i + 1) for x in used]
-    sizes = offsets[1:] - offsets[:-1]
-    present = sorted(set(sizes[sizes >= t].tolist()))
     # row i: the position in the block of each t-subset's i-th point
-    table = _colex_table(present[-1], t) if present else None
+    table = _colex_table(present[-1], t)
     for s in present:
         blocks = np.flatnonzero(sizes == s)
         per_block = comb(s, t)

@@ -214,8 +214,7 @@ def _paths_line(paths: dict) -> str:
         listing = "scanned every pair in blocks"
     else:
         listing = f"listed shared pairs ({pairs.rows} t-subset rows, {pairs.within} within groups)"
-    chain = "one dictionary step each" if paths["chain_dict"] else "sorted in chunks"
-    return f"verify: checks 1-2 {listing}; check 3: {paths['chain_rows']} t-subset rows, {chain}"
+    return f"verify: checks 1-2 {listing}; check 3: {paths['chain_rows']} t-subset rows"
 
 
 def cmd_verify(args) -> int:

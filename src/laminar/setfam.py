@@ -8,13 +8,15 @@ runs all three, as `laminar verify` does):
   1. the pairwise predicate (`is_t_laminar`, `violating_pair`) on
      bit-packed words (`_kernels.find_violation`),
   2. avoidance of a forbidden 2 x (t+2) zero-one configuration in the
-     incidence matrix (`contains_config` / `forbidden_matrix`),
+     incidence matrix (`forbidden_matrix`; `contains_config` takes any
+     two-row configuration),
   3. a unique-chain condition on t-subsets after augmenting the family
      with all of them (`unique_chain_check`).
 
 Only member pairs sharing t points can break 1 or 2, and
-`verify_t_laminar` lists them once for both (`_kernels.shared_pairs`),
-or scans every pair in blocks where listing costs more.  Check 3
+`verify_t_laminar` lists them once for both from the members' points
+(`_kernels.shared_pairs`), or scans every pair in blocks where listing
+costs more.  Check 3, one chunked sort of the t-subsets' colex ranks,
 shares no code with that listing and is the independent witness.  On
 the 1625-set tower (n = 49, t = 2) the three take about 0.8, 0.9 and
 0.5 ms; on the circle tower r = 1 (114,842 sets, n = 82, t = 3) about
@@ -23,10 +25,10 @@ the 1625-set tower (n = 49, t = 2) the three take about 0.8, 0.9 and
 A Family holds its members as CSR arrays, as `geometry.Design` holds
 its blocks.  The parsers build them, the writers read them, and the
 kernels take them or the words packed from them once (`Family.words`).
-Int masks (bit i-1 for point i) are derived only on request
-(`Family.masks`, `Family.from_masks`) for `search`'s small families and
-the dictionary chain check; `mask_bits` and `masks_from_bits` convert
-them to zero-one uint8 bit rows and back.
+Int masks (bit i-1 for point i) are derived only on request: `search`
+builds its small families with `Family.from_masks`, and no check reads
+`Family.masks`.  `mask_bits` and `masks_from_bits` convert masks to
+zero-one uint8 bit rows and back.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from __future__ import annotations
 import io
 import operator
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, permutations
+from itertools import chain
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -213,7 +214,8 @@ class Family:
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        """Every member as an int mask, bit i-1 for point i."""
+        """Every member as an int mask, bit i-1 for point i: the form of
+        the plain-Python references in the tests; no check reads it."""
         return tuple(_byte_masks(self.words.view(np.uint8)))
 
 
@@ -255,10 +257,9 @@ def forbidden_matrix(t: int) -> np.ndarray:
 _PAIR_CHUNK_WORDS = 1 << 17
 
 
-def contains_config(
-    m: np.ndarray, z: np.ndarray, pairs=_kernels.FROM_ROWS, n: int | None = None
-) -> bool:
-    """True iff some row/column permutation of z is a submatrix of m.
+def contains_config(m: np.ndarray, z: np.ndarray, pairs=None, n: int | None = None) -> bool:
+    """True iff some row/column permutation of the two-row z is a
+    submatrix of m; a z without two rows raises ValueError.
 
     m is a zero-one matrix or, with ``n`` given, the rows of one with n
     columns bit-packed as `Family.words` packs members.
@@ -272,19 +273,16 @@ def contains_config(
     00 = n - s_i - s_j + G.
 
     Rows that host z share z's z11 columns of type 11.  So when z11 >= 1
-    the candidate pairs are `_kernels.shared_pairs` of m's rows at
-    t = z11, tested in chunks of _PAIR_CHUNK_WORDS pair words.
-    ``pairs`` is that listing when the caller has built it, and None to
-    test every pair; by default it is built here (`_kernels.word_pairs`).
-    When z11 = 0, or the listing is None, `_kernels.block_pairs` finds
-    the pairs (sharing a point, if z11 >= 1) in blocks of at most
+    a caller holding m's rows as CSR points passes ``pairs`` =
+    `_kernels.shared_pairs` of them at t = z11, tested in chunks of
+    _PAIR_CHUNK_WORDS pair words.  When z11 = 0, or ``pairs`` is None
+    (the default and shared_pairs' refusal), `_kernels.block_pairs`
+    finds the pairs (sharing a point, if z11 >= 1) in blocks of at most
     _PAIR_CHUNK_WORDS pair words.  The scan stops at the first hit.
-
-    Arbitrary z falls back to enumerating row selections and
-    permutations with multiset matching on columns; that search is
-    exponential and intended for desk-scale oracles only.
     """
     z = np.asarray(z, dtype=np.uint8)
+    if z.ndim != 2 or z.shape[0] != 2:
+        raise ValueError("contains_config takes a z of two rows")
     if n is None:  # pack the rows into little-endian words
         m = np.asarray(m, dtype=np.uint8)
         f, n = m.shape
@@ -293,10 +291,7 @@ def contains_config(
         m = words.view("<u8")
     if z.shape[0] > m.shape[0] or z.shape[1] > n:
         return False
-    if z.shape[0] == 2:
-        return _contains_two_row(m, n, z, pairs)
-    bits = np.unpackbits(m.view(np.uint8), axis=1, count=n, bitorder="little")
-    return _contains_config_general(bits, z)
+    return _contains_two_row(m, n, z, pairs)
 
 
 def _contains_two_row(words: np.ndarray, n: int, z: np.ndarray, pairs) -> bool:
@@ -322,11 +317,7 @@ def _contains_two_row(words: np.ndarray, n: int, z: np.ndarray, pairs) -> bool:
         return hit
 
     s = _kernels.popcount_u64(words).sum(axis=1, dtype=np.int64)
-    if not z11:
-        pairs = None
-    elif pairs is _kernels.FROM_ROWS:
-        pairs = _kernels.word_pairs(words, z11)
-    if pairs is None:
+    if pairs is None or not z11:
         pairs = _kernels.block_pairs(words, _PAIR_CHUNK_WORDS, meeting=z11 > 0)
     step = max(1, _PAIR_CHUNK_WORDS // words.shape[1])
     for i_all, j_all in pairs:
@@ -336,20 +327,6 @@ def _contains_two_row(words: np.ndarray, n: int, z: np.ndarray, pairs) -> bool:
             if hosts(g, s[i], s[j]).any():
                 return True
     return False
-
-
-def _contains_config_general(m: np.ndarray, z: np.ndarray) -> bool:
-    need = Counter(map(tuple, z.T.tolist()))  # z's columns by type
-    for rows in permutations(range(m.shape[0]), z.shape[0]):
-        have = Counter(map(tuple, m[list(rows)].T.tolist()))
-        if all(have[k] >= v for k, v in need.items()):
-            return True
-    return False
-
-
-# up to this many t-subset rows a dictionary beats the sort's fixed
-# cost: 0.1 against 0.4 ms on the 108 rows of `search --n 9`'s 49 sets
-_CHAIN_DICT_ROWS = 256
 
 
 def unique_chain_check(fam: Family, t: int) -> bool:
@@ -363,31 +340,19 @@ def unique_chain_check(fam: Family, t: int) -> bool:
 
     Members S of size >= t are met by nondecreasing size, and each of
     their C(|S|, t) t-subsets T (a row) must lie in the last member met
-    holding T.  Up to _CHAIN_DICT_ROWS rows, that is one dictionary step
-    per row on the members' masks.  Beyond, the check ranks the rows
-    from the members' points (`_kernels.colex_ranks`) in chunks of at
-    most _COVER_CHUNK.  One sort of a chunk with the t-subsets met
-    before it, each with its last member, lines up every T's members in
-    the order met, and each pair of neighbours (a, b) is tested for
-    a & ~b == 0 on the members' words, _PAIR_CHUNK_WORDS pair words at
-    a time; the first chunk with a broken chain ends the check.  Keys
-    are int64, or Python ints where C(n, t) is too large.  Memory is a
-    chunk plus a rank and a member per t-subset met.  The circle tower
-    r = 1 (354,240 rows) takes about 0.04 s, against 0.4 s for the
-    dictionary.
+    holding T.  The check ranks the rows from the members' points
+    (`_kernels.colex_ranks`) in chunks of at most _COVER_CHUNK.  One
+    sort of a chunk with the t-subsets met before it, each with its
+    last member, lines up every T's members in the order met, and each
+    pair of neighbours (a, b) is tested for a & ~b == 0 on the members'
+    words, _PAIR_CHUNK_WORDS pair words at a time; the first chunk with
+    a broken chain ends the check.  Keys are int64, or Python ints where
+    C(n, t) is too large.  Memory is a chunk plus a rank and a member
+    per t-subset met.  The circle tower r = 1 (354,240 rows) takes about
+    0.04 s.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if _chain_by_dict(fam, t):
-        holder: dict[int, int] = {}  # t-subset -> the last member met holding it
-        for mask in sorted((m for m in fam.masks if m.bit_count() >= t), key=int.bit_count):
-            for sub in combinations([1 << p for p in _bit_positions(mask)], t):
-                key = sum(sub)
-                below = holder.get(key)
-                if below is not None and below & mask != below:
-                    return False
-                holder[key] = mask
-        return True
     words = fam.words
     # a sort key is rank << shift | place: place 0 for a t-subset met
     # in an earlier chunk, and 1, 2, ... for the chunk's ranks in order
@@ -412,13 +377,6 @@ def unique_chain_check(fam: Family, t: int) -> bool:
         last[same] = False
         seen, top = rank[last], member[last]
     return True
-
-
-def _chain_by_dict(fam: Family, t: int) -> bool:
-    """Whether unique_chain_check takes one dictionary step per t-subset
-    row: fam has at most _CHAIN_DICT_ROWS of them."""
-    return len(fam) <= _CHAIN_DICT_ROWS and (
-        _kernels.row_count(np.diff(fam.offsets), t) <= _CHAIN_DICT_ROWS)
 
 
 class ChecksDisagree(RuntimeError):
@@ -447,15 +405,19 @@ def verify_t_laminar(
     check, or in the listing, shows up as a disagreement (ChecksDisagree)
     rather than a wrong verdict.  The pair is violating_pair's.
 
+    The checks run at min(t, n + 1), which gives every t > n the same
+    verdict, since no two members of [n] share n + 1 points, and keeps
+    the forbidden matrix within n + 3 columns.
+
     A ``paths`` dict receives, before the checks run, the listing of
     checks 1-2 under "pairs" (a `_kernels.PairChunks`, or None when they
-    scan every pair in blocks), check 3's t-subset rows under
-    "chain_rows", and under "chain_dict" whether it steps through them.
+    scan every pair in blocks) and check 3's t-subset rows under
+    "chain_rows".
     """
+    t = min(t, fam.n + 1)
     pairs = _kernels.shared_pairs(fam.points, fam.offsets, t)
     if paths is not None:
-        rows = _kernels.row_count(np.diff(fam.offsets), t)
-        paths.update(pairs=pairs, chain_rows=rows, chain_dict=_chain_by_dict(fam, t))
+        paths.update(pairs=pairs, chain_rows=_kernels.row_count(np.diff(fam.offsets), t))
     hit = _kernels.find_violation(fam.words, t, pairs)
     avoided = not contains_config(fam.words, forbidden_matrix(t), pairs, n=fam.n)
     chained = unique_chain_check(fam, t)

@@ -1,9 +1,12 @@
 """Shared generators for randomized harnesses (all seeded, deterministic),
-the Fraction oracle of the bound table's ratio recursion, and the
-corruptions of a bound cache that its check must reject."""
+the enumerating oracle of configuration containment, the Fraction
+oracle of the bound table's ratio recursion, and the corruptions of a
+bound cache that its check must reject."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -15,6 +18,18 @@ from laminar.setfam import Family
 def members(fam: Family) -> list[tuple[int, ...]]:
     """Every member's 1-based points, read off its mask one bit at a time."""
     return [tuple(p for p in range(1, fam.n + 1) if m >> (p - 1) & 1) for m in fam.masks]
+
+
+def contains_config_general(m, z) -> bool:
+    """Oracle for contains_config on any z: some selection of z's row
+    count of m's rows, in some order, holds at least as many columns of
+    each type as z.  Exponential; desk-scale only."""
+    need = Counter(map(tuple, z.T.tolist()))  # z's columns by type
+    for rows in permutations(range(m.shape[0]), z.shape[0]):
+        have = Counter(map(tuple, m[list(rows)].T.tolist()))
+        if all(have[k] >= v for k, v in need.items()):
+            return True
+    return False
 
 
 def random_family(rng: random.Random, n_cap: int = 7, size_cap: int = 12) -> Family:

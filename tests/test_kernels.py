@@ -12,7 +12,7 @@ from conftest import sparse_family
 from laminar import _kernels
 from laminar.construct import fano_tower
 from laminar.geometry import Design, is_design, is_packing
-from laminar.setfam import Family, is_t_laminar
+from laminar.setfam import Family, is_t_laminar, violating_pair
 
 
 def _random_words(rng, n_sets, n_bits):
@@ -113,7 +113,7 @@ class TestViolationOnTower:
     CROSSING = 1 << 0 | 1 << 194 | 1 << 195
 
     def test_laminar_tower_has_no_violation(self, tower4):
-        assert _kernels.find_violation(Family.from_masks(196, tower4).words, 2) is None
+        assert violating_pair(Family.from_masks(196, tower4), 2) is None
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_inserted_crossing_set(self, tower4, where):
@@ -130,25 +130,26 @@ class TestViolationOnTower:
         ]
         assert crossing
         want = tuple(sorted((crossing[0], pos)))
-        got = _kernels.find_violation(Family.from_masks(196, masks).words, 2)
+        got = violating_pair(Family.from_masks(196, masks), 2)
         assert got == want
 
     def test_peak_memory(self, tower4, monkeypatch):
         import tracemalloc
 
-        words = Family.from_masks(196, tower4).words
+        fam = Family.from_masks(196, tower4)
+        fam.words  # packed before the trace starts
         for path in ("grouped", "blocked"):
             if path == "blocked":
                 monkeypatch.setattr(_kernels, "shared_pairs", lambda points, offsets, t: None)
             tracemalloc.start()
             try:
-                assert _kernels.find_violation(words, 2) is None
+                assert violating_pair(fam, 2) is None
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             # each block's temporaries hold at most _VIOLATION_BLOCK_CELLS
-            # words (1 MB); measured about 1 MB in all, and 4.8 MB on
-            # the grouped path (CSR points, t-subset rows and a chunk)
+            # words (1 MB); measured about 1 MB in all, and 4.7 MB on
+            # the grouped path (t-subset rows and a chunk)
             assert peak < 16 * 2**20, (path, peak)
 
 
@@ -279,6 +280,14 @@ class TestSharedPairs:
         with pytest.raises(ValueError):
             _kernels.shared_pairs(*_csr([[0, 1], [1, 2]]), 0)
 
+    def test_t_past_every_member_builds_nothing(self):
+        # no member has t points: the listing is empty, with no v^t key
+        # bound, and no colex rank needs the t x v binomial table
+        _, tower = fano_tower(1, materialize=True)
+        listing = _kernels.shared_pairs(tower.points, tower.offsets, 10**8)
+        assert (listing.rows, listing.within, _listed(listing)) == (0, 0, [])
+        assert list(_kernels.colex_ranks(tower.points, tower.offsets, 49, 10**12)) == []
+
 
 class TestViolationPaths:
     """find_violation's grouped and blocked paths against the references."""
@@ -293,12 +302,11 @@ class TestViolationPaths:
         seen = set()
         for _ in range(40):
             fam = sparse_family(rng, n_bits)
-            words = fam.words
             for t in (1, 2, 3):
-                got = _kernels.find_violation(words, t)
+                got = violating_pair(fam, t)
                 assert got == _first_violation(list(fam.masks), t), (fam, t)
                 # pairs=None scans every pair whatever the path
-                assert _kernels.find_violation(words, t, None) == got
+                assert _kernels.find_violation(fam.words, t, None) == got
                 seen.add(got is None)
         assert seen == {True, False}
         assert any(listed) == (name == "grouped")
@@ -312,10 +320,11 @@ class TestViolationPaths:
         # block with a violation
         rng = random.Random(11)
         masks = sorted({sum(1 << p for p in rng.sample(range(196), 16)) for _ in range(30_000)})
-        words = Family.from_masks(196, masks).words
+        fam = Family.from_masks(196, masks)
+        fam.words  # packed before the trace starts
         tracemalloc.start()
         try:
-            got = _kernels.find_violation(words, 2)
+            got = violating_pair(fam, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -333,9 +342,9 @@ class TestViolationPaths:
             i for i, m in enumerate(masks)
             if i != pos and (m & crossing).bit_count() >= 2 and m & crossing not in (m, crossing)
         )
-        got = _kernels.find_violation(Family.from_masks(196, masks).words, 2)
+        got = violating_pair(Family.from_masks(196, masks), 2)
         assert got == tuple(sorted((partner, pos)))
-        assert _kernels.find_violation(Family.from_masks(196, tower4).words, 2) is None
+        assert violating_pair(Family.from_masks(196, tower4), 2) is None
         assert listed == [name == "grouped"] * 2
 
 

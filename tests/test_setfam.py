@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import members, random_family, sparse_family
+from conftest import contains_config_general, members, random_family, sparse_family
 from laminar import _kernels, setfam
 from laminar.construct import fano_tower
 from laminar.setfam import (
@@ -15,7 +15,6 @@ from laminar.setfam import (
     Family,
     FamilyParseError,
     MemberError,
-    _contains_config_general,
     contains_config,
     family_from_json,
     family_from_text,
@@ -312,16 +311,26 @@ class TestMatrices:
         assert not contains_config(np.ones((2, 2), dtype=np.uint8), forbidden_matrix(2))
 
     def test_general_fallback_three_rows(self):
+        # three-row z are left to the tests' enumerating oracle
         m = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=np.uint8)
         z3 = np.eye(3, dtype=np.uint8)
-        assert contains_config(m, z3)
+        assert contains_config_general(m, z3)
         z_impossible = np.zeros((3, 3), dtype=np.uint8)
         z_impossible[0] = 1
-        assert not contains_config(np.eye(3, dtype=np.uint8), z_impossible)
+        assert not contains_config_general(np.eye(3, dtype=np.uint8), z_impossible)
+        assert not contains_config_general(m[:3], z_impossible)
         words = Family.of(3, [[1], [2], [3], [1, 2, 3]]).words
-        assert contains_config(words, z3, n=3)
-        assert not contains_config(words[:3], z_impossible, n=3)
         assert not contains_config(words, np.ones((2, 4), dtype=np.uint8), n=3)
+
+    def test_rejects_z_without_two_rows(self):
+        m = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=np.uint8)
+        words = Family.of(3, [[1], [2], [3], [1, 2, 3]]).words
+        for z in (np.eye(3, dtype=np.uint8), np.ones((1, 2), dtype=np.uint8),
+                  np.ones(2, dtype=np.uint8), np.ones((5, 1), dtype=np.uint8)):
+            with pytest.raises(ValueError, match="two rows"):
+                contains_config(m, z)
+            with pytest.raises(ValueError, match="two rows"):
+                contains_config(words, z, n=3)
 
 
 def _tower4(crossing=None):
@@ -335,7 +344,7 @@ def _tower4(crossing=None):
 
 class TestGramConfig:
     """The config check that scans every pair in blocks, its Gram entries
-    popcounts of packed words, against the general enumerator."""
+    popcounts of packed words, against the enumerating oracle."""
 
     @pytest.fixture(params=[3, 256])
     def block_rows(self, request, monkeypatch):
@@ -353,7 +362,7 @@ class TestGramConfig:
             for t in (1, 2, 3):
                 z = forbidden_matrix(t)
                 got = contains_config(m, z)
-                assert got == _contains_config_general(m, z), (f, t)
+                assert got == contains_config_general(m, z), (f, t)
                 assert contains_config(f.words, z, n=f.n) == got
                 hits += got
                 misses += not got
@@ -372,7 +381,7 @@ class TestGramConfig:
             )
             z[:, 0] = 0  # always one 00 column
             got = contains_config(m, z)
-            assert got == _contains_config_general(m, z), (f, z.tolist())
+            assert got == contains_config_general(m, z), (f, z.tolist())
             hits += got
             misses += not got
         assert hits > 20 and misses > 20
@@ -390,7 +399,8 @@ class TestGramConfig:
         assert contains_config(incidence_matrix(bad), forbidden_matrix(2))
 
     def test_memory_is_blocked(self, monkeypatch):
-        m = incidence_matrix(Family.from_masks(196, _tower4().masks[:4000]))
+        f = Family.from_masks(196, _tower4().masks[:4000])
+        m = incidence_matrix(f)
         assert m.shape == (4000, 196)
         # the tower takes the grouped path; forced off it, the scan of
         # every pair must stay blocked too
@@ -400,7 +410,8 @@ class TestGramConfig:
                     setfam._kernels, "shared_pairs", lambda points, offsets, t: None)
             tracemalloc.start()
             try:
-                found = contains_config(m, forbidden_matrix(2))
+                pairs = setfam._kernels.shared_pairs(f.points, f.offsets, 2)
+                found = contains_config(m, forbidden_matrix(2), pairs)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -410,9 +421,15 @@ class TestGramConfig:
             assert peak < 64 * 2**20, (path, peak)
 
 
+def _listing(f, z):
+    """contains_config's ``pairs`` for the rows of f and a z with an 11
+    column: f's shared pairs at z's number of 11 columns."""
+    return _kernels.shared_pairs(f.points, f.offsets, int((z[0] & z[1]).sum()))
+
+
 class TestConfigPaths:
-    """contains_config's grouped and blocked paths against the general
-    enumerator and the pairwise predicate."""
+    """contains_config's grouped and blocked paths against the
+    enumerating oracle and the pairwise predicate."""
 
     def test_random_two_row_z(self, pair_path):
         name, listed = pair_path
@@ -428,9 +445,10 @@ class TestConfigPaths:
             )
             z[:, 0] = 1  # at least one 11 column
             for zz in (z, forbidden_matrix(1), forbidden_matrix(2), forbidden_matrix(3)):
-                got = contains_config(m, zz)
-                assert got == _contains_config_general(m, zz), (f, zz.tolist())
-                assert contains_config(f.words, zz, n=f.n) == got
+                pairs = _listing(f, zz)
+                got = contains_config(m, zz, pairs)
+                assert got == contains_config_general(m, zz), (f, zz.tolist())
+                assert contains_config(f.words, zz, pairs, n=f.n) == got
                 hits += got
                 misses += not got
         assert hits > 50 and misses > 50
@@ -438,9 +456,10 @@ class TestConfigPaths:
 
     def test_crossed_4x_tower(self, pair_path):
         name, listed = pair_path
-        assert not contains_config(incidence_matrix(_tower4()), forbidden_matrix(2))
-        bad = _tower4(crossing=[1, 2, 60, 61])
-        assert contains_config(incidence_matrix(bad), forbidden_matrix(2))
+        z = forbidden_matrix(2)
+        good, bad = _tower4(), _tower4(crossing=[1, 2, 60, 61])
+        assert not contains_config(incidence_matrix(good), z, _listing(good, z))
+        assert contains_config(incidence_matrix(bad), z, _listing(bad, z))
         assert violating_pair(bad, 2) is not None
         assert listed[:2] == [name == "grouped"] * 2
 
@@ -457,7 +476,8 @@ class TestConfigPaths:
         m[1, 301] = 1
         m[np.arange(2, 42), np.arange(302, 342)] = 1
         z = np.array([[0, 1, 1, 0], [1, 0, 1, 0]], dtype=np.uint8)
-        assert contains_config(m, z)
+        f = Family.of(n, [np.flatnonzero(row) + 1 for row in m])
+        assert contains_config(m, z, _listing(f, z))
         assert listed == [name == "grouped"]
 
 
@@ -498,20 +518,17 @@ class TestUniqueChain:
         assert not unique_chain_check(fam(5, [1, 2, 3], [1, 2, 4], [1, 2, 3, 4, 5]), 2)
         assert unique_chain_check(fam(5, [1, 2, 3], [1, 4, 5], [1, 2, 3, 4, 5]), 2)
 
-    @pytest.fixture(params=["dict", "sorted", "sorted in small chunks"])
+    @pytest.fixture(params=["sorted", "sorted in small chunks"])
     def path(self, request, monkeypatch):
-        # check 3 steps through a dictionary up to _CHAIN_DICT_ROWS rows;
         # small chunks split a member's t-subsets over several chunks
         # and test one neighbour pair at a time
-        if request.param != "dict":
-            monkeypatch.setattr(setfam, "_CHAIN_DICT_ROWS", -1)
         if request.param == "sorted in small chunks":
             monkeypatch.setattr(_kernels, "_COVER_CHUNK", 3)
             monkeypatch.setattr(setfam, "_PAIR_CHUNK_WORDS", 1)
 
-    def test_against_pairwise_beyond_one_word(self, monkeypatch):
+    def test_against_pairwise_beyond_one_word(self):
         rng = random.Random(65)
-        seen, few = set(), setfam._CHAIN_DICT_ROWS
+        seen = set()
         for _ in range(150):
             n = rng.randint(65, 140)
             # points drawn from a small pool, so members often overlap
@@ -523,9 +540,7 @@ class TestUniqueChain:
             f = Family.of(n, sets)
             for t in (1, 2, 3):
                 lam = is_t_laminar(f, t)
-                for rows in (few, -1):  # the dictionary up to few rows, then the sort
-                    monkeypatch.setattr(setfam, "_CHAIN_DICT_ROWS", rows)
-                    assert unique_chain_check(f, t) == lam, (f, t, rows)
+                assert unique_chain_check(f, t) == lam, (f, t)
                 seen.add(lam)
         assert seen == {True, False}
 
@@ -601,7 +616,7 @@ class TestUniqueChain:
 
         _, tower = fano_tower(1, materialize=True)
         crossed = _tower4(crossing=[1, 2, 60, 61])
-        for name in ("shared_pairs", "word_pairs", "find_violation"):
+        for name in ("shared_pairs", "find_violation"):
             monkeypatch.setattr(_kernels, name, broken)
         assert unique_chain_check(tower, 2)
         assert not unique_chain_check(crossed, 2)
@@ -662,12 +677,12 @@ class TestVerifyThreeWays:
         paths = {}
         assert verify_t_laminar(tower, 2, paths) is None
         assert (paths["pairs"].rows, paths["pairs"].within) == (4704, 7056)
-        assert (paths["chain_rows"], paths["chain_dict"]) == (4704, False)
+        assert paths["chain_rows"] == 4704
         # three 2-sets and one 3-set: listing would cost more than the
         # three pairs it could save
         paths = {}
         verify_t_laminar(fam(4, [1, 2], [1, 3], [2, 3], [1, 2, 3]), 2, paths)
-        assert paths == {"pairs": None, "chain_rows": 6, "chain_dict": True}
+        assert paths == {"pairs": None, "chain_rows": 6}
 
 
 class TestSerialization:
