@@ -14,17 +14,22 @@ variable LAMINAR_CACHE overrides the default bound-table cache path.
 `obf` and `summary` compute the table cold and accept each cache line
 only if it is byte-identical to the line they would write; a line that
 is not exits 4, naming it, and leaves the cache unchanged.
+
+`parse` reads argv from the `_COMMANDS` table as argparse would, without
+importing it: every command runs in a fresh process, where importing
+argparse and its first parse (gettext, locale, its regular expressions,
+one help formatter per argument) cost more than a small `verify`.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable
 
 from . import bounds, construct, geometry, search, setfam
@@ -120,9 +125,11 @@ def cmd_obf(args) -> int:
 # construct
 
 
-def _write_family(path: str, fam: setfam.Family, t: int, comments: list[str]):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(setfam.family_to_text(fam, t=t, comments=comments))
+def _write(path: str, text: str):
+    # bytes: a file opened in text mode with encoding="ascii" imports the
+    # codec, which costs a fresh process more than encoding the text
+    with open(path, "wb") as fh:
+        fh.write(text.encode("ascii"))
     _log(f"wrote {path}")
 
 
@@ -136,7 +143,8 @@ def cmd_construct(args) -> int:
             print(json.dumps(report.to_json(), indent=2) if args.json else report)
             if fam is not None:
                 path = out or f"{kind}-r{args.r}.family"
-                _write_family(path, fam, report.t, [f"tower kind={kind} r={args.r} n={report.n}"])
+                comments = [f"tower kind={kind} r={args.r} n={report.n}"]
+                _write(path, setfam.family_to_text(fam, t=report.t, comments=comments))
             return EXIT_OK
         if kind in ("affine", "projective", "circle"):
             gen = {
@@ -149,9 +157,7 @@ def cmd_construct(args) -> int:
                 _log("generated block system failed validation")
                 return EXIT_CORRUPT
             path = out or f"{kind}-q{args.q}.design"
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write(geometry.design_to_text(design))
-            _log(f"wrote {path}")
+            _write(path, geometry.design_to_text(design))
             summary = {
                 "kind": kind,
                 "q": args.q,
@@ -171,9 +177,7 @@ def cmd_construct(args) -> int:
                 _log("greedy packing failed validation")
                 return EXIT_CORRUPT
             path = out or f"packing-n{args.n}-k{args.k}-t{args.t}.design"
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write(geometry.design_to_text(design))
-            _log(f"wrote {path}")
+            _write(path, geometry.design_to_text(design))
             summary = {"kind": kind, "n": args.n, "k": args.k, "t": args.t,
                        "blocks": design.block_count()}
             print(json.dumps(summary, indent=2) if args.json else summary)
@@ -196,8 +200,10 @@ def cmd_construct(args) -> int:
 
 
 def _load_family(path: str) -> tuple[setfam.Family, int | None]:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        text = fh.read().decode("ascii")
+    if "\r" in text:  # the universal newlines of a text-mode read
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     if path.endswith(".json") or text.lstrip().startswith("{"):
         doc = json.loads(text)
         if "family" in doc:  # a `laminar search --json` report
@@ -350,83 +356,178 @@ def cmd_summary(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# argument parsing
 
 
-def _obf_args(sp: argparse.ArgumentParser):
-    sp.add_argument("--N", "--n", dest="N", type=int, required=True)
-    sp.add_argument("--cache", default=None)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_obf)
+class _Command:
+    """One subcommand as data: its positionals (name -> choices, or None
+    for any value), its options (flag -> (dest, type, default), with type
+    None for a store-true flag; aliases share a dest) and its required
+    flags.  Its handler is this module's `cmd_<name>`, looked up when the
+    command runs.  A plain class: a NamedTuple costs each fresh process
+    about 0.3 ms to define."""
+
+    def __init__(self, help: str, positionals: dict, options: dict, required: tuple = ()):
+        self.help, self.positionals, self.options, self.required = (
+            help, positionals, options, required)
 
 
-def _construct_args(sp: argparse.ArgumentParser):
-    sp.add_argument(
-        "kind",
-        choices=["fano-tower", "circle-tower", "affine", "projective", "circle", "packing"],
-    )
-    sp.add_argument("--r", type=int, default=0)
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--n", type=int, default=7)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--t", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--materialize", action="store_true")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_construct)
+_JSON = {"--json": ("json", None, False)}
+_CACHE = {"--cache": ("cache", str, None)}
+_HELP = {"-h": ("help", None, False), "--help": ("help", None, False)}
 
-
-def _verify_args(sp: argparse.ArgumentParser):
-    sp.add_argument("file")
-    sp.add_argument("--t", type=int, default=None)
-    sp.set_defaults(func=cmd_verify)
-
-
-def _search_args(sp: argparse.ArgumentParser):
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--t", type=int, default=2)
-    sp.add_argument("--budget", type=float, default=60.0)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_search)
-
-
-def _summary_args(sp: argparse.ArgumentParser):
-    sp.add_argument("--cache", default=None)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_summary)
-
-
-#: every subcommand: its help and the function adding its arguments and handler
 _COMMANDS = {
-    "obf": ("build/extend the bound table", _obf_args),
-    "construct": ("generate designs and tower families", _construct_args),
-    "verify": ("check a family file for t-laminarity", _verify_args),
-    "search": ("exact maximum-family search", _search_args),
-    "summary": ("reconcile constructions against the bound", _summary_args),
+    "obf": _Command(
+        "build/extend the bound table", {},
+        {"--N": ("N", int, None), "--n": ("N", int, None), **_CACHE, **_JSON}, ("--N",)),
+    "construct": _Command(
+        "generate designs and tower families",
+        {"kind": ("fano-tower", "circle-tower", "affine", "projective", "circle", "packing")},
+        {"--r": ("r", int, 0), "--q": ("q", int, 2), "--n": ("n", int, 7),
+         "--k": ("k", int, None), "--t": ("t", int, 2), "--seed": ("seed", int, 0),
+         "--materialize": ("materialize", None, False), "--out": ("out", str, None), **_JSON}),
+    "verify": _Command(
+        "check a family file for t-laminarity", {"file": None}, {"--t": ("t", int, None)}),
+    "search": _Command(
+        "exact maximum-family search", {},
+        {"--n": ("n", int, None), "--t": ("t", int, 2), "--budget": ("budget", float, 60.0),
+         **_JSON}, ("--n",)),
+    "summary": _Command("reconcile constructions against the bound", {}, {**_CACHE, **_JSON}),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `laminar` parser.  With `command` one of _COMMANDS it holds only
-    that subparser, which parses an argv starting with `command` as the
-    full parser does; otherwise all five.
+class _UsageError(Exception):
+    pass
 
-    The lone subparser's action lists every command as its metavar, so
-    usage lines stay those of the full parser.  The full parser keeps
-    none: its errors for a missing or unknown command name the action by
-    its dest, `command`, and a lone subparser never meets those errors.
-    """
-    p = argparse.ArgumentParser(
-        prog="laminar",
-        description="t-laminar family constructions and exact LP bounds",
-    )
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
-    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_, add_args = _COMMANDS[name]
-        add_args(sub.add_parser(name, help=help_))
-    return p
+
+def _groups(options: dict) -> list[list[str]]:
+    """The flags of each dest, aliases together, in table order."""
+    by_dest: dict[str, list[str]] = {}
+    for flag, (dest, _, _) in options.items():
+        by_dest.setdefault(dest, []).append(flag)
+    return list(by_dest.values())
+
+
+def _names(flags: dict, dest: str) -> str:
+    """Every flag of dest, as argparse names the option in its errors."""
+    return "/".join(f for f, spec in flags.items() if spec[0] == dest)
+
+
+def _spell(flag: str, options: dict) -> str:
+    dest, kind, _ = options[flag]
+    return flag if kind is None else f"{flag} {dest.upper()}"
+
+
+def _usage(name: str | None) -> str:
+    if name is None:
+        return "usage: laminar [-h] {" + ",".join(_COMMANDS) + "} ..."
+    cmd = _COMMANDS[name]
+    parts = ["[-h]"]
+    for flag, *_ in _groups(cmd.options):
+        part = _spell(flag, cmd.options)
+        parts.append(part if flag in cmd.required else f"[{part}]")
+    parts += ["{" + ",".join(c) + "}" if c else p for p, c in cmd.positionals.items()]
+    return f"usage: laminar {name} " + " ".join(parts)
+
+
+def _help(name: str | None) -> str:
+    if name is None:
+        rows = [f"  {n:<10} {c.help}" for n, c in _COMMANDS.items()]
+        about = "t-laminar family constructions and exact LP bounds"
+        return "\n".join([_usage(None), "", about, "", "commands:", *rows])
+    cmd = _COMMANDS[name]
+    rows = ["  -h, --help  show this help message and exit"]
+    rows += ["  " + ", ".join(_spell(f, cmd.options) for f in fl) for fl in _groups(cmd.options)]
+    return "\n".join([_usage(name), "", cmd.help, "", "options:", *rows])
+
+
+def _option(tok: str, flags: dict) -> tuple[str | None, str | None] | None:
+    """How argparse reads tok among flags: None for a value, otherwise
+    (flag, the value after "=" or None), with flag None for an unknown
+    option.  A unique prefix of a long flag names that flag; negative
+    numbers and tokens holding a space are values."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    head, eq, value = tok.partition("=")
+    if head in flags:
+        return head, value if eq else None
+    found = [f for f in flags if f.startswith(head)] if tok[1] == "-" else []
+    if len(found) > 1:
+        raise _UsageError(f"ambiguous option: {tok} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    whole, dot, frac = tok[1:].partition(".")
+    if (frac if dot else whole).isdecimal() and (not whole or whole.isdecimal()) or " " in tok:
+        return None
+    return None, None
+
+
+def parse(argv: list[str]) -> SimpleNamespace | int:
+    """argv as `laminar COMMAND [ARGS]`, read as argparse would read it
+    into the fields the command's handler takes: `--opt value`,
+    `--opt=value`, unique prefixes of long flags, and after `--`
+    positionals only.  Help goes to stdout and returns 0; a usage error
+    goes to stderr after the usage line and returns 2."""
+    name, flags, fields, todo, extra, rest = None, _HELP, {}, [], [], False
+    args = iter(argv)
+    try:
+        for tok in args:
+            if tok == "--" and name and not rest:
+                rest = True
+                continue
+            opt = None if rest or tok == "--" else _option(tok, flags)
+            if opt is None and name is None:
+                if tok not in _COMMANDS:
+                    choices = ", ".join(map(repr, _COMMANDS))
+                    raise _UsageError(
+                        f"argument command: invalid choice: {tok!r} (choose from {choices})")
+                name, cmd = tok, _COMMANDS[tok]
+                flags = {**cmd.options, **_HELP}
+                fields = {dest: default for dest, _, default in cmd.options.values()}
+                todo = list(cmd.positionals.items())
+            elif opt is None and todo:
+                dest, choices = todo.pop(0)
+                if choices and tok not in choices:
+                    listed = ", ".join(map(repr, choices))
+                    raise _UsageError(
+                        f"argument {dest}: invalid choice: {tok!r} (choose from {listed})")
+                fields[dest] = tok
+            elif opt is None or opt[0] is None:
+                extra.append(tok)
+            else:
+                flag, value = opt
+                dest, kind, _ = flags[flag]
+                spelled = _names(flags, dest)
+                if kind is None and value is not None:
+                    raise _UsageError(f"argument {spelled}: ignored explicit argument {value!r}")
+                if dest == "help":
+                    print(_help(name))
+                    return EXIT_OK
+                if kind is None:
+                    fields[dest] = True
+                    continue
+                if value is None:
+                    value = next(args, "--")
+                    if value == "--" or _option(value, flags) is not None:
+                        raise _UsageError(f"argument {spelled}: expected one argument")
+                try:
+                    fields[dest] = kind(value)
+                except ValueError:
+                    raise _UsageError(
+                        f"argument {spelled}: invalid {kind.__name__} value: {value!r}") from None
+        if name is None:
+            raise _UsageError("the following arguments are required: command")
+        missing = [_names(flags, flags[f][0]) for f in cmd.required if fields[flags[f][0]] is None]
+        missing += [dest for dest, _ in todo]
+        if missing:
+            raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+        if extra:
+            raise _UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    except _UsageError as exc:
+        prog = f"laminar {name}" if name else "laminar"
+        print(_usage(name), f"{prog}: error: {exc}", sep="\n", file=sys.stderr)
+        return EXIT_USAGE
+    return SimpleNamespace(command=name, func=globals()[f"cmd_{name}"], **fields)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -436,13 +537,8 @@ def main(argv: list[str] | None = None) -> int:
     # `verify`, and where it falls depends on how much the imports allocate.
     gc.freeze()
     try:
-        if argv is None:
-            argv = sys.argv[1:]
-        try:
-            args = build_parser(argv[0] if argv else None).parse_args(argv)
-        except SystemExit as exc:
-            return EXIT_USAGE if exc.code not in (0, None) else 0
-        return args.func(args)
+        args = parse(sys.argv[1:] if argv is None else argv)
+        return args if isinstance(args, int) else args.func(args)
     finally:
         gc.unfreeze()
 

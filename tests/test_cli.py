@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -26,6 +28,69 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The argparse parser of cli._COMMANDS, the reference cli.parse
+    must read argv as."""
+    parser = argparse.ArgumentParser(prog="laminar")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in cli._COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        for dest, choices in cmd.positionals.items():
+            sp.add_argument(dest, choices=choices)
+        aliases: dict[str, list[str]] = {}
+        for flag, (dest, _, _) in cmd.options.items():
+            aliases.setdefault(dest, []).append(flag)
+        for flags in aliases.values():
+            dest, kind, default = cmd.options[flags[0]]
+            how = {"action": "store_true"} if kind is None else {"type": kind, "default": default}
+            sp.add_argument(*flags, dest=dest, required=flags[0] in cmd.required, **how)
+        sp.set_defaults(func=getattr(cli, f"cmd_{name}"))
+    return parser
+
+
+def documented_argvs() -> list[list[str]]:
+    """Every `laminar` argv that README.md shows and CI runs, shell
+    variables left as words: parsing opens no file."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = re.findall(r"^laminar ([^#>\n]*)", fh.read(), re.M)
+    with open(os.path.join(root, ".github", "workflows", "tests.yml")) as fh:
+        ci = re.findall(r"python -m laminar\.cli ([^|>\n]*)", fh.read())
+    return [shlex.split(line) for line in dict.fromkeys(line.strip() for line in readme + ci)]
+
+
+# the argvs cli.parse must read as argparse does: usage corners, the
+# harness's commands, every documented command, and the option forms
+ORACLE_CORPUS = [
+    [], ["-h"], ["--help"], ["frobnicate"], ["frobnicate", "--N", "5"], ["-x", "obf"],
+    ["obf", "-h"], ["construct", "-h"], ["verify", "-h"], ["search", "-h"], ["summary", "-h"],
+    ["obf"], ["obf", "--bad"], ["obf", "--N", "5", "extra"], ["obf", "--N", "x"],
+    ["obf", "--n", "5", "--json"], ["construct", "nope"], ["construct", "affine", "--q", "3"],
+    ["verify"], ["verify", "a", "b"], ["verify", "a", "--t", "3"], ["search", "--n"],
+    ["search", "--n", "9", "--budget", "1.5"], ["summary", "--cache", "c", "--json"],
+    # perfbench/workloads.py
+    ["obf", "--N", "10000", "--json"],
+    ["construct", "fano-tower", "--r", "1", "--materialize", "--out", "tower.family", "--json"],
+    ["construct", "affine", "--q", "49", "--out", "affine.design", "--json"],
+    ["construct", "circle", "--q", "9", "--out", "circle.design", "--json"],
+    ["verify", "tower.family", "--t", "2"], ["search", "--n", "9", "--t", "2", "--json"],
+    *documented_argvs(),
+    # --opt=value, prefixes, negative values, repeats, help after an error
+    ["obf", "--N=50"], ["obf", "--N="], ["search", "--n", "3", "--budget=-inf"],
+    ["construct", "fano-tower", "--mat"], ["obf", "--c", "x", "--N", "3"], ["--he"],
+    ["construct", "affine", "--q", "-3"], ["verify", "f", "--t", "-1"],
+    ["construct", "affine", "--q", "-1.5"], ["search", "--n", "3", "--budget", "-.5"],
+    ["search", "--n", "3", "--budget", "-inf"], ["obf", "-5"], ["obf", "--N", "-5"],
+    ["search", "--n", "5", "--n", "6"], ["construct", "--q", "3", "affine", "--json", "--json"],
+    ["obf", "--json=1", "--N", "3"], ["obf", "--help=x"], ["obf", "--N", "--json"], ["obf", "--N"],
+    ["obf", "--N", "5", "-h"], ["-x", "obf", "-h"], ["obf", "--bad", "-h"], ["obf", "--N", "x", "-h"],
+    ["-h", "frobnicate"], ["frobnicate", "-h"], ["construct", "Affine"], ["verify", "F.family"],
+    ["verify", "-"], ["verify", "-x y"],
+    ["verify", "--", "-f"], ["verify", "--", "a", "b"], ["construct", "--", "affine"],
+    ["obf", "--N", "5", "--", "x"], ["--", "obf"], ["obf", "--"], [""], ["obf", "--N", " 7 "],
+]
 
 
 class TestObfCommand:
@@ -420,7 +485,9 @@ class TestVerifyCommand:
 
     def test_tower_verify_leaves_numpy_ma_unimported(self, tmp_path):
         # every command runs in a fresh process, where importing
-        # numpy.ma (as np.unique does) costs more than the whole check
+        # numpy.ma (as np.unique does) costs more than the whole check,
+        # and so does argparse's first parse (argparse, gettext, locale)
+        # or opening a file as ascii text (encodings.ascii)
         path = str(tmp_path / "tower.family")
         _, tower = construct.fano_tower(1, materialize=True)
         open(path, "w").write(family_to_text(tower, t=2))
@@ -429,15 +496,27 @@ class TestVerifyCommand:
             "import sys\n"
             "from laminar import cli\n"
             f"code = cli.main(['verify', {path!r}])\n"
-            "print(code, 'numpy.ma' in sys.modules)\n"
+            "cold = ('numpy.ma', 'argparse', 'gettext', 'locale', 'encodings.ascii')\n"
+            "print(code, [name for name in cold if name in sys.modules])\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": src},
         )
         assert done.stdout.splitlines() == [
-            "t-laminar (t=2): 1625 sets, all three checks agree", "0 False",
+            "t-laminar (t=2): 1625 sets, all three checks agree", "0 []",
         ], done.stderr
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_line_endings_read_alike(self, newline, tmp_path, capsys):
+        path = tmp_path / "f.family"
+        _, tower = construct.fano_tower(0, materialize=True)
+        path.write_bytes(family_to_text(tower, t=2).replace("\n", newline).encode("ascii"))
+        code, out, _ = run(["verify", str(path)], capsys)
+        assert (code, out) == (0, "t-laminar (t=2): 29 sets, all three checks agree\n")
+        path.write_bytes("n=3\n\n1 2\n3 1\n".replace("\n", newline).encode("ascii"))
+        code, out, err = run(["verify", str(path), "--t", "2"], capsys)
+        assert (code, out) == (2, "") and "line 4" in err
 
 
 class TestSearchCommand:
@@ -563,35 +642,30 @@ class TestUsage:
         assert seen[0] > 0 and gc.get_freeze_count() == 0
         assert main(["frobnicate"]) == 2 and gc.get_freeze_count() == 0
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            [], ["-h"], ["--help"], ["frobnicate"], ["frobnicate", "--N", "5"], ["-x", "obf"],
-            ["obf", "-h"], ["construct", "-h"], ["verify", "-h"], ["search", "-h"], ["summary", "-h"],
-            ["obf"], ["obf", "--bad"], ["obf", "--N", "5", "extra"], ["obf", "--N", "x"],
-            ["obf", "--n", "5", "--json"], ["construct", "nope"], ["construct", "affine", "--q", "3"],
-            ["verify"], ["verify", "a", "b"], ["verify", "a", "--t", "3"], ["search", "--n"],
-            ["search", "--n", "9", "--budget", "1.5"], ["summary", "--cache", "c", "--json"],
-        ],
-        ids=lambda argv: " ".join(argv) or "(none)",
-    )
-    def test_lazy_parser_matches_full(self, argv, capsys):
-        """The parser built for argv[0] alone prints, exits and parses as
-        the full one does."""
+    @pytest.mark.parametrize("argv", ORACLE_CORPUS, ids=lambda argv: shlex.join(argv) or "(none)")
+    def test_parser_matches_argparse(self, argv, capsys):
+        """cli.parse reads argv into argparse's fields, or exits with
+        argparse's code, writing to the stream argparse writes to."""
+        try:
+            expected, code = vars(argparse_oracle().parse_args(argv)), None
+        except SystemExit as exc:
+            expected, code = None, exc.code
+        want = capsys.readouterr()
+        got = cli.parse(argv)
+        out = capsys.readouterr()
+        if code is None:
+            assert vars(got) == expected and (out.out, out.err) == ("", "")
+        else:
+            assert got == code
+            assert (bool(out.out), bool(out.err)) == (bool(want.out), bool(want.err))
+            assert (out.out or out.err).startswith("usage: laminar")
 
-        def parse(parser):
-            try:
-                result = parser.parse_args(argv)
-            except SystemExit as exc:
-                result = exc.code
-            out = capsys.readouterr()
-            return result, out.out, out.err
-
-        lazy = cli.build_parser(argv[0] if argv else None)
-        assert parse(lazy) == parse(cli.build_parser())
-        every = ["obf", "construct", "verify", "search", "summary"]
-        built = next(a for a in lazy._actions if isinstance(a, argparse._SubParsersAction))
-        assert list(built.choices) == (argv[:1] if argv and argv[0] in every else every)
+    def test_only_a_unique_prefix_names_a_flag(self):
+        flags = {"--cache": ("cache", str, None), "--count": ("count", int, 0)}
+        assert cli._option("--ca", flags) == ("--cache", None)
+        assert cli._option("--co=3", flags) == ("--count", "3")
+        with pytest.raises(cli._UsageError, match="ambiguous option: --c could match"):
+            cli._option("--c", flags)
 
     def test_obf_n1_exit_2(self, tmp_path, capsys):
         code, _, _ = run(["obf", "--N", "1", "--cache", str(tmp_path / "c")], capsys)
