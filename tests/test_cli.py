@@ -61,15 +61,20 @@ def documented_argvs() -> list[list[str]]:
     return [shlex.split(line) for line in dict.fromkeys(line.strip() for line in readme + ci)]
 
 
-# the argvs cli.parse must read as argparse does: usage corners, the
-# harness's commands, every documented command, and the option forms
-ORACLE_CORPUS = [
+# the usage corners: cli.parse, which reads only the named command's
+# table entry, must read each as the full argparse parser does
+USAGE_CORPUS = [
     [], ["-h"], ["--help"], ["frobnicate"], ["frobnicate", "--N", "5"], ["-x", "obf"],
     ["obf", "-h"], ["construct", "-h"], ["verify", "-h"], ["search", "-h"], ["summary", "-h"],
     ["obf"], ["obf", "--bad"], ["obf", "--N", "5", "extra"], ["obf", "--N", "x"],
     ["obf", "--n", "5", "--json"], ["construct", "nope"], ["construct", "affine", "--q", "3"],
     ["verify"], ["verify", "a", "b"], ["verify", "a", "--t", "3"], ["search", "--n"],
     ["search", "--n", "9", "--budget", "1.5"], ["summary", "--cache", "c", "--json"],
+]
+
+# the other argvs cli.parse must read as argparse does: the harness's
+# commands, every documented command, and the option forms
+ORACLE_CORPUS = [
     # perfbench/workloads.py
     ["obf", "--N", "10000", "--json"],
     ["construct", "fano-tower", "--r", "1", "--materialize", "--out", "tower.family", "--json"],
@@ -642,8 +647,8 @@ class TestUsage:
         assert seen[0] > 0 and gc.get_freeze_count() == 0
         assert main(["frobnicate"]) == 2 and gc.get_freeze_count() == 0
 
-    @pytest.mark.parametrize("argv", ORACLE_CORPUS, ids=lambda argv: shlex.join(argv) or "(none)")
-    def test_parser_matches_argparse(self, argv, capsys):
+    @staticmethod
+    def parses_as_argparse(argv, capsys):
         """cli.parse reads argv into argparse's fields, or exits with
         argparse's code, writing to the stream argparse writes to."""
         try:
@@ -659,6 +664,16 @@ class TestUsage:
             assert got == code
             assert (bool(out.out), bool(out.err)) == (bool(want.out), bool(want.err))
             assert (out.out or out.err).startswith("usage: laminar")
+
+    @pytest.mark.parametrize("argv", USAGE_CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_lazy_parser_matches_full(self, argv, capsys):
+        """cli.parse, which looks up argv[0]'s command alone, prints, exits
+        and parses as argparse's parser of every command does."""
+        self.parses_as_argparse(argv, capsys)
+
+    @pytest.mark.parametrize("argv", ORACLE_CORPUS, ids=lambda argv: shlex.join(argv) or "(none)")
+    def test_parser_matches_argparse(self, argv, capsys):
+        self.parses_as_argparse(argv, capsys)
 
     def test_only_a_unique_prefix_names_a_flag(self):
         flags = {"--cache": ("cache", str, None), "--count": ("count", int, 0)}
