@@ -23,6 +23,8 @@ import random
 import tempfile
 import time
 
+import numpy as np
+
 from laminar import _kernels
 from laminar.bounds import obf_table
 from laminar.construct import circle_tower, fano_tower
@@ -30,6 +32,7 @@ from laminar.geometry import affine_plane, circle_geometry, design_to_text, is_d
 from laminar.search import max_laminar_exact
 from laminar.setfam import (
     Family,
+    MemberError,
     contains_config,
     forbidden_matrix,
     incidence_matrix,
@@ -55,10 +58,12 @@ def _towers():
     """The 1625-set tower, and four disjoint relabeled copies of it:
     6500 sets over 196 points, laminar, so every check runs to the end."""
     _, fam49 = fano_tower(1, materialize=True)
-    shifted = [m << (49 * copy) for copy in range(4) for m in fam49.masks]
+    size = fam49.points.size
+    points = np.concatenate([fam49.points + 49 * c for c in range(4)])
+    offsets = np.concatenate([fam49.offsets[:-1] + size * c for c in range(4)] + [[4 * size]])
     return (
         ("tower n=49 (1625 sets)", fam49),
-        ("4x tower n=196 (6500 sets)", Family.from_masks(196, shifted)),
+        ("4x tower n=196 (6500 sets)", Family(196, points, offsets)),
     )
 
 
@@ -80,13 +85,14 @@ def bench_violation(towers, repeats):
     # family of a search (through violating_pair, so packing the words
     # is included)
     tower = towers[0][1]
-    present = set(tower.masks)
     rng = random.Random(0)
     while True:
-        extra = sum(1 << p for p in rng.sample(range(tower.n), rng.randint(3, 8)))
-        if extra in present:
+        extra = sorted(rng.sample(range(tower.n), rng.randint(3, 8)))
+        try:
+            corrupt = Family(tower.n, np.append(tower.points, extra),
+                             np.append(tower.offsets, tower.points.size + len(extra)))
+        except MemberError:  # extra repeats a member
             continue
-        corrupt = Family.from_masks(tower.n, tower.masks + (extra,))
         if violating_pair(corrupt, 2) is not None:
             break
     words = corrupt.words

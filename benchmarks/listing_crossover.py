@@ -46,11 +46,19 @@ def _random_family(rng):
     n = rng.choice([30, 49, 64, 82, 130, 196, 300])
     f = int(10 ** rng.uniform(1.3, 3.5))
     s = rng.randint(t + 1, min(30, n // 2))
-    masks = set()
-    while len(masks) < f:
+    sets = set()
+    while len(sets) < f:
         size = rng.randint(max(1, s // 2), s)
-        masks.add(sum(1 << p for p in rng.sample(range(n), size)))
-    return f"random n={n} F={f} |S|<={s} t={t}", Family.from_masks(n, sorted(masks)), t
+        sets.add(tuple(sorted(rng.sample(range(1, n + 1), size))))
+    return f"random n={n} F={f} |S|<={s} t={t}", Family.of(n, sorted(sets)), t
+
+
+def _copies(fam, k):
+    """k disjoint relabelled copies of fam on k * fam.n points, copy by copy."""
+    size = fam.points.size
+    points = np.concatenate([fam.points + fam.n * c for c in range(k)])
+    offsets = np.concatenate([fam.offsets[:-1] + size * c for c in range(k)] + [[k * size]])
+    return Family(k * fam.n, points, offsets)
 
 
 def _time_paths(fam, t, repeats):
@@ -95,10 +103,9 @@ def main():
     # time both paths whatever they cost
     _kernels._LISTING_COST = _kernels._ROW_COST = _kernels._PAIR_COST = 0
     _, tower = fano_tower(1, materialize=True)
-    shifted = [m << (49 * copy) for copy in range(4) for m in tower.masks]
     families = [
         ("tower n=49 (1625 sets) t=2", tower, 2),
-        ("4x tower n=196 (6500 sets) t=2", Family.from_masks(196, shifted), 2),
+        ("4x tower n=196 (6500 sets) t=2", _copies(tower, 4), 2),
         ("n=9 search (49 sets) t=2", max_laminar_exact(9, 2).family, 2),
     ]
     for seed in args.seeds:

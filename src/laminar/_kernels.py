@@ -7,12 +7,12 @@ Two inner loops dominate runtime in this package:
     t-laminarity, so the caller lists those pairs from the members' CSR
     points with ``shared_pairs``: one ``np.argsort`` of the members'
     t-subsets (4,704 rows against 1,319,500 pairs on the 1625-set
-    tower), in chunks of at most ``_PAIR_CHUNK`` = 2^17 pairs.  Where
+    tower), in chunks of at most ``_CHUNK`` = 2^17 pairs.  Where
     listing costs more, by measured costs, or would hold more than
     ``_ROWS_MAX`` = 2^20 rows, shared_pairs returns None and the pairs
     sharing a point are found in blocks of rows (``block_pairs``).  Both
-    hold at most ``_VIOLATION_BLOCK_CELLS`` = 2^17 row-pair words (1 MB)
-    at a time and stop at the first chunk or block with a hit,
+    are tested in pieces of at most _CHUNK row-pair words (1 MB,
+    ``pair_pieces``) and stop at the first piece with a hit,
   * covered-t-subset counting when validating designs and packings
     (``cover_counts``, any t >= 1): ``np.add.at`` adds the colex ranks
     of the blocks' t-subsets (``colex_ranks``, which also drives
@@ -53,14 +53,15 @@ def popcount_u64(x: np.ndarray) -> np.ndarray:
     return (x * np.uint64(_H01)) >> np.uint64(56)
 
 
+# eight-byte elements per temporary of every chunked kernel (1 MB): the
+# pairs of a PairChunks chunk, the row-pair words (pairs times words per
+# row) of a block_pairs block or a pair_pieces piece, and the t-subset
+# ranks of a colex_ranks chunk
+_CHUNK = 1 << 17
+
+
 # ---------------------------------------------------------------------------
 # pairwise laminarity violation scan
-
-
-# row pairs times words per block of block_pairs, and pairs times words
-# per row that find_violation tests at a time, so each temporary holds
-# at most 2^17 words (1 MB)
-_VIOLATION_BLOCK_CELLS = 1 << 17
 
 
 def find_violation(words: np.ndarray, t: int, pairs=None) -> tuple[int, int] | None:
@@ -72,23 +73,19 @@ def find_violation(words: np.ndarray, t: int, pairs=None) -> tuple[int, int] | N
 
     Only a pair that shares a t-subset can violate, so a caller holding
     the rows' points passes ``pairs`` = ``shared_pairs`` of them at t,
-    tested chunk by chunk in row order, stopping at the first chunk with
-    a hit.  With None, the default and shared_pairs' refusal, the pairs
-    that share a point are found in blocks of rows (``block_pairs``).
+    tested piece by piece in row order (``pair_pieces``), stopping at
+    the first piece with a hit.  With None, the default and
+    shared_pairs' refusal, the pairs that share a point are found in
+    blocks of rows (``block_pairs``).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     words = np.ascontiguousarray(words)
-    step = max(1, _VIOLATION_BLOCK_CELLS // words.shape[1])
-    if pairs is None:
-        pairs = block_pairs(words, _VIOLATION_BLOCK_CELLS)
-    for i_all, j_all in pairs:
-        for lo in range(0, i_all.size, step):
-            i, j = i_all[lo : lo + step], j_all[lo : lo + step]
-            first = np.flatnonzero(_violates(words[i], words[j], t))
-            if first.size:
-                h = first[0]
-                return int(i[h]), int(j[h])
+    for i, j in pair_pieces(words, pairs):
+        first = np.flatnonzero(_violates(words[i], words[j], t))
+        if first.size:
+            h = first[0]
+            return int(i[h]), int(j[h])
     return None
 
 
@@ -121,6 +118,19 @@ def block_pairs(words: np.ndarray, cells: int, meeting: bool = True):
         i0 = i1
 
 
+def pair_pieces(words: np.ndarray, pairs=None, meeting: bool = True):
+    """The pairs of bit-packed rows to test, in their order, as int
+    arrays i, j of at most _CHUNK row-pair words each: every chunk of
+    ``pairs`` cut into pieces, or with None the blocks of
+    ``block_pairs(words, _CHUNK, meeting)``."""
+    if pairs is None:
+        pairs = block_pairs(words, _CHUNK, meeting)
+    step = max(1, _CHUNK // words.shape[1])
+    for i_all, j_all in pairs:
+        for lo in range(0, i_all.size, step):
+            yield i_all[lo : lo + step], j_all[lo : lo + step]
+
+
 # ---------------------------------------------------------------------------
 # member pairs that share a t-subset
 
@@ -139,9 +149,6 @@ _PAIR_COST = 1.5
 # to about 70 MB; the circle tower r = 1 has 354,240 (a 23 MB peak)
 _ROWS_MAX = 1 << 20
 
-# pairs listed per chunk by shared_pairs: a few 1 MB int64 arrays
-_PAIR_CHUNK = 1 << 17
-
 
 def row_count(sizes: np.ndarray, t: int) -> int:
     """R, the sum of C(s, t) over ``sizes``: the number of t-subset rows
@@ -154,7 +161,7 @@ def row_count(sizes: np.ndarray, t: int) -> int:
 class PairChunks:
     """Every member pair (i < j) sharing at least t points, in ascending
     (i, j) order, as chunks: each iteration yields int64 arrays i and
-    j, all the pairs of a run of consecutive i, at most _PAIR_CHUNK of
+    j, all the pairs of a run of consecutive i, at most _CHUNK of
     them unless one member alone has more.  It can be iterated again;
     each pass lists the pairs anew from the sorted rows.  ``rows`` is
     the number R of t-subset rows, and ``within`` the number E of
@@ -178,7 +185,7 @@ class PairChunks:
         f, ids, later, before = self._f, self._ids, self._later, self._before
         i0 = 0
         while before[i0] < before[f]:
-            i1 = max(i0 + 1, int(np.searchsorted(before, before[i0] + _PAIR_CHUNK, "right")) - 1)
+            i1 = max(i0 + 1, int(np.searchsorted(before, before[i0] + _CHUNK, "right")) - 1)
             # the rows of members i0..i1-1 with a later row in their
             # group; output position p of row a's run, which starts at
             # run[a], pairs a with b = a + 1 + (p - run[a])
@@ -308,10 +315,6 @@ def repeated_rows(points: np.ndarray, offsets: np.ndarray, below: int | None = N
 # ---------------------------------------------------------------------------
 # covered t-subset counting for design/packing validation
 
-# t-subsets ranked per np.add.at call in cover_counts; bounds its
-# temporaries to a few MB next to the C(v, t) count array
-_COVER_CHUNK = 1 << 17
-
 
 def cover_counts(points: np.ndarray, offsets: np.ndarray, v: int, t: int) -> np.ndarray:
     """Count how many blocks cover each t-subset of {0..v-1}, colex-ranked.
@@ -381,7 +384,7 @@ def colex_ranks(points: np.ndarray, offsets: np.ndarray, v: int, t: int, dtype=n
     (blocks, rank): the indices of a run of blocks of one size s, runs
     by ascending s and blocks ascending within a size, and rank[k, c],
     the colex rank in [0, C(v, t)) of t-subset c of block blocks[k], at
-    most _COVER_CHUNK ranks a chunk (a block with more t-subsets comes
+    most _CHUNK ranks a chunk (a block with more t-subsets comes
     in several).  Ranks have ``dtype``: an integer type that holds
     C(v, t) - 1, or object, whose Python ints hold any rank.
     """
@@ -404,14 +407,14 @@ def colex_ranks(points: np.ndarray, offsets: np.ndarray, v: int, t: int, dtype=n
     for s in present:
         blocks = np.flatnonzero(sizes == s)
         per_block = comb(s, t)
-        step = max(1, _COVER_CHUNK // per_block)
+        step = max(1, _CHUNK // per_block)
         for lo in range(0, blocks.size, step):
             run = blocks[lo : lo + step]
             members = points[offsets[run, None] + np.arange(s)]
             # C(member, i + 1) once per member and position i
             terms = [binom[i, members] for i in range(t)]
-            for c0 in range(0, per_block, _COVER_CHUNK):
-                cols = table[:, c0 : min(c0 + _COVER_CHUNK, per_block)]
+            for c0 in range(0, per_block, _CHUNK):
+                cols = table[:, c0 : min(c0 + _CHUNK, per_block)]
                 rank = terms[0][:, cols[0]]
                 for i in range(1, t):
                     rank += terms[i][:, cols[i]]

@@ -15,10 +15,13 @@ greedy clique per orbit sets before any of them runs.  For t = 2 and
 the counting convention of f(n) the search stops as soon as the
 incumbent reaches floor(obf(n)) from the bound table, which caps f(n).
 The graph is built, and its rows relabelled, in numpy blocks of 64
-rows.  This settles t = 2 up to n = 13, and n = 15: f(8) = 37 by
-search (its greedy seed holds 37 of floor(obf(8)) = 38), and f(9) = 49,
-f(10) = 61, f(11) = 74, f(12) = 89, f(13) = 105 and f(15) = 142, each
-floor(obf(n)), by the greedy seed alone, in 0.005 to 0.5 s up to
+rows.  Its blocks and adjacency rows are int masks (bit j for 0-based
+point or vertex j), the only int masks in the package; the family
+returned is built from their points.  This settles t = 2 up to n = 13,
+and n = 15: f(8) = 37 by search (its greedy seed holds 37 of
+floor(obf(8)) = 38), and f(9) = 49, f(10) = 61, f(11) = 74, f(12) = 89,
+f(13) = 105 and f(15) = 142, each floor(obf(n)), by the greedy seed
+alone, in 0.005 to 0.5 s up to
 n = 13 and 7.7 s at n = 15.  For t = 3 it settles n up to 10 (71 on
 [8], 103 on [9], 151 on [10] in 781,017 branch nodes and about 40 s).
 Beyond that it runs best-effort under a time budget, downgrading the
@@ -41,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels, bounds
-from .setfam import Family, _bit_positions, mask_bits, masks_from_bits
+from .setfam import Family
 
 _BUDGET_CHECK_MASK = 0xFFF
 
@@ -51,6 +54,32 @@ MAX_SEARCH_N = 15
 #: rows per numpy block when building or relabelling adjacency rows; a
 #: block holds _ROW_BLOCK x V cells, never V x V
 _ROW_BLOCK = 64
+
+
+def _bit_positions(mask: int) -> list[int]:
+    """0-based positions of the set bits of mask, ascending; O(popcount)."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _row_ints(bits: np.ndarray) -> list[int]:
+    """Each zero-one row as an int, column j at bit j: the rows packed
+    little-endian, then one ``int.from_bytes`` per row."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    buf, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(buf[k * width : (k + 1) * width], "little") for k in range(len(packed))]
+
+
+def _int_bits(ints: Sequence[int], width: int) -> np.ndarray:
+    """Inverse of _row_ints: a len(ints) x width zero-one uint8 matrix,
+    bit j of each int (below 2^(8 ceil(width/8))) in column j."""
+    nbytes = (width + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in ints), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(ints), nbytes), axis=1, count=width, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -78,7 +107,7 @@ class CompatGraph:
             c = a & masks
             compat = (size_of.take(c) < t) | (c == a) | (c == masks)
             compat[np.arange(len(a)), np.arange(lo, lo + len(a))] = False
-            adj += masks_from_bits(compat)
+            adj += _row_ints(compat)
         return cls(
             n=n,
             t=t,
@@ -102,7 +131,7 @@ def _induced(adj: Sequence[int], verts: list[int]) -> list[int]:
     out: list[int] = []
     for lo in range(0, len(verts), _ROW_BLOCK):
         rows = [adj[v] for v in verts[lo : lo + _ROW_BLOCK]]
-        out += masks_from_bits(mask_bits(rows, len(adj))[:, cols])
+        out += _row_ints(_int_bits(rows, len(adj))[:, cols])
     return out
 
 
@@ -293,10 +322,10 @@ def max_laminar_exact(
         if not exact:
             break
     # index order is (size, mask) order
-    members = tuple(verts[i] for i in _bit_positions(forced | best_mask))
+    members = [verts[i] for i in _bit_positions(forced | best_mask)]
     return SearchResult(
         size=len(members),
-        family=Family.from_masks(n, members),
+        family=Family.of(n, ([p + 1 for p in _bit_positions(m)] for m in members)),
         exact=exact,
         nodes=nodes,
         forced=forced.bit_count(),

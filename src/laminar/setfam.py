@@ -25,10 +25,9 @@ the 1625-set tower (n = 49, t = 2) the three take about 0.8, 0.9 and
 A Family holds its members as CSR arrays, as `geometry.Design` holds
 its blocks.  The parsers build them, the writers read them, and the
 kernels take them or the words packed from them once (`Family.words`).
-Int masks (bit i-1 for point i) are derived only on request: `search`
-builds its small families with `Family.from_masks`, and no check reads
-`Family.masks`.  `mask_bits` and `masks_from_bits` convert masks to
-zero-one uint8 bit rows and back.
+These are its only two forms: the int masks (bit i-1 for point i) of
+the clique search are `search`'s alone, and it builds its result from
+their points with `Family.of`.
 """
 
 from __future__ import annotations
@@ -40,50 +39,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from . import _kernels
-
-
-def _bit_positions(mask: int) -> list[int]:
-    """0-based positions of the set bits of mask, ascending; O(popcount)."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-# ---------------------------------------------------------------------------
-# codec: int masks to bytes, CSR points and zero-one bit rows
-
-
-def _mask_bytes(masks: Sequence[int], width: int) -> np.ndarray:
-    """Every mask as ``width`` little-endian bytes (``int.to_bytes``), one
-    read-only len(masks) x width uint8 row per mask."""
-    buf = b"".join(m.to_bytes(width, "little") for m in masks)
-    return np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), width)
-
-
-def _byte_masks(packed: np.ndarray) -> list[int]:
-    """Inverse of _mask_bytes: each little-endian uint8 row as an int.
-
-    Rows of at most 16 bytes are zero-padded to 8 or 16 and read as one
-    or two little-endian uint64 columns, each in one ``tolist``.
-    """
-    width = packed.shape[1]
-    if width <= 16:
-        wide = np.zeros((len(packed), 8 if width <= 8 else 16), dtype=np.uint8)
-        wide[:, :width] = packed
-        cols = wide.view("<u8").T.tolist()
-        return cols[0] if width <= 8 else [a | b << 64 for a, b in zip(*cols)]
-    buf = packed.tobytes()
-    return [
-        int.from_bytes(buf[i * width : (i + 1) * width], "little") for i in range(len(packed))
-    ]
 
 
 class MemberError(ValueError):
@@ -143,19 +103,6 @@ def csr_arrays(n: int, points, offsets) -> tuple[np.ndarray, np.ndarray]:
     return points, offsets
 
 
-def mask_bits(masks: Sequence[int], width: int) -> np.ndarray:
-    """The masks as a len(masks) x width zero-one uint8 matrix, bit j of
-    each mask in column j, by one ``np.unpackbits`` of their bytes.
-    Every mask must be below 2^(8 ceil(width/8))."""
-    packed = _mask_bytes(masks, (width + 7) // 8)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
-
-
-def masks_from_bits(bits: np.ndarray) -> list[int]:
-    """Inverse of mask_bits: column j of each zero-one row becomes bit j."""
-    return _byte_masks(np.packbits(bits, axis=1, bitorder="little"))
-
-
 @dataclass(frozen=True, eq=False)
 class Family:
     """A duplicate-free ordered family of members of [n]: member i is the
@@ -182,14 +129,6 @@ class Family:
         listed twice counts once."""
         return cls(n, *csr_from_sets(n, (sorted(set(s)) for s in sets)))
 
-    @classmethod
-    def from_masks(cls, n: int, masks: Iterable[int]) -> "Family":
-        """One member per int mask, bit i-1 for point i."""
-        masks = list(masks)
-        if masks and (min(masks) < 0 or max(masks) >> max(n, 0)):
-            raise ValueError("mask has bits outside 1..n")
-        return cls(n, *csr_from_sets(n, ([p + 1 for p in _bit_positions(m)] for m in masks)))
-
     def __len__(self) -> int:
         return self.offsets.size - 1
 
@@ -211,12 +150,6 @@ class Family:
         np.bitwise_or.at(words, (rows, self.points >> 6), bits)
         words.flags.writeable = False
         return words
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Every member as an int mask, bit i-1 for point i: the form of
-        the plain-Python references in the tests; no check reads it."""
-        return tuple(_byte_masks(self.words.view(np.uint8)))
 
 
 def violating_pair(fam: Family, t: int) -> Optional[tuple[int, int]]:
@@ -252,11 +185,6 @@ def forbidden_matrix(t: int) -> np.ndarray:
     return z
 
 
-# row-pair words (pairs times words per row) per chunk of pairs in
-# contains_config, listed or not: each uint64 temporary holds 1 MB
-_PAIR_CHUNK_WORDS = 1 << 17
-
-
 def contains_config(m: np.ndarray, z: np.ndarray, pairs=None, n: int | None = None) -> bool:
     """True iff some row/column permutation of the two-row z is a
     submatrix of m; a z without two rows raises ValueError.
@@ -274,11 +202,12 @@ def contains_config(m: np.ndarray, z: np.ndarray, pairs=None, n: int | None = No
 
     Rows that host z share z's z11 columns of type 11.  So when z11 >= 1
     a caller holding m's rows as CSR points passes ``pairs`` =
-    `_kernels.shared_pairs` of them at t = z11, tested in chunks of
-    _PAIR_CHUNK_WORDS pair words.  When z11 = 0, or ``pairs`` is None
-    (the default and shared_pairs' refusal), `_kernels.block_pairs`
-    finds the pairs (sharing a point, if z11 >= 1) in blocks of at most
-    _PAIR_CHUNK_WORDS pair words.  The scan stops at the first hit.
+    `_kernels.shared_pairs` of them at t = z11.  When z11 = 0, or
+    ``pairs`` is None (the default and shared_pairs' refusal),
+    `_kernels.block_pairs` finds the pairs (sharing a point, if z11 >=
+    1).  Either way they are tested in pieces of at most
+    `_kernels._CHUNK` pair words (`_kernels.pair_pieces`), and the scan
+    stops at the first hit.
     """
     z = np.asarray(z, dtype=np.uint8)
     if z.ndim != 2 or z.shape[0] != 2:
@@ -317,15 +246,10 @@ def _contains_two_row(words: np.ndarray, n: int, z: np.ndarray, pairs) -> bool:
         return hit
 
     s = _kernels.popcount_u64(words).sum(axis=1, dtype=np.int64)
-    if pairs is None or not z11:
-        pairs = _kernels.block_pairs(words, _PAIR_CHUNK_WORDS, meeting=z11 > 0)
-    step = max(1, _PAIR_CHUNK_WORDS // words.shape[1])
-    for i_all, j_all in pairs:
-        for lo in range(0, i_all.size, step):
-            i, j = i_all[lo : lo + step], j_all[lo : lo + step]
-            g = _kernels.popcount_u64(words[i] & words[j]).sum(axis=1, dtype=np.int64)
-            if hosts(g, s[i], s[j]).any():
-                return True
+    for i, j in _kernels.pair_pieces(words, pairs if z11 else None, meeting=z11 > 0):
+        g = _kernels.popcount_u64(words[i] & words[j]).sum(axis=1, dtype=np.int64)
+        if hosts(g, s[i], s[j]).any():
+            return True
     return False
 
 
@@ -341,12 +265,12 @@ def unique_chain_check(fam: Family, t: int) -> bool:
     Members S of size >= t are met by nondecreasing size, and each of
     their C(|S|, t) t-subsets T (a row) must lie in the last member met
     holding T.  The check ranks the rows from the members' points
-    (`_kernels.colex_ranks`) in chunks of at most _COVER_CHUNK.  One
-    sort of a chunk with the t-subsets met before it, each with its
+    (`_kernels.colex_ranks`) in chunks of at most `_kernels._CHUNK`.
+    One sort of a chunk with the t-subsets met before it, each with its
     last member, lines up every T's members in the order met, and each
     pair of neighbours (a, b) is tested for a & ~b == 0 on the members'
-    words, _PAIR_CHUNK_WORDS pair words at a time; the first chunk with
-    a broken chain ends the check.  Keys are int64, or Python ints where
+    words, _CHUNK pair words at a time; the first chunk with a broken
+    chain ends the check.  Keys are int64, or Python ints where
     C(n, t) is too large.  Memory is a chunk plus a rank and a member
     per t-subset met.  The circle tower r = 1 (354,240 rows) takes about
     0.04 s.
@@ -356,11 +280,11 @@ def unique_chain_check(fam: Family, t: int) -> bool:
     words = fam.words
     # a sort key is rank << shift | place: place 0 for a t-subset met
     # in an earlier chunk, and 1, 2, ... for the chunk's ranks in order
-    shift = _kernels._COVER_CHUNK.bit_length()
+    shift = _kernels._CHUNK.bit_length()
     dtype = np.int64 if comb(fam.n, t) << shift <= 2**63 else object
     seen = np.zeros(0, dtype=dtype)  # the t-subsets met so far, ascending
     top = np.zeros(0, dtype=np.intp)  # the last member met holding each
-    step = max(1, _PAIR_CHUNK_WORDS // words.shape[1])
+    step = max(1, _kernels._CHUNK // words.shape[1])
     for run, chunk in _kernels.colex_ranks(fam.points, fam.offsets, fam.n, t, dtype):
         key = np.concatenate([seen << shift, chunk.ravel() << shift | np.arange(1, chunk.size + 1)])
         key.sort()

@@ -16,8 +16,23 @@ from laminar.setfam import Family
 
 
 def members(fam: Family) -> list[tuple[int, ...]]:
-    """Every member's 1-based points, read off its mask one bit at a time."""
-    return [tuple(p for p in range(1, fam.n + 1) if m >> (p - 1) & 1) for m in fam.masks]
+    """Every member's 1-based points, read off its CSR points."""
+    ends, points = fam.offsets.tolist(), (fam.points + 1).tolist()
+    return [tuple(points[a:b]) for a, b in zip(ends, ends[1:])]
+
+
+def int_masks(fam: Family) -> tuple[int, ...]:
+    """Every member as an int mask, bit i-1 for point i, set one point
+    at a time from its CSR points: the form of the plain-Python
+    references."""
+    ends, points = fam.offsets.tolist(), fam.points.tolist()
+    return tuple(sum(1 << p for p in points[a:b]) for a, b in zip(ends, ends[1:]))
+
+
+def of_masks(n: int, masks) -> Family:
+    """The family with one member per int mask, bit i-1 for point i,
+    read one bit at a time."""
+    return Family.of(n, ([p + 1 for p in range(m.bit_length()) if m >> p & 1] for m in masks))
 
 
 def contains_config_general(m, z) -> bool:
@@ -42,7 +57,7 @@ def random_family(rng: random.Random, n_cap: int = 7, size_cap: int = 12) -> Fam
         masks.add(m)
         if len(masks) >= (1 << n) - 1:
             break
-    return Family.from_masks(n, sorted(masks))
+    return of_masks(n, sorted(masks))
 
 
 def sparse_family(rng: random.Random, n: int, f_cap: int = 30, size_cap: int = 5) -> Family:
@@ -93,7 +108,7 @@ def random_laminar_family(rng: random.Random, n: int, t: int, tries: int = 60) -
                 break
         if ok:
             masks.append(cand)
-    return Family.from_masks(n, masks)
+    return of_masks(n, masks)
 
 
 def rec_bound_audit(table, n_max=None) -> bool:

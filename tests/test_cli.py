@@ -12,7 +12,9 @@ import time
 
 import pytest
 
-from conftest import CORRUPTIONS, cache_mismatch, corrupt_cache, random_family
+from conftest import (
+    CORRUPTIONS, cache_mismatch, corrupt_cache, int_masks, of_masks, random_family,
+)
 import laminar
 from laminar import _kernels, cli, construct, geometry, search, setfam
 from laminar.cli import main
@@ -459,7 +461,7 @@ class TestVerifyCommand:
         # pairs; if it loses every pair, the chain check still sees the
         # crossing
         _, tower = construct.fano_tower(1, materialize=True)
-        crossed = setfam.Family.from_masks(49, tower.masks + (0b111 | 1 << 48,))
+        crossed = of_masks(49, int_masks(tower) + (0b111 | 1 << 48,))
         path = str(tmp_path / "crossed.family")
         open(path, "w").write(family_to_text(crossed, t=2))
         monkeypatch.setattr(_kernels.PairChunks, "__iter__", lambda self: iter(()))
@@ -543,6 +545,32 @@ class TestSearchCommand:
         assert set(doc) == {"n", "t", "size", "exact", "nodes", "forced", "family"}
         assert doc["forced"] == 29  # the 28 pairs and [8]
         assert doc["nodes"] >= 1
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["--n", "8", "--t", "2"],
+             "70638a3bc8c7acda86b2a897384c79ecda2cd4f7f5fee34b3ce8660415f466e4"),
+            (["--n", "8", "--t", "2", "--json"],
+             "ff9b9a981ccdeafe461f80f9f08453bd416d318299eb2438b3cf7b7762d0c824"),
+            (["--n", "9", "--t", "2"],
+             "f18025c6156225090c6f6ec3a2495f816a1fe4aa94799664d1a8b2178ac62ca7"),
+            (["--n", "9", "--t", "2", "--json"],
+             "964c825e2326ffff27acf8740b22bc2e64533699381508e8daf63727c053cfb2"),
+            (["--n", "8", "--t", "3"],
+             "e3a92768d63a32fd6a8498872761abafb8043194594a21c508b6f90acd1041c9"),
+            (["--n", "8", "--t", "3", "--json"],
+             "ec874a109711dad49a95c5d5e0fb026610564da376c00ae0932f981a82c95928"),
+        ],
+        ids=["8-2-text", "8-2-json", "9-2-text", "9-2-json", "8-3-text", "8-3-json"],
+    )
+    def test_output_pinned(self, argv, digest, capsys):
+        """search's stdout byte for byte, member order included: n = 8 at
+        t = 2 runs the clique search (223 branch nodes); at n = 9 the
+        greedy seed meets the bound."""
+        code, out, _ = run(["search", *argv], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     def test_output_verifies(self, json_flag, tmp_path, capsys):

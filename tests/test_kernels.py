@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import sparse_family
+from conftest import int_masks, of_masks, sparse_family
 from laminar import _kernels
 from laminar.construct import fano_tower
 from laminar.geometry import Design, is_design, is_packing
@@ -22,7 +22,7 @@ def _random_words(rng, n_sets, n_bits):
         m = rng.getrandbits(n_bits)
         if m:
             masks.add(m)
-    fam = Family.from_masks(n_bits, sorted(masks))
+    fam = of_masks(n_bits, sorted(masks))
     return fam, fam.words
 
 
@@ -51,7 +51,7 @@ class TestViolationKernel:
         rng = random.Random(n_bits)
         for _ in range(40):
             fam, words = _random_words(rng, 30, n_bits)
-            masks = list(fam.masks)
+            masks = list(int_masks(fam))
             for t in (1, 2, 3):
                 assert _kernels.find_violation(words, t) == _first_violation(masks, t)
 
@@ -61,22 +61,22 @@ class TestViolationKernel:
         # a budget below one row pair gives one-row blocks; 3 and 64
         # cells give blocks of a few rows, so violations fall on the
         # first and last rows of blocks and blocks hold several words
-        monkeypatch.setattr(_kernels, "_VIOLATION_BLOCK_CELLS", cells)
+        monkeypatch.setattr(_kernels, "_CHUNK", cells)
         rng = random.Random(1000 * cells + n_bits)
-        families = [Family.from_masks(n_bits, [])]
+        families = [of_masks(n_bits, [])]
         for _ in range(3):
-            families.append(Family.from_masks(n_bits, [rng.getrandbits(n_bits) | 1]))
+            families.append(of_masks(n_bits, [rng.getrandbits(n_bits) | 1]))
             # two members: nested either way, then overlapping in the
             # first word, then sharing only the two highest points
             low = rng.getrandbits(n_bits - 1) | 1
-            families.append(Family.from_masks(n_bits, [low, low | 1 << (n_bits - 1)]))
-            families.append(Family.from_masks(n_bits, [low | 1 << (n_bits - 1), low]))
-            families.append(Family.from_masks(n_bits, [low, 1 << (n_bits - 1) | 3]))
+            families.append(of_masks(n_bits, [low, low | 1 << (n_bits - 1)]))
+            families.append(of_masks(n_bits, [low | 1 << (n_bits - 1), low]))
+            families.append(of_masks(n_bits, [low, 1 << (n_bits - 1) | 3]))
             top = 3 << (n_bits - 2)
-            families.append(Family.from_masks(n_bits, [top | 1, top | 1 << (n_bits - 3)]))
+            families.append(of_masks(n_bits, [top | 1, top | 1 << (n_bits - 3)]))
         families += [_random_words(rng, 30, n_bits)[0] for _ in range(15)]
         for fam in families:
-            masks = list(fam.masks)
+            masks = list(int_masks(fam))
             words = fam.words
             for t in (1, 2, 3, n_bits + 1):
                 assert _kernels.find_violation(words, t) == _first_violation(masks, t)
@@ -94,7 +94,7 @@ class TestViolationKernel:
     def test_large_family_uses_kernel_path(self):
         # every family goes through the bit-matrix kernel
         masks = list(range(1, 400))
-        fam = Family.from_masks(16, masks)
+        fam = of_masks(16, masks)
         assert is_t_laminar(fam, 2) == (_first_violation(masks, 2) is None)
 
 
@@ -103,7 +103,7 @@ def tower4():
     """Four disjoint relabeled copies of the 1625-set tower: 6500 laminar
     sets over 196 points, four words per row."""
     _, fam49 = fano_tower(1, materialize=True)
-    return [m << (49 * copy) for copy in range(4) for m in fam49.masks]
+    return [m << (49 * copy) for copy in range(4) for m in int_masks(fam49)]
 
 
 class TestViolationOnTower:
@@ -113,7 +113,7 @@ class TestViolationOnTower:
     CROSSING = 1 << 0 | 1 << 194 | 1 << 195
 
     def test_laminar_tower_has_no_violation(self, tower4):
-        assert violating_pair(Family.from_masks(196, tower4), 2) is None
+        assert violating_pair(of_masks(196, tower4), 2) is None
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_inserted_crossing_set(self, tower4, where):
@@ -130,13 +130,13 @@ class TestViolationOnTower:
         ]
         assert crossing
         want = tuple(sorted((crossing[0], pos)))
-        got = violating_pair(Family.from_masks(196, masks), 2)
+        got = violating_pair(of_masks(196, masks), 2)
         assert got == want
 
     def test_peak_memory(self, tower4, monkeypatch):
         import tracemalloc
 
-        fam = Family.from_masks(196, tower4)
+        fam = of_masks(196, tower4)
         fam.words  # packed before the trace starts
         for path in ("grouped", "blocked"):
             if path == "blocked":
@@ -147,7 +147,7 @@ class TestViolationOnTower:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # each block's temporaries hold at most _VIOLATION_BLOCK_CELLS
+            # each block's temporaries hold at most _CHUNK
             # words (1 MB); measured about 1 MB in all, and 4.7 MB on
             # the grouped path (t-subset rows and a chunk)
             assert peak < 16 * 2**20, (path, peak)
@@ -172,7 +172,7 @@ def _listed(chunks):
 
 class TestSharedPairs:
     @pytest.mark.parametrize("costs, chunk", [
-        ((0, 0, 0), 3), ((0, 0, 0), _kernels._PAIR_CHUNK), ((0, 1, 1), 3), ((10, 1, 3), 3),
+        ((0, 0, 0), 3), ((0, 0, 0), _kernels._CHUNK), ((0, 1, 1), 3), ((10, 1, 3), 3),
     ])
     @pytest.mark.parametrize("n", [63, 64, 65, 128])
     def test_matches_brute_force(self, n, costs, chunk, monkeypatch):
@@ -183,7 +183,7 @@ class TestSharedPairs:
         monkeypatch.setattr(_kernels, "_LISTING_COST", listing)
         monkeypatch.setattr(_kernels, "_ROW_COST", per_row)
         monkeypatch.setattr(_kernels, "_PAIR_COST", per_pair)
-        monkeypatch.setattr(_kernels, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
         rng = random.Random(n)
         outcomes = Counter()
         for _ in range(150):
@@ -292,11 +292,11 @@ class TestSharedPairs:
 class TestViolationPaths:
     """find_violation's grouped and blocked paths against the references."""
 
-    @pytest.mark.parametrize("cells", [3, _kernels._VIOLATION_BLOCK_CELLS])
+    @pytest.mark.parametrize("cells", [3, _kernels._CHUNK])
     @pytest.mark.parametrize("n_bits", [6, 63, 64, 65, 130])
     def test_sparse_families(self, n_bits, cells, pair_path, monkeypatch):
         # 3 cells give chunks of a pair or a few pairs on the grouped path
-        monkeypatch.setattr(_kernels, "_VIOLATION_BLOCK_CELLS", cells)
+        monkeypatch.setattr(_kernels, "_CHUNK", cells)
         name, listed = pair_path
         rng = random.Random(7 * n_bits + cells)
         seen = set()
@@ -304,7 +304,7 @@ class TestViolationPaths:
             fam = sparse_family(rng, n_bits)
             for t in (1, 2, 3):
                 got = violating_pair(fam, t)
-                assert got == _first_violation(list(fam.masks), t), (fam, t)
+                assert got == _first_violation(list(int_masks(fam)), t), (fam, t)
                 # pairs=None scans every pair whatever the path
                 assert _kernels.find_violation(fam.words, t, None) == got
                 seen.add(got is None)
@@ -320,7 +320,7 @@ class TestViolationPaths:
         # block with a violation
         rng = random.Random(11)
         masks = sorted({sum(1 << p for p in rng.sample(range(196), 16)) for _ in range(30_000)})
-        fam = Family.from_masks(196, masks)
+        fam = of_masks(196, masks)
         fam.words  # packed before the trace starts
         tracemalloc.start()
         try:
@@ -342,9 +342,9 @@ class TestViolationPaths:
             i for i, m in enumerate(masks)
             if i != pos and (m & crossing).bit_count() >= 2 and m & crossing not in (m, crossing)
         )
-        got = violating_pair(Family.from_masks(196, masks), 2)
+        got = violating_pair(of_masks(196, masks), 2)
         assert got == tuple(sorted((partner, pos)))
-        assert violating_pair(Family.from_masks(196, tower4), 2) is None
+        assert violating_pair(of_masks(196, tower4), 2) is None
         assert listed == [name == "grouped"] * 2
 
 
@@ -384,7 +384,7 @@ class TestCoverCounts:
     def test_small_chunks_agree(self, t, chunk, monkeypatch):
         # chunks smaller than one block's t-subsets split the block's
         # subset table; larger ones hold several blocks
-        monkeypatch.setattr(_kernels, "_COVER_CHUNK", chunk)
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
         rng = random.Random(100 * t + chunk)
         for _ in range(10):
             pts, offs, v = _random_csr(rng, t, v_cap=12, blocks_cap=6)
@@ -418,7 +418,7 @@ class TestCoverCounts:
     def test_colex_ranks_visit_every_subset_once(self, t, monkeypatch):
         # blocks by nondecreasing size, each t-subset of each once, and
         # the same ranks as int64 and as Python ints
-        monkeypatch.setattr(_kernels, "_COVER_CHUNK", 5)
+        monkeypatch.setattr(_kernels, "_CHUNK", 5)
         rng = random.Random(t)
         for _ in range(10):
             pts, offs, v = _random_csr(rng, t, v_cap=12, blocks_cap=6)

@@ -1,17 +1,21 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
-from conftest import random_family
+from conftest import int_masks, random_family
 from laminar.bounds import obf_table
 from laminar.search import (
     CompatGraph,
+    _bit_positions,
     _induced,
+    _int_bits,
     _max_clique,
+    _row_ints,
     max_laminar_exact,
 )
-from laminar.setfam import _bit_positions, is_t_laminar
+from laminar.setfam import is_t_laminar
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +34,7 @@ class TestExactSearch:
         assert res.forced == _t_sets_and_universe(n, 2)
         assert len(res.family) == expected
         assert is_t_laminar(res.family, 2)
-        assert all(b.bit_count() >= 2 for b in res.family.masks)
+        assert all(b.bit_count() >= 2 for b in int_masks(res.family))
 
     def test_f7_within_budget(self):
         res = max_laminar_exact(7, 2, budget_seconds=120)
@@ -64,7 +68,7 @@ def _t_sets_and_universe(n, t):
 
 
 def _assert_valid(res, t, min_size):
-    masks = list(res.family.masks)
+    masks = list(int_masks(res.family))
     assert len(masks) == len(set(masks)) == res.size
     assert all(m.bit_count() >= min_size for m in masks)
     assert is_t_laminar(res.family, t)
@@ -218,9 +222,40 @@ class TestCompatGraph:
                 graphs[key] = CompatGraph.build(f.n, t, 1)
             g = graphs[key]
             index = {m: i for i, m in enumerate(g.vertices)}
-            ids = [index[m] for m in f.masks]
+            ids = [index[m] for m in int_masks(f)]
             clique = all(
                 g.adj[i] >> j & 1 for i in ids for j in ids if i != j
             )
             assert clique == is_t_laminar(f, t)
 
+
+class TestBitRows:
+    """The search's int-mask codec: zero-one rows to ints (`_row_ints`)
+    and back (`_int_bits`), column j at bit j."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_round_trip(self, n):
+        rng = random.Random(n)
+        ints = sorted({0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(100)})
+        bits = _int_bits(ints, n)
+        assert bits.shape == (len(ints), n) and bits.dtype == np.uint8
+        assert bits.tolist() == [[m >> j & 1 for j in range(n)] for m in ints]
+        back = _row_ints(bits)
+        assert back == ints and all(type(m) is int for m in back)
+        assert _row_ints(bits.astype(bool)) == ints
+        # a sliced, non-contiguous block of rows converts alike
+        assert _row_ints(bits[::2]) == ints[::2]
+        assert _row_ints(bits[:0]) == [] and _int_bits([], n).shape == (0, n)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 16, 17, 24, 31])
+    def test_rows_match_int_from_bytes(self, width):
+        # rows of 1 to 31 bytes, on both sides of one and two uint64
+        # words; the top bit of every row but the first is set
+        rng = np.random.default_rng(width)
+        packed = rng.integers(0, 256, (200, width), dtype=np.uint8)
+        packed[:, -1] |= 0x80
+        packed[0] = 0
+        bits = np.unpackbits(packed, axis=1, bitorder="little")
+        want = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        assert _row_ints(bits) == want
+        assert np.array_equal(_int_bits(want, 8 * width), bits)

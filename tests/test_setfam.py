@@ -7,7 +7,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import contains_config_general, members, random_family, sparse_family
+from conftest import (
+    contains_config_general, int_masks, members, of_masks, random_family, sparse_family,
+)
 from laminar import _kernels, setfam
 from laminar.construct import fano_tower
 from laminar.setfam import (
@@ -46,14 +48,13 @@ _READERS = [
 class TestBlockFamily:
     def test_block_members_roundtrip(self):
         f = fam(5, [2, 4, 5])
-        assert f.masks == (0b11010,)
         assert members(f) == [(2, 4, 5)]
         assert family_to_json(f)["sets"] == [[2, 4, 5]]
 
     def test_members_beyond_one_word(self):
         pts = [1, 64, 65, 130, 200]
         f = fam(200, pts, [], range(1, 71))
-        assert f.masks == (sum(1 << (p - 1) for p in pts), 0, (1 << 70) - 1)
+        assert members(f) == [tuple(pts), (), tuple(range(1, 71))]
         assert family_to_json(f)["sets"] == [pts, [], list(range(1, 71))]
 
     def test_block_rejects_out_of_range(self):
@@ -94,17 +95,6 @@ class TestBlockFamily:
         with pytest.raises(FamilyParseError, match=r"^line 3: points must be strictly increasing$"):
             family_from_text("n=3\n1\n2 2\n")
 
-    def test_family_rejects_mixed_ground(self):
-        # masks carry no ground size: a member of a larger ground set is a
-        # mask with bits at or above n
-        with pytest.raises(ValueError, match="outside 1..n"):
-            Family.from_masks(3, (0b1, 0b1000))
-        with pytest.raises(ValueError, match="outside 1..n"):
-            Family.from_masks(3, (-1,))
-        with pytest.raises(ValueError, match="positive"):
-            Family.from_masks(0, ())
-        assert Family.from_masks(3, [0b111, 0]).masks == (0b111, 0)
-
 
 def _words_loop(f: Family) -> np.ndarray:
     """Oracle: Family.words one point at a time."""
@@ -121,17 +111,16 @@ class TestToWords:
         rng = random.Random(n)
         masks = {rng.getrandbits(n) for _ in range(200)}
         masks |= {0, 1, 1 << (n - 1), (1 << n) - 1}
-        f = Family.from_masks(n, sorted(masks))
+        f = of_masks(n, sorted(masks))
         words = f.words
         assert words.dtype == np.uint64 and words.shape == (len(f), (n + 63) // 64)
         assert np.array_equal(words, _words_loop(f))
-        assert f.masks == tuple(sorted(masks))
 
     def test_tower_and_empty(self):
         _, tower = fano_tower(1, materialize=True)
         assert np.array_equal(tower.words, _words_loop(tower))
         for n in (1, 64, 65, 200):
-            assert Family.from_masks(n, ()).words.shape == (0, (n + 63) // 64)
+            assert of_masks(n, ()).words.shape == (0, (n + 63) // 64)
 
 
 class TestIsTLaminar:
@@ -148,7 +137,7 @@ class TestIsTLaminar:
         assert is_t_laminar(f0, 2)
 
     def test_empty_family_vacuous(self):
-        assert is_t_laminar(Family.from_masks(5, ()), 1)
+        assert is_t_laminar(of_masks(5, ()), 1)
 
     def test_monotone_in_t(self):
         rng = random.Random(11)
@@ -181,7 +170,7 @@ class TestWitness:
                 w = violating_pair(f, t)
                 assert (w is None) == is_t_laminar(f, t)
                 if w is not None:
-                    a, b = (f.masks[i] for i in w)
+                    a, b = (int_masks(f)[i] for i in w)
                     c = a & b
                     assert c.bit_count() >= t and c != a and c != b
 
@@ -193,7 +182,7 @@ class TestMatrices:
 
     def test_incidence_empty(self):
         for n in (1, 3, 8, 9, 200):
-            m = incidence_matrix(Family.from_masks(n, ()))
+            m = incidence_matrix(of_masks(n, ()))
             assert m.shape == (0, n) and m.dtype == np.uint8
 
     def test_incidence_single(self):
@@ -206,64 +195,38 @@ class TestMatrices:
         assert [tuple(np.flatnonzero(row) + 1) for row in m] == members(f)
         rng = random.Random(130)
         for n in (1, 7, 8, 9, 63, 64, 65, 200):
-            f = Family.from_masks(n, {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(20)})
+            f = of_masks(n, {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(20)})
             m = incidence_matrix(f)
             assert m.shape == (len(f), n) and m.dtype == np.uint8
             assert [tuple(np.flatnonzero(row) + 1) for row in m] == members(f)
-            assert setfam.masks_from_bits(m) == list(f.masks)
-
-    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 16, 17, 24])
-    def test_byte_codec_round_trip(self, width):
-        # rows of at most 16 bytes take the two-uint64-columns path,
-        # wider ones int.from_bytes per row
-        rng = random.Random(width)
-        bits = 8 * width
-        masks = [0, (1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(50)]
-        masks += [1 << rng.randrange(bits) for _ in range(10)]
-        packed = setfam._mask_bytes(masks, width)
-        assert packed.shape == (len(masks), width)
-        back = setfam._byte_masks(packed)
-        assert back == masks and all(type(m) is int for m in back)
-        assert setfam._byte_masks(packed[:0]) == []
-        # a sliced, non-contiguous block of rows converts alike
-        assert setfam._byte_masks(packed[::2]) == masks[::2]
-
-    @pytest.mark.parametrize("width", [3, 8, 9, 11, 16, 17, 31])
-    def test_byte_masks_match_int_from_bytes(self, width):
-        rng = np.random.default_rng(width)
-        packed = rng.integers(0, 256, (200, width), dtype=np.uint8)
-        packed[:, -1] |= 0x80  # the top bit of every row is set
-        assert setfam._byte_masks(packed) == [
-            int.from_bytes(row.tobytes(), "little") for row in packed
-        ]
 
     def test_csr_points_match_members(self):
         rng = random.Random(64)
         for n in (1, 7, 8, 9, 63, 64, 65, 130, 200):
             masks = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(20)}
-            f = Family.from_masks(n, sorted(masks))
+            f = of_masks(n, sorted(masks))
             points, offsets = f.points, f.offsets
             assert points.dtype == offsets.dtype == np.int64
             assert offsets[0] == 0 and offsets[-1] == points.size
             got = [tuple(points[a:b] + 1) for a, b in zip(offsets, offsets[1:])]
-            assert got == members(f)
-            # the masks invert the points, and the readers all build alike
-            assert Family(n, points, offsets).masks == tuple(sorted(masks))
+            assert got == [tuple(p + 1 for p in range(n) if m >> p & 1) for m in sorted(masks)]
+            # the readers all build alike
+            assert Family(n, points, offsets) == f
             assert Family.of(n, got) == f
             assert family_from_json(family_to_json(f)) == (f, None)
             # a blank line is no member in the text format, so the
             # empty member cannot be written
             with pytest.raises(ValueError, match="empty member"):
                 family_to_text(f, t=2)
-            nonempty = Family.from_masks(n, [m for m in f.masks if m])
+            nonempty = of_masks(n, [m for m in int_masks(f) if m])
             assert family_from_text(family_to_text(nonempty, t=2))[:2] == (nonempty, 2)
 
     def test_csr_points_empty(self):
         for n in (1, 3, 8, 9, 64, 65, 200):
-            f = Family.from_masks(n, ())
+            f = of_masks(n, ())
             points, offsets = f.points, f.offsets
             assert points.size == 0 and offsets.tolist() == [0]
-            assert f.masks == () and f.words.shape == (0, (n + 63) // 64)
+            assert f.words.shape == (0, (n + 63) // 64)
             assert Family.of(n, []) == f
             assert family_from_text(family_to_text(f))[0] == f
             assert family_from_json(family_to_json(f))[0] == f
@@ -336,10 +299,10 @@ class TestMatrices:
 def _tower4(crossing=None):
     """Four disjoint relabelled copies of the 1625-set tower on 196 points."""
     _, f49 = fano_tower(1, materialize=True)
-    masks = [m << (49 * c) for c in range(4) for m in f49.masks]
+    masks = [m << (49 * c) for c in range(4) for m in int_masks(f49)]
     if crossing is not None:
         masks.append(sum(1 << (p - 1) for p in crossing))
-    return Family.from_masks(196, masks)
+    return of_masks(196, masks)
 
 
 class TestGramConfig:
@@ -351,7 +314,7 @@ class TestGramConfig:
         # blocks of at most 3 row-pair words hold one row of a random
         # family against at most 3 others, so most families span several
         # blocks; 256 words hold every pair of one in a single block
-        monkeypatch.setattr(setfam, "_PAIR_CHUNK_WORDS", request.param)
+        monkeypatch.setattr(_kernels, "_CHUNK", request.param)
 
     def test_forbidden_matrix_random(self, block_rows):
         rng = random.Random(1009)
@@ -399,7 +362,7 @@ class TestGramConfig:
         assert contains_config(incidence_matrix(bad), forbidden_matrix(2))
 
     def test_memory_is_blocked(self, monkeypatch):
-        f = Family.from_masks(196, _tower4().masks[:4000])
+        f = of_masks(196, int_masks(_tower4())[:4000])
         m = incidence_matrix(f)
         assert m.shape == (4000, 196)
         # the tower takes the grouped path; forced off it, the scan of
@@ -486,9 +449,9 @@ def _dict_chain_check(fam, t):
     nondecreasing size, and one dictionary step per t-subset of each,
     which must contain the last member seen holding that t-subset."""
     top = {}  # t-subset -> largest member seen containing it
-    for mask in sorted((m for m in fam.masks if m.bit_count() >= t), key=int.bit_count):
-        bits = [1 << p for p in setfam._bit_positions(mask)]
-        for sub in combinations(bits, t):
+    for pts in sorted((s for s in members(fam) if len(s) >= t), key=len):
+        mask = sum(1 << (p - 1) for p in pts)
+        for sub in combinations([1 << (p - 1) for p in pts], t):
             below = top.get(sum(sub))
             if below is not None and below & mask != below:
                 return False
@@ -520,11 +483,10 @@ class TestUniqueChain:
 
     @pytest.fixture(params=["sorted", "sorted in small chunks"])
     def path(self, request, monkeypatch):
-        # small chunks split a member's t-subsets over several chunks
-        # and test one neighbour pair at a time
+        # chunks of one rank split a member's t-subsets over several
+        # chunks and test one neighbour pair at a time
         if request.param == "sorted in small chunks":
-            monkeypatch.setattr(_kernels, "_COVER_CHUNK", 3)
-            monkeypatch.setattr(setfam, "_PAIR_CHUNK_WORDS", 1)
+            monkeypatch.setattr(_kernels, "_CHUNK", 1)
 
     def test_against_pairwise_beyond_one_word(self):
         rng = random.Random(65)
@@ -564,7 +526,7 @@ class TestUniqueChain:
 
     def test_edge_cases_match_reference(self, path):
         cases = [
-            (Family.from_masks(4, ()), 2),  # the empty family
+            (of_masks(4, ()), 2),  # the empty family
             (fam(3, [1, 2], [2, 3]), 4),  # t > n
             (fam(3, [1], [2], [3]), 2),  # every member smaller than t
             (fam(6, [1, 2, 3], [1, 2, 4], [1, 2, 5]), 2),  # equal sizes
@@ -821,13 +783,3 @@ class TestParserPaths:
             back, t = family_from_json(json.loads(doc))
             assert (back, t) == (f, 3)
             assert json.dumps(family_to_json(back, t=t)) == doc
-
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
-    def test_from_masks_and_masks_are_inverse(self, n):
-        rng = random.Random(n)
-        masks = sorted({0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(100)})
-        f = Family.from_masks(n, masks)
-        assert f.masks == tuple(masks)
-        assert members(f) == [tuple(p + 1 for p in range(n) if m >> p & 1) for m in masks]
-        g = sparse_family(rng, n)
-        assert Family.from_masks(n, g.masks) == g
