@@ -246,16 +246,3 @@ class TestBitRows:
         # a sliced, non-contiguous block of rows converts alike
         assert _row_ints(bits[::2]) == ints[::2]
         assert _row_ints(bits[:0]) == [] and _int_bits([], n).shape == (0, n)
-
-    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 16, 17, 24, 31])
-    def test_rows_match_int_from_bytes(self, width):
-        # rows of 1 to 31 bytes, on both sides of one and two uint64
-        # words; the top bit of every row but the first is set
-        rng = np.random.default_rng(width)
-        packed = rng.integers(0, 256, (200, width), dtype=np.uint8)
-        packed[:, -1] |= 0x80
-        packed[0] = 0
-        bits = np.unpackbits(packed, axis=1, bitorder="little")
-        want = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        assert _row_ints(bits) == want
-        assert np.array_equal(_int_bits(want, 8 * width), bits)

@@ -12,6 +12,7 @@ from conftest import (
 )
 from laminar import _kernels, setfam
 from laminar.construct import fano_tower
+from laminar.search import _int_bits, _row_ints
 from laminar.setfam import (
     ChecksDisagree,
     Family,
@@ -199,6 +200,33 @@ class TestMatrices:
             m = incidence_matrix(f)
             assert m.shape == (len(f), n) and m.dtype == np.uint8
             assert [tuple(np.flatnonzero(row) + 1) for row in m] == members(f)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 16, 17, 24])
+    def test_byte_codec_round_trip(self, width):
+        # the int-mask codec lives in search, its one user: masks of
+        # `width` bytes to zero-one rows and back
+        rng = random.Random(width)
+        bits = 8 * width
+        masks = [0, (1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(50)]
+        masks += [1 << rng.randrange(bits) for _ in range(10)]
+        rows = _int_bits(masks, bits)
+        assert rows.shape == (len(masks), bits)
+        back = _row_ints(rows)
+        assert back == masks and all(type(m) is int for m in back)
+        assert _row_ints(rows[:0]) == []
+        # a sliced, non-contiguous block of rows converts alike
+        assert _row_ints(rows[::2]) == masks[::2]
+
+    @pytest.mark.parametrize("width", [3, 8, 9, 11, 16, 17, 31])
+    def test_byte_masks_match_int_from_bytes(self, width):
+        rng = np.random.default_rng(width)
+        packed = rng.integers(0, 256, (200, width), dtype=np.uint8)
+        packed[:, -1] |= 0x80  # the top bit of every row is set
+        packed[0] = 0
+        bits = np.unpackbits(packed, axis=1, bitorder="little")
+        want = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        assert _row_ints(bits) == want
+        assert np.array_equal(_int_bits(want, 8 * width), bits)
 
     def test_csr_points_match_members(self):
         rng = random.Random(64)
