@@ -22,8 +22,8 @@ Two inner loops dominate runtime in this package:
 
 A third kernel, ``scan_topk``, is the double-precision top-K scan that
 used to shortlist argmax candidates for the bound table.  The bound
-engine no longer calls it (its max over m is an exact integer
-branch-and-bound).  It stays, with no caller in the package, because
+engine no longer calls it (its max over m is certified by exact integer
+horizons).  It stays, with no caller in the package, because
 the benchmark harness (``perfbench/tracer.py``) wraps it by name and
 fails on a missing name; it goes when the harness drops that span.
 

@@ -23,10 +23,10 @@ produced by the substitution and is required for primal/dual agreement
 the critical indices follow 2, 3, 7, 43, 1807, ... (k -> k^2 - k + 1),
 so the dual minimum is an evaluation at a handful of extreme points.
 
-The max over m is certified, not sampled: a best-bound branch-and-bound
-over intervals [lo, hi] inside each frontier segment, warm-started at
-the previous step's argmax.  An interval is pruned when one of two
-sound upper bounds on obf(m) + (dual minimum at m) is <= the incumbent:
+The max over m is certified, not sampled.  For an interval
+lo <= m <= hi inside one frontier segment there are two sound upper
+bounds on F_n(m) = LP(n, m) = obf(m) + D(m), with D(m) the dual minimum
+at m:
 
   * monotone:  obf(hi) + D(lo), since obf is nondecreasing and the dual
     minimum D(m) is nonincreasing (both objective coefficients fall in
@@ -37,25 +37,24 @@ sound upper bounds on obf(m) + (dual minimum at m) is <= the incumbent:
     it is convex in m when R + x_v - y_v >= 0, hence maximal at an
     endpoint.
 
-Surviving short intervals are evaluated exactly point by point.
-
-Across steps the bounds are certified once, not at every n.  Write
-F_n(m) = LP(n, m), so obf(n) = 1 + max F_n.  The branch-and-bound of
-step n starts from seeds: each frontier segment with the warm start m0
-cut out, the open last segment only up to a cut c.  A seed carries a
-horizon E, the last step up to which one vertex v's bound on it (the
-monotone one, or the quadratic one at both endpoints) stays
-<= F_k(m0), and it is skipped, with no arithmetic, at every step
-n <= E.  Skipping is sound whichever m wins: the incumbent of step k
-starts at F_k(m0) and only grows, so no m of such a seed could replace
-it.  For fixed v and a vertex u of Theta_{m0} both sides are
-quadratics in k with integer coefficients (2 C(k-m,2) =
+They are certified once across many steps, not at every n.  Step n
+starts at the warm start m0, the previous step's argmax, and covers
+the other m with seeds: each frontier segment with m0 cut out, the
+open last segment only up to a cut c.  A seed carries a horizon E, the
+last step up to which one vertex v's bound on it (the monotone one, or
+the quadratic one at both endpoints) stays <= F_k(m0), and it is
+skipped, with no arithmetic, at every step n <= E.  Skipping is sound
+whichever m wins: no m of such a seed has F_k(m) > F_k(m0), so none
+could raise the max.  For fixed v and a vertex u of Theta_{m0} both
+sides are quadratics in k with integer coefficients (2 C(k-m,2) =
 k^2 - (2m+1) k + m(m+1)), so E is exact: a root from `math.isqrt`,
-settled by evaluation at E and E + 1.  A seed whose bound fails at
-issue, or whose horizon has passed, is issued again from that step,
-split in halves down to the leaf width where it still fails; a leaf
-that fails is bounded at every step.  Seeds wait in a heap keyed by
-E, so a step touches only those that expire.
+settled by evaluation at E and E + 1.  A seed whose horizon has passed
+is issued again from that step, split in halves down to the leaf width
+_LEAF where its bound fails.  A leaf whose bound fails at step n gets
+the horizon n - 1: step n evaluates each of its points exactly, and
+step n + 1 issues it again.  So the max at step n is the warm start
+and a point-by-point scan of the leaves that fail at n.  Seeds wait
+in a heap keyed by E, so a step touches only those that expire.
 
 The tail (c, n-1] of the open segment has a horizon too.  Its
 monotone bound needs obf(n-1), not yet known at issue, but with R the
@@ -73,19 +72,19 @@ since the comparisons assume both fixed.  That covers R too: the
 frontier's vertex on x = 0 is (0, R), so a value with a larger ratio
 cuts it and starts a segment.
 
-Most steps then need no branch-and-bound at all: they form windows.
+Most steps then need no call to `_max_lp` at all: they form windows.
 After a step whose argmax is m0 and whose cut test the cut horizon
 covers, `_Horizons.until` gives the last step at which nothing is
 due: the least of the first pending seed horizon, the tail's and the
-cut test's, capped at the table's end; none while a leaf is past its
-horizon, since a leaf is bounded at every step.  Each step n of the
-window takes obf(n) = 1 + LP(n, m0) and is appended with no call to
-`_max_lp` and no cut or record test.  That is exact: at such a step
-`intervals` returns nothing and changes no state, so `_max_lp` would
-return LP(n, m0) with argmax m0; the cut horizon proves that eta_n
-cuts nothing, and a value with a new ratio record would cut the vertex
-(0, R).  The step after the window goes through `_max_lp`, so the
-horizons evolve as before.  At N = 10^4 only 49 of the 9997 steps call
+cut test's, capped at the table's end.  A leaf that failed at step n
+holds the horizon n - 1, so no window follows that step.  Each step n
+of the window takes obf(n) = 1 + LP(n, m0) and is appended with no
+call to `_max_lp` and no cut or record test.  That is exact: at such a
+step `intervals` returns nothing and changes no state, so `_max_lp`
+would return LP(n, m0) with argmax m0; the cut horizon proves that
+eta_n cuts nothing, and a value with a new ratio record would cut the
+vertex (0, R).  The step after the window goes through `_max_lp`, so
+the horizons evolve as before.  At N = 10^4 only 28 of the 9997 steps call
 `_max_lp`.  The kernel `_window` runs the window's steps by finite
 differences: with m0 and Theta_{m0} fixed, each vertex's numerator of
 1 + LP(n, m0) is an integer quadratic in n, so a step costs a few
@@ -419,54 +418,10 @@ def _window(table: BoundTable, m0: int, lo: int, hi: int, shared: dict[int, int]
 
 
 # ---------------------------------------------------------------------------
-# certified max over m: interval branch-and-bound on integers
-#
-# For fixed n the objective is F(m) = obf(m) + D(m), with D(m) the dual
-# minimum over the frontier segment holding m, and obf(n) = 1 + max F.
-# Rationals travel as (numerator, denominator) pairs with positive
-# denominators, so every comparison is one cross-multiplication.
+# the certified max over m: seeds and their horizons
 
-#: intervals with at most this many points are evaluated point by point
+#: a seed whose bound fails is split down to at most this many points
 _LEAF = 8
-
-
-def _interval_bounds(
-    n: int,
-    lo: int,
-    hi: int,
-    frontier: Frontier,
-    obf_hi: tuple[int, int],
-    ratio_max: tuple[int, int],
-) -> tuple[tuple[int, int], Optional[tuple[int, int]]]:
-    """(monotone, quadratic) upper bounds on max F(m) over lo <= m <= hi.
-
-    `frontier` is the segment holding the whole interval, `obf_hi` is
-    obf(hi) as a (numerator, denominator) pair and `ratio_max` = (P, Q)
-    is at least every obf(k)/C(k,2), k <= hi.  The quadratic bound is
-    None when no vertex makes h_v convex.
-    """
-    s = frontier.scale
-    p_r, q_r = ratio_max
-    cn2 = n * (n - 1) // 2
-    a_lo, a_hi = lo * (lo - 1) // 2, hi * (hi - 1) // 2
-    c1_lo, c1_hi = (n - lo) * (n - lo - 1) // 2, (n - hi) * (n - hi - 1) // 2
-    c2_lo, c2_hi = cn2 - a_lo, cn2 - a_hi
-    # endpoint values of h_v times Q*S: P*C(m,2)*S + Q*(c1 xs + c2 ys)
-    r_lo, r_hi = p_r * a_lo * s, p_r * a_hi * s
-    convex_floor = -p_r * s  # R + x_v - y_v >= 0  <=>  Q (xs - ys) >= -P S
-    d_lo = None
-    quad = None
-    for xs, ys in frontier.scaled_pts:
-        g_lo = c1_lo * xs + c2_lo * ys
-        if d_lo is None or g_lo < d_lo:
-            d_lo = g_lo
-        if q_r * (xs - ys) >= convex_floor:
-            h = max(r_lo + q_r * g_lo, r_hi + q_r * (c1_hi * xs + c2_hi * ys))
-            if quad is None or h < quad:
-                quad = h
-    p, q = obf_hi
-    mono = (p * s + d_lo * q, q * s)
-    return mono, (None if quad is None else (quad, q_r * s))
 
 
 def _horizon(a: int, b: int, c: int, n0: int) -> Optional[int]:
@@ -631,18 +586,18 @@ def _seeds(starts: list[int], top: int, m0: int):
 
 
 class _Horizons:
-    """The branch-and-bound seeds of consecutive steps, with horizons.
+    """The seeds of consecutive steps, with horizons.
 
     `seeds` maps each seed (lo, hi, si) to its horizon E: it may be
     skipped at every step n <= E (E None: at every step).  `pending` is
-    a heap of the finite horizons still running and `expired` lists the
-    leaves past theirs.  The open last segment is a seed only up to
-    `cut`; the tail (cut, n-1] is skipped up to step `tail`, and `_cuts`
-    up to step `no_cut` at steps whose argmax is m0.  All of it holds
-    for the `key` (m0, index of the open segment).
+    a heap of the finite horizons, a leaf that failed at step n with
+    E = n - 1.  The open last segment is a seed only up to `cut`; the
+    tail (cut, n-1] is skipped up to step `tail`, and `_cuts` up to step
+    `no_cut` at steps whose argmax is m0.  All of it holds for the `key`
+    (m0, index of the open segment).
     """
 
-    __slots__ = ("key", "cut", "tail", "no_cut", "seeds", "pending", "expired")
+    __slots__ = ("key", "cut", "tail", "no_cut", "seeds", "pending")
 
     def __init__(self):
         self.key = None
@@ -651,58 +606,61 @@ class _Horizons:
         self.no_cut: Optional[int] = None
         self.seeds: dict[tuple[int, int, int], Optional[int]] = {}
         self.pending: list[tuple[int, int, int, int]] = []
-        self.expired: list[tuple[int, int, int]] = []
 
-    def _issue(self, table: BoundTable, n: int, lo: int, hi: int, si: int):
+    def _issue(
+        self, table: BoundTable, n: int, lo: int, hi: int, si: int,
+        fails: list[tuple[int, int, int]],
+    ):
         """Add the seed [lo, hi] of segment si with its horizon from step
-        n; a seed wider than _LEAF whose bound already fails at n is
-        split in two halves, as the branch-and-bound would split it."""
+        n.  A seed whose bound fails at n is split in two halves while it
+        is wider than _LEAF; a leaf that fails is added to `fails`."""
         e = _seed_horizon(table, n, lo, hi, si, self.key[0])
         if e is not None and e < n and hi - lo >= _LEAF:
             mid = (lo + hi) // 2
-            self._issue(table, n, lo, mid, si)
-            self._issue(table, n, mid + 1, hi, si)
+            self._issue(table, n, lo, mid, si, fails)
+            self._issue(table, n, mid + 1, hi, si, fails)
             return
         self.seeds[lo, hi, si] = e
-        if e is None:
-            return
-        if e < n:
-            self.expired.append((lo, hi, si))
-        else:
+        if e is not None:
             heapq.heappush(self.pending, (e, lo, hi, si))
+            if e < n:
+                fails.append((lo, hi, si))
 
     def intervals(self, table: BoundTable, n: int, m0: int) -> list[tuple[int, int, int]]:
-        """The (lo, hi, si) that step n must bound: the seeds past their
-        horizon."""
+        """The leaves (lo, hi, si) whose bound fails at step n.
+
+        Every seed past its horizon is issued again from n; the due
+        entries are all taken off the heap first, since a leaf that
+        fails goes back with a horizon below n.
+        """
         last = bisect_right(table._seg_starts, n - 1) - 1
         moved = (m0, last) != self.key
+        due = []
         if moved:
-            self.key, self.seeds, self.pending, self.expired = (m0, last), {}, [], []
+            self.key, self.seeds, self.pending = (m0, last), {}, []
             self.no_cut = _cut_horizon(table, n, last, m0)
-            for lo, hi, si in _seeds(table._seg_starts, n - 1, m0):
-                self._issue(table, n, lo, hi, si)
+            due.extend(_seeds(table._seg_starts, n - 1, m0))
         elif self.tail is not None and self.tail < n:
             # the tail's horizon has passed: it becomes a seed
-            self._issue(table, n, self.cut + 1, n - 1, last)
+            due.append((self.cut + 1, n - 1, last))
             moved = True
         if moved:
             self.cut = n - 1
             self.tail = _tail_horizon(table, n, self.cut, last, m0)
         while self.pending and self.pending[0][0] < n:
-            # a bound that failed may hold again from n on, or in halves
             _, lo, hi, si = heapq.heappop(self.pending)
             del self.seeds[lo, hi, si]
-            self._issue(table, n, lo, hi, si)
-        return self.expired
+            due.append((lo, hi, si))
+        fails: list[tuple[int, int, int]] = []
+        for lo, hi, si in due:
+            self._issue(table, n, lo, hi, si, fails)
+        return fails
 
     def until(self, n: int, top: int) -> int:
         """The last step up to `top` at which `intervals`, having just run
         for step n, would change nothing and return no interval: no seed,
-        tail or cut horizon has passed by then.  It is n itself while a
-        leaf is past its horizon, since such a leaf is bounded at every
-        step."""
-        if self.expired:
-            return n
+        tail or cut horizon has passed by then.  It is below n + 1 when
+        a leaf failed at n."""
         ends = [e for e in (self.tail, self.no_cut) if e is not None]
         if self.pending:
             ends.append(self.pending[0][0])
@@ -714,107 +672,23 @@ def _max_lp(
 ) -> tuple[int, int, int]:
     """Exact max over 2 <= m < n of LP(n, m), warm-started at m0.
 
-    Returns (numerator, denominator, argmax).  Intervals are expanded
-    best bound first and dropped once their bound is <= the incumbent,
-    so the value equals that of the exhaustive scan.  `horizons` keeps
-    the seeds and their horizons from one step to the next; without
-    one, the seeds are issued for step n alone.
+    Returns (numerator, denominator, argmax).  The horizons certify
+    LP(n, m) <= LP(n, m0) for every m outside the leaves that fail at
+    n, so the warm start and a scan of those leaves give the value of
+    the exhaustive scan.  `horizons` keeps the seeds and their horizons
+    from one step to the next; without one, the seeds are issued for
+    step n alone.
     """
-    nums, dens = table._num, table._den
     fronts = table._seg_frontiers
     best_num, best_den = _lp_value(table, n, m0, table.frontier_at(m0))
     best_m = m0
-    heap: list[tuple[int, int, int, int, int, int]] = []
-
-    def push(lo: int, hi: int, si: int):
-        mono, quad = _interval_bounds(
-            n, lo, hi, fronts[si], (nums[hi], dens[hi]), table._ratio_max(hi)
-        )
-        num, den = mono
-        if quad is not None and quad[0] * den < num * quad[1]:
-            num, den = quad
-        if num * best_den > best_num * den:
-            # priority: floor of the bound times 2^32, an integer
-            heapq.heappush(heap, (-((num << 32) // den), lo, hi, si, num, den))
-
-    def scan(lo: int, hi: int, si: int):
-        nonlocal best_num, best_den, best_m
+    for lo, hi, si in (horizons or _Horizons()).intervals(table, n, m0):
         f = fronts[si]
         for m in range(lo, hi + 1):
             vn, vd = _lp_value(table, n, m, f)
             if vn * best_den > best_num * vd:
                 best_num, best_den, best_m = vn, vd, m
-
-    for lo, hi, si in (horizons or _Horizons()).intervals(table, n, m0):
-        if lo == hi:
-            scan(lo, hi, si)
-        else:
-            push(lo, hi, si)
-    while heap:
-        _, lo, hi, si, num, den = heapq.heappop(heap)
-        if num * best_den <= best_num * den:
-            continue
-        if hi - lo < _LEAF:
-            scan(lo, hi, si)
-            continue
-        mid = (lo + hi) // 2
-        push(lo, mid, si)
-        push(mid + 1, hi, si)
     return best_num, best_den, best_m
-
-
-def lp_dual_value(n: int, m: int, theta_m: Frontier, table: BoundTable) -> Fraction:
-    """LP(n, m) via the two-variable dual: obf(m) + vertex minimum.
-
-    The vertex minimum is exact because both objective coefficients are
-    nonnegative and the region recedes into the nonnegative quadrant.
-    """
-    if not 2 <= m < n:
-        raise ValueError("need 2 <= m < n")
-    return table.obf(m) + Fraction(_dual_min_scaled(n, m, theta_m), theta_m.scale)
-
-
-def lp_primal_oracle(n: int, m: int, table: BoundTable) -> Fraction:
-    """LP(n, m) by direct enumeration of primal basic solutions.
-
-    After substituting b_m = 1 + b'_m the residual program has two
-    constraints, so some optimum has at most two variables above zero:
-    try the empty support, every single k, and every pair (k1, k2) that
-    makes both constraints tight.  Independent of the dual path.
-    """
-    if not 2 <= m < n:
-        raise ValueError("need 2 <= m < n")
-    if comb(m, 2) > comb(n, 2):
-        raise ValueError("infeasible: block larger than ground set")
-    r1 = comb(n, 2) - comb(m, 2)
-    r2 = comb(n - m, 2)
-    base = table.obf(m)
-    best = base
-    obf = [Fraction(0)] * (m + 1)
-    for k in range(2, m + 1):
-        obf[k] = table.obf(k)
-    for k in range(2, m + 1):
-        a1, a2 = comb(k, 2), comb(k - 1, 2)
-        bound = Fraction(r1, a1)
-        if a2:
-            bound = min(bound, Fraction(r2, a2))
-        cand = base + obf[k] * bound
-        if cand > best:
-            best = cand
-    for k1 in range(2, m + 1):
-        a11, a21 = comb(k1, 2), comb(k1 - 1, 2)
-        for k2 in range(k1 + 1, m + 1):
-            a12, a22 = comb(k2, 2), comb(k2 - 1, 2)
-            det = a11 * a22 - a12 * a21
-            if det == 0:
-                continue
-            b1 = Fraction(r1 * a22 - a12 * r2, det)
-            b2 = Fraction(a11 * r2 - a21 * r1, det)
-            if b1 >= 0 and b2 >= 0:
-                cand = base + obf[k1] * b1 + obf[k2] * b2
-                if cand > best:
-                    best = cand
-    return best
 
 
 # ---------------------------------------------------------------------------

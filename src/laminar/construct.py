@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .bounds import rat_to_decimal
 from .geometry import Design, GeometryError, affine_plane, circle_geometry, projective_plane
-from .setfam import Family, is_t_laminar
+from .setfam import CapExceeded, Family, is_t_laminar
 
 # materialization caps: beyond these the towers are counted, not built
 FANO_TOWER_CAP = 2401
@@ -37,10 +37,6 @@ CIRCLE_TOWER_CAP = 82
 # report's integers stay below n^t, so a level with t * bits(n) above
 # this bound is refused before any count is computed.
 _REPORT_BITS = 14284
-
-
-class CapExceeded(ValueError):
-    """A tower level is too large to materialize under its cap."""
 
 
 @dataclass(frozen=True)

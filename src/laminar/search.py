@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels, bounds
-from .setfam import Family
+from .setfam import CapExceeded, Family
 
 _BUDGET_CHECK_MASK = 0xFFF
 
@@ -119,10 +119,6 @@ class CompatGraph:
 
 class _Budget(Exception):
     pass
-
-
-class CapExceeded(ValueError):
-    """The ground set is larger than MAX_SEARCH_N."""
 
 
 def _induced(adj: Sequence[int], verts: list[int]) -> list[int]:

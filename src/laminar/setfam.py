@@ -46,6 +46,11 @@ import numpy as np
 from . import _kernels
 
 
+class CapExceeded(ValueError):
+    """A request is larger than the cap that `construct` or `search`
+    sets on it (the CLI exits 3)."""
+
+
 class MemberError(ValueError):
     """A member that a Family cannot hold; ``member`` is its 0-based index."""
 

@@ -1,7 +1,8 @@
 """Shared generators for randomized harnesses (all seeded, deterministic),
 the enumerating oracle of configuration containment, the Fraction
-oracle of the bound table's ratio recursion, and the corruptions of a
-bound cache that its check must reject."""
+oracles of the bound table's ratio recursion and of LP(n, m) (primal
+and dual), and the corruptions of a bound cache that its check must
+reject."""
 
 import random
 from collections import Counter
@@ -11,7 +12,7 @@ from math import comb
 
 import pytest
 
-from laminar import _kernels
+from laminar import _kernels, bounds
 from laminar.setfam import Family
 
 
@@ -124,6 +125,60 @@ def rec_bound_audit(table, n_max=None) -> bool:
         if r > running:
             running = r
     return True
+
+
+def lp_dual_value(n: int, m: int, theta_m, table) -> Fraction:
+    """LP(n, m) via the two-variable dual: obf(m) + vertex minimum.
+
+    The vertex minimum is exact because both objective coefficients are
+    nonnegative and the region recedes into the nonnegative quadrant.
+    """
+    if not 2 <= m < n:
+        raise ValueError("need 2 <= m < n")
+    return table.obf(m) + Fraction(bounds._dual_min_scaled(n, m, theta_m), theta_m.scale)
+
+
+def lp_primal_oracle(n: int, m: int, table) -> Fraction:
+    """LP(n, m) by direct enumeration of primal basic solutions.
+
+    After substituting b_m = 1 + b'_m the residual program has two
+    constraints, so some optimum has at most two variables above zero:
+    try the empty support, every single k, and every pair (k1, k2) that
+    makes both constraints tight.  Independent of the dual path.
+    """
+    if not 2 <= m < n:
+        raise ValueError("need 2 <= m < n")
+    if comb(m, 2) > comb(n, 2):
+        raise ValueError("infeasible: block larger than ground set")
+    r1 = comb(n, 2) - comb(m, 2)
+    r2 = comb(n - m, 2)
+    base = table.obf(m)
+    best = base
+    obf = [Fraction(0)] * (m + 1)
+    for k in range(2, m + 1):
+        obf[k] = table.obf(k)
+    for k in range(2, m + 1):
+        a1, a2 = comb(k, 2), comb(k - 1, 2)
+        bound = Fraction(r1, a1)
+        if a2:
+            bound = min(bound, Fraction(r2, a2))
+        cand = base + obf[k] * bound
+        if cand > best:
+            best = cand
+    for k1 in range(2, m + 1):
+        a11, a21 = comb(k1, 2), comb(k1 - 1, 2)
+        for k2 in range(k1 + 1, m + 1):
+            a12, a22 = comb(k2, 2), comb(k2 - 1, 2)
+            det = a11 * a22 - a12 * a21
+            if det == 0:
+                continue
+            b1 = Fraction(r1 * a22 - a12 * r2, det)
+            b2 = Fraction(a11 * r2 - a21 * r1, det)
+            if b1 >= 0 and b2 >= 0:
+                cand = base + obf[k1] * b1 + obf[k2] * b2
+                if cand > best:
+                    best = cand
+    return best
 
 
 #: the ways a cache written cold to N = 200 is corrupted in the tests

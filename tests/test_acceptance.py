@@ -10,14 +10,8 @@ from math import comb
 
 import pytest
 
-from conftest import rec_bound_audit, random_family
-from laminar.bounds import (
-    lp_dual_value,
-    lp_primal_oracle,
-    obf_table,
-    projective_series,
-    upper_limit_report,
-)
+from conftest import lp_dual_value, lp_primal_oracle, rec_bound_audit, random_family
+from laminar.bounds import obf_table, projective_series, upper_limit_report
 from laminar.construct import circle_tower, fano_tower
 from laminar.geometry import affine_plane, circle_geometry, is_design
 from laminar.search import max_laminar_exact

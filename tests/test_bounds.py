@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CORRUPTIONS, cache_mismatch, corrupt_cache, rec_bound_audit
+from conftest import (
+    CORRUPTIONS,
+    cache_mismatch,
+    corrupt_cache,
+    lp_dual_value,
+    lp_primal_oracle,
+    rec_bound_audit,
+)
 from laminar import bounds
 from laminar.bounds import (
     BoundTable,
@@ -19,14 +26,11 @@ from laminar.bounds import (
     _cache_line,
     _cuts,
     _horizon,
-    _interval_bounds,
     _max_lp,
     _rebuild_frontier,
     cache_has_values,
     frontier_update,
     load_cache,
-    lp_dual_value,
-    lp_primal_oracle,
     obf_table,
     projective_series,
     rat_to_decimal,
@@ -270,28 +274,6 @@ class TestExactMax:
                 assert Fraction(num, den) == want, (n, m0)
                 fm = table600.frontier_at(arg)
                 assert lp_dual_value(n, arg, fm, table600) == want
-
-    def test_interval_bounds_sound(self, table600):
-        # each bound is >= the exact max of LP(n, m) over its interval
-        rng = random.Random(2014)
-        starts = [s for s, _ in table600.frontier_log]
-        for _ in range(400):
-            n = rng.randint(4, 600)
-            seg = rng.choice([s for s in starts if s < n])
-            nxt = [s for s in starts if s > seg]
-            top = min(nxt[0] - 1 if nxt else n - 1, n - 1)
-            lo = rng.randint(seg, top)
-            hi = rng.randint(lo, top)
-            f = table600.frontier_at(hi)
-            exact = max(lp_dual_value(n, m, f, table600) for m in range(lo, hi + 1))
-            obf_hi = table600.obf(hi)
-            mono, quad = _interval_bounds(
-                n, lo, hi, f, (obf_hi.numerator, obf_hi.denominator),
-                table600._ratio_max(hi),
-            )
-            assert Fraction(*mono) >= exact, (n, lo, hi)
-            assert quad is not None
-            assert Fraction(*quad) >= exact, (n, lo, hi)
 
     def test_ratio_max_is_prefix_max(self, table600):
         best = Fraction(0)
@@ -586,7 +568,7 @@ class TestHorizons:
         at every step the seeds, the tail and m0 partition [2, n-1], each
         piece inside one frontier segment, the tail's horizon has not
         passed, and the bounded intervals are the seeds past their
-        horizon."""
+        horizon, each held with the horizon n - 1."""
         starts = [s for s, _ in table2000.frontier_log]
         horizons = bounds._Horizons()
         m0 = None
@@ -604,16 +586,38 @@ class TestHorizons:
                 assert table2000.frontier_at(lo) is table2000.frontier_at(hi)
                 assert table2000.frontier_at(lo) is table2000._seg_frontiers[si]
             assert horizons.tail is None or horizons.tail >= n, n
-            expired = [s for s, e in horizons.seeds.items() if e is not None and e < n]
-            assert sorted(horizons.intervals(table2000, n, m0)) == sorted(expired), n
+            failed = [s for s, e in horizons.seeds.items() if e is not None and e < n]
+            assert all(horizons.seeds[s] == n - 1 for s in failed), n
+            assert sorted(horizons.intervals(table2000, n, m0)) == sorted(failed), n
             m0 = argmax
+
+    def test_bounded_leaves_fail_their_bound(self, monkeypatch):
+        """Driven one step at a time to N = 3000: every interval that
+        `intervals` returns at step n is a leaf whose bound fails at n
+        (`_seed_horizon` gives n - 1), so `_max_lp` evaluates no point
+        that a horizon covers.  `_seed_horizon` is called again on the
+        finished table, which holds the same values up to n - 1."""
+        returned = []
+        intervals = bounds._Horizons.intervals
+
+        def recorded(self, table, n, m0):
+            got = intervals(self, table, n, m0)
+            returned.extend((n, lo, hi, si, m0) for lo, hi, si in got)
+            return got
+
+        monkeypatch.setattr(bounds._Horizons, "intervals", recorded)
+        table = _per_step_table(3000)
+        assert returned
+        for n, lo, hi, si, m0 in returned:
+            assert hi - lo < bounds._LEAF, (n, lo, hi)
+            assert bounds._seed_horizon(table, n, lo, hi, si, m0) == n - 1, (n, lo, hi)
 
     def test_one_exact_evaluation_per_step(self, monkeypatch):
         # the counts are deterministic: at N = 10000 a step outside the
-        # windows evaluates the warm start and almost never bounds an
-        # interval or tests a cut; almost every step sits in a window, with
-        # no call to _max_lp and no exact evaluation from scratch
-        calls = {"exact": 0, "interval": 0, "cuts": 0, "max_lp": 0}
+        # windows evaluates the warm start and almost never scans a leaf
+        # or tests a cut; almost every step sits in a window, with no
+        # call to _max_lp and no exact evaluation from scratch
+        calls = {"exact": 0, "cuts": 0, "max_lp": 0}
 
         def count(key, fn):
             def counted(*args):
@@ -624,7 +628,6 @@ class TestHorizons:
 
         for key, name in (
             ("exact", "_dual_min_scaled"),
-            ("interval", "_interval_bounds"),
             ("cuts", "_cuts"),
             ("max_lp", "_max_lp"),
         ):
@@ -642,12 +645,10 @@ class TestHorizons:
         monkeypatch.setattr(bounds, "_window", window)
         obf_table(10000)
         steps = 10000 - 3
-        # only the steps outside the windows evaluate exactly
-        assert 0 < calls["exact"] <= 0.01 * steps
-        assert windowed > 0.99 * steps
-        assert calls["interval"] <= 0.02 * steps
-        assert calls["cuts"] <= 0.02 * steps
-        assert 0 < calls["max_lp"] <= 0.01 * steps
+        # only the 28 steps outside the windows evaluate exactly: the warm
+        # start at each, and 17 points of the leaves that fail
+        assert calls == {"exact": 45, "cuts": 13, "max_lp": 28}
+        assert windowed == steps - 28
 
     @pytest.mark.parametrize("n_max", [3000, 20000])
     def test_windows_match_per_step_oracle(self, n_max):
@@ -659,18 +660,26 @@ class TestHorizons:
         assert table._rec_ks == want._rec_ks and table._rec_ratios == want._rec_ratios
         assert table.frontier_log == want.frontier_log
 
-    def test_windows_are_idle_steps(self):
+    def test_windows_are_idle_steps(self, monkeypatch):
         """Driven one step at a time to N = 20000: at every step of a
-        window `_max_lp` returns the warm start and leaves the horizons as
-        they were, so `intervals` returned nothing; the step after a
+        window `_max_lp` returns the warm start, `intervals` returns
+        nothing and the horizons stay as they were; the step after a
         window that ends before N bounds a leaf, changes them or is past
         the cut horizon, so each window is as long as it may be."""
         n_max = 20000
         until = 0
         idle = []
+        leaves = []
+        intervals = bounds._Horizons.intervals
+
+        def recorded(self, table, n, m0):
+            leaves[:] = intervals(self, table, n, m0)
+            return leaves
+
+        monkeypatch.setattr(bounds._Horizons, "intervals", recorded)
 
         def state(h):
-            return h.key, h.cut, h.tail, h.no_cut, dict(h.seeds), list(h.pending), list(h.expired)
+            return h.key, h.cut, h.tail, h.no_cut, dict(h.seeds), list(h.pending)
 
         def checked_max_lp(table, n, m0, horizons):
             nonlocal until
@@ -678,13 +687,13 @@ class TestHorizons:
             num, den, argmax = _max_lp(table, n, m0, horizons)
             after = state(horizons)
             if n <= until:
-                assert after == before and not horizons.expired and argmax == m0, n
+                assert after == before and not leaves and argmax == m0, n
                 idle.append(n)
                 return num, den, argmax
             if until and n == until + 1:
                 # this step bounds a leaf, changes the horizons or tests for a cut
                 end = before[3]
-                assert after != before or after[6] or (end is not None and n > end), n
+                assert after != before or leaves or (end is not None and n > end), n
             end = horizons.no_cut
             if argmax == m0 and (end is None or n <= end):
                 until = horizons.until(n, n_max)

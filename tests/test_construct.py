@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import int_masks, members, of_masks, random_laminar_family
-from laminar import cli
+from laminar import cli, search
 from laminar.construct import (
     CapExceeded,
     circle_tower,
@@ -152,6 +152,12 @@ class TestFanoTower:
     def test_materialization_cap(self):
         with pytest.raises(CapExceeded, match="cap"):
             fano_tower(3, materialize=True)
+
+    def test_one_cap_class(self):
+        # construct and search raise the same class, which the CLI maps to exit 3
+        assert CapExceeded is search.CapExceeded
+        with pytest.raises(CapExceeded, match="cap"):
+            search.max_laminar_exact(search.MAX_SEARCH_N + 1, 2)
 
     def test_report_json(self):
         rep, _ = fano_tower(1)

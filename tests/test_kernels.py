@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import int_masks, of_masks, sparse_family
+from conftest import int_masks, lp_dual_value, of_masks, sparse_family
 from laminar import _kernels
 from laminar.construct import fano_tower
 from laminar.geometry import Design, is_design, is_packing
@@ -570,7 +570,7 @@ class TestKnownDesigns:
 
 class TestScanTopK:
     def test_contains_true_argmax(self):
-        from laminar.bounds import obf_table, lp_dual_value
+        from laminar.bounds import obf_table
 
         table = obf_table(200)
         obf_f = np.zeros(320, dtype=np.float64)
