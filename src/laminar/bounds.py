@@ -89,9 +89,7 @@ the horizons evolve as before.  At N = 10^4 only 28 of the 9997 steps call
 differences: with m0 and Theta_{m0} fixed, each vertex's numerator of
 1 + LP(n, m0) is an integer quadratic in n, so a step costs a few
 integer additions, a gcd and two divisions, with no exact evaluation
-from scratch.  A run of window steps ends at each progress step and
-each full cache batch, so a batch never holds more than _FLUSH_EVERY
-rows.
+from scratch.  A run of window steps ends at each progress step.
 
 The table stores each obf(n) as an integer pair (numerator,
 denominator) in lowest terms; a Fraction is made only when a caller
@@ -106,19 +104,19 @@ products in the bounds outgrow 64 bits as N grows.
 
 A table persists as append-only lines "n<TAB>p/q", written by the one
 formatter `_cache_line`; blank lines hold no value.  A cache is never
-parsed.  `obf_table` computes the table cold either way and compares
-each line the cache holds with the bytes it would write for that n, so
-a line is accepted only when it is byte-identical: a value changed up
-or down, a gap, a duplicate, a truncated line, a non-ASCII byte or a
-non-canonical spelling such as "26/2" raises CacheError naming the
-line and both texts.  A reload thus costs one cold build plus one
-formatting per line and one read and comparison per batch of lines; a
-batch whose bytes differ is read again line by line, which skips blank
-lines and names the first line that differs.  Every cached line is
-checked before the first new one is appended, so a cache that fails is
-left unchanged.  `obf_table` opens the cache for append before it
-computes the first value, so an unwritable path fails at once, and
-checks and writes lines in batches.
+parsed.  `obf_table` builds the table cold either way, with no file
+open to the build but the cache held open for append, so an unwritable
+path fails before the first value is computed.  After the build it
+compares each line the cache holds with the bytes it would write for
+that n, so a line is accepted only when it is byte-identical: a value
+changed up or down, a gap, a duplicate, a truncated line, a non-ASCII
+byte or a non-canonical spelling such as "26/2" raises CacheError
+naming the line and both texts.  A reload thus costs one cold build
+plus one formatting per line and one read and comparison per batch of
+lines; a batch whose bytes differ is read again line by line, which
+skips blank lines and names the first line that differs.  Only when
+every cached line has passed are the new ones appended, so a cache
+that fails is left unchanged.
 """
 
 from __future__ import annotations
@@ -588,23 +586,22 @@ def _seeds(starts: list[int], top: int, m0: int):
 class _Horizons:
     """The seeds of consecutive steps, with horizons.
 
-    `seeds` maps each seed (lo, hi, si) to its horizon E: it may be
-    skipped at every step n <= E (E None: at every step).  `pending` is
-    a heap of the finite horizons, a leaf that failed at step n with
-    E = n - 1.  The open last segment is a seed only up to `cut`; the
+    A seed (lo, hi, si) with horizon E may be skipped at every step
+    n <= E.  `pending` is a heap of the seeds with a finite horizon, a
+    leaf that failed at step n with E = n - 1; a seed that may be
+    skipped at every step is kept nowhere.  The open last segment is a seed only up to `cut`; the
     tail (cut, n-1] is skipped up to step `tail`, and `_cuts` up to step
     `no_cut` at steps whose argmax is m0.  All of it holds for the `key`
     (m0, index of the open segment).
     """
 
-    __slots__ = ("key", "cut", "tail", "no_cut", "seeds", "pending")
+    __slots__ = ("key", "cut", "tail", "no_cut", "pending")
 
     def __init__(self):
         self.key = None
         self.cut = 0
         self.tail: Optional[int] = None
         self.no_cut: Optional[int] = None
-        self.seeds: dict[tuple[int, int, int], Optional[int]] = {}
         self.pending: list[tuple[int, int, int, int]] = []
 
     def _issue(
@@ -620,7 +617,6 @@ class _Horizons:
             self._issue(table, n, lo, mid, si, fails)
             self._issue(table, n, mid + 1, hi, si, fails)
             return
-        self.seeds[lo, hi, si] = e
         if e is not None:
             heapq.heappush(self.pending, (e, lo, hi, si))
             if e < n:
@@ -637,7 +633,7 @@ class _Horizons:
         moved = (m0, last) != self.key
         due = []
         if moved:
-            self.key, self.seeds, self.pending = (m0, last), {}, []
+            self.key, self.pending = (m0, last), []
             self.no_cut = _cut_horizon(table, n, last, m0)
             due.extend(_seeds(table._seg_starts, n - 1, m0))
         elif self.tail is not None and self.tail < n:
@@ -648,9 +644,7 @@ class _Horizons:
             self.cut = n - 1
             self.tail = _tail_horizon(table, n, self.cut, last, m0)
         while self.pending and self.pending[0][0] < n:
-            _, lo, hi, si = heapq.heappop(self.pending)
-            del self.seeds[lo, hi, si]
-            due.append((lo, hi, si))
+            due.append(heapq.heappop(self.pending)[1:])
         fails: list[tuple[int, int, int]] = []
         for lo, hi, si in due:
             self._issue(table, n, lo, hi, si, fails)
@@ -716,34 +710,26 @@ def cache_has_values(path: str) -> bool:
 
 
 class _CacheLines:
-    """The non-blank lines of a cache file as bytes, newline included.
+    """How many non-blank lines a cache file holds; not the lines."""
 
-    They are counted once, when made; each iteration reads the file
-    again, so the lines are never all in memory at once.
-    """
-
-    __slots__ = ("path", "count")
+    __slots__ = ("count",)
 
     def __init__(self, path: str):
-        self.path = path
         with open(path, "rb") as fh:
             self.count = sum(map(bool, map(bytes.strip, fh)))
 
     def __len__(self) -> int:
         return self.count
 
-    def __iter__(self):
-        with open(self.path, "rb") as fh:
-            yield from filter(bytes.strip, fh)
-
 
 def load_cache(path: str) -> _CacheLines:
-    """The cache at path, one entry per non-blank line (obf(2) first).
+    """The cache at path; its length is the count of non-blank lines,
+    one value each from obf(2) on.
 
-    Neither parses nor checks a line: `obf_table` needs only the count,
-    and reads the file once more, a batch at a time, to compare it with
-    the lines it would write.  OSError from opening or reading the file
-    propagates.
+    Neither parses nor checks a line: `obf_table` needs only the count
+    before the build, and reads the file once more after it, a batch at
+    a time, to compare it with the lines it would write.  OSError from
+    opening or reading the file propagates.
     """
     return _CacheLines(path)
 
@@ -793,44 +779,10 @@ _PROGRESS_EVERY = 1000
 _FLUSH_EVERY = 2000
 
 
-def obf_table(
-    n_max: int,
-    *,
-    cache_path: Optional[str] = None,
-    progress: Optional[Callable[[int], None]] = None,
-) -> BoundTable:
-    """Build the bound table up to n_max, checked against a cache and
-    extending it.
-
-    Every value is computed.  Each takes the certified max over m from
-    `_max_lp`, warm-started at the previous step's argmax, and is
-    tested for a cut unless its argmax is the warm start and the cut
-    horizon covers the step.  After such a step the steps up to
-    `_Horizons.until` form a window: `_window` appends 1 + LP(n, m0) for
-    each by finite differences, with no call to `_max_lp` and no cut or
-    record test.  The table always holds the base values obf(2) and
-    obf(3).
-
-    With a cache, the table runs to the cache's length if that exceeds
-    n_max.  Each value the cache holds is formatted by `_cache_line` and
-    compared with the cache's line, and a line that differs raises
-    CacheError before any line is appended, so a cache that fails is
-    left unchanged.  The values past the cache are appended.  When there
-    are any, the cache is opened for append before the first value is
-    computed, so an unwritable path fails at once.  Lines are checked
-    and written in batches of _FLUSH_EVERY.  `progress(n)` is called at
-    every n past the cache divisible by _PROGRESS_EVERY.
-    """
-    if n_max < 2:
-        raise ValueError("table starts at n = 2")
-    cached = load_cache(cache_path) if cache_path and os.path.exists(cache_path) else ()
+def _build(top: int, first: int, progress: Optional[Callable[[int], None]]) -> BoundTable:
+    """The bound table up to top, computed cold; `progress(n)` is called
+    at every n >= first divisible by _PROGRESS_EVERY."""
     table = BoundTable()
-    table.n_cached = len(cached)
-    top = max(n_max, len(cached) + 1, 3)
-    first = len(cached) + 2  # the first n not in the cache
-    writing = bool(cache_path) and first <= top
-    rows: Optional[list[tuple[int, int, int]]] = [(2, 1, 1), (3, 4, 1)] if cache_path else None
-
     frontier = Frontier((2,), ((1, 1),))
     table._append_value(2, 1, 1)
     table._push_frontier(2, frontier)
@@ -844,57 +796,86 @@ def obf_table(
             table._push_frontier(n, frontier)
 
     install(3, 4, 1)
-    nums, dens = table._num, table._den
-    with (
-        open(cache_path, "ab") if writing else nullcontext() as out,
-        open(cache_path, "rb") if cached else nullcontext() as src,
-    ):
+    argmax = None
+    horizons = _Horizons()
+    until = 0  # the last step of the current window
+    shared: dict[int, int] = {}
+    n = 4
+    while n <= top:
+        if n <= until:
+            # window steps: argmax m0 and no cut, hence no ratio record;
+            # each run ends at the next progress step
+            last = min(until, n + (-n) % _PROGRESS_EVERY)
+            _window(table, m0, n, last, shared)
+            n = last
+        else:
+            # cold start at the newest critical index, where the argmax sits
+            m0 = argmax or table._seg_starts[-1]
+            num, den, argmax = _max_lp(table, n, m0, horizons)
+            g = gcd(num, den)
+            end = horizons.no_cut
+            uncut = argmax == m0 and (end is None or n <= end)
+            install(n, (num + den) // g, den // g, uncut)
+            if uncut:
+                until = horizons.until(n, top)
+        if progress and n % _PROGRESS_EVERY == 0 and n >= first:
+            progress(n)
+        n += 1
+    return table
 
-        def settle():
-            # the batch's rows that the cache holds are checked, the rest written
-            k = max(0, min(len(rows), first - rows[0][0]))
-            if k:
-                _check_cache(cache_path, src, rows[:k])
-            if k < len(rows):
-                _append_cache(out, rows[k:])
-            rows.clear()
 
-        argmax = None
-        horizons = _Horizons()
-        until = 0  # the last step of the current window
-        shared: dict[int, int] = {}
-        n = 4
-        while n <= top:
-            if n <= until:
-                # window steps: argmax m0 and no cut, hence no ratio record;
-                # each run ends at the next progress step or full batch
-                last = min(until, n + (-n) % _PROGRESS_EVERY)
-                if rows is not None:
-                    last = min(last, n + _FLUSH_EVERY - 1 - len(rows))
-                _window(table, m0, n, last, shared)
-                if rows is not None:
-                    rows.extend(zip(range(n, last + 1), nums[n:], dens[n:]))
-                n = last
-            else:
-                # cold start at the newest critical index, where the argmax sits
-                m0 = argmax or table._seg_starts[-1]
-                num, den, argmax = _max_lp(table, n, m0, horizons)
-                g = gcd(num, den)
-                p, q = (num + den) // g, den // g
-                end = horizons.no_cut
-                uncut = argmax == m0 and (end is None or n <= end)
-                install(n, p, q, uncut)
-                if uncut:
-                    until = horizons.until(n, top)
-                if rows is not None:
-                    rows.append((n, p, q))
-            if progress and n % _PROGRESS_EVERY == 0 and n >= first:
-                progress(n)
-            if rows is not None and len(rows) >= _FLUSH_EVERY:
-                settle()
-            n += 1
-        if rows:
-            settle()
+def _rows(table: BoundTable, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """The rows (n, p, q) for lo <= n < hi."""
+    return list(zip(range(lo, hi), table._num[lo:hi], table._den[lo:hi]))
+
+
+def obf_table(
+    n_max: int,
+    *,
+    cache_path: Optional[str] = None,
+    progress: Optional[Callable[[int], None]] = None,
+) -> BoundTable:
+    """Build the bound table up to n_max, then check a cache against it
+    and extend the cache.
+
+    Every value is computed.  Each takes the certified max over m from
+    `_max_lp`, warm-started at the previous step's argmax, and is
+    tested for a cut unless its argmax is the warm start and the cut
+    horizon covers the step.  After such a step the steps up to
+    `_Horizons.until` form a window: `_window` appends 1 + LP(n, m0) for
+    each by finite differences, with no call to `_max_lp` and no cut or
+    record test.  The table always holds the base values obf(2) and
+    obf(3).  The build opens no file, so it makes the same calls with a
+    cache as without.
+
+    With a cache, the table runs to the cache's length if that exceeds
+    n_max.  When values lie past the cache, the cache is opened for
+    append before the build, so an unwritable path fails at once.  After
+    the build, each value the cache holds is formatted by `_cache_line`
+    and compared with the cache's line, and a line that differs raises
+    CacheError; only when every line has passed are the values past the
+    cache appended, so a cache that fails is left unchanged.  Lines are
+    checked and written in batches of _FLUSH_EVERY.  `progress(n)` is
+    called at every n past the cache divisible by _PROGRESS_EVERY.
+    """
+    if n_max < 2:
+        raise ValueError("table starts at n = 2")
+    if not cache_path:
+        return _build(max(n_max, 3), 2, progress)
+    cached = load_cache(cache_path) if os.path.exists(cache_path) else ()
+    first = len(cached) + 2  # the first n not in the cache
+    top = max(n_max, first - 1, 3)
+    with open(cache_path, "ab") if first <= top else nullcontext() as out:
+        table = _build(top, first, progress)
+        table.n_cached = len(cached)
+        # each batch is made in its call, so one batch at a time is alive
+        step = _FLUSH_EVERY
+        if cached:
+            with open(cache_path, "rb") as src:
+                for a in range(2, first, step):
+                    _check_cache(cache_path, src, _rows(table, a, min(a + step, first)))
+        for a in range(first, top + 1, step):
+            _append_cache(out, _rows(table, a, min(a + step, top + 1)))
     return table
 
 

@@ -563,12 +563,33 @@ class TestHorizons:
 
             _assert_exact(table.frontier_at(m0).vertices, holds, n, e)
 
-    def test_seeds_partition_every_step(self, table2000):
+    def test_seeds_partition_every_step(self, table2000, monkeypatch):
         """Driven as obf_table drives it, across the segments 1802-1807:
         at every step the seeds, the tail and m0 partition [2, n-1], each
         piece inside one frontier segment, the tail's horizon has not
         passed, and the bounded intervals are the seeds past their
-        horizon, each held with the horizon n - 1."""
+        horizon, each held with the horizon n - 1.  The seeds and their
+        horizons are recorded from `_issue`: a call that issues no half
+        adds a seed, whose horizon is its entry on `pending` (None when
+        it has none), and a new key drops every seed."""
+        issued = {}
+        key = [None]
+        calls = [0]
+        issue = bounds._Horizons._issue
+
+        def recorded(self, table, n, lo, hi, si, fails):
+            if self.key != key[0]:
+                key[0] = self.key
+                issued.clear()
+            issued.pop((lo, hi, si), None)
+            calls[0] += 1
+            before = calls[0]
+            issue(self, table, n, lo, hi, si, fails)
+            if calls[0] == before:
+                issued[lo, hi, si] = next(
+                    (e for e, *seed in self.pending if seed == [lo, hi, si]), None)
+
+        monkeypatch.setattr(bounds._Horizons, "_issue", recorded)
         starts = [s for s, _ in table2000.frontier_log]
         horizons = bounds._Horizons()
         m0 = None
@@ -577,7 +598,7 @@ class TestHorizons:
             num, den, argmax = _max_lp(table2000, n, m0, horizons)
             assert Fraction(num, den) == table2000.obf(n) - 1, n
             last = bisect_right(starts, n - 1) - 1
-            seeds = list(horizons.seeds)
+            seeds = list(issued)
             tail = [(horizons.cut + 1, n - 1, last)] if horizons.cut < n - 1 else []
             pieces = sorted(seeds + tail + [(m0, m0, None)])
             assert pieces[0][0] == 2 and pieces[-1][1] == n - 1, n
@@ -586,8 +607,8 @@ class TestHorizons:
                 assert table2000.frontier_at(lo) is table2000.frontier_at(hi)
                 assert table2000.frontier_at(lo) is table2000._seg_frontiers[si]
             assert horizons.tail is None or horizons.tail >= n, n
-            failed = [s for s, e in horizons.seeds.items() if e is not None and e < n]
-            assert all(horizons.seeds[s] == n - 1 for s in failed), n
+            failed = [s for s, e in issued.items() if e is not None and e < n]
+            assert all(issued[s] == n - 1 for s in failed), n
             assert sorted(horizons.intervals(table2000, n, m0)) == sorted(failed), n
             m0 = argmax
 
@@ -679,7 +700,7 @@ class TestHorizons:
         monkeypatch.setattr(bounds._Horizons, "intervals", recorded)
 
         def state(h):
-            return h.key, h.cut, h.tail, h.no_cut, dict(h.seeds), list(h.pending)
+            return h.key, h.cut, h.tail, h.no_cut, list(h.pending)
 
         def checked_max_lp(table, n, m0, horizons):
             nonlocal until
@@ -896,7 +917,7 @@ class TestCache:
         table = obf_table(50, cache_path=path)
         assert table.n_cached == 0
         assert len(load_cache(path)) == 49
-        assert list(load_cache(path)) == [
+        assert list(filter(bytes.strip, open(path, "rb"))) == [
             _cache_line((n, table._num[n], table._den[n])) for n in range(2, 51)
         ]
         assert cache_has_values(path)
@@ -986,9 +1007,9 @@ class TestCacheCheck:
         assert path.read_bytes() == b"".join(spaced)
 
     def test_batches_hold_at_most_flush_every_rows(self, tmp_path, monkeypatch):
-        """Window runs end where a batch is full: each batch checked or
-        written holds at most _FLUSH_EVERY rows, and together they hold
-        every n once, in order."""
+        """After the build, the cache is checked and then extended in
+        batches: each batch holds at most _FLUSH_EVERY rows, and together
+        they hold every n once, in order, the cached ones first."""
         batches = []
         for name in ("_check_cache", "_append_cache"):
 
@@ -1006,6 +1027,30 @@ class TestCacheCheck:
             names = [name for name, ns in batches for _ in ns]
             assert names == ["_check_cache"] * checked + ["_append_cache"] * (n_max - 1 - checked)
 
+    def test_cache_leaves_the_build_alone(self, tmp_path, monkeypatch):
+        """A build over a cache makes the same `_window` and `_max_lp`
+        calls as a build with none: the cache is no part of the loop."""
+        path = str(tmp_path / "obf.cache")
+        obf_table(2501, cache_path=path)
+        calls = []
+        window, max_lp = bounds._window, bounds._max_lp
+
+        def windowed(table, m0, lo, hi, shared):
+            calls.append(("_window", m0, lo, hi))
+            return window(table, m0, lo, hi, shared)
+
+        def maxed(table, n, m0, horizons):
+            calls.append(("_max_lp", n, m0))
+            return max_lp(table, n, m0, horizons)
+
+        monkeypatch.setattr(bounds, "_window", windowed)
+        monkeypatch.setattr(bounds, "_max_lp", maxed)
+        assert obf_table(7000, cache_path=path).n_cached == 2500
+        cached = calls[:]
+        calls.clear()
+        obf_table(7000)
+        assert cached == calls
+
     def test_unwritable_path_fails_before_work(self, tmp_path, monkeypatch):
         def no_work(*args):
             raise AssertionError("computed a value")
@@ -1015,10 +1060,12 @@ class TestCacheCheck:
             obf_table(2500, cache_path=str(tmp_path / "missing" / "obf.cache"))
 
     def test_reload_streams_the_cache(self, tmp_path):
-        """load_cache counts the non-blank lines; each iteration reads
-        the file again, so the lines are never held in a list."""
+        """load_cache counts the non-blank lines and holds none of them:
+        the check reads the file again after the build, a batch at a
+        time."""
         path = tmp_path / "obf.cache"
         obf_table(100, cache_path=str(path))
         cached = load_cache(str(path))
-        assert len(cached) == 99
-        assert list(cached) == list(cached) == path.read_bytes().splitlines(keepends=True)
+        assert len(cached) == 99 == len(path.read_bytes().splitlines())
+        with pytest.raises(TypeError):
+            iter(cached)
