@@ -9,18 +9,14 @@ small to repay listing its shared pairs; the config and chain checks
 of ``laminar verify`` (the chain check also on the circle tower r = 1,
 114,842 sets at t = 3), the cover-count kernel, and the build,
 validation and text of the two designs of the lower-bound
-constructions, and the bound table: built with no cache at N = 10^4 and
-10^5, where almost every step is a window step, and at N = 10^4
-reloaded from a full cache, which builds it cold and compares every
-line.
+constructions, and the bound table built at N = 10^4 and 10^5, where
+almost every step is a window step.
 
 Usage: python benchmarks/bench_kernels.py [--repeats 5]
 """
 
 import argparse
-import os
 import random
-import tempfile
 import time
 
 import numpy as np
@@ -155,18 +151,8 @@ def bench_cover_counts(repeats):
 
 
 def bench_bound_table(repeats):
-    """obf_table(10^4) and obf_table(10^5) cold, and the first reloaded
-    from the cache it wrote."""
-    _row("obf_table(10000), no cache", lambda: obf_table(10000), repeats)
-    _row("obf_table(100000), no cache", lambda: obf_table(100000), repeats)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "obf.cache")
-        obf_table(10000, cache_path=path)
-        _row(
-            "obf_table(10000), reload of a full cache",
-            lambda: obf_table(10000, cache_path=path),
-            repeats,
-        )
+    _row("obf_table(10000)", lambda: obf_table(10000), repeats)
+    _row("obf_table(100000)", lambda: obf_table(100000), repeats)
 
 
 def main():

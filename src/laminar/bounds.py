@@ -102,33 +102,17 @@ inexact arithmetic in this module is the Decimal rendering in
 `rat_to_decimal`.  No float or fixed-width integer is used: the
 products in the bounds outgrow 64 bits as N grows.
 
-A table persists as append-only lines "n<TAB>p/q", written by the one
-formatter `_cache_line`; blank lines hold no value.  A cache is never
-parsed.  `obf_table` builds the table cold either way, with no file
-open to the build but the cache held open for append, so an unwritable
-path fails before the first value is computed.  After the build it
-compares each line the cache holds with the bytes it would write for
-that n, so a line is accepted only when it is byte-identical: a value
-changed up or down, a gap, a duplicate, a truncated line, a non-ASCII
-byte or a non-canonical spelling such as "26/2" raises CacheError
-naming the line and both texts.  A reload thus costs one cold build
-plus one formatting per line and one read and comparison per batch of
-lines; a batch whose bytes differ is read again line by line, which
-skips blank lines and names the first line that differs.  Only when
-every cached line has passed are the new ones appended, so a cache
-that fails is left unchanged.
+`obf_table` builds the table in memory, cold, on every call; it
+reads and writes no file.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from bisect import bisect_right
-from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import islice
 from math import comb, gcd, isqrt, lcm
 from typing import BinaryIO, Callable, NamedTuple, Optional
 
@@ -138,10 +122,6 @@ def rat_to_decimal(value: Fraction, digits: int = 20) -> str:
     with localcontext() as ctx:
         ctx.prec = digits
         return str(Decimal(value.numerator) / Decimal(value.denominator))
-
-
-class CacheError(RuntimeError):
-    """Raised when a persisted bound table fails verification."""
 
 
 def _line(k: int, p: int, q: int) -> tuple[int, int, int]:
@@ -272,9 +252,6 @@ class BoundTable:
     def __init__(self):
         self._num: list[int] = [0, 0]
         self._den: list[int] = [1, 1]
-        #: how many of the values a cache held, each checked against the
-        #: computed one
-        self.n_cached = 0
         self._seg_starts: list[int] = []
         self._seg_frontiers: list[Frontier] = []
         # indices k where obf(k)/C(k,2) exceeds every earlier ratio, and
@@ -686,102 +663,27 @@ def _max_lp(
 
 
 # ---------------------------------------------------------------------------
-# cache persistence: append-only "n<TAB>p/q" lines
-
-#: the one formatter of cache lines, for writing and for checking:
-#: row (n, p, q) -> b"n\tp/q\n"
-_cache_line = b"%d\t%d/%d\n".__mod__
-
-
-def cache_has_values(path: str) -> bool:
-    """Whether the cache at path has a line for `load_cache` to read.
-
-    `load_cache` skips blank lines, so a file without a non-blank line
-    holds no values, and neither does a missing file.  Any other OSError
-    counts as a line, so that `load_cache` raises it.
-    """
-    try:
-        with open(path, "rb") as fh:
-            return any(map(bytes.strip, fh))
-    except FileNotFoundError:
-        return False
-    except OSError:
-        return True
-
-
-class _CacheLines:
-    """How many non-blank lines a cache file holds; not the lines."""
-
-    __slots__ = ("count",)
-
-    def __init__(self, path: str):
-        with open(path, "rb") as fh:
-            self.count = sum(map(bool, map(bytes.strip, fh)))
-
-    def __len__(self) -> int:
-        return self.count
-
-
-def load_cache(path: str) -> _CacheLines:
-    """The cache at path; its length is the count of non-blank lines,
-    one value each from obf(2) on.
-
-    Neither parses nor checks a line: `obf_table` needs only the count
-    before the build, and reads the file once more after it, a batch at
-    a time, to compare it with the lines it would write.  OSError from
-    opening or reading the file propagates.
-    """
-    return _CacheLines(path)
-
-
-def _check_cache(path: str, fh: BinaryIO, rows: list[tuple[int, int, int]]):
-    """Compare rows (n, p, q) as `_cache_line` formats them with the next
-    non-blank lines of the cache at path, open as fh; raise CacheError at
-    the first that is not byte-identical, naming its line number and both
-    texts.
-
-    One read of the batch's length settles a batch of bare lines.  Only
-    when those bytes differ is the batch read again line by line from
-    where it starts, skipping blank lines.
-    """
-    start = fh.tell()
-    blob = b"".join(map(_cache_line, rows))
-    if fh.read(len(blob)) == blob:
-        return
-    fh.seek(start)
-    want = list(map(_cache_line, rows))
-    got = list(islice(filter(bytes.strip, fh), len(want)))
-    if got == want:
-        return
-    i = next((i for i, (w, g) in enumerate(zip(want, got)) if w != g), len(got))
-    with open(path, "rb") as whole:
-        # the line number of the (n - 2)-th non-blank line
-        numbers = (ln for ln, raw in enumerate(whole, start=1) if raw.strip())
-        ln = next(islice(numbers, rows[i][0] - 2, None), "?")
-    found = got[i] if i < len(got) else b""
-    raise CacheError(f"cache line {ln}: expected {repr(want[i])[1:]}, found {repr(found)[1:]}")
-
-
-def _append_cache(fh: BinaryIO, rows: list[tuple[int, int, int]]):
-    """Write rows (n, p, q) as cache lines and flush them to the OS."""
-    fh.writelines(map(_cache_line, rows))
-    fh.flush()
-
-
-# ---------------------------------------------------------------------------
 # table construction
 
 #: obf_table calls `progress(n)` at every computed n divisible by this
 _PROGRESS_EVERY = 1000
 
-#: cache lines are checked, and new ones written and flushed, in batches
-#: of this many
-_FLUSH_EVERY = 2000
 
+def obf_table(n_max: int, progress: Optional[Callable[[int], None]] = None) -> BoundTable:
+    """The bound table up to max(n_max, 3), computed cold in memory.
 
-def _build(top: int, first: int, progress: Optional[Callable[[int], None]]) -> BoundTable:
-    """The bound table up to top, computed cold; `progress(n)` is called
-    at every n >= first divisible by _PROGRESS_EVERY."""
+    Each value takes the certified max over m from `_max_lp`,
+    warm-started at the previous step's argmax, and is tested for a cut
+    unless its argmax is the warm start and the cut horizon covers the
+    step.  After such a step the steps up to `_Horizons.until` form a
+    window: `_window` appends 1 + LP(n, m0) for each by finite
+    differences, with no call to `_max_lp` and no cut or record test.
+    The table always holds the base values obf(2) and obf(3).
+    `progress(n)` is called at every n divisible by _PROGRESS_EVERY.
+    """
+    if n_max < 2:
+        raise ValueError("table starts at n = 2")
+    top = max(n_max, 3)
     table = BoundTable()
     frontier = Frontier((2,), ((1, 1),))
     table._append_value(2, 1, 1)
@@ -818,64 +720,9 @@ def _build(top: int, first: int, progress: Optional[Callable[[int], None]]) -> B
             install(n, (num + den) // g, den // g, uncut)
             if uncut:
                 until = horizons.until(n, top)
-        if progress and n % _PROGRESS_EVERY == 0 and n >= first:
+        if progress and n % _PROGRESS_EVERY == 0:
             progress(n)
         n += 1
-    return table
-
-
-def _rows(table: BoundTable, lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """The rows (n, p, q) for lo <= n < hi."""
-    return list(zip(range(lo, hi), table._num[lo:hi], table._den[lo:hi]))
-
-
-def obf_table(
-    n_max: int,
-    *,
-    cache_path: Optional[str] = None,
-    progress: Optional[Callable[[int], None]] = None,
-) -> BoundTable:
-    """Build the bound table up to n_max, then check a cache against it
-    and extend the cache.
-
-    Every value is computed.  Each takes the certified max over m from
-    `_max_lp`, warm-started at the previous step's argmax, and is
-    tested for a cut unless its argmax is the warm start and the cut
-    horizon covers the step.  After such a step the steps up to
-    `_Horizons.until` form a window: `_window` appends 1 + LP(n, m0) for
-    each by finite differences, with no call to `_max_lp` and no cut or
-    record test.  The table always holds the base values obf(2) and
-    obf(3).  The build opens no file, so it makes the same calls with a
-    cache as without.
-
-    With a cache, the table runs to the cache's length if that exceeds
-    n_max.  When values lie past the cache, the cache is opened for
-    append before the build, so an unwritable path fails at once.  After
-    the build, each value the cache holds is formatted by `_cache_line`
-    and compared with the cache's line, and a line that differs raises
-    CacheError; only when every line has passed are the values past the
-    cache appended, so a cache that fails is left unchanged.  Lines are
-    checked and written in batches of _FLUSH_EVERY.  `progress(n)` is
-    called at every n past the cache divisible by _PROGRESS_EVERY.
-    """
-    if n_max < 2:
-        raise ValueError("table starts at n = 2")
-    if not cache_path:
-        return _build(max(n_max, 3), 2, progress)
-    cached = load_cache(cache_path) if os.path.exists(cache_path) else ()
-    first = len(cached) + 2  # the first n not in the cache
-    top = max(n_max, first - 1, 3)
-    with open(cache_path, "ab") if first <= top else nullcontext() as out:
-        table = _build(top, first, progress)
-        table.n_cached = len(cached)
-        # each batch is made in its call, so one batch at a time is alive
-        step = _FLUSH_EVERY
-        if cached:
-            with open(cache_path, "rb") as src:
-                for a in range(2, first, step):
-                    _check_cache(cache_path, src, _rows(table, a, min(a + step, first)))
-        for a in range(first, top + 1, step):
-            _append_cache(out, _rows(table, a, min(a + step, top + 1)))
     return table
 
 
@@ -939,3 +786,39 @@ def upper_limit_report(table: BoundTable, n: int) -> UpperLimitReport:
         ratio_decimal=rat_to_decimal(ratio),
         upper_limit_decimal=rat_to_decimal(limit),
     )
+
+
+# ---------------------------------------------------------------------------
+# the reader and writer of the retired bound cache, append-only
+# "n<TAB>p/q" lines.  Nothing in the package calls them: the benchmark
+# tracer (perfbench/tracer.py) wraps `load_cache` and `_append_cache` by
+# name, and they go when it stops (ROADMAP item 7).
+
+#: row (n, p, q) -> b"n\tp/q\n"
+_cache_line = b"%d\t%d/%d\n".__mod__
+
+
+class _CacheLines:
+    """How many non-blank lines a cache file holds; not the lines."""
+
+    __slots__ = ("count",)
+
+    def __init__(self, path: str):
+        with open(path, "rb") as fh:
+            self.count = sum(map(bool, map(bytes.strip, fh)))
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def load_cache(path: str) -> _CacheLines:
+    """The cache at path; its length is the count of non-blank lines.
+    Neither parses nor checks a line.  OSError from opening or reading
+    the file propagates."""
+    return _CacheLines(path)
+
+
+def _append_cache(fh: BinaryIO, rows: list[tuple[int, int, int]]):
+    """Write rows (n, p, q) as cache lines and flush them to the OS."""
+    fh.writelines(map(_cache_line, rows))
+    fh.flush()

@@ -1,19 +1,16 @@
 """Command-line surface: constructions, verification, search, bounds.
 
 Subcommands
-  obf        build the bound table, check and extend its cache, report obf(N)
+  obf        build the bound table in memory, report obf(N)
   construct  generate towers, planes, circle geometries, greedy packings
   verify     check a family file for t-laminarity (three equivalent ways)
   search     exact maximum-family search on small ground sets
-  summary    reconcile construction ratios against the bound table
+  summary    reconcile construction ratios against the bound table at --N
 
 Exit codes: 0 success / property holds, 1 property fails, 2 usage or
 input error, 3 resource/budget exceeded, 4 data corruption.  Reports go
-to stdout, progress and diagnostics to stderr.  The environment
-variable LAMINAR_CACHE overrides the default bound-table cache path.
-`obf` and `summary` compute the table cold and accept each cache line
-only if it is byte-identical to the line they would write; a line that
-is not exits 4, naming it, and leaves the cache unchanged.
+to stdout, progress and diagnostics to stderr.  `obf` and `summary`
+build the bound table cold in memory and write no file.
 
 `parse` reads argv from the `_COMMANDS` table as argparse would, without
 importing it: every command runs in a fresh process, where importing
@@ -26,11 +23,9 @@ from __future__ import annotations
 import gc
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable
 
 from . import bounds, construct, geometry, search, setfam
 
@@ -40,33 +35,13 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_CORRUPT = 4
 
-DEFAULT_CACHE = "laminar-obf.cache"
-
 
 def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _cache_path(arg: str | None) -> str:
-    return arg or os.environ.get("LAMINAR_CACHE") or DEFAULT_CACHE
-
-
 def _rat(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
-
-
-def _bound_table(
-    n: int, path: str, progress: Callable[[int], None] | None = None
-) -> bounds.BoundTable | int:
-    """obf_table(n) on the cache at path, or the exit code of its failure."""
-    try:
-        return bounds.obf_table(n, cache_path=path, progress=progress)
-    except bounds.CacheError as exc:
-        _log(f"cache verification failed: {exc}")
-        return EXIT_CORRUPT
-    except OSError as exc:
-        _log(f"cannot use cache {path}: {exc}")
-        return EXIT_USAGE
 
 
 def _bound_doc(table: bounds.BoundTable, n: int) -> tuple[bounds.UpperLimitReport, dict]:
@@ -78,7 +53,7 @@ def _bound_doc(table: bounds.BoundTable, n: int) -> tuple[bounds.UpperLimitRepor
         "ratio_decimal": rep.ratio_decimal,
         "tail": _rat(rep.tail),
         "upper_limit_decimal": rep.upper_limit_decimal,
-        "critical": list(table.critical),
+        "critical": list(table.frontier_at(n).critical),
     }
 
 
@@ -87,24 +62,20 @@ def _bound_doc(table: bounds.BoundTable, n: int) -> tuple[bounds.UpperLimitRepor
 
 
 def cmd_obf(args) -> int:
-    path = _cache_path(args.cache)
     n = args.N
     if n < 2:
         _log("N must be >= 2")
         return EXIT_USAGE
 
-    def progress(step: int):
-        _log(f"obf progress: n={step}/{n}")
-
-    table = _bound_table(n, path, progress)
-    if isinstance(table, int):
-        return table
-    if table.n_cached:
-        _log(f"obf: checked {table.n_cached} cached values from {path}")
     if n == 2:
         report = {"N": 2, "obf_N": "1/1", "ratio_decimal": "1"}
         print(json.dumps(report) if args.json else "obf(2) = 1")
         return EXIT_OK
+
+    def progress(step: int):
+        _log(f"obf progress: n={step}/{n}")
+
+    table = bounds.obf_table(n, progress)
     rep, doc = _bound_doc(table, n)
     doc["frontier_log"] = [[s, list(c)] for s, c in table.frontier_log]
     if args.json:
@@ -305,7 +276,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_summary(args) -> int:
-    path = _cache_path(args.cache)
+    if args.N is not None and args.N < 2:
+        _log("N must be >= 2")
+        return EXIT_USAGE
     doc: dict = {"construction": {}, "bound": None}
     lower = None
     tower_lines = []
@@ -323,12 +296,8 @@ def cmd_summary(args) -> int:
         "decimal": series.decimal,
     }
     upper = None
-    # obf_table would build and append obf(2) and obf(3) to an empty cache
-    if bounds.cache_has_values(path):
-        table = _bound_table(2, path)
-        if isinstance(table, int):
-            return table
-        rep, doc["bound"] = _bound_doc(table, table.n_max)
+    if args.N is not None:
+        rep, doc["bound"] = _bound_doc(bounds.obf_table(args.N), args.N)
         upper = rep.upper_limit
     if args.json:
         doc["bracket"] = [
@@ -342,7 +311,7 @@ def cmd_summary(args) -> int:
         print(line)
     print(f"  nested-plane series (4 terms): {series.decimal}")
     if upper is None:
-        print("bound side: no cache values at", path)
+        print("bound side: none; --N N builds the bound table to N")
         print(f"bracket: [{bounds.rat_to_decimal(lower, 12)}, ?]")
     else:
         b = doc["bound"]
@@ -373,13 +342,12 @@ class _Command:
 
 
 _JSON = {"--json": ("json", None, False)}
-_CACHE = {"--cache": ("cache", str, None)}
 _HELP = {"-h": ("help", None, False), "--help": ("help", None, False)}
 
 _COMMANDS = {
     "obf": _Command(
-        "build/extend the bound table", {},
-        {"--N": ("N", int, None), "--n": ("N", int, None), **_CACHE, **_JSON}, ("--N",)),
+        "build the bound table", {},
+        {"--N": ("N", int, None), "--n": ("N", int, None), **_JSON}, ("--N",)),
     "construct": _Command(
         "generate designs and tower families",
         {"kind": ("fano-tower", "circle-tower", "affine", "projective", "circle", "packing")},
@@ -392,7 +360,8 @@ _COMMANDS = {
         "exact maximum-family search", {},
         {"--n": ("n", int, None), "--t": ("t", int, 2), "--budget": ("budget", float, 60.0),
          **_JSON}, ("--n",)),
-    "summary": _Command("reconcile constructions against the bound", {}, {**_CACHE, **_JSON}),
+    "summary": _Command(
+        "reconcile constructions against the bound", {}, {"--N": ("N", int, None), **_JSON}),
 }
 
 

@@ -1,8 +1,7 @@
 """Shared generators for randomized harnesses (all seeded, deterministic),
 the enumerating oracle of configuration containment, the Fraction
 oracles of the bound table's ratio recursion and of LP(n, m) (primal
-and dual), and the corruptions of a bound cache that its check must
-reject."""
+and dual)."""
 
 import random
 from collections import Counter
@@ -179,58 +178,3 @@ def lp_primal_oracle(n: int, m: int, table) -> Fraction:
                 if cand > best:
                     best = cand
     return best
-
-
-#: the ways a cache written cold to N = 200 is corrupted in the tests
-CORRUPTIONS = (
-    "lowered", "raised", "swapped", "gap", "duplicate", "truncated", "non_ascii",
-    "unreduced", "bare",
-)
-
-
-def corrupt_cache(lines: list[bytes], case: str) -> tuple[list[bytes], int]:
-    """The lines of a cache written cold to N = 200 (line i holds
-    obf(i + 2)) with one corruption, and the index of the first line
-    that the corruption changed."""
-    new = list(lines)
-
-    def value(n: int) -> bytes:
-        return lines[n - 2].rstrip(b"\n").split(b"\t")[1]
-
-    if case == "lowered":  # obf(43) = 1248 lowered by 1/3
-        assert lines[41] == b"43\t1248/1\n"
-        new[41] = b"43\t3743/3\n"
-        return new, 41
-    if case == "raised":
-        p, q = map(int, value(150).split(b"/"))
-        new[148] = b"150\t%d/%d\n" % (p + q, q)
-        return new, 148
-    if case == "swapped":
-        new[38], new[39] = b"40\t%s\n" % value(41), b"41\t%s\n" % value(40)
-        return new, 38
-    if case == "gap":
-        del new[10]
-        return new, 10
-    if case == "duplicate":  # two writers both appended obf(100)
-        new.insert(99, lines[98])
-        return new, 99
-    if case == "truncated":
-        new[-1] = lines[-1][: len(lines[-1]) // 2]
-        return new, len(lines) - 1
-    if case == "non_ascii":
-        new[78] = lines[78].replace(b"\t", b"\t\xff")
-        return new, 78
-    if case == "unreduced":  # obf(5) spelled with both terms doubled
-        p, q = map(int, value(5).split(b"/"))
-        new[3] = b"5\t%d/%d\n" % (2 * p, 2 * q)
-        return new, 3
-    if case == "bare":  # obf(4) = 8 spelled with no denominator
-        assert lines[2] == b"4\t8/1\n"
-        new[2] = b"4\t8\n"
-        return new, 2
-    raise ValueError(case)
-
-
-def cache_mismatch(ln: int, want: bytes, found: bytes) -> str:
-    """The CacheError message for cache line ln, which should read want."""
-    return f"cache line {ln}: expected {repr(want)[1:]}, found {repr(found)[1:]}"

@@ -1,19 +1,14 @@
 import hashlib
 import random
-import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (
-    CORRUPTIONS,
-    cache_mismatch,
-    corrupt_cache,
     lp_dual_value,
     lp_primal_oracle,
     rec_bound_audit,
@@ -21,16 +16,12 @@ from conftest import (
 from laminar import bounds
 from laminar.bounds import (
     BoundTable,
-    CacheError,
     Frontier,
-    _cache_line,
     _cuts,
     _horizon,
     _max_lp,
     _rebuild_frontier,
-    cache_has_values,
     frontier_update,
-    load_cache,
     obf_table,
     projective_series,
     rat_to_decimal,
@@ -825,247 +816,3 @@ class TestAudits:
     def test_upper_limit_small(self, table60):
         rep = upper_limit_report(table60, 4)
         assert rep.upper_limit == Fraction(8, 6) + Fraction(1, 2) == Fraction(11, 6)
-
-
-class TestCache:
-    def test_roundtrip_and_idempotence(self, tmp_path):
-        path = str(tmp_path / "obf.cache")
-        obf_table(80, cache_path=path)
-        first = open(path).read()
-        t2 = obf_table(80, cache_path=path)
-        assert open(path).read() == first
-        assert t2.obf(80) == obf_table(80).obf(80)
-
-    def test_extension_appends(self, tmp_path):
-        path = str(tmp_path / "obf.cache")
-        obf_table(50, cache_path=path)
-        lines_before = open(path).read().splitlines()
-        t = obf_table(90, cache_path=path)
-        lines_after = open(path).read().splitlines()
-        assert lines_after[: len(lines_before)] == lines_before
-        assert len(lines_after) == 89
-        assert t.obf(90) == obf_table(90).obf(90)
-
-    def test_resume_preserves_frontier(self, tmp_path):
-        path = str(tmp_path / "obf.cache")
-        obf_table(100, cache_path=path)
-        resumed = obf_table(100, cache_path=path)
-        direct = obf_table(100)
-        assert resumed.critical == direct.critical
-        assert resumed.frontier_log == direct.frontier_log
-
-    def test_corrupt_value_detected(self, tmp_path):
-        path = str(tmp_path / "obf.cache")
-        obf_table(50, cache_path=path)
-        lines = open(path).read().splitlines()
-        lines[0] = "2\t5/1"
-        open(path, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(CacheError, match=re.escape(cache_mismatch(1, b"2\t1/1\n", b"2\t5/1\n"))):
-            obf_table(50, cache_path=path)
-
-    def test_gap_detected(self, tmp_path):
-        path = str(tmp_path / "obf.cache")
-        obf_table(50, cache_path=path)
-        lines = open(path).read().splitlines()
-        del lines[10]
-        open(path, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(CacheError, match=re.escape("cache line 11: expected '12\\t")):
-            obf_table(50, cache_path=path)
-
-    def test_malformed_line(self, tmp_path):
-        path = str(tmp_path / "obf.cache")
-        with open(path, "w") as fh:
-            fh.write("2\t1/1\n3\tfour\n")
-        with pytest.raises(CacheError, match=re.escape(cache_mismatch(2, b"3\t4/1\n", b"3\tfour\n"))):
-            obf_table(10, cache_path=path)
-
-    def test_audit_catches_inflated_value(self, tmp_path):
-        path = str(tmp_path / "obf.cache")
-        obf_table(250, cache_path=path)
-        lines = open(path).read().splitlines()
-        # inflate obf(100) beyond the recursion bound
-        assert lines[98].startswith("100\t")
-        want = (lines[98] + "\n").encode()
-        lines[98] = "100\t99999/1"
-        open(path, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(CacheError, match=re.escape(cache_mismatch(99, want, b"100\t99999/1\n"))):
-            obf_table(250, cache_path=path)
-
-    def test_reload_matches_cold_2000(self, tmp_path, table2000):
-        path = str(tmp_path / "obf.cache")
-        obf_table(2000, cache_path=path)
-        reloaded = obf_table(2000, cache_path=path)
-        assert reloaded.n_cached == 1999 and reloaded.n_max == 2000
-        assert all(reloaded.obf(n) == table2000.obf(n) for n in range(2, 2001))
-        assert reloaded.frontier_log == table2000.frontier_log
-        assert reloaded.critical == table2000.critical
-
-    def _cache(self, tmp_path, *lines):
-        path = str(tmp_path / "obf.cache")
-        with open(path, "w") as fh:
-            fh.write("".join(line + "\n" for line in lines))
-        return path
-
-    def test_blank_cache_holds_no_values(self, tmp_path):
-        assert not cache_has_values(str(tmp_path / "missing.cache"))
-        # an interrupted first run leaves the empty file it opened
-        path = self._cache(tmp_path)
-        assert len(load_cache(path)) == 0 and not cache_has_values(path)
-        path = self._cache(tmp_path, "", "  ")
-        assert len(load_cache(path)) == 0 and not cache_has_values(path)
-        assert cache_has_values(str(tmp_path))  # left to load_cache to raise
-        table = obf_table(50, cache_path=path)
-        assert table.n_cached == 0
-        assert len(load_cache(path)) == 49
-        assert list(filter(bytes.strip, open(path, "rb"))) == [
-            _cache_line((n, table._num[n], table._den[n])) for n in range(2, 51)
-        ]
-        assert cache_has_values(path)
-
-    def test_lone_base_value_is_a_prefix(self, tmp_path):
-        """A cache holding obf(2) alone is the first line of every cold
-        build, so it is checked and extended like any shorter cache."""
-        path = self._cache(tmp_path, "2\t1/1")
-        assert obf_table(10, cache_path=path).n_cached == 1
-        cold = tmp_path / "cold.cache"
-        obf_table(10, cache_path=str(cold))
-        assert Path(path).read_bytes() == cold.read_bytes()
-
-    def test_table_to_2_writes_both_base_values(self, tmp_path):
-        path = str(tmp_path / "obf.cache")
-        assert obf_table(2, cache_path=path).obf(2) == 1
-        assert open(path).read() == "2\t1/1\n3\t4/1\n"
-        assert obf_table(10, cache_path=path).n_cached == 2
-
-
-class TestCacheCheck:
-    """A reload computes the table cold and accepts a cache line only if
-    it is byte-identical to the line that build writes."""
-
-    @pytest.mark.parametrize("case", CORRUPTIONS)
-    def test_corruption_rejected_and_left_alone(self, case, tmp_path):
-        path = tmp_path / "obf.cache"
-        obf_table(200, cache_path=str(path))
-        lines = path.read_bytes().splitlines(keepends=True)
-        bad, i = corrupt_cache(lines, case)
-        path.write_bytes(b"".join(bad))
-        found = bad[i] if i < len(bad) else b""
-        message = cache_mismatch(i + 1, lines[i], found)
-        # 3000 > 200: the check fails before any new value is appended
-        for n_max in (100, 200, 3000):
-            with pytest.raises(CacheError, match=re.escape(message)):
-                obf_table(n_max, cache_path=str(path))
-            assert path.read_bytes() == b"".join(bad)
-
-    def test_every_line_is_the_formatter_output(self, tmp_path, table2000):
-        path = tmp_path / "obf.cache"
-        obf_table(2000, cache_path=str(path))
-        want = [_cache_line((n, table2000._num[n], table2000._den[n])) for n in range(2, 2001)]
-        assert path.read_bytes().splitlines(keepends=True) == want
-        # the canonical spelling: n, a tab, then p/q in lowest terms
-        assert want == [
-            f"{n}\t{table2000.obf(n).numerator}/{table2000.obf(n).denominator}\n".encode()
-            for n in range(2, 2001)
-        ]
-
-    def test_longer_cache_extends_the_table(self, tmp_path):
-        path = tmp_path / "obf.cache"
-        obf_table(300, cache_path=str(path))
-        before = path.read_bytes()
-        table = obf_table(50, cache_path=str(path))
-        assert table.n_max == 300 and table.n_cached == 299
-        assert path.read_bytes() == before
-
-    def test_blank_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "obf.cache"
-        obf_table(30, cache_path=str(path))
-        lines = path.read_bytes().splitlines(keepends=True)
-        path.write_bytes(b"".join(lines[:5] + [b"\n", b" \t\n"] + lines[5:]))
-        assert obf_table(30, cache_path=str(path)).n_cached == 29
-        lines[9] = b"11\t0/1\n"
-        path.write_bytes(b"".join(lines[:5] + [b"\n"] + lines[5:]))
-        # the line number counts the blank line
-        with pytest.raises(CacheError, match="cache line 11: "):
-            obf_table(30, cache_path=str(path))
-
-    def test_blank_lines_at_batch_edges(self, tmp_path):
-        """Blank lines before the first line, at the edge between two
-        batches and after the last line are skipped; a changed line after
-        them is named by its line number in the file."""
-        path = tmp_path / "obf.cache"
-        obf_table(5000, cache_path=str(path))
-        lines = path.read_bytes().splitlines(keepends=True)
-        edge = bounds._FLUSH_EVERY  # lines[edge] starts the second batch
-        spaced = [b"\n", *lines[:edge], b" \n", b"\n", *lines[edge:], b"\n"]
-        path.write_bytes(b"".join(spaced))
-        assert obf_table(5000, cache_path=str(path)).n_cached == 4999
-        i = edge + 5
-        spaced[i + 3] = b"%d\t0/1\n" % (i + 2)
-        path.write_bytes(b"".join(spaced))
-        with pytest.raises(CacheError, match=re.escape(cache_mismatch(i + 4, lines[i], spaced[i + 3]))):
-            obf_table(5000, cache_path=str(path))
-        assert path.read_bytes() == b"".join(spaced)
-
-    def test_batches_hold_at_most_flush_every_rows(self, tmp_path, monkeypatch):
-        """After the build, the cache is checked and then extended in
-        batches: each batch holds at most _FLUSH_EVERY rows, and together
-        they hold every n once, in order, the cached ones first."""
-        batches = []
-        for name in ("_check_cache", "_append_cache"):
-
-            def spy(*args, fn=getattr(bounds, name), name=name):
-                batches.append((name, [n for n, _, _ in args[-1]]))
-                return fn(*args)
-
-            monkeypatch.setattr(bounds, name, spy)
-        path = str(tmp_path / "obf.cache")
-        for n_max, checked in ((7000, 0), (12345, 6999), (12345, 12344)):
-            batches.clear()
-            obf_table(n_max, cache_path=path)
-            assert max(len(ns) for _, ns in batches) == bounds._FLUSH_EVERY
-            assert [n for _, ns in batches for n in ns] == list(range(2, n_max + 1))
-            names = [name for name, ns in batches for _ in ns]
-            assert names == ["_check_cache"] * checked + ["_append_cache"] * (n_max - 1 - checked)
-
-    def test_cache_leaves_the_build_alone(self, tmp_path, monkeypatch):
-        """A build over a cache makes the same `_window` and `_max_lp`
-        calls as a build with none: the cache is no part of the loop."""
-        path = str(tmp_path / "obf.cache")
-        obf_table(2501, cache_path=path)
-        calls = []
-        window, max_lp = bounds._window, bounds._max_lp
-
-        def windowed(table, m0, lo, hi, shared):
-            calls.append(("_window", m0, lo, hi))
-            return window(table, m0, lo, hi, shared)
-
-        def maxed(table, n, m0, horizons):
-            calls.append(("_max_lp", n, m0))
-            return max_lp(table, n, m0, horizons)
-
-        monkeypatch.setattr(bounds, "_window", windowed)
-        monkeypatch.setattr(bounds, "_max_lp", maxed)
-        assert obf_table(7000, cache_path=path).n_cached == 2500
-        cached = calls[:]
-        calls.clear()
-        obf_table(7000)
-        assert cached == calls
-
-    def test_unwritable_path_fails_before_work(self, tmp_path, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("computed a value")
-
-        monkeypatch.setattr(bounds, "_max_lp", no_work)
-        with pytest.raises(FileNotFoundError):
-            obf_table(2500, cache_path=str(tmp_path / "missing" / "obf.cache"))
-
-    def test_reload_streams_the_cache(self, tmp_path):
-        """load_cache counts the non-blank lines and holds none of them:
-        the check reads the file again after the build, a batch at a
-        time."""
-        path = tmp_path / "obf.cache"
-        obf_table(100, cache_path=str(path))
-        cached = load_cache(str(path))
-        assert len(cached) == 99 == len(path.read_bytes().splitlines())
-        with pytest.raises(TypeError):
-            iter(cached)

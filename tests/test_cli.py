@@ -12,9 +12,7 @@ import time
 
 import pytest
 
-from conftest import (
-    CORRUPTIONS, cache_mismatch, corrupt_cache, int_masks, of_masks, random_family,
-)
+from conftest import int_masks, of_masks, random_family
 import laminar
 from laminar import _kernels, cli, construct, geometry, search, setfam
 from laminar.cli import main
@@ -72,6 +70,7 @@ USAGE_CORPUS = [
     ["obf", "--n", "5", "--json"], ["construct", "nope"], ["construct", "affine", "--q", "3"],
     ["verify"], ["verify", "a", "b"], ["verify", "a", "--t", "3"], ["search", "--n"],
     ["search", "--n", "9", "--budget", "1.5"], ["summary", "--cache", "c", "--json"],
+    ["summary", "--N", "5", "--json"], ["summary", "--N"], ["summary", "--n", "5"],
 ]
 
 # the other argvs cli.parse must read as argparse does: the harness's
@@ -101,124 +100,54 @@ ORACLE_CORPUS = [
 
 
 class TestObfCommand:
-    def test_small_run_json(self, tmp_path, capsys):
-        cache = str(tmp_path / "c.cache")
-        code, out, _ = run(["obf", "--N", "50", "--cache", cache, "--json"], capsys)
+    def test_small_run_json(self, capsys):
+        code, out, _ = run(["obf", "--N", "50", "--json"], capsys)
         assert code == 0
         doc = json.loads(out)
         assert doc["critical"] == [1, 2, 3, 7, 43]
         assert doc["obf_N"].count("/") == 1
         assert doc["frontier_log"][0] == [2, [1, 2]]
 
-    def test_cache_idempotent(self, tmp_path, capsys):
-        cache = str(tmp_path / "c.cache")
-        run(["obf", "--N", "60", "--cache", cache], capsys)
-        first = open(cache).read()
-        code, out, _ = run(["obf", "--N", "60", "--cache", cache], capsys)
+    def test_obf_n2(self, capsys):
+        code, out, _ = run(["obf", "--N", "2"], capsys)
+        assert code == 0 and out == "obf(2) = 1\n"
+        code, out, _ = run(["obf", "--N", "2", "--json"], capsys)
+        assert code == 0 and json.loads(out) == {"N": 2, "obf_N": "1/1", "ratio_decimal": "1"}
+
+    def test_progress_on_stderr(self, capsys):
+        code, out, err = run(["obf", "--N", "1000", "--json"], capsys)
+        assert code == 0 and json.loads(out)["N"] == 1000
+        assert err == "obf progress: n=1000/1000\n"
+
+    def test_runs_write_no_file_and_keep_no_state(self, tmp_path, capsys, monkeypatch):
+        """`obf` and `summary` build the table in memory: a larger run
+        before a smaller one in the same directory leaves the smaller
+        one's report as a cold run prints it, and no file behind."""
+        monkeypatch.setenv("LAMINAR_CACHE", str(tmp_path / "env.cache"))
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        cold.mkdir()
+        warm.mkdir()
+        monkeypatch.chdir(cold)
+        code, want, _ = run(["obf", "--N", "100", "--json"], capsys)
         assert code == 0
-        assert open(cache).read() == first
+        monkeypatch.chdir(warm)
+        for argv in (["obf", "--N", "2000"], ["summary", "--N", "2000", "--json"]):
+            assert run(argv, capsys)[0] == 0
+        code, out, _ = run(["obf", "--N", "100", "--json"], capsys)
+        assert code == 0 and out == want
+        assert json.loads(out)["critical"] == [1, 2, 3, 7, 43]
+        assert sorted(os.listdir(tmp_path)) == ["cold", "warm"]
+        assert os.listdir(cold) == [] and os.listdir(warm) == []
 
-    def test_corrupt_cache_exit_4(self, tmp_path, capsys):
-        cache = str(tmp_path / "c.cache")
-        run(["obf", "--N", "20", "--cache", cache], capsys)
-        lines = open(cache).read().splitlines()
-        lines[1] = "3\t7/1"
-        open(cache, "w").write("\n".join(lines) + "\n")
-        code, _, err = run(["obf", "--N", "20", "--cache", cache], capsys)
-        assert code == 4
-        assert "line 2" in err
-
-    def test_decreasing_cache_exit_4(self, tmp_path, capsys):
-        cache = str(tmp_path / "c.cache")
-        run(["obf", "--N", "60", "--cache", cache], capsys)
-        lines = open(cache).read().splitlines()
-        v39, v40, v41 = (lines[i].split("\t")[1] for i in (37, 38, 39))
-        # swapping obf(40) and obf(41) raises obf(40) first, which the
-        # check rejects on its own line
-        swapped = lines[:38] + [f"40\t{v41}", f"41\t{v40}"] + lines[40:]
-        open(cache, "w").write("\n".join(swapped) + "\n")
-        code, _, err = run(["obf", "--N", "60", "--cache", cache], capsys)
-        assert code == 4 and f"line 39: expected '40\\t{v40}\\n', found '40\\t{v41}\\n'" in err
-        # lowering obf(41) to obf(39) is a pure decrease
-        lines[39] = f"41\t{v39}"
-        open(cache, "w").write("\n".join(lines) + "\n")
-        code, _, err = run(["obf", "--N", "60", "--cache", cache], capsys)
-        assert code == 4
-        assert f"line 40: expected '41\\t{v41}\\n', found '41\\t{v39}\\n'" in err
-
-    def test_every_cache_line_audited(self, tmp_path, capsys):
-        cache = str(tmp_path / "c.cache")
-        run(["obf", "--N", "200", "--cache", cache], capsys)
-        lines = open(cache).read().splitlines()
-        # obf(57) := obf(58) keeps the table nondecreasing, and 57 is no
-        # multiple of 100, so only an audit of every line sees it
-        assert lines[56] == "58\t15986/7"
-        lines[55] = "57\t15986/7"
-        open(cache, "w").write("\n".join(lines) + "\n")
-        code, out, err = run(["obf", "--N", "200", "--cache", cache], capsys)
-        assert code == 4 and out == ""
-        assert "cache line 56: expected '57\\t2205/1\\n', found '57\\t15986/7\\n'" in err
-
-    @pytest.mark.parametrize("command", ["obf", "summary"])
-    def test_non_ascii_cache_exit_4(self, command, tmp_path, capsys):
-        cache = tmp_path / "c"
-        cache.write_bytes(b"2\t1/1\n3\t4/1\n4\t\xff8/1\n")
-        argv = [command, "--cache", str(cache)] + (["--N", "10"] if command == "obf" else [])
-        code, out, err = run(argv, capsys)
-        assert code == 4 and out == ""
-        assert err.count("\n") == 1
-        assert "cache line 3: expected '4\\t8/1\\n', found '4\\t\\xff8/1\\n'" in err
-
-    @pytest.mark.parametrize("command", ["obf", "summary"])
-    def test_unreadable_cache_exit_2(self, command, tmp_path, capsys):
-        argv = [command, "--cache", str(tmp_path)] + (["--N", "10"] if command == "obf" else [])
+    @pytest.mark.parametrize(
+        "argv", [["obf", "--N", "10", "--cache", "x"], ["summary", "--cache", "x"]],
+        ids=lambda argv: argv[0])
+    def test_cache_flag_is_refused_exit_2(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
-        assert err.count("\n") == 1 and err.startswith(f"cannot use cache {tmp_path}:")
-
-    def test_env_cache_path(self, tmp_path, capsys, monkeypatch):
-        cache = str(tmp_path / "env.cache")
-        monkeypatch.setenv("LAMINAR_CACHE", cache)
-        code, _, _ = run(["obf", "--N", "10"], capsys)
-        assert code == 0 and os.path.exists(cache)
-
-    def test_obf_n2(self, tmp_path, capsys):
-        code, out, _ = run(
-            ["obf", "--N", "2", "--cache", str(tmp_path / "c")], capsys
-        )
-        assert code == 0 and "obf(2) = 1" in out
-        # the cache it leaves holds both base values, so it reloads
-        code, _, err = run(["obf", "--N", "10", "--cache", str(tmp_path / "c")], capsys)
-        assert code == 0 and err == f"obf: checked 2 cached values from {tmp_path / 'c'}\n"
-
-    def test_reload_reports_load_not_progress(self, tmp_path, capsys):
-        cache = str(tmp_path / "c.cache")
-        code, cold, err = run(["obf", "--N", "1000", "--cache", cache, "--json"], capsys)
-        assert code == 0 and err == "obf progress: n=1000/1000\n"
-        code, warm, err = run(["obf", "--N", "1000", "--cache", cache, "--json"], capsys)
-        assert code == 0 and warm == cold
-        assert err == f"obf: checked 999 cached values from {cache}\n"
-
-    @pytest.mark.parametrize("command", ["obf", "summary"])
-    @pytest.mark.parametrize("case", CORRUPTIONS)
-    def test_corrupt_cache_exit_4_names_line(self, case, command, tmp_path, capsys):
-        cache = tmp_path / "c.cache"
-        run(["obf", "--N", "200", "--cache", str(cache)], capsys)
-        lines = cache.read_bytes().splitlines(keepends=True)
-        bad, i = corrupt_cache(lines, case)
-        cache.write_bytes(b"".join(bad))
-        argv = [command, "--cache", str(cache)] + (["--N", "300"] if command == "obf" else [])
-        code, out, err = run(argv, capsys)
-        assert code == 4 and out == ""
-        found = bad[i] if i < len(bad) else b""
-        assert err == f"cache verification failed: {cache_mismatch(i + 1, lines[i], found)}\n"
-        assert cache.read_bytes() == b"".join(bad)
-
-    def test_unwritable_cache_fails_before_work(self, tmp_path, capsys):
-        cache = str(tmp_path / "missing" / "c")
-        code, out, err = run(["obf", "--N", "2500", "--cache", cache], capsys)
-        assert code == 2 and out == ""
-        assert err.count("\n") == 1 and err.startswith(f"cannot use cache {cache}:")
+        assert err.endswith("error: unrecognized arguments: --cache x\n")
+        assert os.listdir(tmp_path) == []
 
 
 class TestConstructCommand:
@@ -629,39 +558,54 @@ class TestSearchCommand:
 
 
 class TestSummaryCommand:
-    def test_without_cache(self, tmp_path, capsys):
-        code, out, _ = run(
-            ["summary", "--cache", str(tmp_path / "missing.cache")], capsys
-        )
+    def test_without_cache(self, capsys):
+        """Without --N, summary builds no table and has no bound side."""
+        code, out, _ = run(["summary"], capsys)
         assert code == 0
-        assert "no cache" in out and "tower r=2" in out
-
-    @pytest.mark.parametrize("content", ["", "\n  \n"])
-    def test_cache_without_values_is_left_alone(self, content, tmp_path, capsys):
-        cache = tmp_path / "c.cache"
-        cache.write_text(content)
-        code, out, _ = run(["summary", "--cache", str(cache)], capsys)
-        assert code == 0 and cache.read_text() == content
-        assert "no cache values" in out and out.rstrip().endswith(", ?]")
-        code, out, _ = run(["summary", "--cache", str(cache), "--json"], capsys)
-        assert code == 0 and cache.read_text() == content
+        assert "bound side: none" in out and "tower r=2" in out
+        assert out.rstrip().endswith(", ?]")
+        code, out, _ = run(["summary", "--json"], capsys)
+        assert code == 0
         doc = json.loads(out)
         assert doc["bound"] is None and doc["bracket"][1] is None
 
-    def test_with_cache(self, tmp_path, capsys):
-        cache = str(tmp_path / "c.cache")
-        run(["obf", "--N", "100", "--cache", cache], capsys)
-        code, out, _ = run(["summary", "--cache", cache], capsys)
+    def test_with_cache(self, capsys):
+        """With --N, summary builds the table cold to N."""
+        code, out, _ = run(["summary", "--N", "100"], capsys)
         assert code == 0
+        assert "bound side: N=100 " in out
         assert "bracket: [1.38180306817," in out
 
-    def test_json_bracket(self, tmp_path, capsys):
-        cache = str(tmp_path / "c.cache")
-        run(["obf", "--N", "100", "--cache", cache], capsys)
-        code, out, _ = run(["summary", "--cache", cache, "--json"], capsys)
+    def test_json_bracket(self, capsys):
+        code, out, _ = run(["summary", "--N", "100", "--json"], capsys)
         doc = json.loads(out)
         assert doc["bound"]["N"] == 100
         assert doc["bracket"][0].startswith("1.38180")
+
+    def test_bound_is_obf_report(self, capsys):
+        """The bound side carries obf's report fields at N."""
+        code, out, _ = run(["summary", "--N", "100", "--json"], capsys)
+        assert code == 0
+        bound = json.loads(out)["bound"]
+        code, out, _ = run(["obf", "--N", "100", "--json"], capsys)
+        doc = json.loads(out)
+        del doc["frontier_log"]
+        assert code == 0 and bound == doc
+
+    def test_n2_bound_side(self, capsys):
+        """At N = 2 the critical set is that of Theta_2, not that of obf(3),
+        which the table always holds."""
+        code, out, _ = run(["summary", "--N", "2", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["bound"] == {
+            "N": 2, "obf_N": "1/1", "ratio_decimal": "1", "tail": "1/1",
+            "upper_limit_decimal": "2", "critical": [1, 2],
+        }
+
+    @pytest.mark.parametrize("n", ["1", "-5"])
+    def test_n_below_2_exit_2(self, n, capsys):
+        code, out, err = run(["summary", "--N", n], capsys)
+        assert code == 2 and out == "" and err == "N must be >= 2\n"
 
 
 class TestUsage:
@@ -710,6 +654,6 @@ class TestUsage:
         with pytest.raises(cli._UsageError, match="ambiguous option: --c could match"):
             cli._option("--c", flags)
 
-    def test_obf_n1_exit_2(self, tmp_path, capsys):
-        code, _, _ = run(["obf", "--N", "1", "--cache", str(tmp_path / "c")], capsys)
+    def test_obf_n1_exit_2(self, capsys):
+        code, _, _ = run(["obf", "--N", "1"], capsys)
         assert code == 2
