@@ -569,6 +569,24 @@ class TestSummaryCommand:
         doc = json.loads(out)
         assert doc["bound"] is None and doc["bracket"][1] is None
 
+    @pytest.mark.parametrize("content", ["", "\n  \n"])
+    def test_cache_without_values_is_left_alone(self, content, tmp_path, capsys,
+                                                monkeypatch):
+        """A cache file left by an older version, in the working directory
+        or named by LAMINAR_CACHE, is neither read nor written by summary."""
+        cache = tmp_path / "obf.cache"
+        cache.write_text(content)
+        monkeypatch.setenv("LAMINAR_CACHE", str(cache))
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(["summary"], capsys)
+        assert code == 0 and cache.read_text() == content
+        assert "bound side: none" in out and out.rstrip().endswith(", ?]")
+        code, out, _ = run(["summary", "--json"], capsys)
+        assert code == 0 and cache.read_text() == content
+        doc = json.loads(out)
+        assert doc["bound"] is None and doc["bracket"][1] is None
+        assert os.listdir(tmp_path) == ["obf.cache"]
+
     def test_with_cache(self, capsys):
         """With --N, summary builds the table cold to N."""
         code, out, _ = run(["summary", "--N", "100"], capsys)
