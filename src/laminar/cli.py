@@ -12,10 +12,15 @@ input error, 3 resource/budget exceeded, 4 data corruption.  Reports go
 to stdout, progress and diagnostics to stderr.  `obf` and `summary`
 build the bound table cold in memory and write no file.
 
-`parse` reads argv from the `_COMMANDS` table as argparse would, without
-importing it: every command runs in a fresh process, where importing
-argparse and its first parse (gettext, locale, its regular expressions,
-one help formatter per argument) cost more than a small `verify`.
+Two readers, both built from the `_COMMANDS` table, turn argv into a
+command's fields.  `parse` reads plain
+argv itself: the command, then its exact flags with their values as
+separate tokens, and its positionals.  Everything else (`-h`, usage
+errors, `--opt=value`, flag prefixes, negative values, `--`) goes to
+`_argparse`, argparse's parser of every command.  Every command runs in
+a fresh process, where importing argparse and its first parse (gettext,
+locale, its regular expressions, one help formatter per argument) cost
+more than a small `verify`, so plain argv never imports it.
 """
 
 from __future__ import annotations
@@ -118,11 +123,19 @@ def cmd_construct(args) -> int:
                 _write(path, setfam.family_to_text(fam, t=report.t, comments=comments))
             return EXIT_OK
         if kind in ("affine", "projective", "circle"):
-            gen = {
-                "affine": geometry.affine_plane,
-                "projective": geometry.projective_plane,
-                "circle": geometry.circle_geometry,
+            # each cap is the largest prime power whose whole command
+            # (generate, validate, write) took at most 20 s and 1 GB peak
+            # RSS on a 2-core x86-64 host, which leaves slower hosts room
+            # under 60 s and 2 GB; the next prime power took more
+            gen, cap = {
+                "affine": (geometry.affine_plane, 199),  # 17 s, 864 MB; 211: 22 s, 1.06 GB
+                "projective": (geometry.projective_plane, 53),  # 13 s, 38 MB; 59: 23 s
+                "circle": (geometry.circle_geometry, 41),  # 16 s, 906 MB; 43: 1.18 GB
             }[kind]
+            # before any field is built: a larger order runs out of memory
+            # or takes hours, and trial division of a huge q alone is slow
+            if args.q > cap:
+                raise construct.CapExceeded(f"{kind} order q={args.q} exceeds the cap {cap}")
             design = gen(args.q)
             if not geometry.is_design(design):
                 _log("generated block system failed validation")
@@ -139,22 +152,20 @@ def cmd_construct(args) -> int:
             }
             print(json.dumps(summary, indent=2) if args.json else summary)
             return EXIT_OK
-        if kind == "packing":
-            if args.k is None:
-                _log("packing needs --k (block size)")
-                return EXIT_USAGE
-            design = geometry.greedy_packing(args.n, args.k, args.t, args.seed)
-            if not geometry.is_packing(design):
-                _log("greedy packing failed validation")
-                return EXIT_CORRUPT
-            path = out or f"packing-n{args.n}-k{args.k}-t{args.t}.design"
-            _write(path, geometry.design_to_text(design))
-            summary = {"kind": kind, "n": args.n, "k": args.k, "t": args.t,
-                       "blocks": design.block_count()}
-            print(json.dumps(summary, indent=2) if args.json else summary)
-            return EXIT_OK
-        _log(f"unknown construct kind {kind!r}")
-        return EXIT_USAGE
+        # kind is "packing", the last of the choices both readers enforce
+        if args.k is None:
+            _log("packing needs --k (block size)")
+            return EXIT_USAGE
+        design = geometry.greedy_packing(args.n, args.k, args.t, args.seed)
+        if not geometry.is_packing(design):
+            _log("greedy packing failed validation")
+            return EXIT_CORRUPT
+        path = out or f"packing-n{args.n}-k{args.k}-t{args.t}.design"
+        _write(path, geometry.design_to_text(design))
+        summary = {"kind": kind, "n": args.n, "k": args.k, "t": args.t,
+                   "blocks": design.block_count()}
+        print(json.dumps(summary, indent=2) if args.json else summary)
+        return EXIT_OK
     except construct.CapExceeded as exc:
         _log(str(exc))
         return EXIT_BUDGET
@@ -342,7 +353,6 @@ class _Command:
 
 
 _JSON = {"--json": ("json", None, False)}
-_HELP = {"-h": ("help", None, False), "--help": ("help", None, False)}
 
 _COMMANDS = {
     "obf": _Command(
@@ -365,138 +375,66 @@ _COMMANDS = {
 }
 
 
-class _UsageError(Exception):
-    pass
+def _argparse(argv: list[str]):
+    """argv read by argparse's parser of every command in `_COMMANDS`:
+    the namespace, or the exit code after argparse printed the help (0)
+    or a usage error (2)."""
+    import argparse
 
-
-def _groups(options: dict) -> list[list[str]]:
-    """The flags of each dest, aliases together, in table order."""
-    by_dest: dict[str, list[str]] = {}
-    for flag, (dest, _, _) in options.items():
-        by_dest.setdefault(dest, []).append(flag)
-    return list(by_dest.values())
-
-
-def _names(flags: dict, dest: str) -> str:
-    """Every flag of dest, as argparse names the option in its errors."""
-    return "/".join(f for f, spec in flags.items() if spec[0] == dest)
-
-
-def _spell(flag: str, options: dict) -> str:
-    dest, kind, _ = options[flag]
-    return flag if kind is None else f"{flag} {dest.upper()}"
-
-
-def _usage(name: str | None) -> str:
-    if name is None:
-        return "usage: laminar [-h] {" + ",".join(_COMMANDS) + "} ..."
-    cmd = _COMMANDS[name]
-    parts = ["[-h]"]
-    for flag, *_ in _groups(cmd.options):
-        part = _spell(flag, cmd.options)
-        parts.append(part if flag in cmd.required else f"[{part}]")
-    parts += ["{" + ",".join(c) + "}" if c else p for p, c in cmd.positionals.items()]
-    return f"usage: laminar {name} " + " ".join(parts)
-
-
-def _help(name: str | None) -> str:
-    if name is None:
-        rows = [f"  {n:<10} {c.help}" for n, c in _COMMANDS.items()]
-        about = "t-laminar family constructions and exact LP bounds"
-        return "\n".join([_usage(None), "", about, "", "commands:", *rows])
-    cmd = _COMMANDS[name]
-    rows = ["  -h, --help  show this help message and exit"]
-    rows += ["  " + ", ".join(_spell(f, cmd.options) for f in fl) for fl in _groups(cmd.options)]
-    return "\n".join([_usage(name), "", cmd.help, "", "options:", *rows])
-
-
-def _option(tok: str, flags: dict) -> tuple[str | None, str | None] | None:
-    """How argparse reads tok among flags: None for a value, otherwise
-    (flag, the value after "=" or None), with flag None for an unknown
-    option.  A unique prefix of a long flag names that flag; negative
-    numbers and tokens holding a space are values."""
-    if tok[:1] != "-" or tok == "-":
-        return None
-    head, eq, value = tok.partition("=")
-    if head in flags:
-        return head, value if eq else None
-    found = [f for f in flags if f.startswith(head)] if tok[1] == "-" else []
-    if len(found) > 1:
-        raise _UsageError(f"ambiguous option: {tok} could match {', '.join(found)}")
-    if found:
-        return found[0], value if eq else None
-    whole, dot, frac = tok[1:].partition(".")
-    if (frac if dot else whole).isdecimal() and (not whole or whole.isdecimal()) or " " in tok:
-        return None
-    return None, None
-
-
-def parse(argv: list[str]) -> SimpleNamespace | int:
-    """argv as `laminar COMMAND [ARGS]`, read as argparse would read it
-    into the fields the command's handler takes: `--opt value`,
-    `--opt=value`, unique prefixes of long flags, and after `--`
-    positionals only.  Help goes to stdout and returns 0; a usage error
-    goes to stderr after the usage line and returns 2."""
-    name, flags, fields, todo, extra, rest = None, _HELP, {}, [], [], False
-    args = iter(argv)
+    parser = argparse.ArgumentParser(
+        prog="laminar", description="t-laminar family constructions and exact LP bounds")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help, description=cmd.help)
+        for dest, choices in cmd.positionals.items():
+            sp.add_argument(dest, choices=choices)
+        aliases: dict[str, list[str]] = {}
+        for flag, (dest, _, _) in cmd.options.items():
+            aliases.setdefault(dest, []).append(flag)
+        for flags in aliases.values():
+            dest, kind, default = cmd.options[flags[0]]
+            how = {"action": "store_true"} if kind is None else {"type": kind, "default": default}
+            sp.add_argument(*flags, dest=dest, required=flags[0] in cmd.required, **how)
+        sp.set_defaults(func=globals()[f"cmd_{name}"])
     try:
-        for tok in args:
-            if tok == "--" and name and not rest:
-                rest = True
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def parse(argv: list[str]):
+    """argv as `laminar COMMAND [ARGS]`, as the fields the command's
+    handler takes, or an exit code.  Plain argv is read here: a command,
+    then exact flags, each value in the next token (one not starting
+    with "-" that the flag's type takes), and the command's positionals
+    inside their choices, with every required argument given.  Any
+    other argv, help and usage errors included, goes to argparse."""
+    cmd = _COMMANDS.get(argv[0]) if argv else None
+    if cmd is None:
+        return _argparse(argv)
+    fields = {dest: default for dest, _, default in cmd.options.values()}
+    todo = list(cmd.positionals.items())
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        if tok in cmd.options:
+            dest, kind, _ = cmd.options[tok]
+            if kind is None:
+                fields[dest] = True
                 continue
-            opt = None if rest or tok == "--" else _option(tok, flags)
-            if opt is None and name is None:
-                if tok not in _COMMANDS:
-                    choices = ", ".join(map(repr, _COMMANDS))
-                    raise _UsageError(
-                        f"argument command: invalid choice: {tok!r} (choose from {choices})")
-                name, cmd = tok, _COMMANDS[tok]
-                flags = {**cmd.options, **_HELP}
-                fields = {dest: default for dest, _, default in cmd.options.values()}
-                todo = list(cmd.positionals.items())
-            elif opt is None and todo:
-                dest, choices = todo.pop(0)
-                if choices and tok not in choices:
-                    listed = ", ".join(map(repr, choices))
-                    raise _UsageError(
-                        f"argument {dest}: invalid choice: {tok!r} (choose from {listed})")
-                fields[dest] = tok
-            elif opt is None or opt[0] is None:
-                extra.append(tok)
-            else:
-                flag, value = opt
-                dest, kind, _ = flags[flag]
-                spelled = _names(flags, dest)
-                if kind is None and value is not None:
-                    raise _UsageError(f"argument {spelled}: ignored explicit argument {value!r}")
-                if dest == "help":
-                    print(_help(name))
-                    return EXIT_OK
-                if kind is None:
-                    fields[dest] = True
-                    continue
-                if value is None:
-                    value = next(args, "--")
-                    if value == "--" or _option(value, flags) is not None:
-                        raise _UsageError(f"argument {spelled}: expected one argument")
-                try:
-                    fields[dest] = kind(value)
-                except ValueError:
-                    raise _UsageError(
-                        f"argument {spelled}: invalid {kind.__name__} value: {value!r}") from None
-        if name is None:
-            raise _UsageError("the following arguments are required: command")
-        missing = [_names(flags, flags[f][0]) for f in cmd.required if fields[flags[f][0]] is None]
-        missing += [dest for dest, _ in todo]
-        if missing:
-            raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
-        if extra:
-            raise _UsageError(f"unrecognized arguments: {' '.join(extra)}")
-    except _UsageError as exc:
-        prog = f"laminar {name}" if name else "laminar"
-        print(_usage(name), f"{prog}: error: {exc}", sep="\n", file=sys.stderr)
-        return EXIT_USAGE
-    return SimpleNamespace(command=name, func=globals()[f"cmd_{name}"], **fields)
+            tok = next(tokens, "-")
+            if tok.startswith("-"):
+                return _argparse(argv)
+            try:
+                fields[dest] = kind(tok)
+            except ValueError:
+                return _argparse(argv)
+        elif tok.startswith("-") or not todo or todo[0][1] and tok not in todo[0][1]:
+            return _argparse(argv)
+        else:
+            fields[todo.pop(0)[0]] = tok
+    if todo or any(fields[cmd.options[flag][0]] is None for flag in cmd.required):
+        return _argparse(argv)
+    return SimpleNamespace(command=argv[0], func=globals()[f"cmd_{argv[0]}"], **fields)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -73,16 +73,26 @@ USAGE_CORPUS = [
     ["summary", "--N", "5", "--json"], ["summary", "--N"], ["summary", "--n", "5"],
 ]
 
-# the other argvs cli.parse must read as argparse does: the harness's
-# commands, every documented command, and the option forms
-ORACLE_CORPUS = [
-    # perfbench/workloads.py
+# the commands of the benchmark harness (perfbench/workloads.py)
+HARNESS_ARGVS = [
     ["obf", "--N", "10000", "--json"],
     ["construct", "fano-tower", "--r", "1", "--materialize", "--out", "tower.family", "--json"],
     ["construct", "affine", "--q", "49", "--out", "affine.design", "--json"],
     ["construct", "circle", "--q", "9", "--out", "circle.design", "--json"],
     ["verify", "tower.family", "--t", "2"], ["search", "--n", "9", "--t", "2", "--json"],
+]
+
+# the other argvs cli.parse must read as argparse does: the harness's
+# commands, every documented command, and the option forms
+ORACLE_CORPUS = [
+    *HARNESS_ARGVS,
     *documented_argvs(),
+    # the edges of the plain reader: empty values, a "-" value, digit
+    # separators, NaN, a repeated flag, a flag before the positional
+    ["verify", "", "--t", "2"], ["construct", "affine", "--out", ""],
+    ["construct", "affine", "--out", "-"], ["obf", "--N", "1_000"],
+    ["search", "--n", "3", "--budget", "nan"], ["obf", "--json", "--N", "7", "--N", "8"],
+    ["construct", "--json", "affine", "--q", "3"],
     # --opt=value, prefixes, negative values, repeats, help after an error
     ["obf", "--N=50"], ["obf", "--N="], ["search", "--n", "3", "--budget=-inf"],
     ["construct", "fano-tower", "--mat"], ["obf", "--c", "x", "--N", "3"], ["--he"],
@@ -204,6 +214,16 @@ class TestConstructCommand:
             ["construct", "fano-tower", "--r", "3", "--materialize"], capsys
         )
         assert code == 3 and "exceeds the cap" in err
+
+    @pytest.mark.parametrize("kind", ["affine", "projective", "circle"])
+    def test_order_over_cap_exit_3(self, kind, tmp_path, capsys, monkeypatch):
+        # q = 1009 is prime: affine_plane alone would broadcast 8 GB
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        code, out, err = run(["construct", kind, "--q", "1009"], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == "" and os.listdir(tmp_path) == []
+        assert re.fullmatch(f"{kind} order q=1009 exceeds the cap \\d+\n", err)
 
     @pytest.mark.parametrize("kind", ["projective", "circle"])
     def test_bad_q_exit_2(self, kind, capsys):
@@ -641,15 +661,18 @@ class TestUsage:
     def parses_as_argparse(argv, capsys):
         """cli.parse reads argv into argparse's fields, or exits with
         argparse's code, writing to the stream argparse writes to."""
+        def fields(namespace) -> dict:  # by repr, so that a NaN equals itself
+            return {dest: repr(value) for dest, value in vars(namespace).items()}
+
         try:
-            expected, code = vars(argparse_oracle().parse_args(argv)), None
+            expected, code = fields(argparse_oracle().parse_args(argv)), None
         except SystemExit as exc:
             expected, code = None, exc.code
         want = capsys.readouterr()
         got = cli.parse(argv)
         out = capsys.readouterr()
         if code is None:
-            assert vars(got) == expected and (out.out, out.err) == ("", "")
+            assert fields(got) == expected and (out.out, out.err) == ("", "")
         else:
             assert got == code
             assert (bool(out.out), bool(out.err)) == (bool(want.out), bool(want.err))
@@ -665,12 +688,35 @@ class TestUsage:
     def test_parser_matches_argparse(self, argv, capsys):
         self.parses_as_argparse(argv, capsys)
 
-    def test_only_a_unique_prefix_names_a_flag(self):
-        flags = {"--cache": ("cache", str, None), "--count": ("count", int, 0)}
-        assert cli._option("--ca", flags) == ("--cache", None)
-        assert cli._option("--co=3", flags) == ("--count", "3")
-        with pytest.raises(cli._UsageError, match="ambiguous option: --c could match"):
-            cli._option("--c", flags)
+    def test_plain_argv_leaves_argparse_unimported(self, capsys):
+        """Every command runs in a fresh process, where argparse's import
+        and first parse cost more than a small `verify`: the harness's
+        commands and every documented argv that argparse reads into a
+        namespace are read without it."""
+
+        def namespace(argv) -> bool:
+            try:
+                argparse_oracle().parse_args(argv)
+            except SystemExit:
+                return False
+            return True
+
+        plain = HARNESS_ARGVS + [argv for argv in documented_argvs() if namespace(argv)]
+        capsys.readouterr()
+        assert len(plain) > 20
+        src = os.path.dirname(os.path.dirname(laminar.__file__))
+        script = (
+            "import json, sys\n"
+            "from laminar import cli\n"
+            f"for argv in json.loads({json.dumps(plain)!r}):\n"
+            "    assert not isinstance(cli.parse(argv), int), argv\n"
+            "print('argparse' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.stdout, done.stderr) == ("False\n", "")
 
     def test_obf_n1_exit_2(self, capsys):
         code, _, _ = run(["obf", "--N", "1"], capsys)
