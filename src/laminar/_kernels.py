@@ -13,7 +13,7 @@ Two inner loops dominate runtime in this package:
     sharing a point are found in blocks of rows (``block_pairs``).  Both
     are tested in pieces of at most _CHUNK row-pair words (1 MB,
     ``pair_pieces``) and stop at the first piece with a hit,
-  * covered-t-subset counting when validating designs and packings
+  * covered-t-subset counting when validating designs
     (``cover_counts``, any t >= 1): ``np.add.at`` adds the colex ranks
     of the blocks' t-subsets (``colex_ranks``, which also drives
     `setfam.unique_chain_check`) into one C(v, t) uint8 count array,
@@ -313,7 +313,7 @@ def repeated_rows(points: np.ndarray, offsets: np.ndarray, below: int | None = N
 
 
 # ---------------------------------------------------------------------------
-# covered t-subset counting for design/packing validation
+# covered t-subset counting for design validation
 
 
 def cover_counts(points: np.ndarray, offsets: np.ndarray, v: int, t: int) -> np.ndarray:

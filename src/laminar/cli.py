@@ -2,15 +2,16 @@
 
 Subcommands
   obf        build the bound table in memory, report obf(N)
-  construct  generate towers, planes, circle geometries, greedy packings
+  construct  generate towers, planes and circle geometries
   verify     check a family file for t-laminarity (three equivalent ways)
   search     exact maximum-family search on small ground sets
   summary    reconcile construction ratios against the bound table at --N
 
 Exit codes: 0 success / property holds, 1 property fails, 2 usage or
-input error, 3 resource/budget exceeded, 4 data corruption.  Reports go
-to stdout, progress and diagnostics to stderr.  `obf` and `summary`
-build the bound table cold in memory and write no file.
+input error, 3 resource/budget exceeded, 4 data corruption, 141 stdout
+closed early (a broken pipe).  Reports go to stdout, progress and
+diagnostics to stderr.  `obf` and `summary` build the bound table cold
+in memory and write no file.
 
 Two readers, both built from the `_COMMANDS` table, turn argv into a
 command's fields.  `parse` reads plain
@@ -28,6 +29,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -39,6 +41,7 @@ EXIT_PROPERTY_FAILS = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_CORRUPT = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command its pipe killed
 
 
 def _log(msg: str):
@@ -122,48 +125,34 @@ def cmd_construct(args) -> int:
                 comments = [f"tower kind={kind} r={args.r} n={report.n}"]
                 _write(path, setfam.family_to_text(fam, t=report.t, comments=comments))
             return EXIT_OK
-        if kind in ("affine", "projective", "circle"):
-            # each cap is the largest prime power whose whole command
-            # (generate, validate, write) took at most 20 s and 1 GB peak
-            # RSS on a 2-core x86-64 host, which leaves slower hosts room
-            # under 60 s and 2 GB; the next prime power took more
-            gen, cap = {
-                "affine": (geometry.affine_plane, 199),  # 17 s, 864 MB; 211: 22 s, 1.06 GB
-                "projective": (geometry.projective_plane, 53),  # 13 s, 38 MB; 59: 23 s
-                "circle": (geometry.circle_geometry, 41),  # 16 s, 906 MB; 43: 1.18 GB
-            }[kind]
-            # before any field is built: a larger order runs out of memory
-            # or takes hours, and trial division of a huge q alone is slow
-            if args.q > cap:
-                raise construct.CapExceeded(f"{kind} order q={args.q} exceeds the cap {cap}")
-            design = gen(args.q)
-            if not geometry.is_design(design):
-                _log("generated block system failed validation")
-                return EXIT_CORRUPT
-            path = out or f"{kind}-q{args.q}.design"
-            _write(path, geometry.design_to_text(design))
-            summary = {
-                "kind": kind,
-                "q": args.q,
-                "t": design.t,
-                "v": design.v,
-                "lambda": design.lam,
-                "blocks": design.block_count(),
-            }
-            print(json.dumps(summary, indent=2) if args.json else summary)
-            return EXIT_OK
-        # kind is "packing", the last of the choices both readers enforce
-        if args.k is None:
-            _log("packing needs --k (block size)")
-            return EXIT_USAGE
-        design = geometry.greedy_packing(args.n, args.k, args.t, args.seed)
-        if not geometry.is_packing(design):
-            _log("greedy packing failed validation")
+        # the kinds left are the designs.  Each cap is the largest prime
+        # power whose whole command (generate, validate, write) took at
+        # most 20 s and 1 GB peak RSS on a 2-core x86-64 host, which
+        # leaves slower hosts room under 60 s and 2 GB; the next prime
+        # power took more
+        gen, cap = {
+            "affine": (geometry.affine_plane, 199),  # 17 s, 864 MB; 211: 22 s, 1.06 GB
+            "projective": (geometry.projective_plane, 53),  # 13 s, 38 MB; 59: 23 s
+            "circle": (geometry.circle_geometry, 41),  # 16 s, 906 MB; 43: 1.18 GB
+        }[kind]
+        # before any field is built: a larger order runs out of memory
+        # or takes hours, and trial division of a huge q alone is slow
+        if args.q > cap:
+            raise construct.CapExceeded(f"{kind} order q={args.q} exceeds the cap {cap}")
+        design = gen(args.q)
+        if not geometry.is_design(design):
+            _log("generated block system failed validation")
             return EXIT_CORRUPT
-        path = out or f"packing-n{args.n}-k{args.k}-t{args.t}.design"
+        path = out or f"{kind}-q{args.q}.design"
         _write(path, geometry.design_to_text(design))
-        summary = {"kind": kind, "n": args.n, "k": args.k, "t": args.t,
-                   "blocks": design.block_count()}
+        summary = {
+            "kind": kind,
+            "q": args.q,
+            "t": design.t,
+            "v": design.v,
+            "lambda": design.lam,
+            "blocks": design.block_count(),
+        }
         print(json.dumps(summary, indent=2) if args.json else summary)
         return EXIT_OK
     except construct.CapExceeded as exc:
@@ -360,9 +349,8 @@ _COMMANDS = {
         {"--N": ("N", int, None), "--n": ("N", int, None), **_JSON}, ("--N",)),
     "construct": _Command(
         "generate designs and tower families",
-        {"kind": ("fano-tower", "circle-tower", "affine", "projective", "circle", "packing")},
-        {"--r": ("r", int, 0), "--q": ("q", int, 2), "--n": ("n", int, 7),
-         "--k": ("k", int, None), "--t": ("t", int, 2), "--seed": ("seed", int, 0),
+        {"kind": ("fano-tower", "circle-tower", "affine", "projective", "circle")},
+        {"--r": ("r", int, 0), "--q": ("q", int, 2),
          "--materialize": ("materialize", None, False), "--out": ("out", str, None), **_JSON}),
     "verify": _Command(
         "check a family file for t-laminarity", {"file": None}, {"--t": ("t", int, None)}),
@@ -445,7 +433,14 @@ def main(argv: list[str] | None = None) -> int:
     gc.freeze()
     try:
         args = parse(sys.argv[1:] if argv is None else argv)
-        return args if isinstance(args, int) else args.func(args)
+        code = args if isinstance(args, int) else args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`laminar ... | head`).  With fd 1 on
+        # the null device, the interpreter's last flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     finally:
         gc.unfreeze()
 

@@ -2,8 +2,8 @@
 
 Provides GF(p^k) arithmetic with a deterministically chosen modulus,
 affine and projective planes of prime-power order, circle geometries
-(the 3-(q^2+1, q+1, 1) inversive planes), exhaustive design/packing
-validators, and a seeded greedy packing fallback for desk-scale runs.
+(the 3-(q^2+1, q+1, 1) inversive planes), and an exhaustive design
+validator.
 
 Field elements are integer codes 0..q-1: the code's base-p digits are
 the coefficient vector of the residue polynomial, lowest degree first.
@@ -13,12 +13,10 @@ generators run vectorized.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
-from math import comb
-from typing import Iterable, Optional, Sequence
+from itertools import product
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -193,21 +191,20 @@ def field_for_order(q: int) -> FiniteField:
 
 
 # ---------------------------------------------------------------------------
-# designs and packings
+# designs
 
 
 @dataclass(frozen=True, eq=False)
 class Design:
-    """A block system with declared strength t and index lambda.
+    """A t-design of index lambda on v points: every t-subset of the
+    points lies in exactly lambda blocks.
 
     The blocks are CSR arrays: ``points`` holds every block's 0-based
     points, strictly increasing within a block, concatenated in block
     order, and block i is ``points[offsets[i]:offsets[i+1]]``.  Both are
     stored as read-only int64 copies, so designs compare by identity.
 
-    kind "design" claims every t-subset lies in exactly lambda blocks;
-    kind "packing" claims at most lambda.  Claims are checked by
-    is_design / is_packing, not at construction.
+    The claim is checked by is_design, not at construction.
     """
 
     t: int
@@ -215,20 +212,17 @@ class Design:
     lam: int
     points: np.ndarray
     offsets: np.ndarray
-    kind: str  # "design" | "packing"
 
     def __post_init__(self):
-        if self.kind not in ("design", "packing"):
-            raise ValueError("kind must be 'design' or 'packing'")
         points, offsets = csr_arrays(self.v, self.points, self.offsets)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "offsets", offsets)
 
     @classmethod
-    def of(cls, t: int, v: int, lam: int, sets: Iterable[Iterable[int]], kind: str) -> "Design":
+    def of(cls, t: int, v: int, lam: int, sets: Iterable[Iterable[int]]) -> "Design":
         """One block per iterable of points in 1..v, in any order."""
         points, offsets = csr_from_sets(v, (sorted(s) for s in sets))
-        return cls(t=t, v=v, lam=lam, points=points, offsets=offsets, kind=kind)
+        return cls(t=t, v=v, lam=lam, points=points, offsets=offsets)
 
     @cached_property
     def blocks(self) -> Family:
@@ -239,30 +233,14 @@ class Design:
         return len(self.offsets) - 1
 
 
-def _subset_cover_counts(d: Design) -> Optional[np.ndarray]:
-    """Block-coverage count of every t-subset of [v], colex-ranked, or
-    None when some block has fewer than t points."""
-    if (np.diff(d.offsets) < d.t).any():
-        return None
-    return _kernels.cover_counts(d.points, d.offsets, d.v, d.t)
-
-
 def is_design(d: Design) -> bool:
     """Exhaustively: every t-subset of [v] lies in exactly lambda blocks."""
-    counts = _subset_cover_counts(d)
-    if counts is None:
+    if (np.diff(d.offsets) < d.t).any():
         return False
+    counts = _kernels.cover_counts(d.points, d.offsets, d.v, d.t)
     # min and max as Python ints, so lambda compares exactly with any
     # count dtype
     return counts.size == 0 or int(counts.min()) == int(counts.max()) == d.lam
-
-
-def is_packing(d: Design) -> bool:
-    """Exhaustively: every t-subset of [v] lies in at most lambda blocks."""
-    counts = _subset_cover_counts(d)
-    if counts is None:
-        return False
-    return counts.size == 0 or int(counts.max()) <= d.lam
 
 
 def affine_plane(q: int) -> Design:
@@ -280,7 +258,7 @@ def affine_plane(q: int) -> Design:
     verticals = x[:, None] * q + x[None, :]
     rows = np.concatenate([graphs.reshape(q * q, q), verticals])
     return Design(t=2, v=q * q, lam=1, points=rows.ravel(),
-                  offsets=np.arange(0, rows.size + 1, q), kind="design")
+                  offsets=np.arange(0, rows.size + 1, q))
 
 
 def projective_plane(q: int) -> Design:
@@ -312,7 +290,7 @@ def projective_plane(q: int) -> Design:
             if s == 0:
                 line.append(index[v])
         blocks.append(line)
-    return Design.of(2, len(vecs), 1, blocks, "design")
+    return Design.of(2, len(vecs), 1, blocks)
 
 
 def circle_geometry(q: int) -> Design:
@@ -374,7 +352,7 @@ def circle_geometry(q: int) -> Design:
             f"circle geometry block count {uniq.shape[0]} != {expected}"
         )
     return Design(t=3, v=big + 1, lam=1, points=uniq.ravel(),
-                  offsets=np.arange(0, uniq.size + 1, q + 1), kind="design")
+                  offsets=np.arange(0, uniq.size + 1, q + 1))
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
@@ -384,53 +362,13 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return rows[order[~same]]
 
 
-def greedy_packing(n: int, k: int, t: int, order_seed: int = 0) -> Design:
-    """Seeded greedy t-(n, k, 1) packing: desk-scale plumbing.
-
-    Visits candidate k-subsets in a seeded pseudo-random order and keeps
-    a block iff it shares < t points with everything kept so far.  When
-    C(n, k) is too large to shuffle outright, falls back to seeded
-    random sampling with a patience cutoff; either way the output
-    passes is_packing.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if not t <= k <= n:
-        raise ValueError("need t <= k <= n")
-    rng = random.Random(order_seed)
-    accepted: list[tuple[int, Sequence[int]]] = []  # (mask, points)
-
-    def try_add(points):
-        m = 0
-        for pt in points:
-            m |= 1 << (pt - 1)
-        for other, _ in accepted:
-            if (m & other).bit_count() >= t:
-                return
-        accepted.append((m, points))
-
-    if comb(n, k) <= 2_000_000:
-        cands = list(combinations(range(1, n + 1), k))
-        rng.shuffle(cands)
-        for cand in cands:
-            try_add(cand)
-    else:
-        misses = 0
-        while misses < 20_000:
-            before = len(accepted)
-            try_add(rng.sample(range(1, n + 1), k))
-            misses = 0 if len(accepted) > before else misses + 1
-    accepted.sort(key=lambda block: (block[0].bit_count(), block[0]))
-    return Design.of(t, n, 1, (points for _, points in accepted), "packing")
-
-
 # ---------------------------------------------------------------------------
 # serialization: Family text format plus a metadata comment
 
 
 def design_to_text(d: Design) -> str:
     """The blocks in the family text format, headed by a ``design t=..
-    v=.. lambda=.. kind=..`` comment; `family_from_text` reads the file
-    back as the block family."""
-    meta = f"design t={d.t} v={d.v} lambda={d.lam} kind={d.kind}"
+    v=.. lambda=.. kind=design`` comment; `family_from_text` reads the
+    file back as the block family."""
+    meta = f"design t={d.t} v={d.v} lambda={d.lam} kind=design"
     return csr_to_text(d.v, d.points, d.offsets, t=d.t, comments=[meta])

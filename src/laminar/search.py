@@ -16,8 +16,8 @@ the counting convention of f(n) the search stops as soon as the
 incumbent reaches floor(obf(n)) from the bound table, which caps f(n).
 The graph is built, and its rows relabelled, in numpy blocks of 64
 rows.  Its blocks and adjacency rows are int masks (bit j for 0-based
-point or vertex j), as are the blocks `geometry.greedy_packing`
-accepts; the family returned is built from their points.  This settles t = 2 up to n = 13,
+point or vertex j); the family returned is built from their points.
+This settles t = 2 up to n = 13,
 and n = 15: f(8) = 37 by search (its greedy seed holds 37 of
 floor(obf(8)) = 38), and f(9) = 49, f(10) = 61, f(11) = 74, f(12) = 89,
 f(13) = 105 and f(15) = 142, each floor(obf(n)), by the greedy seed

@@ -498,9 +498,13 @@ def family_to_json(fam: Family, t: int | None = None) -> dict:
 
 def family_from_json(doc: dict) -> tuple[Family, int | None]:
     """The family and t of a JSON document; a member Family rejects is
-    named by its 1-based index."""
+    named by its 1-based index.  n and t must be JSON integers, as in
+    the text header: a float, string or boolean is refused, not cast."""
+    for field in ("n", "t"):
+        if field in doc and type(doc[field]) is not int:
+            raise ValueError(f"{field} must be an integer, not {doc[field]!r}")
     try:
-        fam = Family.of(int(doc["n"]), doc["sets"])
+        fam = Family.of(doc["n"], doc["sets"])
     except MemberError as exc:
         raise ValueError(f"member {exc.member + 1}: {exc}") from None
-    return fam, (int(doc["t"]) if "t" in doc else None)
+    return fam, (doc["t"] if "t" in doc else None)

@@ -187,10 +187,10 @@ class TestConstructCommand:
              "095da9ac90c335255a76047e82441e823e494ad92cb052c559089a9f750f9e19"),
             (["fano-tower", "--r", "1", "--materialize"],
              "df40f4b4e0a29631abf66521746a8b8d524a2467f548f595834bdd201cd8c8fb"),
-            (["packing", "--n", "13", "--k", "4", "--t", "2", "--seed", "5"],
-             "6f6f9831e44880e5cd95b6d4fc4d656858d1878250ce80d19c1d736ad158ee46"),
+            (["projective", "--q", "7"],
+             "0a055d7bf4ad2921cafe3e3643ad313329a6af4576fac01ad67e9242a0abef81"),
         ],
-        ids=["affine-49", "circle-9", "fano-tower-1", "packing-13-4-2"],
+        ids=["affine-49", "circle-9", "fano-tower-1", "projective-7"],
     )
     def test_written_files_pinned(self, argv, digest, tmp_path, capsys):
         """The files construct writes, byte for byte."""
@@ -230,25 +230,18 @@ class TestConstructCommand:
         code, _, err = run(["construct", kind, "--q", "10"], capsys)
         assert code == 2 and "prime power" in err
 
-    def test_packing_kind(self, tmp_path, capsys):
-        out_path = str(tmp_path / "p.design")
-        code, out, _ = run(
-            ["construct", "packing", "--n", "7", "--k", "3", "--t", "2",
-             "--seed", "1", "--out", out_path, "--json"],
-            capsys,
-        )
-        assert code == 0
-        assert json.loads(out)["blocks"] >= 5
-
-    @pytest.mark.parametrize("t", ["0", "-1"])
-    def test_packing_t_below_one_exit_2(self, t, tmp_path, capsys):
-        out_path = tmp_path / "p.design"
-        code, _, err = run(
-            ["construct", "packing", "--n", "5", "--k", "2", "--t", t, "--out", str(out_path)],
-            capsys,
-        )
-        assert code == 2 and "t must be >= 1" in err
-        assert not out_path.exists()
+    @pytest.mark.parametrize("argv", [
+        ["packing", "--n", "7", "--k", "3"], ["affine", "--q", "3", "--seed", "1"],
+        ["affine", "--q", "3", "--n", "7"], ["affine", "--q", "3", "--k", "3"],
+        ["circle", "--q", "3", "--t", "2"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_no_packing_kind_or_its_flags_exit_2(self, argv, tmp_path, capsys, monkeypatch):
+        # every block system construct writes is a design: a greedy
+        # packing kind and its four flags are usage errors
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["construct", *argv], capsys)
+        assert code == 2 and out == "" and err.startswith("usage: laminar")
+        assert os.listdir(tmp_path) == []
 
     def test_failed_construction_check_exit_4(self, tmp_path, capsys, monkeypatch):
         real = geometry._unique_rows
@@ -332,6 +325,18 @@ class TestVerifyCommand:
             open(path, "w").write(text)
             code, out, err = run(["verify", path, "--t", "2"], capsys)
             assert (code, out) == (2, "") and message in err, text
+
+    @pytest.mark.parametrize("doc", [
+        '{"n": 1e400, "t": 2, "sets": [[1, 2]]}', '{"n": 3, "t": 1e400, "sets": [[1, 2]]}',
+        '{"n": 3.9, "t": 2, "sets": [[1, 2]]}', '{"n": 3, "t": 2.5, "sets": [[1, 2]]}',
+    ], ids=["n-1e400", "t-1e400", "n-3.9", "t-2.5"])
+    def test_json_non_integer_n_or_t_exit_2(self, doc, tmp_path, capsys):
+        # int() rounded 3.9 and 2.5 down and overflowed on 1e400 (inf)
+        path = tmp_path / "f.json"
+        path.write_text(doc)
+        code, out, err = run(["verify", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot read {path}: ") and "must be an integer" in err
 
     def test_missing_t_exit_2(self, tmp_path, capsys):
         path = str(tmp_path / "not.family")
@@ -717,6 +722,22 @@ class TestUsage:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert (done.stdout, done.stderr) == ("False\n", "")
+
+    @pytest.mark.parametrize(
+        "argv", [["obf", "--N", "100", "--json"], ["search", "--n", "8", "--json"]],
+        ids=["obf", "search"])
+    def test_closed_stdout_exit_141(self, argv):
+        """A reader that closes the pipe early (`| head`) ends the command
+        with 128 + SIGPIPE and no traceback, not with 1, "property fails"."""
+        src = os.path.dirname(os.path.dirname(laminar.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "laminar.cli", *argv], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_obf_n1_exit_2(self, capsys):
         code, _, _ = run(["obf", "--N", "1"], capsys)

@@ -16,7 +16,7 @@ from laminar.construct import (
     fano_tower,
     nested,
 )
-from laminar.geometry import Design, affine_plane, greedy_packing, projective_plane
+from laminar.geometry import Design, affine_plane, circle_geometry, projective_plane
 from laminar.setfam import Family, family_from_text, family_to_text, is_t_laminar
 
 
@@ -44,7 +44,7 @@ class TestNested:
         assert len(out_with_universe) == 1625
 
     def test_rejects_non_laminar_replacement(self):
-        packing = Design.of(1, 6, 1, [[1, 2, 3], [4, 5, 6]], "packing")
+        packing = Design.of(1, 6, 1, [[1, 2, 3], [4, 5, 6]])
         bad = Family.of(3, [[1, 2], [2, 3]])  # overlapping, incomparable
         with pytest.raises(ValueError, match="not t-laminar"):
             nested(packing, bad)
@@ -54,21 +54,34 @@ class TestNested:
         with pytest.raises(ValueError, match="ground size 4 != block size 3"):
             nested(fano, Family.of(4, [[1, 2]]))
         # blocks of two sizes: the family fits the first block, not the second
-        mixed = Design.of(2, 5, 1, [[1, 2, 3], [3, 4]], "packing")
+        mixed = Design.of(2, 5, 1, [[1, 2, 3], [3, 4]])
         with pytest.raises(ValueError, match="ground size 3 != block size 2"):
             nested(mixed, Family.of(3, [[1, 2]]))
 
     def test_random_property(self):
         rng = random.Random(99)
         for _ in range(25):
-            n = rng.randint(5, 9)
-            k = rng.randint(2, min(4, n))
-            t = rng.randint(1, k)
-            packing = greedy_packing(n, k, t, rng.randint(0, 999))
-            repl = random_laminar_family(rng, k, t)
+            packing = _random_packing(rng, rng.randint(1, 3))
+            k = int(packing.offsets[1])
+            repl = random_laminar_family(rng, k, packing.t)
             out = nested(packing, repl)
-            assert is_t_laminar(out, t)
+            assert is_t_laminar(out, packing.t)
             assert int_masks(out) == _nested_loop(packing, repl)
+
+
+def _random_packing(rng, t):
+    """A t-wise packing (no t points in two blocks): a random nonempty
+    subset of the blocks of a t-(v,k,1) design, or for t = 1 disjoint
+    k-sets of a shuffled [n]."""
+    if t == 1:
+        n = rng.randint(5, 9)
+        k = rng.randint(2, 4)
+        pts = rng.sample(range(1, n + 1), n)
+        return Design.of(1, n, 1, [pts[i:i + k] for i in range(0, n - k + 1, k)])
+    build = rng.choice([affine_plane, projective_plane] if t == 2 else [circle_geometry])
+    design = build(rng.choice([2, 3]))
+    blocks = members(design.blocks)
+    return Design.of(t, design.v, 1, rng.sample(blocks, rng.randint(1, len(blocks))))
 
 
 def _nested_loop(packing, repl):
@@ -267,9 +280,11 @@ class TestGeneralLowerBound:
         assert len(full) == 7 * 4 + 1 == 29
         assert is_t_laminar(full, 2)
 
-    def test_greedy_13(self):
-        p = greedy_packing(13, 3, 2, 7)
-        f3 = Family.of(3, [*combinations(range(1, 4), 2), [1, 2, 3]])
-        out = nested(p, f3)
-        assert len(out) == 4 * p.block_count()
+    def test_projective_13_minus_blocks(self):
+        # PG(2, 3): 13 points, 13 lines of 4; any 9 of them are a packing
+        rng = random.Random(7)
+        p = Design.of(2, 13, 1, rng.sample(members(projective_plane(3).blocks), 9))
+        f4 = Family.of(4, [*combinations(range(1, 5), 2), [1, 2, 3, 4]])
+        out = nested(p, f4)
+        assert len(out) == 7 * p.block_count() == 63
         assert is_t_laminar(out, 2)

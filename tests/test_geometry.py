@@ -1,6 +1,7 @@
 import hashlib
 import random
 from functools import reduce
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -17,9 +18,7 @@ from laminar.geometry import (
     circle_geometry,
     design_to_text,
     field_make,
-    greedy_packing,
     is_design,
-    is_packing,
     prime_power,
     projective_plane,
 )
@@ -269,19 +268,18 @@ class TestDesignArrays:
     )
     def test_malformed_arrays_raise(self, points, offsets):
         with pytest.raises(ValueError):
-            Design(t=2, v=4, lam=1, points=np.array(points), offsets=np.array(offsets),
-                   kind="packing")
+            Design(t=2, v=4, lam=1, points=np.array(points), offsets=np.array(offsets))
 
     def test_blocks_may_restart_low(self):
         # points fall between blocks, and empty blocks are allowed
         d = Design(t=1, v=4, lam=1, points=np.array([2, 3, 0, 1]),
-                   offsets=np.array([0, 2, 2, 4]), kind="packing")
+                   offsets=np.array([0, 2, 2, 4]))
         assert d.block_count() == 3
         assert members(d.blocks) == [(3, 4), (), (1, 2)]
 
     def test_arrays_are_read_only_copies(self):
         points = np.array([0, 1, 2])
-        d = Design(t=2, v=3, lam=1, points=points, offsets=np.array([0, 3]), kind="design")
+        d = Design(t=2, v=3, lam=1, points=points, offsets=np.array([0, 3]))
         points[0] = 2
         assert d.points.tolist() == [0, 1, 2]
         assert d.points.dtype == d.offsets.dtype == np.int64
@@ -290,11 +288,11 @@ class TestDesignArrays:
                 arr[0] = 1
 
     def test_of_sorts_each_block(self):
-        d = Design.of(2, 5, 1, [[3, 1, 2], [5, 4]], "packing")
+        d = Design.of(2, 5, 1, [[3, 1, 2], [5, 4]])
         assert d.points.tolist() == [0, 1, 2, 3, 4]
         assert d.offsets.tolist() == [0, 3, 5]
         with pytest.raises(ValueError):
-            Design.of(2, 5, 1, [[1, 6]], "packing")
+            Design.of(2, 5, 1, [[1, 6]])
 
     @pytest.mark.parametrize(
         "build",
@@ -316,51 +314,25 @@ class TestValidators:
 
     def test_fano_minus_block_is_packing_not_design(self):
         fano = projective_plane(2)
-        trimmed = Design.of(2, 7, 1, members(fano.blocks)[1:], "packing")
+        trimmed = Design.of(2, 7, 1, members(fano.blocks)[1:])
         assert not is_design(trimmed)
-        assert is_packing(trimmed)
 
     def test_shared_pair_fails_packing(self):
-        d = Design.of(2, 5, 1, [[1, 2, 3], [1, 2, 4]], "packing")
-        assert not is_packing(d)
+        # the Fano plane plus a second line through {1, 2}
+        fano = members(projective_plane(2).blocks)
+        assert not is_design(Design.of(2, 7, 1, fano + [(1, 2)]))
 
     def test_undersized_block_fails(self):
-        d = Design.of(2, 4, 1, [[1]], "packing")
-        assert not is_packing(d)
+        # the Fano plane plus a block too small to hold a pair: every
+        # pair is still covered once, so only the size check catches it
+        fano = members(projective_plane(2).blocks)
+        assert not is_design(Design.of(2, 7, 1, fano + [(1,)]))
 
     def test_general_t_path(self):
         # t=4 exercises the non-kernel counting branch
-        d = Design.of(4, 6, 1, [[1, 2, 3, 4]], "packing")
-        assert is_packing(d)
-
-
-class TestGreedyPacking:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_seven_three_reaches_five(self, seed):
-        d = greedy_packing(7, 3, 2, seed)
-        assert d.block_count() >= 5
-        assert is_packing(d)
-
-    def test_all_pairs(self):
-        d = greedy_packing(4, 2, 2, 3)
-        assert d.block_count() == 6
-
-    def test_single_full_block(self):
-        d = greedy_packing(5, 5, 2, 0)
-        assert d.block_count() == 1
-
-    def test_block_count_upper_bound(self):
-        for seed in range(4):
-            d = greedy_packing(9, 3, 2, seed)
-            assert is_packing(d)
-            assert d.block_count() <= comb(9, 2) // comb(3, 2)
-
-    def test_bad_parameters(self):
-        with pytest.raises(ValueError):
-            greedy_packing(4, 5, 2, 0)
-        for t in (0, -1):
-            with pytest.raises(ValueError, match="t must be >= 1"):
-                greedy_packing(5, 2, t, 0)
+        blocks = list(combinations(range(1, 7), 4))
+        assert is_design(Design.of(4, 6, 1, blocks))
+        assert not is_design(Design.of(4, 6, 1, blocks[1:]))
 
 
 class TestDesignSerialization:

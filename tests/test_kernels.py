@@ -11,7 +11,7 @@ import pytest
 from conftest import int_masks, lp_dual_value, of_masks, sparse_family
 from laminar import _kernels
 from laminar.construct import fano_tower
-from laminar.geometry import Design, is_design, is_packing
+from laminar.geometry import Design, is_design
 from laminar.setfam import Family, is_t_laminar, violating_pair
 
 
@@ -466,11 +466,10 @@ class TestCoverCounts:
         ],
     )
     def test_doubly_covered_subset_fails_design_and_packing(self, t, v, blocks):
-        d = Design.of(t, v, 1, blocks, "design")
+        d = Design.of(t, v, 1, blocks)
         counts = _kernels.cover_counts(d.points, d.offsets, v, t)
         assert sorted(counts.tolist()) == [1] * (len(counts) - 1) + [2]
         assert not is_design(d)
-        assert not is_packing(d)
 
     def test_reference_counting(self):
         # one block [0,1,2] on v=4: pairs (0,1),(0,2),(1,2) covered once
@@ -519,30 +518,28 @@ class TestCoverCounts:
 
 
 class TestKnownDesigns:
-    """Strengths outside {2, 3} through is_design and is_packing."""
+    """Strengths outside {2, 3}, and large indices, through is_design."""
 
     def test_all_5_subsets_of_7_are_a_4_design(self):
         # every 4-subset of [7] lies in the 3 five-subsets that add one
         # of the remaining 3 points
         blocks = list(combinations(range(1, 8), 5))
-        assert is_design(Design.of(4, 7, 3, blocks, "design"))
-        assert not is_design(Design.of(4, 7, 2, blocks, "design"))
-        assert is_packing(Design.of(4, 7, 3, blocks, "packing"))
+        assert is_design(Design.of(4, 7, 3, blocks))
+        assert not is_design(Design.of(4, 7, 2, blocks))
 
     @pytest.mark.parametrize("v", [1, 6, 70])
     def test_partition_is_a_1_design(self, v):
         parts = [list(range(lo, min(lo + 4, v + 1))) for lo in range(1, v + 1, 4)]
-        assert is_design(Design.of(1, v, 1, parts, "design"))
+        assert is_design(Design.of(1, v, 1, parts))
 
     def test_overlapping_cover_is_not_a_1_design(self):
-        assert not is_design(Design.of(1, 4, 1, [[1, 2], [2, 3, 4]], "design"))
+        assert not is_design(Design.of(1, 4, 1, [[1, 2], [2, 3, 4]]))
 
     def test_doubly_covered_4_subset_fails(self):
         # {1,2,3,4} lies in both blocks; all other 4-subsets in at most one
-        d = Design.of(4, 6, 1, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6]], "packing")
+        d = Design.of(4, 6, 1, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6]])
         counts = _kernels.cover_counts(d.points, d.offsets, 6, 4)
         assert sorted(counts.tolist()) == [0] * 6 + [1] * 8 + [2]
-        assert not is_packing(d)
         assert not is_design(d)
 
 
@@ -550,22 +547,18 @@ class TestKnownDesigns:
     def test_index_past_uint8(self, lam):
         # one block repeated lam times covers each of its t-subsets lam
         # times and every other one never: a 2-(4, 4, lam) design on
-        # its own points, a packing only for index >= lam
+        # its own points, and no design once a fifth point is added
         blocks = [[1, 2, 3, 4]] * lam
-        assert is_design(Design.of(2, 4, lam, blocks, "design"))
-        assert not is_design(Design.of(2, 5, lam, blocks, "design"))
-        assert not is_design(Design.of(2, 4, lam - 1, blocks, "design"))
-        assert not is_design(Design.of(2, 4, lam + 1, blocks, "design"))
-        assert is_packing(Design.of(2, 5, lam, blocks, "packing"))
-        assert not is_packing(Design.of(2, 5, lam - 1, blocks, "packing"))
+        assert is_design(Design.of(2, 4, lam, blocks))
+        assert not is_design(Design.of(2, 5, lam, blocks))
+        assert not is_design(Design.of(2, 4, lam - 1, blocks))
+        assert not is_design(Design.of(2, 4, lam + 1, blocks))
 
     def test_all_6_subsets_of_13_have_index_330(self):
         # every pair of [13] lies in C(11, 4) = 330 of the 6-subsets
         blocks = list(combinations(range(1, 14), 6))
-        assert is_design(Design.of(2, 13, 330, blocks, "design"))
-        assert not is_design(Design.of(2, 13, 330 - 256, blocks, "design"))
-        assert is_packing(Design.of(2, 13, 330, blocks, "packing"))
-        assert not is_packing(Design.of(2, 13, 329, blocks, "packing"))
+        assert is_design(Design.of(2, 13, 330, blocks))
+        assert not is_design(Design.of(2, 13, 330 - 256, blocks))
 
 
 class TestScanTopK:

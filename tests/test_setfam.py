@@ -687,6 +687,15 @@ class TestSerialization:
         back, t = family_from_json(family_to_json(f, t=3))
         assert back == f and t == 3
 
+    @pytest.mark.parametrize("field", ["n", "t"])
+    @pytest.mark.parametrize("value", [3.9, 2.5, 3.0, "3", True, None, float("inf")],
+                             ids=["3.9", "2.5", "3.0", "str", "bool", "null", "1e400"])
+    def test_json_n_and_t_must_be_integers(self, field, value):
+        # the text header takes only n=<int>; json.loads reads 1e400 as inf
+        doc = {"n": 3, "t": 2, "sets": [[1, 2]], field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, not "):
+            family_from_json(doc)
+
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(FamilyParseError, match="line 2"):
             family_from_text("n=3\n2 1\n")
