@@ -67,10 +67,16 @@ a step whose argmax is m0 gives obf(k) = 1 + F_k(m0), at most
 1 + obf(m0) + g_u(k, m0) for each vertex u of Theta_{m0}, so one u
 whose quadratic stays <= C(k-1,2) x_v + C(k,2) y_v at every vertex v
 of the newest frontier proves that eta_k cuts nothing there.  Every
-horizon is dropped when m0 changes or the frontier gains a segment,
-since the comparisons assume both fixed.  That covers R too: the
-frontier's vertex on x = 0 is (0, R), so a value with a larger ratio
-cuts it and starts a segment.
+pending horizon is dropped, and every seed issued again, when m0
+changes or the frontier gains a segment, since the comparisons assume
+both fixed.  That covers R too: the frontier's vertex on x = 0 is
+(0, R), so a value with a larger ratio cuts it and starts a segment.
+But a seed issued again at step n re-solves only the options (a
+vertex v with one bound) whose kept horizon is below n: one kept at
+E >= n holds on [n, E] and fails at E + 1.  Seeds and tails pair each
+bound only with the u from the first one minimal at n on, since the
+minimal vertex only moves up as k grows (`_window`).  Neither changes
+a horizon.  The cut test keeps every u: each is an option there.
 
 Most steps then need no call to `_max_lp` at all: they form windows.
 After a step whose argmax is m0 and whose cut test the cut horizon
@@ -430,14 +436,23 @@ def _horizon(a: int, b: int, c: int, n0: int) -> Optional[int]:
     return e
 
 
-def _maxmin(n0: int, options) -> Optional[int]:
+def _maxmin(n0: int, options, kept: Optional[list] = None) -> Optional[int]:
     """Largest E >= n0 - 1 such that, for one option, lo(k) <= hi(k) at
     every n0 <= k <= E for each of its pairs (lo, hi) of quadratics in k
     (as `_plus_g` gives them); None when one option holds at every
     k >= n0.  An option stops at its first pair that cannot beat the
-    best so far."""
-    best = n0 - 1
-    for pairs in options:
+    best so far.  `kept`, the options' horizons from an earlier issue
+    (empty at the first), is updated in place; only the options kept
+    below n0 are solved, and one that stops early stays below."""
+    kept = [] if kept is None else kept
+    if None in kept:
+        return None
+    best = max([n0 - 1, *kept])
+    for i, pairs in enumerate(options):
+        if i == len(kept):
+            kept.append(n0 - 1)
+        elif kept[i] >= n0:
+            continue
         e = None
         for (a1, b1, c1, d1), (a2, b2, c2, d2) in pairs:
             h = _horizon(a2 * d1 - a1 * d2, b2 * d1 - b1 * d2, c2 * d1 - c1 * d2, n0)
@@ -445,9 +460,12 @@ def _maxmin(n0: int, options) -> Optional[int]:
                 e = h
                 if e <= best:
                     break
-        if e is None:
-            return None
-        best = max(best, e)
+        else:
+            # no pair stopped it: e is the option's exact horizon
+            kept[i] = e
+            if e is None:
+                return None
+            best = e
     return best
 
 
@@ -463,16 +481,24 @@ def _plus_g(p: int, q: int, a: int, s: int, x: int, y: int) -> tuple[int, int, i
     )
 
 
-def _warm_start(table: BoundTable, m0: int) -> list[tuple[int, int, int, int]]:
+def _warm_start(
+    table: BoundTable, m0: int, n: Optional[int] = None
+) -> list[tuple[int, int, int, int]]:
     """obf(m0) + g_u(k, m0) for each vertex u of Theta_{m0}; F_k(m0) is
-    the least of these quadratics."""
+    the least of these quadratics.  With n, only those from the first
+    one minimal at n on, one of which is minimal at every k >= n."""
     f0 = table.frontier_at(m0)
     p0, q0 = table._num[m0], table._den[m0]
-    return [_plus_g(p0, q0, m0, f0.scale, x, y) for x, y in f0.scaled_pts]
+    warm = [_plus_g(p0, q0, m0, f0.scale, x, y) for x, y in f0.scaled_pts]
+    if n is None:
+        return warm
+    at_n = [(a * n + b) * n + c for a, b, c, _ in warm]
+    return warm[at_n.index(min(at_n)):]
 
 
 def _seed_horizon(
-    table: BoundTable, n: int, lo: int, hi: int, si: int, m0: int
+    table: BoundTable, n: int, lo: int, hi: int, si: int, m0: int,
+    kept: Optional[list] = None,
 ) -> Optional[int]:
     """How long the seed [lo, hi] of segment si may be skipped from step n.
 
@@ -482,22 +508,23 @@ def _seed_horizon(
     at every step n <= k <= E; None when one does at every k >= n.
     Here g_v(k, m) = C(k-m,2) x_v + (C(k,2) - C(m,2)) y_v, so with u a
     vertex of Theta_{m0} each comparison is an integer quadratic in k,
-    solved by `_horizon`.
+    solved by `_horizon`.  `kept` is as for `_maxmin`.
     """
-    f = table._seg_frontiers[si]
-    s = f.scale
-    warm = _warm_start(table, m0)
-    p_r, q_r = table._ratio_max(hi)
-    # each bound as its terms (p, q, a): p/q plus g_v(k, a)
-    mono = ((table._num[hi], table._den[hi], lo),)
-    quad = ((p_r * lo * (lo - 1), 2 * q_r, lo), (p_r * hi * (hi - 1), 2 * q_r, hi))
 
     def options():
+        # built on first use: an option kept as None settles the seed first
+        f = table._seg_frontiers[si]
+        s = f.scale
+        warm = _warm_start(table, m0, n)
+        p_r, q_r = table._ratio_max(hi)
+        # each bound as its terms (p, q, a): p/q plus g_v(k, a)
+        mono = ((table._num[hi], table._den[hi], lo),)
+        quad = ((p_r * lo * (lo - 1), 2 * q_r, lo), (p_r * hi * (hi - 1), 2 * q_r, hi))
         for xv, yv in f.scaled_pts:
             for terms in (mono, quad) if q_r * (xv - yv) >= -p_r * s else (mono,):
                 yield ((_plus_g(*t, s, xv, yv), u) for t in terms for u in warm)
 
-    return _maxmin(n, options())
+    return _maxmin(n, options(), kept)
 
 
 def _tail_horizon(table: BoundTable, n: int, c: int, si: int, m0: int) -> Optional[int]:
@@ -512,7 +539,7 @@ def _tail_horizon(table: BoundTable, n: int, c: int, si: int, m0: int) -> Option
     """
     f = table._seg_frontiers[si]
     s = f.scale
-    warm = _warm_start(table, m0)
+    warm = _warm_start(table, m0, n)
     p_r, q_r = table._ratio_max(n - 1)
     a = c + 1
 
@@ -569,10 +596,11 @@ class _Horizons:
     skipped at every step is kept nowhere.  The open last segment is a seed only up to `cut`; the
     tail (cut, n-1] is skipped up to step `tail`, and `_cuts` up to step
     `no_cut` at steps whose argmax is m0.  All of it holds for the `key`
-    (m0, index of the open segment).
+    (m0, index of the open segment).  `kept` maps each seed issued, as
+    (lo, hi, si, m0), to its options' horizons.
     """
 
-    __slots__ = ("key", "cut", "tail", "no_cut", "pending")
+    __slots__ = ("key", "cut", "tail", "no_cut", "pending", "kept")
 
     def __init__(self):
         self.key = None
@@ -580,6 +608,7 @@ class _Horizons:
         self.tail: Optional[int] = None
         self.no_cut: Optional[int] = None
         self.pending: list[tuple[int, int, int, int]] = []
+        self.kept: dict = {}
 
     def _issue(
         self, table: BoundTable, n: int, lo: int, hi: int, si: int,
@@ -588,7 +617,9 @@ class _Horizons:
         """Add the seed [lo, hi] of segment si with its horizon from step
         n.  A seed whose bound fails at n is split in two halves while it
         is wider than _LEAF; a leaf that fails is added to `fails`."""
-        e = _seed_horizon(table, n, lo, hi, si, self.key[0])
+        m0 = self.key[0]
+        kept = self.kept.setdefault((lo, hi, si, m0), [])
+        e = _seed_horizon(table, n, lo, hi, si, m0, kept=kept)
         if e is not None and e < n and hi - lo >= _LEAF:
             mid = (lo + hi) // 2
             self._issue(table, n, lo, mid, si, fails)

@@ -75,17 +75,14 @@ def cmd_obf(args) -> int:
         _log("N must be >= 2")
         return EXIT_USAGE
 
-    if n == 2:
-        report = {"N": 2, "obf_N": "1/1", "ratio_decimal": "1"}
-        print(json.dumps(report) if args.json else "obf(2) = 1")
-        return EXIT_OK
-
     def progress(step: int):
         _log(f"obf progress: n={step}/{n}")
 
     table = bounds.obf_table(n, progress)
     rep, doc = _bound_doc(table, n)
-    doc["frontier_log"] = [[s, list(c)] for s, c in table.frontier_log]
+    # the table always holds obf(3), whose segment starts at 3
+    frontier_log = [(s, c) for s, c in table.frontier_log if s <= n]
+    doc["frontier_log"] = [[s, list(c)] for s, c in frontier_log]
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
@@ -94,8 +91,8 @@ def cmd_obf(args) -> int:
         print(f"obf(N)/C(N,2) = {rep.ratio_decimal} (exact {_rat(rep.ratio)})")
         print(f"tail sum beyond N = {_rat(rep.tail)}")
         print(f"upper limit = {rep.upper_limit_decimal} (exact {_rat(rep.upper_limit)})")
-        print("critical halfspaces:", " ".join(map(str, table.critical)))
-        log = " ".join(f"{s}:{','.join(map(str, c))}" for s, c in table.frontier_log)
+        print("critical halfspaces:", " ".join(map(str, doc["critical"])))
+        log = " ".join(f"{s}:{','.join(map(str, c))}" for s, c in frontier_log)
         print("frontier log:", log)
     return EXIT_OK
 
@@ -209,6 +206,12 @@ def cmd_verify(args) -> int:
         _log("t must be >= 1")
         return EXIT_USAGE
 
+    # the checks run on [largest point used]: no member holds a larger
+    # point, so a larger header n changes no verdict, but it would size
+    # the packed words and check 3's binomials
+    n = int(fam.points.max(initial=0)) + 1
+    if n < fam.n:
+        fam = setfam.Family(n, fam.points, fam.offsets)
     paths: dict = {}
     try:
         hit = setfam.verify_t_laminar(fam, t, paths)

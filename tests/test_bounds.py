@@ -292,8 +292,8 @@ def _issued(n_max, name):
     issued = []
     issue = getattr(bounds, name)
 
-    def record(table, *args):
-        e = issue(table, *args)
+    def record(table, *args, **kwargs):
+        e = issue(table, *args, **kwargs)
         issued.append((*args, e))
         return e
 
@@ -554,6 +554,38 @@ class TestHorizons:
 
             _assert_exact(table.frontier_at(m0).vertices, holds, n, e)
 
+    def test_kept_horizons_equal_fresh_ones_to_3000(self, monkeypatch):
+        """Every seed that `_Horizons` issues while obf_table runs to
+        N = 3000 gets the horizon a fresh `_seed_horizon` gives on that
+        table, also where it is issued again and reuses kept options."""
+        issue = bounds._seed_horizon
+        reissued = 0
+
+        def checked(table, n, lo, hi, si, m0, kept=None):
+            nonlocal reissued
+            reissued += bool(kept)
+            e = issue(table, n, lo, hi, si, m0, kept=kept)
+            assert e == issue(table, n, lo, hi, si, m0), (n, lo, hi, si, m0)
+            return e
+
+        monkeypatch.setattr(bounds, "_seed_horizon", checked)
+        obf_table(3000)
+        assert reissued > 50
+
+    def test_warm_cut_keeps_horizons_to_3000(self, monkeypatch):
+        """The warm start cut to the vertices from the first one minimal at
+        the issuing step gives the horizon of the full warm start, on
+        every seed and tail issued to N = 3000."""
+        table, seeds = _issued(3000, "_seed_horizon")
+        _, tails = _issued(3000, "_tail_horizon")
+        warm = bounds._warm_start
+        assert any(len(warm(table, m0, n)) < len(warm(table, m0)) for n, *_, m0, _e in seeds)
+        monkeypatch.setattr(bounds, "_warm_start", lambda table, m0, n=None: warm(table, m0))
+        for n, lo, hi, si, m0, e in seeds:
+            assert bounds._seed_horizon(table, n, lo, hi, si, m0) == e, (n, lo, hi)
+        for n, c, si, m0, e in tails:
+            assert bounds._tail_horizon(table, n, c, si, m0) == e, (n, c)
+
     def test_seeds_partition_every_step(self, table2000, monkeypatch):
         """Driven as obf_table drives it, across the segments 1802-1807:
         at every step the seeds, the tail and m0 partition [2, n-1], each
@@ -629,7 +661,7 @@ class TestHorizons:
         # windows evaluates the warm start and almost never scans a leaf
         # or tests a cut; almost every step sits in a window, with no
         # call to _max_lp and no exact evaluation from scratch
-        calls = {"exact": 0, "cuts": 0, "max_lp": 0}
+        calls = {"exact": 0, "cuts": 0, "max_lp": 0, "horizon": 0}
 
         def count(key, fn):
             def counted(*args):
@@ -642,6 +674,7 @@ class TestHorizons:
             ("exact", "_dual_min_scaled"),
             ("cuts", "_cuts"),
             ("max_lp", "_max_lp"),
+            ("horizon", "_horizon"),
         ):
             monkeypatch.setattr(bounds, name, count(key, getattr(bounds, name)))
         kernel = bounds._window
@@ -658,8 +691,10 @@ class TestHorizons:
         obf_table(10000)
         steps = 10000 - 3
         # only the 28 steps outside the windows evaluate exactly: the warm
-        # start at each, and 17 points of the leaves that fail
-        assert calls == {"exact": 45, "cuts": 13, "max_lp": 28}
+        # start at each, and 17 points of the leaves that fail.  Issuing
+        # the horizons solves 985 quadratics (2426 with no kept options
+        # and the full warm start)
+        assert calls == {"exact": 45, "cuts": 13, "max_lp": 28, "horizon": 985}
         assert windowed == steps - 28
 
     @pytest.mark.parametrize("n_max", [3000, 20000])

@@ -82,9 +82,9 @@ HARNESS_ARGVS = [
     ["verify", "tower.family", "--t", "2"], ["search", "--n", "9", "--t", "2", "--json"],
 ]
 
-# the other argvs cli.parse must read as argparse does: the harness's
-# commands, every documented command, and the option forms
-ORACLE_CORPUS = [
+# the other argvs cli.parse must read as argparse does, each once: the
+# harness's commands, every documented command, and the option forms
+ORACLE_CORPUS = [list(argv) for argv in dict.fromkeys(map(tuple, [
     *HARNESS_ARGVS,
     *documented_argvs(),
     # the edges of the plain reader: empty values, a "-" value, digit
@@ -106,7 +106,7 @@ ORACLE_CORPUS = [
     ["verify", "-"], ["verify", "-x y"],
     ["verify", "--", "-f"], ["verify", "--", "a", "b"], ["construct", "--", "affine"],
     ["obf", "--N", "5", "--", "x"], ["--", "obf"], ["obf", "--"], [""], ["obf", "--N", " 7 "],
-]
+]))]
 
 
 class TestObfCommand:
@@ -119,10 +119,28 @@ class TestObfCommand:
         assert doc["frontier_log"][0] == [2, [1, 2]]
 
     def test_obf_n2(self, capsys):
+        """N = 2 prints the report every N prints, its frontier log
+        clipped to the segments that start at or before N."""
         code, out, _ = run(["obf", "--N", "2"], capsys)
-        assert code == 0 and out == "obf(2) = 1\n"
+        assert code == 0 and out.splitlines() == [
+            "N = 2",
+            "obf(N) = 1/1",
+            "obf(N)/C(N,2) = 1 (exact 1/1)",
+            "tail sum beyond N = 1/1",
+            "upper limit = 2 (exact 2/1)",
+            "critical halfspaces: 1 2",
+            "frontier log: 2:1,2",
+        ]
         code, out, _ = run(["obf", "--N", "2", "--json"], capsys)
-        assert code == 0 and json.loads(out) == {"N": 2, "obf_N": "1/1", "ratio_decimal": "1"}
+        assert code == 0 and json.loads(out) == {
+            "N": 2,
+            "obf_N": "1/1",
+            "ratio_decimal": "1",
+            "tail": "1/1",
+            "upper_limit_decimal": "2",
+            "critical": [1, 2],
+            "frontier_log": [[2, [1, 2]]],
+        }
 
     def test_progress_on_stderr(self, capsys):
         code, out, err = run(["obf", "--N", "1000", "--json"], capsys)
@@ -146,6 +164,14 @@ class TestObfCommand:
         code, out, _ = run(["obf", "--N", "100", "--json"], capsys)
         assert code == 0 and out == want
         assert json.loads(out)["critical"] == [1, 2, 3, 7, 43]
+        # obf and summary report the same bound, at N = 2 too
+        for n in ("2", "100"):
+            code, out, _ = run(["obf", "--N", n, "--json"], capsys)
+            assert code == 0
+            obf_doc = json.loads(out)
+            del obf_doc["frontier_log"]
+            code, out, _ = run(["summary", "--N", n, "--json"], capsys)
+            assert code == 0 and json.loads(out)["bound"] == obf_doc, n
         assert sorted(os.listdir(tmp_path)) == ["cold", "warm"]
         assert os.listdir(cold) == [] and os.listdir(warm) == []
 
@@ -478,6 +504,32 @@ class TestVerifyCommand:
         path.write_bytes("n=3\n\n1 2\n3 1\n".replace("\n", newline).encode("ascii"))
         code, out, err = run(["verify", str(path), "--t", "2"], capsys)
         assert (code, out) == (2, "") and "line 4" in err
+
+    @pytest.mark.parametrize("n, sets", [(10**30, [[1, 2]]), (10**8, [[1, 2], [3, 4]])],
+                             ids=["1e30", "1e8"])
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_header_n_far_above_the_points(self, n, sets, form, tmp_path, capsys):
+        """The checks run on [largest point used], so a header n that
+        dwarfs the members sizes nothing and the verdict stands."""
+        if form == "text":
+            path = tmp_path / "f.family"
+            path.write_text(f"n={n} t=2\n" + "".join(f"{a} {b}\n" for a, b in sets))
+        else:
+            path = tmp_path / "f.json"
+            path.write_text(json.dumps({"n": n, "t": 2, "sets": sets}))
+        code, out, err = run(["verify", str(path)], capsys)
+        assert (code, out) == (0, f"t-laminar (t=2): {len(sets)} sets, all three checks agree\n")
+        assert "Traceback" not in err
+
+    def test_header_n_far_above_a_crossing_pair(self, tmp_path, capsys):
+        path = tmp_path / "f.family"
+        path.write_text(f"n={10**30} t=2\n1 2 3\n2 3 4\n")
+        code, out, _ = run(["verify", str(path)], capsys)
+        assert code == 1 and out.splitlines() == [
+            "NOT t-laminar (t=2)",
+            "witness sets #1 and #2: {1,2,3} vs {2,3,4}",
+            "forbidden submatrix rows (1,2), columns w=4 x=1 shared=2,3",
+        ]
 
 
 class TestSearchCommand:
